@@ -1,7 +1,9 @@
 """Vectorized evaluation of weighted bottleneck costs over many lines.
 
-Only rectangle modules with few summands take these paths; the caller falls
-back to exact per-line evaluation otherwise.  Dead bars are collapsed to
+Rectangle modules take these paths when the side with fewer finite
+rectangles has at most MAX_FINITE of them; the number of essential
+rectangles is not limited.  The caller falls back to exact per-line
+evaluation otherwise, and for presentations.  Dead bars are collapsed to
 zero-length bars at their birth instead of being dropped, which leaves the
 bottleneck value unchanged (a zero-length bar matches the diagonal for free,
 and pairing any bar with a point on the diagonal never beats that bar's own
@@ -24,8 +26,7 @@ import numpy as np
 
 from .rational import INF
 
-MAX_FINITE = 4
-MAX_ESSENTIAL = 3
+MAX_FINITE = 6
 CHUNK = 16384
 
 
@@ -55,8 +56,13 @@ def _cheapest_matching(pc, h1, h2):
     Rows are matched one at a time, keeping for every set of used columns
     the cheapest cost of the rows still to come.  max and min are exact, so
     the result equals the pattern-by-pattern minimum bit for bit, at a
-    fraction of its array operations (4x4: 199 against 1127).
+    fraction of its array operations (4x4: 199 against 1127).  The columns
+    are taken over the smaller side, which transposes pc when h2 is longer;
+    the minimum is symmetric, so the result is unchanged.
     """
+    if len(h2) > len(h1):
+        pc = [[row[j] for row in pc] for j in range(len(h2))]
+        h1, h2 = h2, h1
     r1, r2 = len(h1), len(h2)
     full = (1 << r2) - 1
     # rest[S]: cost of the columns left unmatched once the rows are done
@@ -78,6 +84,32 @@ def _row_cost(pci, h1i, rest, used, r2):
     return best
 
 
+def _sorted_network(vals):
+    """vals sorted elementwise, by odd-even transposition: one
+    compare-exchange (np.minimum, np.maximum) per adjacent pair and round."""
+    v = list(vals)
+    for r in range(len(v)):
+        for i in range(r % 2, len(v) - 1, 2):
+            v[i], v[i + 1] = (np.minimum(v[i], v[i + 1]),
+                              np.maximum(v[i], v[i + 1]))
+    return v
+
+
+def _essential_cost(e1, e2):
+    """Elementwise bottleneck cost of matching the essential births e1 to
+    e2, equal in count: the max of |sorted e1 - sorted e2|, None when both
+    are empty.
+
+    The sorted matching is optimal on a line, and rounding is monotone, so
+    in floats too the result equals the minimum over all permutations bit
+    for bit.
+    """
+    cost = None
+    for a, b in zip(_sorted_network(e1), _sorted_network(e2)):
+        cost = _max(np.abs(a - b), cost)
+    return cost
+
+
 def _split(module):
     """(essential lowers, finite rects) as float tuples; inf upper allowed on
     one coordinate of a finite rect."""
@@ -94,12 +126,21 @@ def _split(module):
 
 
 def vector_ready(M, N) -> bool:
+    """Whether both modules are rectangle modules and the one with fewer
+    finite rectangles has at most MAX_FINITE of them.
+
+    The matching minimum takes its columns over the smaller side, at
+    rows * 2^cols * cols array operations per chunk, and holds two tables
+    of up to 2^cols arrays of CHUNK values: 2 * 2^6 * CHUNK * 8 bytes, about
+    16 MB, at the cap.  Rows, the larger side's rectangles, cost linearly.
+    Essential rectangles need no cap: sorting them takes e*(e-1)/2
+    compare-exchanges per side.
+    """
     if M.rectangles is None or N.rectangles is None:
         return False
-    em, fm = _split(M)
-    en, fn = _split(N)
-    return (len(fm) <= MAX_FINITE and len(fn) <= MAX_FINITE
-            and len(em) <= MAX_ESSENTIAL and len(en) <= MAX_ESSENTIAL)
+    _, fm = _split(M)
+    _, fn = _split(N)
+    return min(len(fm), len(fn)) <= MAX_FINITE
 
 
 def coord_scale(M, N) -> float:
@@ -175,18 +216,8 @@ def _eval_chunk(em, fm, en, fn, m1, m2, b1, b2):
     if fin_cost is None:
         fin_cost = np.zeros_like(m1)
 
-    if em:
-        ebm = [push(l1, l2) for l1, l2 in em]
-        ebn = [push(l1, l2) for l1, l2 in en]
-        ess_cost = None
-        for perm in permutations(range(len(em))):
-            cost = np.maximum.reduce(
-                [np.abs(ebm[i] - ebn[perm[i]]) for i in range(len(em))])
-            ess_cost = cost if ess_cost is None else \
-                np.minimum(ess_cost, cost)
-        total = np.maximum(fin_cost, ess_cost)
-    else:
-        total = fin_cost
+    total = _max(fin_cost, _essential_cost([push(*e) for e in em],
+                                           [push(*e) for e in en]))
     return np.minimum(m1, m2) * total
 
 
@@ -274,13 +305,10 @@ def _exact_chunk(em, fm, en, fn, lam, dxv, dyv, kv):
     if fin_cost is None:
         fin_cost = np.zeros_like(dxv)
 
-    if em:
-        ebm = np.sort(np.stack([push(l1, l2) for l1, l2 in em]), axis=0)
-        ebn = np.sort(np.stack([push(l1, l2) for l1, l2 in en]), axis=0)
-        ess_cost = 2 * np.abs(ebm - ebn).max(axis=0)
-        total = np.maximum(fin_cost, ess_cost)
-    else:
-        total = fin_cost
+    ess_cost = _essential_cost([push(*e) for e in em],
+                               [push(*e) for e in en])
+    total = fin_cost if ess_cost is None else \
+        np.maximum(fin_cost, 2 * ess_cost)
 
     p = np.minimum(dxv, dyv) * total
     q = 2 * lam * s * dxv * dyv

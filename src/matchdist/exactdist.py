@@ -537,6 +537,11 @@ def _struct_key(module):
     return ("p", module.presentation)
 
 
+# finite bars per side up to which _diagram_cost loops over matching
+# patterns; match_patterns(4, 4) has 209 of them, (6, 6) has 13,327
+_PATTERN_BARS = 4
+
+
 def _diagram_cost(d1, d2):
     """Exact bottleneck cost, value only.
 
@@ -546,7 +551,7 @@ def _diagram_cost(d1, d2):
     """
     fin1 = [b for b in d1 if b.death != INF]
     fin2 = [b for b in d2 if b.death != INF]
-    if len(fin1) > _fastpath.MAX_FINITE or len(fin2) > _fastpath.MAX_FINITE:
+    if len(fin1) > _PATTERN_BARS or len(fin2) > _PATTERN_BARS:
         return bottleneck(d1, d2)[0]
     e1 = sorted(b.birth for b in d1 if b.death == INF)
     e2 = sorted(b.birth for b in d2 if b.death == INF)

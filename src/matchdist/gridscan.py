@@ -4,9 +4,11 @@ The sweep is a lower-bound cross-check for the exact engine: every sample is
 the weighted bottleneck cost on one positive-slope line, so no sample can
 exceed the exact maximum by more than float round-off.  Lines are drawn from
 an (angle, offset) grid, with the direction renormalized to the standard form
-so weights match the exact path.  Rectangle modules with few summands are
-evaluated vectorized; everything else falls back to exact restriction per
-line, lowered to a double at the end.
+so weights match the exact path.  Rectangle modules that pass
+_fastpath.vector_ready (at most _fastpath.MAX_FINITE finite rectangles on the
+smaller side, any number of essential ones) are evaluated vectorized;
+everything else falls back to exact restriction per line, lowered to a
+double at the end.
 """
 from __future__ import annotations
 

@@ -12,7 +12,7 @@ import pytest
 import matchdist.exactdist as exactdist
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       ex_need_omega, rand_diagram, rand_line, rand_point,
-                      rand_pool, rand_rect_module)
+                      rand_pool, rand_rect, rand_rect_module)
 from matchdist import _fastpath
 from matchdist.bottleneck import bottleneck
 from matchdist.exactdist import (BothTrivial, SwitchPointSet, candidate_lines,
@@ -286,7 +286,7 @@ def test_cheapest_matching_matches_patterns():
     pattern exactly, for floats and for int64 numerators."""
     rng = np.random.default_rng(13)
     assert _fastpath._cheapest_matching([], [], []) is None
-    sizes = range(_fastpath.MAX_FINITE + 1)
+    sizes = range(6)
     for r1, r2, dtype in itertools.product(sizes, sizes,
                                            (np.float64, np.int64)):
         if r1 == r2 == 0:
@@ -303,6 +303,24 @@ def test_cheapest_matching_matches_patterns():
         got = _fastpath._cheapest_matching(pc, h1, h2)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def test_essential_network_matches_permutations():
+    """The sorted matching of essential births costs exactly the minimum
+    over every permutation, for floats and for int64 numerators."""
+    rng = np.random.default_rng(14)
+    assert _fastpath._essential_cost([], []) is None
+    for e, dtype in itertools.product(range(1, 6), (np.float64, np.int64)):
+        # coarse draws give ties within and across the sides
+        draw = [(rng.random(256) * 9).round(rng.integers(0, 3)).astype(dtype)
+                for _ in range(2 * e)]
+        a, b = draw[:e], draw[e:]
+        want = np.minimum.reduce([
+            np.maximum.reduce([np.abs(a[i] - b[p[i]]) for i in range(e)])
+            for p in itertools.permutations(range(e))])
+        got = _fastpath._essential_cost(a, b)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_lattice_matches_rational_scaling():
@@ -399,3 +417,71 @@ def test_huge_coordinates_use_exact_keys():
     assert res.value == f * small.value
     assert res.witness_line.m == small.witness_line.m
     assert res.candidate_count == small.candidate_count
+
+
+# Rectangle pairs with 5-6 finite or 4-5 essential rectangles on a side.
+
+def _finite_rect(rng, pool, p_inf):
+    while True:
+        r = rand_rect(rng, pool, p_inf)
+        if r.upper[0] != INF or r.upper[1] != INF:
+            return r
+
+
+def _shaped(rng, pool, finite, essential, p_inf=0.0):
+    rs = [_finite_rect(rng, pool, p_inf) for _ in range(finite)]
+    rs += [rect(rng.choice(pool), rng.choice(pool), INF, INF)
+           for _ in range(essential)]
+    return TwoParamModule.from_rects(rs)
+
+
+# (pool size, finite rectangles of M and of N, essential ones per side,
+# p_inf); pools of 2-3 integers keep the candidate sets at 217 or 1849 lines
+_WIDE_SHAPES = [(3, 5, 5, 0, 0.2), (2, 5, 5, 0, 0.5), (2, 1, 1, 4, 0.0),
+                (3, 1, 1, 5, 0.2), (3, 1, 6, 0, 0.2), (2, 6, 1, 0, 0.5),
+                (2, 6, 6, 0, 0.5), (3, 6, 6, 0, 0.2)]
+
+
+def _wide_pairs():
+    rng = random.Random(61)
+    for size, f1, f2, e, p_inf in _WIDE_SHAPES:
+        pool = list(range(size))
+        yield (_shaped(rng, pool, f1, e, p_inf),
+               _shaped(rng, pool, f2, e, p_inf))
+
+
+def test_wide_rectangle_pairs_match_per_line_selection(monkeypatch):
+    """The vector screen and int64 selection give the value, witness line
+    and count of the per-line exact selection over every distinct key."""
+    calls = []
+    exact = _fastpath.exact_reduced_values
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(_fastpath, "exact_reduced_values", counted)
+    for M, N in _wide_pairs():
+        assert _fastpath.vector_ready(M, N)
+        n = len(calls)
+        res = matching_distance(M, N)
+        assert len(calls) == n + 1
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        ref = exactdist._select_exact(M, N, keys, lam, len(keys))
+        assert (res.value, res.witness_line, res.candidate_count) == \
+            (ref.value, ref.witness_line, ref.candidate_count)
+
+
+def test_wide_rectangle_pairs_integer_values():
+    rng = random.Random(62)
+    for M, N in _wide_pairs():
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = rng.sample(keys, min(60, len(keys)))
+        dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
+        res = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
+        assert res is not None
+        for p, q, key in zip(res[0].tolist(), res[1].tolist(), keys):
+            line = exactdist._line_from_key(*key, lam)
+            assert Q(p, q) == exactdist._exact_cost(M, N, line)

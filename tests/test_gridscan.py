@@ -5,12 +5,14 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
-                      ex_need_omega, rand_pool, rand_rect_module)
+                      ex_need_omega, rand_pool, rand_rect, rand_rect_module)
+from matchdist import _fastpath
 from matchdist.exactdist import matching_distance
-from matchdist.gridscan import (GridSpec, default_offset_range,
+from matchdist.gridscan import (GridSpec, _evaluator, default_offset_range,
                                 restricted_max, scan, write_csv)
 from matchdist.modules import TwoParamModule, rect
 from matchdist.rational import INF, Q
@@ -135,6 +137,30 @@ def test_presentation_path_agrees_with_rect_path():
     for a, b in zip(fast, slow):
         assert (a.theta, a.offset) == (b.theta, b.offset)
         assert a.weighted_cost == pytest.approx(b.weighted_cost, abs=1e-9)
+
+
+def test_five_rectangle_pair_vector_path_agrees(monkeypatch):
+    """Five finite rectangles per side take the vectorized evaluator; it
+    agrees with exact restriction per line, and the scan stays below the
+    exact distance."""
+    rng = random.Random(29)
+    pool = rand_pool(rng, 3)
+    M, N = (TwoParamModule.from_rects([rand_rect(rng, pool, p_inf=0)
+                                       for _ in range(5)]) for _ in "MN")
+    assert _fastpath.vector_ready(M, N)
+    lo, hi = default_offset_range(M, N)
+    th, off = np.meshgrid(np.linspace(0.05, 1.5, 12), np.linspace(lo, hi, 15))
+    th, off = th.ravel(), off.ravel()
+    mx = np.maximum(np.cos(th), np.sin(th))
+    lines = (np.cos(th) / mx, np.sin(th) / mx, -off / 2, off / 2)
+    fast = _evaluator(M, N)(*lines)
+    with monkeypatch.context() as mp:
+        mp.setattr(_fastpath, "vector_ready", lambda M, N: False)
+        slow = _evaluator(M, N)(*lines)
+    assert fast.max() > 0
+    assert np.all(np.abs(fast - slow) <= 1e-9 * np.maximum(1, np.abs(slow)))
+    exact = float(matching_distance(M, N).value)
+    assert scan(M, N, GridSpec(60, 60)).max_value <= exact + 1e-9
 
 
 def test_csv_round_trip_and_inf_sentinel():
