@@ -1,21 +1,29 @@
 """Vectorized evaluation of weighted bottleneck costs over many lines.
 
-Rectangle modules take these paths when the side with fewer finite
-rectangles has at most MAX_FINITE of them; the number of essential
-rectangles is not limited.  The caller falls back to exact per-line
-evaluation otherwise, and for presentations.  Dead bars are collapsed to
-zero-length bars at their birth instead of being dropped, which leaves the
-bottleneck value unchanged (a zero-length bar matches the diagonal for free,
-and pairing any bar with a point on the diagonal never beats that bar's own
-half-persistence), so every rectangle keeps a fixed slot across all lines.
+Modules take these paths when the side with fewer finite bars has at most
+MAX_FINITE of them (vector_ready): finite rectangles of a rectangle module,
+the rank of the relation matrix of a presentation.  The number of essential
+bars is not limited.  The caller falls back to exact per-line evaluation
+otherwise.  Every module keeps a fixed set of bar slots across all lines.
+Dead bars are collapsed to zero-length bars at their birth instead of being
+dropped, which leaves the bottleneck value unchanged (a zero-length bar
+matches the diagonal for free, and pairing any bar with a point on the
+diagonal never beats that bar's own half-persistence).  A rectangle has one
+slot.  A presentation reads its slots off barcode templates, one GF(2)
+reduction per distinct pair of grade push orders (_Pres), after Lesnick and
+Wright's per-cell templates in RIVET; no line is reduced on its own.
 
 Two precisions share one structure.  The float path screens large line sets
-with a sound error margin.  The integer path is exact: on the key (dx, dy, k)
-with scaling lam, every push and pull onto the line is a fraction over the
-common per-line denominator lam*(dx+dy)*dx*dy, so bottleneck costs reduce to
-integer max/min arithmetic on numerators, and the weighted value becomes a
-canonical reduced fraction per line.  All intermediates are certified against
-the int64 range before the path is taken.
+with a sound error margin; a presentation's float pushes order its grades
+within rounding, and rounding is monotone, so every relation stays at or
+after its own generators and the float barcode is that of a filtration
+within push rounding error.  The integer path is exact: on the key
+(dx, dy, k) with scaling lam, every push and pull onto the line is a
+fraction over the common per-line denominator lam*(dx+dy)*dx*dy, so
+bottleneck costs reduce to integer max/min arithmetic on numerators, and the
+weighted value becomes a canonical reduced fraction per line.  All
+intermediates are certified against the int64 range before the path is
+taken.
 """
 from __future__ import annotations
 
@@ -24,6 +32,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from .fibered import bar_counts, reduce_columns
 from .rational import INF
 
 MAX_FINITE = 6
@@ -125,31 +134,144 @@ def _split(module):
     return ess, fin
 
 
+def _row_groups(sig):
+    """Distinct rows of a 2-d integer array, and the index of each row's
+    match among them, as np.unique(sig, axis=0, return_inverse=True) gives
+    them up to the order of the rows: a lexsort, without the
+    structured-dtype sort that makes np.unique's row mode some 30 times
+    slower."""
+    order = np.lexsort(sig.T)
+    rows = sig[order]
+    new = np.empty(len(rows), dtype=bool)
+    new[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    inv = np.empty(len(rows), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return rows[new], inv
+
+
+class _Pres:
+    """A presentation's grades, in the kernel's coordinates, and its barcode
+    templates.
+
+    On a line, restrict_presentation's pairing depends only on two orders:
+    the push order of the generator grades and that of the relation grades,
+    each with ties broken by input index.  How the two interleave does not
+    matter, and the number of pairs is the rank of the relation matrix on
+    every line.  So a template, the reduction run once for one pair of
+    orders, gives every line with those orders its bars as fixed slots:
+    rank finite slots (generator g, relation r) with birth push(g) and death
+    push(r), and one essential slot per unpaired generator.  A bar of zero
+    length stays as a zero-length slot, as a dead rectangle does.
+    """
+
+    __slots__ = ("gens", "rels", "cols", "essential", "templates")
+
+    def __init__(self, module, conv):
+        pres = module.presentation
+        idx = {name: i for i, (name, _) in enumerate(pres.generators)}
+        self.gens = [(conv(g[0]), conv(g[1])) for _, g in pres.generators]
+        self.rels = [(conv(g[0]), conv(g[1])) for _, g, _ in pres.relations]
+        self.cols = [[idx[n] for n in col] for _, _, col in pres.relations]
+        self.essential = bar_counts(module)[1]
+        self.templates = {}
+
+    def _template(self, row):
+        """(generators, relations, essential generators) as input indices,
+        slot by slot, for the orders in row: the generator order, then the
+        relation order."""
+        key = row.tobytes()
+        t = self.templates.get(key)
+        if t is None:
+            ng = len(self.gens)
+            go, ro = row[:ng].tolist(), row[ng:].tolist()
+            rank = {g: r for r, g in enumerate(go)}
+            pairs, free = reduce_columns(
+                ({rank[g] for g in self.cols[j]} for j in ro), ng)
+            t = self.templates[key] = (
+                [go[r] for r, _ in pairs], [ro[c] for _, c in pairs],
+                [go[r] for r in free])
+        return t
+
+    def bars(self, push):
+        """(births, deaths, essential births) over a chunk of lines, where
+        push maps a grade to its push values along the chunk; every order
+        is taken from the values push returns."""
+        if not self.gens:
+            return [], [], []
+        gp = np.stack([push(*g) for g in self.gens])
+        rp = np.stack([push(*r) for r in self.rels]) if self.rels else gp[:0]
+        rows, inv = _row_groups(np.concatenate(
+            [np.argsort(gp, axis=0, kind="stable"),
+             np.argsort(rp, axis=0, kind="stable")]).T)
+        slots = [self._template(row) for row in rows]
+
+        def gather(vals, part):
+            idx = np.array([t[part] for t in slots], dtype=np.intp)
+            return list(np.take_along_axis(vals, idx[inv].T, axis=0))
+
+        # no death precedes its birth: a reduced column sums columns that
+        # push no later than its own relation, and each relation pushes no
+        # earlier than its own generators (in floats too, rounding being
+        # monotone)
+        return gather(gp, 0), gather(rp, 1), gather(gp, 2)
+
+
+def _float_side(module):
+    if module.rectangles is None:
+        return _Pres(module, float)
+    return _split(module)
+
+
+def _sides(M, N, side):
+    """side(M), side(N): a _Pres or the (essential, finite) split of a
+    rectangle module; raises ValueError on unequal essential counts."""
+    sm, sn = side(M), side(N)
+    em, en = (s.essential if isinstance(s, _Pres) else len(s[0])
+              for s in (sm, sn))
+    if em != en:
+        raise ValueError("essential counts differ")
+    return sm, sn
+
+
 def vector_ready(M, N) -> bool:
-    """Whether both modules are rectangle modules and the one with fewer
-    finite rectangles has at most MAX_FINITE of them.
+    """Whether the module with fewer finite bars has at most MAX_FINITE of
+    them (fibered.bar_counts): finite rectangles of a rectangle module, the
+    rank of the relation matrix of a presentation.
 
     The matching minimum takes its columns over the smaller side, at
     rows * 2^cols * cols array operations per chunk, and holds two tables
     of up to 2^cols arrays of CHUNK values: 2 * 2^6 * CHUNK * 8 bytes, about
-    16 MB, at the cap.  Rows, the larger side's rectangles, cost linearly.
-    Essential rectangles need no cap: sorting them takes e*(e-1)/2
-    compare-exchanges per side.
+    16 MB, at the cap.  Rows, the larger side's bars, cost linearly.
+    Essential bars need no cap: sorting them takes e*(e-1)/2
+    compare-exchanges per side.  A presentation adds two argsorts of its
+    grade pushes and a grouping of the lines by those orders per chunk, and
+    one GF(2) reduction per distinct pair of orders (_Pres).
+
+    Raises:
+        InvalidPresentation: if a presentation is malformed.
     """
-    if M.rectangles is None or N.rectangles is None:
-        return False
-    _, fm = _split(M)
-    _, fn = _split(N)
-    return min(len(fm), len(fn)) <= MAX_FINITE
+    return min(bar_counts(M)[0], bar_counts(N)[0]) <= MAX_FINITE
+
+
+def _coords(module):
+    """Every finite coordinate of the module's grades."""
+    if module.rectangles is not None:
+        for r in module.rectangles:
+            yield from (v for v in (*r.lower, *r.upper) if v != INF)
+        return
+    pres = module.presentation
+    for _, grade in pres.generators:
+        yield from grade
+    for _, grade, _ in pres.relations:
+        yield from grade
 
 
 def coord_scale(M, N) -> float:
     out = 1.0
     for mod in (M, N):
-        for r in mod.rectangles:
-            for v in (*r.lower, *r.upper):
-                if v != INF:
-                    out = max(out, abs(float(v)))
+        for v in _coords(mod):
+            out = max(out, abs(float(v)))
     return out
 
 
@@ -165,24 +287,21 @@ def line_floats(dxs, dys, ks, lam):
 
 
 def eval_lines(M, N, m1, m2, b1, b2):
-    """Weighted bottleneck costs for rectangle modules over float line arrays.
+    """Weighted bottleneck costs for vector_ready modules over float line
+    arrays.
 
     Lines are in standard normalization: max(m1, m2) = 1, b2 = -b1.
     Requires equal essential counts on the two sides.
     """
-    em, fm = _split(M)
-    en, fn = _split(N)
-    if len(em) != len(en):
-        raise ValueError("essential counts differ")
+    sm, sn = _sides(M, N, _float_side)
     out = np.empty(len(m1), dtype=np.float64)
     for s in range(0, len(m1), CHUNK):
         sl = slice(s, s + CHUNK)
-        out[sl] = _eval_chunk(em, fm, en, fn,
-                              m1[sl], m2[sl], b1[sl], b2[sl])
+        out[sl] = _eval_chunk(sm, sn, m1[sl], m2[sl], b1[sl], b2[sl])
     return out
 
 
-def _eval_chunk(em, fm, en, fn, m1, m2, b1, b2):
+def _eval_chunk(sm, sn, m1, m2, b1, b2):
     # line parameters where the line crosses x = v and y = v, once per
     # distinct coordinate value; rectangles of one module share many
     at1, at2 = {}, {}
@@ -196,28 +315,30 @@ def _eval_chunk(em, fm, en, fn, m1, m2, b1, b2):
     def push(l1, l2):
         return np.maximum(cross(at1, l1, b1, m1), cross(at2, l2, b2, m2))
 
-    def bars(fin):
+    def bars(side):
+        if isinstance(side, _Pres):
+            return side.bars(push)
+        ess, fin = side
         births, deaths = [], []
         for l1, l2, u1, u2 in fin:
             b = push(l1, l2)
             d = np.minimum(cross(at1, u1, b1, m1), cross(at2, u2, b2, m2))
             births.append(b)
             deaths.append(np.maximum(b, d))
-        return births, deaths
+        return births, deaths, [push(*e) for e in ess]
 
-    bm, dm = bars(fm)
-    bn, dn = bars(fn)
+    bm, dm, em = bars(sm)
+    bn, dn, en = bars(sn)
     hm = [(d - b) / 2 for b, d in zip(bm, dm)]
     hn = [(d - b) / 2 for b, d in zip(bn, dn)]
     pc = [[np.maximum(np.abs(bm[i] - bn[j]), np.abs(dm[i] - dn[j]))
-           for j in range(len(fn))] for i in range(len(fm))]
+           for j in range(len(bn))] for i in range(len(bm))]
 
     fin_cost = _cheapest_matching(pc, hm, hn)
     if fin_cost is None:
         fin_cost = np.zeros_like(m1)
 
-    total = _max(fin_cost, _essential_cost([push(*e) for e in em],
-                                           [push(*e) for e in en]))
+    total = _max(fin_cost, _essential_cost(em, en))
     return np.minimum(m1, m2) * total
 
 
@@ -247,14 +368,19 @@ def exact_reduced_values(M, N, dxv, dyv, kv, lam):
     Returns (p, q) int64 arrays with value = p/q in lowest terms, or None
     when the certified intermediate bounds do not fit int64.  Requires
     vector_ready modules with equal essential counts.
+
+    A presentation's push numerators order its grades exactly as
+    restrict_presentation's push parameters do, ties included, so its
+    barcode templates pair the same generators and relations.
     """
-    em, fm = _split_int(M, lam)
-    en, fn = _split_int(N, lam)
-    if len(em) != len(en):
-        raise ValueError("essential counts differ")
-    coords = [v for rs in (em, fm, en, fn) for r in rs for v in r
-              if v is not None]
-    amax = max((abs(v) for v in coords), default=0)
+    def side(module):
+        if module.rectangles is None:
+            return _Pres(module, lambda v: int(v * lam))
+        return _split_int(module, lam)
+
+    sm, sn = _sides(M, N, side)
+    amax = max((abs(int(v * lam)) for mod in (M, N) for v in _coords(mod)),
+               default=0)
     dxm = int(dxv.max()) if dxv.size else 1
     dym = int(dyv.max()) if dyv.size else 1
     kb = int(np.abs(kv).max()) if kv.size else 0
@@ -268,18 +394,20 @@ def exact_reduced_values(M, N, dxv, dyv, kv, lam):
     qs = np.empty(len(dxv), dtype=np.int64)
     for t in range(0, len(dxv), CHUNK):
         sl = slice(t, t + CHUNK)
-        ps[sl], qs[sl] = _exact_chunk(em, fm, en, fn, lam,
-                                      dxv[sl], dyv[sl], kv[sl])
+        ps[sl], qs[sl] = _exact_chunk(sm, sn, lam, dxv[sl], dyv[sl], kv[sl])
     return ps, qs
 
 
-def _exact_chunk(em, fm, en, fn, lam, dxv, dyv, kv):
+def _exact_chunk(sm, sn, lam, dxv, dyv, kv):
     s = dxv + dyv
 
     def push(l1, l2):
         return np.maximum((s * l1 - kv) * dyv, (s * l2 + kv) * dxv)
 
-    def bars(fin):
+    def bars(side):
+        if isinstance(side, _Pres):
+            return side.bars(push)
+        ess, fin = side
         births, deaths = [], []
         for l1, l2, u1, u2 in fin:
             b = push(l1, l2)
@@ -291,22 +419,21 @@ def _exact_chunk(em, fm, en, fn, lam, dxv, dyv, kv):
                 d = np.minimum((s * u1 - kv) * dyv, (s * u2 + kv) * dxv)
             births.append(b)
             deaths.append(np.maximum(b, d))
-        return births, deaths
+        return births, deaths, [push(*e) for e in ess]
 
-    bm, dm = bars(fm)
-    bn, dn = bars(fn)
+    bm, dm, em = bars(sm)
+    bn, dn, en = bars(sn)
     # numerators over the common denominator 2*lam*(dx+dy)*dx*dy
     hm = [d - b for b, d in zip(bm, dm)]
     hn = [d - b for b, d in zip(bn, dn)]
     pc = [[2 * np.maximum(np.abs(bm[i] - bn[j]), np.abs(dm[i] - dn[j]))
-           for j in range(len(fn))] for i in range(len(fm))]
+           for j in range(len(bn))] for i in range(len(bm))]
 
     fin_cost = _cheapest_matching(pc, hm, hn)
     if fin_cost is None:
         fin_cost = np.zeros_like(dxv)
 
-    ess_cost = _essential_cost([push(*e) for e in em],
-                               [push(*e) for e in en])
+    ess_cost = _essential_cost(em, en)
     total = fin_cost if ess_cost is None else \
         np.maximum(fin_cost, 2 * ess_cost)
 

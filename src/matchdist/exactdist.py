@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _fastpath
 from .bottleneck import MatchingWitness, bottleneck
-from .fibered import InvalidPresentation, restrict_module
+from .fibered import bar_counts, restrict_module
 from .geometry import Line, ProjPoint, normalize_line, weight
 from .modules import TwoParamModule, critical_values, lub_closure, swap_axes
 from .rational import INF, Q, rat
@@ -502,32 +502,9 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     return CandidateLineSet(tuple(_line_from_key(*t, lam) for t in keys))
 
 
-def _gf2_rank(pres):
-    idx = {name: i for i, (name, _) in enumerate(pres.generators)}
-    owner = {}
-    rank = 0
-    for _, _, col in pres.relations:
-        c = {idx[n] for n in col}
-        while c:
-            p = max(c)
-            if p not in owner:
-                owner[p] = c
-                rank += 1
-                break
-            c = c ^ owner[p]
-    return rank
-
-
 def _essential_count(module: TwoParamModule) -> int:
     """Number of essential bars of any restriction; line-independent."""
-    if module.rectangles is not None:
-        return sum(1 for r in module.rectangles
-                   if r.upper[0] == INF and r.upper[1] == INF)
-    pres = module.presentation
-    bad = pres.grade_violation()
-    if bad is not None:
-        raise InvalidPresentation(bad)
-    return len(pres.generators) - _gf2_rank(pres)
+    return bar_counts(module)[1]
 
 
 def _struct_key(module):

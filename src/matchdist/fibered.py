@@ -57,51 +57,87 @@ def restrict_module(module: TwoParamModule, line: Line) -> tuple:
     return restrict_presentation(module.presentation, line)
 
 
+def reduce_columns(columns, rows):
+    """Left-to-right column reduction over the two-element field.
+
+    columns holds sets of row indices in processing order; a column's pivot
+    is its largest row, and a column whose pivot is taken is added to the
+    owner of that pivot until it finds a free pivot or vanishes.  Returns
+    (pairs, free): (pivot row, column position) for every column that does
+    not reduce to zero, in column order, and the rows among range(rows)
+    that are no column's pivot, ascending.  The number of pairs is the rank
+    of the matrix, whatever the order of rows and columns.
+    """
+    owner = {}
+    pairs = []
+    for c, col in enumerate(columns):
+        col = set(col)
+        while col:
+            piv = max(col)
+            seen = owner.get(piv)
+            if seen is None:
+                owner[piv] = col
+                pairs.append((piv, c))
+                break
+            col ^= seen
+    return pairs, [r for r in range(rows) if r not in owner]
+
+
+def _validated(pres: Presentation) -> Presentation:
+    bad = pres.grade_violation()
+    if bad is not None:
+        raise InvalidPresentation(bad)
+    return pres
+
+
+def bar_counts(module: TwoParamModule) -> tuple:
+    """(finite, essential) bar counts shared by every restriction of the
+    module, zero-length bars included.
+
+    A rectangle with some finite upper coordinate gives one finite bar, one
+    with none an essential bar.  A presentation of rank r over n generators
+    gives r finite bars and n - r essential ones on every line.
+
+    Raises:
+        InvalidPresentation: as restrict_presentation does.
+    """
+    if module.rectangles is not None:
+        ess = sum(1 for r in module.rectangles
+                  if r.upper[0] == INF and r.upper[1] == INF)
+        return len(module.rectangles) - ess, ess
+    pres = _validated(module.presentation)
+    idx = {name: i for i, (name, _) in enumerate(pres.generators)}
+    pairs, free = reduce_columns(
+        ({idx[n] for n in col} for _, _, col in pres.relations), len(idx))
+    return len(pairs), len(free)
+
+
 def restrict_presentation(pres: Presentation, line: Line) -> tuple:
     """Barcode of a presented module restricted to the line.
 
     Generators and relations are sorted by the push parameter of their grade
     (stable on ties by input order).  Columns are reduced left to right over
-    the two-element field; a column's pivot is its generator of largest birth
-    parameter.  Pivoted columns yield finite bars (zero-length ones dropped),
-    unpivoted generators yield essential bars.
+    the two-element field (reduce_columns); a column's pivot is its
+    generator of largest birth parameter.  Pivoted columns yield finite bars
+    (zero-length ones dropped), unpivoted generators yield essential bars.
 
     Raises:
         InvalidPresentation: if a relation grade fails the componentwise
             dominance invariant (or a column references an unknown name).
     """
-    bad = pres.grade_violation()
-    if bad is not None:
-        raise InvalidPresentation(bad)
-
-    gens = pres.generators
-    order = sorted(range(len(gens)),
-                   key=lambda i: (push_param(line, gens[i][1]), i))
-    birth = [push_param(line, gens[i][1]) for i in order]
+    gens = _validated(pres).generators
+    push = [push_param(line, grade) for _, grade in gens]
+    order = sorted(range(len(gens)), key=lambda i: (push[i], i))
+    birth = [push[i] for i in order]
     rank = {gens[i][0]: r for r, i in enumerate(order)}
 
     rels = pres.relations
-    rel_order = sorted(range(len(rels)),
-                       key=lambda j: (push_param(line, rels[j][1]), j))
+    death = [push_param(line, grade) for _, grade, _ in rels]
+    rel_order = sorted(range(len(rels)), key=lambda j: (death[j], j))
 
-    owner = {}  # pivot rank -> reduced column (set of ranks)
-    bars = []
-    for j in rel_order:
-        _, grade, column = rels[j]
-        col = {rank[name] for name in column}
-        while col:
-            piv = max(col)
-            seen = owner.get(piv)
-            if seen is None:
-                break
-            col ^= seen
-        if col:
-            piv = max(col)
-            owner[piv] = col
-            death = push_param(line, grade)
-            if birth[piv] < death:
-                bars.append(Bar(birth[piv], death))
-    for r in range(len(birth)):
-        if r not in owner:
-            bars.append(Bar(birth[r], INF))
+    pairs, free = reduce_columns(
+        ({rank[name] for name in rels[j][2]} for j in rel_order), len(gens))
+    bars = [Bar(birth[r], death[rel_order[c]]) for r, c in pairs
+            if birth[r] < death[rel_order[c]]]
+    bars += [Bar(birth[r], INF) for r in free]
     return _sorted_diagram(bars)

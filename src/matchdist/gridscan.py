@@ -4,11 +4,12 @@ The sweep is a lower-bound cross-check for the exact engine: every sample is
 the weighted bottleneck cost on one positive-slope line, so no sample can
 exceed the exact maximum by more than float round-off.  Lines are drawn from
 an (angle, offset) grid, with the direction renormalized to the standard form
-so weights match the exact path.  Rectangle modules that pass
-_fastpath.vector_ready (at most _fastpath.MAX_FINITE finite rectangles on the
-smaller side, any number of essential ones) are evaluated vectorized;
-everything else falls back to exact restriction per line, lowered to a
-double at the end.
+so weights match the exact path.  Pairs that pass _fastpath.vector_ready (at
+most _fastpath.MAX_FINITE finite bars on the smaller side, counting a
+presentation's finite bars by the rank of its relation matrix, and any
+number of essential ones) are evaluated vectorized, presentations through
+their barcode templates; everything else falls back to exact restriction per
+line, lowered to a double at the end.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fastpath
-from .exactdist import _diagram_cost, _essential_count
-from .fibered import restrict_module
+from .exactdist import _diagram_cost
+from .fibered import bar_counts, restrict_module
 from .geometry import Line, line_through, weight
 from .modules import critical_values, lub_closure
 from .rational import INF, rat
@@ -91,7 +92,7 @@ def _evaluator(M, N):
     """
     if M.is_trivial and N.is_trivial:
         return lambda m1, m2, b1, b2: np.zeros(len(m1))
-    if _essential_count(M) != _essential_count(N):
+    if bar_counts(M)[1] != bar_counts(N)[1]:
         return lambda m1, m2, b1, b2: np.full(len(m1), math.inf)
     if _fastpath.vector_ready(M, N):
         return lambda m1, m2, b1, b2: _fastpath.eval_lines(

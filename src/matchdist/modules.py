@@ -9,6 +9,7 @@ lives on the grid of its coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rational import INF, rat
 
@@ -59,8 +60,13 @@ class Presentation:
 
         Checks duplicate generator names, unknown names in relation columns,
         and the requirement that a relation's grade dominates the grade of
-        every generator in its column componentwise.
+        every generator in its column componentwise.  The presentation is
+        immutable, so the checks run once and their result is kept.
         """
+        return self._violation
+
+    @cached_property
+    def _violation(self):
         grades = {}
         for name, grade in self.generators:
             if name in grades:
@@ -95,10 +101,6 @@ class TwoParamModule:
     @classmethod
     def from_presentation(cls, pres: Presentation) -> "TwoParamModule":
         return cls(presentation=pres)
-
-    @property
-    def is_rectangle_form(self) -> bool:
-        return self.rectangles is not None
 
     @property
     def is_trivial(self) -> bool:

@@ -34,10 +34,6 @@ def rat(x):
     return Q(x)
 
 
-def is_inf(x) -> bool:
-    return x == INF
-
-
 def ext_abs_diff(a, b):
     """|a - b| under the matching conventions: inf-inf = 0, inf-finite = inf."""
     ai = a == INF

@@ -74,6 +74,44 @@ def combined_presentation(module):
         Presentation(tuple(gens), tuple(rels)))
 
 
+def rand_presentation(rng, pool, rank, essential):
+    """A random presentation of the given rank with rank + essential
+    generators, over grades drawn from pool, so grades tie and repeat.
+
+    Its columns are not one rectangle's: rank independent columns, each a
+    generator plus some generators drawn before it, then columns that
+    reduce to zero (a copy of an earlier column, or the sum of two).  A
+    relation sits at the componentwise max of its column's grades, or
+    higher.  Generators and relations come in shuffled input order.
+    """
+    n = rank + essential
+    grades = [(rng.choice(pool), rng.choice(pool)) for _ in range(n)]
+    cols = []
+    for i in range(rank):
+        cols.append({i} | set(rng.sample(range(i), rng.randint(0, min(i, 2)))))
+    for _ in range(rng.randint(0, 3) if rank else 0):
+        a, b = rng.choice(cols), rng.choice(cols)
+        cols.append(set(a) if rng.random() < 0.5 else a ^ b or set(a))
+    rels = []
+    for col in cols:
+        x = max(grades[g][0] for g in col)
+        y = max(grades[g][1] for g in col)
+        if rng.random() < 0.5:
+            x = rng.choice([v for v in pool if v >= x])
+        if rng.random() < 0.5:
+            y = rng.choice([v for v in pool if v >= y])
+        rels.append((x, y, col))
+    names = ["g%d" % i for i in range(n)]
+    rng.shuffle(names)
+    gens = list(zip(names, grades))
+    rng.shuffle(gens)
+    rng.shuffle(rels)
+    return TwoParamModule.from_presentation(Presentation(
+        tuple(gens),
+        tuple(("r%d" % j, (x, y), frozenset(names[g] for g in col))
+              for j, (x, y, col) in enumerate(rels))))
+
+
 def rand_pool(rng, size, lo=0, hi=12, dmax=4):
     """A small sorted set of coordinate values.  Drawing rectangle corners
     from a shared pool provokes the degenerate configurations (shared

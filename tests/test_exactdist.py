@@ -12,12 +12,14 @@ import pytest
 import matchdist.exactdist as exactdist
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       ex_need_omega, rand_diagram, rand_line, rand_point,
-                      rand_pool, rand_rect, rand_rect_module)
+                      rand_pool, rand_presentation, rand_rect,
+                      rand_rect_module)
 from matchdist import _fastpath
 from matchdist.bottleneck import bottleneck
 from matchdist.exactdist import (BothTrivial, SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
                                  vertical_cost)
+from matchdist.fibered import restrict_presentation
 from matchdist.geometry import (ProjPoint, line_through, normalize_line,
                                 push_param, weight)
 from matchdist.modules import (TwoParamModule, critical_values, lub_closure,
@@ -485,3 +487,136 @@ def test_wide_rectangle_pairs_integer_values():
         for p, q, key in zip(res[0].tolist(), res[1].tolist(), keys):
             line = exactdist._line_from_key(*key, lam)
             assert Q(p, q) == exactdist._exact_cost(M, N, line)
+
+
+# Presentations whose columns are not single rectangles: several generators
+# per column, columns that reduce to zero, tied and repeated grades, and
+# essential generators, at ranks 0 to 6.
+
+# (pool, rank of M, rank of N, essential generators per side); pools of 2-3
+# values keep the candidate sets at 217 or 1849 lines
+_PRES_SHAPES = [((0, 1, 2), 0, 0, 3), ((0, 1, 2), 1, 2, 1),
+                ((0, 1, 2), 2, 2, 2), ((0, Q(1, 2), 1), 3, 3, 1),
+                ((0, Q(3, 2), 3), 4, 3, 0), ((0, 1), 5, 5, 1),
+                ((0, 1, 2), 6, 6, 0), ((0, 1, 2), 6, 4, 2)]
+
+
+def _pres_pairs():
+    rng = random.Random(71)
+    for pool, rm, rn, e in _PRES_SHAPES:
+        pool = [Q(v) for v in pool]
+        yield (rand_presentation(rng, pool, rm, e),
+               rand_presentation(rng, pool, rn, e))
+    # one rectangle module against a presentation
+    pool = [Q(v) for v in (0, 1, 2)]
+    yield (_shaped(rng, pool, 3, 1, 0.2), rand_presentation(rng, pool, 2, 1))
+
+
+def test_presentation_templates_match_restriction():
+    """The bars the int64 kernel reads off its barcode templates are the
+    bars of restrict_presentation on every line, zero-length ones aside."""
+    rng = random.Random(70)
+    for rank in range(7):
+        pool = rand_pool(rng, 5, dmax=2)
+        lam = 2
+        pres = rand_presentation(rng, pool, rank, rng.randint(0, 2))
+        side = _fastpath._Pres(pres, lambda v: int(v * lam))
+        dxv = np.array([rng.randint(1, 9) for _ in range(400)])
+        dyv = np.array([rng.randint(1, 9) for _ in range(400)])
+        kv = np.array([rng.randint(-60, 60) * lam for _ in range(400)])
+        s = dxv + dyv
+        births, deaths, ess = side.bars(lambda l1, l2: np.maximum(
+            (s * l1 - kv) * dyv, (s * l2 + kv) * dxv))
+        for t in range(len(kv)):
+            dx, dy, k = int(dxv[t]), int(dyv[t]), int(kv[t])
+            line = exactdist._line_from_key(dx, dy, k, lam)
+            # push parameters are the numerators over this denominator
+            den = Q(lam * (dx + dy) * dx * dy, max(dx, dy))
+            got = sorted([(Q(int(b[t])) / den, Q(int(d[t])) / den)
+                          for b, d in zip(births, deaths) if d[t] > b[t]]
+                         + [(Q(int(e[t])) / den, INF) for e in ess])
+            want = [(b.birth, b.death)
+                    for b in restrict_presentation(pres.presentation, line)]
+            assert got == want
+
+
+def test_presentation_pairs_match_per_line_selection(monkeypatch):
+    """Presentations take the vector screen and int64 selection, which give
+    the value, witness line and count of the per-line exact selection over
+    every distinct key."""
+    calls = []
+    exact = _fastpath.exact_reduced_values
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(_fastpath, "exact_reduced_values", counted)
+    for M, N in _pres_pairs():
+        assert _fastpath.vector_ready(M, N)
+        n = len(calls)
+        res = matching_distance(M, N)
+        assert len(calls) == n + 1
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        ref = exactdist._select_exact(M, N, keys, lam, len(keys))
+        assert (res.value, res.witness_line, res.candidate_count) == \
+            (ref.value, ref.witness_line, ref.candidate_count)
+
+
+def test_presentation_pairs_vector_values():
+    """Integer values equal the per-line exact cost on sampled keys, and
+    float values lie within rounding of it."""
+    rng = random.Random(72)
+    for M, N in _pres_pairs():
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = rng.sample(keys, min(150, len(keys)))
+        dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
+        res = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
+        assert res is not None
+        fv = _fastpath.eval_keys(M, N, dxv, dyv, kv, lam)
+        for p, q, f, key in zip(res[0].tolist(), res[1].tolist(),
+                                fv.tolist(), keys):
+            want = exactdist._exact_cost(M, N,
+                                         exactdist._line_from_key(*key, lam))
+            assert Q(p, q) == want
+            assert abs(f - float(want)) <= 1e-9 * max(1.0, float(want))
+
+
+def _small_pres_pair():
+    pool = [Q(v) for v in (0, 1, 3)]
+    rng = random.Random(73)
+    return (rand_presentation(rng, pool, 2, 1),
+            rand_presentation(rng, pool, 3, 1))
+
+
+def test_unpackable_presentation_coordinates_fall_back():
+    """Presentations past the packed key range take the materialized keys
+    and the per-line selection, and scale exactly onto the small pair."""
+    M0, N0 = _small_pres_pair()
+    f = 100003
+    M, N = scale(M0, f), scale(N0, f)
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
+    assert not exactdist._use_bigint(X, Y, dvals)
+    assert exactdist._pack_spec(X, Y, dvals) is None
+    res = matching_distance(M, N)
+    small = matching_distance(M0, N0)
+    assert res.value == f * small.value > 0
+    assert res.witness_line.m == small.witness_line.m
+    assert res.witness_line.b == (f * small.witness_line.b[0],
+                                  f * small.witness_line.b[1])
+    assert res.candidate_count == small.candidate_count
+
+
+def test_huge_presentation_coordinates_use_exact_keys():
+    M0, N0 = _small_pres_pair()
+    f = 10 ** 9
+    M, N = scale(M0, f), scale(N0, f)
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
+    assert exactdist._use_bigint(X, Y, dvals)
+    res = matching_distance(M, N)
+    small = matching_distance(M0, N0)
+    assert res.value == f * small.value > 0
+    assert res.witness_line.m == small.witness_line.m
+    assert res.candidate_count == small.candidate_count

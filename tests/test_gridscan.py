@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
-                      ex_need_omega, rand_pool, rand_rect, rand_rect_module)
+                      ex_need_omega, rand_pool, rand_presentation, rand_rect,
+                      rand_rect_module)
 from matchdist import _fastpath
 from matchdist.exactdist import matching_distance
 from matchdist.gridscan import (GridSpec, _evaluator, default_offset_range,
@@ -139,14 +140,9 @@ def test_presentation_path_agrees_with_rect_path():
         assert a.weighted_cost == pytest.approx(b.weighted_cost, abs=1e-9)
 
 
-def test_five_rectangle_pair_vector_path_agrees(monkeypatch):
-    """Five finite rectangles per side take the vectorized evaluator; it
-    agrees with exact restriction per line, and the scan stays below the
-    exact distance."""
-    rng = random.Random(29)
-    pool = rand_pool(rng, 3)
-    M, N = (TwoParamModule.from_rects([rand_rect(rng, pool, p_inf=0)
-                                       for _ in range(5)]) for _ in "MN")
+def _assert_vector_path_agrees(M, N, monkeypatch):
+    """The vectorized evaluator agrees with exact restriction per line, and
+    the scan stays below the exact distance."""
     assert _fastpath.vector_ready(M, N)
     lo, hi = default_offset_range(M, N)
     th, off = np.meshgrid(np.linspace(0.05, 1.5, 12), np.linspace(lo, hi, 15))
@@ -161,6 +157,25 @@ def test_five_rectangle_pair_vector_path_agrees(monkeypatch):
     assert np.all(np.abs(fast - slow) <= 1e-9 * np.maximum(1, np.abs(slow)))
     exact = float(matching_distance(M, N).value)
     assert scan(M, N, GridSpec(60, 60)).max_value <= exact + 1e-9
+
+
+def test_five_rectangle_pair_vector_path_agrees(monkeypatch):
+    """Five finite rectangles per side take the vectorized evaluator."""
+    rng = random.Random(29)
+    pool = rand_pool(rng, 3)
+    M, N = (TwoParamModule.from_rects([rand_rect(rng, pool, p_inf=0)
+                                       for _ in range(5)]) for _ in "MN")
+    _assert_vector_path_agrees(M, N, monkeypatch)
+
+
+def test_presentation_pair_vector_path_agrees(monkeypatch):
+    """Presentations with columns of several generators, columns that
+    reduce to zero and essential generators take the vectorized evaluator
+    too."""
+    rng = random.Random(31)
+    pool = rand_pool(rng, 3)
+    M, N = (rand_presentation(rng, pool, 4, 1) for _ in "MN")
+    _assert_vector_path_agrees(M, N, monkeypatch)
 
 
 def test_csv_round_trip_and_inf_sentinel():
