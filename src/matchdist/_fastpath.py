@@ -27,9 +27,6 @@ taken.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, permutations
-
 import numpy as np
 
 from .fibered import bar_counts, reduce_columns
@@ -39,28 +36,15 @@ MAX_FINITE = 6
 CHUNK = 16384
 
 
-@lru_cache(maxsize=None)
-def match_patterns(r1, r2):
-    """All partial injections of range(r1) into range(r2), with leftovers."""
-    out = []
-    for k in range(min(r1, r2) + 1):
-        for c1 in combinations(range(r1), k):
-            for c2 in permutations(range(r2), k):
-                s1 = tuple(i for i in range(r1) if i not in c1)
-                s2 = tuple(j for j in range(r2) if j not in c2)
-                out.append((tuple(zip(c1, c2)), s1, s2))
-    return tuple(out)
-
-
 def _max(a, b):
     return a if b is None else np.maximum(a, b)
 
 
 def _cheapest_matching(pc, h1, h2):
     """Elementwise bottleneck cost of the cheapest partial matching: the
-    minimum over match_patterns(len(h1), len(h2)) of the maximum of the
-    matched pc[i][j], the unmatched h1[i] and the unmatched h2[j]; None when
-    both sides are empty.
+    minimum over bottleneck.match_patterns(len(h1), len(h2)) of the maximum
+    of the matched pc[i][j], the unmatched h1[i] and the unmatched h2[j];
+    None when both sides are empty.
 
     Rows are matched one at a time, keeping for every set of used columns
     the cheapest cost of the rows still to come.  max and min are exact, so

@@ -10,6 +10,8 @@ two parts, with the convention inf - inf = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations, permutations
 
 from .rational import INF, Q, ext_abs_diff
 
@@ -171,6 +173,66 @@ def bottleneck(d1, d2):
     pairs = tuple(sorted(ess_pairs + [(fin1[u], fin2[v]) for u, v in pairs_f]))
     witness = MatchingWitness(pairs, tuple(sorted(diag)), cost, realizer)
     return cost, witness
+
+
+@lru_cache(maxsize=None)
+def match_patterns(r1, r2):
+    """All partial injections of range(r1) into range(r2), with leftovers."""
+    out = []
+    for k in range(min(r1, r2) + 1):
+        for c1 in combinations(range(r1), k):
+            for c2 in permutations(range(r2), k):
+                s1 = tuple(i for i in range(r1) if i not in c1)
+                s2 = tuple(j for j in range(r2) if j not in c2)
+                out.append((tuple(zip(c1, c2)), s1, s2))
+    return tuple(out)
+
+
+# finite bars per side up to which bottleneck_cost loops over matching
+# patterns; match_patterns(4, 4) has 209 of them, (6, 6) has 13,327
+_PATTERN_BARS = 4
+
+
+def bottleneck_cost(d1, d2):
+    """Exact bottleneck distance, value only; equal to bottleneck(d1, d2)[0].
+
+    Small diagrams take a direct minimum over matching patterns; larger ones
+    fall back to the full search in bottleneck().
+    """
+    fin1 = [b for b in d1 if b.death != INF]
+    fin2 = [b for b in d2 if b.death != INF]
+    if len(fin1) > _PATTERN_BARS or len(fin2) > _PATTERN_BARS:
+        return bottleneck(d1, d2)[0]
+    e1 = sorted(b.birth for b in d1 if b.death == INF)
+    e2 = sorted(b.birth for b in d2 if b.death == INF)
+    if len(e1) != len(e2):
+        return INF
+    base = Q(0)
+    for a, b in zip(e1, e2):
+        d = abs(a - b)
+        if d > base:
+            base = d
+    half1 = [(b.death - b.birth) / 2 for b in fin1]
+    half2 = [(b.death - b.birth) / 2 for b in fin2]
+    pc = [[max(abs(x.birth - y.birth), abs(x.death - y.death))
+           for y in fin2] for x in fin1]
+    best = None
+    for pairs, un1, un2 in match_patterns(len(fin1), len(fin2)):
+        cur = base
+        for i, j in pairs:
+            if pc[i][j] > cur:
+                cur = pc[i][j]
+        for i in un1:
+            if half1[i] > cur:
+                cur = half1[i]
+        for j in un2:
+            if half2[j] > cur:
+                cur = half2[j]
+        if best is None or cur < best:
+            best = cur
+            if best == base:
+                break
+    return best
 
 
 def bottleneck_bruteforce(d1, d2):

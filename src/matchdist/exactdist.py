@@ -27,7 +27,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import _fastpath
-from .bottleneck import MatchingWitness, bottleneck
+from .bottleneck import MatchingWitness, bottleneck, bottleneck_cost
 from .fibered import bar_counts, restrict_module
 from .geometry import Line, ProjPoint, normalize_line, weight
 from .modules import TwoParamModule, critical_values, lub_closure, swap_axes
@@ -467,7 +467,8 @@ def _lex_pair(dx, dy, k, lam):
 
 
 def _distinct_keys(X, Y, dvals):
-    """All distinct candidate keys as python int triples."""
+    """All distinct candidate keys as python int triples, sorted by
+    (dx, dy, k)."""
     if _use_bigint(X, Y, dvals):
         return _keys_py(X, Y, dvals)
     spec = _pack_spec(X, Y, dvals)
@@ -491,15 +492,31 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     The set is materialized, which can be very large when the modules have
     many distinct coordinate differences; matching_distance never builds it.
 
+    The lines are sorted by (m1/m2, b1) without comparing rationals per
+    line.  Keys are primitive, so the lines of one direction share one
+    (dx, dy); _distinct_keys returns them sorted by (dx, dy, k); and within
+    a direction b1 = k/(lam*(dx+dy)) orders as k.  So only the distinct
+    directions are sorted, by dx/dy = m1/m2, and each keeps its lines in
+    key order.  The direction pair is built once per direction.
+
     Raises:
         BothTrivial: if neither module has any critical values.
     """
     if M.is_trivial and N.is_trivial:
         raise BothTrivial("no critical values to aim lines at")
     X, Y, dvals, lam = _lattice(M, N, extra_switch_points)
-    keys = _distinct_keys(X, Y, dvals)
-    keys.sort(key=lambda t: _lex_pair(*t, lam))
-    return CandidateLineSet(tuple(_line_from_key(*t, lam) for t in keys))
+    runs = {}
+    for dx, dy, k in _distinct_keys(X, Y, dvals):
+        runs.setdefault((dx, dy), []).append(k)
+    lines = []
+    for dx, dy in sorted(runs, key=lambda d: Q(*d)):
+        mx = max(dx, dy)
+        m = (Q(dx, mx), Q(dy, mx))
+        den = lam * (dx + dy)
+        for k in runs[dx, dy]:
+            b1 = Q(k, den)
+            lines.append(Line(m, (b1, -b1)))
+    return CandidateLineSet(tuple(lines))
 
 
 def _essential_count(module: TwoParamModule) -> int:
@@ -514,57 +531,9 @@ def _struct_key(module):
     return ("p", module.presentation)
 
 
-# finite bars per side up to which _diagram_cost loops over matching
-# patterns; match_patterns(4, 4) has 209 of them, (6, 6) has 13,327
-_PATTERN_BARS = 4
-
-
-def _diagram_cost(d1, d2):
-    """Exact bottleneck cost, value only.
-
-    Small diagrams take a direct minimum over matching patterns, sharing the
-    pattern table with the float path; larger ones fall back to the full
-    search in bottleneck().
-    """
-    fin1 = [b for b in d1 if b.death != INF]
-    fin2 = [b for b in d2 if b.death != INF]
-    if len(fin1) > _PATTERN_BARS or len(fin2) > _PATTERN_BARS:
-        return bottleneck(d1, d2)[0]
-    e1 = sorted(b.birth for b in d1 if b.death == INF)
-    e2 = sorted(b.birth for b in d2 if b.death == INF)
-    if len(e1) != len(e2):
-        return INF
-    base = Q(0)
-    for a, b in zip(e1, e2):
-        d = abs(a - b)
-        if d > base:
-            base = d
-    half1 = [(b.death - b.birth) / 2 for b in fin1]
-    half2 = [(b.death - b.birth) / 2 for b in fin2]
-    pc = [[max(abs(x.birth - y.birth), abs(x.death - y.death))
-           for y in fin2] for x in fin1]
-    best = None
-    for pairs, un1, un2 in _fastpath.match_patterns(len(fin1), len(fin2)):
-        cur = base
-        for i, j in pairs:
-            if pc[i][j] > cur:
-                cur = pc[i][j]
-        for i in un1:
-            if half1[i] > cur:
-                cur = half1[i]
-        for j in un2:
-            if half2[j] > cur:
-                cur = half2[j]
-        if best is None or cur < best:
-            best = cur
-            if best == base:
-                break
-    return best
-
-
 def _exact_cost(M, N, line):
     """Weighted cost on one line, value only."""
-    c = _diagram_cost(restrict_module(M, line), restrict_module(N, line))
+    c = bottleneck_cost(restrict_module(M, line), restrict_module(N, line))
     if c == INF:
         return INF
     return weight(line) * c

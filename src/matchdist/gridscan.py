@@ -10,6 +10,10 @@ presentation's finite bars by the rank of its relation matrix, and any
 number of essential ones) are evaluated vectorized, presentations through
 their barcode templates; everything else falls back to exact restriction per
 line, lowered to a double at the end.
+
+The grid is evaluated in blocks of whole theta rows, one evaluator call per
+block of up to _BLOCK_LINES lines.  Every kernel is elementwise, so each
+value is the one a call per row would give, bit for bit.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fastpath
-from .exactdist import _diagram_cost
+from .bottleneck import bottleneck_cost
 from .fibered import bar_counts, restrict_module
 from .geometry import Line, line_through, weight
 from .modules import critical_values, lub_closure
@@ -57,7 +61,7 @@ class HeatmapRow:
 
 
 class _LazyRows:
-    """Re-iterable view; each pass re-evaluates the grid row by row."""
+    """Re-iterable view; each pass re-evaluates the grid."""
 
     def __init__(self, fn):
         self._fn = fn
@@ -102,8 +106,8 @@ def _evaluator(M, N):
         out = np.empty(len(m1))
         for i in range(len(m1)):
             line = Line((rat(m1[i]), rat(m2[i])), (rat(b1[i]), rat(b2[i])))
-            c = _diagram_cost(restrict_module(M, line),
-                              restrict_module(N, line))
+            c = bottleneck_cost(restrict_module(M, line),
+                                restrict_module(N, line))
             out[i] = math.inf if c == INF else float(weight(line) * c)
         return out
 
@@ -118,14 +122,38 @@ def _axes(M, N, g):
     return thetas, offsets
 
 
-def _theta_rows(thetas, offsets, ev):
-    b1 = -offsets / 2
-    b2 = offsets / 2
-    ones = np.ones_like(offsets)
-    for th in thetas:
+# lines per evaluator call: whole rows fill a block, and a row longer than
+# this gets a call of its own.  A block of several rows pays the kernel's
+# fixed cost, some hundred numpy calls, once.  Much larger blocks are
+# slower: glibc then trims and regrows the heap on every call, and the page
+# faults cost more than the calls saved
+_BLOCK_LINES = 4096
+
+
+def _directions(thetas):
+    """Standard-form directions (m1, m2) at the angles thetas.
+
+    math.cos and math.sin, not np.cos and np.sin, which need not round the
+    same way."""
+    m1, m2 = np.empty(len(thetas)), np.empty(len(thetas))
+    for i, th in enumerate(thetas.tolist()):
         c, s = math.cos(th), math.sin(th)
         mx = max(c, s)
-        yield th, ev(ones * (c / mx), ones * (s / mx), b1, b2)
+        m1[i], m2[i] = c / mx, s / mx
+    return m1, m2
+
+
+def _rows(m1, m2, offsets, ev):
+    """Yield the cost row over offsets of each direction (m1[i], m2[i]),
+    evaluating whole rows in blocks of up to _BLOCK_LINES lines."""
+    n = len(offsets)
+    b1, b2 = -offsets / 2, offsets / 2
+    per = max(1, _BLOCK_LINES // n)
+    for a in range(0, len(m1), per):
+        r1, r2 = m1[a:a + per], m2[a:a + per]
+        vals = ev(np.repeat(r1, n), np.repeat(r2, n),
+                  np.tile(b1, len(r1)), np.tile(b2, len(r1)))
+        yield from vals.reshape(len(r1), n)
 
 
 def scan(M, N, g: GridSpec) -> ScanResult:
@@ -133,18 +161,21 @@ def scan(M, N, g: GridSpec) -> ScanResult:
 
     Rows are produced in (theta, offset) order; iterating them re-runs the
     evaluation, so a scan whose rows are never read costs no row storage.
+    Whole theta rows are evaluated together in blocks of up to
+    _BLOCK_LINES lines; every value is the one a call per row gives.
     """
     thetas, offsets = _axes(M, N, g)
+    dirs = _directions(thetas)
     ev = _evaluator(M, N)
     best = -math.inf
     arg = (float(thetas[0]), float(offsets[0]))
-    for th, row in _theta_rows(thetas, offsets, ev):
+    for th, row in zip(thetas, _rows(*dirs, offsets, ev)):
         j = int(np.argmax(row))
         if row[j] > best:
             best, arg = float(row[j]), (float(th), float(offsets[j]))
 
     def gen():
-        for th, row in _theta_rows(thetas, offsets, ev):
+        for th, row in zip(thetas, _rows(*dirs, offsets, ev)):
             for j in range(len(offsets)):
                 yield HeatmapRow(float(th), float(offsets[j]), float(row[j]))
 
@@ -161,8 +192,8 @@ def restricted_max(M, N, g: GridSpec, family: str) -> float:
     ev = _evaluator(M, N)
     if family == "diagonal_only":
         _, offsets = _axes(M, N, g)
-        ones = np.ones_like(offsets)
-        return float(ev(ones, ones, -offsets / 2, offsets / 2).max())
+        ones = np.ones(1)
+        return float(next(_rows(ones, ones, offsets, ev)).max())
     if family != "critical_pairs_only":
         raise ValueError("unknown family %r" % family)
     pts = sorted(lub_closure(critical_values(M))

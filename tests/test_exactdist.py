@@ -15,7 +15,7 @@ from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       rand_pool, rand_presentation, rand_rect,
                       rand_rect_module)
 from matchdist import _fastpath
-from matchdist.bottleneck import bottleneck
+from matchdist.bottleneck import bottleneck, bottleneck_cost, match_patterns
 from matchdist.exactdist import (BothTrivial, SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
                                  vertical_cost)
@@ -90,6 +90,44 @@ def test_candidate_lines_lex_sorted():
     lines = candidate_lines(M, N).lines
     keys = [(line.m[0] / line.m[1], line.b[0]) for line in lines]
     assert keys == sorted(keys)
+
+
+def _key_path(M, N, extra):
+    X, Y, dvals, _ = exactdist._lattice(M, N, extra)
+    if exactdist._use_bigint(X, Y, dvals):
+        return "bigint"
+    return "packed" if exactdist._pack_spec(X, Y, dvals) else "unpacked"
+
+
+def test_candidate_lines_match_exact_sort_on_every_key_path():
+    """Ordering on the integer keys gives the lines of a sort of every key
+    by its exact (m1/m2, b1), in the same order, on the packed, unpacked
+    and bigint key paths, with and without extra switch points and
+    directions."""
+    rng = random.Random(19)
+    pool = rand_pool(rng, 3)
+    cases = [(ex_need_omega(), 1, "packed"),
+             ((rand_rect_module(rng, max_rects=2, pool=pool, p_inf=0.2),
+               rand_rect_module(rng, max_rects=2, pool=pool, p_inf=0.2)),
+              1, "packed"),
+             (ex_diag_not_suff(), 100003, "unpacked"),
+             (ex_need_omega(), 10 ** 9, "bigint")]
+    for (M, N), f, path in cases:
+        M, N = scale(M, f), scale(N, f)
+        # thirds and halves keep the lattice scaling, and so the key path
+        extra = SwitchPointSet(
+            frozenset({(f * Q(1, 3), f * Q(5, 2)), (2 * f, 9 * f),
+                       (f * Q(13, 2), 4 * f)}),
+            frozenset({ProjPoint.of(0, 2, 9), ProjPoint.of(0, 7, 3),
+                       ProjPoint.of(0, 1, 0)}))
+        for ex in (None, extra):
+            assert _key_path(M, N, ex) == path
+            X, Y, dvals, lam = exactdist._lattice(M, N, ex)
+            keys = sorted(exactdist._distinct_keys(X, Y, dvals),
+                          key=lambda t: exactdist._lex_pair(*t, lam))
+            want = tuple(exactdist._line_from_key(*t, lam) for t in keys)
+            assert len({ln.m for ln in want}) > 2
+            assert candidate_lines(M, N, ex).lines == want
 
 
 # Degenerate inputs.
@@ -266,7 +304,7 @@ def test_diagram_cost_matches_bottleneck():
     rng = random.Random(5)
     for _ in range(200):
         d1, d2 = rand_diagram(rng), rand_diagram(rng)
-        assert exactdist._diagram_cost(d1, d2) == bottleneck(d1, d2)[0]
+        assert bottleneck_cost(d1, d2) == bottleneck(d1, d2)[0]
 
 
 def test_unique_sorted_matches_np_unique():
@@ -301,7 +339,7 @@ def test_cheapest_matching_matches_patterns():
         want = np.minimum.reduce([
             np.maximum.reduce([pc[i][j] for i, j in pairs]
                               + [h1[i] for i in un1] + [h2[j] for j in un2])
-            for pairs, un1, un2 in _fastpath.match_patterns(r1, r2)])
+            for pairs, un1, un2 in match_patterns(r1, r2)])
         got = _fastpath._cheapest_matching(pc, h1, h2)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)

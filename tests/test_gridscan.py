@@ -11,10 +11,11 @@ import pytest
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       ex_need_omega, rand_pool, rand_presentation, rand_rect,
                       rand_rect_module)
-from matchdist import _fastpath
+from matchdist import _fastpath, gridscan
 from matchdist.exactdist import matching_distance
-from matchdist.gridscan import (GridSpec, _evaluator, default_offset_range,
-                                restricted_max, scan, write_csv)
+from matchdist.gridscan import (GridSpec, HeatmapRow, _axes, _evaluator,
+                                default_offset_range, restricted_max, scan,
+                                write_csv)
 from matchdist.modules import TwoParamModule, rect
 from matchdist.rational import INF, Q
 
@@ -119,6 +120,69 @@ def test_rows_order_and_argmax():
     assert max(r.weighted_cost for r in rows) == res.max_value
     assert any((r.theta, r.offset) == res.argmax
                and r.weighted_cost == res.max_value for r in rows)
+
+
+def _scan_per_row(M, N, g):
+    """scan's max, argmax and rows from one evaluator call per theta row."""
+    thetas, offsets = _axes(M, N, g)
+    ev = _evaluator(M, N)
+    best, arg, rows = -math.inf, (float(thetas[0]), float(offsets[0])), []
+    for th in thetas:
+        c, s = math.cos(th), math.sin(th)
+        mx = max(c, s)
+        ones = np.ones_like(offsets)
+        row = ev(ones * (c / mx), ones * (s / mx), -offsets / 2, offsets / 2)
+        j = int(np.argmax(row))
+        if row[j] > best:
+            best, arg = float(row[j]), (float(th), float(offsets[j]))
+        rows += [HeatmapRow(float(th), float(o), float(v))
+                 for o, v in zip(offsets, row)]
+    return best, arg, rows
+
+
+def _bits(rows):
+    return np.array([(r.theta, r.offset, r.weighted_cost)
+                     for r in rows]).tobytes()
+
+
+def _wide_pair(finite):
+    rng = random.Random(37)
+    pool = rand_pool(rng, 3)
+    return tuple(TwoParamModule.from_rects([rand_rect(rng, pool, p_inf=0)
+                                            for _ in range(finite)])
+                 for _ in "MN")
+
+
+@pytest.mark.parametrize("pair, g, block", [
+    # 1000 offsets do not divide the block, and 7 rows leave a partial last
+    # block
+    (ex_need_omega, GridSpec(7, 1000), None),
+    # more offsets than the block holds: one row per call
+    (ex_need_omega, GridSpec(3, 5000), None),
+    (lambda: _wide_pair(5), GridSpec(5, 900), None),
+    (lambda: tuple(map(combined_presentation, ex_need_omega())),
+     GridSpec(5, 1300), None),
+    # past the vector limits, every line is restricted exactly; a small
+    # block gives the same shapes on a small grid
+    (lambda: _wide_pair(7), GridSpec(5, 7), 16),
+    (lambda: _wide_pair(7), GridSpec(2, 20), 16),
+], ids=["rect", "rect-row-per-call", "rect-5x5", "presentation",
+        "per-line", "per-line-row-per-call"])
+def test_blocks_match_one_call_per_row(pair, g, block, monkeypatch):
+    """Rows evaluated in blocks give every value, the max and the argmax of
+    one evaluator call per row, bit for bit, on the vector path for
+    rectangles and presentations and on the per-line path."""
+    if block is not None:
+        monkeypatch.setattr(gridscan, "_BLOCK_LINES", block)
+    M, N = pair()
+    assert _fastpath.vector_ready(M, N) == (block is None)
+    best, arg, rows = _scan_per_row(M, N, g)
+    res = scan(M, N, g)
+    assert repr(res.max_value) == repr(best)
+    assert res.argmax == arg
+    want = _bits(rows)
+    assert _bits(res.rows) == want
+    assert _bits(res.rows) == want  # re-iterable
 
 
 def test_trivial_scan_all_zero():
