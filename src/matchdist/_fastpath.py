@@ -13,19 +13,23 @@ slot.  A presentation reads its slots off barcode templates, one GF(2)
 reduction per distinct pair of grade push orders (_Pres), after Lesnick and
 Wright's per-cell templates in RIVET; no line is reduced on its own.
 
-Two precisions share one structure.  The float path screens large line sets
-with a sound error margin; a presentation's float pushes order its grades
-within rounding, and rounding is monotone, so every relation stays at or
-after its own generators and the float barcode is that of a filtration
-within push rounding error.  The integer path is exact: on the key
+One kernel (_chunk) serves two arithmetics, which differ only in where a
+line crosses a coordinate, in how lengths are halved and in the final
+weighting.  The float arithmetic (_FloatLines) screens large line sets with a
+sound error margin; a presentation's float pushes order its grades within
+rounding, and rounding is monotone, so every relation stays at or after its
+own generators and the float barcode is that of a filtration within push
+rounding error.  The integer arithmetic (_KeyNumerators) is exact: on the key
 (dx, dy, k) with scaling lam, every push and pull onto the line is a
 fraction over the common per-line denominator lam*(dx+dy)*dx*dy, so
 bottleneck costs reduce to integer max/min arithmetic on numerators, and the
-weighted value becomes a canonical reduced fraction per line.  All
-intermediates are certified against the int64 range before the path is
-taken.
+weighted value becomes a canonical reduced fraction per line.  It runs in
+int64 when every intermediate is certified to fit, and in Python ints in
+object arrays otherwise.
 """
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -101,21 +105,6 @@ def _essential_cost(e1, e2):
     for a, b in zip(_sorted_network(e1), _sorted_network(e2)):
         cost = _max(np.abs(a - b), cost)
     return cost
-
-
-def _split(module):
-    """(essential lowers, finite rects) as float tuples; inf upper allowed on
-    one coordinate of a finite rect."""
-    ess, fin = [], []
-    for r in module.rectangles:
-        l1, l2 = float(r.lower[0]), float(r.lower[1])
-        u1 = INF if r.upper[0] == INF else float(r.upper[0])
-        u2 = INF if r.upper[1] == INF else float(r.upper[1])
-        if u1 == INF and u2 == INF:
-            ess.append((l1, l2))
-        else:
-            fin.append((l1, l2, u1, u2))
-    return ess, fin
 
 
 def _row_groups(sig):
@@ -201,16 +190,29 @@ class _Pres:
         return gather(gp, 0), gather(rp, 1), gather(gp, 2)
 
 
-def _float_side(module):
+def _side(module, conv):
+    """A presentation's _Pres, or a rectangle module's (essential lowers,
+    finite rects), where conv maps each finite coordinate into the kernel's
+    arithmetic.  A finite rect is its lower corner and the (axis, value) of
+    each finite upper coordinate."""
     if module.rectangles is None:
-        return _Pres(module, float)
-    return _split(module)
+        return _Pres(module, conv)
+    ess, fin = [], []
+    for r in module.rectangles:
+        lower = (conv(r.lower[0]), conv(r.lower[1]))
+        uppers = [(axis, conv(u)) for axis, u in enumerate(r.upper)
+                  if u != INF]
+        if uppers:
+            fin.append((lower, uppers))
+        else:
+            ess.append(lower)
+    return ess, fin
 
 
-def _sides(M, N, side):
-    """side(M), side(N): a _Pres or the (essential, finite) split of a
-    rectangle module; raises ValueError on unequal essential counts."""
-    sm, sn = side(M), side(N)
+def _sides(M, N, conv):
+    """_side(M, conv), _side(N, conv); raises ValueError on unequal
+    essential counts."""
+    sm, sn = _side(M, conv), _side(N, conv)
     em, en = (s.essential if isinstance(s, _Pres) else len(s[0])
               for s in (sm, sn))
     if em != en:
@@ -270,6 +272,109 @@ def line_floats(dxs, dys, ks, lam):
     return m1, m2, b1, -b1
 
 
+class _FloatLines:
+    """Float arithmetic of the kernel over lines in standard normalization:
+    a coordinate v is crossed at the line parameter (v - b)/m, lengths are
+    halved, and the weight min(m1, m2) scales the cost."""
+
+    def __init__(self, m1, m2, b1, b2):
+        self.like = m1
+        self.lines = ((b1, m1), (b2, m2))
+        self.weight = np.minimum(m1, m2)
+
+    def cross(self, axis, v):
+        b, m = self.lines[axis]
+        return (v - b) / m
+
+    @staticmethod
+    def half(x):
+        return x / 2
+
+    @staticmethod
+    def whole(x):
+        return x
+
+    def weigh(self, total):
+        return self.weight * total
+
+
+class _KeyNumerators:
+    """Exact arithmetic of the kernel over keys (dx, dy, k) with scaling lam
+    and lam-scaled integer coordinates: every push and pull onto the line is
+    a numerator over the common denominator lam*(dx+dy)*dx*dy.  Lengths are
+    kept whole, so costs are numerators over twice that denominator, and
+    the weighted value is a reduced fraction (p, q) per line.  The arrays
+    are int64 or Python ints in object arrays."""
+
+    def __init__(self, lam, dxv, dyv, kv):
+        self.like = dxv
+        self.lam, self.dxv, self.dyv, self.kv = lam, dxv, dyv, kv
+        self.s = dxv + dyv
+
+    def cross(self, axis, v):
+        if axis == 0:
+            return (self.s * v - self.kv) * self.dyv
+        return (self.s * v + self.kv) * self.dxv
+
+    @staticmethod
+    def half(x):
+        return x
+
+    @staticmethod
+    def whole(x):
+        return 2 * x
+
+    def weigh(self, total):
+        p = np.minimum(self.dxv, self.dyv) * total
+        q = 2 * self.lam * self.s * self.dxv * self.dyv
+        g = np.gcd(p, q)
+        return p // g, q // g
+
+
+def _chunk(sm, sn, ar):
+    """Weighted bottleneck costs of the sides sm, sn over one chunk of
+    lines, in the arithmetic ar (_FloatLines or _KeyNumerators)."""
+    # crossings of x = v and y = v, once per distinct coordinate value;
+    # rectangles of one module share many
+    at = ({}, {})
+
+    def cross(axis, v):
+        t = at[axis].get(v)
+        if t is None:
+            t = at[axis][v] = ar.cross(axis, v)
+        return t
+
+    def push(l1, l2):
+        return np.maximum(cross(0, l1), cross(1, l2))
+
+    def bars(side):
+        if isinstance(side, _Pres):
+            return side.bars(push)
+        ess, fin = side
+        births, deaths = [], []
+        for lower, uppers in fin:
+            b = push(*lower)
+            d = reduce(np.minimum, [cross(axis, u) for axis, u in uppers])
+            births.append(b)
+            deaths.append(np.maximum(b, d))
+        return births, deaths, [push(*e) for e in ess]
+
+    bm, dm, em = bars(sm)
+    bn, dn, en = bars(sn)
+    hm = [ar.half(d - b) for b, d in zip(bm, dm)]
+    hn = [ar.half(d - b) for b, d in zip(bn, dn)]
+    pc = [[ar.whole(np.maximum(np.abs(bm[i] - bn[j]), np.abs(dm[i] - dn[j])))
+           for j in range(len(bn))] for i in range(len(bm))]
+
+    fin_cost = _cheapest_matching(pc, hm, hn)
+    if fin_cost is None:
+        fin_cost = np.zeros_like(ar.like)
+    ess_cost = _essential_cost(em, en)
+    if ess_cost is not None:
+        fin_cost = np.maximum(fin_cost, ar.whole(ess_cost))
+    return ar.weigh(fin_cost)
+
+
 def eval_lines(M, N, m1, m2, b1, b2):
     """Weighted bottleneck costs for vector_ready modules over float line
     arrays.
@@ -277,53 +382,12 @@ def eval_lines(M, N, m1, m2, b1, b2):
     Lines are in standard normalization: max(m1, m2) = 1, b2 = -b1.
     Requires equal essential counts on the two sides.
     """
-    sm, sn = _sides(M, N, _float_side)
+    sm, sn = _sides(M, N, float)
     out = np.empty(len(m1), dtype=np.float64)
     for s in range(0, len(m1), CHUNK):
         sl = slice(s, s + CHUNK)
-        out[sl] = _eval_chunk(sm, sn, m1[sl], m2[sl], b1[sl], b2[sl])
+        out[sl] = _chunk(sm, sn, _FloatLines(m1[sl], m2[sl], b1[sl], b2[sl]))
     return out
-
-
-def _eval_chunk(sm, sn, m1, m2, b1, b2):
-    # line parameters where the line crosses x = v and y = v, once per
-    # distinct coordinate value; rectangles of one module share many
-    at1, at2 = {}, {}
-
-    def cross(at, v, b, m):
-        t = at.get(v)
-        if t is None:
-            t = at[v] = (v - b) / m
-        return t
-
-    def push(l1, l2):
-        return np.maximum(cross(at1, l1, b1, m1), cross(at2, l2, b2, m2))
-
-    def bars(side):
-        if isinstance(side, _Pres):
-            return side.bars(push)
-        ess, fin = side
-        births, deaths = [], []
-        for l1, l2, u1, u2 in fin:
-            b = push(l1, l2)
-            d = np.minimum(cross(at1, u1, b1, m1), cross(at2, u2, b2, m2))
-            births.append(b)
-            deaths.append(np.maximum(b, d))
-        return births, deaths, [push(*e) for e in ess]
-
-    bm, dm, em = bars(sm)
-    bn, dn, en = bars(sn)
-    hm = [(d - b) / 2 for b, d in zip(bm, dm)]
-    hn = [(d - b) / 2 for b, d in zip(bn, dn)]
-    pc = [[np.maximum(np.abs(bm[i] - bn[j]), np.abs(dm[i] - dn[j]))
-           for j in range(len(bn))] for i in range(len(bm))]
-
-    fin_cost = _cheapest_matching(pc, hm, hn)
-    if fin_cost is None:
-        fin_cost = np.zeros_like(m1)
-
-    total = _max(fin_cost, _essential_cost(em, en))
-    return np.minimum(m1, m2) * total
 
 
 def eval_keys(M, N, dxs, dys, ks, lam):
@@ -331,38 +395,18 @@ def eval_keys(M, N, dxs, dys, ks, lam):
     return eval_lines(M, N, m1, m2, b1, b2)
 
 
-def _split_int(module, lam):
-    """(essential lowers, finite rects) as exact lam-scaled integers; an
-    infinite coordinate of a finite rect becomes None."""
-    ess, fin = [], []
-    for r in module.rectangles:
-        l1, l2 = int(r.lower[0] * lam), int(r.lower[1] * lam)
-        u1 = None if r.upper[0] == INF else int(r.upper[0] * lam)
-        u2 = None if r.upper[1] == INF else int(r.upper[1] * lam)
-        if u1 is None and u2 is None:
-            ess.append((l1, l2))
-        else:
-            fin.append((l1, l2, u1, u2))
-    return ess, fin
-
-
 def exact_reduced_values(M, N, dxv, dyv, kv, lam):
-    """Exact weighted costs over int64 key arrays as reduced fractions.
+    """Exact weighted costs over key arrays as reduced fractions.
 
-    Returns (p, q) int64 arrays with value = p/q in lowest terms, or None
-    when the certified intermediate bounds do not fit int64.  Requires
-    vector_ready modules with equal essential counts.
+    Returns (p, q) arrays with value = p/q in lowest terms: int64 when the
+    certified intermediate bounds fit int64, Python ints in object arrays
+    otherwise.  Requires vector_ready modules with equal essential counts.
 
     A presentation's push numerators order its grades exactly as
     restrict_presentation's push parameters do, ties included, so its
     barcode templates pair the same generators and relations.
     """
-    def side(module):
-        if module.rectangles is None:
-            return _Pres(module, lambda v: int(v * lam))
-        return _split_int(module, lam)
-
-    sm, sn = _sides(M, N, side)
+    sm, sn = _sides(M, N, lambda v: int(v * lam))
     amax = max((abs(int(v * lam)) for mod in (M, N) for v in _coords(mod)),
                default=0)
     dxm = int(dxv.max()) if dxv.size else 1
@@ -372,56 +416,12 @@ def exact_reduced_values(M, N, dxv, dyv, kv, lam):
     push_bound = (s * amax + kb) * max(dxm, dym)
     num_bound = max(dxm, dym) * 4 * push_bound
     den_bound = 2 * lam * s * dxm * dym
-    if max(num_bound, den_bound) >= 1 << 62:
-        return None
-    ps = np.empty(len(dxv), dtype=np.int64)
-    qs = np.empty(len(dxv), dtype=np.int64)
+    dtype = np.int64 if max(num_bound, den_bound) < 1 << 62 else object
+    dxv, dyv, kv = (v.astype(dtype, copy=False) for v in (dxv, dyv, kv))
+    ps = np.empty(len(dxv), dtype=dtype)
+    qs = np.empty(len(dxv), dtype=dtype)
     for t in range(0, len(dxv), CHUNK):
         sl = slice(t, t + CHUNK)
-        ps[sl], qs[sl] = _exact_chunk(sm, sn, lam, dxv[sl], dyv[sl], kv[sl])
+        ps[sl], qs[sl] = _chunk(sm, sn, _KeyNumerators(lam, dxv[sl], dyv[sl],
+                                                      kv[sl]))
     return ps, qs
-
-
-def _exact_chunk(sm, sn, lam, dxv, dyv, kv):
-    s = dxv + dyv
-
-    def push(l1, l2):
-        return np.maximum((s * l1 - kv) * dyv, (s * l2 + kv) * dxv)
-
-    def bars(side):
-        if isinstance(side, _Pres):
-            return side.bars(push)
-        ess, fin = side
-        births, deaths = [], []
-        for l1, l2, u1, u2 in fin:
-            b = push(l1, l2)
-            if u1 is None:
-                d = (s * u2 + kv) * dxv
-            elif u2 is None:
-                d = (s * u1 - kv) * dyv
-            else:
-                d = np.minimum((s * u1 - kv) * dyv, (s * u2 + kv) * dxv)
-            births.append(b)
-            deaths.append(np.maximum(b, d))
-        return births, deaths, [push(*e) for e in ess]
-
-    bm, dm, em = bars(sm)
-    bn, dn, en = bars(sn)
-    # numerators over the common denominator 2*lam*(dx+dy)*dx*dy
-    hm = [d - b for b, d in zip(bm, dm)]
-    hn = [d - b for b, d in zip(bn, dn)]
-    pc = [[2 * np.maximum(np.abs(bm[i] - bn[j]), np.abs(dm[i] - dn[j]))
-           for j in range(len(bn))] for i in range(len(bm))]
-
-    fin_cost = _cheapest_matching(pc, hm, hn)
-    if fin_cost is None:
-        fin_cost = np.zeros_like(dxv)
-
-    ess_cost = _essential_cost(em, en)
-    total = fin_cost if ess_cost is None else \
-        np.maximum(fin_cost, 2 * ess_cost)
-
-    p = np.minimum(dxv, dyv) * total
-    q = 2 * lam * s * dxv * dyv
-    g = np.gcd(p, q)
-    return p // g, q // g

@@ -99,25 +99,25 @@ def parse_module(text: str) -> TwoParamModule:
     if not gens and not rels:
         return TwoParamModule.from_rects(rects)
 
-    grades = {}
-    for name, grade, lineno in gens:
-        if name in grades:
-            raise ParseError(lineno, "duplicate generator name %r" % name)
-        grades[name] = grade
-    for name, grade, col, lineno in rels:
-        for g in sorted(col):
-            if g not in grades:
-                raise ParseError(lineno, "relation %r references unknown "
-                                         "generator %r" % (name, g))
-            if not (grade[0] >= grades[g][0] and grade[1] >= grades[g][1]):
-                raise ParseError(lineno,
-                                 "relation %r at (%s, %s) is below generator "
-                                 "%r at (%s, %s)"
-                                 % (name, fmt(grade[0]), fmt(grade[1]),
-                                    g, fmt(grades[g][0]), fmt(grades[g][1])))
-    return TwoParamModule.from_presentation(Presentation(
-        tuple((n, g) for n, g, _ in gens),
-        tuple((n, g, c) for n, g, c, _ in rels)))
+    pres = Presentation(tuple((n, g) for n, g, _ in gens),
+                        tuple((n, g, c) for n, g, c, _ in rels))
+    if pres.grade_violation() is not None:
+        raise ParseError(*_first_violation(gens, rels))
+    return TwoParamModule.from_presentation(pres)
+
+
+def _first_violation(gens, rels):
+    """Line number and message of the defect grade_violation reports: it
+    checks the generators, then the relations, in file order, so the first
+    prefix that fails ends at the offending statement."""
+    gs = [(n, g) for n, g, _ in gens]
+    rs = [(n, g, c) for n, g, c, _ in rels]
+    prefixes = [(gs[:i], []) for i in range(1, len(gs) + 1)]
+    prefixes += [(gs, rs[:j]) for j in range(1, len(rs) + 1)]
+    for (g, r), stmt in zip(prefixes, gens + rels):
+        message = Presentation(tuple(g), tuple(r)).grade_violation()
+        if message is not None:
+            return stmt[-1], message
 
 
 def serialize_module(module: TwoParamModule) -> str:

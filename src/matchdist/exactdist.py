@@ -15,14 +15,17 @@ Candidate lines are identified by primitive integer keys (dx, dy, k) over a
 common-denominator scaling of the point set; a key passes scaled point (X, Y)
 when dy*X - dx*Y = k.  The pair enumeration is quadratic in the point set and
 can reach tens of millions of pairs, so keys are produced in bounded blocks
-and consumed by streaming folds: a running float maximum with a sound margin
-keeps only the lines that can still win, and distinct keys are counted through
-an injective int64 packing.  Only the surviving lines are evaluated exactly.
+and consumed by one streaming loop over a single injective packing of each
+key into one integer: int64 when the ranges allow, Python ints in object
+arrays otherwise.  The loop counts the distinct keys, and a fold over it
+keeps a running float maximum with a sound margin, so that only the lines
+that can still win are evaluated exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,16 +251,24 @@ def _scaled(pts, dirs, scale=1):
     return [x for x, _ in XY], [y for _, y in XY], sorted(dirs), lam
 
 
-def _use_bigint(X, Y, dvals):
-    big = max((abs(v) for v in X + Y), default=0)
-    bigd = max((max(a, b) for a, b in dvals), default=0)
-    return big > _GUARD or bigd > _GUARD
+class _Spec(NamedTuple):
+    sdy: int
+    sk: int
+    kb: int
+    dtype: np.dtype      # of the packed keys
+    key_dtype: np.dtype  # of the blocks and the unpacked (dx, dy, k)
 
 
 def _pack_spec(X, Y, dvals):
-    """Constants (SDY, SK, KB) of the injective int64 key encoding
-    (dx*SDY + dy)*SK + (k + KB), or None when the ranges do not fit.
-    Expects sorted X."""
+    """The injective key encoding (dx*SDY + dy)*SK + (k + KB), the one
+    representation of keys in the stream.  Expects sorted X.
+
+    The packed keys are int64 when the encoding's top fits below 2^62, and
+    Python ints in object arrays otherwise; np.sort, the adjacent-difference
+    mask, //, % and np.gcd all work on both.  key_dtype is that of the
+    blocks and of the unpacked keys: int64 inside the guard, where every
+    difference and k fit, and object past it.
+    """
     ax = max(abs(X[0]), abs(X[-1]))
     ymin, ymax = min(Y), max(Y)
     ay = max(abs(ymin), abs(ymax))
@@ -265,35 +276,42 @@ def _pack_spec(X, Y, dvals):
     dym = max(ymax - ymin, max((d[1] for d in dvals), default=0))
     kb = dym * ax + dxm * ay + 1
     top = (dxm * (dym + 1) + dym) * (2 * kb + 1) + 2 * kb
-    if top >= 1 << 62:
-        return None
-    return dym + 1, 2 * kb + 1, kb
+    big = max(ax, ay, max((max(d) for d in dvals), default=0))
+    key_dtype = np.dtype(object if big > _GUARD else np.int64)
+    dtype = key_dtype if top < 1 << 62 else np.dtype(object)
+    return _Spec(dym + 1, 2 * kb + 1, kb, dtype, key_dtype)
 
 
 def _pack(spec, dxv, dyv, kv):
-    sdy, sk, kb = spec
-    return (dxv * sdy + dyv) * sk + (kv + kb)
+    # int64 blocks become Python ints first when the packing needs them
+    dxv, dyv, kv = (v.astype(spec.dtype, copy=False) for v in (dxv, dyv, kv))
+    return (dxv * spec.sdy + dyv) * spec.sk + (kv + spec.kb)
 
 
 def _unpack(spec, packed):
-    sdy, sk, kb = spec
-    rest, kv = np.divmod(packed, sk)
-    dxv, dyv = np.divmod(rest, sdy)
-    return dxv, dyv, kv - kb
+    # // and %, as np.divmod rejects object arrays
+    rest, kv = packed // spec.sk, packed % spec.sk
+    dxv, dyv = rest // spec.sdy, rest % spec.sdy
+    return tuple(v.astype(spec.key_dtype, copy=False)
+                 for v in (dxv, dyv, kv - spec.kb))
 
 
-def _iter_blocks(X, Y, dvals):
-    """Yield primitive (dx, dy, k) int64 key blocks: every positive-slope
-    line through two distinct points once per unordered pair, then every
-    (point, direction) line once.  Expects sorted points within the int64
-    guard."""
+def _iter_blocks(X, Y, dvals, dtype):
+    """Yield primitive (dx, dy, k) key blocks of the spec's key_dtype: every
+    positive-slope line through two distinct points once per unordered
+    pair, then every (point, direction) line once.  Expects sorted points.
+    The blocks are int64 inside the guard and Python ints in object arrays
+    past it."""
     n = len(X)
-    Xa = np.asarray(X, dtype=np.int64)
-    Ya = np.asarray(Y, dtype=np.int64)
-    # within the guard, coordinate differences and their gcd fit int32,
-    # which halves the memory traffic of the pair matrices
-    X32 = Xa.astype(np.int32)
-    Y32 = Ya.astype(np.int32)
+    Xa = np.asarray(X, dtype=dtype)
+    Ya = np.asarray(Y, dtype=dtype)
+    # coordinate differences and their gcd take the narrowest type that
+    # holds them: int32 within the guard, which halves the memory traffic
+    # of the pair matrices, int64 below 2^62, Python ints beyond
+    big = max(map(abs, X + Y), default=0)
+    ddtype = (np.int32 if dtype == np.int64 else
+              np.int64 if big < 1 << 62 else object)
+    Xd, Yd = Xa.astype(ddtype), Ya.astype(ddtype)
     a = 0
     while a < n - 1:
         # rows a..b-1 against the columns after a; sorted points make
@@ -301,8 +319,8 @@ def _iter_blocks(X, Y, dvals):
         # unordered pair once, and dy > 0 drops the rest of the
         # axis-parallel and negative-slope pairs
         b = min(n - 1, a + max(1, _BLOCK // (n - 1 - a)))
-        dx = X32[None, a + 1:] - X32[a:b, None]
-        dy = Y32[None, a + 1:] - Y32[a:b, None]
+        dx = Xd[None, a + 1:] - Xd[a:b, None]
+        dy = Yd[None, a + 1:] - Yd[a:b, None]
         keep = (dx > 0) & (dy > 0)
         ii = np.repeat(np.arange(a, b), np.count_nonzero(keep, axis=1))
         a = b
@@ -311,12 +329,12 @@ def _iter_blocks(X, Y, dvals):
         dxv = dx[keep]
         dyv = dy[keep]
         g = np.gcd(dxv, dyv)
-        dxv = (dxv // g).astype(np.int64)
-        dyv = (dyv // g).astype(np.int64)
+        dxv = (dxv // g).astype(dtype)
+        dyv = (dyv // g).astype(dtype)
         yield dxv, dyv, dyv * Xa[ii] - dxv * Ya[ii]
     buf, size = [], 0
     for d1, d2 in dvals:
-        buf.append((np.full(n, d1, np.int64), np.full(n, d2, np.int64),
+        buf.append((np.full(n, d1, dtype), np.full(n, d2, dtype),
                     d2 * Xa - d1 * Ya))
         size += n
         if size >= _BLOCK // 4:
@@ -324,29 +342,6 @@ def _iter_blocks(X, Y, dvals):
             buf, size = [], 0
     if buf:
         yield tuple(np.concatenate([p[t] for p in buf]) for t in range(3))
-
-
-def _keys_py(X, Y, dvals):
-    """Arbitrary-precision fallback for coordinates beyond the int64 guard;
-    returns deduplicated sorted (dx, dy, k) tuples of python ints.  Expects
-    sorted points."""
-    from math import gcd
-    out = set()
-    n = len(X)
-    for a in range(n):
-        for b in range(a + 1, n):
-            dx = X[b] - X[a]
-            dy = Y[b] - Y[a]
-            if dx <= 0 or dy <= 0:
-                continue
-            g = gcd(dx, dy)
-            dx //= g
-            dy //= g
-            out.add((dx, dy, dy * X[a] - dx * Y[a]))
-    for d1, d2 in dvals:
-        for a in range(n):
-            out.add((d1, d2, d2 * X[a] - d1 * Y[a]))
-    return sorted(out)
 
 
 def _unique_sorted(a, kind=None):
@@ -369,11 +364,12 @@ class _KeyUnion:
     """Distinct packed keys accumulated across blocks; memory is bounded by
     the number of distinct candidate lines."""
 
-    __slots__ = ("parts", "size")
+    __slots__ = ("parts", "size", "dtype")
 
-    def __init__(self):
+    def __init__(self, dtype):
         self.parts = []
         self.size = 0
+        self.dtype = dtype
 
     def add(self, u):
         self.parts.append(u)
@@ -383,13 +379,29 @@ class _KeyUnion:
 
     def finish(self):
         if not self.parts:
-            return np.empty(0, np.int64)
+            return np.empty(0, self.dtype)
         if len(self.parts) > 1:
             # the parts are sorted runs, which the stable sort merges
             merged = _unique_sorted(np.concatenate(self.parts), "stable")
             self.parts = [merged]
             self.size = merged.size
         return self.parts[0]
+
+
+def _stream(X, Y, dvals, fold=None):
+    """The one key loop: every block's distinct packed keys, unpacked, go to
+    fold.offer(dxv, dyv, kv, packed).  Returns the spec and the sorted distinct
+    packed keys of all blocks."""
+    spec = _pack_spec(X, Y, dvals)
+    union = _KeyUnion(spec.dtype)
+    for blk in _iter_blocks(X, Y, dvals, spec.key_dtype):
+        # a block repeats lines that pass through more than two points;
+        # the folds only need each distinct line once
+        packed = _unique_sorted(_pack(spec, *blk))
+        union.add(packed)
+        if fold is not None:
+            fold.offer(*_unpack(spec, packed), packed)
+    return spec, union.finish()
 
 
 class _LexMin:
@@ -402,7 +414,7 @@ class _LexMin:
         self.key = None
         self.best = None
 
-    def offer(self, dxv, dyv, kv):
+    def offer(self, dxv, dyv, kv, packed=None):
         # float screen with slack, then exact refinement of the near-minimal
         r = dxv.astype(np.float64) / dyv.astype(np.float64)
         m = float(r.min())
@@ -418,23 +430,30 @@ class _LexMin:
 class _Screen:
     """Running float maximum with a buffer of keys still within the margin.
 
-    Pruning against the running maximum is sound: a dropped key lost to some
-    line by more than the margin, so it cannot reach the final maximum
-    within float error.
+    The margin 1e-9*max(1, coord_scale, kmax/lam) bounds the float error of
+    every key offered so far, kmax being the largest |k| among them.
+    Pruning against the running maximum is sound: a dropped key and the key
+    of the running maximum were both offered before the drop, so the dropped
+    key lost to some line by more than both their float errors and cannot
+    reach the final maximum.
     """
 
-    __slots__ = ("M", "N", "lam", "margin", "fmax", "keys", "vals", "size")
+    __slots__ = ("M", "N", "lam", "scale", "kmax", "margin", "fmax", "keys",
+                 "vals", "size")
 
-    def __init__(self, M, N, lam, margin):
-        self.M, self.N, self.lam, self.margin = M, N, lam, margin
+    def __init__(self, M, N, lam):
+        self.M, self.N, self.lam = M, N, lam
+        self.scale = max(1.0, _fastpath.coord_scale(M, N))
+        self.kmax = 0
+        self.margin = 1e-9 * self.scale
         self.fmax = -np.inf
         self.keys, self.vals, self.size = [], [], 0
 
     def offer(self, dxv, dyv, kv, packed):
+        self.kmax = max(self.kmax, int(kv.max()), -int(kv.min()))
+        self.margin = 1e-9 * max(self.scale, self.kmax / self.lam)
         fv = _fastpath.eval_keys(self.M, self.N, dxv, dyv, kv, self.lam)
-        fm = float(fv.max())
-        if fm > self.fmax:
-            self.fmax = fm
+        self.fmax = max(self.fmax, float(fv.max()))
         mask = fv >= self.fmax - self.margin
         self.keys.append(packed[mask])
         self.vals.append(fv[mask])
@@ -466,21 +485,14 @@ def _lex_pair(dx, dy, k, lam):
     return (Q(int(dx), int(dy)), Q(int(k), lam * (int(dx) + int(dy))))
 
 
+def _key_list(spec, packed):
+    return list(zip(*(v.tolist() for v in _unpack(spec, packed))))
+
+
 def _distinct_keys(X, Y, dvals):
     """All distinct candidate keys as python int triples, sorted by
     (dx, dy, k)."""
-    if _use_bigint(X, Y, dvals):
-        return _keys_py(X, Y, dvals)
-    spec = _pack_spec(X, Y, dvals)
-    if spec is None:
-        rows = [np.stack(blk, axis=1) for blk in _iter_blocks(X, Y, dvals)]
-        allrows = np.unique(np.concatenate(rows), axis=0)
-        return [tuple(int(v) for v in row) for row in allrows]
-    union = _KeyUnion()
-    for dxv, dyv, kv in _iter_blocks(X, Y, dvals):
-        union.add(_unique_sorted(_pack(spec, dxv, dyv, kv)))
-    dxv, dyv, kv = _unpack(spec, union.finish())
-    return list(zip(dxv.tolist(), dyv.tolist(), kv.tolist()))
+    return _key_list(*_stream(X, Y, dvals))
 
 
 def candidate_lines(M: TwoParamModule, N: TwoParamModule,
@@ -565,40 +577,23 @@ def _select_exact(M, N, keys, lam, count):
 
 
 def _select_vector(M, N, dxv, dyv, kv, lam, count):
-    """Exact selection over int64 key arrays through reduced-fraction values.
+    """Exact selection over key arrays through reduced-fraction values.
 
-    Ties collapse by bit equality of the reduced fractions, so plateaus of
+    Ties collapse by equality of the reduced fractions, so plateaus of
     equal-valued lines cost one vectorized pass instead of per-line work.
     """
-    res = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
-    if res is None:
-        keys = list(zip(dxv.tolist(), dyv.tolist(), kv.tolist()))
-        return _select_exact(M, N, keys, lam, count)
-    ps, qs = res
+    ps, qs = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
     ratio = ps.astype(np.float64) / qs.astype(np.float64)
     fm = float(ratio.max())
     band = np.nonzero(ratio >= fm * (1 - 1e-9) - 1e-12)[0]
     bp = bq = None
-    for p, q in np.unique(np.stack([ps[band], qs[band]], axis=1),
-                          axis=0).tolist():
+    for p, q in set(zip(ps[band].tolist(), qs[band].tolist())):
         if bp is None or p * bq > bp * q:
             bp, bq = p, q
     winners = np.nonzero((ps == bp) & (qs == bq))[0]
     lexmin = _LexMin(lam)
     lexmin.offer(dxv[winners], dyv[winners], kv[winners])
     return _result_at(M, N, lexmin.key, lam, count)
-
-
-def _screened_keys(M, N, keys, lam):
-    """Float prefilter over materialized keys; returns the survivors."""
-    dxs = np.asarray([float(t[0]) for t in keys])
-    dys = np.asarray([float(t[1]) for t in keys])
-    ks = np.asarray([float(t[2]) for t in keys])
-    fv = _fastpath.eval_lines(M, N, *_fastpath.line_floats(dxs, dys, ks, lam))
-    kmax = float(np.abs(ks).max())
-    margin = 1e-9 * max(1.0, _fastpath.coord_scale(M, N), kmax / lam)
-    keep = np.nonzero(fv >= float(fv.max()) - margin)[0]
-    return [keys[int(t)] for t in keep]
 
 
 def matching_distance(M: TwoParamModule, N: TwoParamModule,
@@ -616,48 +611,20 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
 
     # equal-value decisions that need no line search; the witness line is
     # then just the lex-min candidate
-    shortcut = (_essential_count(M) != _essential_count(N)
-                or _struct_key(M) == _struct_key(N))
-
-    spec = None if _use_bigint(X, Y, dvals) else _pack_spec(X, Y, dvals)
-    if spec is None:
-        keys = _distinct_keys(X, Y, dvals)
-        count = len(keys)
-        if shortcut:
-            key = min(keys, key=lambda t: _lex_pair(*t, lam))
-            return _result_at(M, N, key, lam, count)
-        if _fastpath.vector_ready(M, N):
-            keys = _screened_keys(M, N, keys, lam)
-        return _select_exact(M, N, keys, lam, count)
-
-    union = _KeyUnion()
-    lexmin = _LexMin(lam) if shortcut else None
-    screen = None
-    if not shortcut and _fastpath.vector_ready(M, N):
-        # the packing bound caps |k|, so this margin dominates the one any
-        # individual block could require
-        margin = 1e-9 * max(1.0, _fastpath.coord_scale(M, N), spec[2] / lam)
-        screen = _Screen(M, N, lam, margin)
-
-    for blk in _iter_blocks(X, Y, dvals):
-        # a block repeats lines that pass through more than two points;
-        # the folds below only need each distinct line once
-        packed = _unique_sorted(_pack(spec, *blk))
-        union.add(packed)
-        if lexmin is not None:
-            lexmin.offer(*_unpack(spec, packed))
-        if screen is not None:
-            screen.offer(*_unpack(spec, packed), packed)
-
-    count = int(union.finish().size)
-    if shortcut:
-        return _result_at(M, N, lexmin.key, lam, count)
-    packed = screen.finish() if screen is not None else union.finish()
-    dxv, dyv, kv = _unpack(spec, packed)
-    if screen is not None:
-        return _select_vector(M, N, dxv, dyv, kv, lam, count)
-    keys = list(zip(dxv.tolist(), dyv.tolist(), kv.tolist()))
-    return _select_exact(M, N, keys, lam, count)
+    if (_essential_count(M) != _essential_count(N)
+            or _struct_key(M) == _struct_key(N)):
+        fold = _LexMin(lam)
+    elif _fastpath.vector_ready(M, N):
+        fold = _Screen(M, N, lam)
+    else:
+        fold = None
+    spec, union = _stream(X, Y, dvals, fold)
+    count = int(union.size)
+    if isinstance(fold, _LexMin):
+        return _result_at(M, N, fold.key, lam, count)
+    if fold is None:
+        return _select_exact(M, N, _key_list(spec, union), lam, count)
+    return _select_vector(M, N, *_unpack(spec, fold.finish()), lam, count)
 
 
 def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,

@@ -73,7 +73,7 @@ class Presentation:
                 return "duplicate generator name %r" % name
             grades[name] = grade
         for name, grade, column in self.relations:
-            for gen in column:
+            for gen in sorted(column):
                 if gen not in grades:
                     return "relation %r references unknown generator %r" % (name, gen)
                 g = grades[gen]

@@ -7,6 +7,7 @@ oracles for the optimized library code.
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import gcd
 
 from matchdist.geometry import ProjPoint
 from matchdist.rational import INF, Q, ext_abs_diff
@@ -109,3 +110,26 @@ def essential_bruteforce(births1, births2):
                     for i in range(len(births1)))
         best = min(best, worst)
     return best
+
+
+def distinct_keys_pairloop(X, Y, dvals):
+    """Every distinct candidate key (dx, dy, k), sorted, by a plain loop
+    over point pairs in python ints: a positive-slope line through two
+    sorted points, as its primitive direction and dy*X - dx*Y, and every
+    line through a point with a direction of dvals."""
+    out = set()
+    n = len(X)
+    for a in range(n):
+        for b in range(a + 1, n):
+            dx = X[b] - X[a]
+            dy = Y[b] - Y[a]
+            if dx <= 0 or dy <= 0:
+                continue
+            g = gcd(dx, dy)
+            dx //= g
+            dy //= g
+            out.add((dx, dy, dy * X[a] - dx * Y[a]))
+    for d1, d2 in dvals:
+        for a in range(n):
+            out.add((d1, d2, d2 * X[a] - d1 * Y[a]))
+    return sorted(out)

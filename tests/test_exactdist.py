@@ -5,6 +5,7 @@ the materialized candidate line set, on value, witness line, and count.
 """
 import itertools
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from matchdist.geometry import (ProjPoint, line_through, normalize_line,
 from matchdist.modules import (TwoParamModule, critical_values, lub_closure,
                                rect, scale, swap_axes, translate)
 from matchdist.rational import INF, Q
+from oracles import distinct_keys_pairloop
 
 
 def brute(M, N, extra=None):
@@ -93,24 +95,28 @@ def test_candidate_lines_lex_sorted():
 
 
 def _key_path(M, N, extra):
+    """The key regime, by the dtypes of the packing: int64 keys, object
+    packed keys over int64 blocks inside the guard, or object blocks past
+    it."""
     X, Y, dvals, _ = exactdist._lattice(M, N, extra)
-    if exactdist._use_bigint(X, Y, dvals):
+    spec = exactdist._pack_spec(X, Y, dvals)
+    if spec.key_dtype == object:
         return "bigint"
-    return "packed" if exactdist._pack_spec(X, Y, dvals) else "unpacked"
+    return "int64" if spec.dtype == np.int64 else "object"
 
 
 def test_candidate_lines_match_exact_sort_on_every_key_path():
     """Ordering on the integer keys gives the lines of a sort of every key
-    by its exact (m1/m2, b1), in the same order, on the packed, unpacked
-    and bigint key paths, with and without extra switch points and
-    directions."""
+    by its exact (m1/m2, b1), in the same order, in every key regime (int64
+    keys, object keys inside the guard, object keys past it), with and
+    without extra switch points and directions."""
     rng = random.Random(19)
     pool = rand_pool(rng, 3)
-    cases = [(ex_need_omega(), 1, "packed"),
+    cases = [(ex_need_omega(), 1, "int64"),
              ((rand_rect_module(rng, max_rects=2, pool=pool, p_inf=0.2),
                rand_rect_module(rng, max_rects=2, pool=pool, p_inf=0.2)),
-              1, "packed"),
-             (ex_diag_not_suff(), 100003, "unpacked"),
+              1, "int64"),
+             (ex_diag_not_suff(), 100003, "object"),
              (ex_need_omega(), 10 ** 9, "bigint")]
     for (M, N), f, path in cases:
         M, N = scale(M, f), scale(N, f)
@@ -423,17 +429,17 @@ def test_tiny_blocks_stream_identically(monkeypatch):
 
 
 def test_unpackable_coordinates_fall_back():
-    """Coordinates large enough to overflow the packed key encoding (but not
-    the int64 key triples) take the materialized fallback; scaling maps the
-    result exactly onto the small instance's."""
+    """Coordinates large enough to overflow the int64 key packing (but not
+    the int64 key triples) pack into Python ints; scaling maps the result
+    exactly onto the small instance's."""
     M0, N0 = ex_diag_not_suff()
     f = 100003
     M, N = scale(M0, f), scale(N0, f)
     sp = exactdist._switch_for(M, N, None)
     pts, dirs = exactdist._point_set(M, N, sp)
     X, Y, dvals, lam = exactdist._scaled(pts, dirs)
-    assert not exactdist._use_bigint(X, Y, dvals)
-    assert exactdist._pack_spec(X, Y, dvals) is None
+    spec = exactdist._pack_spec(X, Y, dvals)
+    assert spec.key_dtype == np.int64 and spec.dtype == object
     res = matching_distance(M, N)
     small = matching_distance(M0, N0)
     assert res.value == f * small.value
@@ -443,15 +449,19 @@ def test_unpackable_coordinates_fall_back():
     assert res.candidate_count == small.candidate_count
 
 
+def _huge_pair():
+    return (TwoParamModule.from_rects([rect(0, 0, 4, 7)]),
+            TwoParamModule.from_rects([rect(1, 2, 5, 6)]))
+
+
 def test_huge_coordinates_use_exact_keys():
-    M0 = TwoParamModule.from_rects([rect(0, 0, 4, 7)])
-    N0 = TwoParamModule.from_rects([rect(1, 2, 5, 6)])
+    M0, N0 = _huge_pair()
     f = 10 ** 9
     M, N = scale(M0, f), scale(N0, f)
     sp = exactdist._switch_for(M, N, None)
     pts, dirs = exactdist._point_set(M, N, sp)
     X, Y, dvals, lam = exactdist._scaled(pts, dirs)
-    assert exactdist._use_bigint(X, Y, dvals)
+    assert exactdist._pack_spec(X, Y, dvals).key_dtype == object
     res = matching_distance(M, N)
     small = matching_distance(M0, N0)
     assert res.value == f * small.value
@@ -630,14 +640,14 @@ def _small_pres_pair():
 
 
 def test_unpackable_presentation_coordinates_fall_back():
-    """Presentations past the packed key range take the materialized keys
-    and the per-line selection, and scale exactly onto the small pair."""
+    """Presentations past the int64 key packing pack their keys into Python
+    ints, and scale exactly onto the small pair."""
     M0, N0 = _small_pres_pair()
     f = 100003
     M, N = scale(M0, f), scale(N0, f)
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
-    assert not exactdist._use_bigint(X, Y, dvals)
-    assert exactdist._pack_spec(X, Y, dvals) is None
+    spec = exactdist._pack_spec(X, Y, dvals)
+    assert spec.key_dtype == np.int64 and spec.dtype == object
     res = matching_distance(M, N)
     small = matching_distance(M0, N0)
     assert res.value == f * small.value > 0
@@ -652,9 +662,102 @@ def test_huge_presentation_coordinates_use_exact_keys():
     f = 10 ** 9
     M, N = scale(M0, f), scale(N0, f)
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
-    assert exactdist._use_bigint(X, Y, dvals)
+    assert exactdist._pack_spec(X, Y, dvals).key_dtype == object
     res = matching_distance(M, N)
     small = matching_distance(M0, N0)
     assert res.value == f * small.value > 0
     assert res.witness_line.m == small.witness_line.m
     assert res.candidate_count == small.candidate_count
+
+
+# One packed key stream in every regime: int64 keys, Python-int packed keys
+# over int64 blocks inside the guard, and Python-int blocks past it.
+
+def test_distinct_keys_match_pair_loop(monkeypatch):
+    """The streamed keys, packed, deduplicated per block and merged across
+    many blocks, equal a plain loop over point pairs in python ints, in all
+    three key regimes."""
+    monkeypatch.setattr(exactdist, "_BLOCK", 64)
+    rng = random.Random(29)
+    pool = rand_pool(rng, 3)
+    rnd = (rand_rect_module(rng, max_rects=2, pool=pool, p_inf=0.2),
+           rand_rect_module(rng, max_rects=2, pool=pool, p_inf=0.2))
+    cases = [(ex_need_omega(), 1, "int64"), (rnd, 1, "int64"),
+             (ex_diag_not_suff(), 100003, "object"),
+             (_small_pres_pair(), 100003, "object"),
+             (ex_need_omega(), 10 ** 9, "bigint"),
+             (rnd, 10 ** 9, "bigint")]
+    for (M, N), f, path in cases:
+        M, N = scale(M, f), scale(N, f)
+        assert _key_path(M, N, None) == path
+        X, Y, dvals, _ = exactdist._lattice(M, N, None)
+        got = exactdist._distinct_keys(X, Y, dvals)
+        assert len(got) > 4 * exactdist._BLOCK
+        assert got == distinct_keys_pairloop(X, Y, dvals)
+        assert {type(v) for key in got for v in key} == {int}
+
+
+def test_scaled_pairs_match_per_line_selection():
+    """Past the int64 packing, inside the guard and past it, the streamed
+    screen and vector selection give the value, witness line and count of
+    the per-line exact selection over every distinct key."""
+    for M0, N0 in (ex_diag_not_suff(), _small_pres_pair()):
+        for f, path in ((100003, "object"), (10 ** 9, "bigint")):
+            M, N = scale(M0, f), scale(N0, f)
+            assert _key_path(M, N, None) == path
+            res = matching_distance(M, N)
+            X, Y, dvals, lam = exactdist._lattice(M, N, None)
+            keys = exactdist._distinct_keys(X, Y, dvals)
+            ref = exactdist._select_exact(M, N, keys, lam, len(keys))
+            assert (res.value, res.witness_line, res.candidate_count) == \
+                (ref.value, ref.witness_line, ref.candidate_count)
+
+
+def test_screen_margin_follows_offered_keys(monkeypatch):
+    """The screen's margin comes from the largest |k| offered, not from the
+    packing's bound on it, which past the guard is far above every key: of
+    this pair's 54,414 lines, at most 100 reach exact evaluation."""
+    exact_lines = []
+    vector, per_line = _fastpath.exact_reduced_values, exactdist._exact_cost
+
+    def counted_vector(M, N, dxv, dyv, kv, lam):
+        exact_lines.append(len(dxv))
+        return vector(M, N, dxv, dyv, kv, lam)
+
+    def counted_per_line(M, N, line):
+        exact_lines.append(1)
+        return per_line(M, N, line)
+
+    M0, N0 = _huge_pair()
+    small = matching_distance(M0, N0)
+    monkeypatch.setattr(_fastpath, "exact_reduced_values", counted_vector)
+    monkeypatch.setattr(exactdist, "_exact_cost", counted_per_line)
+    f = 10 ** 9
+    res = matching_distance(scale(M0, f), scale(N0, f))
+    assert res.candidate_count == 54414
+    assert res.value == f * small.value
+    assert 0 < sum(exact_lines) <= 100
+
+
+def test_object_kernel_matches_exact_cost():
+    """Past the int64 certificate, exact_reduced_values computes in Python
+    ints in object arrays, and its reduced fractions equal the per-line
+    exact cost, for a rectangle pair and a presentation pair; the distance
+    still scales exactly onto the small pair's."""
+    rng = random.Random(75)
+    f = 10 ** 15
+    for M0, N0 in (ex_need_omega(), _small_pres_pair()):
+        M, N = scale(M0, f), scale(N0, f)
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = rng.sample(exactdist._distinct_keys(X, Y, dvals), 150)
+        dxv, dyv, kv = (np.array(col, dtype=object) for col in zip(*keys))
+        ps, qs = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
+        assert ps.dtype == qs.dtype == object
+        for p, q, key in zip(ps.tolist(), qs.tolist(), keys):
+            line = exactdist._line_from_key(*key, lam)
+            assert gcd(p, q) == 1
+            assert Q(p, q) == exactdist._exact_cost(M, N, line)
+        res, small = matching_distance(M, N), matching_distance(M0, N0)
+        assert res.value == f * small.value > 0
+        assert res.witness_line.m == small.witness_line.m
+        assert res.candidate_count == small.candidate_count
