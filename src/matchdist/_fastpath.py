@@ -15,10 +15,12 @@ Wright's per-cell templates in RIVET; no line is reduced on its own.
 
 One kernel (_chunk) serves two arithmetics, which differ only in where a
 line crosses a coordinate, in how lengths are halved and in the final
-weighting.  The float arithmetic (_FloatLines) screens large line sets with a
-sound error margin; a presentation's float pushes order its grades within
-rounding, and rounding is monotone, so every relation stays at or after its
-own generators and the float barcode is that of a filtration within push
+weighting.  Its matching minimum is bottleneck.cheapest_matching, the same
+function that bottleneck_cost runs on the rationals of a single line.  The
+float arithmetic (_FloatLines) screens large line sets with a sound error
+margin; a presentation's float pushes order its grades within rounding, and
+rounding is monotone, so every relation stays at or after its own
+generators and the float barcode is that of a filtration within push
 rounding error.  The integer arithmetic (_KeyNumerators) is exact: on the key
 (dx, dy, k) with scaling lam, every push and pull onto the line is a
 fraction over the common per-line denominator lam*(dx+dy)*dx*dy, so
@@ -33,52 +35,12 @@ from functools import reduce
 
 import numpy as np
 
+from .bottleneck import cheapest_matching
 from .fibered import bar_counts, reduce_columns
 from .rational import INF
 
 MAX_FINITE = 6
 CHUNK = 16384
-
-
-def _max(a, b):
-    return a if b is None else np.maximum(a, b)
-
-
-def _cheapest_matching(pc, h1, h2):
-    """Elementwise bottleneck cost of the cheapest partial matching: the
-    minimum over bottleneck.match_patterns(len(h1), len(h2)) of the maximum
-    of the matched pc[i][j], the unmatched h1[i] and the unmatched h2[j];
-    None when both sides are empty.
-
-    Rows are matched one at a time, keeping for every set of used columns
-    the cheapest cost of the rows still to come.  max and min are exact, so
-    the result equals the pattern-by-pattern minimum bit for bit, at a
-    fraction of its array operations (4x4: 199 against 1127).  The columns
-    are taken over the smaller side, which transposes pc when h2 is longer;
-    the minimum is symmetric, so the result is unchanged.
-    """
-    if len(h2) > len(h1):
-        pc = [[row[j] for row in pc] for j in range(len(h2))]
-        h1, h2 = h2, h1
-    r1, r2 = len(h1), len(h2)
-    full = (1 << r2) - 1
-    # rest[S]: cost of the columns left unmatched once the rows are done
-    rest = {full: None}
-    for used in range(full - 1, -1, -1):
-        j = (~used & (used + 1)).bit_length() - 1  # lowest unused column
-        rest[used] = _max(h2[j], rest[used | 1 << j])
-    for i in reversed(range(r1)):
-        rest = {used: _row_cost(pc[i], h1[i], rest, used, r2)
-                for used in rest if bin(used).count("1") <= i}
-    return rest[0]
-
-
-def _row_cost(pci, h1i, rest, used, r2):
-    best = _max(h1i, rest[used])
-    for j in range(r2):
-        if not used >> j & 1:
-            best = np.minimum(best, _max(pci[j], rest[used | 1 << j]))
-    return best
 
 
 def _sorted_network(vals):
@@ -101,10 +63,9 @@ def _essential_cost(e1, e2):
     in floats too the result equals the minimum over all permutations bit
     for bit.
     """
-    cost = None
-    for a, b in zip(_sorted_network(e1), _sorted_network(e2)):
-        cost = _max(np.abs(a - b), cost)
-    return cost
+    gaps = [np.abs(a - b)
+            for a, b in zip(_sorted_network(e1), _sorted_network(e2))]
+    return reduce(np.maximum, gaps) if gaps else None
 
 
 def _row_groups(sig):
@@ -225,7 +186,7 @@ def vector_ready(M, N) -> bool:
     them (fibered.bar_counts): finite rectangles of a rectangle module, the
     rank of the relation matrix of a presentation.
 
-    The matching minimum takes its columns over the smaller side, at
+    bottleneck.cheapest_matching takes its columns over the smaller side, at
     rows * 2^cols * cols array operations per chunk, and holds two tables
     of up to 2^cols arrays of CHUNK values: 2 * 2^6 * CHUNK * 8 bytes, about
     16 MB, at the cap.  Rows, the larger side's bars, cost linearly.
@@ -333,7 +294,9 @@ class _KeyNumerators:
 
 def _chunk(sm, sn, ar):
     """Weighted bottleneck costs of the sides sm, sn over one chunk of
-    lines, in the arithmetic ar (_FloatLines or _KeyNumerators)."""
+    lines, in the arithmetic ar (_FloatLines or _KeyNumerators): the finite
+    bars through cheapest_matching, the essential ones through the sorted
+    matching."""
     # crossings of x = v and y = v, once per distinct coordinate value;
     # rectangles of one module share many
     at = ({}, {})
@@ -366,7 +329,7 @@ def _chunk(sm, sn, ar):
     pc = [[ar.whole(np.maximum(np.abs(bm[i] - bn[j]), np.abs(dm[i] - dn[j])))
            for j in range(len(bn))] for i in range(len(bm))]
 
-    fin_cost = _cheapest_matching(pc, hm, hn)
+    fin_cost = cheapest_matching(pc, hm, hn)
     if fin_cost is None:
         fin_cost = np.zeros_like(ar.like)
     ess_cost = _essential_cost(em, en)

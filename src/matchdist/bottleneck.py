@@ -6,12 +6,16 @@ birth values; finite bars are matched by binary search over the exact
 candidate costs (pairwise l-infinity distances and half-persistences) with an
 augmenting-path feasibility matcher.  The overall cost is the maximum of the
 two parts, with the convention inf - inf = 0.
+
+cheapest_matching is the one matching minimum of the package: the vector
+kernel runs it elementwise over arrays of lines, and bottleneck_cost runs it
+on the rationals of one line when both sides have few finite bars.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+
+import numpy as np
 
 from .rational import INF, Q, ext_abs_diff
 
@@ -175,64 +179,79 @@ def bottleneck(d1, d2):
     return cost, witness
 
 
-@lru_cache(maxsize=None)
-def match_patterns(r1, r2):
-    """All partial injections of range(r1) into range(r2), with leftovers."""
-    out = []
-    for k in range(min(r1, r2) + 1):
-        for c1 in combinations(range(r1), k):
-            for c2 in permutations(range(r2), k):
-                s1 = tuple(i for i in range(r1) if i not in c1)
-                s2 = tuple(j for j in range(r2) if j not in c2)
-                out.append((tuple(zip(c1, c2)), s1, s2))
-    return tuple(out)
+def cheapest_matching(pc, h1, h2):
+    """Elementwise bottleneck cost of the cheapest partial matching: the
+    minimum, over every partial injection of the rows into the columns, of
+    the maximum of the matched pc[i][j], the unmatched h1[i] and the
+    unmatched h2[j]; None when both sides are empty.  The entries are all
+    arrays (floats, int64 or Python ints in object arrays), or all rational
+    scalars.
+
+    Rows are matched one at a time, keeping for every set of used columns
+    the cheapest cost of the rows still to come.  max and min are exact, so
+    the result equals the pattern-by-pattern minimum bit for bit, at a
+    fraction of its operations (4x4: 199 against 1127).  The columns are
+    taken over the smaller side, which transposes pc when h2 is longer;
+    the minimum is symmetric, so the result is unchanged.
+    """
+    if len(h2) > len(h1):
+        pc = [[row[j] for row in pc] for j in range(len(h2))]
+        h1, h2 = h2, h1
+    if not h1:
+        return None
+    # numpy's max and min on arrays, the builtins on scalars: numpy's object
+    # dispatch costs several times a rational comparison
+    vmax, vmin = ((np.maximum, np.minimum) if isinstance(h1[0], np.ndarray)
+                  else (max, min))
+
+    def up(a, b):
+        return a if b is None else vmax(a, b)
+
+    r1, r2 = len(h1), len(h2)
+    full = (1 << r2) - 1
+    # rest[S]: cost of the columns left unmatched once the rows are done
+    rest = {full: None}
+    for used in range(full - 1, -1, -1):
+        j = (~used & (used + 1)).bit_length() - 1  # lowest unused column
+        rest[used] = up(h2[j], rest[used | 1 << j])
+    for i in reversed(range(r1)):
+        row = {}
+        for used in rest:
+            if bin(used).count("1") <= i:
+                best = up(h1[i], rest[used])
+                for j in range(r2):
+                    if not used >> j & 1:
+                        best = vmin(best, up(pc[i][j], rest[used | 1 << j]))
+                row[used] = best
+        rest = row
+    return rest[0]
 
 
-# finite bars per side up to which bottleneck_cost loops over matching
-# patterns; match_patterns(4, 4) has 209 of them, (6, 6) has 13,327
-_PATTERN_BARS = 4
+# finite bars per side up to which bottleneck_cost takes cheapest_matching;
+# past it the table of used-column sets grows as 2^bars
+_MATCHING_BARS = 4
 
 
 def bottleneck_cost(d1, d2):
     """Exact bottleneck distance, value only; equal to bottleneck(d1, d2)[0].
 
-    Small diagrams take a direct minimum over matching patterns; larger ones
-    fall back to the full search in bottleneck().
+    Small diagrams take cheapest_matching on rationals; larger ones fall
+    back to the full search in bottleneck().
     """
     fin1 = [b for b in d1 if b.death != INF]
     fin2 = [b for b in d2 if b.death != INF]
-    if len(fin1) > _PATTERN_BARS or len(fin2) > _PATTERN_BARS:
+    if len(fin1) > _MATCHING_BARS or len(fin2) > _MATCHING_BARS:
         return bottleneck(d1, d2)[0]
     e1 = sorted(b.birth for b in d1 if b.death == INF)
     e2 = sorted(b.birth for b in d2 if b.death == INF)
     if len(e1) != len(e2):
         return INF
-    base = Q(0)
-    for a, b in zip(e1, e2):
-        d = abs(a - b)
-        if d > base:
-            base = d
-    half1 = [(b.death - b.birth) / 2 for b in fin1]
-    half2 = [(b.death - b.birth) / 2 for b in fin2]
+    base = max((abs(a - b) for a, b in zip(e1, e2)), default=Q(0))
     pc = [[max(abs(x.birth - y.birth), abs(x.death - y.death))
            for y in fin2] for x in fin1]
-    best = None
-    for pairs, un1, un2 in match_patterns(len(fin1), len(fin2)):
-        cur = base
-        for i, j in pairs:
-            if pc[i][j] > cur:
-                cur = pc[i][j]
-        for i in un1:
-            if half1[i] > cur:
-                cur = half1[i]
-        for j in un2:
-            if half2[j] > cur:
-                cur = half2[j]
-        if best is None or cur < best:
-            best = cur
-            if best == base:
-                break
-    return best
+    fin = cheapest_matching(pc, [(b.death - b.birth) / 2 for b in fin1],
+                            [(b.death - b.birth) / 2 for b in fin2])
+    return base if fin is None else max(base, fin)
 
 
 def bottleneck_bruteforce(d1, d2):

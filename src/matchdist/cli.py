@@ -311,25 +311,20 @@ def _parser():
     return p
 
 
+# errors reported as "error: ..." and their exit codes, the first match
+# winning; every other one of them exits 2, malformed input
+_ERRORS = (ParseError, OSError, ValueError)
+_EXIT_CODES = ((InvalidLineSpec, 3), (BothTrivial, 4))
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
+    except _ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
-        return 2
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except InvalidLineSpec as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 3
-    except BothTrivial as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 4
-    except ValueError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
+        return next((code for kind, code in _EXIT_CODES
+                     if isinstance(e, kind)), 2)
 
 
 if __name__ == "__main__":

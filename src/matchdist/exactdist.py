@@ -192,31 +192,21 @@ def switch_points(C) -> SwitchPointSet:
                           frozenset(ProjPoint(0, a, b) for a, b in dirs))
 
 
-def _switch_for(M, N, extra):
-    sp = switch_points(set(critical_values(M)) | set(critical_values(N)))
-    if extra is not None:
-        proper = sp.proper | frozenset(
-            (rat(p[0]), rat(p[1])) for p in extra.proper)
-        infinite = sp.at_infinity | frozenset(extra.at_infinity)
-        sp = SwitchPointSet(proper, infinite)
-    return sp
-
-
 def _pos_dirs(ds):
     return {(int(d.h1), int(d.h2)) for d in ds
             if d.h0 == 0 and d.h1 > 0 and d.h2 > 0}
 
 
-def _point_set(M, N, sp):
-    pts = set(lub_closure(critical_values(M))) \
-        | set(lub_closure(critical_values(N))) | set(sp.proper)
-    return pts, _pos_dirs(sp.at_infinity)
-
-
 def _lattice(M, N, extra):
-    """The candidate points and directions scaled to integers, as
-    _scaled(*_point_set(M, N, _switch_for(M, N, extra))) gives them, but
-    with no rational arithmetic past the critical values."""
+    """The one point lattice: the lub closures of the two modules' critical
+    values, the switch points of their union and the extra proper points,
+    with the positive switch and extra directions, as _scaled returns them.
+
+    No rational arithmetic runs past the critical values: they are scaled
+    by six times their common denominator, times that of the extra points,
+    so that every switch formula stays integral.  matching_distance,
+    candidate_lines and vertical_cost all read their points from here.
+    """
     cm, cn = critical_values(M), critical_values(N)
     xp = set() if extra is None else {(rat(p[0]), rat(p[1]))
                                       for p in extra.proper}
@@ -233,22 +223,18 @@ _GUARD = 1 << 25
 _BLOCK = 1 << 22
 
 
-def _scaled(pts, dirs, scale=1):
-    """Common-denominator integer scaling of the points (x/scale, y/scale),
-    coordinates ints or rationals: the sorted points as (X, Y) int lists,
-    the sorted direction pairs, and the scaling lam, the least positive
-    integer that makes every lam*x/scale integral.
+def _scaled(pts, dirs, s):
+    """Common-denominator integer scaling of the integer points (x/s, y/s):
+    the sorted points as (X, Y) int lists, the sorted direction pairs, and
+    the scaling lam = s/g, the least positive integer that makes every
+    lam*x/s integral, where g is the gcd of s and every coordinate.
 
     Scaling by lam > 0 keeps the order, so the integer pairs sort as the
     points do.
     """
-    # the denominator of v/scale in lowest terms, for each coordinate v
-    lam = lcm(1, *(int(v.denominator) * scale // gcd(int(v.numerator), scale)
-                   for p in pts for v in p))
-    XY = sorted((int(x.numerator) * lam // (int(x.denominator) * scale),
-                 int(y.numerator) * lam // (int(y.denominator) * scale))
-                for x, y in pts)
-    return [x for x, _ in XY], [y for _, y in XY], sorted(dirs), lam
+    g = gcd(s, *(v for p in pts for v in p))
+    XY = sorted((x // g, y // g) for x, y in pts)
+    return [x for x, _ in XY], [y for _, y in XY], sorted(dirs), s // g
 
 
 class _Spec(NamedTuple):
@@ -644,9 +630,8 @@ def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,
     if M.is_trivial and N.is_trivial:
         raise BothTrivial("no critical values")
     x0 = rat(x0)
-    sp = _switch_for(M, N, None)
-    pts, dirs = _point_set(M, N, sp)
-    ymax = max(p[1] for p in pts)
+    X, Y, dirs, lam = _lattice(M, N, None)
+    ymax = Q(max(Y), lam)
     if anchor_height is None:
         yr = ymax + 1
     else:
@@ -654,8 +639,11 @@ def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,
         if yr <= ymax:
             raise ValueError("anchor height %s not above the point set (max "
                              "second coordinate %s)" % (yr, ymax))
+    # slopes through the anchor, on the lattice: (x0 - x)/(yr - y) with
+    # (x, y) = (X, Y)/lam
+    xl, yl = x0 * lam, yr * lam
     cands = [Q(a, b) for a, b in dirs]
-    cands += [(x0 - p[0]) / (yr - p[1]) for p in pts if p[0] < x0]
+    cands += [(xl - x) / (yl - y) for x, y in zip(X, Y) if x < xl]
     cutoff = min(c for c in cands if c > 0)
     e1, e2 = cutoff / 2, cutoff / 4
     vals = []

@@ -171,25 +171,22 @@ def rect_as_presentation(r: Rect) -> Presentation:
     return Presentation(generators=(("g", (l1, l2)),), relations=tuple(rels))
 
 
-def _map_point(p, f):
-    return (f(p[0], 0), f(p[1], 1))
-
-
 def _transform(module: TwoParamModule, f) -> TwoParamModule:
+    """The module with every grade, corners included, mapped by f."""
     if module.rectangles is not None:
-        return TwoParamModule.from_rects(
-            Rect(_map_point(r.lower, f), _map_point(r.upper, f))
-            for r in module.rectangles)
+        return TwoParamModule.from_rects(Rect(f(r.lower), f(r.upper))
+                                         for r in module.rectangles)
     pres = module.presentation
-    gens = tuple((n, _map_point(g, f)) for n, g in pres.generators)
-    rels = tuple((n, _map_point(g, f), col) for n, g, col in pres.relations)
+    gens = tuple((n, f(g)) for n, g in pres.generators)
+    rels = tuple((n, f(g), col) for n, g, col in pres.relations)
     return TwoParamModule.from_presentation(Presentation(gens, rels))
 
 
 def translate(module: TwoParamModule, t) -> TwoParamModule:
     """Translate every grade by the finite vector t."""
     t = (rat(t[0]), rat(t[1]))
-    return _transform(module, lambda c, i: INF if c == INF else c + t[i])
+    return _transform(module, lambda p: tuple(
+        INF if c == INF else c + s for c, s in zip(p, t)))
 
 
 def scale(module: TwoParamModule, factor) -> TwoParamModule:
@@ -197,16 +194,10 @@ def scale(module: TwoParamModule, factor) -> TwoParamModule:
     f = rat(factor)
     if f <= 0:
         raise ValueError("scale factor must be positive")
-    return _transform(module, lambda c, i: INF if c == INF else c * f)
+    return _transform(module, lambda p: tuple(
+        INF if c == INF else c * f for c in p))
 
 
 def swap_axes(module: TwoParamModule) -> TwoParamModule:
     """Mirror the module across the diagonal (swap the two parameters)."""
-    if module.rectangles is not None:
-        return TwoParamModule.from_rects(
-            Rect((r.lower[1], r.lower[0]), (r.upper[1], r.upper[0]))
-            for r in module.rectangles)
-    pres = module.presentation
-    gens = tuple((n, (g[1], g[0])) for n, g in pres.generators)
-    rels = tuple((n, (g[1], g[0]), col) for n, g, col in pres.relations)
-    return TwoParamModule.from_presentation(Presentation(gens, rels))
+    return _transform(module, lambda p: (p[1], p[0]))

@@ -2,14 +2,18 @@
 
 These transcribe defining formulas directly (quadruple loops, fixpoint
 iteration, exhaustive matchings) with no algebraic shortcuts, and serve as
-oracles for the optimized library code.
+oracles for the optimized library code.  lattice_rational is the one
+exception: it assembles the candidate point set from the public rational
+functions, as a reference for the integer pipeline behind them.
 """
 from __future__ import annotations
 
-from itertools import permutations, product
-from math import gcd
+from itertools import combinations, permutations, product
+from math import gcd, lcm
 
+from matchdist.exactdist import switch_points
 from matchdist.geometry import ProjPoint
+from matchdist.modules import critical_values, lub_closure
 from matchdist.rational import INF, Q, ext_abs_diff
 
 
@@ -133,3 +137,37 @@ def distinct_keys_pairloop(X, Y, dvals):
         for a in range(n):
             out.add((d1, d2, d2 * X[a] - d1 * Y[a]))
     return sorted(out)
+
+
+def match_patterns(r1, r2):
+    """All partial injections of range(r1) into range(r2), each with the
+    indices it leaves unmatched on either side."""
+    out = []
+    for k in range(min(r1, r2) + 1):
+        for c1 in combinations(range(r1), k):
+            for c2 in permutations(range(r2), k):
+                s1 = tuple(i for i in range(r1) if i not in c1)
+                s2 = tuple(j for j in range(r2) if j not in c2)
+                out.append((tuple(zip(c1, c2)), s1, s2))
+    return out
+
+
+def lattice_rational(M, N, extra=None):
+    """The candidate points and directions of a module pair in rationals,
+    scaled to integers: the lub closures of both modules' critical values,
+    the switch points of their union and the extra proper points, the
+    positive switch and extra directions.  Returns (X, Y, dvals, lam): the
+    points times lam, sorted, as two int lists, the sorted direction pairs,
+    and lam, the least common denominator of the coordinates."""
+    cm, cn = critical_values(M), critical_values(N)
+    sp = switch_points(cm | cn)
+    pts = set(lub_closure(cm)) | set(lub_closure(cn)) | set(sp.proper)
+    dirs = set(sp.at_infinity)
+    if extra is not None:
+        pts |= {(Q(x), Q(y)) for x, y in extra.proper}
+        dirs |= set(extra.at_infinity)
+    lam = lcm(1, *(v.denominator for p in pts for v in p))
+    XY = sorted((int(x * lam), int(y * lam)) for x, y in pts)
+    dvals = sorted((d.h1, d.h2) for d in dirs
+                   if d.h0 == 0 and d.h1 > 0 and d.h2 > 0)
+    return [x for x, _ in XY], [y for _, y in XY], dvals, lam

@@ -13,20 +13,21 @@ import pytest
 import matchdist.exactdist as exactdist
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       ex_need_omega, rand_diagram, rand_line, rand_point,
-                      rand_pool, rand_presentation, rand_rect,
+                      rand_pool, rand_presentation, rand_rat, rand_rect,
                       rand_rect_module)
 from matchdist import _fastpath
-from matchdist.bottleneck import bottleneck, bottleneck_cost, match_patterns
+from matchdist.bottleneck import (bottleneck, bottleneck_bruteforce,
+                                  bottleneck_cost, cheapest_matching)
 from matchdist.exactdist import (BothTrivial, SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
                                  vertical_cost)
-from matchdist.fibered import restrict_presentation
+from matchdist.fibered import Bar, restrict_presentation
 from matchdist.geometry import (ProjPoint, line_through, normalize_line,
                                 push_param, weight)
 from matchdist.modules import (TwoParamModule, critical_values, lub_closure,
                                rect, scale, swap_axes, translate)
 from matchdist.rational import INF, Q
-from oracles import distinct_keys_pairloop
+from oracles import distinct_keys_pairloop, lattice_rational, match_patterns
 
 
 def brute(M, N, extra=None):
@@ -304,13 +305,89 @@ def test_vertical_cost_below_distance():
         assert horizontal_cost(M, N, x0) <= d
 
 
+def _axis_pairs():
+    """The worked examples, twelve random pairs of up to three rectangles,
+    a worked example scaled by 100003, and the presentation form of the
+    second random pair."""
+    pairs = [ex_diag_not_suff(), ex_need_omega(), ex_need_diag()]
+    rng = random.Random(21)
+    for _ in range(12):
+        pool = rand_pool(rng, rng.choice([4, 5]))
+        pairs.append((rand_rect_module(rng, 3, pool, 0.2),
+                      rand_rect_module(rng, 3, pool, 0.2)))
+    M, N = ex_diag_not_suff()
+    pairs.append((scale(M, 100003), scale(N, 100003)))
+    M, N = pairs[4]
+    pairs.append((combined_presentation(M), combined_presentation(N)))
+    return pairs
+
+
+# vertical_cost | horizontal_cost of each _axis_pairs pair at _AXIS_X0
+_AXIS_X0 = (Q(5), Q(8), Q(100), Q(-3), Q(7, 2))
+_AXIS_LIMITS = """
+    0 0 0 0 0 | 0 0 0 0 0
+    0 0 0 0 0 | 0 0 0 0 0
+    0 0 0 0 0 | 5/2 1 0 3 3
+    1/4 0 0 1/4 1/4 | 3/2 3/2 0 3/2 3/2
+    0 0 0 0 0 | 7/4 1/4 0 7/4 7/4
+    0 0 0 0 0 | 13/8 13/8 0 13/8 13/8
+    0 0 0 0 0 | 3 3/2 0 3 3
+    3 3/2 0 5 15/4 | 0 0 0 0 0
+    0 0 0 0 0 | 0 0 0 0 0
+    1/4 1/4 0 1/4 1/4 | 9/8 1/4 0 9/8 9/8
+    0 0 0 0 0 | 0 0 0 0 0
+    0 0 0 0 0 | 0 0 0 0 0
+    0 0 0 0 0 | 1/2 0 0 3 5/4
+    inf inf inf inf inf | inf inf inf inf inf
+    0 0 0 0 0 | 0 0 0 5/4 0
+    0 0 0 0 0 | 0 0 0 0 0
+    0 0 0 0 0 | 7/4 1/4 0 7/4 7/4
+"""
+
+
+def test_axis_limits_pinned():
+    """Exact vertical and horizontal limits on 17 pairs at 5 positions each,
+    as the rational point pipeline gave them."""
+    rows = _AXIS_LIMITS.split("\n")[1:-1]
+    pairs = _axis_pairs()
+    assert len(rows) == len(pairs)
+    for (M, N), row in zip(pairs, rows):
+        want = [INF if v == "inf" else Q(v) for v in row.split() if v != "|"]
+        got = [vertical_cost(M, N, x0) for x0 in _AXIS_X0]
+        got += [horizontal_cost(M, N, y0) for y0 in _AXIS_X0]
+        assert got == want
+    M, N = pairs[7]
+    assert vertical_cost(M, N, Q(7, 2), anchor_height=Q(101, 2)) == Q(15, 4)
+
+
 # Internal evaluation paths agree with each other.
 
+def _diagram(rng, finite, essential):
+    bars = [Bar(b, b + Q(rng.randint(1, 16), rng.randint(1, 4)))
+            for b in (rand_rat(rng) for _ in range(finite))]
+    bars += [Bar(rand_rat(rng), INF) for _ in range(essential)]
+    return tuple(sorted(bars, key=lambda x: (x.birth, x.death)))
+
+
 def test_diagram_cost_matches_bottleneck():
+    """bottleneck_cost equals bottleneck() below its matching cap, past it
+    (5-6 finite bars on a side) and with an empty side; against the brute
+    force too where that is small enough."""
     rng = random.Random(5)
-    for _ in range(200):
-        d1, d2 = rand_diagram(rng), rand_diagram(rng)
-        assert bottleneck_cost(d1, d2) == bottleneck(d1, d2)[0]
+    cases = [(rand_diagram(rng), rand_diagram(rng)) for _ in range(200)]
+    for _ in range(30):
+        e = rng.randint(0, 2)
+        wide = _diagram(rng, rng.choice([5, 6]), e)
+        cases += [(wide, rand_diagram(rng)), (rand_diagram(rng), wide),
+                  (wide, _diagram(rng, rng.randint(3, 6), e)),
+                  (wide, ()), ((), _diagram(rng, rng.randint(1, 4), e)),
+                  (_diagram(rng, 0, e), _diagram(rng, rng.randint(0, 3), e))]
+    cases.append(((), ()))
+    for d1, d2 in cases:
+        want = bottleneck(d1, d2)[0]
+        assert bottleneck_cost(d1, d2) == want
+        if len(d1) + len(d2) <= 8:
+            assert bottleneck_bruteforce(d1, d2) == want
 
 
 def test_unique_sorted_matches_np_unique():
@@ -329,9 +406,10 @@ def test_unique_sorted_matches_np_unique():
 
 def test_cheapest_matching_matches_patterns():
     """The row-by-row minimum equals the minimum over every matching
-    pattern exactly, for floats and for int64 numerators."""
+    pattern exactly, for floats, for int64 numerators and for rational
+    scalars."""
     rng = np.random.default_rng(13)
-    assert _fastpath._cheapest_matching([], [], []) is None
+    assert cheapest_matching([], [], []) is None
     sizes = range(6)
     for r1, r2, dtype in itertools.product(sizes, sizes,
                                            (np.float64, np.int64)):
@@ -346,9 +424,25 @@ def test_cheapest_matching_matches_patterns():
             np.maximum.reduce([pc[i][j] for i, j in pairs]
                               + [h1[i] for i in un1] + [h2[j] for j in un2])
             for pairs, un1, un2 in match_patterns(r1, r2)])
-        got = _fastpath._cheapest_matching(pc, h1, h2)
+        got = cheapest_matching(pc, h1, h2)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+    qrng = random.Random(13)
+    for r1, r2, _ in itertools.product(range(5), range(5), range(8)):
+        if r1 == r2 == 0:
+            continue
+        # coarse draws give ties within and across the sides
+        draw = [Q(qrng.randint(0, 12), qrng.randint(1, 3))
+                for _ in range(r1 + r2 + r1 * r2)]
+        h1, h2 = draw[:r1], draw[r1:r1 + r2]
+        pc = [draw[r1 + r2 + i * r2:r1 + r2 + (i + 1) * r2]
+              for i in range(r1)]
+        want = min(max([pc[i][j] for i, j in pairs] + [h1[i] for i in un1]
+                       + [h2[j] for j in un2])
+                   for pairs, un1, un2 in match_patterns(r1, r2))
+        got = cheapest_matching(pc, h1, h2)
+        assert type(got) is type(want)
+        assert got == want
 
 
 def test_essential_network_matches_permutations():
@@ -384,15 +478,11 @@ def test_lattice_matches_rational_scaling():
                                       ProjPoint.of(0, 1, 0)}))
     for M, N in cases:
         for ex in (None, extra):
-            sp = exactdist._switch_for(M, N, ex)
-            want = exactdist._scaled(*exactdist._point_set(M, N, sp))
-            assert exactdist._lattice(M, N, ex) == want
+            assert exactdist._lattice(M, N, ex) == lattice_rational(M, N, ex)
 
 
 def _scaled_keys(M, N):
-    sp = exactdist._switch_for(M, N, None)
-    pts, dirs = exactdist._point_set(M, N, sp)
-    X, Y, dvals, lam = exactdist._scaled(pts, dirs)
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
     return exactdist._distinct_keys(X, Y, dvals), lam
 
 
@@ -413,7 +503,7 @@ def test_integer_path_matches_exact_cost():
         dyv = np.array([k[1] for k in keys], dtype=np.int64)
         kv = np.array([k[2] for k in keys], dtype=np.int64)
         res = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
-        assert res is not None
+        assert res[0].dtype == res[1].dtype == np.int64
         for p, q, key in zip(res[0].tolist(), res[1].tolist(), keys):
             line = exactdist._line_from_key(*key, lam)
             assert Q(p, q) == exactdist._exact_cost(M, N, line)
@@ -435,9 +525,7 @@ def test_unpackable_coordinates_fall_back():
     M0, N0 = ex_diag_not_suff()
     f = 100003
     M, N = scale(M0, f), scale(N0, f)
-    sp = exactdist._switch_for(M, N, None)
-    pts, dirs = exactdist._point_set(M, N, sp)
-    X, Y, dvals, lam = exactdist._scaled(pts, dirs)
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
     spec = exactdist._pack_spec(X, Y, dvals)
     assert spec.key_dtype == np.int64 and spec.dtype == object
     res = matching_distance(M, N)
@@ -458,9 +546,7 @@ def test_huge_coordinates_use_exact_keys():
     M0, N0 = _huge_pair()
     f = 10 ** 9
     M, N = scale(M0, f), scale(N0, f)
-    sp = exactdist._switch_for(M, N, None)
-    pts, dirs = exactdist._point_set(M, N, sp)
-    X, Y, dvals, lam = exactdist._scaled(pts, dirs)
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
     assert exactdist._pack_spec(X, Y, dvals).key_dtype == object
     res = matching_distance(M, N)
     small = matching_distance(M0, N0)
@@ -531,7 +617,7 @@ def test_wide_rectangle_pairs_integer_values():
         keys = rng.sample(keys, min(60, len(keys)))
         dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
         res = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
-        assert res is not None
+        assert res[0].dtype == res[1].dtype == np.int64
         for p, q, key in zip(res[0].tolist(), res[1].tolist(), keys):
             line = exactdist._line_from_key(*key, lam)
             assert Q(p, q) == exactdist._exact_cost(M, N, line)
@@ -622,7 +708,7 @@ def test_presentation_pairs_vector_values():
         keys = rng.sample(keys, min(150, len(keys)))
         dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
         res = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
-        assert res is not None
+        assert res[0].dtype == res[1].dtype == np.int64
         fv = _fastpath.eval_keys(M, N, dxv, dyv, kv, lam)
         for p, q, f, key in zip(res[0].tolist(), res[1].tolist(),
                                 fv.tolist(), keys):
