@@ -17,9 +17,14 @@ when dy*X - dx*Y = k.  The pair enumeration is quadratic in the point set and
 can reach tens of millions of pairs, so keys are produced in bounded blocks
 and consumed by one streaming loop over a single injective packing of each
 key into one integer: int64 when the ranges allow, Python ints in object
-arrays otherwise.  The loop counts the distinct keys, and a fold over it
-keeps a running float maximum with a sound margin, so that only the lines
-that can still win are evaluated exactly.
+arrays otherwise.  The pair stage keeps coordinate differences in the
+narrowest dtype that holds them (int32 inside the int64 guard), and a block
+is dropped as soon as it is packed.  The loop counts the distinct keys and
+hands them to a fold in chunks of _fastpath.CHUNK keys, so the unpacked
+keys, their floats and the kernel's temporaries never exceed one chunk.
+The fold keeps a running float maximum with a sound margin, so that only
+the lines that can still win are evaluated exactly; its pruning is sound
+offer by offer, so splitting the keys into chunks changes no result.
 """
 from __future__ import annotations
 
@@ -269,55 +274,76 @@ def _pack_spec(X, Y, dvals):
 
 
 def _pack(spec, dxv, dyv, kv):
-    # int64 blocks become Python ints first when the packing needs them
-    dxv, dyv, kv = (v.astype(spec.dtype, copy=False) for v in (dxv, dyv, kv))
-    return (dxv * spec.sdy + dyv) * spec.sk + (kv + spec.kb)
+    """Packed keys of (dx, dy, k) arrays, built in place in one fresh array
+    of the spec's dtype, so the inputs are never written; dx and dy may be
+    of a narrower dtype than k."""
+    out = dxv.astype(spec.dtype)
+    out *= spec.sdy
+    out += dyv
+    out *= spec.sk
+    out += kv
+    out += spec.kb
+    return out
 
 
 def _unpack(spec, packed):
     # // and %, as np.divmod rejects object arrays
     rest, kv = packed // spec.sk, packed % spec.sk
+    kv -= spec.kb
     dxv, dyv = rest // spec.sdy, rest % spec.sdy
-    return tuple(v.astype(spec.key_dtype, copy=False)
-                 for v in (dxv, dyv, kv - spec.kb))
+    return tuple(v.astype(spec.key_dtype, copy=False) for v in (dxv, dyv, kv))
+
+
+def _pair_keys(Xd, Yd, Xa, Ya, a, b):
+    """Primitive keys of the positive-slope lines through rows a..b-1 and
+    the columns after a: dx and dy in the difference dtype of Xd and Yd, k
+    in that of Xa and Ya.  Sorted points make dx <= 0 for every earlier
+    column, so dx > 0 alone keeps each unordered pair once, and dy > 0
+    drops the rest of the axis-parallel and negative-slope pairs."""
+    dx = Xd[None, a + 1:] - Xd[a:b, None]
+    dy = Yd[None, a + 1:] - Yd[a:b, None]
+    keep = dx > 0
+    keep &= dy > 0
+    rows = np.count_nonzero(keep, axis=1)
+    dxv, dyv = dx[keep], dy[keep]
+    # free the pair matrices before the gcd and k are allocated
+    del dx, dy, keep
+    g = np.gcd(dxv, dyv)
+    dxv //= g
+    dyv //= g
+    del g
+    k = np.repeat(Xa[a:b], rows)
+    k *= dyv
+    ya = np.repeat(Ya[a:b], rows)
+    ya *= dxv
+    k -= ya
+    return dxv, dyv, k
 
 
 def _iter_blocks(X, Y, dvals, dtype):
-    """Yield primitive (dx, dy, k) key blocks of the spec's key_dtype: every
-    positive-slope line through two distinct points once per unordered
-    pair, then every (point, direction) line once.  Expects sorted points.
-    The blocks are int64 inside the guard and Python ints in object arrays
-    past it."""
+    """Yield primitive (dx, dy, k) key blocks: every positive-slope line
+    through two distinct points once per unordered pair, then every (point,
+    direction) line once.  Expects sorted points.
+
+    k is of dtype, the spec's key_dtype: int64 inside the guard and Python
+    ints in object arrays past it.  The pair blocks keep dx and dy in the
+    narrowest dtype that holds a coordinate difference, int32 inside the
+    guard, which halves the memory traffic of the pair matrices; their rows
+    are sized so that a block holds at most _BLOCK pairs.  A block is
+    returned by _pair_keys straight to the caller, so no reference to it
+    stays here while the caller works on it."""
     n = len(X)
     Xa = np.asarray(X, dtype=dtype)
     Ya = np.asarray(Y, dtype=dtype)
-    # coordinate differences and their gcd take the narrowest type that
-    # holds them: int32 within the guard, which halves the memory traffic
-    # of the pair matrices, int64 below 2^62, Python ints beyond
     big = max(map(abs, X + Y), default=0)
     ddtype = (np.int32 if dtype == np.int64 else
               np.int64 if big < 1 << 62 else object)
     Xd, Yd = Xa.astype(ddtype), Ya.astype(ddtype)
     a = 0
     while a < n - 1:
-        # rows a..b-1 against the columns after a; sorted points make
-        # dx <= 0 for every earlier column, so dx > 0 alone keeps each
-        # unordered pair once, and dy > 0 drops the rest of the
-        # axis-parallel and negative-slope pairs
         b = min(n - 1, a + max(1, _BLOCK // (n - 1 - a)))
-        dx = Xd[None, a + 1:] - Xd[a:b, None]
-        dy = Yd[None, a + 1:] - Yd[a:b, None]
-        keep = (dx > 0) & (dy > 0)
-        ii = np.repeat(np.arange(a, b), np.count_nonzero(keep, axis=1))
+        yield _pair_keys(Xd, Yd, Xa, Ya, a, b)
         a = b
-        if not ii.size:
-            continue
-        dxv = dx[keep]
-        dyv = dy[keep]
-        g = np.gcd(dxv, dyv)
-        dxv = (dxv // g).astype(dtype)
-        dyv = (dyv // g).astype(dtype)
-        yield dxv, dyv, dyv * Xa[ii] - dxv * Ya[ii]
     buf, size = [], 0
     for d1, d2 in dvals:
         buf.append((np.full(n, d1, dtype), np.full(n, d2, dtype),
@@ -331,13 +357,14 @@ def _iter_blocks(X, Y, dvals, dtype):
 
 
 def _unique_sorted(a, kind=None):
-    """Sorted distinct values of a 1-d array, as np.unique returns them.
+    """Sorted distinct values of a 1-d array, as np.unique returns them;
+    a itself is sorted in place, so callers pass arrays they own.
 
     A sort and an adjacent-difference mask: np.unique on integers takes a
     hash-table path in numpy >= 2.3, which is many times slower than this
-    on the millions of keys a block holds.  kind is passed to np.sort.
+    on the millions of keys a block holds.  kind is passed to the sort.
     """
-    a = np.sort(a, kind=kind)
+    a.sort(kind=kind)
     if a.size > 1:
         keep = np.empty(a.size, dtype=bool)
         keep[0] = True
@@ -358,6 +385,8 @@ class _KeyUnion:
         self.dtype = dtype
 
     def add(self, u):
+        if not u.size:
+            return
         self.parts.append(u)
         self.size += u.size
         if self.size > 4 * _BLOCK:
@@ -375,23 +404,42 @@ class _KeyUnion:
 
 
 def _stream(X, Y, dvals, fold=None):
-    """The one key loop: every block's distinct packed keys, unpacked, go to
-    fold.offer(dxv, dyv, kv, packed).  Returns the spec and the sorted distinct
-    packed keys of all blocks."""
+    """The one key loop: every block's distinct packed keys go to
+    fold.offer(dxv, dyv, kv, packed) in slices of _fastpath.CHUNK keys, each
+    unpacked on its own.  Returns the spec and the sorted distinct packed
+    keys of all blocks.
+
+    Past the pair stage nothing is block-sized but the block's packed keys
+    and their distinct values: a block is dropped once packed, and the
+    unpacked keys, their floats and the kernel's temporaries hold one chunk
+    at a time."""
     spec = _pack_spec(X, Y, dvals)
     union = _KeyUnion(spec.dtype)
+    step = _fastpath.CHUNK
     for blk in _iter_blocks(X, Y, dvals, spec.key_dtype):
         # a block repeats lines that pass through more than two points;
         # the folds only need each distinct line once
         packed = _unique_sorted(_pack(spec, *blk))
+        del blk
         union.add(packed)
         if fold is not None:
-            fold.offer(*_unpack(spec, packed), packed)
+            for s in range(0, packed.size, step):
+                part = packed[s:s + step]
+                fold.offer(*_unpack(spec, part), part)
     return spec, union.finish()
 
 
 class _LexMin:
-    """Exact running minimum of the line order (dx/dy, k/(lam*(dx+dy)))."""
+    """Exact running minimum of the line order (dx/dy, k/(lam*(dx+dy))).
+
+    Each offer screens its keys by the float ratio dx/dy against the
+    running minimum, the smaller of the offer's own float minimum and the
+    float ratio of the best key so far, and refines exactly only the keys
+    within a relative 1e-9 of it.  Float ratios lie within a few units in
+    the last place of the exact ones, so a key outside that band has an
+    exact ratio above that of a key already offered and cannot be the
+    lex-min, however the keys are split into offers.
+    """
 
     __slots__ = ("lam", "key", "best")
 
@@ -401,9 +449,10 @@ class _LexMin:
         self.best = None
 
     def offer(self, dxv, dyv, kv, packed=None):
-        # float screen with slack, then exact refinement of the near-minimal
         r = dxv.astype(np.float64) / dyv.astype(np.float64)
         m = float(r.min())
+        if self.key is not None:
+            m = min(m, self.key[0] / self.key[1])
         for t in np.nonzero(r <= m * (1 + 1e-9) + 1e-12)[0]:
             self.offer_one(int(dxv[t]), int(dyv[t]), int(kv[t]))
 
@@ -416,12 +465,15 @@ class _LexMin:
 class _Screen:
     """Running float maximum with a buffer of keys still within the margin.
 
-    The margin 1e-9*max(1, coord_scale, kmax/lam) bounds the float error of
+    Keys arrive one chunk of at most _fastpath.CHUNK keys per offer.  The
+    margin 1e-9*max(1, coord_scale, kmax/lam) bounds the float error of
     every key offered so far, kmax being the largest |k| among them.
-    Pruning against the running maximum is sound: a dropped key and the key
-    of the running maximum were both offered before the drop, so the dropped
-    key lost to some line by more than both their float errors and cannot
-    reach the final maximum.
+    Pruning against the running maximum is sound however the keys are split
+    into offers: a dropped key and the key of the running maximum were both
+    offered before the drop, so the dropped key lost to some line by more
+    than both their float errors and cannot reach the final maximum.  An
+    early chunk is pruned against a lower running maximum and keeps more
+    keys; the buffer is pruned again when it outgrows _BLOCK and at finish.
     """
 
     __slots__ = ("M", "N", "lam", "scale", "kmax", "margin", "fmax", "keys",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .rational import INF, Q, rat
+from .rational import INF, rat
 
 
 class NonPositiveDirection(ValueError):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import ex_diag_not_suff, ex_need_omega
+from conftest import ex_need_omega
 from matchdist.cli import (ParseError, main, parse_module, serialize_module)
 from matchdist.exactdist import candidate_lines, matching_distance
 from matchdist.geometry import line_through

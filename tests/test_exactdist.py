@@ -399,7 +399,7 @@ def test_unique_sorted_matches_np_unique():
         a = np.asarray(case, dtype=np.int64)
         want = np.unique(a)
         for kind in (None, "stable"):
-            got = exactdist._unique_sorted(a, kind)
+            got = exactdist._unique_sorted(a.copy(), kind)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -847,3 +847,91 @@ def test_object_kernel_matches_exact_cost():
         assert res.value == f * small.value > 0
         assert res.witness_line.m == small.witness_line.m
         assert res.candidate_count == small.candidate_count
+
+
+# The folds take each block's distinct keys in slices of _fastpath.CHUNK.
+
+def _chunk_sizes(monkeypatch, fold, size):
+    """Patch _fastpath.CHUNK to size; the returned list collects the number
+    of keys of every offer to the fold class."""
+    monkeypatch.setattr(_fastpath, "CHUNK", size)
+    sizes = []
+    offer = fold.offer
+
+    def counted(self, dxv, dyv, kv, packed=None):
+        sizes.append(len(dxv))
+        return offer(self, dxv, dyv, kv, packed)
+
+    monkeypatch.setattr(fold, "offer", counted)
+    return sizes
+
+
+def test_tiny_chunks_match_per_line_selection(monkeypatch):
+    """With 64-key chunks, the screen gives the value, witness line and
+    count of the per-line exact selection over every distinct key, on
+    rectangle and presentation pairs of 217 and 1849 lines."""
+    sizes = _chunk_sizes(monkeypatch, exactdist._Screen, 64)
+    pairs = list(itertools.islice(_wide_pairs(), 3))
+    pairs += list(itertools.islice(_pres_pairs(), 1, 4))
+    for M, N in pairs:
+        assert _fastpath.vector_ready(M, N)
+        n = len(sizes)
+        res = matching_distance(M, N)
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        assert len(sizes) - n >= len(keys) // 64
+        ref = exactdist._select_exact(M, N, keys, lam, len(keys))
+        assert (res.value, res.witness_line, res.candidate_count) == \
+            (ref.value, ref.witness_line, ref.candidate_count)
+    assert max(sizes) <= 64
+
+
+def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
+    """On pairs that need no line search (unequal essential counts, equal
+    modules), the witness of chunked offers is the lex-min of every
+    distinct key."""
+    sizes = _chunk_sizes(monkeypatch, exactdist._LexMin, 64)
+    M, _ = ex_diag_not_suff()
+    P = combined_presentation(M)
+    pairs = [(TwoParamModule.from_rects([rect(0, 0, INF, INF),
+                                         rect(1, 1, 3, 2)]),
+              TwoParamModule.from_rects([rect(0, 1, 2, 3)])),
+             (M, M), (P, P)]
+    for M, N in pairs:
+        n = len(sizes)
+        res = matching_distance(M, N)
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        assert len(sizes) - n >= len(keys) // 64 > 1
+        best = min(keys, key=lambda t: exactdist._lex_pair(*t, lam))
+        assert res.witness_line == exactdist._line_from_key(*best, lam)
+        assert res.candidate_count == len(keys)
+    assert max(sizes) <= 64
+
+
+def test_pack_and_unpack_leave_inputs_unchanged():
+    """_pack and _unpack compute in place on fresh arrays only, in every
+    key regime, and round-trip exactly, from int32 differences too."""
+    for f, path in ((1, "int64"), (100003, "object"), (10 ** 9, "bigint")):
+        M, N = (scale(m, f) for m in ex_need_omega())
+        assert _key_path(M, N, None) == path
+        X, Y, dvals, _ = exactdist._lattice(M, N, None)
+        spec = exactdist._pack_spec(X, Y, dvals)
+        cols = [np.array(c, dtype=spec.key_dtype)
+                for c in zip(*exactdist._distinct_keys(X, Y, dvals))]
+        inputs = [cols, [c.astype(spec.dtype) for c in cols]]
+        if spec.key_dtype == np.int64:
+            inputs.append([cols[0].astype(np.int32),
+                           cols[1].astype(np.int32), cols[2]])
+        for blk in inputs:
+            before = [c.copy() for c in blk]
+            packed = exactdist._pack(spec, *blk)
+            assert packed.dtype == spec.dtype
+            for c, b in zip(blk, before):
+                assert np.array_equal(c, b) and c.dtype == b.dtype
+            kept = packed.copy()
+            out = exactdist._unpack(spec, packed)
+            assert np.array_equal(packed, kept)
+            for o, c in zip(out, cols):
+                assert o.dtype == spec.key_dtype
+                assert np.array_equal(o, c)

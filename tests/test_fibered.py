@@ -7,8 +7,7 @@ from conftest import (combined_presentation, ex_diag_not_suff, rand_line,
 from matchdist.fibered import (Bar, InvalidPresentation, restrict_module,
                                restrict_presentation, restrict_rect)
 from matchdist.geometry import line_through, normalize_line
-from matchdist.modules import (Presentation, TwoParamModule,
-                               rect, rect_as_presentation)
+from matchdist.modules import Presentation, TwoParamModule, rect
 from matchdist.rational import INF, Q
 
 
