@@ -31,6 +31,7 @@ object arrays otherwise.
 """
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -133,8 +134,13 @@ class _Pres:
         is taken from the values push returns."""
         if not self.gens:
             return [], [], []
+        # the lines of a chunk may come as a block, (r, n) arrays: the
+        # pushes are flattened to one line axis and the slots reshaped back
         gp = np.stack([push(*g) for g in self.gens])
-        rp = np.stack([push(*r) for r in self.rels]) if self.rels else gp[:0]
+        shape = gp.shape[1:]
+        gp = gp.reshape(len(self.gens), -1)
+        rp = np.stack([push(*r) for r in self.rels]).reshape(
+            len(self.rels), -1) if self.rels else gp[:0]
         rows, inv = _row_groups(np.concatenate(
             [np.argsort(gp, axis=0, kind="stable"),
              np.argsort(rp, axis=0, kind="stable")]).T)
@@ -142,7 +148,8 @@ class _Pres:
 
         def gather(vals, part):
             idx = np.array([t[part] for t in slots], dtype=np.intp)
-            return list(np.take_along_axis(vals, idx[inv].T, axis=0))
+            out = np.take_along_axis(vals, idx[inv].T, axis=0)
+            return list(out.reshape(out.shape[:1] + shape))
 
         # no death precedes its birth: a reduced column sums columns that
         # push no later than its own relation, and each relation pushes no
@@ -239,9 +246,12 @@ class _FloatLines:
     halved, and the weight min(m1, m2) scales the cost."""
 
     def __init__(self, m1, m2, b1, b2):
-        self.like = m1
         self.lines = ((b1, m1), (b2, m2))
         self.weight = np.minimum(m1, m2)
+
+    def zeros(self):
+        return np.zeros(np.broadcast_shapes(
+            *(a.shape for line in self.lines for a in line)))
 
     def cross(self, axis, v):
         b, m = self.lines[axis]
@@ -268,9 +278,11 @@ class _KeyNumerators:
     are int64 or Python ints in object arrays."""
 
     def __init__(self, lam, dxv, dyv, kv):
-        self.like = dxv
         self.lam, self.dxv, self.dyv, self.kv = lam, dxv, dyv, kv
         self.s = dxv + dyv
+
+    def zeros(self):
+        return np.zeros_like(self.dxv)
 
     def cross(self, axis, v):
         if axis == 0:
@@ -331,26 +343,54 @@ def _chunk(sm, sn, ar):
 
     fin_cost = cheapest_matching(pc, hm, hn)
     if fin_cost is None:
-        fin_cost = np.zeros_like(ar.like)
+        fin_cost = ar.zeros()
     ess_cost = _essential_cost(em, en)
     if ess_cost is not None:
         fin_cost = np.maximum(fin_cost, ar.whole(ess_cost))
     return ar.weigh(fin_cost)
 
 
+def line_evaluator(M, N):
+    """The weighted-cost map of vector_ready modules over float lines, with
+    both modules converted into the kernel's floats once, for every call.
+
+    The map takes line arrays (m1, m2, b1, b2) in standard normalization,
+    max(m1, m2) = 1 and b2 = -b1, that broadcast to one shape, and returns
+    the costs in that shape.  A grid block passes its directions as an
+    (r, 1) column and its offsets as a (1, n) row: a crossing (v - b)/m then
+    takes v - b once per offset and one division per line, and no line
+    array is built.  Every operation is elementwise, so each cost is the
+    one the lines would get as flat arrays, bit for bit.  The lines go
+    through the kernel in slices of the last axis of about CHUNK lines.
+    Requires equal essential counts on the two sides.
+    """
+    sm, sn = _sides(M, N, float)
+
+    def costs(m1, m2, b1, b2):
+        lines = (m1, m2, b1, b2)
+        shape = np.broadcast_shapes(*(a.shape for a in lines))
+        n = shape[-1]
+        width = max(1, CHUNK // max(1, math.prod(shape[:-1])))
+        if 0 < n <= width:
+            return _chunk(sm, sn, _FloatLines(*lines))
+        out = np.empty(shape, dtype=np.float64)
+        for s in range(0, n, width):
+            sl = (..., slice(s, s + width))
+            out[sl] = _chunk(sm, sn, _FloatLines(
+                *(a if a.shape[-1] == 1 else a[sl] for a in lines)))
+        return out
+
+    return costs
+
+
 def eval_lines(M, N, m1, m2, b1, b2):
-    """Weighted bottleneck costs for vector_ready modules over float line
-    arrays.
+    """Weighted bottleneck costs for vector_ready modules over 1-d float
+    line arrays, through line_evaluator.
 
     Lines are in standard normalization: max(m1, m2) = 1, b2 = -b1.
     Requires equal essential counts on the two sides.
     """
-    sm, sn = _sides(M, N, float)
-    out = np.empty(len(m1), dtype=np.float64)
-    for s in range(0, len(m1), CHUNK):
-        sl = slice(s, s + CHUNK)
-        out[sl] = _chunk(sm, sn, _FloatLines(m1[sl], m2[sl], b1[sl], b2[sl]))
-    return out
+    return line_evaluator(M, N)(m1, m2, b1, b2)
 
 
 def eval_keys(M, N, dxs, dys, ks, lam):

@@ -438,7 +438,9 @@ class _LexMin:
     within a relative 1e-9 of it.  Float ratios lie within a few units in
     the last place of the exact ones, so a key outside that band has an
     exact ratio above that of a key already offered and cannot be the
-    lex-min, however the keys are split into offers.
+    lex-min, however the keys are split into offers.  The keys of an offer
+    arrive sorted by (dx, dy, k), and within one direction b1 orders as k,
+    so only the first key of each (dx, dy) run in the band is refined.
     """
 
     __slots__ = ("lam", "key", "best")
@@ -453,7 +455,13 @@ class _LexMin:
         m = float(r.min())
         if self.key is not None:
             m = min(m, self.key[0] / self.key[1])
-        for t in np.nonzero(r <= m * (1 + 1e-9) + 1e-12)[0]:
+        band = np.nonzero(r <= m * (1 + 1e-9) + 1e-12)[0]
+        # a direction's keys share one ratio, so its run stays whole in the
+        # band: keep each run's first key
+        first = np.ones(len(band), dtype=bool)
+        first[1:] = ((dxv[band[1:]] != dxv[band[:-1]])
+                     | (dyv[band[1:]] != dyv[band[:-1]]))
+        for t in band[first]:
             self.offer_one(int(dxv[t]), int(dyv[t]), int(kv[t]))
 
     def offer_one(self, dx, dy, k):

@@ -12,7 +12,10 @@ their barcode templates; everything else falls back to exact restriction per
 line, lowered to a double at the end.
 
 The grid is evaluated in blocks of whole theta rows, one evaluator call per
-block of up to _BLOCK_LINES lines.  Every kernel is elementwise, so each
+block of up to _BLOCK_LINES lines.  A block is passed as a broadcast pair,
+its directions as an (r, 1) column against the offsets as a (1, n) row, and
+comes back as an (r, n) array of costs; the two modules are converted into
+the kernel's floats once per scan.  Every kernel is elementwise, so each
 value is the one a call per row would give, bit for bit.
 """
 from __future__ import annotations
@@ -88,23 +91,26 @@ def default_offset_range(M, N) -> tuple:
 
 
 def _evaluator(M, N):
-    """A map from float line arrays (m1, m2, b1, b2) to weighted costs.
+    """A map from float lines (m1, m2, b1, b2) to weighted costs.
 
-    The offset convention matches the exact engine: b = (-o/2, o/2) for a
-    line of offset o, so b1 + b2 = 0 holds exactly in floats and the slow
-    path can rebuild an exactly normalized Line from the doubles.
+    The line arrays broadcast to one shape, the costs' shape: a grid block
+    passes directions as an (r, 1) column and offsets as a (1, n) row.  The
+    vector path converts both modules once, here, for every call.  The
+    offset convention matches the exact engine: b = (-o/2, o/2) for a line
+    of offset o, so b1 + b2 = 0 holds exactly in floats and the slow path
+    can rebuild an exactly normalized Line from the doubles.
     """
     if M.is_trivial and N.is_trivial:
-        return lambda m1, m2, b1, b2: np.zeros(len(m1))
+        return lambda *lines: np.zeros(_shape(lines))
     if bar_counts(M)[1] != bar_counts(N)[1]:
-        return lambda m1, m2, b1, b2: np.full(len(m1), math.inf)
+        return lambda *lines: np.full(_shape(lines), math.inf)
     if _fastpath.vector_ready(M, N):
-        return lambda m1, m2, b1, b2: _fastpath.eval_lines(
-            M, N, m1, m2, b1, b2)
+        return _fastpath.line_evaluator(M, N)
 
-    def slow(m1, m2, b1, b2):
-        out = np.empty(len(m1))
-        for i in range(len(m1)):
+    def slow(*lines):
+        m1, m2, b1, b2 = np.broadcast_arrays(*lines)
+        out = np.empty(m1.shape)
+        for i in np.ndindex(out.shape):
             line = Line((rat(m1[i]), rat(m2[i])), (rat(b1[i]), rat(b2[i])))
             c = bottleneck_cost(restrict_module(M, line),
                                 restrict_module(N, line))
@@ -112,6 +118,10 @@ def _evaluator(M, N):
         return out
 
     return slow
+
+
+def _shape(lines):
+    return np.broadcast_shapes(*(a.shape for a in lines))
 
 
 def _axes(M, N, g):
@@ -144,16 +154,17 @@ def _directions(thetas):
 
 
 def _rows(m1, m2, offsets, ev):
-    """Yield the cost row over offsets of each direction (m1[i], m2[i]),
-    evaluating whole rows in blocks of up to _BLOCK_LINES lines."""
+    """Yield the cost rows over offsets of the directions (m1[i], m2[i]), a
+    block of whole rows at a time: (index of the block's first direction,
+    its (r, n) costs), with r * n up to _BLOCK_LINES, or r = 1 for a row
+    longer than that.  Each block goes to ev as a broadcast pair, the
+    directions as an (r, 1) column and the offsets as a (1, n) row, so no
+    line array is repeated or tiled."""
     n = len(offsets)
-    b1, b2 = -offsets / 2, offsets / 2
+    b1, b2 = (-offsets / 2)[None, :], (offsets / 2)[None, :]
     per = max(1, _BLOCK_LINES // n)
     for a in range(0, len(m1), per):
-        r1, r2 = m1[a:a + per], m2[a:a + per]
-        vals = ev(np.repeat(r1, n), np.repeat(r2, n),
-                  np.tile(b1, len(r1)), np.tile(b2, len(r1)))
-        yield from vals.reshape(len(r1), n)
+        yield a, ev(m1[a:a + per, None], m2[a:a + per, None], b1, b2)
 
 
 def scan(M, N, g: GridSpec) -> ScanResult:
@@ -161,23 +172,30 @@ def scan(M, N, g: GridSpec) -> ScanResult:
 
     Rows are produced in (theta, offset) order; iterating them re-runs the
     evaluation, so a scan whose rows are never read costs no row storage.
-    Whole theta rows are evaluated together in blocks of up to
-    _BLOCK_LINES lines; every value is the one a call per row gives.
+    Whole theta rows are evaluated together in broadcast blocks of up to
+    _BLOCK_LINES lines (_rows), through one evaluator, so both modules are
+    converted once per scan.  Each block takes one argmax per row, and the
+    rows are then compared in order with a strict >: the max and argmax are
+    the first maximum in (theta, offset) order, as a call per row gives.
     """
     thetas, offsets = _axes(M, N, g)
     dirs = _directions(thetas)
     ev = _evaluator(M, N)
     best = -math.inf
     arg = (float(thetas[0]), float(offsets[0]))
-    for th, row in zip(thetas, _rows(*dirs, offsets, ev)):
-        j = int(np.argmax(row))
-        if row[j] > best:
-            best, arg = float(row[j]), (float(th), float(offsets[j]))
+    for a, vals in _rows(*dirs, offsets, ev):
+        for i, j in enumerate(vals.argmax(axis=1).tolist()):
+            if vals[i, j] > best:
+                best = float(vals[i, j])
+                arg = (float(thetas[a + i]), float(offsets[j]))
 
     def gen():
-        for th, row in zip(thetas, _rows(*dirs, offsets, ev)):
-            for j in range(len(offsets)):
-                yield HeatmapRow(float(th), float(offsets[j]), float(row[j]))
+        offs = offsets.tolist()
+        for a, vals in _rows(*dirs, offsets, ev):
+            for th, row in zip(thetas[a:a + len(vals)].tolist(),
+                               vals.tolist()):
+                for o, v in zip(offs, row):
+                    yield HeatmapRow(th, o, v)
 
     return ScanResult(best, arg, _LazyRows(gen))
 
@@ -185,7 +203,8 @@ def scan(M, N, g: GridSpec) -> ScanResult:
 def restricted_max(M, N, g: GridSpec, family: str) -> float:
     """Max over one restricted line family.
 
-    "diagonal_only" sweeps slope-1 lines over the offset grid;
+    "diagonal_only" sweeps slope-1 lines over the offset grid, one block of
+    a single direction row;
     "critical_pairs_only" evaluates the finitely many lines through two
     points of the lub-closed critical value sets (no grid involved).
     """
@@ -193,7 +212,7 @@ def restricted_max(M, N, g: GridSpec, family: str) -> float:
     if family == "diagonal_only":
         _, offsets = _axes(M, N, g)
         ones = np.ones(1)
-        return float(next(_rows(ones, ones, offsets, ev)).max())
+        return float(next(_rows(ones, ones, offsets, ev))[1].max())
     if family != "critical_pairs_only":
         raise ValueError("unknown family %r" % family)
     pts = sorted(lub_closure(critical_values(M))

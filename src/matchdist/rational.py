@@ -24,7 +24,10 @@ def rat(x):
     Accepts ints, rationals, Fractions, floats (converted via their exact
     binary value) and strings: integers ("7"), decimals ("2.5", exact) and
     fractions ("7/11").  Infinity is rejected; callers handle it separately.
+    A value already of type Q is returned as it is.
     """
+    if type(x) is Q:
+        return x
     if isinstance(x, float):
         if x != x or x == INF or x == -INF:
             raise ValueError("not a finite number: %r" % x)

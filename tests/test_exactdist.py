@@ -909,6 +909,34 @@ def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
     assert max(sizes) <= 64
 
 
+def test_lex_min_refines_one_key_per_direction(monkeypatch):
+    """Keys reach _LexMin sorted by (dx, dy, k), so it refines in rationals
+    only the first key of each direction within its band.  With 64-key
+    chunks along dx = 1, the pair below took 327 refinements when every
+    key in the band was refined; the value, the witness and the count stay
+    those of whole-block offers, and the witness is the lex-min key."""
+    M = TwoParamModule.from_rects([rect(0, 0, INF, INF), rect(1, 1, 3, 2)])
+    N = TwoParamModule.from_rects([rect(0, 1, 2, 3)])
+    want = matching_distance(M, N)
+    monkeypatch.setattr(_fastpath, "CHUNK", 64)
+    calls = []
+    offer_one = exactdist._LexMin.offer_one
+
+    def counted(self, dx, dy, k):
+        calls.append((dx, dy))
+        return offer_one(self, dx, dy, k)
+
+    monkeypatch.setattr(exactdist._LexMin, "offer_one", counted)
+    res = matching_distance(M, N)
+    assert 0 < len(calls) < 327
+    assert (res.value, res.witness_line, res.candidate_count) == \
+        (want.value, want.witness_line, want.candidate_count)
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
+    keys = exactdist._distinct_keys(X, Y, dvals)
+    best = min(keys, key=lambda t: exactdist._lex_pair(*t, lam))
+    assert res.witness_line == exactdist._line_from_key(*best, lam)
+
+
 def test_pack_and_unpack_leave_inputs_unchanged():
     """_pack and _unpack compute in place on fresh arrays only, in every
     key regime, and round-trip exactly, from int32 differences too."""

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,11 @@ from matchdist.geometry import (LEFT, ON, RIGHT, Line, NonPositiveDirection,
                                 normalize_line, pull_param, push_param,
                                 reciprocal_position, weight)
 from matchdist.rational import INF, Q
+
+try:
+    import gmpy2
+except ImportError:  # the mpq check is skipped
+    gmpy2 = None
 
 rat_st = st.builds(Q, st.integers(-24, 48), st.integers(1, 4))
 pos_st = st.builds(Q, st.integers(1, 16), st.integers(1, 4))
@@ -46,6 +53,60 @@ def test_line_constructor_validates():
         Line((Q(1, 2), Q(1, 2)), (Q(0), Q(0)))  # max(m) != 1
     with pytest.raises(ValueError):
         Line((Q(1), Q(1)), (Q(1), Q(1)))  # b1 + b2 != 0
+
+
+def _rational_check(m, b):
+    """Line's validation as rational comparisons: the predicate that the
+    integer-form check must give on ints and rationals."""
+    (m1, m2), (b1, b2) = m, b
+    if not (m1 > 0 and m2 > 0):
+        raise NonPositiveDirection("direction")
+    if max(m1, m2) != 1 or b1 + b2 != 0:
+        raise ValueError("normalization")
+
+
+def _outcome(check, m, b):
+    """None when check accepts (m, b), else the class of its exception."""
+    try:
+        check(m, b)
+    except ValueError as e:
+        return type(e)
+    return None
+
+
+# zero, negatives, 1 and values either side of it, as ints, Fractions and
+# floats; directions with a coordinate 1 in each type; offsets with
+# b1 + b2 = 0, with b1 = b2, with opposite numerators over denominators
+# that may differ, and arbitrary
+_frac_st = st.one_of(st.sampled_from([0, 1, -1, 2]),
+                     st.builds(Fraction, st.integers(-6, 8),
+                               st.integers(1, 4)))
+_scalar_st = st.one_of(_frac_st, _frac_st.map(float), st.integers(-3, 3))
+_one_st = st.sampled_from([1, Fraction(1), 1.0])
+_dir_st = st.one_of(st.tuples(_scalar_st, _scalar_st),
+                    st.tuples(_one_st, _scalar_st),
+                    st.tuples(_scalar_st, _one_st))
+_off_st = st.one_of(_scalar_st.map(lambda v: (v, -v)),
+                    _scalar_st.map(lambda v: (v, v)),
+                    st.builds(lambda p, q, r: (Fraction(p, q), Fraction(-p, r)),
+                              st.integers(-6, 6), st.integers(1, 4),
+                              st.integers(1, 4)),
+                    st.tuples(_scalar_st, _scalar_st))
+
+
+@given(_dir_st, _off_st)
+def test_line_validation_matches_rational_comparisons(m, b):
+    assert _outcome(Line, m, b) == _outcome(_rational_check, m, b)
+
+
+@pytest.mark.skipif(gmpy2 is None, reason="gmpy2 is not installed")
+@given(_dir_st, _off_st)
+def test_line_validation_matches_rational_comparisons_mpq(m, b):
+    def conv(v):
+        return v if isinstance(v, float) else gmpy2.mpq(v)
+
+    m, b = tuple(map(conv, m)), tuple(map(conv, b))
+    assert _outcome(Line, m, b) == _outcome(_rational_check, m, b)
 
 
 def test_known_line():

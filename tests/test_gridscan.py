@@ -13,9 +13,9 @@ from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       rand_rect_module)
 from matchdist import _fastpath, gridscan
 from matchdist.exactdist import matching_distance
-from matchdist.gridscan import (GridSpec, HeatmapRow, _axes, _evaluator,
-                                default_offset_range, restricted_max, scan,
-                                write_csv)
+from matchdist.gridscan import (GridSpec, HeatmapRow, _axes, _directions,
+                                _evaluator, default_offset_range,
+                                restricted_max, scan, write_csv)
 from matchdist.modules import TwoParamModule, rect
 from matchdist.rational import INF, Q
 
@@ -183,6 +183,85 @@ def test_blocks_match_one_call_per_row(pair, g, block, monkeypatch):
     want = _bits(rows)
     assert _bits(res.rows) == want
     assert _bits(res.rows) == want  # re-iterable
+
+
+def _scan_flat(M, N, g):
+    """scan's max, argmax and rows, and the diagonal family's max, from
+    flat line arrays, directions repeated and offsets tiled, in one
+    evaluator call each."""
+    thetas, offsets = _axes(M, N, g)
+    m1, m2 = _directions(thetas)
+    n, r = len(offsets), len(thetas)
+    ev = _evaluator(M, N)
+    vals = ev(np.repeat(m1, n), np.repeat(m2, n), np.tile(-offsets / 2, r),
+              np.tile(offsets / 2, r)).reshape(r, n)
+    best, arg, rows = -math.inf, (float(thetas[0]), float(offsets[0])), []
+    for th, row in zip(thetas, vals):
+        j = int(np.argmax(row))
+        if row[j] > best:
+            best, arg = float(row[j]), (float(th), float(offsets[j]))
+        rows += [HeatmapRow(float(th), float(o), float(v))
+                 for o, v in zip(offsets, row)]
+    ones = np.ones(n)
+    diag = float(ev(ones, ones, -offsets / 2, offsets / 2).max())
+    return best, arg, rows, diag
+
+
+def _unequal_essential_pair():
+    return (TwoParamModule.from_rects([rect(0, 0, INF, INF),
+                                       rect(1, 1, 3, 2)]),
+            TwoParamModule.from_rects([rect(0, 1, 2, 3)]))
+
+
+@pytest.mark.parametrize("pair", [
+    ex_need_omega,
+    lambda: tuple(map(combined_presentation, ex_need_omega())),
+    lambda: _wide_pair(7),
+    lambda: (TwoParamModule.from_rects([]),) * 2,
+    _unequal_essential_pair,
+], ids=["rect", "presentation", "per-line", "trivial", "unequal-essential"])
+@pytest.mark.parametrize("g, block, chunk", [
+    # blocks of 2 rows and a last block of 1, sliced into kernel chunks of
+    # 2 offsets
+    (GridSpec(7, 9), 20, 4),
+    # each row longer than a block, sliced into chunks of 4 offsets
+    (GridSpec(3, 9), 5, 4),
+    # one block over the whole grid, one chunk
+    (GridSpec(4, 6), 24, None),
+], ids=["rows-split", "row-past-block", "one-block"])
+def test_broadcast_blocks_match_flat_lines(pair, g, block, chunk,
+                                           monkeypatch):
+    """Blocks passed as a direction column against an offset row give the
+    max, the argmax, every row and the diagonal family's max of flat line
+    arrays, bit for bit, on every evaluator branch."""
+    monkeypatch.setattr(gridscan, "_BLOCK_LINES", block)
+    if chunk is not None:
+        monkeypatch.setattr(_fastpath, "CHUNK", chunk)
+    M, N = pair()
+    best, arg, rows, diag = _scan_flat(M, N, g)
+    res = scan(M, N, g)
+    assert repr(res.max_value) == repr(best)
+    assert res.argmax == arg
+    assert _bits(res.rows) == _bits(rows)
+    assert repr(restricted_max(M, N, g, "diagonal_only")) == repr(diag)
+
+
+def test_scan_converts_modules_once(monkeypatch):
+    """A vector-ready 1000x1000 scan converts its two modules into the
+    kernel's floats once, not once per block."""
+    calls = []
+    sides = _fastpath._sides
+
+    def counted(M, N, conv):
+        calls.append(conv)
+        return sides(M, N, conv)
+
+    monkeypatch.setattr(_fastpath, "_sides", counted)
+    M, N = ex_need_omega()
+    assert _fastpath.vector_ready(M, N)
+    res = scan(M, N, GridSpec(1000, 1000))
+    assert res.max_value <= float(Q(21, 10)) + 1e-9
+    assert calls == [float]
 
 
 def test_trivial_scan_all_zero():
