@@ -1,33 +1,32 @@
 """Vectorized evaluation of weighted bottleneck costs over many lines.
 
-Modules take these paths when the side with fewer finite bars has at most
-MAX_FINITE of them (vector_ready): finite rectangles of a rectangle module,
-the rank of the relation matrix of a presentation.  The number of essential
-bars is not limited.  The caller falls back to exact per-line evaluation
-otherwise.  Every module keeps a fixed set of bar slots across all lines.
-Dead bars are collapsed to zero-length bars at their birth instead of being
-dropped, which leaves the bottleneck value unchanged (a zero-length bar
-matches the diagonal for free, and pairing any bar with a point on the
-diagonal never beats that bar's own half-persistence).  A rectangle has one
-slot.  A presentation reads its slots off barcode templates, one GF(2)
-reduction per distinct pair of grade push orders (_Pres), after Lesnick and
-Wright's per-cell templates in RIVET; no line is reduced on its own.
+Every module pair takes this path, whatever its number of bars.  Every
+module keeps a fixed set of bar slots across all lines.  Dead bars are
+collapsed to zero-length bars at their birth instead of being dropped,
+which leaves the bottleneck value unchanged (a zero-length bar matches the
+diagonal for free, and pairing any bar with a point on the diagonal never
+beats that bar's own half-persistence).  A rectangle has one slot.  A
+presentation reads its slots off barcode templates, one GF(2) reduction per
+distinct pair of grade push orders (_Pres), after Lesnick and Wright's
+per-cell templates in RIVET; no line is reduced on its own.
 
 One kernel (_chunk) serves two arithmetics, which differ only in where a
 line crosses a coordinate, in how lengths are halved and in the final
-weighting.  Its matching minimum is bottleneck.cheapest_matching, the same
-function that bottleneck_cost runs on the rationals of a single line.  The
-float arithmetic (_FloatLines) screens large line sets with a sound error
-margin; a presentation's float pushes order its grades within rounding, and
-rounding is monotone, so every relation stays at or after its own
-generators and the float barcode is that of a filtration within push
-rounding error.  The integer arithmetic (_KeyNumerators) is exact: on the key
-(dx, dy, k) with scaling lam, every push and pull onto the line is a
-fraction over the common per-line denominator lam*(dx+dy)*dx*dy, so
-bottleneck costs reduce to integer max/min arithmetic on numerators, and the
-weighted value becomes a canonical reduced fraction per line.  It runs in
-int64 when every intermediate is certified to fit, and in Python ints in
-object arrays otherwise.
+weighting.  Its matching minimum is bottleneck.cheapest_matching when the
+side with fewer finite bars has at most MAX_FINITE of them (vector_ready),
+and bottleneck.threshold_matching, a search run line by line, past that;
+the two agree bit for bit.  The float arithmetic (_FloatLines) screens
+large line sets with a sound error margin; a presentation's float pushes
+order its grades within rounding, and rounding is monotone, so every
+relation stays at or after its own generators and the float barcode is that
+of a filtration within push rounding error.  The integer arithmetic
+(_KeyNumerators) is exact: on the key (dx, dy, k) with scaling lam, every
+push and pull onto the line is a fraction over the common per-line
+denominator lam*(dx+dy)*dx*dy, so bottleneck costs reduce to integer
+max/min arithmetic on numerators, and the weighted value becomes a
+canonical reduced fraction per line.  It runs in int64 when every
+intermediate is certified to fit, and in Python ints in object arrays
+otherwise.
 """
 from __future__ import annotations
 
@@ -36,7 +35,7 @@ from functools import reduce
 
 import numpy as np
 
-from .bottleneck import cheapest_matching
+from .bottleneck import cheapest_matching, threshold_matching
 from .fibered import bar_counts, reduce_columns
 from .rational import INF
 
@@ -189,11 +188,12 @@ def _sides(M, N, conv):
 
 
 def vector_ready(M, N) -> bool:
-    """Whether the module with fewer finite bars has at most MAX_FINITE of
-    them (fibered.bar_counts): finite rectangles of a rectangle module, the
-    rank of the relation matrix of a presentation.
+    """Whether the kernel takes bottleneck.cheapest_matching, not
+    threshold_matching: whether the module with fewer finite bars has at
+    most MAX_FINITE of them (fibered.bar_counts), finite rectangles of a
+    rectangle module, the rank of the relation matrix of a presentation.
 
-    bottleneck.cheapest_matching takes its columns over the smaller side, at
+    cheapest_matching takes its columns over the smaller side, at
     rows * 2^cols * cols array operations per chunk, and holds two tables
     of up to 2^cols arrays of CHUNK values: 2 * 2^6 * CHUNK * 8 bytes, about
     16 MB, at the cap.  Rows, the larger side's bars, cost linearly.
@@ -307,8 +307,8 @@ class _KeyNumerators:
 def _chunk(sm, sn, ar):
     """Weighted bottleneck costs of the sides sm, sn over one chunk of
     lines, in the arithmetic ar (_FloatLines or _KeyNumerators): the finite
-    bars through cheapest_matching, the essential ones through the sorted
-    matching."""
+    bars through the matching minimum vector_ready names, the essential
+    ones through the sorted matching."""
     # crossings of x = v and y = v, once per distinct coordinate value;
     # rectangles of one module share many
     at = ({}, {})
@@ -341,7 +341,9 @@ def _chunk(sm, sn, ar):
     pc = [[ar.whole(np.maximum(np.abs(bm[i] - bn[j]), np.abs(dm[i] - dn[j])))
            for j in range(len(bn))] for i in range(len(bm))]
 
-    fin_cost = cheapest_matching(pc, hm, hn)
+    match = (cheapest_matching if min(len(hm), len(hn)) <= MAX_FINITE
+             else threshold_matching)
+    fin_cost = match(pc, hm, hn)
     if fin_cost is None:
         fin_cost = ar.zeros()
     ess_cost = _essential_cost(em, en)
@@ -351,7 +353,7 @@ def _chunk(sm, sn, ar):
 
 
 def line_evaluator(M, N):
-    """The weighted-cost map of vector_ready modules over float lines, with
+    """The weighted-cost map of two modules over float lines, with
     both modules converted into the kernel's floats once, for every call.
 
     The map takes line arrays (m1, m2, b1, b2) in standard normalization,
@@ -384,7 +386,7 @@ def line_evaluator(M, N):
 
 
 def eval_lines(M, N, m1, m2, b1, b2):
-    """Weighted bottleneck costs for vector_ready modules over 1-d float
+    """Weighted bottleneck costs of two modules over 1-d float
     line arrays, through line_evaluator.
 
     Lines are in standard normalization: max(m1, m2) = 1, b2 = -b1.
@@ -403,7 +405,7 @@ def exact_reduced_values(M, N, dxv, dyv, kv, lam):
 
     Returns (p, q) arrays with value = p/q in lowest terms: int64 when the
     certified intermediate bounds fit int64, Python ints in object arrays
-    otherwise.  Requires vector_ready modules with equal essential counts.
+    otherwise.  Requires modules with equal essential counts.
 
     A presentation's push numerators order its grades exactly as
     restrict_presentation's push parameters do, ties included, so its

@@ -4,12 +4,12 @@ Essential (infinite-death) bars can only be matched among themselves at
 finite cost, and their optimal assignment is the in-order matching of sorted
 birth values; finite bars are matched by binary search over the exact
 candidate costs (pairwise l-infinity distances and half-persistences) with an
-augmenting-path feasibility matcher.  The overall cost is the maximum of the
-two parts, with the convention inf - inf = 0.
+augmenting-path feasibility matcher (_threshold).  The overall cost is the
+maximum of the two parts, with the convention inf - inf = 0.
 
-cheapest_matching is the one matching minimum of the package: the vector
-kernel runs it elementwise over arrays of lines, and bottleneck_cost runs it
-on the rationals of one line when both sides have few finite bars.
+Two matching minima agree exactly: cheapest_matching, a dynamic program
+whose table grows as 2^cols, and threshold_matching, _threshold run line by
+line at any width.  The vector kernel and bottleneck_cost pick one by size.
 """
 from __future__ import annotations
 
@@ -88,6 +88,25 @@ def _feasible(c, pc, half1, half2):
     return match_r
 
 
+def _threshold(pc, half1, half2):
+    """The cheapest matching's cost, the smallest entry of pc, half1 or
+    half2 at which _feasible finds a perfect matching, by binary search
+    over the sorted distinct entries, with that matching; (None, []) when
+    both sides are empty.  Being an entry, the cost is exact in any type.
+    """
+    cand = sorted({*half1, *half2, *(c for row in pc for c in row)})
+    if not cand:
+        return None, []
+    lo, hi = 0, len(cand) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(cand[mid], pc, half1, half2) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    return cand[lo], _feasible(cand[lo], pc, half1, half2)
+
+
 def bottleneck(d1, d2):
     """Exact bottleneck distance with witness.
 
@@ -117,25 +136,10 @@ def bottleneck(d1, d2):
     p1 = [d1[i] for i in fin1]
     p2 = [d2[j] for j in fin2]
     pc = [[_pair_cost(a, b) for b in p2] for a in p1]
-    half1 = [_half(a) for a in p1]
-    half2 = [_half(b) for b in p2]
-
-    candidates = {Q(0)}
-    candidates.update(half1)
-    candidates.update(half2)
-    for row in pc:
-        candidates.update(row)
-    cand = sorted(candidates)
-
-    lo, hi = 0, len(cand) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(cand[mid], pc, half1, half2) is not None:
-            hi = mid
-        else:
-            lo = mid + 1
-    cost_f = cand[lo]
-    match_r = _feasible(cost_f, pc, half1, half2)
+    cost_f, match_r = _threshold(pc, [_half(a) for a in p1],
+                                 [_half(b) for b in p2])
+    if cost_f is None:
+        cost_f = Q(0)
 
     n1, n2 = len(p1), len(p2)
     pairs_f = []
@@ -227,6 +231,27 @@ def cheapest_matching(pc, h1, h2):
     return rest[0]
 
 
+def threshold_matching(pc, h1, h2):
+    """cheapest_matching's value under its contract, by _threshold: on
+    scalars directly, on arrays line by line over each line's entries as
+    Python scalars.  The result is an entry of its line, so it equals
+    cheapest_matching's bit for bit; it needs no 2^cols table, but each
+    line costs a Python search."""
+    entries = [*h1, *h2, *(c for row in pc for c in row)]
+    if not entries or not isinstance(entries[0], np.ndarray):
+        return _threshold(pc, h1, h2)[0]
+    r1, r2 = len(h1), len(h2)
+    P = np.stack(np.broadcast_arrays(*entries))
+    shape = P.shape[1:]
+    P = P.reshape(len(entries), -1)
+    out = np.empty(P.shape[1], dtype=P.dtype)
+    for t in range(P.shape[1]):
+        v = P[:, t].tolist()
+        out[t] = _threshold([v[r1 + r2 + i * r2:r1 + r2 + (i + 1) * r2]
+                             for i in range(r1)], v[:r1], v[r1:r1 + r2])[0]
+    return out.reshape(shape)
+
+
 # finite bars per side up to which bottleneck_cost takes cheapest_matching;
 # past it the table of used-column sets grows as 2^bars
 _MATCHING_BARS = 4
@@ -235,13 +260,11 @@ _MATCHING_BARS = 4
 def bottleneck_cost(d1, d2):
     """Exact bottleneck distance, value only; equal to bottleneck(d1, d2)[0].
 
-    Small diagrams take cheapest_matching on rationals; larger ones fall
-    back to the full search in bottleneck().
+    Up to _MATCHING_BARS finite bars per side take cheapest_matching on
+    rationals, larger diagrams threshold_matching.
     """
     fin1 = [b for b in d1 if b.death != INF]
     fin2 = [b for b in d2 if b.death != INF]
-    if len(fin1) > _MATCHING_BARS or len(fin2) > _MATCHING_BARS:
-        return bottleneck(d1, d2)[0]
     e1 = sorted(b.birth for b in d1 if b.death == INF)
     e2 = sorted(b.birth for b in d2 if b.death == INF)
     if len(e1) != len(e2):
@@ -249,8 +272,10 @@ def bottleneck_cost(d1, d2):
     base = max((abs(a - b) for a, b in zip(e1, e2)), default=Q(0))
     pc = [[max(abs(x.birth - y.birth), abs(x.death - y.death))
            for y in fin2] for x in fin1]
-    fin = cheapest_matching(pc, [(b.death - b.birth) / 2 for b in fin1],
-                            [(b.death - b.birth) / 2 for b in fin2])
+    match = (cheapest_matching if max(len(fin1), len(fin2)) <= _MATCHING_BARS
+             else threshold_matching)
+    fin = match(pc, [(b.death - b.birth) / 2 for b in fin1],
+                [(b.death - b.birth) / 2 for b in fin2])
     return base if fin is None else max(base, fin)
 
 

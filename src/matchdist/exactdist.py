@@ -25,6 +25,8 @@ keys, their floats and the kernel's temporaries never exceed one chunk.
 The fold keeps a running float maximum with a sound margin, so that only
 the lines that can still win are evaluated exactly; its pruning is sound
 offer by offer, so splitting the keys into chunks changes no result.
+Every pair that needs a line search goes through this screen, whatever its
+number of bars, and only the witness line is restricted in rationals.
 """
 from __future__ import annotations
 
@@ -527,18 +529,11 @@ def _line_from_key(dx, dy, k, lam):
     return Line((Q(dx, mx), Q(dy, mx)), (b1, -b1))
 
 
-def _lex_pair(dx, dy, k, lam):
-    return (Q(int(dx), int(dy)), Q(int(k), lam * (int(dx) + int(dy))))
-
-
-def _key_list(spec, packed):
-    return list(zip(*(v.tolist() for v in _unpack(spec, packed))))
-
-
 def _distinct_keys(X, Y, dvals):
     """All distinct candidate keys as python int triples, sorted by
     (dx, dy, k)."""
-    return _key_list(*_stream(X, Y, dvals))
+    spec, packed = _stream(X, Y, dvals)
+    return list(zip(*(v.tolist() for v in _unpack(spec, packed))))
 
 
 def candidate_lines(M: TwoParamModule, N: TwoParamModule,
@@ -611,17 +606,6 @@ def _result_at(M, N, key, lam, count):
     return DistanceResult(value, line, wit, count)
 
 
-def _select_exact(M, N, keys, lam, count):
-    """Exact maximum over key triples, lex-smallest line on ties."""
-    best = best_key = best_lex = None
-    for key in keys:
-        c = _exact_cost(M, N, _line_from_key(*key, lam))
-        lex = _lex_pair(*key, lam)
-        if best is None or c > best or (c == best and lex < best_lex):
-            best, best_key, best_lex = c, key, lex
-    return _result_at(M, N, best_key, lam, count)
-
-
 def _select_vector(M, N, dxv, dyv, kv, lam, count):
     """Exact selection over key arrays through reduced-fraction values.
 
@@ -660,16 +644,12 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
     if (_essential_count(M) != _essential_count(N)
             or _struct_key(M) == _struct_key(N)):
         fold = _LexMin(lam)
-    elif _fastpath.vector_ready(M, N):
-        fold = _Screen(M, N, lam)
     else:
-        fold = None
+        fold = _Screen(M, N, lam)
     spec, union = _stream(X, Y, dvals, fold)
     count = int(union.size)
     if isinstance(fold, _LexMin):
         return _result_at(M, N, fold.key, lam, count)
-    if fold is None:
-        return _select_exact(M, N, _key_list(spec, union), lam, count)
     return _select_vector(M, N, *_unpack(spec, fold.finish()), lam, count)
 
 

@@ -4,12 +4,9 @@ The sweep is a lower-bound cross-check for the exact engine: every sample is
 the weighted bottleneck cost on one positive-slope line, so no sample can
 exceed the exact maximum by more than float round-off.  Lines are drawn from
 an (angle, offset) grid, with the direction renormalized to the standard form
-so weights match the exact path.  Pairs that pass _fastpath.vector_ready (at
-most _fastpath.MAX_FINITE finite bars on the smaller side, counting a
-presentation's finite bars by the rank of its relation matrix, and any
-number of essential ones) are evaluated vectorized, presentations through
-their barcode templates; everything else falls back to exact restriction per
-line, lowered to a double at the end.
+so weights match the exact path.  Every pair with equal essential counts is
+evaluated by _fastpath's float kernel, presentations through their barcode
+templates, whatever the number of bars.
 
 The grid is evaluated in blocks of whole theta rows, one evaluator call per
 block of up to _BLOCK_LINES lines.  A block is passed as a broadcast pair,
@@ -27,11 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fastpath
-from .bottleneck import bottleneck_cost
-from .fibered import bar_counts, restrict_module
-from .geometry import Line, line_through, weight
+from .fibered import bar_counts
+from .geometry import line_through
 from .modules import critical_values, lub_closure
-from .rational import INF, rat
 
 
 @dataclass(frozen=True)
@@ -95,29 +90,16 @@ def _evaluator(M, N):
 
     The line arrays broadcast to one shape, the costs' shape: a grid block
     passes directions as an (r, 1) column and offsets as a (1, n) row.  The
-    vector path converts both modules once, here, for every call.  The
-    offset convention matches the exact engine: b = (-o/2, o/2) for a line
-    of offset o, so b1 + b2 = 0 holds exactly in floats and the slow path
-    can rebuild an exactly normalized Line from the doubles.
+    kernel converts both modules once, here, for every call.  The offset
+    convention matches the exact engine: b = (-o/2, o/2) for a line of
+    offset o, so b1 + b2 = 0 holds exactly in floats and an exactly
+    normalized Line can be rebuilt from the doubles.
     """
     if M.is_trivial and N.is_trivial:
         return lambda *lines: np.zeros(_shape(lines))
     if bar_counts(M)[1] != bar_counts(N)[1]:
         return lambda *lines: np.full(_shape(lines), math.inf)
-    if _fastpath.vector_ready(M, N):
-        return _fastpath.line_evaluator(M, N)
-
-    def slow(*lines):
-        m1, m2, b1, b2 = np.broadcast_arrays(*lines)
-        out = np.empty(m1.shape)
-        for i in np.ndindex(out.shape):
-            line = Line((rat(m1[i]), rat(m2[i])), (rat(b1[i]), rat(b2[i])))
-            c = bottleneck_cost(restrict_module(M, line),
-                                restrict_module(N, line))
-            out[i] = math.inf if c == INF else float(weight(line) * c)
-        return out
-
-    return slow
+    return _fastpath.line_evaluator(M, N)
 
 
 def _shape(lines):

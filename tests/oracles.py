@@ -2,16 +2,19 @@
 
 These transcribe defining formulas directly (quadruple loops, fixpoint
 iteration, exhaustive matchings) with no algebraic shortcuts, and serve as
-oracles for the optimized library code.  lattice_rational is the one
-exception: it assembles the candidate point set from the public rational
-functions, as a reference for the integer pipeline behind them.
+oracles for the optimized library code.  lattice_rational and select_exact
+are the exceptions: the first assembles the candidate point set from the
+public rational functions, as a reference for the integer pipeline behind
+them, and the second selects the maximum by restricting every candidate
+line in rationals, as a reference for the screen and the vector kernel.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from matchdist.exactdist import switch_points
+from matchdist.exactdist import (_exact_cost, _line_from_key, _result_at,
+                                 switch_points)
 from matchdist.geometry import ProjPoint
 from matchdist.modules import critical_values, lub_closure
 from matchdist.rational import INF, Q, ext_abs_diff
@@ -171,3 +174,22 @@ def lattice_rational(M, N, extra=None):
     dvals = sorted((d.h1, d.h2) for d in dirs
                    if d.h0 == 0 and d.h1 > 0 and d.h2 > 0)
     return [x for x, _ in XY], [y for _, y in XY], dvals, lam
+
+
+def lex_pair(dx, dy, k, lam):
+    """The line order (m1/m2, b1) of the key (dx, dy, k) with scaling
+    lam."""
+    return (Q(int(dx), int(dy)), Q(int(k), lam * (int(dx) + int(dy))))
+
+
+def select_exact(M, N, keys, lam, count):
+    """matching_distance's result over key triples, line by line: each
+    line restricted in rationals and costed exactly, the maximum kept, the
+    lex-smallest line on ties."""
+    best = best_key = best_lex = None
+    for key in keys:
+        c = _exact_cost(M, N, _line_from_key(*key, lam))
+        lex = lex_pair(*key, lam)
+        if best is None or c > best or (c == best and lex < best_lex):
+            best, best_key, best_lex = c, key, lex
+    return _result_at(M, N, best_key, lam, count)

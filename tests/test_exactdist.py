@@ -17,17 +17,20 @@ from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       rand_rect_module)
 from matchdist import _fastpath
 from matchdist.bottleneck import (bottleneck, bottleneck_bruteforce,
-                                  bottleneck_cost, cheapest_matching)
+                                  bottleneck_cost, cheapest_matching,
+                                  threshold_matching)
 from matchdist.exactdist import (BothTrivial, SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
                                  vertical_cost)
 from matchdist.fibered import Bar, restrict_presentation
 from matchdist.geometry import (ProjPoint, line_through, normalize_line,
                                 push_param, weight)
+from matchdist.gridscan import GridSpec, scan
 from matchdist.modules import (TwoParamModule, critical_values, lub_closure,
                                rect, scale, swap_axes, translate)
 from matchdist.rational import INF, Q
-from oracles import distinct_keys_pairloop, lattice_rational, match_patterns
+from oracles import (distinct_keys_pairloop, lattice_rational, lex_pair,
+                     match_patterns, select_exact)
 
 
 def brute(M, N, extra=None):
@@ -131,7 +134,7 @@ def test_candidate_lines_match_exact_sort_on_every_key_path():
             assert _key_path(M, N, ex) == path
             X, Y, dvals, lam = exactdist._lattice(M, N, ex)
             keys = sorted(exactdist._distinct_keys(X, Y, dvals),
-                          key=lambda t: exactdist._lex_pair(*t, lam))
+                          key=lambda t: lex_pair(*t, lam))
             want = tuple(exactdist._line_from_key(*t, lam) for t in keys)
             assert len({ln.m for ln in want}) > 2
             assert candidate_lines(M, N, ex).lines == want
@@ -372,7 +375,8 @@ def _diagram(rng, finite, essential):
 def test_diagram_cost_matches_bottleneck():
     """bottleneck_cost equals bottleneck() below its matching cap, past it
     (5-6 finite bars on a side) and with an empty side; against the brute
-    force too where that is small enough."""
+    force too where that is small enough.  On diagrams without essential
+    bars, threshold_matching on rationals equals bottleneck() too."""
     rng = random.Random(5)
     cases = [(rand_diagram(rng), rand_diagram(rng)) for _ in range(200)]
     for _ in range(30):
@@ -388,6 +392,13 @@ def test_diagram_cost_matches_bottleneck():
         assert bottleneck_cost(d1, d2) == want
         if len(d1) + len(d2) <= 8:
             assert bottleneck_bruteforce(d1, d2) == want
+        if d1 + d2 and INF not in {b.death for b in d1 + d2}:
+            pc = [[max(abs(a.birth - b.birth), abs(a.death - b.death))
+                   for b in d2] for a in d1]
+            got = threshold_matching(pc, [(a.death - a.birth) / 2 for a in d1],
+                                     [(b.death - b.birth) / 2 for b in d2])
+            assert type(got) is type(want)
+            assert got == want
 
 
 def test_unique_sorted_matches_np_unique():
@@ -443,6 +454,37 @@ def test_cheapest_matching_matches_patterns():
         got = cheapest_matching(pc, h1, h2)
         assert type(got) is type(want)
         assert got == want
+
+
+def test_threshold_matching_matches_cheapest_matching():
+    """The search branch equals the dynamic program bit for bit, in dtype
+    and shape, on floats, int64 and Python ints in object arrays, at 0 to
+    8 bars a side.  Coarse draws give zero-length bars and tied costs."""
+    rng = np.random.default_rng(15)
+    assert threshold_matching([], [], []) is None
+    sizes = range(9)
+    for r1, r2, dtype in itertools.product(sizes, sizes,
+                                           (np.float64, np.int64, object)):
+        if r1 == r2 == 0:
+            continue
+        # a gridscan block is 2-d, a chunk of keys 1-d
+        shape = (4, 12) if (r1 + r2) % 2 else (48,)
+        draw = [rng.integers(0, 7, shape) for _ in range(r1 + r2 + r1 * r2)]
+        if dtype == np.float64:
+            draw = [d / 3 for d in draw]
+        else:
+            draw = [d.astype(dtype) for d in draw]
+        h1, h2 = draw[:r1], draw[r1:r1 + r2]
+        pc = [draw[r1 + r2 + i * r2:r1 + r2 + (i + 1) * r2]
+              for i in range(r1)]
+        want = cheapest_matching(pc, h1, h2)
+        got = threshold_matching(pc, h1, h2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if dtype == object:
+            assert got.tolist() == want.tolist()
+            assert {type(v) for v in got.ravel()} == {int}
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_essential_network_matches_permutations():
@@ -572,10 +614,13 @@ def _shaped(rng, pool, finite, essential, p_inf=0.0):
 
 
 # (pool size, finite rectangles of M and of N, essential ones per side,
-# p_inf); pools of 2-3 integers keep the candidate sets at 217 or 1849 lines
+# p_inf); pools of 2-3 integers keep the candidate sets at 217 or 1849 lines.
+# The 7v7 and 8v8 shapes are past the kernel's dynamic-programming width,
+# _fastpath.MAX_FINITE, and take its threshold search
 _WIDE_SHAPES = [(3, 5, 5, 0, 0.2), (2, 5, 5, 0, 0.5), (2, 1, 1, 4, 0.0),
                 (3, 1, 1, 5, 0.2), (3, 1, 6, 0, 0.2), (2, 6, 1, 0, 0.5),
-                (2, 6, 6, 0, 0.5), (3, 6, 6, 0, 0.2)]
+                (2, 6, 6, 0, 0.5), (3, 6, 6, 0, 0.2), (3, 7, 7, 0, 0.2),
+                (2, 8, 8, 1, 0.5), (3, 8, 8, 0, 0.0)]
 
 
 def _wide_pairs():
@@ -588,7 +633,9 @@ def _wide_pairs():
 
 def test_wide_rectangle_pairs_match_per_line_selection(monkeypatch):
     """The vector screen and int64 selection give the value, witness line
-    and count of the per-line exact selection over every distinct key."""
+    and count of the per-line exact selection over every distinct key, at
+    and past the dynamic-programming width; the grid scan stays below the
+    exact value."""
     calls = []
     exact = _fastpath.exact_reduced_values
 
@@ -598,15 +645,38 @@ def test_wide_rectangle_pairs_match_per_line_selection(monkeypatch):
 
     monkeypatch.setattr(_fastpath, "exact_reduced_values", counted)
     for M, N in _wide_pairs():
-        assert _fastpath.vector_ready(M, N)
         n = len(calls)
         res = matching_distance(M, N)
         assert len(calls) == n + 1
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = exactdist._distinct_keys(X, Y, dvals)
-        ref = exactdist._select_exact(M, N, keys, lam, len(keys))
+        ref = select_exact(M, N, keys, lam, len(keys))
         assert (res.value, res.witness_line, res.candidate_count) == \
             (ref.value, ref.witness_line, ref.candidate_count)
+        assert scan(M, N, GridSpec(25, 25)).max_value <= \
+            float(res.value) + 1e-9
+
+
+def test_past_dp_width_restricts_only_the_witness(monkeypatch):
+    """Past the kernel's dynamic-programming width, matching_distance
+    restricts in rationals only its witness line, once per module; a
+    per-line selection restricted this pair's 1,849 lines twice each."""
+    rng = random.Random(10)
+    pool = rand_pool(rng, 3)
+    M, N = (TwoParamModule.from_rects([rand_rect(rng, pool, p_inf=0)
+                                       for _ in range(7)]) for _ in "MN")
+    lines = []
+    restrict = exactdist.restrict_module
+
+    def counted(module, line):
+        lines.append(line)
+        return restrict(module, line)
+
+    monkeypatch.setattr(exactdist, "restrict_module", counted)
+    res = matching_distance(M, N)
+    assert res.candidate_count == 1849
+    assert res.value == Q(3, 2)
+    assert lines == [res.witness_line] * 2
 
 
 def test_wide_rectangle_pairs_integer_values():
@@ -625,14 +695,16 @@ def test_wide_rectangle_pairs_integer_values():
 
 # Presentations whose columns are not single rectangles: several generators
 # per column, columns that reduce to zero, tied and repeated grades, and
-# essential generators, at ranks 0 to 6.
+# essential generators, at ranks 0 to 7.
 
 # (pool, rank of M, rank of N, essential generators per side); pools of 2-3
-# values keep the candidate sets at 217 or 1849 lines
+# values keep the candidate sets at 217 or 1849 lines.  Rank 7 on both
+# sides is past the kernel's dynamic-programming width
 _PRES_SHAPES = [((0, 1, 2), 0, 0, 3), ((0, 1, 2), 1, 2, 1),
                 ((0, 1, 2), 2, 2, 2), ((0, Q(1, 2), 1), 3, 3, 1),
                 ((0, Q(3, 2), 3), 4, 3, 0), ((0, 1), 5, 5, 1),
-                ((0, 1, 2), 6, 6, 0), ((0, 1, 2), 6, 4, 2)]
+                ((0, 1, 2), 6, 6, 0), ((0, 1, 2), 6, 4, 2),
+                ((0, 1, 2), 7, 7, 1)]
 
 
 def _pres_pairs():
@@ -677,7 +749,8 @@ def test_presentation_templates_match_restriction():
 def test_presentation_pairs_match_per_line_selection(monkeypatch):
     """Presentations take the vector screen and int64 selection, which give
     the value, witness line and count of the per-line exact selection over
-    every distinct key."""
+    every distinct key, at and past the dynamic-programming width; the grid
+    scan stays below the exact value."""
     calls = []
     exact = _fastpath.exact_reduced_values
 
@@ -687,15 +760,16 @@ def test_presentation_pairs_match_per_line_selection(monkeypatch):
 
     monkeypatch.setattr(_fastpath, "exact_reduced_values", counted)
     for M, N in _pres_pairs():
-        assert _fastpath.vector_ready(M, N)
         n = len(calls)
         res = matching_distance(M, N)
         assert len(calls) == n + 1
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = exactdist._distinct_keys(X, Y, dvals)
-        ref = exactdist._select_exact(M, N, keys, lam, len(keys))
+        ref = select_exact(M, N, keys, lam, len(keys))
         assert (res.value, res.witness_line, res.candidate_count) == \
             (ref.value, ref.witness_line, ref.candidate_count)
+        assert scan(M, N, GridSpec(25, 25)).max_value <= \
+            float(res.value) + 1e-9
 
 
 def test_presentation_pairs_vector_values():
@@ -794,7 +868,7 @@ def test_scaled_pairs_match_per_line_selection():
             res = matching_distance(M, N)
             X, Y, dvals, lam = exactdist._lattice(M, N, None)
             keys = exactdist._distinct_keys(X, Y, dvals)
-            ref = exactdist._select_exact(M, N, keys, lam, len(keys))
+            ref = select_exact(M, N, keys, lam, len(keys))
             assert (res.value, res.witness_line, res.candidate_count) == \
                 (ref.value, ref.witness_line, ref.candidate_count)
 
@@ -880,7 +954,7 @@ def test_tiny_chunks_match_per_line_selection(monkeypatch):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = exactdist._distinct_keys(X, Y, dvals)
         assert len(sizes) - n >= len(keys) // 64
-        ref = exactdist._select_exact(M, N, keys, lam, len(keys))
+        ref = select_exact(M, N, keys, lam, len(keys))
         assert (res.value, res.witness_line, res.candidate_count) == \
             (ref.value, ref.witness_line, ref.candidate_count)
     assert max(sizes) <= 64
@@ -903,7 +977,7 @@ def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = exactdist._distinct_keys(X, Y, dvals)
         assert len(sizes) - n >= len(keys) // 64 > 1
-        best = min(keys, key=lambda t: exactdist._lex_pair(*t, lam))
+        best = min(keys, key=lambda t: lex_pair(*t, lam))
         assert res.witness_line == exactdist._line_from_key(*best, lam)
         assert res.candidate_count == len(keys)
     assert max(sizes) <= 64
@@ -933,7 +1007,7 @@ def test_lex_min_refines_one_key_per_direction(monkeypatch):
         (want.value, want.witness_line, want.candidate_count)
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
     keys = exactdist._distinct_keys(X, Y, dvals)
-    best = min(keys, key=lambda t: exactdist._lex_pair(*t, lam))
+    best = min(keys, key=lambda t: lex_pair(*t, lam))
     assert res.witness_line == exactdist._line_from_key(*best, lam)
 
 

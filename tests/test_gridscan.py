@@ -12,12 +12,14 @@ from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       ex_need_omega, rand_pool, rand_presentation, rand_rect,
                       rand_rect_module)
 from matchdist import _fastpath, gridscan
-from matchdist.exactdist import matching_distance
+from matchdist.exactdist import _exact_cost, matching_distance
+from matchdist.fibered import bar_counts
+from matchdist.geometry import Line
 from matchdist.gridscan import (GridSpec, HeatmapRow, _axes, _directions,
                                 _evaluator, default_offset_range,
                                 restricted_max, scan, write_csv)
 from matchdist.modules import TwoParamModule, rect
-from matchdist.rational import INF, Q
+from matchdist.rational import INF, Q, rat
 
 
 def test_grid_spec_validation():
@@ -162,20 +164,22 @@ def _wide_pair(finite):
     (lambda: _wide_pair(5), GridSpec(5, 900), None),
     (lambda: tuple(map(combined_presentation, ex_need_omega())),
      GridSpec(5, 1300), None),
-    # past the vector limits, every line is restricted exactly; a small
-    # block gives the same shapes on a small grid
+    # past the kernel's dynamic-programming width, the threshold search
+    # runs line by line; a small block gives the same shapes on a small
+    # grid
     (lambda: _wide_pair(7), GridSpec(5, 7), 16),
     (lambda: _wide_pair(7), GridSpec(2, 20), 16),
 ], ids=["rect", "rect-row-per-call", "rect-5x5", "presentation",
-        "per-line", "per-line-row-per-call"])
+        "past-dp-width", "past-dp-width-row-per-call"])
 def test_blocks_match_one_call_per_row(pair, g, block, monkeypatch):
     """Rows evaluated in blocks give every value, the max and the argmax of
-    one evaluator call per row, bit for bit, on the vector path for
-    rectangles and presentations and on the per-line path."""
+    one evaluator call per row, bit for bit, for rectangles and
+    presentations, at and past the kernel's dynamic-programming width."""
     if block is not None:
         monkeypatch.setattr(gridscan, "_BLOCK_LINES", block)
     M, N = pair()
-    assert _fastpath.vector_ready(M, N) == (block is None)
+    width = min(bar_counts(M)[0], bar_counts(N)[0])
+    assert (width > _fastpath.MAX_FINITE) == (block is not None)
     best, arg, rows = _scan_per_row(M, N, g)
     res = scan(M, N, g)
     assert repr(res.max_value) == repr(best)
@@ -283,42 +287,43 @@ def test_presentation_path_agrees_with_rect_path():
         assert a.weighted_cost == pytest.approx(b.weighted_cost, abs=1e-9)
 
 
-def _assert_vector_path_agrees(M, N, monkeypatch):
+def _assert_vector_path_agrees(M, N):
     """The vectorized evaluator agrees with exact restriction per line, and
     the scan stays below the exact distance."""
-    assert _fastpath.vector_ready(M, N)
     lo, hi = default_offset_range(M, N)
     th, off = np.meshgrid(np.linspace(0.05, 1.5, 12), np.linspace(lo, hi, 15))
     th, off = th.ravel(), off.ravel()
     mx = np.maximum(np.cos(th), np.sin(th))
     lines = (np.cos(th) / mx, np.sin(th) / mx, -off / 2, off / 2)
     fast = _evaluator(M, N)(*lines)
-    with monkeypatch.context() as mp:
-        mp.setattr(_fastpath, "vector_ready", lambda M, N: False)
-        slow = _evaluator(M, N)(*lines)
+    # the offsets make b1 + b2 = 0 exactly, so the doubles give a
+    # normalized Line
+    exact = np.array([
+        float(_exact_cost(M, N, Line((rat(m1), rat(m2)), (rat(b1), rat(b2)))))
+        for m1, m2, b1, b2 in zip(*(a.tolist() for a in lines))])
     assert fast.max() > 0
-    assert np.all(np.abs(fast - slow) <= 1e-9 * np.maximum(1, np.abs(slow)))
-    exact = float(matching_distance(M, N).value)
-    assert scan(M, N, GridSpec(60, 60)).max_value <= exact + 1e-9
+    assert np.all(np.abs(fast - exact) <= 1e-9 * np.maximum(1, np.abs(exact)))
+    value = float(matching_distance(M, N).value)
+    assert scan(M, N, GridSpec(60, 60)).max_value <= value + 1e-9
 
 
-def test_five_rectangle_pair_vector_path_agrees(monkeypatch):
+def test_five_rectangle_pair_vector_path_agrees():
     """Five finite rectangles per side take the vectorized evaluator."""
     rng = random.Random(29)
     pool = rand_pool(rng, 3)
     M, N = (TwoParamModule.from_rects([rand_rect(rng, pool, p_inf=0)
                                        for _ in range(5)]) for _ in "MN")
-    _assert_vector_path_agrees(M, N, monkeypatch)
+    _assert_vector_path_agrees(M, N)
 
 
-def test_presentation_pair_vector_path_agrees(monkeypatch):
+def test_presentation_pair_vector_path_agrees():
     """Presentations with columns of several generators, columns that
     reduce to zero and essential generators take the vectorized evaluator
     too."""
     rng = random.Random(31)
     pool = rand_pool(rng, 3)
     M, N = (rand_presentation(rng, pool, 4, 1) for _ in "MN")
-    _assert_vector_path_agrees(M, N, monkeypatch)
+    _assert_vector_path_agrees(M, N)
 
 
 def test_csv_round_trip_and_inf_sentinel():
