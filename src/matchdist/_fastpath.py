@@ -15,18 +15,21 @@ line crosses a coordinate, in how lengths are halved and in the final
 weighting.  Its matching minimum is bottleneck.cheapest_matching when the
 side with fewer finite bars has at most MAX_FINITE of them (vector_ready),
 and bottleneck.threshold_matching, a search run line by line, past that;
-the two agree bit for bit.  The float arithmetic (_FloatLines) screens
-large line sets with a sound error margin; a presentation's float pushes
-order its grades within rounding, and rounding is monotone, so every
-relation stays at or after its own generators and the float barcode is that
-of a filtration within push rounding error.  The integer arithmetic
-(_KeyNumerators) is exact: on the key (dx, dy, k) with scaling lam, every
-push and pull onto the line is a fraction over the common per-line
-denominator lam*(dx+dy)*dx*dy, so bottleneck costs reduce to integer
-max/min arithmetic on numerators, and the weighted value becomes a
-canonical reduced fraction per line.  It runs in int64 when every
-intermediate is certified to fit, and in Python ints in object arrays
-otherwise.
+the two agree bit for bit.  The float arithmetic (_FloatLines) serves the
+grid scan (line_evaluator) and the float screen of matching_distance's
+uncertified calls; a presentation's float pushes order its grades within
+rounding, and rounding is monotone, so every relation stays at or after its
+own generators and the float barcode is that of a filtration within push
+rounding error.  The integer arithmetic (_KeyNumerators) is exact: on the
+key (dx, dy, k) with scaling lam, every push and pull onto the line is a
+fraction over the common per-line denominator lam*(dx+dy)*dx*dy, so
+bottleneck costs reduce to integer max/min arithmetic on numerators, and
+the weighted value is an unreduced fraction per line.  exact_evaluator
+returns those fractions.  matching_distance's certified calls, those for
+which numerator_bound shows that every intermediate fits int64, take them
+in int64 and reduce only the few lines that can still win.
+exact_reduced_values reduces every line, in int64 when certified and in
+Python ints in object arrays otherwise.
 """
 from __future__ import annotations
 
@@ -274,8 +277,9 @@ class _KeyNumerators:
     and lam-scaled integer coordinates: every push and pull onto the line is
     a numerator over the common denominator lam*(dx+dy)*dx*dy.  Lengths are
     kept whole, so costs are numerators over twice that denominator, and
-    the weighted value is a reduced fraction (p, q) per line.  The arrays
-    are int64 or Python ints in object arrays."""
+    the weighted value is a fraction (p, q) per line, q > 0, not reduced:
+    reduce_fractions reduces it.  The arrays are int64 or Python ints in
+    object arrays."""
 
     def __init__(self, lam, dxv, dyv, kv):
         self.lam, self.dxv, self.dyv, self.kv = lam, dxv, dyv, kv
@@ -298,10 +302,8 @@ class _KeyNumerators:
         return 2 * x
 
     def weigh(self, total):
-        p = np.minimum(self.dxv, self.dyv) * total
-        q = 2 * self.lam * self.s * self.dxv * self.dyv
-        g = np.gcd(p, q)
-        return p // g, q // g
+        return (np.minimum(self.dxv, self.dyv) * total,
+                2 * self.lam * self.s * self.dxv * self.dyv)
 
 
 def _chunk(sm, sn, ar):
@@ -400,33 +402,63 @@ def eval_keys(M, N, dxs, dys, ks, lam):
     return eval_lines(M, N, m1, m2, b1, b2)
 
 
-def exact_reduced_values(M, N, dxv, dyv, kv, lam):
-    """Exact weighted costs over key arrays as reduced fractions.
+def numerator_bound(M, N, lam, dxm, dym, kb):
+    """A bound on every intermediate of the integer kernel, the unreduced
+    numerators and denominators among them, over keys with 0 < dx <= dxm,
+    0 < dy <= dym and |k| <= kb: int64 arithmetic is exact when it is
+    below 2^62."""
+    amax = max((abs(int(v * lam)) for mod in (M, N) for v in _coords(mod)),
+               default=0)
+    s = dxm + dym
+    push_bound = (s * amax + kb) * max(dxm, dym)
+    num_bound = max(dxm, dym) * 4 * push_bound
+    den_bound = 2 * lam * s * dxm * dym
+    return max(num_bound, den_bound)
 
-    Returns (p, q) arrays with value = p/q in lowest terms: int64 when the
-    certified intermediate bounds fit int64, Python ints in object arrays
-    otherwise.  Requires modules with equal essential counts.
+
+def exact_evaluator(M, N, lam):
+    """The exact weighted-cost map over key arrays (dxv, dyv, kv) with
+    scaling lam, with both modules converted into lam-scaled integers once,
+    for every call.  It returns unreduced fractions (p, q), q > 0, in the
+    arrays' dtype, int64 or object; int64 is exact when numerator_bound over
+    the keys is below 2^62.  Requires equal essential counts on the two
+    sides.
 
     A presentation's push numerators order its grades exactly as
     restrict_presentation's push parameters do, ties included, so its
     barcode templates pair the same generators and relations.
     """
     sm, sn = _sides(M, N, lambda v: int(v * lam))
-    amax = max((abs(int(v * lam)) for mod in (M, N) for v in _coords(mod)),
-               default=0)
+
+    def values(dxv, dyv, kv):
+        return _chunk(sm, sn, _KeyNumerators(lam, dxv, dyv, kv))
+
+    return values
+
+
+def reduce_fractions(ps, qs):
+    """The fractions ps/qs in lowest terms, as new arrays."""
+    g = np.gcd(ps, qs)
+    return ps // g, qs // g
+
+
+def exact_reduced_values(M, N, dxv, dyv, kv, lam):
+    """Exact weighted costs over key arrays as reduced fractions.
+
+    Returns (p, q) arrays with value = p/q in lowest terms: int64 when
+    numerator_bound over the keys is below 2^62, Python ints in object
+    arrays otherwise.  Requires modules with equal essential counts.
+    """
     dxm = int(dxv.max()) if dxv.size else 1
     dym = int(dyv.max()) if dyv.size else 1
     kb = int(np.abs(kv).max()) if kv.size else 0
-    s = dxm + dym
-    push_bound = (s * amax + kb) * max(dxm, dym)
-    num_bound = max(dxm, dym) * 4 * push_bound
-    den_bound = 2 * lam * s * dxm * dym
-    dtype = np.int64 if max(num_bound, den_bound) < 1 << 62 else object
+    dtype = (np.int64 if numerator_bound(M, N, lam, dxm, dym, kb) < 1 << 62
+             else object)
     dxv, dyv, kv = (v.astype(dtype, copy=False) for v in (dxv, dyv, kv))
+    values = exact_evaluator(M, N, lam)
     ps = np.empty(len(dxv), dtype=dtype)
     qs = np.empty(len(dxv), dtype=dtype)
     for t in range(0, len(dxv), CHUNK):
         sl = slice(t, t + CHUNK)
-        ps[sl], qs[sl] = _chunk(sm, sn, _KeyNumerators(lam, dxv[sl], dyv[sl],
-                                                      kv[sl]))
-    return ps, qs
+        ps[sl], qs[sl] = values(dxv[sl], dyv[sl], kv[sl])
+    return reduce_fractions(ps, qs)

@@ -19,14 +19,22 @@ and consumed by one streaming loop over a single injective packing of each
 key into one integer: int64 when the ranges allow, Python ints in object
 arrays otherwise.  The pair stage keeps coordinate differences in the
 narrowest dtype that holds them (int32 inside the int64 guard), and a block
-is dropped as soon as it is packed.  The loop counts the distinct keys and
-hands them to a fold in chunks of _fastpath.CHUNK keys, so the unpacked
-keys, their floats and the kernel's temporaries never exceed one chunk.
-The fold keeps a running float maximum with a sound margin, so that only
-the lines that can still win are evaluated exactly; its pruning is sound
-offer by offer, so splitting the keys into chunks changes no result.
-Every pair that needs a line search goes through this screen, whatever its
-number of bars, and only the witness line is restricted in rationals.
+is dropped as soon as it is packed.  The loop returns the sorted distinct
+keys, and every fold then runs over them in chunks of _fastpath.CHUNK keys,
+so each distinct line is offered once and the unpacked keys, their values
+and the kernel's temporaries never exceed one chunk.
+
+Pairs that need a line search go through one selection fold, whatever
+their number of bars, with both modules converted once per call.  A
+certified call (int64 keys and integer-kernel numerators below 2^62, which
+covers every pair of moderate coordinates) takes one exact pass: each line
+is valued once on unreduced int64 numerators, a band with a written 3-ulp
+bound keeps the lines that can still win, and only those are reduced and
+compared exactly.  An uncertified call keeps the float screen with its
+margin and values its survivors exactly, in Python ints where int64 does
+not suffice.  Either way the pruning is sound offer by offer, so splitting
+the keys into chunks changes no result, and only the witness line is
+restricted in rationals.
 """
 from __future__ import annotations
 
@@ -405,44 +413,55 @@ class _KeyUnion:
         return self.parts[0]
 
 
-def _stream(X, Y, dvals, fold=None):
-    """The one key loop: every block's distinct packed keys go to
-    fold.offer(dxv, dyv, kv, packed) in slices of _fastpath.CHUNK keys, each
-    unpacked on its own.  Returns the spec and the sorted distinct packed
-    keys of all blocks.
+def _stream(X, Y, dvals):
+    """The one key loop: the spec and the sorted distinct packed keys of
+    every block, each line once however many blocks repeat it.
 
     Past the pair stage nothing is block-sized but the block's packed keys
     and their distinct values: a block is dropped once packed, and the
-    unpacked keys, their floats and the kernel's temporaries hold one chunk
-    at a time."""
+    union holds one packed integer per distinct line.  The folds run over
+    that union afterwards, in _fold."""
     spec = _pack_spec(X, Y, dvals)
     union = _KeyUnion(spec.dtype)
-    step = _fastpath.CHUNK
     for blk in _iter_blocks(X, Y, dvals, spec.key_dtype):
-        # a block repeats lines that pass through more than two points;
-        # the folds only need each distinct line once
+        # a block repeats lines that pass through more than two points
         packed = _unique_sorted(_pack(spec, *blk))
         del blk
         union.add(packed)
-        if fold is not None:
-            for s in range(0, packed.size, step):
-                part = packed[s:s + step]
-                fold.offer(*_unpack(spec, part), part)
     return spec, union.finish()
+
+
+def _fold(spec, union, fold):
+    """fold.finish() after fold.offer(dxv, dyv, kv, packed) on the distinct
+    packed keys in slices of _fastpath.CHUNK keys, each unpacked on its own,
+    so the unpacked keys, their values and the kernel's temporaries hold one
+    chunk at a time.  Every distinct line is offered once, in key order."""
+    step = _fastpath.CHUNK
+    for s in range(0, union.size, step):
+        part = union[s:s + step]
+        fold.offer(*_unpack(spec, part), part)
+    return fold.finish()
 
 
 class _LexMin:
     """Exact running minimum of the line order (dx/dy, k/(lam*(dx+dy))).
 
     Each offer screens its keys by the float ratio dx/dy against the
-    running minimum, the smaller of the offer's own float minimum and the
+    running minimum m, the smaller of the offer's own float minimum and the
     float ratio of the best key so far, and refines exactly only the keys
-    within a relative 1e-9 of it.  Float ratios lie within a few units in
-    the last place of the exact ones, so a key outside that band has an
-    exact ratio above that of a key already offered and cannot be the
-    lex-min, however the keys are split into offers.  The keys of an offer
-    arrive sorted by (dx, dy, k), and within one direction b1 orders as k,
-    so only the first key of each (dx, dy) run in the band is refined.
+    whose ratio is at most m*(1 + 1e-9) + 1e-12.  The band's error bound,
+    with u = 2^-53: inside _GUARD, dx and dy are exact doubles and dx/dy
+    rounds once, within a relative u of the exact ratio; past the guard the
+    keys are Python ints, and their two conversions to doubles add two more
+    roundings, at most 3u (3 ulps) in all.  The best key's ratio is
+    Python's correctly rounded int division, within u, and the threshold
+    rounds once more.  So a key outside the band has an exact ratio above
+    m*(1 + 1e-9)*(1 - u)/(1 + 3u), and the key behind m, already offered,
+    one of at most m/(1 - 3u): 7u is far inside 1e-9, so the dropped key
+    cannot be the lex-min, however the keys are split into offers.  The
+    keys of an offer arrive sorted by (dx, dy, k), and within one direction
+    b1 orders as k, so only the first key of each (dx, dy) run in the band
+    is refined.
     """
 
     __slots__ = ("lam", "key", "best")
@@ -471,55 +490,137 @@ class _LexMin:
         if self.best is None or ck < self.best:
             self.best, self.key = ck, (dx, dy, k)
 
+    def finish(self):
+        return self.key
 
-class _Screen:
-    """Running float maximum with a buffer of keys still within the margin.
 
-    Keys arrive one chunk of at most _fastpath.CHUNK keys per offer.  The
-    margin 1e-9*max(1, coord_scale, kmax/lam) bounds the float error of
-    every key offered so far, kmax being the largest |k| among them.
-    Pruning against the running maximum is sound however the keys are split
-    into offers: a dropped key and the key of the running maximum were both
-    offered before the drop, so the dropped key lost to some line by more
-    than both their float errors and cannot reach the final maximum.  An
-    early chunk is pruned against a lower running maximum and keeps more
-    keys; the buffer is pruned again when it outgrows _BLOCK and at finish.
+def _band(ps, qs, fmax):
+    """The running maximum fmax of the doubles float(p)/float(q), raised
+    to this chunk's, and the mask of the int64 fractions ps/qs (q > 0) whose
+    double is at least fmax*(1 - 2^-50), the band that may still hold the
+    exact maximum.
+
+    The bound: converting p and q and dividing round once each, so a
+    double r lies within a relative 3u of p/q (u = 2^-53, to first order;
+    (1+u)^2/(1-u) - 1 < 3.01u), and the product fmax*(1 - 8u) rounds once
+    more.  A fraction outside the band has an exact value below
+    fmax*(1 - 8u)(1 + u)/(1 - 3.01u), and fmax is the double of an offered
+    fraction of exact value at least fmax/(1 + 3.01u); the ratio of the two
+    is below (1 - 8u)(1 + 7.1u) < 1, so the dropped fraction is beaten
+    exactly.  Values are at least 0, and p/q >= 2^-62 when positive, so no
+    double is subnormal.
+    """
+    r = ps / qs  # int64: each side converts to a double, then they divide
+    fmax = max(fmax, float(r.max()))
+    return fmax, r >= fmax * (1 - 2.0 ** -50)
+
+
+def _exact_top(ps, qs):
+    """Indices of the exact maximum of the fractions ps/qs, given in lowest
+    terms with q > 0, and of all its ties, in input order.
+
+    Equal fractions have equal reduced numerators and denominators, so
+    each distinct value costs one vectorized comparison over the entries
+    left, and the distinct values are compared by Python-int
+    cross-multiplication.  A band holds one or a few distinct values."""
+    rest = np.arange(len(ps))
+    best = top = None
+    while rest.size:
+        p, q = int(ps[rest[0]]), int(qs[rest[0]])
+        same = (ps[rest] == p) & (qs[rest] == q)
+        if best is None or p * best[1] > best[0] * q:
+            best, top = (p, q), rest[same]
+        rest = rest[~same]
+    return top
+
+
+class _Select:
+    """The exact maximum of the weighted cost over distinct keys, offered
+    one chunk at a time, and the lex-min key among the lines that attain it.
+
+    Each offer scores its keys in doubles and keeps those that may still
+    reach the maximum; the kept keys are pruned again against the running
+    maximum when they outgrow _BLOCK and at finish.  A key is dropped only
+    when a key offered no later beats it exactly, so splitting the keys
+    into offers changes no result.  Two discard rules:
+
+    - Certified calls: int64 keys, and _fastpath.numerator_bound over the
+      spec's key ranges below 2^62.  The kernel runs once per key on int64
+      numerators (_fastpath.exact_evaluator), and the score is its
+      unreduced exact value p/q as float(p)/float(q).  A key is kept when
+      its score lies in _band, whose written bound is 3 ulps per score and
+      one rounding of the threshold.  At finish only the kept fractions are
+      reduced, and _exact_top takes their exact maximum.
+    - Uncertified calls (object keys past _GUARD, or numerators of 2^62 or
+      more): the score is the float kernel's cost (_fastpath.line_evaluator),
+      and a key is kept when it is at least fmax - 1e-9*max(1, coord_scale,
+      kmax/lam), kmax the largest |k| offered so far.  This margin has no
+      written bound yet.  At finish _fastpath.exact_reduced_values values
+      the kept keys exactly, in int64 or in Python ints.
+
+    Both modules are converted once per call, for the whole fold.
     """
 
-    __slots__ = ("M", "N", "lam", "scale", "kmax", "margin", "fmax", "keys",
-                 "vals", "size")
+    __slots__ = ("M", "N", "lam", "spec", "exact", "values", "scale", "kmax",
+                 "margin", "fmax", "parts", "size")
 
-    def __init__(self, M, N, lam):
-        self.M, self.N, self.lam = M, N, lam
-        self.scale = max(1.0, _fastpath.coord_scale(M, N))
-        self.kmax = 0
-        self.margin = 1e-9 * self.scale
+    def __init__(self, M, N, lam, spec, union):
+        self.M, self.N, self.lam, self.spec = M, N, lam, spec
+        # keys sort by dx first, so the last has the largest
+        dxm = int(_unpack(spec, union[-1:])[0][0])
+        self.exact = (spec.key_dtype == np.int64 and _fastpath.numerator_bound(
+            M, N, lam, dxm, spec.sdy - 1, spec.kb) < 1 << 62)
+        if self.exact:
+            self.values = _fastpath.exact_evaluator(M, N, lam)
+        else:
+            self.values = _fastpath.line_evaluator(M, N)
+            self.scale = max(1.0, _fastpath.coord_scale(M, N))
+            self.kmax = 0
         self.fmax = -np.inf
-        self.keys, self.vals, self.size = [], [], 0
+        self.parts, self.size = [], 0
 
     def offer(self, dxv, dyv, kv, packed):
-        self.kmax = max(self.kmax, int(kv.max()), -int(kv.min()))
-        self.margin = 1e-9 * max(self.scale, self.kmax / self.lam)
-        fv = _fastpath.eval_keys(self.M, self.N, dxv, dyv, kv, self.lam)
-        self.fmax = max(self.fmax, float(fv.max()))
-        mask = fv >= self.fmax - self.margin
-        self.keys.append(packed[mask])
-        self.vals.append(fv[mask])
-        self.size += int(mask.sum())
+        if self.exact:
+            cols = (packed, *self.values(dxv, dyv, kv))
+        else:
+            self.kmax = max(self.kmax, int(kv.max()), -int(kv.min()))
+            self.margin = 1e-9 * max(self.scale, self.kmax / self.lam)
+            cols = (packed, self.values(*_fastpath.line_floats(
+                dxv, dyv, kv, self.lam)))
+        self._keep(cols)
         if self.size > _BLOCK:
-            self._consolidate()
+            self._prune()
 
-    def _consolidate(self):
-        keys = np.concatenate(self.keys)
-        vals = np.concatenate(self.vals)
-        mask = vals >= self.fmax - self.margin
-        self.keys, self.vals = [keys[mask]], [vals[mask]]
-        self.size = int(mask.sum())
+    def _keep(self, cols):
+        """Add the rows of the columns (packed, scores...) that the
+        discard rule keeps, after raising fmax to their maximum."""
+        if self.exact:
+            self.fmax, keep = _band(cols[1], cols[2], self.fmax)
+        else:
+            self.fmax = max(self.fmax, float(cols[1].max()))
+            keep = cols[1] >= self.fmax - self.margin
+        self.parts.append(tuple(c[keep] for c in cols))
+        self.size += int(np.count_nonzero(keep))
+
+    def _prune(self):
+        cols = [np.concatenate(c) for c in zip(*self.parts)]
+        self.parts, self.size = [], 0
+        self._keep(cols)
 
     def finish(self):
-        """Deduplicated packed survivor keys."""
-        self._consolidate()
-        return _unique_sorted(self.keys[0])
+        """The lex-min key among the lines of exact maximal value."""
+        self._prune()
+        packed, *scores = self.parts[0]
+        dxv, dyv, kv = _unpack(self.spec, packed)
+        if self.exact:
+            ps, qs = _fastpath.reduce_fractions(*scores)
+        else:
+            ps, qs = _fastpath.exact_reduced_values(self.M, self.N, dxv, dyv,
+                                                    kv, self.lam)
+        top = _exact_top(ps, qs)
+        lexmin = _LexMin(self.lam)
+        lexmin.offer(dxv[top], dyv[top], kv[top])
+        return lexmin.finish()
 
 
 def _line_from_key(dx, dy, k, lam):
@@ -606,26 +707,6 @@ def _result_at(M, N, key, lam, count):
     return DistanceResult(value, line, wit, count)
 
 
-def _select_vector(M, N, dxv, dyv, kv, lam, count):
-    """Exact selection over key arrays through reduced-fraction values.
-
-    Ties collapse by equality of the reduced fractions, so plateaus of
-    equal-valued lines cost one vectorized pass instead of per-line work.
-    """
-    ps, qs = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
-    ratio = ps.astype(np.float64) / qs.astype(np.float64)
-    fm = float(ratio.max())
-    band = np.nonzero(ratio >= fm * (1 - 1e-9) - 1e-12)[0]
-    bp = bq = None
-    for p, q in set(zip(ps[band].tolist(), qs[band].tolist())):
-        if bp is None or p * bq > bp * q:
-            bp, bq = p, q
-    winners = np.nonzero((ps == bp) & (qs == bq))[0]
-    lexmin = _LexMin(lam)
-    lexmin.offer(dxv[winners], dyv[winners], kv[winners])
-    return _result_at(M, N, lexmin.key, lam, count)
-
-
 def matching_distance(M: TwoParamModule, N: TwoParamModule,
                       extra_switch_points: SwitchPointSet | None = None
                       ) -> DistanceResult:
@@ -641,16 +722,13 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
 
     # equal-value decisions that need no line search; the witness line is
     # then just the lex-min candidate
+    spec, union = _stream(X, Y, dvals)
     if (_essential_count(M) != _essential_count(N)
             or _struct_key(M) == _struct_key(N)):
         fold = _LexMin(lam)
     else:
-        fold = _Screen(M, N, lam)
-    spec, union = _stream(X, Y, dvals, fold)
-    count = int(union.size)
-    if isinstance(fold, _LexMin):
-        return _result_at(M, N, fold.key, lam, count)
-    return _select_vector(M, N, *_unpack(spec, fold.finish()), lam, count)
+        fold = _Select(M, N, lam, spec, union)
+    return _result_at(M, N, _fold(spec, union, fold), lam, int(union.size))
 
 
 def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,

@@ -632,18 +632,18 @@ def _wide_pairs():
 
 
 def test_wide_rectangle_pairs_match_per_line_selection(monkeypatch):
-    """The vector screen and int64 selection give the value, witness line
-    and count of the per-line exact selection over every distinct key, at
-    and past the dynamic-programming width; the grid scan stays below the
-    exact value."""
+    """One exact pass, with both modules converted into integers once per
+    pair, gives the value, witness line and count of the per-line exact
+    selection over every distinct key, at and past the dynamic-programming
+    width; the grid scan stays below the exact value."""
     calls = []
-    exact = _fastpath.exact_reduced_values
+    exact = _fastpath.exact_evaluator
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(_fastpath, "exact_reduced_values", counted)
+    monkeypatch.setattr(_fastpath, "exact_evaluator", counted)
     for M, N in _wide_pairs():
         n = len(calls)
         res = matching_distance(M, N)
@@ -747,18 +747,19 @@ def test_presentation_templates_match_restriction():
 
 
 def test_presentation_pairs_match_per_line_selection(monkeypatch):
-    """Presentations take the vector screen and int64 selection, which give
-    the value, witness line and count of the per-line exact selection over
-    every distinct key, at and past the dynamic-programming width; the grid
-    scan stays below the exact value."""
+    """Presentations take one exact pass, with both modules converted into
+    integers once per pair, which gives the value, witness line and count
+    of the per-line exact selection over every distinct key, at and past
+    the dynamic-programming width; the grid scan stays below the exact
+    value."""
     calls = []
-    exact = _fastpath.exact_reduced_values
+    exact = _fastpath.exact_evaluator
 
     def counted(*args):
         calls.append(args)
         return exact(*args)
 
-    monkeypatch.setattr(_fastpath, "exact_reduced_values", counted)
+    monkeypatch.setattr(_fastpath, "exact_evaluator", counted)
     for M, N in _pres_pairs():
         n = len(calls)
         res = matching_distance(M, N)
@@ -941,10 +942,10 @@ def _chunk_sizes(monkeypatch, fold, size):
 
 
 def test_tiny_chunks_match_per_line_selection(monkeypatch):
-    """With 64-key chunks, the screen gives the value, witness line and
-    count of the per-line exact selection over every distinct key, on
+    """With 64-key chunks, the selection fold gives the value, witness line
+    and count of the per-line exact selection over every distinct key, on
     rectangle and presentation pairs of 217 and 1849 lines."""
-    sizes = _chunk_sizes(monkeypatch, exactdist._Screen, 64)
+    sizes = _chunk_sizes(monkeypatch, exactdist._Select, 64)
     pairs = list(itertools.islice(_wide_pairs(), 3))
     pairs += list(itertools.islice(_pres_pairs(), 1, 4))
     for M, N in pairs:
@@ -1009,6 +1010,124 @@ def test_lex_min_refines_one_key_per_direction(monkeypatch):
     keys = exactdist._distinct_keys(X, Y, dvals)
     best = min(keys, key=lambda t: lex_pair(*t, lam))
     assert res.witness_line == exactdist._line_from_key(*best, lam)
+
+
+@pytest.mark.parametrize("dtype, a, b", [
+    (np.int64, (2 ** 24 + 1, 2 ** 24), (2 ** 24, 2 ** 24 - 1)),
+    (object, (2 ** 60 + 1, 2 ** 60), (2 ** 60, 2 ** 60 - 1)),
+], ids=["near-tie", "equal-doubles"])
+def test_lex_min_band_keeps_near_ties(dtype, a, b):
+    """_LexMin's band keeps the exact lex-min against a direction whose
+    ratio dx/dy is above it by a relative 2^-48, and against one whose
+    double equals its own (object keys past the guard), in both orders,
+    in one offer and split across offers."""
+    assert Q(*a) < Q(*b)
+    if dtype is object:
+        assert float(a[0]) / float(a[1]) == float(b[0]) / float(b[1])
+    for first, second in ((a, b), (b, a)):
+        for offers in ([[first, second]], [[first], [second]]):
+            fold = exactdist._LexMin(1)
+            for keys in offers:
+                dxv, dyv = (np.array(c, dtype=dtype) for c in zip(*keys))
+                fold.offer(dxv, dyv, np.zeros(len(keys), dtype=dtype))
+            assert fold.finish() == (*a, 0)
+
+
+def _band_top(ps, qs, chunk):
+    """The selection fold's steps on fractions alone: _band over chunks of
+    chunk entries, the kept ones banded again against the final maximum,
+    reduced, and _exact_top; returns the sorted indices of the exact
+    maximum's ties."""
+    fmax, kept = -np.inf, []
+    for s in range(0, len(ps), chunk):
+        fmax, keep = exactdist._band(ps[s:s + chunk], qs[s:s + chunk], fmax)
+        kept.append(np.nonzero(keep)[0] + s)
+    idx = np.concatenate(kept)
+    idx = idx[exactdist._band(ps[idx], qs[idx], fmax)[1]]
+    top = exactdist._exact_top(*_fastpath.reduce_fractions(ps[idx], qs[idx]))
+    return sorted(idx[top].tolist())
+
+
+def test_band_keeps_exact_maximum_over_equal_doubles():
+    """The certified band and the exact maximum, on int64 fractions whose
+    doubles do not order them: equal doubles with unequal values, and a
+    larger value with the smaller double.  Every case is taken in both
+    orders and among lower fillers, in one chunk and in 64-entry chunks;
+    the plateau case spreads unreduced exact ties over several chunks,
+    with a smaller value of the same double among them.  A fold that kept
+    only the float argmax, or only the entries at the largest double,
+    fails."""
+    B = 1 << 53
+    c = 1 << 55
+    cases = [
+        ([(B + 1, B)], [(1, 1)]),
+        ([(B - 4, B - 3)], [(B + 3, B + 5)]),
+        ([(3 * k, 7 * k) for k in (1, 2, 5, 1 << 40)] * 40,
+         [(3 * c - 1, 7 * c)]),
+    ]
+    assert float(B + 1) / float(B) == 1.0
+    assert float(B - 4) / float(B - 3) < float(B + 3) / float(B + 5)
+    assert float(3 * c - 1) / float(7 * c) == 3 / 7
+    rng = random.Random(76)
+    for wins, losers in cases:
+        assert all(Q(*w) == Q(*wins[0]) > Q(*v) for w in wins for v in losers)
+        fillers = [(rng.randint(1, 1 << 40), 1 << 42) for _ in range(150)]
+        mixed = wins + losers + fillers
+        rng.shuffle(mixed)
+        for entries in (wins + losers, losers + wins, mixed):
+            want = [t for t, e in enumerate(entries) if e in wins]
+            ps, qs = (np.array(col, dtype=np.int64) for col in zip(*entries))
+            for chunk in (64, len(entries)):
+                assert _band_top(ps, qs, chunk) == want
+
+
+def _counted_sides(monkeypatch):
+    """Count _fastpath._sides calls: one per conversion of both modules."""
+    calls = []
+    sides = _fastpath._sides
+
+    def counted(M, N, conv):
+        calls.append(conv)
+        return sides(M, N, conv)
+
+    monkeypatch.setattr(_fastpath, "_sides", counted)
+    return calls
+
+
+def test_certified_pair_converts_modules_once(monkeypatch):
+    """A certified pair's lines are valued in one exact pass: both modules
+    are converted once per call, not once per chunk, and the float kernel
+    never runs."""
+    M, N = ex_need_omega()
+    want = matching_distance(M, N)
+    calls = _counted_sides(monkeypatch)
+
+    def never(*args):
+        raise AssertionError("eval_keys called")
+
+    monkeypatch.setattr(_fastpath, "eval_keys", never)
+    monkeypatch.setattr(_fastpath, "CHUNK", 64)
+    res = matching_distance(M, N)
+    assert res.candidate_count > 4 * 64
+    assert (res.value, res.witness_line) == (want.value, want.witness_line)
+    assert len(calls) == 1
+
+
+def test_uncertified_pair_converts_modules_per_call(monkeypatch):
+    """Past the guard, the float screen converts both modules once and the
+    exact evaluation of its survivors once more, whatever the chunk
+    size."""
+    f = 10 ** 9
+    M, N = (scale(m, f) for m in _huge_pair())
+    assert _key_path(M, N, None) == "bigint"
+    counts = []
+    for chunk in (_fastpath.CHUNK, 64):
+        monkeypatch.setattr(_fastpath, "CHUNK", chunk)
+        calls = _counted_sides(monkeypatch)
+        matching_distance(M, N)
+        counts.append(len(calls))
+        monkeypatch.undo()
+    assert counts == [2, 2]
 
 
 def test_pack_and_unpack_leave_inputs_unchanged():

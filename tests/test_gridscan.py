@@ -223,7 +223,8 @@ def _unequal_essential_pair():
     lambda: _wide_pair(7),
     lambda: (TwoParamModule.from_rects([]),) * 2,
     _unequal_essential_pair,
-], ids=["rect", "presentation", "per-line", "trivial", "unequal-essential"])
+], ids=["rect", "presentation", "past-dp-width", "trivial",
+        "unequal-essential"])
 @pytest.mark.parametrize("g, block, chunk", [
     # blocks of 2 rows and a last block of 1, sliced into kernel chunks of
     # 2 offsets

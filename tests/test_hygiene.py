@@ -3,8 +3,10 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "matchdist").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "matchdist").glob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+# every file whose references keep a package helper alive
+READERS = sorted([*SOURCES, *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(tree):
@@ -31,9 +33,43 @@ def unused_imports(tree):
                   if name not in used)
 
 
+def private_helpers(tree):
+    """Private module-level functions and classes, with their lines; dunder
+    names are not helpers."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def references(tree):
+    """Every name the tree reads, as a bare name, an attribute, an imported
+    name or a string constant (monkeypatch.setattr and the benchmark's
+    tracer name attributes by string)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unreferenced_helpers(tree, refs):
+    """The tree's private helpers that no name in refs reads, with their
+    lines."""
+    return sorted((line, name) for name, line in private_helpers(tree).items()
+                  if name not in refs)
+
+
 def test_sources_found():
-    names = {p.name for p in SOURCES}
-    assert {"exactdist.py", "__init__.py", "test_hygiene.py"} <= names
+    names = {p.name for p in READERS}
+    assert {"exactdist.py", "__init__.py", "test_hygiene.py",
+            "run.py"} <= names
 
 
 def test_no_unused_imports():
@@ -51,3 +87,27 @@ def test_unused_imports_are_caught():
                      "__all__ = ['lcm']\n"
                      "x = numpy.linalg.norm\n")
     assert unused_imports(tree) == [(2, "os"), (3, "g")]
+
+
+def test_no_unreferenced_helpers():
+    refs = set().union(*(references(ast.parse(path.read_text(), str(path)))
+                         for path in READERS))
+    found = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
+             for path in PACKAGE
+             for line, name in unreferenced_helpers(
+                 ast.parse(path.read_text(), str(path)), refs)]
+    assert found == []
+
+
+def test_unreferenced_helpers_are_caught():
+    tree = ast.parse("def _used():\n    pass\n"
+                     "def _dead():\n    pass\n"
+                     "class _Gone:\n    pass\n"
+                     "def __getattr__(name):\n    pass\n"
+                     "def _patched():\n    pass\n"
+                     "def public():\n"
+                     "    def _inner():\n        pass\n"
+                     "    return _used()\n")
+    other = ast.parse("setattr(m, '_patched', None)\n")
+    refs = references(tree) | references(other)
+    assert unreferenced_helpers(tree, refs) == [(3, "_dead"), (5, "_Gone")]
