@@ -34,7 +34,7 @@ Python ints in object arrays otherwise.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -354,6 +354,76 @@ def _chunk(sm, sn, ar):
     return ar.weigh(fin_cost)
 
 
+def _first_true(pred, shape, n):
+    """Per entry of shape, the first index j in [0, n] at which pred(j)
+    holds, n when it never does, for a predicate that holds at every index
+    past one where it holds: a bisection vectorized over the entries, with
+    pred taking an index array of that shape."""
+    lo = np.zeros(shape, dtype=np.intp)
+    hi = np.full(shape, n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        active = lo < hi
+        mid = (lo + hi) // 2
+        holds = pred(np.minimum(mid, n - 1))
+        hi = np.where(active & holds, mid, hi)
+        lo = np.where(active & ~holds, mid + 1, lo)
+    return lo
+
+
+def _live_span(sm, sn, m1, m2, b1, b2):
+    """Per direction row, the column span [lo, hi) of the offset row outside
+    which _chunk gives +0.0 in floats, for the sides sm, sn that
+    line_evaluator converted: m1, m2 are an (r, 1) direction column, b1, b2
+    the (1, n) row b = (-o/2, o/2) of nondecreasing offsets o.  A row with
+    no live column gets lo = n, hi = 0, so that a hull of rows is the min
+    of their lo and the max of their hi.
+
+    The span is exact in the kernel's own float predicates, with no bound.
+    b1 = -o/2 and b2 = o/2 move monotonically with o, and so does each
+    crossing, one rounded subtraction and one rounded division:
+    (v - b1)/m1 never falls and (v - b2)/m2 never rises as o grows.  A
+    finite bar of a rectangle with lower (l1, l2) has birth
+    max(cross0(l1), cross1(l2)) and death max(birth, min of its finite
+    upper crossings).  So it is dead, its death equal to its birth, where
+    P2 = cross0(u1) > cross1(l2) fails for a finite u1, and where
+    P3 = cross1(u2) > cross0(l1) fails for a finite u2; an infinite upper
+    drops its predicate.  Along a row P2 turns from false to true at most
+    once and P3 from true to false, so each bar can be alive only on one
+    interval of columns, found by bisection, and the span is the hull of
+    those intervals over both modules.  Outside it every half-length is
+    b - b = +0.0, every matching minimum of nonnegative costs with an
+    all-diagonal option of cost +0.0 is +0.0, and the weight times +0.0 is
+    +0.0: the value the full evaluation gives, bit for bit, as long as the
+    crossings are finite.
+
+    Presentations and essential bars get full rows: their bars need not die
+    on one offset interval, and essential costs stay positive far away.  So
+    do two trivial modules, whose rows hold no bar at all.
+    """
+    r, n = len(m1), b1.shape[-1]
+    fin = [] if any(isinstance(s, _Pres) or s[0] for s in (sm, sn)) \
+        else sm[1] + sn[1]
+    if not fin:
+        return np.zeros(r, dtype=np.intp), np.full(r, n, dtype=np.intp)
+    # an infinite upper crosses at inf, where its predicate always holds
+    l1, l2, u1, u2 = np.array([
+        (*lower, *(dict(uppers).get(axis, np.inf) for axis in (0, 1)))
+        for lower, uppers in fin]).T
+    bo, bt = b1.ravel(), b2.ravel()
+
+    def p2(j):
+        return (u1 - bo[j]) / m1 > (l2 - bt[j]) / m2
+
+    def p3_fails(j):
+        return ~((u2 - bt[j]) / m2 > (l1 - bo[j]) / m1)
+
+    shape = (r, len(fin))
+    lo, hi = _first_true(p2, shape, n), _first_true(p3_fails, shape, n)
+    dead = lo >= hi
+    return (np.where(dead, n, lo).min(axis=1),
+            np.where(dead, 0, hi).max(axis=1))
+
+
 def line_evaluator(M, N):
     """The weighted-cost map of two modules over float lines, with
     both modules converted into the kernel's floats once, for every call.
@@ -367,6 +437,10 @@ def line_evaluator(M, N):
     one the lines would get as flat arrays, bit for bit.  The lines go
     through the kernel in slices of the last axis of about CHUNK lines.
     Requires equal essential counts on the two sides.
+
+    The map's live_span(m1, m2, b1, b2) is _live_span on the same converted
+    sides: for a direction column against a nondecreasing offset row, the
+    columns of each row outside which the map gives +0.0.
     """
     sm, sn = _sides(M, N, float)
 
@@ -384,6 +458,7 @@ def line_evaluator(M, N):
                 *(a if a.shape[-1] == 1 else a[sl] for a in lines)))
         return out
 
+    costs.live_span = partial(_live_span, sm, sn)
     return costs
 
 

@@ -414,21 +414,29 @@ class _KeyUnion:
 
 
 def _stream(X, Y, dvals):
-    """The one key loop: the spec and the sorted distinct packed keys of
-    every block, each line once however many blocks repeat it.
+    """The one key loop: the spec, the sorted distinct packed keys of every
+    block, each line once however many blocks repeat it, and the keys'
+    reach (largest dx, largest dy, largest |k|).
 
     Past the pair stage nothing is block-sized but the block's packed keys
     and their distinct values: a block is dropped once packed, and the
     union holds one packed integer per distinct line.  The folds run over
-    that union afterwards, in _fold."""
+    that union afterwards, in _fold.  The reach bounds the keys themselves,
+    far below the spec's packing bounds when the coordinates are large and
+    the primitive directions small, and certifies _Select's int64 pass."""
     spec = _pack_spec(X, Y, dvals)
     union = _KeyUnion(spec.dtype)
-    for blk in _iter_blocks(X, Y, dvals, spec.key_dtype):
+    reach = (0, 0, 0)
+    for dxv, dyv, kv in _iter_blocks(X, Y, dvals, spec.key_dtype):
+        if kv.size:
+            reach = (max(reach[0], int(dxv.max())),
+                     max(reach[1], int(dyv.max())),
+                     max(reach[2], int(kv.max()), -int(kv.min())))
         # a block repeats lines that pass through more than two points
-        packed = _unique_sorted(_pack(spec, *blk))
-        del blk
+        packed = _unique_sorted(_pack(spec, dxv, dyv, kv))
+        del dxv, dyv, kv
         union.add(packed)
-    return spec, union.finish()
+    return spec, union.finish(), reach
 
 
 def _fold(spec, union, fold):
@@ -545,7 +553,7 @@ class _Select:
     into offers changes no result.  Two discard rules:
 
     - Certified calls: int64 keys, and _fastpath.numerator_bound over the
-      spec's key ranges below 2^62.  The kernel runs once per key on int64
+      keys' reach (_stream) below 2^62.  The kernel runs once per key on int64
       numerators (_fastpath.exact_evaluator), and the score is its
       unreduced exact value p/q as float(p)/float(q).  A key is kept when
       its score lies in _band, whose written bound is 3 ulps per score and
@@ -564,12 +572,10 @@ class _Select:
     __slots__ = ("M", "N", "lam", "spec", "exact", "values", "scale", "kmax",
                  "margin", "fmax", "parts", "size")
 
-    def __init__(self, M, N, lam, spec, union):
+    def __init__(self, M, N, lam, spec, reach):
         self.M, self.N, self.lam, self.spec = M, N, lam, spec
-        # keys sort by dx first, so the last has the largest
-        dxm = int(_unpack(spec, union[-1:])[0][0])
         self.exact = (spec.key_dtype == np.int64 and _fastpath.numerator_bound(
-            M, N, lam, dxm, spec.sdy - 1, spec.kb) < 1 << 62)
+            M, N, lam, *reach) < 1 << 62)
         if self.exact:
             self.values = _fastpath.exact_evaluator(M, N, lam)
         else:
@@ -630,10 +636,20 @@ def _line_from_key(dx, dy, k, lam):
     return Line((Q(dx, mx), Q(dy, mx)), (b1, -b1))
 
 
+def _direction_order(d):
+    """Sort key of a direction (dx, dy) of positive ints in the order of
+    dx/dy: the correctly rounded double dx/dy, then the exact ratio.
+    Rounding is monotone, a >= b implies fl(a) >= fl(b), so unequal
+    doubles order as the ratios do, and only directions whose doubles tie
+    compare as rationals."""
+    dx, dy = d
+    return dx / dy, Q(dx, dy)
+
+
 def _distinct_keys(X, Y, dvals):
     """All distinct candidate keys as python int triples, sorted by
     (dx, dy, k)."""
-    spec, packed = _stream(X, Y, dvals)
+    spec, packed, _ = _stream(X, Y, dvals)
     return list(zip(*(v.tolist() for v in _unpack(spec, packed))))
 
 
@@ -650,8 +666,9 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     line.  Keys are primitive, so the lines of one direction share one
     (dx, dy); _distinct_keys returns them sorted by (dx, dy, k); and within
     a direction b1 = k/(lam*(dx+dy)) orders as k.  So only the distinct
-    directions are sorted, by dx/dy = m1/m2, and each keeps its lines in
-    key order.  The direction pair is built once per direction.
+    directions are sorted, by dx/dy = m1/m2 (_direction_order), and each
+    keeps its lines in key order.  The direction pair is built once per
+    direction.
 
     Raises:
         BothTrivial: if neither module has any critical values.
@@ -663,7 +680,7 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     for dx, dy, k in _distinct_keys(X, Y, dvals):
         runs.setdefault((dx, dy), []).append(k)
     lines = []
-    for dx, dy in sorted(runs, key=lambda d: Q(*d)):
+    for dx, dy in sorted(runs, key=_direction_order):
         mx = max(dx, dy)
         m = (Q(dx, mx), Q(dy, mx))
         den = lam * (dx + dy)
@@ -722,12 +739,12 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
 
     # equal-value decisions that need no line search; the witness line is
     # then just the lex-min candidate
-    spec, union = _stream(X, Y, dvals)
+    spec, union, reach = _stream(X, Y, dvals)
     if (_essential_count(M) != _essential_count(N)
             or _struct_key(M) == _struct_key(N)):
         fold = _LexMin(lam)
     else:
-        fold = _Select(M, N, lam, spec, union)
+        fold = _Select(M, N, lam, spec, reach)
     return _result_at(M, N, _fold(spec, union, fold), lam, int(union.size))
 
 

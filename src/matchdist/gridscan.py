@@ -9,11 +9,16 @@ evaluated by _fastpath's float kernel, presentations through their barcode
 templates, whatever the number of bars.
 
 The grid is evaluated in blocks of whole theta rows, one evaluator call per
-block of up to _BLOCK_LINES lines.  A block is passed as a broadcast pair,
-its directions as an (r, 1) column against the offsets as a (1, n) row, and
-comes back as an (r, n) array of costs; the two modules are converted into
-the kernel's floats once per scan.  Every kernel is elementwise, so each
-value is the one a call per row would give, bit for bit.
+block of about _BLOCK_LINES evaluated lines.  A line of direction m meets a
+bar's rectangle only for offsets in one interval, so past it the bar is
+dead.  Each row is therefore evaluated only on its live span, the columns
+outside which every finite bar is dead in the kernel's own float predicates
+(_fastpath._live_span), and holds +0.0 elsewhere, the value the kernel
+gives there.  A block is passed as a broadcast pair, its directions as an
+(r, 1) column against the offsets of its rows' span hull as a (1, h) row;
+the two modules are converted into the kernel's floats once per scan.
+Every kernel is elementwise, so each value is the one a call per row over
+all offsets would give, bit for bit.
 """
 from __future__ import annotations
 
@@ -114,12 +119,15 @@ def _axes(M, N, g):
     return thetas, offsets
 
 
-# lines per evaluator call: whole rows fill a block, and a row longer than
-# this gets a call of its own.  A block of several rows pays the kernel's
-# fixed cost, some hundred numpy calls, once.  Much larger blocks are
-# slower: glibc then trims and regrows the heap on every call, and the page
-# faults cost more than the calls saved
+# lines per evaluator call: whole rows fill a block, and a row whose live
+# span is longer than this gets a call of its own.  A block of several rows
+# pays the kernel's fixed cost, some hundred numpy calls, once.  Much larger
+# blocks are slower: glibc then trims and regrows the heap on every call,
+# and the page faults cost more than the calls saved.  For the same reason a
+# block's output, rows times offsets, is capped at _OUT_BLOCKS blocks' worth
+# of lines when its rows have narrow spans
 _BLOCK_LINES = 4096
+_OUT_BLOCKS = 2
 
 
 def _directions(thetas):
@@ -138,15 +146,38 @@ def _directions(thetas):
 def _rows(m1, m2, offsets, ev):
     """Yield the cost rows over offsets of the directions (m1[i], m2[i]), a
     block of whole rows at a time: (index of the block's first direction,
-    its (r, n) costs), with r * n up to _BLOCK_LINES, or r = 1 for a row
-    longer than that.  Each block goes to ev as a broadcast pair, the
-    directions as an (r, 1) column and the offsets as a (1, n) row, so no
-    line array is repeated or tiled."""
+    its (r, n) costs).
+
+    Each row is evaluated only on its live span, where a finite bar can be
+    alive (ev.live_span, _fastpath._live_span); elsewhere its costs are
+    +0.0, which is what the evaluator gives there bit for bit.  A pair
+    without a live-span step, the constant maps of _evaluator, gets full
+    rows.  A block takes rows while their span hull times their number
+    stays within _BLOCK_LINES lines, or r = 1 for a row past that, and r *
+    n within _OUT_BLOCKS * _BLOCK_LINES.  It goes to ev once, on its hull,
+    as a broadcast pair: the directions as an (r, 1) column and the hull's
+    offsets as a (1, h) row, so no line array is repeated or tiled."""
     n = len(offsets)
     b1, b2 = (-offsets / 2)[None, :], (offsets / 2)[None, :]
-    per = max(1, _BLOCK_LINES // n)
-    for a in range(0, len(m1), per):
-        yield a, ev(m1[a:a + per, None], m2[a:a + per, None], b1, b2)
+    live = getattr(ev, "live_span", None)
+    if live is None:
+        lo, hi = [0] * len(m1), [n] * len(m1)
+    else:
+        lo, hi = (s.tolist() for s in live(m1[:, None], m2[:, None], b1, b2))
+    a = 0
+    while a < len(m1):
+        c0, c1, e = lo[a], hi[a], a + 1
+        while e < len(m1) and (e + 1 - a) * n <= _OUT_BLOCKS * _BLOCK_LINES:
+            h0, h1 = min(c0, lo[e]), max(c1, hi[e])
+            if (e + 1 - a) * (h1 - h0) > _BLOCK_LINES:
+                break
+            c0, c1, e = h0, h1, e + 1
+        vals = np.zeros((e - a, n))
+        if c0 < c1:
+            vals[:, c0:c1] = ev(m1[a:e, None], m2[a:e, None],
+                                b1[:, c0:c1], b2[:, c0:c1])
+        yield a, vals
+        a = e
 
 
 def scan(M, N, g: GridSpec) -> ScanResult:
@@ -154,11 +185,13 @@ def scan(M, N, g: GridSpec) -> ScanResult:
 
     Rows are produced in (theta, offset) order; iterating them re-runs the
     evaluation, so a scan whose rows are never read costs no row storage.
-    Whole theta rows are evaluated together in broadcast blocks of up to
-    _BLOCK_LINES lines (_rows), through one evaluator, so both modules are
-    converted once per scan.  Each block takes one argmax per row, and the
-    rows are then compared in order with a strict >: the max and argmax are
-    the first maximum in (theta, offset) order, as a call per row gives.
+    Whole theta rows are evaluated together in broadcast blocks of about
+    _BLOCK_LINES lines (_rows), each row only on its live span, through one
+    evaluator, so both modules are converted once per scan; every row
+    equals the full evaluation bit for bit.  Each block takes one argmax per
+    row, and the rows are then compared in order with a strict >: the max
+    and argmax are the first maximum in (theta, offset) order, as a call
+    per row gives.
     """
     thetas, offsets = _axes(M, N, g)
     dirs = _directions(thetas)
@@ -186,7 +219,7 @@ def restricted_max(M, N, g: GridSpec, family: str) -> float:
     """Max over one restricted line family.
 
     "diagonal_only" sweeps slope-1 lines over the offset grid, one block of
-    a single direction row;
+    a single direction row, evaluated on its live span;
     "critical_pairs_only" evaluates the finitely many lines through two
     points of the lub-closed critical value sets (no grid involved).
     """

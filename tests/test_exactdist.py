@@ -140,6 +140,26 @@ def test_candidate_lines_match_exact_sort_on_every_key_path():
             assert candidate_lines(M, N, ex).lines == want
 
 
+def test_direction_order_matches_fractions():
+    """_direction_order sorts directions as their exact ratios dx/dy do,
+    also where the doubles of two ratios coincide: (2^60+1)/2^60 against
+    2^60/(2^60-1) and 1/1, whose doubles are all 1.0, in every order and
+    among random directions around them."""
+    B = 2 ** 60
+    tied = [(B + 1, B), (B, B - 1), (1, 1), (B - 1, B), (B, B + 1)]
+    assert len({dx / dy for dx, dy in tied}) == 1
+    assert len({Q(dx, dy) for dx, dy in tied}) == len(tied)
+    rng = random.Random(53)
+    dirs = tied + [(rng.randint(1, 1 << 62), rng.randint(1, 1 << 62))
+                   for _ in range(200)]
+    dirs += [(3 * k, 7 * k + 1) for k in (1, 2, 1 << 50)]
+    want = sorted(dirs, key=lambda d: Q(*d))
+    for order in itertools.permutations(tied):
+        got = sorted(list(order) + dirs[len(tied):],
+                     key=exactdist._direction_order)
+        assert got == want
+
+
 # Degenerate inputs.
 
 def test_both_trivial():
@@ -1111,6 +1131,38 @@ def test_certified_pair_converts_modules_once(monkeypatch):
     assert res.candidate_count > 4 * 64
     assert (res.value, res.witness_line) == (want.value, want.witness_line)
     assert len(calls) == 1
+
+
+def test_scaled_pairs_are_certified_by_their_keys(monkeypatch):
+    """The int64 certificate bounds the keys themselves, not the packing:
+    the split-swap example scaled by 1000 (bound 2^72 from the packing,
+    2^39 from the keys) and by 100003 (2^102 against 2^46) takes the exact
+    pass, one exact_evaluator call and no float evaluator, and gives f
+    times the value, the mapped witness line and the same count."""
+    small = matching_distance(*ex_diag_not_suff())
+    calls = []
+    exact = _fastpath.exact_evaluator
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    def never(*args):
+        raise AssertionError("line_evaluator called")
+
+    monkeypatch.setattr(_fastpath, "exact_evaluator", counted)
+    monkeypatch.setattr(_fastpath, "line_evaluator", never)
+    for f in (1000, 100003):
+        M, N = (scale(m, f) for m in ex_diag_not_suff())
+        assert _key_path(M, N, None) == "object"
+        calls.clear()
+        res = matching_distance(M, N)
+        assert len(calls) == 1
+        assert res.value == f * small.value
+        assert res.witness_line.m == small.witness_line.m
+        assert res.witness_line.b == (f * small.witness_line.b[0],
+                                      f * small.witness_line.b[1])
+        assert res.candidate_count == small.candidate_count
 
 
 def test_uncertified_pair_converts_modules_per_call(monkeypatch):

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       ex_need_omega, rand_pool, rand_presentation, rand_rect,
@@ -267,6 +269,110 @@ def test_scan_converts_modules_once(monkeypatch):
     res = scan(M, N, GridSpec(1000, 1000))
     assert res.max_value <= float(Q(21, 10)) + 1e-9
     assert calls == [float]
+
+
+# corner scales for the span test: small integers, slivers of width 1e-9,
+# widths of 1e6, corners near 1e15, where v - b rounds coarsely, and corners
+# near 2^50 with widths of one to four ulps
+_SPAN_KINDS = {"int": (0, 1), "sliver": (0, 1e-9), "wide": (0, 10 ** 6),
+               "huge": (10 ** 15, 1), "ulps": (2 ** 50, Q(1, 4))}
+
+
+@st.composite
+def _span_rect(draw, base, unit):
+    x, y = (base + draw(st.integers(0, 12)) for _ in "xy")
+    w, h = (draw(st.integers(1, 4)) * unit for _ in "wh")
+    # at most one infinite upper: an essential bar takes full rows
+    inf_axis = draw(st.sampled_from([None, None, 0, 1]))
+    return rect(x, y, INF if inf_axis == 0 else x + w,
+                INF if inf_axis == 1 else y + h)
+
+
+def _boundary(r, m1, m2):
+    """The float offset at which a bar of r starts or stops being alive on
+    the direction (m1, m2), where it has a finite upper: where the crossing
+    of u1 meets that of l2, or where the crossing of u2 meets that of l1."""
+    (l1, l2), (u1, u2) = r.lower, r.upper
+    if u1 != INF:
+        return 2 * (m1 * float(l2) - m2 * float(u1)) / (m1 + m2)
+    return 2 * (m1 * float(u2) - m2 * float(l1)) / (m1 + m2)
+
+
+@st.composite
+def _span_cases(draw):
+    """A rectangle pair without essential bars, and a grid whose offsets
+    are integers (so boundary offsets of integer corners fall on grid
+    points), the default range, a range far outside the box, or a range
+    that ends within a few ulps of where a bar dies on one of the rows."""
+    base, unit = _SPAN_KINDS[draw(st.sampled_from(sorted(_SPAN_KINDS)))]
+    M, N = (TwoParamModule.from_rects(
+        draw(st.lists(_span_rect(base, unit), min_size=size, max_size=3)))
+        for size in (1, 0))
+    thetas = draw(st.integers(2, 9))
+    where = draw(st.sampled_from(["integers", "default", "far", "edge"]))
+    if where == "integers":
+        lo = draw(st.integers(-30, 0))
+        hi = lo + draw(st.integers(1, 45))
+        return M, N, GridSpec(thetas, hi - lo + 1, offset_range=(lo, hi))
+    steps = draw(st.integers(2, 40))
+    if where == "default":
+        return M, N, GridSpec(thetas, steps)
+    if where == "far":
+        c = draw(st.sampled_from([-1, 1])) * 10.0 ** draw(st.integers(3, 17))
+        return M, N, GridSpec(thetas, steps, offset_range=(c, c + abs(c) / 2))
+    m1, m2 = _directions(_axes(M, N, GridSpec(thetas, 2))[0])
+    i = draw(st.integers(0, thetas - 1))
+    o = _boundary(draw(st.sampled_from(M.rectangles)), m1[i], m2[i])
+    for _ in range(draw(st.integers(0, 2))):
+        o = np.nextafter(o, draw(st.sampled_from([-np.inf, np.inf])))
+    w = draw(st.sampled_from([1e-12, 1.0, 50.0])) * max(1.0, abs(o))
+    rng = (o, o + w) if draw(st.booleans()) else (o - w, o)
+    return M, N, GridSpec(thetas, steps, offset_range=tuple(map(float, rng)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_span_cases())
+def test_live_spans_match_flat_lines(case):
+    """Rows evaluated only on their live spans, zeros elsewhere, give every
+    row, the max, the argmax and the diagonal family's max of the full
+    flat grid, bit for bit: the float predicates of the span argument
+    (_fastpath._live_span) change value where the kernel's bars die, at
+    grid points, on slivers, far from the box and at coarse rounding."""
+    M, N, g = case
+    best, arg, rows, diag = _scan_flat(M, N, g)
+    res = scan(M, N, g)
+    assert repr(res.max_value) == repr(best)
+    assert res.argmax == arg
+    assert _bits(res.rows) == _bits(rows)
+    assert repr(restricted_max(M, N, g, "diagonal_only")) == repr(diag)
+
+
+@pytest.mark.parametrize("pair, full", [
+    (ex_need_omega, False),
+    (lambda: tuple(map(combined_presentation, ex_need_omega())), True),
+    (lambda: (TwoParamModule.from_rects([rect(0, 0, INF, INF),
+                                         rect(1, 2, 6, 5)]),
+              TwoParamModule.from_rects([rect(1, 1, INF, INF),
+                                         rect(0, 3, 4, 7)])), True),
+], ids=["rect", "presentation", "essential"])
+def test_scan_skips_dead_offsets(pair, full, monkeypatch):
+    """A 1000x1000 scan of finite rectangles runs the kernel on fewer lines
+    than the grid holds; a presentation pair, and a pair with one essential
+    bar per side, run it on every line."""
+    lines = []
+    chunk = _fastpath._chunk
+
+    def counted(sm, sn, ar):
+        lines.append(ar.zeros().size)
+        return chunk(sm, sn, ar)
+
+    monkeypatch.setattr(_fastpath, "_chunk", counted)
+    M, N = pair()
+    scan(M, N, GridSpec(1000, 1000))
+    if full:
+        assert sum(lines) == 1000 * 1000
+    else:
+        assert 0 < sum(lines) < 1000 * 1000
 
 
 def test_trivial_scan_all_zero():
