@@ -414,29 +414,21 @@ class _KeyUnion:
 
 
 def _stream(X, Y, dvals):
-    """The one key loop: the spec, the sorted distinct packed keys of every
-    block, each line once however many blocks repeat it, and the keys'
-    reach (largest dx, largest dy, largest |k|).
+    """The one key loop: the spec and the sorted distinct packed keys of
+    every block, each line once however many blocks repeat it.
 
     Past the pair stage nothing is block-sized but the block's packed keys
     and their distinct values: a block is dropped once packed, and the
     union holds one packed integer per distinct line.  The folds run over
-    that union afterwards, in _fold.  The reach bounds the keys themselves,
-    far below the spec's packing bounds when the coordinates are large and
-    the primitive directions small, and certifies _Select's int64 pass."""
+    that union afterwards, in _fold."""
     spec = _pack_spec(X, Y, dvals)
     union = _KeyUnion(spec.dtype)
-    reach = (0, 0, 0)
-    for dxv, dyv, kv in _iter_blocks(X, Y, dvals, spec.key_dtype):
-        if kv.size:
-            reach = (max(reach[0], int(dxv.max())),
-                     max(reach[1], int(dyv.max())),
-                     max(reach[2], int(kv.max()), -int(kv.min())))
+    for blk in _iter_blocks(X, Y, dvals, spec.key_dtype):
         # a block repeats lines that pass through more than two points
-        packed = _unique_sorted(_pack(spec, dxv, dyv, kv))
-        del dxv, dyv, kv
+        packed = _unique_sorted(_pack(spec, *blk))
+        del blk
         union.add(packed)
-    return spec, union.finish(), reach
+    return spec, union.finish()
 
 
 def _fold(spec, union, fold):
@@ -542,6 +534,20 @@ def _exact_top(ps, qs):
     return top
 
 
+def _reach(spec, union):
+    """The largest dy and |k| of the distinct packed keys, unpacked in
+    slices of _fastpath.CHUNK keys: bounds of the keys themselves, far
+    below the spec's packing bounds when the coordinates are large and the
+    primitive directions small."""
+    dym = kmax = 0
+    step = _fastpath.CHUNK
+    for s in range(0, union.size, step):
+        _, dyv, kv = _unpack(spec, union[s:s + step])
+        dym = max(dym, int(dyv.max()))
+        kmax = max(kmax, int(kv.max()), -int(kv.min()))
+    return dym, kmax
+
+
 class _Select:
     """The exact maximum of the weighted cost over distinct keys, offered
     one chunk at a time, and the lex-min key among the lines that attain it.
@@ -552,8 +558,9 @@ class _Select:
     when a key offered no later beats it exactly, so splitting the keys
     into offers changes no result.  Two discard rules:
 
-    - Certified calls: int64 keys, and _fastpath.numerator_bound over the
-      keys' reach (_stream) below 2^62.  The kernel runs once per key on int64
+    - Certified calls: int64 keys, and _fastpath.numerator_bound below
+      2^62, over the spec's key ranges or, where those fail, over the
+      keys' own reach (_reach).  The kernel runs once per key on int64
       numerators (_fastpath.exact_evaluator), and the score is its
       unreduced exact value p/q as float(p)/float(q).  A key is kept when
       its score lies in _band, whose written bound is 3 ulps per score and
@@ -572,10 +579,19 @@ class _Select:
     __slots__ = ("M", "N", "lam", "spec", "exact", "values", "scale", "kmax",
                  "margin", "fmax", "parts", "size")
 
-    def __init__(self, M, N, lam, spec, reach):
+    def __init__(self, M, N, lam, spec, union):
         self.M, self.N, self.lam, self.spec = M, N, lam, spec
-        self.exact = (spec.key_dtype == np.int64 and _fastpath.numerator_bound(
-            M, N, lam, *reach) < 1 << 62)
+        # keys sort by dx first, so the last has the largest
+        dxm = int(_unpack(spec, union[-1:])[0][0])
+
+        def certified(dym, kb):
+            return _fastpath.numerator_bound(M, N, lam, dxm, dym, kb) < 1 << 62
+
+        # the spec's ranges certify most pairs; the keys are read again
+        # only where they fail
+        self.exact = spec.key_dtype == np.int64 and (
+            certified(spec.sdy - 1, spec.kb)
+            or certified(*_reach(spec, union)))
         if self.exact:
             self.values = _fastpath.exact_evaluator(M, N, lam)
         else:
@@ -649,7 +665,7 @@ def _direction_order(d):
 def _distinct_keys(X, Y, dvals):
     """All distinct candidate keys as python int triples, sorted by
     (dx, dy, k)."""
-    spec, packed, _ = _stream(X, Y, dvals)
+    spec, packed = _stream(X, Y, dvals)
     return list(zip(*(v.tolist() for v in _unpack(spec, packed))))
 
 
@@ -739,12 +755,12 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
 
     # equal-value decisions that need no line search; the witness line is
     # then just the lex-min candidate
-    spec, union, reach = _stream(X, Y, dvals)
+    spec, union = _stream(X, Y, dvals)
     if (_essential_count(M) != _essential_count(N)
             or _struct_key(M) == _struct_key(N)):
         fold = _LexMin(lam)
     else:
-        fold = _Select(M, N, lam, spec, reach)
+        fold = _Select(M, N, lam, spec, union)
     return _result_at(M, N, _fold(spec, union, fold), lam, int(union.size))
 
 

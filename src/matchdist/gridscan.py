@@ -150,20 +150,28 @@ def _rows(m1, m2, offsets, ev):
 
     Each row is evaluated only on its live span, where a finite bar can be
     alive (ev.live_span, _fastpath._live_span); elsewhere its costs are
-    +0.0, which is what the evaluator gives there bit for bit.  A pair
-    without a live-span step, the constant maps of _evaluator, gets full
-    rows.  A block takes rows while their span hull times their number
-    stays within _BLOCK_LINES lines, or r = 1 for a row past that, and r *
-    n within _OUT_BLOCKS * _BLOCK_LINES.  It goes to ev once, on its hull,
-    as a broadcast pair: the directions as an (r, 1) column and the hull's
-    offsets as a (1, h) row, so no line array is repeated or tiled."""
+    +0.0, which is what the evaluator gives there bit for bit.  A block
+    takes rows while their span hull times their number stays within
+    _BLOCK_LINES lines, or r = 1 for a row past that, and r * n within
+    _OUT_BLOCKS * _BLOCK_LINES.  It goes to ev once, on its hull, as a
+    broadcast pair: the directions as an (r, 1) column and the hull's
+    offsets as a (1, h) row, so no line array is repeated or tiled.
+
+    A pair without a live-span step, the constant maps of _evaluator, and
+    a grid of at most _BLOCK_LINES lines, one block whatever the spans,
+    get full rows instead, r * n up to _BLOCK_LINES, with no span
+    search."""
     n = len(offsets)
     b1, b2 = (-offsets / 2)[None, :], (offsets / 2)[None, :]
     live = getattr(ev, "live_span", None)
-    if live is None:
-        lo, hi = [0] * len(m1), [n] * len(m1)
-    else:
-        lo, hi = (s.tolist() for s in live(m1[:, None], m2[:, None], b1, b2))
+    if live is None or len(m1) * n <= _BLOCK_LINES:
+        # full rows, _BLOCK_LINES lines a block: on a grid of one block
+        # the spans would save no evaluator call
+        per = max(1, _BLOCK_LINES // n)
+        for a in range(0, len(m1), per):
+            yield a, ev(m1[a:a + per, None], m2[a:a + per, None], b1, b2)
+        return
+    lo, hi = (s.tolist() for s in live(m1[:, None], m2[:, None], b1, b2))
     a = 0
     while a < len(m1):
         c0, c1, e = lo[a], hi[a], a + 1

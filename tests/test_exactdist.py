@@ -1134,11 +1134,12 @@ def test_certified_pair_converts_modules_once(monkeypatch):
 
 
 def test_scaled_pairs_are_certified_by_their_keys(monkeypatch):
-    """The int64 certificate bounds the keys themselves, not the packing:
-    the split-swap example scaled by 1000 (bound 2^72 from the packing,
-    2^39 from the keys) and by 100003 (2^102 against 2^46) takes the exact
-    pass, one exact_evaluator call and no float evaluator, and gives f
-    times the value, the mapped witness line and the same count."""
+    """Where the packing's bounds fail, the int64 certificate bounds the
+    keys themselves: the split-swap example scaled by 1000 (bound 2^72
+    from the packing, 2^39 from the keys) and by 100003 (2^102 against
+    2^46) takes the exact pass, one exact_evaluator call and no float
+    evaluator, and gives f times the value, the mapped witness line and
+    the same count."""
     small = matching_distance(*ex_diag_not_suff())
     calls = []
     exact = _fastpath.exact_evaluator

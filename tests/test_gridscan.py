@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,11 +280,12 @@ _SPAN_KINDS = {"int": (0, 1), "sliver": (0, 1e-9), "wide": (0, 10 ** 6),
 
 
 @st.composite
-def _span_rect(draw, base, unit):
+def _span_rect(draw, base, unit, infinite=True):
     x, y = (base + draw(st.integers(0, 12)) for _ in "xy")
     w, h = (draw(st.integers(1, 4)) * unit for _ in "wh")
     # at most one infinite upper: an essential bar takes full rows
-    inf_axis = draw(st.sampled_from([None, None, 0, 1]))
+    inf_axis = draw(st.sampled_from([None, None, 0, 1] if infinite
+                                    else [None]))
     return rect(x, y, INF if inf_axis == 0 else x + w,
                 INF if inf_axis == 1 else y + h)
 
@@ -303,11 +305,19 @@ def _span_cases(draw):
     """A rectangle pair without essential bars, and a grid whose offsets
     are integers (so boundary offsets of integer corners fall on grid
     points), the default range, a range far outside the box, or a range
-    that ends within a few ulps of where a bar dies on one of the rows."""
+    that ends within a few ulps of where a bar dies on one of the rows.
+    Some pairs have MAX_FINITE + 1 finite bars a side, past the kernel's
+    dynamic-programming width, where the threshold search decides."""
     base, unit = _SPAN_KINDS[draw(st.sampled_from(sorted(_SPAN_KINDS)))]
+    wide = _fastpath.MAX_FINITE + 1
+    sizes = draw(st.sampled_from([((1, 3), (0, 3))] * 3
+                                 + [((wide, wide),) * 2]))
+    # among so many bars a one-sided infinite upper would leave every
+    # column live, so wide pairs have finite uppers only
+    inf = sizes[0][0] < wide
     M, N = (TwoParamModule.from_rects(
-        draw(st.lists(_span_rect(base, unit), min_size=size, max_size=3)))
-        for size in (1, 0))
+        draw(st.lists(_span_rect(base, unit, inf), min_size=lo, max_size=hi)))
+        for lo, hi in sizes)
     thetas = draw(st.integers(2, 9))
     where = draw(st.sampled_from(["integers", "default", "far", "edge"]))
     if where == "integers":
@@ -331,20 +341,23 @@ def _span_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_span_cases())
-def test_live_spans_match_flat_lines(case):
+@given(_span_cases(), st.sampled_from([1, 8, 64]))
+def test_live_spans_match_flat_lines(case, block):
     """Rows evaluated only on their live spans, zeros elsewhere, give every
     row, the max, the argmax and the diagonal family's max of the full
     flat grid, bit for bit: the float predicates of the span argument
     (_fastpath._live_span) change value where the kernel's bars die, at
-    grid points, on slivers, far from the box and at coarse rounding."""
+    grid points, on slivers, far from the box and at coarse rounding.
+    Blocks of a few lines make these small grids, and the diagonal
+    family's row, take the span path."""
     M, N, g = case
     best, arg, rows, diag = _scan_flat(M, N, g)
-    res = scan(M, N, g)
-    assert repr(res.max_value) == repr(best)
-    assert res.argmax == arg
-    assert _bits(res.rows) == _bits(rows)
-    assert repr(restricted_max(M, N, g, "diagonal_only")) == repr(diag)
+    with mock.patch.object(gridscan, "_BLOCK_LINES", block):
+        res = scan(M, N, g)
+        assert repr(res.max_value) == repr(best)
+        assert res.argmax == arg
+        assert _bits(res.rows) == _bits(rows)
+        assert repr(restricted_max(M, N, g, "diagonal_only")) == repr(diag)
 
 
 @pytest.mark.parametrize("pair, full", [
@@ -373,6 +386,24 @@ def test_scan_skips_dead_offsets(pair, full, monkeypatch):
         assert sum(lines) == 1000 * 1000
     else:
         assert 0 < sum(lines) < 1000 * 1000
+
+
+def test_small_grid_skips_span_search(monkeypatch):
+    """A grid of at most _BLOCK_LINES lines is one block of full rows, so
+    its scan runs no span search; a larger grid runs it once."""
+    calls = []
+    live = _fastpath._live_span
+
+    def counted(*args):
+        calls.append(args)
+        return live(*args)
+
+    monkeypatch.setattr(_fastpath, "_live_span", counted)
+    M, N = ex_need_omega()
+    scan(M, N, GridSpec(50, 50))
+    assert calls == []
+    scan(M, N, GridSpec(50, 100))
+    assert len(calls) == 1
 
 
 def test_trivial_scan_all_zero():
