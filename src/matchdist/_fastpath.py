@@ -40,7 +40,7 @@ import numpy as np
 
 from .bottleneck import cheapest_matching, threshold_matching
 from .fibered import bar_counts, reduce_columns
-from .rational import INF
+from .rational import is_inf
 
 MAX_FINITE = 6
 CHUNK = 16384
@@ -171,7 +171,7 @@ def _side(module, conv):
     for r in module.rectangles:
         lower = (conv(r.lower[0]), conv(r.lower[1]))
         uppers = [(axis, conv(u)) for axis, u in enumerate(r.upper)
-                  if u != INF]
+                  if not is_inf(u)]
         if uppers:
             fin.append((lower, uppers))
         else:
@@ -215,7 +215,7 @@ def _coords(module):
     """Every finite coordinate of the module's grades."""
     if module.rectangles is not None:
         for r in module.rectangles:
-            yield from (v for v in (*r.lower, *r.upper) if v != INF)
+            yield from (v for v in (*r.lower, *r.upper) if not is_inf(v))
         return
     pres = module.presentation
     for _, grade in pres.generators:
@@ -260,6 +260,9 @@ class _FloatLines:
         b, m = self.lines[axis]
         return (v - b) / m
 
+    def extent(self, axis, w):
+        return w / self.lines[axis][1]
+
     @staticmethod
     def half(x):
         return x / 2
@@ -292,6 +295,10 @@ class _KeyNumerators:
         if axis == 0:
             return (self.s * v - self.kv) * self.dyv
         return (self.s * v + self.kv) * self.dxv
+
+    def extent(self, axis, w):
+        # cross(axis, v + w) - cross(axis, v): k cancels
+        return self.s * w * (self.dyv if axis == 0 else self.dxv)
 
     @staticmethod
     def half(x):
@@ -354,6 +361,76 @@ def _chunk(sm, sn, ar):
     return ar.weigh(fin_cost)
 
 
+def _finite_rects(sm, sn):
+    """The finite rects of the converted sides sm, sn, or None when a side
+    is a presentation or has essential bars.  Only rectangle pairs without
+    essential bars have every bar die on one offset interval per direction
+    and a weighted cost that a direction bounds."""
+    if any(isinstance(s, _Pres) or s[0] for s in (sm, sn)):
+        return None
+    return sm[1] + sn[1]
+
+
+def _direction_bound(fin, ar):
+    """An upper bound on _chunk's weighted cost over the lines of the
+    arithmetic ar, from the finite rects fin of both sides: the weight times
+    the largest half-length a bar can have, the least of ar.extent(axis,
+    u - l) over its finite uppers u, the crossing difference of its width.
+
+    Matching every bar to the diagonal is feasible, so the matching minimum
+    is at most the largest half-length, and a bar's birth is at or past its
+    lower crossing on each axis and its death at or before each finite upper
+    crossing.  The bound depends on the direction only: on a key (dx, dy, k)
+    the width w on the first axis gives s*w*dy, k cancelling (s = dx + dy),
+    and on the second s*w*dx.  In _KeyNumerators it is exact, p <= p_ub
+    over the kernel's own q = 2*lam*s*dx*dy, and its intermediates lie
+    within numerator_bound's certificate: s*w*dy is at most twice a push
+    bound.  In _FloatLines each crossing rounds, and _row_bound adds the
+    margin that covers it."""
+    ext = {}
+
+    def extent(axis, w):
+        t = ext.get((axis, w))
+        if t is None:
+            t = ext[axis, w] = ar.extent(axis, w)
+        return t
+
+    total = reduce(np.maximum, [
+        reduce(np.minimum, [extent(axis, u - lower[axis])
+                            for axis, u in uppers])
+        for lower, uppers in fin])
+    return ar.weigh(ar.half(total))
+
+
+def _row_bound(fin, m1, m2, b1, b2):
+    """Per direction of the (r, 1) column m1, m2, a float no float cost of
+    _chunk on that direction exceeds, at any offset of the row b1, b2:
+    _direction_bound plus the margin 2^-48*(V + B) + 2^-1022, V the largest
+    |coordinate| of the finite rects fin and B the largest |b|.
+
+    The margin, with u = 2^-53: a crossing c(v) = fl(fl(v - b)/m) rounds
+    twice, so it lies within 2.0001u*(|v| + |b|)/m of (v - b)/m.  A bar's
+    float length is at most c(u) - c(l) on any axis with a finite upper u,
+    as max and min are exact, which is the width's (u - l)/m plus at most
+    2.0001u*(|u| + |l| + 2|b|)/m <= 4.0002u*(V + B)/m.  Halving, the
+    matching minimum (at most the largest half-length, max and min being
+    exact) and the product with the weight w = min(m1, m2) <= m round twice
+    more, and w/m <= 1 turns the crossing error into an absolute
+    2.0001u*(V + B) per row, whatever the direction.  The bound's own float
+    steps, fl(u - l), the division, the halving and the weight, each round
+    down by at most a relative u, or 6.01u in all on a bound T <= V.  So a
+    cost exceeds the bound by at most 8.2u*(V + B), within the margin's 32u
+    after its own two roundings and that of the sum; 2^-1022 covers a
+    halving that rounds a subnormal up.  Offsets past the box make B large
+    and the bound loose, never wrong.
+    """
+    scale = max(abs(v) for lower, uppers in fin
+                for v in (*lower, *(u for _, u in uppers)))
+    reach = max(float(np.abs(b).max()) for b in (b1, b2))
+    margin = 2.0 ** -48 * (scale + reach) + 2.0 ** -1022
+    return _direction_bound(fin, _FloatLines(m1, m2, b1, b2)) + margin
+
+
 def _first_true(pred, shape, n):
     """Per entry of shape, the first index j in [0, n] at which pred(j)
     holds, n when it never does, for a predicate that holds at every index
@@ -401,8 +478,7 @@ def _live_span(sm, sn, m1, m2, b1, b2):
     do two trivial modules, whose rows hold no bar at all.
     """
     r, n = len(m1), b1.shape[-1]
-    fin = [] if any(isinstance(s, _Pres) or s[0] for s in (sm, sn)) \
-        else sm[1] + sn[1]
+    fin = _finite_rects(sm, sn)
     if not fin:
         return np.zeros(r, dtype=np.intp), np.full(r, n, dtype=np.intp)
     # an infinite upper crosses at inf, where its predicate always holds
@@ -440,7 +516,10 @@ def line_evaluator(M, N):
 
     The map's live_span(m1, m2, b1, b2) is _live_span on the same converted
     sides: for a direction column against a nondecreasing offset row, the
-    columns of each row outside which the map gives +0.0.
+    columns of each row outside which the map gives +0.0.  On a rectangle
+    pair without essential bars the map also has row_bound(m1, m2, b1, b2),
+    _row_bound on the same sides: per direction of the column, a float that
+    no cost on that direction exceeds, at any offset of the row.
     """
     sm, sn = _sides(M, N, float)
 
@@ -459,6 +538,9 @@ def line_evaluator(M, N):
         return out
 
     costs.live_span = partial(_live_span, sm, sn)
+    fin = _finite_rects(sm, sn)
+    if fin:
+        costs.row_bound = partial(_row_bound, fin)
     return costs
 
 
@@ -502,12 +584,21 @@ def exact_evaluator(M, N, lam):
     A presentation's push numerators order its grades exactly as
     restrict_presentation's push parameters do, ties included, so its
     barcode templates pair the same generators and relations.
+
+    On a rectangle pair without essential bars the map also has
+    bound(dxv, dyv, kv): _direction_bound's fractions (p_ub, q), with the
+    map's own q and p <= p_ub line by line, exact under the same
+    certificate.
     """
     sm, sn = _sides(M, N, lambda v: int(v * lam))
 
     def values(dxv, dyv, kv):
         return _chunk(sm, sn, _KeyNumerators(lam, dxv, dyv, kv))
 
+    fin = _finite_rects(sm, sn)
+    if fin:
+        values.bound = lambda dxv, dyv, kv: _direction_bound(
+            fin, _KeyNumerators(lam, dxv, dyv, kv))
     return values
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import INF, Q, ext_abs_diff
+from .rational import INF, Q, ext_abs_diff, is_inf
 
 
 class TooLarge(ValueError):
@@ -38,7 +38,7 @@ class MatchingWitness:
 
 
 def _half(bar):
-    return INF if bar.death == INF else (bar.death - bar.birth) / 2
+    return INF if is_inf(bar.death) else (bar.death - bar.birth) / 2
 
 
 def _pair_cost(a, b):
@@ -113,8 +113,8 @@ def bottleneck(d1, d2):
     Returns (cost, MatchingWitness).  If the diagrams have different numbers
     of essential bars the cost is +inf with a degenerate witness.
     """
-    ess1 = [i for i, b in enumerate(d1) if b.death == INF]
-    ess2 = [j for j, b in enumerate(d2) if b.death == INF]
+    ess1 = [i for i, b in enumerate(d1) if is_inf(b.death)]
+    ess2 = [j for j, b in enumerate(d2) if is_inf(b.death)]
     if len(ess1) != len(ess2):
         unmatched = tuple((1, i) for i in range(len(d1))) + \
             tuple((2, j) for j in range(len(d2)))
@@ -131,8 +131,8 @@ def bottleneck(d1, d2):
             cost_e = c
             realizer_e = (d1[i].birth, d2[j].birth, 1)
 
-    fin1 = [i for i, b in enumerate(d1) if b.death != INF]
-    fin2 = [j for j, b in enumerate(d2) if b.death != INF]
+    fin1 = [i for i, b in enumerate(d1) if not is_inf(b.death)]
+    fin2 = [j for j, b in enumerate(d2) if not is_inf(b.death)]
     p1 = [d1[i] for i in fin1]
     p2 = [d2[j] for j in fin2]
     pc = [[_pair_cost(a, b) for b in p2] for a in p1]
@@ -263,10 +263,10 @@ def bottleneck_cost(d1, d2):
     Up to _MATCHING_BARS finite bars per side take cheapest_matching on
     rationals, larger diagrams threshold_matching.
     """
-    fin1 = [b for b in d1 if b.death != INF]
-    fin2 = [b for b in d2 if b.death != INF]
-    e1 = sorted(b.birth for b in d1 if b.death == INF)
-    e2 = sorted(b.birth for b in d2 if b.death == INF)
+    fin1 = [b for b in d1 if not is_inf(b.death)]
+    fin2 = [b for b in d2 if not is_inf(b.death)]
+    e1 = sorted(b.birth for b in d1 if is_inf(b.death))
+    e2 = sorted(b.birth for b in d2 if is_inf(b.death))
     if len(e1) != len(e2):
         return INF
     base = max((abs(a - b) for a, b in zip(e1, e2)), default=Q(0))
@@ -293,7 +293,7 @@ def bottleneck_bruteforce(d1, d2):
 
     def rec(i, used, cur):
         nonlocal best
-        if cur >= best and best != INF:
+        if cur >= best and not is_inf(best):
             return
         if i == len(d1):
             tot = cur

@@ -27,7 +27,7 @@ from .fibered import restrict_module
 from .geometry import NonPositiveDirection, line_through, normalize_line
 from .gridscan import GridSpec, scan, write_csv
 from .modules import Presentation, TwoParamModule, critical_values, rect
-from .rational import INF, fmt, rat
+from .rational import INF, fmt, is_inf, rat
 
 
 class ParseError(Exception):
@@ -177,7 +177,7 @@ def _value_line(v) -> str:
 def _result_doc(res, seconds) -> dict:
     doc = {
         "value": fmt(res.value),
-        "value_float": None if res.value == INF else float(res.value),
+        "value_float": None if is_inf(res.value) else float(res.value),
         "witness_line": None,
         "realizer": None,
         "candidate_count": res.candidate_count,

@@ -49,7 +49,7 @@ from .bottleneck import MatchingWitness, bottleneck, bottleneck_cost
 from .fibered import bar_counts, restrict_module
 from .geometry import Line, ProjPoint, normalize_line, weight
 from .modules import TwoParamModule, critical_values, lub_closure, swap_axes
-from .rational import INF, Q, rat
+from .rational import INF, Q, is_inf, rat
 
 
 class BothTrivial(ValueError):
@@ -548,6 +548,11 @@ def _reach(spec, union):
     return dym, kmax
 
 
+# keys of highest bound that a certified selection values first, on its
+# first offer, to seed the running maximum that the bound prunes against
+_SEED = 256
+
+
 class _Select:
     """The exact maximum of the weighted cost over distinct keys, offered
     one chunk at a time, and the lex-min key among the lines that attain it.
@@ -572,6 +577,18 @@ class _Select:
       kmax/lam), kmax the largest |k| offered so far.  This margin has no
       written bound yet.  At finish _fastpath.exact_reduced_values values
       the kept keys exactly, in int64 or in Python ints.
+
+    On a certified call of a rectangle pair without essential bars, the
+    kernel does not run on a key that cannot reach the running maximum.
+    The evaluator's direction bound (_fastpath._direction_bound) gives each
+    key a fraction p_ub/q over the kernel's own q, with p <= p_ub exactly,
+    in int64 under the same certificate; a key is dropped unvalued when
+    float(p_ub)/float(q) < fmax*(1 - 2^-50), _band's rule, whose 3-ulp
+    argument carries over: p_ub/q, and with it p/q, is beaten exactly by a
+    key already valued.  The first offer values its _SEED keys of highest
+    bound before the rest, so that the bound prunes from the start; the
+    kept keys are then out of key order, and finish sorts the tied ones
+    back before the lex-min.
 
     Both modules are converted once per call, for the whole fold.
     """
@@ -603,15 +620,31 @@ class _Select:
 
     def offer(self, dxv, dyv, kv, packed):
         if self.exact:
-            cols = (packed, *self.values(dxv, dyv, kv))
+            bound = getattr(self.values, "bound", None)
+            keys = (dxv, dyv, kv, packed)
+            if bound is not None:
+                r = np.divide(*bound(dxv, dyv, kv))
+                if self.fmax == -np.inf and len(r) > _SEED:
+                    seed = np.zeros(len(r), dtype=bool)
+                    seed[np.argpartition(r, -_SEED)[-_SEED:]] = True
+                    self._score(*(c[seed] for c in keys))
+                    r[seed] = -np.inf
+                # _band's threshold, on the bound's doubles
+                live = r >= self.fmax * (1 - 2.0 ** -50)
+                keys = tuple(c[live] for c in keys)
+            if len(keys[0]):
+                self._score(*keys)
         else:
             self.kmax = max(self.kmax, int(kv.max()), -int(kv.min()))
             self.margin = 1e-9 * max(self.scale, self.kmax / self.lam)
-            cols = (packed, self.values(*_fastpath.line_floats(
-                dxv, dyv, kv, self.lam)))
-        self._keep(cols)
+            self._keep((packed, self.values(*_fastpath.line_floats(
+                dxv, dyv, kv, self.lam))))
         if self.size > _BLOCK:
             self._prune()
+
+    def _score(self, dxv, dyv, kv, packed):
+        """Value the keys exactly and keep those in the band."""
+        self._keep((packed, *self.values(dxv, dyv, kv)))
 
     def _keep(self, cols):
         """Add the rows of the columns (packed, scores...) that the
@@ -633,15 +666,17 @@ class _Select:
         """The lex-min key among the lines of exact maximal value."""
         self._prune()
         packed, *scores = self.parts[0]
-        dxv, dyv, kv = _unpack(self.spec, packed)
         if self.exact:
             ps, qs = _fastpath.reduce_fractions(*scores)
         else:
+            dxv, dyv, kv = _unpack(self.spec, packed)
             ps, qs = _fastpath.exact_reduced_values(self.M, self.N, dxv, dyv,
                                                     kv, self.lam)
-        top = _exact_top(ps, qs)
+        top = packed[_exact_top(ps, qs)]
+        # _LexMin reads the keys in key order, which seeding breaks
+        top.sort()
         lexmin = _LexMin(self.lam)
-        lexmin.offer(dxv[top], dyv[top], kv[top])
+        lexmin.offer(*_unpack(self.spec, top))
         return lexmin.finish()
 
 
@@ -721,7 +756,7 @@ def _struct_key(module):
 def _exact_cost(M, N, line):
     """Weighted cost on one line, value only."""
     c = bottleneck_cost(restrict_module(M, line), restrict_module(N, line))
-    if c == INF:
+    if is_inf(c):
         return INF
     return weight(line) * c
 
@@ -729,7 +764,7 @@ def _exact_cost(M, N, line):
 def _exact_value(M, N, line):
     """Weighted cost with the full matching witness."""
     c, w = bottleneck(restrict_module(M, line), restrict_module(N, line))
-    if c == INF:
+    if is_inf(c):
         return INF, w
     return weight(line) * c, w
 
@@ -801,7 +836,7 @@ def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,
     for e in (e1, e2):
         line = normalize_line((e, 1), (x0, yr))
         value = _exact_cost(M, N, line)
-        if value == INF:
+        if is_inf(value):
             return INF
         vals.append(value)
     f1, f2 = vals

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .geometry import Line, pull_param, push_param
 from .modules import Presentation, Rect, TwoParamModule
-from .rational import INF
+from .rational import INF, is_inf
 
 
 class InvalidPresentation(ValueError):
@@ -103,7 +103,7 @@ def bar_counts(module: TwoParamModule) -> tuple:
     """
     if module.rectangles is not None:
         ess = sum(1 for r in module.rectangles
-                  if r.upper[0] == INF and r.upper[1] == INF)
+                  if is_inf(r.upper[0]) and is_inf(r.upper[1]))
         return len(module.rectangles) - ess, ess
     pres = _validated(module.presentation)
     idx = {name: i for i, (name, _) in enumerate(pres.generators)}

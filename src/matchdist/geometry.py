@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .rational import INF, Q, rat
+from .rational import INF, Q, is_inf, rat
 
 
 class NonPositiveDirection(ValueError):
@@ -154,8 +154,8 @@ def pull_param(line: Line, v):
     may be +inf, with the convention (inf - b)/m = inf."""
     (m1, m2), (b1, b2) = line.m, line.b
     v1, v2 = v
-    c1 = INF if v1 == INF else (rat(v1) - b1) / m1
-    c2 = INF if v2 == INF else (rat(v2) - b2) / m2
+    c1 = INF if is_inf(v1) else (rat(v1) - b1) / m1
+    c2 = INF if is_inf(v2) else (rat(v2) - b2) / m2
     return min(c1, c2)
 
 

@@ -8,14 +8,18 @@ lives on the grid of its coordinates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rational import INF, rat
+from .rational import INF, is_inf, rat
 
 
 def _coord(x):
-    return INF if x == INF or x == "inf" else rat(x)
+    # numpy's float64 infinity is a float too
+    if x == "inf" or isinstance(x, float) and x > 0 and math.isinf(x):
+        return INF
+    return rat(x)
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,7 @@ class Rect:
     def __post_init__(self):
         l1, l2 = self.lower
         u1, u2 = self.upper
-        if l1 == INF or l2 == INF:
+        if is_inf(l1) or is_inf(l2):
             raise ValueError("lower corner must be finite")
         if not (l1 < u1 and l2 < u2):
             raise ValueError("rectangle needs lower < upper in both coordinates")
@@ -123,9 +127,9 @@ def critical_values(module: TwoParamModule) -> frozenset:
             l1, l2 = r.lower
             u1, u2 = r.upper
             out.add((l1, l2))
-            if u1 != INF:
+            if not is_inf(u1):
                 out.add((u1, l2))
-            if u2 != INF:
+            if not is_inf(u2):
                 out.add((l1, u2))
     else:
         for _, grade in module.presentation.generators:
@@ -164,9 +168,9 @@ def rect_as_presentation(r: Rect) -> Presentation:
     rels = []
     l1, l2 = r.lower
     u1, u2 = r.upper
-    if u1 != INF:
+    if not is_inf(u1):
         rels.append(("r1", (u1, l2), frozenset({"g"})))
-    if u2 != INF:
+    if not is_inf(u2):
         rels.append(("r2", (l1, u2), frozenset({"g"})))
     return Presentation(generators=(("g", (l1, l2)),), relations=tuple(rels))
 
@@ -186,7 +190,7 @@ def translate(module: TwoParamModule, t) -> TwoParamModule:
     """Translate every grade by the finite vector t."""
     t = (rat(t[0]), rat(t[1]))
     return _transform(module, lambda p: tuple(
-        INF if c == INF else c + s for c, s in zip(p, t)))
+        INF if is_inf(c) else c + s for c, s in zip(p, t)))
 
 
 def scale(module: TwoParamModule, factor) -> TwoParamModule:
@@ -195,7 +199,7 @@ def scale(module: TwoParamModule, factor) -> TwoParamModule:
     if f <= 0:
         raise ValueError("scale factor must be positive")
     return _transform(module, lambda p: tuple(
-        INF if c == INF else c * f for c in p))
+        INF if is_inf(c) else c * f for c in p))
 
 
 def swap_axes(module: TwoParamModule) -> TwoParamModule:

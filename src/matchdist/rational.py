@@ -8,6 +8,7 @@ arithmetic except through the explicit helpers below.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 try:
@@ -16,6 +17,14 @@ except ImportError:  # gmpy2 missing: the slower, equally exact stdlib type
     Q = Fraction
 
 INF = float("inf")
+
+
+def is_inf(x) -> bool:
+    """Whether x is the +infinity marker.  A type test first: comparing a
+    Fraction with a float runs Fraction.__eq__'s abstract-base-class
+    checks, many times the cost of this test, and every exact value is a
+    rational, never a float."""
+    return type(x) is float and x == INF
 
 
 def rat(x):
@@ -29,7 +38,7 @@ def rat(x):
     if type(x) is Q:
         return x
     if isinstance(x, float):
-        if x != x or x == INF or x == -INF:
+        if not math.isfinite(x):
             raise ValueError("not a finite number: %r" % x)
         return Q(Fraction(x))
     if isinstance(x, str):
@@ -39,8 +48,8 @@ def rat(x):
 
 def ext_abs_diff(a, b):
     """|a - b| under the matching conventions: inf-inf = 0, inf-finite = inf."""
-    ai = a == INF
-    bi = b == INF
+    ai = is_inf(a)
+    bi = is_inf(b)
     if ai and bi:
         return Q(0)
     if ai or bi:
@@ -50,4 +59,4 @@ def ext_abs_diff(a, b):
 
 def fmt(x) -> str:
     """Render a rational or infinity as a plain fraction string."""
-    return "inf" if x == INF else str(x)
+    return "inf" if is_inf(x) else str(x)

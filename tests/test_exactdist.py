@@ -22,7 +22,7 @@ from matchdist.bottleneck import (bottleneck, bottleneck_bruteforce,
 from matchdist.exactdist import (BothTrivial, SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
                                  vertical_cost)
-from matchdist.fibered import Bar, restrict_presentation
+from matchdist.fibered import Bar, bar_counts, restrict_presentation
 from matchdist.geometry import (ProjPoint, line_through, normalize_line,
                                 push_param, weight)
 from matchdist.gridscan import GridSpec, scan
@@ -1209,3 +1209,98 @@ def test_pack_and_unpack_leave_inputs_unchanged():
             for o, c in zip(out, cols):
                 assert o.dtype == spec.key_dtype
                 assert np.array_equal(o, c)
+
+
+# The direction bound: an upper bound on the weighted cost of a key that
+# depends only on its direction, with which certified selections skip keys.
+
+def _tied_pairs():
+    """Random rectangle pairs from 2- or 3-value pools, up to 6 finite
+    rects against up to 2, with infinite uppers and no essential bars:
+    their maxima tie on many lines, several of one direction."""
+    rng = random.Random(67)
+    for t in range(12):
+        pool = list(range(2 + t % 2))
+        yield tuple(TwoParamModule.from_rects(
+            [_finite_rect(rng, pool, 0.4) for _ in range(rng.randint(1, n))])
+            for n in (6, 2))
+
+
+def test_direction_bound_holds_on_every_key():
+    """On every distinct key of a rectangle pair without essential bars,
+    up to MAX_FINITE + 2 finite bars a side, the kernel's unreduced value
+    p/q has the bound's own q and p <= p_ub in Python ints; a pair with
+    essential bars gets no bound."""
+    for M, N in itertools.chain(_wide_pairs(), _tied_pairs()):
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
+        values = _fastpath.exact_evaluator(M, N, lam)
+        if bar_counts(M)[1]:
+            assert not hasattr(values, "bound")
+            continue
+        p, q = values(dxv, dyv, kv)
+        pu, qu = values.bound(dxv, dyv, kv)
+        assert pu.dtype == qu.dtype == np.int64
+        assert qu.tolist() == q.tolist()
+        assert all(a <= b for a, b in zip(p.tolist(), pu.tolist()))
+
+
+def test_bound_pruned_selection_matches_oracle():
+    """Selections that skip keys by the direction bound give the value,
+    witness line and count of the per-line oracle on tied pools: with the
+    first offer seeded by its keys of highest bound, out of key order, in
+    one offer or over many, where a witness read off the survivors in
+    their offered order would be wrong."""
+    shapes = [s[0] for s in _WIDE_SHAPES]
+    pairs = [pair for pair, size in zip(_wide_pairs(), shapes) if size == 2]
+    for M, N in pairs + list(_tied_pairs()):
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        ref = select_exact(M, N, keys, lam, len(keys))
+        for seed, chunk in [(None, None), (3, 64), (1, 16)]:
+            with pytest.MonkeyPatch.context() as mp:
+                if seed is not None:
+                    mp.setattr(exactdist, "_SEED", seed)
+                    mp.setattr(_fastpath, "CHUNK", chunk)
+                res = matching_distance(M, N)
+            assert (res.value, res.witness_line, res.candidate_count) == \
+                (ref.value, ref.witness_line, ref.candidate_count)
+
+
+def _kernel_lines(monkeypatch):
+    """Count the lines _fastpath._chunk gets."""
+    lines = []
+    chunk = _fastpath._chunk
+
+    def counted(sm, sn, ar):
+        lines.append(ar.zeros().size)
+        return chunk(sm, sn, ar)
+
+    monkeypatch.setattr(_fastpath, "_chunk", counted)
+    return lines
+
+
+def _past_cap_pair():
+    rng = random.Random(10)
+    pool = rand_pool(rng, 3)
+    return tuple(TwoParamModule.from_rects([rand_rect(rng, pool, p_inf=0)
+                                            for _ in range(7)])
+                 for _ in "MN")
+
+
+@pytest.mark.parametrize("pair, full", [
+    (_past_cap_pair, False),
+    (ex_need_omega, False),
+    (lambda: tuple(map(combined_presentation, ex_need_omega())), True),
+], ids=["past-dp-width", "rect", "presentation"])
+def test_bound_skips_kernel_lines(pair, full, monkeypatch):
+    """A certified rectangle pair sends fewer lines to the kernel than it
+    has candidates; a presentation pair, which has no bound, sends all."""
+    M, N = pair()
+    lines = _kernel_lines(monkeypatch)
+    res = matching_distance(M, N)
+    if full:
+        assert sum(lines) == res.candidate_count
+    else:
+        assert 0 < sum(lines) < res.candidate_count

@@ -360,6 +360,59 @@ def test_live_spans_match_flat_lines(case, block):
         assert repr(restricted_max(M, N, g, "diagonal_only")) == repr(diag)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_span_cases(), st.sampled_from([1, 8, 64]))
+def test_row_bounds_hold_and_best_first_matches_flat_lines(case, block):
+    """Every row's float costs stay at or below its row bound, the
+    direction bound plus its written margin (_fastpath._row_bound), at grid
+    points, on slivers, far from the box, at coarse rounding and a few ulps
+    from where a bar dies; and the best-first scan, which blocks of a few
+    lines make these small grids take, gives the max and argmax of the
+    full flat grid, bit for bit."""
+    M, N, g = case
+    thetas, offsets = _axes(M, N, g)
+    m1, m2 = _directions(thetas)
+    ev = _evaluator(M, N)
+    n = len(offsets)
+    b1, b2 = (-offsets / 2)[None, :], (offsets / 2)[None, :]
+    bound = ev.row_bound(m1[:, None], m2[:, None], b1, b2).ravel()
+    vals = ev(np.repeat(m1, n), np.repeat(m2, n), np.tile(b1[0], len(m1)),
+              np.tile(b2[0], len(m1))).reshape(len(m1), n)
+    assert np.all(vals.max(axis=1) <= bound)
+    best, arg, _, _ = _scan_flat(M, N, g)
+    with mock.patch.object(gridscan, "_BLOCK_LINES", block):
+        res = scan(M, N, g)
+    assert repr(res.max_value) == repr(best)
+    assert res.argmax == arg
+
+
+def test_best_first_scan_skips_live_lines(monkeypatch):
+    """A 1000x1000 scan of finite rectangles reaches its max and argmax
+    with the kernel on fewer lines than the rows' live spans hold, and
+    reads every line when its rows are iterated."""
+    M, N = ex_need_omega()
+    g = GridSpec(1000, 1000)
+    thetas, offsets = _axes(M, N, g)
+    m1, m2 = _directions(thetas)
+    lo, hi = _evaluator(M, N).live_span(
+        m1[:, None], m2[:, None], (-offsets / 2)[None, :],
+        (offsets / 2)[None, :])
+    live = int(np.maximum(hi - lo, 0).sum())
+    lines = []
+    chunk = _fastpath._chunk
+
+    def counted(sm, sn, ar):
+        lines.append(ar.zeros().size)
+        return chunk(sm, sn, ar)
+
+    monkeypatch.setattr(_fastpath, "_chunk", counted)
+    res = scan(M, N, g)
+    assert 0 < sum(lines) < live
+    del lines[:]
+    assert sum(1 for _ in res.rows) == 1000 * 1000
+    assert sum(lines) >= live
+
+
 @pytest.mark.parametrize("pair, full", [
     (ex_need_omega, False),
     (lambda: tuple(map(combined_presentation, ex_need_omega())), True),

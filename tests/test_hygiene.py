@@ -66,6 +66,30 @@ def unreferenced_helpers(tree, refs):
                   if name not in refs)
 
 
+def _is_inf_marker(node):
+    """Whether node reads INF or -INF, by name or as an attribute."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return (isinstance(node, ast.Name) and node.id == "INF"
+            or isinstance(node, ast.Attribute) and node.attr == "INF")
+
+
+def inf_comparisons(tree):
+    """Lines that test equality with the INF marker (== INF, != INF, in
+    either operand order) outside the body of rational.is_inf: an exact
+    value compared with the float INF runs Fraction.__eq__'s slow
+    abstract-base-class checks, which is_inf's type test skips."""
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "is_inf"
+            for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare) and id(node) not in skip
+                  and any(isinstance(op, (ast.Eq, ast.NotEq))
+                          for op in node.ops)
+                  and any(map(_is_inf_marker,
+                              [node.left, *node.comparators])))
+
+
 def test_sources_found():
     names = {p.name for p in READERS}
     assert {"exactdist.py", "__init__.py", "test_hygiene.py",
@@ -111,3 +135,21 @@ def test_unreferenced_helpers_are_caught():
     other = ast.parse("setattr(m, '_patched', None)\n")
     refs = references(tree) | references(other)
     assert unreferenced_helpers(tree, refs) == [(3, "_dead"), (5, "_Gone")]
+
+
+def test_no_inf_comparisons():
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in PACKAGE
+             for line in inf_comparisons(ast.parse(path.read_text(),
+                                                   str(path)))]
+    assert found == []
+
+
+def test_inf_comparisons_are_caught():
+    tree = ast.parse("def is_inf(x):\n    return x == INF\n"
+                     "a = x == INF\n"
+                     "b = INF != y\n"
+                     "c = x == -rational.INF\n"
+                     "d = is_inf(x) or x < INF\n"
+                     "e = x == 'inf'\n")
+    assert inf_comparisons(tree) == [3, 4, 5]
