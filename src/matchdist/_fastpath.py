@@ -374,19 +374,15 @@ def _finite_rects(sm, sn):
 def _direction_bound(fin, ar):
     """An upper bound on _chunk's weighted cost over the lines of the
     arithmetic ar, from the finite rects fin of both sides: the weight times
-    the largest half-length a bar can have, the least of ar.extent(axis,
-    u - l) over its finite uppers u, the crossing difference of its width.
+    the largest half-length a bar can have, the least over its finite
+    uppers u of ar.extent(axis, u - l).
 
-    Matching every bar to the diagonal is feasible, so the matching minimum
-    is at most the largest half-length, and a bar's birth is at or past its
-    lower crossing on each axis and its death at or before each finite upper
-    crossing.  The bound depends on the direction only: on a key (dx, dy, k)
-    the width w on the first axis gives s*w*dy, k cancelling (s = dx + dy),
-    and on the second s*w*dx.  In _KeyNumerators it is exact, p <= p_ub
-    over the kernel's own q = 2*lam*s*dx*dy, and its intermediates lie
-    within numerator_bound's certificate: s*w*dy is at most twice a push
-    bound.  In _FloatLines each crossing rounds, and _row_bound adds the
-    margin that covers it."""
+    Matching every bar to the diagonal is feasible, and a bar lives between
+    its lower and each finite upper crossing.  On a key (dx, dy, k) a width
+    w gives s*w*dy on the first axis and s*w*dx on the second, k cancelling
+    (s = dx + dy): exact, over the kernel's own q = 2*lam*s*dx*dy, and
+    within numerator_bound's certificate, s*w*dy being at most twice a push
+    bound.  In floats each crossing rounds; _row_bound adds the margin."""
     ext = {}
 
     def extent(axis, w):

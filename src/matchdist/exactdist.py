@@ -578,17 +578,13 @@ class _Select:
       written bound yet.  At finish _fastpath.exact_reduced_values values
       the kept keys exactly, in int64 or in Python ints.
 
-    On a certified call of a rectangle pair without essential bars, the
-    kernel does not run on a key that cannot reach the running maximum.
-    The evaluator's direction bound (_fastpath._direction_bound) gives each
-    key a fraction p_ub/q over the kernel's own q, with p <= p_ub exactly,
-    in int64 under the same certificate; a key is dropped unvalued when
-    float(p_ub)/float(q) < fmax*(1 - 2^-50), _band's rule, whose 3-ulp
-    argument carries over: p_ub/q, and with it p/q, is beaten exactly by a
-    key already valued.  The first offer values its _SEED keys of highest
-    bound before the rest, so that the bound prunes from the start; the
-    kept keys are then out of key order, and finish sorts the tied ones
-    back before the lex-min.
+    On a certified call of a rectangle pair without essential bars, a key
+    is dropped unvalued when its direction bound p_ub/q
+    (_fastpath._direction_bound: the kernel's own q, p <= p_ub exactly)
+    has float(p_ub)/float(q) < fmax*(1 - 2^-50), _band's rule, whose 3-ulp
+    argument carries over.  The first offer values its _SEED keys of
+    highest bound first, so the bound prunes from the start; finish sorts
+    the tied keys back into key order before the lex-min.
 
     Both modules are converted once per call, for the whole fold.
     """

@@ -21,13 +21,11 @@ Every kernel is elementwise, so each value is the one a call per row over
 all offsets would give, bit for bit.
 
 A scan's max and argmax need not see every row.  Matching every bar to the
-diagonal is always feasible, so on a rectangle pair without essential bars
-no cost on a row of direction m exceeds min(m1, m2) times the largest
-half-length min(W/m1, H/m2)/2 of a bar's W x H rectangle, plus a written
-float margin of 2^-48 times the largest coordinate plus the largest |b|
-(_fastpath._row_bound).  The rows are visited in decreasing bound, and the
-visit stops at the first row whose bound is below the best value found.
-The same bound, in exact integers, lets matching_distance skip lines.
+diagonal is feasible, so on a rectangle pair without essential bars no cost
+on a row of direction m exceeds min(m1, m2) times the largest half-length
+min(W/m1, H/m2)/2 of a bar's W x H rectangle, plus a float margin
+(_fastpath._row_bound); rows are visited in decreasing bound until one is
+below the best value found.
 """
 from __future__ import annotations
 
@@ -197,48 +195,27 @@ def _rows(m1, m2, offsets, ev):
         a = e
 
 
-def _best_first(m1, m2, offsets, ev):
+def _first_max(m1, m2, offsets, ev, ub):
     """The first maximum in (theta, offset) order of the rows over offsets
-    of the directions (m1[i], m2[i]), as (value, row, column), from rows
-    visited in decreasing ev.row_bound.
+    of the directions (m1[i], m2[i]), as (value, (row, column)), where ub[i]
+    is a float no cost on row i exceeds.
 
-    A block takes the next rows in that order while their span hull times
-    their number stays within _BLOCK_LINES lines, or one row past that, and
-    goes to ev once on its hull, as _rows passes a block: each value is the
-    full evaluation's, bit for bit, and the row's +0.0 outside its span
-    (ev.live_span).  The visit stops at the first row whose bound is below
-    the best value found: no cost on it, nor on any later row, can reach
-    that value, let alone tie it.  Every row that holds the maximum is
-    therefore visited, and a row replaces the best on a greater value or
-    on an equal one at a smaller index."""
-    n = len(offsets)
-    b1, b2 = (-offsets / 2)[None, :], (offsets / 2)[None, :]
-    cols = m1[:, None], m2[:, None]
-    lo, hi = (s.tolist() for s in ev.live_span(*cols, b1, b2))
-    ub = ev.row_bound(*cols, b1, b2).ravel()
+    _rows runs on the directions in decreasing ub and stops before the
+    block whose first row's bound is below the best value found: no cost
+    on it, nor on any later row, can reach that value.  Every row that
+    holds the maximum is therefore visited, and a row replaces the best on
+    a greater value or on an equal one at a smaller index."""
     order = np.argsort(-ub, kind="stable")
-    ub, order = ub[order].tolist(), order.tolist()
+    ub = ub[order].tolist()
     best, at = -math.inf, (0, 0)
-    t = 0
-    while t < len(order) and ub[t] >= best:
-        c0, c1, e = lo[order[t]], hi[order[t]], t + 1
-        while e < len(order) and ub[e] >= best:
-            h0, h1 = min(c0, lo[order[e]]), max(c1, hi[order[e]])
-            if (e + 1 - t) * (h1 - h0) > _BLOCK_LINES:
-                break
-            c0, c1, e = h0, h1, e + 1
-        rows = order[t:e]
-        # a hull of no column holds rows of +0.0 only, and starts at n
-        vals = (ev(m1[rows, None], m2[rows, None], b1[:, c0:c1],
-                   b2[:, c0:c1]) if c0 < c1 else np.zeros((len(rows), 1)))
-        for i, row, j in zip(rows, vals, vals.argmax(axis=1).tolist()):
-            v, j = float(row[j]), c0 + j
-            if c0 > 0 and v <= 0:
-                # the row's first maximum is the +0.0 at column 0
-                v, j = 0.0, 0
+    for a, vals in _rows(m1[order], m2[order], offsets, ev):
+        for r, c in enumerate(vals.argmax(axis=1).tolist()):
+            v, i = float(vals[r, c]), int(order[a + r])
             if v > best or (v == best and i < at[0]):
-                best, at = v, (i, j)
-        t = e
+                best, at = v, (i, c)
+        e = a + len(vals)
+        if e < len(ub) and ub[e] < best:
+            break
     return best, at
 
 
@@ -246,40 +223,29 @@ def scan(M, N, g: GridSpec) -> ScanResult:
     """Sweep the grid; returns the max, its (theta, offset), and lazy rows.
 
     Rows are produced in (theta, offset) order; iterating them re-runs the
-    evaluation, so a scan whose rows are never read costs no row storage.
-    Whole theta rows are evaluated together in broadcast blocks of about
-    _BLOCK_LINES lines (_rows), each row only on its live span, through one
-    evaluator, so both modules are converted once per scan; every row
-    equals the full evaluation bit for bit.  Each block takes one argmax per
-    row, and the rows are then compared in order with a strict >: the max
-    and argmax are the first maximum in (theta, offset) order, as a call
-    per row gives.
-
-    On a rectangle pair without essential bars, a grid of more than
-    _BLOCK_LINES lines finds its max and argmax best-first (_best_first):
-    rows are visited in decreasing direction bound, the weight times the
-    largest half-length a bar's width allows, plus a float margin
-    (_fastpath._row_bound), and the visit stops once the next row's bound
-    is below the best value found.  The max and argmax are the same first
-    maximum, bit for bit; the rows, read lazily, are still every line.
+    evaluation (_rows), so a scan whose rows are never read costs no row
+    storage, and every row equals the full evaluation bit for bit.  The max
+    and argmax are the first maximum in (theta, offset) order, as a call per
+    row gives.  A grid of more than _BLOCK_LINES lines on a rectangle pair
+    without essential bars finds them best-first (_first_max): rows in
+    decreasing direction bound (_fastpath._row_bound), stopping once the
+    next row's bound is below the best value found.
     """
     thetas, offsets = _axes(M, N, g)
-    dirs = _directions(thetas)
+    m1, m2 = _directions(thetas)
     ev = _evaluator(M, N)
-    if (hasattr(ev, "row_bound")
-            and len(thetas) * len(offsets) > _BLOCK_LINES):
-        best, (i, j) = _best_first(*dirs, offsets, ev)
+    bound = getattr(ev, "row_bound", None)
+    if bound is None or len(thetas) * len(offsets) <= _BLOCK_LINES:
+        ub = np.full(len(thetas), math.inf)
     else:
-        best, (i, j) = -math.inf, (0, 0)
-        for a, vals in _rows(*dirs, offsets, ev):
-            for r, c in enumerate(vals.argmax(axis=1).tolist()):
-                if vals[r, c] > best:
-                    best, (i, j) = float(vals[r, c]), (a + r, c)
+        ub = bound(m1[:, None], m2[:, None], (-offsets / 2)[None, :],
+                   (offsets / 2)[None, :]).ravel()
+    best, (i, j) = _first_max(m1, m2, offsets, ev, ub)
     arg = (float(thetas[i]), float(offsets[j]))
 
     def gen():
         offs = offsets.tolist()
-        for a, vals in _rows(*dirs, offsets, ev):
+        for a, vals in _rows(m1, m2, offsets, ev):
             for th, row in zip(thetas[a:a + len(vals)].tolist(),
                                vals.tolist()):
                 for o, v in zip(offs, row):

@@ -8,7 +8,6 @@ lives on the grid of its coordinates.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -16,10 +15,7 @@ from .rational import INF, is_inf, rat
 
 
 def _coord(x):
-    # numpy's float64 infinity is a float too
-    if x == "inf" or isinstance(x, float) and x > 0 and math.isinf(x):
-        return INF
-    return rat(x)
+    return INF if x == "inf" or is_inf(x) else rat(x)
 
 
 @dataclass(frozen=True)

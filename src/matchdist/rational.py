@@ -20,11 +20,11 @@ INF = float("inf")
 
 
 def is_inf(x) -> bool:
-    """Whether x is the +infinity marker.  A type test first: comparing a
-    Fraction with a float runs Fraction.__eq__'s abstract-base-class
-    checks, many times the cost of this test, and every exact value is a
-    rational, never a float."""
-    return type(x) is float and x == INF
+    """Whether x is the +infinity marker, numpy's float64 infinity too.  A
+    type test first: comparing a Fraction with a float runs
+    Fraction.__eq__'s abstract-base-class checks, many times the cost of
+    this test, and every exact value is a rational, never a float."""
+    return isinstance(x, float) and x == INF
 
 
 def rat(x):

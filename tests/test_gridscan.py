@@ -389,7 +389,8 @@ def test_row_bounds_hold_and_best_first_matches_flat_lines(case, block):
 def test_best_first_scan_skips_live_lines(monkeypatch):
     """A 1000x1000 scan of finite rectangles reaches its max and argmax
     with the kernel on fewer lines than the rows' live spans hold, and
-    reads every line when its rows are iterated."""
+    reads every live span, but not the whole grid, when its rows are
+    iterated."""
     M, N = ex_need_omega()
     g = GridSpec(1000, 1000)
     thetas, offsets = _axes(M, N, g)
@@ -410,7 +411,7 @@ def test_best_first_scan_skips_live_lines(monkeypatch):
     assert 0 < sum(lines) < live
     del lines[:]
     assert sum(1 for _ in res.rows) == 1000 * 1000
-    assert sum(lines) >= live
+    assert live <= sum(lines) < 1000 * 1000
 
 
 @pytest.mark.parametrize("pair, full", [

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from matchdist.modules import (Presentation, Rect, TwoParamModule,
                                critical_values, lub_closure, rect,
                                rect_as_presentation, scale, swap_axes,
                                translate)
-from matchdist.rational import INF, Q
+from matchdist.rational import INF, Q, is_inf
 from oracles import lub_closure_fixpoint
 
 rat_st = st.builds(Q, st.integers(0, 24), st.integers(1, 3))
@@ -25,6 +26,18 @@ def test_rect_validation():
     r = rect("1/2", "2.5", "inf", 7)
     assert r.lower == (Q(1, 2), Q(5, 2))
     assert r.upper == (INF, Q(7))
+
+
+def test_numpy_infinity_is_the_marker():
+    """numpy's float64 infinity marks an essential upper as INF does, both
+    through rect and in a Rect built directly."""
+    big = np.float64("inf")
+    assert is_inf(big) and is_inf(INF)
+    assert not is_inf(Q(1)) and not is_inf(-INF) and not is_inf("inf")
+    assert rect(0, 0, big, 1).upper == (INF, Q(1))
+    r = Rect((Q(0), Q(0)), (big, Q(1)))
+    assert critical_values(TwoParamModule.from_rects([r])) == \
+        critical_values(TwoParamModule.from_rects([rect(0, 0, "inf", 1)]))
 
 
 def test_module_exactly_one_form():
