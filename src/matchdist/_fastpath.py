@@ -16,20 +16,18 @@ weighting.  Its matching minimum is bottleneck.cheapest_matching when the
 side with fewer finite bars has at most MAX_FINITE of them (vector_ready),
 and bottleneck.threshold_matching, a search run line by line, past that;
 the two agree bit for bit.  The float arithmetic (_FloatLines) serves the
-grid scan (line_evaluator) and the float screen of matching_distance's
-uncertified calls; a presentation's float pushes order its grades within
-rounding, and rounding is monotone, so every relation stays at or after its
-own generators and the float barcode is that of a filtration within push
-rounding error.  The integer arithmetic (_KeyNumerators) is exact: on the
-key (dx, dy, k) with scaling lam, every push and pull onto the line is a
-fraction over the common per-line denominator lam*(dx+dy)*dx*dy, so
-bottleneck costs reduce to integer max/min arithmetic on numerators, and
-the weighted value is an unreduced fraction per line.  exact_evaluator
-returns those fractions.  matching_distance's certified calls, those for
-which numerator_bound shows that every intermediate fits int64, take them
-in int64 and reduce only the few lines that can still win.
-exact_reduced_values reduces every line, in int64 when certified and in
-Python ints in object arrays otherwise.
+grid scan (line_evaluator); a presentation's float pushes order its grades
+within rounding, and rounding is monotone, so every relation stays at or
+after its own generators and the float barcode is that of a filtration
+within push rounding error.  The integer arithmetic (_KeyNumerators) is
+exact: on the key (dx, dy, k) with scaling lam, every push and pull onto
+the line is a fraction over the common per-line denominator
+lam*(dx+dy)*dx*dy, so bottleneck costs reduce to integer max/min
+arithmetic on numerators, and the weighted value is an unreduced fraction
+per line.  exact_evaluator returns those fractions, and matching_distance
+takes them for every line and reduces only the few that can still win: in
+int64 where numerator_bound shows that every intermediate fits, in Python
+ints in object arrays otherwise.  exact_reduced_values reduces every line.
 """
 from __future__ import annotations
 
@@ -222,14 +220,6 @@ def _coords(module):
         yield from grade
     for _, grade, _ in pres.relations:
         yield from grade
-
-
-def coord_scale(M, N) -> float:
-    out = 1.0
-    for mod in (M, N):
-        for v in _coords(mod):
-            out = max(out, abs(float(v)))
-    return out
 
 
 def line_floats(dxs, dys, ks, lam):

@@ -25,16 +25,14 @@ so each distinct line is offered once and the unpacked keys, their values
 and the kernel's temporaries never exceed one chunk.
 
 Pairs that need a line search go through one selection fold, whatever
-their number of bars, with both modules converted once per call.  A
-certified call (int64 keys and integer-kernel numerators below 2^62, which
-covers every pair of moderate coordinates) takes one exact pass: each line
-is valued once on unreduced int64 numerators, a band with a written 3-ulp
-bound keeps the lines that can still win, and only those are reduced and
-compared exactly.  An uncertified call keeps the float screen with its
-margin and values its survivors exactly, in Python ints where int64 does
-not suffice.  Either way the pruning is sound offer by offer, so splitting
-the keys into chunks changes no result, and only the witness line is
-restricted in rationals.
+their number of bars, with both modules converted once per call, in one
+exact pass: each line is valued once on unreduced integer numerators, a
+band with a written 3-ulp bound keeps the lines that can still win, and
+only those are reduced and compared exactly.  The numerators are int64
+where the integer kernel is certified to stay below 2^62, which covers
+every pair of moderate coordinates, and Python ints otherwise.  The
+pruning is sound offer by offer, so splitting the keys into chunks changes
+no result, and only the witness line is restricted in rationals.
 """
 from __future__ import annotations
 
@@ -494,23 +492,34 @@ class _LexMin:
         return self.key
 
 
-def _band(ps, qs, fmax):
-    """The running maximum fmax of the doubles float(p)/float(q), raised
-    to this chunk's, and the mask of the int64 fractions ps/qs (q > 0) whose
-    double is at least fmax*(1 - 2^-50), the band that may still hold the
-    exact maximum.
+def _doubles(ps, qs):
+    """The doubles of the fractions ps/qs: int64 arrays convert each side
+    and divide, and object arrays divide Python ints, one correctly
+    rounded int / int per entry."""
+    return (ps / qs).astype(np.float64, copy=False)
 
-    The bound: converting p and q and dividing round once each, so a
-    double r lies within a relative 3u of p/q (u = 2^-53, to first order;
-    (1+u)^2/(1-u) - 1 < 3.01u), and the product fmax*(1 - 8u) rounds once
-    more.  A fraction outside the band has an exact value below
-    fmax*(1 - 8u)(1 + u)/(1 - 3.01u), and fmax is the double of an offered
-    fraction of exact value at least fmax/(1 + 3.01u); the ratio of the two
-    is below (1 - 8u)(1 + 7.1u) < 1, so the dropped fraction is beaten
-    exactly.  Values are at least 0, and p/q >= 2^-62 when positive, so no
-    double is subnormal.
+
+def _band(ps, qs, fmax):
+    """The running maximum fmax of the doubles of the fractions ps/qs
+    (q > 0, int64 or Python ints), raised to this chunk's, and the mask of
+    the fractions whose double is at least fmax*(1 - 2^-50), the band that
+    may still hold the exact maximum.
+
+    The bound, with u = 2^-53: on int64, converting p and q and dividing
+    round once each, so a double r lies within a relative 3u of p/q (to
+    first order; (1+u)^2/(1-u) - 1 < 3.01u); on Python ints the one
+    correctly rounded division lies within u, inside the same 3u.  The
+    product fmax*(1 - 8u) rounds once more.  A fraction outside the band
+    has an exact value below fmax*(1 - 8u)(1 + u)/(1 - 3.01u), and fmax is
+    the double of an offered fraction of exact value at least
+    fmax/(1 + 3.01u); the ratio of the two is below (1 - 8u)(1 + 7.1u) < 1,
+    so the dropped fraction is beaten exactly.  Relative error bounds need
+    normal doubles: values are at least 0, and p/q >= 1/q > 2^-1021 when
+    positive and q < 2^1021, which every int64 q is.  Past that, the one
+    rounding of Python ints is still monotone, so a double below fmax still
+    belongs to a fraction below fmax's.
     """
-    r = ps / qs  # int64: each side converts to a double, then they divide
+    r = _doubles(ps, qs)
     fmax = max(fmax, float(r.max()))
     return fmax, r >= fmax * (1 - 2.0 ** -50)
 
@@ -548,8 +557,8 @@ def _reach(spec, union):
     return dym, kmax
 
 
-# keys of highest bound that a certified selection values first, on its
-# first offer, to seed the running maximum that the bound prunes against
+# keys of highest bound that a selection values first, on its first offer,
+# to seed the running maximum that the bound prunes against
 _SEED = 256
 
 
@@ -557,43 +566,34 @@ class _Select:
     """The exact maximum of the weighted cost over distinct keys, offered
     one chunk at a time, and the lex-min key among the lines that attain it.
 
-    Each offer scores its keys in doubles and keeps those that may still
-    reach the maximum; the kept keys are pruned again against the running
-    maximum when they outgrow _BLOCK and at finish.  A key is dropped only
-    when a key offered no later beats it exactly, so splitting the keys
-    into offers changes no result.  Two discard rules:
+    One discard rule.  The kernel values every key exactly
+    (_fastpath.exact_evaluator, both modules converted once per call) as an
+    unreduced fraction p/q, and a key is kept when its double lies in
+    _band, whose written bound is 3 ulps per double and one rounding of the
+    threshold.  The kept keys are banded again against the running maximum
+    when they outgrow _BLOCK and at finish, where only they are reduced and
+    _exact_top takes their exact maximum.  A key is dropped only when a key
+    offered no later beats it exactly, so splitting the keys into offers
+    changes no result.
 
-    - Certified calls: int64 keys, and _fastpath.numerator_bound below
-      2^62, over the spec's key ranges or, where those fail, over the
-      keys' own reach (_reach).  The kernel runs once per key on int64
-      numerators (_fastpath.exact_evaluator), and the score is its
-      unreduced exact value p/q as float(p)/float(q).  A key is kept when
-      its score lies in _band, whose written bound is 3 ulps per score and
-      one rounding of the threshold.  At finish only the kept fractions are
-      reduced, and _exact_top takes their exact maximum.
-    - Uncertified calls (object keys past _GUARD, or numerators of 2^62 or
-      more): the score is the float kernel's cost (_fastpath.line_evaluator),
-      and a key is kept when it is at least fmax - 1e-9*max(1, coord_scale,
-      kmax/lam), kmax the largest |k| offered so far.  This margin has no
-      written bound yet.  At finish _fastpath.exact_reduced_values values
-      the kept keys exactly, in int64 or in Python ints.
+    The int64 certificate only chooses the dtype of the keys handed to the
+    kernel: int64 when the keys are and _fastpath.numerator_bound is below
+    2^62, over the spec's key ranges or, where those fail, over the keys'
+    own reach (_reach); Python ints in object arrays otherwise.
 
-    On a certified call of a rectangle pair without essential bars, a key
-    is dropped unvalued when its direction bound p_ub/q
-    (_fastpath._direction_bound: the kernel's own q, p <= p_ub exactly)
-    has float(p_ub)/float(q) < fmax*(1 - 2^-50), _band's rule, whose 3-ulp
-    argument carries over.  The first offer values its _SEED keys of
-    highest bound first, so the bound prunes from the start; finish sorts
-    the tied keys back into key order before the lex-min.
-
-    Both modules are converted once per call, for the whole fold.
+    On a rectangle pair without essential bars, a key is dropped unvalued
+    when the double of its direction bound p_ub/q
+    (_fastpath._direction_bound: the kernel's own q, p <= p_ub exactly) is
+    below _band's threshold, whose argument carries over.  The first offer
+    values its _SEED keys of highest bound first, so the bound prunes from
+    the start; finish sorts the tied keys back into key order before the
+    lex-min.
     """
 
-    __slots__ = ("M", "N", "lam", "spec", "exact", "values", "scale", "kmax",
-                 "margin", "fmax", "parts", "size")
+    __slots__ = ("lam", "spec", "dtype", "values", "fmax", "parts", "size")
 
     def __init__(self, M, N, lam, spec, union):
-        self.M, self.N, self.lam, self.spec = M, N, lam, spec
+        self.lam, self.spec = lam, spec
         # keys sort by dx first, so the last has the largest
         dxm = int(_unpack(spec, union[-1:])[0][0])
 
@@ -602,39 +602,29 @@ class _Select:
 
         # the spec's ranges certify most pairs; the keys are read again
         # only where they fail
-        self.exact = spec.key_dtype == np.int64 and (
+        self.dtype = np.dtype(np.int64 if spec.key_dtype == np.int64 and (
             certified(spec.sdy - 1, spec.kb)
-            or certified(*_reach(spec, union)))
-        if self.exact:
-            self.values = _fastpath.exact_evaluator(M, N, lam)
-        else:
-            self.values = _fastpath.line_evaluator(M, N)
-            self.scale = max(1.0, _fastpath.coord_scale(M, N))
-            self.kmax = 0
+            or certified(*_reach(spec, union))) else object)
+        self.values = _fastpath.exact_evaluator(M, N, lam)
         self.fmax = -np.inf
         self.parts, self.size = [], 0
 
     def offer(self, dxv, dyv, kv, packed):
-        if self.exact:
-            bound = getattr(self.values, "bound", None)
-            keys = (dxv, dyv, kv, packed)
-            if bound is not None:
-                r = np.divide(*bound(dxv, dyv, kv))
-                if self.fmax == -np.inf and len(r) > _SEED:
-                    seed = np.zeros(len(r), dtype=bool)
-                    seed[np.argpartition(r, -_SEED)[-_SEED:]] = True
-                    self._score(*(c[seed] for c in keys))
-                    r[seed] = -np.inf
-                # _band's threshold, on the bound's doubles
-                live = r >= self.fmax * (1 - 2.0 ** -50)
-                keys = tuple(c[live] for c in keys)
-            if len(keys[0]):
-                self._score(*keys)
-        else:
-            self.kmax = max(self.kmax, int(kv.max()), -int(kv.min()))
-            self.margin = 1e-9 * max(self.scale, self.kmax / self.lam)
-            self._keep((packed, self.values(*_fastpath.line_floats(
-                dxv, dyv, kv, self.lam))))
+        keys = (*(v.astype(self.dtype, copy=False) for v in (dxv, dyv, kv)),
+                packed)
+        bound = getattr(self.values, "bound", None)
+        if bound is not None:
+            r = _doubles(*bound(*keys[:3]))
+            if self.fmax == -np.inf and len(r) > _SEED:
+                seed = np.zeros(len(r), dtype=bool)
+                seed[np.argpartition(r, -_SEED)[-_SEED:]] = True
+                self._score(*(c[seed] for c in keys))
+                r[seed] = -np.inf
+            # _band's threshold, on the bound's doubles
+            live = r >= self.fmax * (1 - 2.0 ** -50)
+            keys = tuple(c[live] for c in keys)
+        if len(keys[0]):
+            self._score(*keys)
         if self.size > _BLOCK:
             self._prune()
 
@@ -643,13 +633,9 @@ class _Select:
         self._keep((packed, *self.values(dxv, dyv, kv)))
 
     def _keep(self, cols):
-        """Add the rows of the columns (packed, scores...) that the
-        discard rule keeps, after raising fmax to their maximum."""
-        if self.exact:
-            self.fmax, keep = _band(cols[1], cols[2], self.fmax)
-        else:
-            self.fmax = max(self.fmax, float(cols[1].max()))
-            keep = cols[1] >= self.fmax - self.margin
+        """Add the rows of the columns (packed, p, q) in _band, after
+        raising fmax to their maximum."""
+        self.fmax, keep = _band(cols[1], cols[2], self.fmax)
         self.parts.append(tuple(c[keep] for c in cols))
         self.size += int(np.count_nonzero(keep))
 
@@ -661,14 +647,8 @@ class _Select:
     def finish(self):
         """The lex-min key among the lines of exact maximal value."""
         self._prune()
-        packed, *scores = self.parts[0]
-        if self.exact:
-            ps, qs = _fastpath.reduce_fractions(*scores)
-        else:
-            dxv, dyv, kv = _unpack(self.spec, packed)
-            ps, qs = _fastpath.exact_reduced_values(self.M, self.N, dxv, dyv,
-                                                    kv, self.lam)
-        top = packed[_exact_top(ps, qs)]
+        packed, ps, qs = self.parts[0]
+        top = packed[_exact_top(*_fastpath.reduce_fractions(ps, qs))]
         # _LexMin reads the keys in key order, which seeding breaks
         top.sort()
         lexmin = _LexMin(self.lam)

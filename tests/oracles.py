@@ -6,7 +6,8 @@ oracles for the optimized library code.  lattice_rational and select_exact
 are the exceptions: the first assembles the candidate point set from the
 public rational functions, as a reference for the integer pipeline behind
 them, and the second selects the maximum by restricting every candidate
-line in rationals, as a reference for the screen and the vector kernel.
+line in rationals, as a reference for the selection fold and the vector
+kernel.
 """
 from __future__ import annotations
 

@@ -880,44 +880,72 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
 
 def test_scaled_pairs_match_per_line_selection():
     """Past the int64 packing, inside the guard and past it, the streamed
-    screen and vector selection give the value, witness line and count of
-    the per-line exact selection over every distinct key."""
-    for M0, N0 in (ex_diag_not_suff(), _small_pres_pair()):
-        for f, path in ((100003, "object"), (10 ** 9, "bigint")):
-            M, N = scale(M0, f), scale(N0, f)
-            assert _key_path(M, N, None) == path
-            res = matching_distance(M, N)
-            X, Y, dvals, lam = exactdist._lattice(M, N, None)
-            keys = exactdist._distinct_keys(X, Y, dvals)
-            ref = select_exact(M, N, keys, lam, len(keys))
-            assert (res.value, res.witness_line, res.candidate_count) == \
-                (ref.value, ref.witness_line, ref.candidate_count)
+    selection gives the value, witness line and count of the per-line exact
+    selection over every distinct key: on scaled pairs, on float-coordinate
+    pairs, whose keys are Python ints past the guard, and on pairs of int64
+    keys past the int64 certificate, with and without essential bars."""
+    cases = [((scale(M0, f), scale(N0, f)), path)
+             for M0, N0 in (ex_diag_not_suff(), _small_pres_pair())
+             for f, path in ((100003, "object"), (10 ** 9, "bigint"))]
+    cases += [((TwoParamModule.from_rects(rm), TwoParamModule.from_rects(rn)),
+               "bigint") for rm, rn in _FLOAT_RECTS]
+    # int64 keys whose kernel numerators may pass 2^62: valued in Python ints
+    a, b, c = (Q(k, 100003) for k in (10001, 70005, 30007))
+    for rm, rn in (([rect(a, a, b, b)], [rect(a, a, c, b)]),
+                   ([rect(a, a, b, INF), rect(a, c, INF, INF)],
+                    [rect(a, a, c, INF), rect(c, a, INF, INF)])):
+        M, N = TwoParamModule.from_rects(rm), TwoParamModule.from_rects(rn)
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        spec, union = exactdist._stream(X, Y, dvals)
+        assert exactdist._Select(M, N, lam, spec, union).dtype == object
+        cases.append(((M, N), "object"))
+    for (M, N), path in cases:
+        assert _key_path(M, N, None) == path
+        res = matching_distance(M, N)
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        ref = select_exact(M, N, keys, lam, len(keys))
+        assert res.value > 0
+        assert (res.value, res.witness_line, res.candidate_count) == \
+            (ref.value, ref.witness_line, ref.candidate_count)
 
 
-def test_screen_margin_follows_offered_keys(monkeypatch):
-    """The screen's margin comes from the largest |k| offered, not from the
-    packing's bound on it, which past the guard is far above every key: of
-    this pair's 54,414 lines, at most 100 reach exact evaluation."""
-    exact_lines = []
-    vector, per_line = _fastpath.exact_reduced_values, exactdist._exact_cost
+# Rectangle pairs given as Python floats: rat keeps their exact binary
+# values, so the lattice scaling is 2^55 or more and the keys are Python
+# ints past the guard.  These are small enough for the per-line oracle.
+_FLOAT_RECTS = [([rect(0.1, 0.1, 0.7, 0.7)], [rect(0.1, 0.1, 0.3, 0.7)]),
+                ([rect(0.1, 0.1, 0.7, 0.7)], [rect(0.3, 0.3, 0.7, 0.7)]),
+                ([rect(0.1, 0.1, 0.7, INF), rect(0.1, 0.3, INF, INF)],
+                 [rect(0.1, 0.1, 0.3, INF), rect(0.3, 0.1, INF, INF)])]
 
-    def counted_vector(M, N, dxv, dyv, kv, lam):
-        exact_lines.append(len(dxv))
-        return vector(M, N, dxv, dyv, kv, lam)
 
-    def counted_per_line(M, N, line):
-        exact_lines.append(1)
-        return per_line(M, N, line)
+def _float_pair():
+    """A float-coordinate pair of 414,687 lines, drawn from random.Random(5)
+    as rounded uniform(0, 10) values."""
+    return (TwoParamModule.from_rects([rect(6.229, 7.952, 7.418, 9.425)]),
+            TwoParamModule.from_rects([rect(7.399, 0.29, 9.223, 4.656)]))
 
-    M0, N0 = _huge_pair()
-    small = matching_distance(M0, N0)
-    monkeypatch.setattr(_fastpath, "exact_reduced_values", counted_vector)
-    monkeypatch.setattr(exactdist, "_exact_cost", counted_per_line)
-    f = 10 ** 9
-    res = matching_distance(scale(M0, f), scale(N0, f))
-    assert res.candidate_count == 54414
-    assert res.value == f * small.value
-    assert 0 < sum(exact_lines) <= 100
+
+def test_float_pair_reduces_few_lines(monkeypatch):
+    """Past the int64 certificate too, lines are kept by the exact pass's
+    band alone: of the float pair's 414,687 lines, whose values spread over
+    some 128k distinct fractions, at most 10,000 reach _exact_top.  A
+    selection that kept them all, as a float screen whose margin exceeds
+    every value does, fails at its first call instead of running on."""
+    M, N = _float_pair()
+    assert _key_path(M, N, None) == "bigint"
+    sizes = []
+    top = exactdist._exact_top
+
+    def capped(ps, qs):
+        sizes.append(len(ps))
+        assert len(ps) <= 10000
+        return top(ps, qs)
+
+    monkeypatch.setattr(exactdist, "_exact_top", capped)
+    res = matching_distance(M, N)
+    assert res.candidate_count == 414687
+    assert sizes and res.value > 0
 
 
 def test_object_kernel_matches_exact_cost():
@@ -1115,22 +1143,29 @@ def _counted_sides(monkeypatch):
 
 
 def test_certified_pair_converts_modules_once(monkeypatch):
-    """A certified pair's lines are valued in one exact pass: both modules
-    are converted once per call, not once per chunk, and the float kernel
-    never runs."""
-    M, N = ex_need_omega()
-    want = matching_distance(M, N)
-    calls = _counted_sides(monkeypatch)
-
+    """A pair's lines are valued in one exact pass: both modules are
+    converted once per call, not once per chunk, whatever the chunk size,
+    and the float kernel never runs, for a certified pair and for one past
+    the guard, whose keys are Python ints."""
     def never(*args):
-        raise AssertionError("eval_keys called")
+        raise AssertionError("float kernel called")
 
-    monkeypatch.setattr(_fastpath, "eval_keys", never)
-    monkeypatch.setattr(_fastpath, "CHUNK", 64)
-    res = matching_distance(M, N)
-    assert res.candidate_count > 4 * 64
-    assert (res.value, res.witness_line) == (want.value, want.witness_line)
-    assert len(calls) == 1
+    f = 10 ** 9
+    huge = tuple(scale(m, f) for m in _huge_pair())
+    for (M, N), path in ((ex_need_omega(), "int64"), (huge, "bigint")):
+        assert _key_path(M, N, None) == path
+        want = matching_distance(M, N)
+        for chunk in (_fastpath.CHUNK, 64):
+            monkeypatch.setattr(_fastpath, "eval_keys", never)
+            monkeypatch.setattr(_fastpath, "line_evaluator", never)
+            monkeypatch.setattr(_fastpath, "CHUNK", chunk)
+            calls = _counted_sides(monkeypatch)
+            res = matching_distance(M, N)
+            monkeypatch.undo()
+            assert res.candidate_count > 4 * 64
+            assert (res.value, res.witness_line) == \
+                (want.value, want.witness_line)
+            assert len(calls) == 1
 
 
 def test_scaled_pairs_are_certified_by_their_keys(monkeypatch):
@@ -1164,23 +1199,6 @@ def test_scaled_pairs_are_certified_by_their_keys(monkeypatch):
         assert res.witness_line.b == (f * small.witness_line.b[0],
                                       f * small.witness_line.b[1])
         assert res.candidate_count == small.candidate_count
-
-
-def test_uncertified_pair_converts_modules_per_call(monkeypatch):
-    """Past the guard, the float screen converts both modules once and the
-    exact evaluation of its survivors once more, whatever the chunk
-    size."""
-    f = 10 ** 9
-    M, N = (scale(m, f) for m in _huge_pair())
-    assert _key_path(M, N, None) == "bigint"
-    counts = []
-    for chunk in (_fastpath.CHUNK, 64):
-        monkeypatch.setattr(_fastpath, "CHUNK", chunk)
-        calls = _counted_sides(monkeypatch)
-        matching_distance(M, N)
-        counts.append(len(calls))
-        monkeypatch.undo()
-    assert counts == [2, 2]
 
 
 def test_pack_and_unpack_leave_inputs_unchanged():

@@ -33,13 +33,16 @@ def unused_imports(tree):
                   if name not in used)
 
 
-def private_helpers(tree):
-    """Private module-level functions and classes, with their lines; dunder
-    names are not helpers."""
+def private_helpers(tree, private_module=False):
+    """Private module-level functions and classes, with their lines, and
+    in a private module every module-level function, whatever its name;
+    dunder names are not helpers."""
     return {node.name: node.lineno for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")}
+            and not node.name.startswith("__")
+            and (node.name.startswith("_")
+                 or private_module and not isinstance(node, ast.ClassDef))}
 
 
 def references(tree):
@@ -59,11 +62,16 @@ def references(tree):
     return out
 
 
-def unreferenced_helpers(tree, refs):
-    """The tree's private helpers that no name in refs reads, with their
-    lines."""
-    return sorted((line, name) for name, line in private_helpers(tree).items()
+def unreferenced_helpers(tree, refs, private_module=False):
+    """The tree's helpers (private_helpers) that no name in refs reads,
+    with their lines."""
+    return sorted((line, name) for name, line
+                  in private_helpers(tree, private_module).items()
                   if name not in refs)
+
+
+def is_private_module(path):
+    return path.stem.startswith("_") and not path.stem.startswith("__")
 
 
 def _is_inf_marker(node):
@@ -119,7 +127,8 @@ def test_no_unreferenced_helpers():
     found = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
              for path in PACKAGE
              for line, name in unreferenced_helpers(
-                 ast.parse(path.read_text(), str(path)), refs)]
+                 ast.parse(path.read_text(), str(path)), refs,
+                 is_private_module(path))]
     assert found == []
 
 
@@ -135,6 +144,11 @@ def test_unreferenced_helpers_are_caught():
     other = ast.parse("setattr(m, '_patched', None)\n")
     refs = references(tree) | references(other)
     assert unreferenced_helpers(tree, refs) == [(3, "_dead"), (5, "_Gone")]
+    # in a private module a public name with no reader is dead too
+    assert unreferenced_helpers(tree, refs, True) == [
+        (3, "_dead"), (5, "_Gone"), (11, "public")]
+    assert is_private_module(ROOT / "src" / "matchdist" / "_fastpath.py")
+    assert not is_private_module(ROOT / "src" / "matchdist" / "__init__.py")
 
 
 def test_no_inf_comparisons():
