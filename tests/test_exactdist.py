@@ -1142,30 +1142,44 @@ def _counted_sides(monkeypatch):
     return calls
 
 
-def test_certified_pair_converts_modules_once(monkeypatch):
-    """A pair's lines are valued in one exact pass: both modules are
-    converted once per call, not once per chunk, whatever the chunk size,
-    and the float kernel never runs, for a certified pair and for one past
-    the guard, whose keys are Python ints."""
+def _converts_once(monkeypatch, M, N):
+    """Value M, N at the default chunk size and at 64 with the float kernel
+    stubbed out; each call must convert both modules once and give the
+    unstubbed value and witness."""
     def never(*args):
         raise AssertionError("float kernel called")
 
+    want = matching_distance(M, N)
+    for chunk in (_fastpath.CHUNK, 64):
+        monkeypatch.setattr(_fastpath, "eval_keys", never)
+        monkeypatch.setattr(_fastpath, "line_evaluator", never)
+        monkeypatch.setattr(_fastpath, "CHUNK", chunk)
+        calls = _counted_sides(monkeypatch)
+        res = matching_distance(M, N)
+        monkeypatch.undo()
+        assert res.candidate_count > 4 * 64
+        assert (res.value, res.witness_line) == \
+            (want.value, want.witness_line)
+        assert len(calls) == 1
+
+
+def test_certified_pair_converts_modules_once(monkeypatch):
+    """A certified pair's lines are valued in one exact pass: both modules
+    are converted once per call, not once per chunk, whatever the chunk
+    size, and the float kernel never runs."""
+    M, N = ex_need_omega()
+    assert _key_path(M, N, None) == "int64"
+    _converts_once(monkeypatch, M, N)
+
+
+def test_uncertified_pair_converts_modules_per_call(monkeypatch):
+    """Past the guard, where the keys are Python ints, the lines are valued
+    in the same one exact pass: both modules are converted once per call,
+    whatever the chunk size, and the float kernel never runs."""
     f = 10 ** 9
-    huge = tuple(scale(m, f) for m in _huge_pair())
-    for (M, N), path in ((ex_need_omega(), "int64"), (huge, "bigint")):
-        assert _key_path(M, N, None) == path
-        want = matching_distance(M, N)
-        for chunk in (_fastpath.CHUNK, 64):
-            monkeypatch.setattr(_fastpath, "eval_keys", never)
-            monkeypatch.setattr(_fastpath, "line_evaluator", never)
-            monkeypatch.setattr(_fastpath, "CHUNK", chunk)
-            calls = _counted_sides(monkeypatch)
-            res = matching_distance(M, N)
-            monkeypatch.undo()
-            assert res.candidate_count > 4 * 64
-            assert (res.value, res.witness_line) == \
-                (want.value, want.witness_line)
-            assert len(calls) == 1
+    M, N = (scale(m, f) for m in _huge_pair())
+    assert _key_path(M, N, None) == "bigint"
+    _converts_once(monkeypatch, M, N)
 
 
 def test_scaled_pairs_are_certified_by_their_keys(monkeypatch):
