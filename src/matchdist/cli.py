@@ -101,23 +101,11 @@ def parse_module(text: str) -> TwoParamModule:
 
     pres = Presentation(tuple((n, g) for n, g, _ in gens),
                         tuple((n, g, c) for n, g, c, _ in rels))
-    if pres.grade_violation() is not None:
-        raise ParseError(*_first_violation(gens, rels))
+    if pres.violation is not None:
+        # the index counts the generators first, then the relations
+        index, message = pres.violation
+        raise ParseError((gens + rels)[index][-1], message)
     return TwoParamModule.from_presentation(pres)
-
-
-def _first_violation(gens, rels):
-    """Line number and message of the defect grade_violation reports: it
-    checks the generators, then the relations, in file order, so the first
-    prefix that fails ends at the offending statement."""
-    gs = [(n, g) for n, g, _ in gens]
-    rs = [(n, g, c) for n, g, c, _ in rels]
-    prefixes = [(gs[:i], []) for i in range(1, len(gs) + 1)]
-    prefixes += [(gs, rs[:j]) for j in range(1, len(rs) + 1)]
-    for (g, r), stmt in zip(prefixes, gens + rels):
-        message = Presentation(tuple(g), tuple(r)).grade_violation()
-        if message is not None:
-            return stmt[-1], message
 
 
 def serialize_module(module: TwoParamModule) -> str:

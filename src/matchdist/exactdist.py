@@ -32,7 +32,8 @@ only those are reduced and compared exactly.  The numerators are int64
 where the integer kernel is certified to stay below 2^62, which covers
 every pair of moderate coordinates, and Python ints otherwise.  The
 pruning is sound offer by offer, so splitting the keys into chunks changes
-no result, and only the witness line is restricted in rationals.
+no result.  The lex-min tie-break compares the keys' integers too, so no
+fold builds a rational: only the witness line is restricted in rationals.
 """
 from __future__ import annotations
 
@@ -442,51 +443,41 @@ def _fold(spec, union, fold):
 
 
 class _LexMin:
-    """Exact running minimum of the line order (dx/dy, k/(lam*(dx+dy))).
+    """Exact running minimum of the line order (dx/dy, k/(lam*(dx+dy))), on
+    the keys' integers.
 
-    Each offer screens its keys by the float ratio dx/dy against the
-    running minimum m, the smaller of the offer's own float minimum and the
-    float ratio of the best key so far, and refines exactly only the keys
-    whose ratio is at most m*(1 + 1e-9) + 1e-12.  The band's error bound,
-    with u = 2^-53: inside _GUARD, dx and dy are exact doubles and dx/dy
-    rounds once, within a relative u of the exact ratio; past the guard the
-    keys are Python ints, and their two conversions to doubles add two more
-    roundings, at most 3u (3 ulps) in all.  The best key's ratio is
-    Python's correctly rounded int division, within u, and the threshold
-    rounds once more.  So a key outside the band has an exact ratio above
-    m*(1 + 1e-9)*(1 - u)/(1 + 3u), and the key behind m, already offered,
-    one of at most m/(1 - 3u): 7u is far inside 1e-9, so the dropped key
-    cannot be the lex-min, however the keys are split into offers.  The
-    keys of an offer arrive sorted by (dx, dy, k), and within one direction
-    b1 orders as k, so only the first key of each (dx, dy) run in the band
-    is refined.
+    Keys are primitive, so keys of equal ratio dx/dy share one direction,
+    within which b1 orders as k: the lex-min is the least k of the
+    direction of least ratio.  An offer takes the doubles of dx/dy
+    (_doubles, one correctly rounded division per key).  Rounding is
+    monotone, so only keys whose double ties the least one can hold the
+    least ratio, and those are compared exactly by cross-multiplication:
+    inside _GUARD dx, dy < 2^27, so the products fit in int64.  The offer's
+    best key meets the running one as the Python ints (dx*dy', k) against
+    (dx'*dy, k'), so the result depends neither on the order of the keys
+    nor on that of the offers.
     """
 
-    __slots__ = ("lam", "key", "best")
+    __slots__ = ("key",)
 
-    def __init__(self, lam):
-        self.lam = lam
+    def __init__(self):
         self.key = None
-        self.best = None
 
     def offer(self, dxv, dyv, kv, packed=None):
-        r = dxv.astype(np.float64) / dyv.astype(np.float64)
-        m = float(r.min())
-        if self.key is not None:
-            m = min(m, self.key[0] / self.key[1])
-        band = np.nonzero(r <= m * (1 + 1e-9) + 1e-12)[0]
-        # a direction's keys share one ratio, so its run stays whole in the
-        # band: keep each run's first key
-        first = np.ones(len(band), dtype=bool)
-        first[1:] = ((dxv[band[1:]] != dxv[band[:-1]])
-                     | (dyv[band[1:]] != dyv[band[:-1]]))
-        for t in band[first]:
-            self.offer_one(int(dxv[t]), int(dyv[t]), int(kv[t]))
-
-    def offer_one(self, dx, dy, k):
-        ck = (Q(dx, dy), Q(k, self.lam * (dx + dy)))
-        if self.best is None or ck < self.best:
-            self.best, self.key = ck, (dx, dy, k)
+        r = _doubles(dxv, dyv)
+        t = np.flatnonzero(r == r.min())
+        dx, dy, k = dxv[t], dyv[t], kv[t]
+        i = 0
+        while True:
+            below = dx * dy[i] < dx[i] * dy
+            if not below.any():
+                break
+            i = int(np.argmax(below))
+        same = (dx == dx[i]) & (dy == dy[i])
+        key = int(dx[i]), int(dy[i]), int(k[same].min())
+        if self.key is None or ((key[0] * self.key[1], key[2])
+                                < (self.key[0] * key[1], self.key[2])):
+            self.key = key
 
     def finish(self):
         return self.key
@@ -586,14 +577,13 @@ class _Select:
     (_fastpath._direction_bound: the kernel's own q, p <= p_ub exactly) is
     below _band's threshold, whose argument carries over.  The first offer
     values its _SEED keys of highest bound first, so the bound prunes from
-    the start; finish sorts the tied keys back into key order before the
-    lex-min.
+    the start; _LexMin picks among the tied keys in any order.
     """
 
-    __slots__ = ("lam", "spec", "dtype", "values", "fmax", "parts", "size")
+    __slots__ = ("spec", "dtype", "values", "fmax", "parts", "size")
 
     def __init__(self, M, N, lam, spec, union):
-        self.lam, self.spec = lam, spec
+        self.spec = spec
         # keys sort by dx first, so the last has the largest
         dxm = int(_unpack(spec, union[-1:])[0][0])
 
@@ -649,9 +639,7 @@ class _Select:
         self._prune()
         packed, ps, qs = self.parts[0]
         top = packed[_exact_top(*_fastpath.reduce_fractions(ps, qs))]
-        # _LexMin reads the keys in key order, which seeding breaks
-        top.sort()
-        lexmin = _LexMin(self.lam)
+        lexmin = _LexMin()
         lexmin.offer(*_unpack(self.spec, top))
         return lexmin.finish()
 
@@ -769,7 +757,7 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
     spec, union = _stream(X, Y, dvals)
     if (_essential_count(M) != _essential_count(N)
             or _struct_key(M) == _struct_key(N)):
-        fold = _LexMin(lam)
+        fold = _LexMin()
     else:
         fold = _Select(M, N, lam, spec, union)
     return _result_at(M, N, _fold(spec, union, fold), lam, int(union.size))

@@ -56,30 +56,36 @@ class Presentation:
     relations: tuple
 
     def grade_violation(self):
-        """First structural defect as a message string, or None if valid.
+        """First structural defect as a message string, or None if valid."""
+        bad = self.violation
+        return None if bad is None else bad[1]
+
+    @cached_property
+    def violation(self):
+        """(index, message) of the first structural defect, or None if
+        valid; the index counts the generators first, then the relations.
 
         Checks duplicate generator names, unknown names in relation columns,
         and the requirement that a relation's grade dominates the grade of
         every generator in its column componentwise.  The presentation is
         immutable, so the checks run once and their result is kept.
         """
-        return self._violation
-
-    @cached_property
-    def _violation(self):
         grades = {}
-        for name, grade in self.generators:
+        for i, (name, grade) in enumerate(self.generators):
             if name in grades:
-                return "duplicate generator name %r" % name
+                return i, "duplicate generator name %r" % name
             grades[name] = grade
-        for name, grade, column in self.relations:
+        for i, (name, grade, column) in enumerate(self.relations,
+                                                  len(self.generators)):
             for gen in sorted(column):
                 if gen not in grades:
-                    return "relation %r references unknown generator %r" % (name, gen)
+                    return i, ("relation %r references unknown generator %r"
+                               % (name, gen))
                 g = grades[gen]
                 if not (grade[0] >= g[0] and grade[1] >= g[1]):
-                    return ("relation %r at (%s, %s) is below generator %r at (%s, %s)"
-                            % (name, grade[0], grade[1], gen, g[0], g[1]))
+                    return i, ("relation %r at (%s, %s) is below generator "
+                               "%r at (%s, %s)"
+                               % (name, grade[0], grade[1], gen, g[0], g[1]))
         return None
 
 

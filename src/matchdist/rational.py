@@ -1,20 +1,16 @@
 """Exact rational scalars plus the +infinity marker used for open-ended deaths.
 
-gmpy2's mpq is used when available (it is much faster); fractions.Fraction
-otherwise.  Both types parse "p/q" and decimal strings, reduce to canonical
-form, and hash compatibly.  Infinity is represented by float("inf"), which
-compares correctly against both rational types; it never enters exact
-arithmetic except through the explicit helpers below.
+Every exact value is a fractions.Fraction, exported as Q.  Fraction parses
+"p/q" and decimal strings and reduces to canonical form.  Infinity is
+represented by float("inf"), which compares correctly against a Fraction; it
+never enters exact arithmetic except through the explicit helpers below.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # gmpy2 missing: the slower, equally exact stdlib type
-    Q = Fraction
+Q = Fraction
 
 INF = float("inf")
 
@@ -30,20 +26,16 @@ def is_inf(x) -> bool:
 def rat(x):
     """Convert x to an exact rational.
 
-    Accepts ints, rationals, Fractions, floats (converted via their exact
-    binary value) and strings: integers ("7"), decimals ("2.5", exact) and
-    fractions ("7/11").  Infinity is rejected; callers handle it separately.
-    A value already of type Q is returned as it is.
+    Accepts ints, Fractions, floats (converted via their exact binary value)
+    and strings: integers ("7"), decimals ("2.5", exact) and fractions
+    ("7/11").  Infinity is rejected; callers handle it separately.  A
+    Fraction is returned as it is.
     """
-    if type(x) is Q:
+    if type(x) is Fraction:
         return x
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("not a finite number: %r" % x)
-        return Q(Fraction(x))
-    if isinstance(x, str):
-        return Q(Fraction(x))
-    return Q(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError("not a finite number: %r" % x)
+    return Fraction(x)
 
 
 def ext_abs_diff(a, b):

@@ -3,12 +3,13 @@ import json
 
 import pytest
 
+import matchdist.cli as cli
 from conftest import ex_need_omega
 from matchdist.cli import (ParseError, main, parse_module, serialize_module)
 from matchdist.exactdist import candidate_lines, matching_distance
 from matchdist.geometry import line_through
 from matchdist.fibered import restrict_module
-from matchdist.modules import TwoParamModule, rect
+from matchdist.modules import Presentation, TwoParamModule, rect
 from matchdist.rational import INF, Q
 
 EX1_M = "rect 0 0 7 7\nrect 0 4 7 11\n"
@@ -60,12 +61,31 @@ def test_parse_empty_is_trivial():
     ("gen g 0 0\ngen g 1 1", 2, "duplicate"),
     ("gen g 0 0\nrel r 0 7 h", 2, "unknown generator 'h'"),
     ("gen g 2 2\nrel r 0 7 g", 2, "below generator"),
+    ("gen g 0 0\nrel r 1 1 g\ngen g 2 2", 3, "duplicate"),
 ])
 def test_parse_errors(text, lineno, needle):
     with pytest.raises(ParseError) as e:
         parse_module(text)
     assert e.value.lineno == lineno
     assert needle in str(e.value)
+
+
+def test_parse_validates_presentation_once(monkeypatch):
+    """A bad statement is located by one check of the whole presentation,
+    not one per prefix of the file."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Presentation(*args)
+
+    monkeypatch.setattr(cli, "Presentation", counted)
+    text = "".join("gen g%d %d 0\n" % (i, i) for i in range(10000))
+    with pytest.raises(ParseError) as e:
+        parse_module(text + "rel r 0 0 g9999\n")
+    assert e.value.lineno == 10001
+    assert "below generator 'g9999'" in str(e.value)
+    assert len(built) == 1
 
 
 def test_round_trip():

@@ -1032,32 +1032,24 @@ def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
     assert max(sizes) <= 64
 
 
-def test_lex_min_refines_one_key_per_direction(monkeypatch):
-    """Keys reach _LexMin sorted by (dx, dy, k), so it refines in rationals
-    only the first key of each direction within its band.  With 64-key
-    chunks along dx = 1, the pair below took 327 refinements when every
-    key in the band was refined; the value, the witness and the count stay
-    those of whole-block offers, and the witness is the lex-min key."""
+def test_folds_build_no_rational(monkeypatch):
+    """The folds compare the keys' integers and build no rational: with Q
+    made to raise, 64-key chunks give matching_distance's witness key, by
+    _LexMin on a pair that needs no line search and by _Select on one that
+    does."""
     M = TwoParamModule.from_rects([rect(0, 0, INF, INF), rect(1, 1, 3, 2)])
     N = TwoParamModule.from_rects([rect(0, 1, 2, 3)])
-    want = matching_distance(M, N)
-    monkeypatch.setattr(_fastpath, "CHUNK", 64)
-    calls = []
-    offer_one = exactdist._LexMin.offer_one
-
-    def counted(self, dx, dy, k):
-        calls.append((dx, dy))
-        return offer_one(self, dx, dy, k)
-
-    monkeypatch.setattr(exactdist._LexMin, "offer_one", counted)
-    res = matching_distance(M, N)
-    assert 0 < len(calls) < 327
-    assert (res.value, res.witness_line, res.candidate_count) == \
-        (want.value, want.witness_line, want.candidate_count)
-    X, Y, dvals, lam = exactdist._lattice(M, N, None)
-    keys = exactdist._distinct_keys(X, Y, dvals)
-    best = min(keys, key=lambda t: lex_pair(*t, lam))
-    assert res.witness_line == exactdist._line_from_key(*best, lam)
+    wide = next(_wide_pairs())
+    for (A, B), make in (((M, N), lambda *args: exactdist._LexMin()),
+                         (wide, exactdist._Select)):
+        want = matching_distance(A, B)
+        X, Y, dvals, lam = exactdist._lattice(A, B, None)
+        spec, union = exactdist._stream(X, Y, dvals)
+        with monkeypatch.context() as mp:
+            mp.setattr(_fastpath, "CHUNK", 64)
+            mp.setattr(exactdist, "Q", None)
+            key = exactdist._fold(spec, union, make(A, B, lam, spec, union))
+        assert exactdist._line_from_key(*key, lam) == want.witness_line
 
 
 @pytest.mark.parametrize("dtype, a, b", [
@@ -1065,20 +1057,25 @@ def test_lex_min_refines_one_key_per_direction(monkeypatch):
     (object, (2 ** 60 + 1, 2 ** 60), (2 ** 60, 2 ** 60 - 1)),
 ], ids=["near-tie", "equal-doubles"])
 def test_lex_min_band_keeps_near_ties(dtype, a, b):
-    """_LexMin's band keeps the exact lex-min against a direction whose
-    ratio dx/dy is above it by a relative 2^-48, and against one whose
-    double equals its own (object keys past the guard), in both orders,
-    in one offer and split across offers."""
+    """_LexMin keeps the exact lex-min against a direction whose ratio
+    dx/dy is above it by a relative 2^-48, and against one whose double
+    equals its own (object keys past the guard), in both orders, in one
+    offer and split across offers, and in one offer out of key order."""
     assert Q(*a) < Q(*b)
     if dtype is object:
         assert float(a[0]) / float(a[1]) == float(b[0]) / float(b[1])
-    for first, second in ((a, b), (b, a)):
+
+    def lex_min(offers):
+        fold = exactdist._LexMin()
+        for keys in offers:
+            fold.offer(*(np.array(c, dtype=dtype) for c in zip(*keys)))
+        return fold.finish()
+
+    for first, second in (((*a, 0), (*b, 0)), ((*b, 0), (*a, 0))):
         for offers in ([[first, second]], [[first], [second]]):
-            fold = exactdist._LexMin(1)
-            for keys in offers:
-                dxv, dyv = (np.array(c, dtype=dtype) for c in zip(*keys))
-                fold.offer(dxv, dyv, np.zeros(len(keys), dtype=dtype))
-            assert fold.finish() == (*a, 0)
+            assert lex_min(offers) == (*a, 0)
+    # directions interleaved, k descending
+    assert lex_min([[(*a, 3), (*b, 2), (*a, 1), (*b, 0)]]) == (*a, 1)
 
 
 def _band_top(ps, qs, chunk):

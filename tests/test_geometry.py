@@ -10,11 +10,6 @@ from matchdist.geometry import (LEFT, ON, RIGHT, Line, NonPositiveDirection,
                                 reciprocal_position, weight)
 from matchdist.rational import INF, Q
 
-try:
-    import gmpy2
-except ImportError:  # the mpq check is skipped
-    gmpy2 = None
-
 rat_st = st.builds(Q, st.integers(-24, 48), st.integers(1, 4))
 pos_st = st.builds(Q, st.integers(1, 16), st.integers(1, 4))
 point_st = st.tuples(rat_st, rat_st)
@@ -96,16 +91,6 @@ _off_st = st.one_of(_scalar_st.map(lambda v: (v, -v)),
 
 @given(_dir_st, _off_st)
 def test_line_validation_matches_rational_comparisons(m, b):
-    assert _outcome(Line, m, b) == _outcome(_rational_check, m, b)
-
-
-@pytest.mark.skipif(gmpy2 is None, reason="gmpy2 is not installed")
-@given(_dir_st, _off_st)
-def test_line_validation_matches_rational_comparisons_mpq(m, b):
-    def conv(v):
-        return v if isinstance(v, float) else gmpy2.mpq(v)
-
-    m, b = tuple(map(conv, m)), tuple(map(conv, b))
     assert _outcome(Line, m, b) == _outcome(_rational_check, m, b)
 
 

@@ -98,6 +98,27 @@ def inf_comparisons(tree):
                               [node.left, *node.comparators])))
 
 
+_IMPORT_ERRORS = {"ImportError", "ModuleNotFoundError"}
+
+
+def import_fallbacks(tree):
+    """Lines of the except clauses that catch ImportError or
+    ModuleNotFoundError, by name or as an attribute, alone or in a tuple:
+    an optional dependency forks the package into two configurations, and
+    a run measures only the one installed."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) \
+            else [node.type]
+        names = {t.id if isinstance(t, ast.Name) else getattr(t, "attr", None)
+                 for t in types}
+        if names & _IMPORT_ERRORS:
+            out.append(node.lineno)
+    return sorted(out)
+
+
 def test_sources_found():
     names = {p.name for p in READERS}
     assert {"exactdist.py", "__init__.py", "test_hygiene.py",
@@ -167,3 +188,22 @@ def test_inf_comparisons_are_caught():
                      "d = is_inf(x) or x < INF\n"
                      "e = x == 'inf'\n")
     assert inf_comparisons(tree) == [3, 4, 5]
+
+
+def test_no_import_fallbacks():
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in PACKAGE
+             for line in import_fallbacks(ast.parse(path.read_text(),
+                                                    str(path)))]
+    assert found == []
+
+
+def test_import_fallbacks_are_caught():
+    tree = ast.parse("try:\n    from gmpy2 import mpq as Q\n"
+                     "except ImportError:\n    Q = None\n"
+                     "try:\n    import a\n"
+                     "except (OSError, builtins.ModuleNotFoundError):\n"
+                     "    pass\n"
+                     "try:\n    x = 1\nexcept ValueError:\n    pass\n"
+                     "try:\n    x = 1\nexcept:\n    pass\n")
+    assert import_fallbacks(tree) == [3, 7]
