@@ -25,9 +25,10 @@ the line is a fraction over the common per-line denominator
 lam*(dx+dy)*dx*dy, so bottleneck costs reduce to integer max/min
 arithmetic on numerators, and the weighted value is an unreduced fraction
 per line.  exact_evaluator returns those fractions, and matching_distance
-takes them for every line and reduces only the few that can still win: in
-int64 where numerator_bound shows that every intermediate fits, in Python
-ints in object arrays otherwise.  exact_reduced_values reduces every line.
+takes them for every line and reduces only the few that can still win.
+The map picks its integers call by call, from the keys it gets: int64
+where its certificate shows that every intermediate fits, Python ints in
+object arrays otherwise.  exact_reduced_values reduces every line.
 """
 from __future__ import annotations
 
@@ -209,19 +210,6 @@ def vector_ready(M, N) -> bool:
     return min(bar_counts(M)[0], bar_counts(N)[0]) <= MAX_FINITE
 
 
-def _coords(module):
-    """Every finite coordinate of the module's grades."""
-    if module.rectangles is not None:
-        for r in module.rectangles:
-            yield from (v for v in (*r.lower, *r.upper) if not is_inf(v))
-        return
-    pres = module.presentation
-    for _, grade in pres.generators:
-        yield from grade
-    for _, grade, _ in pres.relations:
-        yield from grade
-
-
 def line_floats(dxs, dys, ks, lam):
     dx = np.asarray(dxs, dtype=np.float64)
     dy = np.asarray(dys, dtype=np.float64)
@@ -371,8 +359,9 @@ def _direction_bound(fin, ar):
     its lower and each finite upper crossing.  On a key (dx, dy, k) a width
     w gives s*w*dy on the first axis and s*w*dx on the second, k cancelling
     (s = dx + dy): exact, over the kernel's own q = 2*lam*s*dx*dy, and
-    within numerator_bound's certificate, s*w*dy being at most twice a push
-    bound.  In floats each crossing rounds; _row_bound adds the margin."""
+    exact under the map's certificate (exact_evaluator), s*w*dy being at
+    most twice a push bound.  In floats each crossing rounds; _row_bound
+    adds the margin."""
     ext = {}
 
     def extent(axis, w):
@@ -545,27 +534,21 @@ def eval_keys(M, N, dxs, dys, ks, lam):
     return eval_lines(M, N, m1, m2, b1, b2)
 
 
-def numerator_bound(M, N, lam, dxm, dym, kb):
-    """A bound on every intermediate of the integer kernel, the unreduced
-    numerators and denominators among them, over keys with 0 < dx <= dxm,
-    0 < dy <= dym and |k| <= kb: int64 arithmetic is exact when it is
-    below 2^62."""
-    amax = max((abs(int(v * lam)) for mod in (M, N) for v in _coords(mod)),
-               default=0)
-    s = dxm + dym
-    push_bound = (s * amax + kb) * max(dxm, dym)
-    num_bound = max(dxm, dym) * 4 * push_bound
-    den_bound = 2 * lam * s * dxm * dym
-    return max(num_bound, den_bound)
-
-
 def exact_evaluator(M, N, lam):
     """The exact weighted-cost map over key arrays (dxv, dyv, kv) with
     scaling lam, with both modules converted into lam-scaled integers once,
-    for every call.  It returns unreduced fractions (p, q), q > 0, in the
-    arrays' dtype, int64 or object; int64 is exact when numerator_bound over
-    the keys is below 2^62.  Requires equal essential counts on the two
-    sides.
+    for every call.  It returns unreduced fractions (p, q), q > 0, int64 or
+    Python ints in object arrays.  Requires equal essential counts on the
+    two sides.
+
+    The map certifies its own arithmetic, call by call, on the keys it
+    gets: object keys stay object, and integer keys are valued in int64
+    when every intermediate of the kernel, the unreduced numerators and
+    denominators among them, is below 2^62, and in Python ints otherwise.
+    With dxm, dym and kb the largest dx, dy and |k| of the call, s = dxm +
+    dym, m = max(dxm, dym) and amax the largest |converted coordinate|, a
+    push numerator is at most (s*amax + kb)*m, a weighted numerator at most
+    4*m^2*(s*amax + kb) and q at most 2*lam*s*dxm*dym.
 
     A presentation's push numerators order its grades exactly as
     restrict_presentation's push parameters do, ties included, so its
@@ -573,18 +556,37 @@ def exact_evaluator(M, N, lam):
 
     On a rectangle pair without essential bars the map also has
     bound(dxv, dyv, kv): _direction_bound's fractions (p_ub, q), with the
-    map's own q and p <= p_ub line by line, exact under the same
+    map's own q and p <= p_ub line by line, exact under the map's
     certificate.
     """
-    sm, sn = _sides(M, N, lambda v: int(v * lam))
+    amax = 0
+
+    def conv(v):
+        nonlocal amax
+        c = int(v * lam)
+        amax = max(amax, abs(c))
+        return c
+
+    sm, sn = _sides(M, N, conv)
+
+    def numerators(dxv, dyv, kv):
+        if dxv.dtype != object:
+            dxm, dym = int(dxv.max(initial=0)), int(dyv.max(initial=0))
+            kb = max(int(kv.max(initial=0)), -int(kv.min(initial=0)))
+            s, m = dxm + dym, max(dxm, dym)
+            fits = max(4 * m * m * (s * amax + kb),
+                       2 * lam * s * dxm * dym) < 1 << 62
+            dxv, dyv, kv = (v.astype(np.int64 if fits else object, copy=False)
+                            for v in (dxv, dyv, kv))
+        return _KeyNumerators(lam, dxv, dyv, kv)
 
     def values(dxv, dyv, kv):
-        return _chunk(sm, sn, _KeyNumerators(lam, dxv, dyv, kv))
+        return _chunk(sm, sn, numerators(dxv, dyv, kv))
 
     fin = _finite_rects(sm, sn)
     if fin:
         values.bound = lambda dxv, dyv, kv: _direction_bound(
-            fin, _KeyNumerators(lam, dxv, dyv, kv))
+            fin, numerators(dxv, dyv, kv))
     return values
 
 
@@ -597,20 +599,14 @@ def reduce_fractions(ps, qs):
 def exact_reduced_values(M, N, dxv, dyv, kv, lam):
     """Exact weighted costs over key arrays as reduced fractions.
 
-    Returns (p, q) arrays with value = p/q in lowest terms: int64 when
-    numerator_bound over the keys is below 2^62, Python ints in object
-    arrays otherwise.  Requires modules with equal essential counts.
+    Returns (p, q) arrays with value = p/q in lowest terms, valued through
+    exact_evaluator CHUNK keys at a time: int64 when every chunk is
+    certified in int64, Python ints in object arrays otherwise.  Requires
+    modules with equal essential counts.
     """
-    dxm = int(dxv.max()) if dxv.size else 1
-    dym = int(dyv.max()) if dyv.size else 1
-    kb = int(np.abs(kv).max()) if kv.size else 0
-    dtype = (np.int64 if numerator_bound(M, N, lam, dxm, dym, kb) < 1 << 62
-             else object)
-    dxv, dyv, kv = (v.astype(dtype, copy=False) for v in (dxv, dyv, kv))
     values = exact_evaluator(M, N, lam)
-    ps = np.empty(len(dxv), dtype=dtype)
-    qs = np.empty(len(dxv), dtype=dtype)
-    for t in range(0, len(dxv), CHUNK):
-        sl = slice(t, t + CHUNK)
-        ps[sl], qs[sl] = values(dxv[sl], dyv[sl], kv[sl])
-    return reduce_fractions(ps, qs)
+    parts = [values(dxv[t:t + CHUNK], dyv[t:t + CHUNK], kv[t:t + CHUNK])
+             for t in range(0, len(dxv), CHUNK)]
+    if not parts:
+        return dxv[:0], dxv[:0]
+    return reduce_fractions(*(np.concatenate(c) for c in zip(*parts)))

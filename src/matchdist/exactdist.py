@@ -28,12 +28,14 @@ Pairs that need a line search go through one selection fold, whatever
 their number of bars, with both modules converted once per call, in one
 exact pass: each line is valued once on unreduced integer numerators, a
 band with a written 3-ulp bound keeps the lines that can still win, and
-only those are reduced and compared exactly.  The numerators are int64
-where the integer kernel is certified to stay below 2^62, which covers
-every pair of moderate coordinates, and Python ints otherwise.  The
-pruning is sound offer by offer, so splitting the keys into chunks changes
-no result.  The lex-min tie-break compares the keys' integers too, so no
-fold builds a rational: only the witness line is restricted in rationals.
+only those are reduced and compared exactly.  The kernel picks its
+numerators chunk by chunk (_fastpath.exact_evaluator): int64 where its
+certificate over the chunk's keys shows every intermediate below 2^62,
+which covers every pair of moderate coordinates, and Python ints
+otherwise.  The pruning is sound offer by offer, so splitting the keys
+into chunks changes no result.  The lex-min tie-break compares the keys'
+integers too, so no fold builds a rational: only the witness line is
+restricted in rationals.
 """
 from __future__ import annotations
 
@@ -490,11 +492,17 @@ def _doubles(ps, qs):
     return (ps / qs).astype(np.float64, copy=False)
 
 
+# _band's threshold over the running maximum; _Select.offer drops a key
+# whose direction bound's double is below it, so the bound prunes by the
+# same proven band
+_BAND = 1 - 2.0 ** -50
+
+
 def _band(ps, qs, fmax):
     """The running maximum fmax of the doubles of the fractions ps/qs
     (q > 0, int64 or Python ints), raised to this chunk's, and the mask of
-    the fractions whose double is at least fmax*(1 - 2^-50), the band that
-    may still hold the exact maximum.
+    the fractions whose double is at least fmax*_BAND = fmax*(1 - 2^-50),
+    the band that may still hold the exact maximum.
 
     The bound, with u = 2^-53: on int64, converting p and q and dividing
     round once each, so a double r lies within a relative 3u of p/q (to
@@ -512,7 +520,7 @@ def _band(ps, qs, fmax):
     """
     r = _doubles(ps, qs)
     fmax = max(fmax, float(r.max()))
-    return fmax, r >= fmax * (1 - 2.0 ** -50)
+    return fmax, r >= fmax * _BAND
 
 
 def _exact_top(ps, qs):
@@ -534,20 +542,6 @@ def _exact_top(ps, qs):
     return top
 
 
-def _reach(spec, union):
-    """The largest dy and |k| of the distinct packed keys, unpacked in
-    slices of _fastpath.CHUNK keys: bounds of the keys themselves, far
-    below the spec's packing bounds when the coordinates are large and the
-    primitive directions small."""
-    dym = kmax = 0
-    step = _fastpath.CHUNK
-    for s in range(0, union.size, step):
-        _, dyv, kv = _unpack(spec, union[s:s + step])
-        dym = max(dym, int(dyv.max()))
-        kmax = max(kmax, int(kv.max()), -int(kv.min()))
-    return dym, kmax
-
-
 # keys of highest bound that a selection values first, on its first offer,
 # to seed the running maximum that the bound prunes against
 _SEED = 256
@@ -567,10 +561,11 @@ class _Select:
     offered no later beats it exactly, so splitting the keys into offers
     changes no result.
 
-    The int64 certificate only chooses the dtype of the keys handed to the
-    kernel: int64 when the keys are and _fastpath.numerator_bound is below
-    2^62, over the spec's key ranges or, where those fail, over the keys'
-    own reach (_reach); Python ints in object arrays otherwise.
+    The kernel picks its own integers, chunk by chunk: the map values a
+    chunk in int64 when its certificate holds over that chunk's keys, and
+    in Python ints otherwise, so the chunks of one selection may differ in
+    arithmetic.  _band, _prune, reduce_fractions and _exact_top take both,
+    and int64 and object parts concatenate to object.
 
     On a rectangle pair without essential bars, a key is dropped unvalued
     when the double of its direction bound p_ub/q
@@ -580,38 +575,25 @@ class _Select:
     the start; _LexMin picks among the tied keys in any order.
     """
 
-    __slots__ = ("spec", "dtype", "values", "fmax", "parts", "size")
+    __slots__ = ("spec", "values", "fmax", "parts", "size")
 
-    def __init__(self, M, N, lam, spec, union):
+    def __init__(self, M, N, lam, spec):
         self.spec = spec
-        # keys sort by dx first, so the last has the largest
-        dxm = int(_unpack(spec, union[-1:])[0][0])
-
-        def certified(dym, kb):
-            return _fastpath.numerator_bound(M, N, lam, dxm, dym, kb) < 1 << 62
-
-        # the spec's ranges certify most pairs; the keys are read again
-        # only where they fail
-        self.dtype = np.dtype(np.int64 if spec.key_dtype == np.int64 and (
-            certified(spec.sdy - 1, spec.kb)
-            or certified(*_reach(spec, union))) else object)
         self.values = _fastpath.exact_evaluator(M, N, lam)
         self.fmax = -np.inf
         self.parts, self.size = [], 0
 
     def offer(self, dxv, dyv, kv, packed):
-        keys = (*(v.astype(self.dtype, copy=False) for v in (dxv, dyv, kv)),
-                packed)
+        keys = (dxv, dyv, kv, packed)
         bound = getattr(self.values, "bound", None)
         if bound is not None:
-            r = _doubles(*bound(*keys[:3]))
+            r = _doubles(*bound(dxv, dyv, kv))
             if self.fmax == -np.inf and len(r) > _SEED:
                 seed = np.zeros(len(r), dtype=bool)
                 seed[np.argpartition(r, -_SEED)[-_SEED:]] = True
                 self._score(*(c[seed] for c in keys))
                 r[seed] = -np.inf
-            # _band's threshold, on the bound's doubles
-            live = r >= self.fmax * (1 - 2.0 ** -50)
+            live = r >= self.fmax * _BAND
             keys = tuple(c[live] for c in keys)
         if len(keys[0]):
             self._score(*keys)
@@ -759,7 +741,7 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
             or _struct_key(M) == _struct_key(N)):
         fold = _LexMin()
     else:
-        fold = _Select(M, N, lam, spec, union)
+        fold = _Select(M, N, lam, spec)
     return _result_at(M, N, _fold(spec, union, fold), lam, int(union.size))
 
 

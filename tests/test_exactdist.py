@@ -890,14 +890,12 @@ def test_scaled_pairs_match_per_line_selection():
     cases += [((TwoParamModule.from_rects(rm), TwoParamModule.from_rects(rn)),
                "bigint") for rm, rn in _FLOAT_RECTS]
     # int64 keys whose kernel numerators may pass 2^62: valued in Python ints
-    a, b, c = (Q(k, 100003) for k in (10001, 70005, 30007))
-    for rm, rn in (([rect(a, a, b, b)], [rect(a, a, c, b)]),
-                   ([rect(a, a, b, INF), rect(a, c, INF, INF)],
-                    [rect(a, a, c, INF), rect(c, a, INF, INF)])):
-        M, N = TwoParamModule.from_rects(rm), TwoParamModule.from_rects(rn)
+    for M, N in _past_certificate_pairs():
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         spec, union = exactdist._stream(X, Y, dvals)
-        assert exactdist._Select(M, N, lam, spec, union).dtype == object
+        values = _fastpath.exact_evaluator(M, N, lam)
+        p, q = values(*exactdist._unpack(spec, union))
+        assert p.dtype == q.dtype == object
         cases.append(((M, N), "object"))
     for (M, N), path in cases:
         assert _key_path(M, N, None) == path
@@ -908,6 +906,55 @@ def test_scaled_pairs_match_per_line_selection():
         assert res.value > 0
         assert (res.value, res.witness_line, res.candidate_count) == \
             (ref.value, ref.witness_line, ref.candidate_count)
+
+
+def _past_certificate_pairs():
+    """Two pairs of int64 keys past the kernel's int64 certificate: the
+    second has infinite uppers and essential bars, and 3,027 lines."""
+    a, b, c = (Q(k, 100003) for k in (10001, 70005, 30007))
+    for rm, rn in (([rect(a, a, b, b)], [rect(a, a, c, b)]),
+                   ([rect(a, a, b, INF), rect(a, c, INF, INF)],
+                    [rect(a, a, c, INF), rect(c, a, INF, INF)])):
+        yield TwoParamModule.from_rects(rm), TwoParamModule.from_rects(rn)
+
+
+def test_exact_evaluator_is_exact_past_its_certificate():
+    """Given int64 keys whose kernel numerators may pass 2^62, the map
+    values them exactly: every distinct key of the two pairs past the
+    certificate gets the per-line exact cost, where int64 arithmetic
+    overflows on some of them."""
+    for M, N in _past_certificate_pairs():
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = exactdist._distinct_keys(X, Y, dvals)
+        dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
+        p, q = _fastpath.exact_evaluator(M, N, lam)(dxv, dyv, kv)
+        for pt, qt, key in zip(p.tolist(), q.tolist(), keys):
+            line = exactdist._line_from_key(*key, lam)
+            assert Q(pt, qt) == exactdist._exact_cost(M, N, line)
+
+
+def test_one_selection_mixes_int64_and_object_chunks(monkeypatch):
+    """The kernel picks int64 or Python ints per chunk, from that chunk's
+    keys: with 64-key chunks, one selection over the pair past the
+    certificate with infinite uppers runs chunks of both arithmetics, and
+    gives the value, witness line and count of the per-line oracle."""
+    M, N = list(_past_certificate_pairs())[1]
+    monkeypatch.setattr(_fastpath, "CHUNK", 64)
+    dtypes = []
+    chunk = _fastpath._chunk
+
+    def recorded(sm, sn, ar):
+        dtypes.append(ar.dxv.dtype)
+        return chunk(sm, sn, ar)
+
+    monkeypatch.setattr(_fastpath, "_chunk", recorded)
+    res = matching_distance(M, N)
+    assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
+    keys = exactdist._distinct_keys(X, Y, dvals)
+    ref = select_exact(M, N, keys, lam, len(keys))
+    assert (res.value, res.witness_line, res.candidate_count) == \
+        (ref.value, ref.witness_line, ref.candidate_count)
 
 
 # Rectangle pairs given as Python floats: rat keeps their exact binary
@@ -1048,7 +1095,7 @@ def test_folds_build_no_rational(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(_fastpath, "CHUNK", 64)
             mp.setattr(exactdist, "Q", None)
-            key = exactdist._fold(spec, union, make(A, B, lam, spec, union))
+            key = exactdist._fold(spec, union, make(A, B, lam, spec))
         assert exactdist._line_from_key(*key, lam) == want.witness_line
 
 
