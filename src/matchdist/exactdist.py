@@ -48,7 +48,8 @@ import numpy as np
 from . import _fastpath
 from .bottleneck import MatchingWitness, bottleneck, bottleneck_cost
 from .fibered import bar_counts, restrict_module
-from .geometry import Line, ProjPoint, normalize_line, weight
+from .geometry import (Line, NonPositiveDirection, ProjPoint,
+                       normalize_line, weight)
 from .modules import TwoParamModule, critical_values, lub_closure, swap_axes
 from .rational import INF, Q, is_inf, rat
 
@@ -626,21 +627,58 @@ class _Select:
         return lexmin.finish()
 
 
-def _line_from_key(dx, dy, k, lam):
-    dx, dy, k = int(dx), int(dy), int(k)
+def _check_positive(dxv, dyv):
+    """Raise NonPositiveDirection, as Line does, unless every direction
+    (dx, dy) is componentwise positive: one test over int or key arrays."""
+    if not (np.all(np.greater(dxv, 0)) and np.all(np.greater(dyv, 0))):
+        raise NonPositiveDirection("direction must be componentwise positive")
+
+
+def _key_lines(dx, dy, ks, lam):
+    """The lines of the primitive keys (dx, dy, k), k in ks, of one
+    direction whose positivity the caller has checked.
+
+    They are built without Line.__post_init__, whose other conditions hold
+    by construction: the one shared m = (dx, dy)/max(dx, dy) has max(m) = 1,
+    and b = (b1, -b1) with b1 = k/(lam*(dx + dy)) has b1 + b2 = 0.  Every
+    field is a canonical Q, so the lines equal and hash as Line(m, b) does.
+    """
     mx = max(dx, dy)
-    b1 = Q(k, lam * (dx + dy))
-    return Line((Q(dx, mx), Q(dy, mx)), (b1, -b1))
+    m = (Q(dx, mx), Q(dy, mx))
+    den = lam * (dx + dy)
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for k in ks:
+        b1 = Q(k, den)
+        line = new(Line)
+        put(line, "m", m)
+        put(line, "b", (b1, -b1))
+        out.append(line)
+    return out
+
+
+def _line_from_key(dx, dy, k, lam):
+    _check_positive(dx, dy)
+    return _key_lines(int(dx), int(dy), (int(k),), lam)[0]
+
+
+class _Ratio(tuple):
+    """A direction (dx, dy, ...) of positive ints that orders as dx/dy, by
+    cross-multiplication."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return self[0] * other[1] < other[0] * self[1]
 
 
 def _direction_order(d):
-    """Sort key of a direction (dx, dy) of positive ints in the order of
-    dx/dy: the correctly rounded double dx/dy, then the exact ratio.
+    """Sort key of a direction (dx, dy, ...) of positive ints in the order
+    of dx/dy: the correctly rounded double dx/dy, then the exact ratio.
     Rounding is monotone, a >= b implies fl(a) >= fl(b), so unequal
     doubles order as the ratios do, and only directions whose doubles tie
-    compare as rationals."""
-    dx, dy = d
-    return dx / dy, Q(dx, dy)
+    compare their ratios, by _Ratio's cross-multiplication."""
+    return d[0] / d[1], _Ratio(d)
 
 
 def _distinct_keys(X, Y, dvals):
@@ -659,13 +697,15 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     The set is materialized, which can be very large when the modules have
     many distinct coordinate differences; matching_distance never builds it.
 
-    The lines are sorted by (m1/m2, b1) without comparing rationals per
-    line.  Keys are primitive, so the lines of one direction share one
-    (dx, dy); _distinct_keys returns them sorted by (dx, dy, k); and within
-    a direction b1 = k/(lam*(dx+dy)) orders as k.  So only the distinct
-    directions are sorted, by dx/dy = m1/m2 (_direction_order), and each
-    keeps its lines in key order.  The direction pair is built once per
-    direction.
+    The lines come straight from the stream's sorted key arrays, sorted by
+    (m1/m2, b1) without comparing rationals per line.  Keys are primitive,
+    so the lines of one direction share one (dx, dy) and form one run of
+    the arrays, sorted by k; and within a direction b1 = k/(lam*(dx+dy))
+    orders as k.  So only the distinct directions are sorted, by
+    dx/dy = m1/m2 (_direction_order), and each keeps its run in key order.
+    The directions are checked positive once per call, over the arrays,
+    and _key_lines builds each line in standard normalization by
+    construction, with no second check per line.
 
     Raises:
         BothTrivial: if neither module has any critical values.
@@ -673,17 +713,17 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     if M.is_trivial and N.is_trivial:
         raise BothTrivial("no critical values to aim lines at")
     X, Y, dvals, lam = _lattice(M, N, extra_switch_points)
-    runs = {}
-    for dx, dy, k in _distinct_keys(X, Y, dvals):
-        runs.setdefault((dx, dy), []).append(k)
+    dxv, dyv, kv = _unpack(*_stream(X, Y, dvals))
+    _check_positive(dxv, dyv)
+    head = np.ones(kv.size, bool)
+    head[1:] = (dxv[1:] != dxv[:-1]) | (dyv[1:] != dyv[:-1])
+    starts = np.flatnonzero(head)
+    runs = zip(dxv[starts].tolist(), dyv[starts].tolist(), starts.tolist(),
+               [*starts[1:].tolist(), kv.size])
+    ks = kv.tolist()
     lines = []
-    for dx, dy in sorted(runs, key=_direction_order):
-        mx = max(dx, dy)
-        m = (Q(dx, mx), Q(dy, mx))
-        den = lam * (dx + dy)
-        for k in runs[dx, dy]:
-            b1 = Q(k, den)
-            lines.append(Line(m, (b1, -b1)))
+    for dx, dy, a, b in sorted(runs, key=_direction_order):
+        lines += _key_lines(dx, dy, ks[a:b], lam)
     return CandidateLineSet(tuple(lines))
 
 

@@ -28,19 +28,23 @@ class Bar:
     death: object
 
     def __post_init__(self):
-        if not self.birth < self.death:
+        if is_inf(self.birth) or not (is_inf(self.death)
+                                      or self.birth < self.death):
             raise ValueError("bar needs birth < death")
 
 
 def _sorted_diagram(bars) -> tuple:
-    return tuple(sorted(bars, key=lambda b: (b.birth, b.death)))
+    """Bars sorted by (birth, death); an infinite death sorts last through
+    its is_inf flag, so no rational is ordered against the float INF."""
+    return tuple(sorted(bars, key=lambda b: (b.birth, is_inf(b.death),
+                                             b.death)))
 
 
 def restrict_rect(r: Rect, line: Line):
     """Bar of a rectangle module on the line, or None if it misses the line."""
     birth = push_param(line, r.lower)
     death = pull_param(line, r.upper)
-    if birth < death:
+    if is_inf(death) or birth < death:
         return Bar(birth, death)
     return None
 

@@ -151,12 +151,15 @@ def push_param(line: Line, u):
 
 def pull_param(line: Line, v):
     """Parameter at which the line leaves the lower set of v; coordinates of v
-    may be +inf, with the convention (inf - b)/m = inf."""
+    may be +inf, with the convention (inf - b)/m = inf.  An infinite
+    coordinate is tested with is_inf, so no rational is ordered against
+    the float INF."""
     (m1, m2), (b1, b2) = line.m, line.b
     v1, v2 = v
-    c1 = INF if is_inf(v1) else (rat(v1) - b1) / m1
-    c2 = INF if is_inf(v2) else (rat(v2) - b2) / m2
-    return min(c1, c2)
+    if is_inf(v1):
+        return INF if is_inf(v2) else (rat(v2) - b2) / m2
+    c1 = (rat(v1) - b1) / m1
+    return c1 if is_inf(v2) else min(c1, (rat(v2) - b2) / m2)
 
 
 def line_through(p, q):

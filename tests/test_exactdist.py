@@ -19,12 +19,14 @@ from matchdist import _fastpath
 from matchdist.bottleneck import (bottleneck, bottleneck_bruteforce,
                                   bottleneck_cost, cheapest_matching,
                                   threshold_matching)
-from matchdist.exactdist import (BothTrivial, SwitchPointSet, candidate_lines,
+from matchdist.exactdist import (BothTrivial, CandidateLineSet,
+                                 SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
                                  vertical_cost)
 from matchdist.fibered import Bar, bar_counts, restrict_presentation
-from matchdist.geometry import (ProjPoint, line_through, normalize_line,
-                                push_param, weight)
+from matchdist.geometry import (Line, NonPositiveDirection, ProjPoint,
+                                line_through, normalize_line, push_param,
+                                weight)
 from matchdist.gridscan import GridSpec, scan
 from matchdist.modules import (TwoParamModule, critical_values, lub_closure,
                                rect, scale, swap_axes, translate)
@@ -109,11 +111,14 @@ def _key_path(M, N, extra):
     return "int64" if spec.dtype == np.int64 else "object"
 
 
-def test_candidate_lines_match_exact_sort_on_every_key_path():
+def test_candidate_lines_match_exact_sort_on_every_key_path(monkeypatch):
     """Ordering on the integer keys gives the lines of a sort of every key
     by its exact (m1/m2, b1), in the same order, in every key regime (int64
     keys, object keys inside the guard, object keys past it), with and
-    without extra switch points and directions."""
+    without extra switch points and directions.  Every line passes the
+    public constructor's check and equals and hashes as the line it
+    builds; a lattice with no positive-slope line gives the empty set, and
+    a non-positive direction raises as Line does."""
     rng = random.Random(19)
     pool = rand_pool(rng, 3)
     cases = [(ex_need_omega(), 1, "int64"),
@@ -137,7 +142,20 @@ def test_candidate_lines_match_exact_sort_on_every_key_path():
                           key=lambda t: lex_pair(*t, lam))
             want = tuple(exactdist._line_from_key(*t, lam) for t in keys)
             assert len({ln.m for ln in want}) > 2
-            assert candidate_lines(M, N, ex).lines == want
+            got = candidate_lines(M, N, ex).lines
+            assert got == want
+            for ln in got:
+                again = Line(ln.m, ln.b)
+                assert again == ln and hash(again) == hash(ln)
+    # two points on a vertical line and no switch direction
+    monkeypatch.setattr(exactdist, "_lattice",
+                        lambda M, N, extra: ([0, 0], [0, 6], [], 1))
+    assert candidate_lines(*ex_need_omega()) == CandidateLineSet(())
+    for dx, dy in ((0, 3), (3, -1)):
+        with pytest.raises(NonPositiveDirection):
+            exactdist._line_from_key(dx, dy, 1, 1)
+        with pytest.raises(NonPositiveDirection):
+            exactdist._check_positive(np.array([2, dx]), np.array([5, dy]))
 
 
 def test_direction_order_matches_fractions():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -96,6 +97,31 @@ def test_diagram_sorted():
     line = normalize_line((1, 1), (0, 0))
     got = restrict_module(m, line)
     assert list(got) == sorted(got, key=lambda b: (b.birth, b.death))
+
+
+def test_infinite_death_sorts_last_among_tied_births(monkeypatch):
+    """Bars of tied births sort by death with the infinite one last, on a
+    rectangle module and on its presentation, and no rational is ordered
+    against the float INF on the way: not in pull_param, Bar, restrict_rect
+    or the diagram's sort."""
+    m = TwoParamModule.from_rects(
+        [rect(0, 0, INF, INF), rect(0, 0, 5, 5), rect(1, 0, 2, INF),
+         rect(0, 0, INF, 7), rect(0, 0, 3, 9)])
+    p = combined_presentation(m)
+    line = normalize_line((1, 1), (0, 0))
+    richcmp = Fraction._richcmp
+
+    def no_float(self, other, op):
+        assert not isinstance(other, float), "rational ordered against INF"
+        return richcmp(self, other, op)
+
+    monkeypatch.setattr(Fraction, "_richcmp", no_float)
+    want = [(0, 3), (0, 5), (0, 7), (0, INF), (1, 2)]
+    assert as_pairs(restrict_module(m, line)) == want
+    assert as_pairs(restrict_module(p, line)) == want
+    assert Bar(Q(0), INF).death == INF
+    with pytest.raises(ValueError):
+        Bar(INF, INF)
 
 
 def test_rect_vs_presentation_restriction_agree():

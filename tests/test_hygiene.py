@@ -119,6 +119,35 @@ def import_fallbacks(tree):
     return sorted(out)
 
 
+_FRACTION_SLOTS = {"_numerator", "_denominator"}
+
+
+def private_fraction_api(tree):
+    """Lines that reach into fractions.Fraction's private API: the
+    _normalize keyword, _from_coprime_ints, or a write to ._numerator or
+    ._denominator, as an assignment or through setattr or __setattr__.
+    That API differs across Python 3.10-3.13, so rationals are built only
+    through the public constructor and arithmetic."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "_normalize":
+            out.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and (
+                node.attr == "_from_coprime_ints"
+                or node.attr in _FRACTION_SLOTS
+                and isinstance(node.ctx, ast.Store)):
+            out.add(node.lineno)
+        elif isinstance(node, ast.Call) and any(
+                isinstance(arg, ast.Constant) and arg.value in _FRACTION_SLOTS
+                for arg in node.args):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if name in ("setattr", "__setattr__"):
+                out.add(node.lineno)
+    return sorted(out)
+
+
 def test_sources_found():
     names = {p.name for p in READERS}
     assert {"exactdist.py", "__init__.py", "test_hygiene.py",
@@ -207,3 +236,23 @@ def test_import_fallbacks_are_caught():
                      "try:\n    x = 1\nexcept ValueError:\n    pass\n"
                      "try:\n    x = 1\nexcept:\n    pass\n")
     assert import_fallbacks(tree) == [3, 7]
+
+
+def test_no_private_fraction_api():
+    found = ["%s:%d" % (path.relative_to(ROOT), line)
+             for path in PACKAGE
+             for line in private_fraction_api(ast.parse(path.read_text(),
+                                                        str(path)))]
+    assert found == []
+
+
+def test_private_fraction_api_is_caught():
+    tree = ast.parse("a = Q(1, 2, _normalize=False)\n"
+                     "b = Q._from_coprime_ints(1, 2)\n"
+                     "c._numerator = 3\n"
+                     "object.__setattr__(c, '_denominator', 4)\n"
+                     "setattr(c, '_numerator', 5)\n"
+                     "d = c._numerator + c.denominator\n"
+                     "e = Q(1, 2)\n"
+                     "object.__setattr__(line, 'b', (c, -c))\n")
+    assert private_fraction_api(tree) == [1, 2, 3, 4, 5]
