@@ -16,13 +16,18 @@ common-denominator scaling of the point set; a key passes scaled point (X, Y)
 when dy*X - dx*Y = k.  The pair enumeration is quadratic in the point set and
 can reach tens of millions of pairs, so keys are produced in bounded blocks
 and consumed by one streaming loop over a single injective packing of each
-key into one integer: int64 when the ranges allow, Python ints in object
-arrays otherwise.  The pair stage keeps coordinate differences in the
-narrowest dtype that holds them (int32 inside the int64 guard), and a block
-is dropped as soon as it is packed.  The loop returns the sorted distinct
-keys, and every fold then runs over them in chunks of _fastpath.CHUNK keys,
-so each distinct line is offered once and the unpacked keys, their values
-and the kernel's temporaries never exceed one chunk.
+key into one integer.  One spec (_pack_spec) fixes every integer type of the
+stream: the packed keys (int64 when the ranges allow, Python ints in object
+arrays otherwise), the blocks and unpacked keys, and the pair stage's
+coordinate differences (int32 inside the int64 guard).  The point-direction
+lines come one broadcast per group of directions.  A block is dropped as
+soon as it is packed and leaves one sorted run of distinct keys, which the
+loop merges as the runs grow.  The loop returns the sorted distinct keys,
+and every fold then runs over them in chunks of _fastpath.CHUNK keys, each
+offered as its unpacked (dx, dy, k) arrays, so each distinct line is
+offered once and the unpacked keys, their values and the kernel's
+temporaries never exceed one chunk.  No fold sees the packing: the
+selection keeps the surviving keys themselves.
 
 Pairs that need a line search go through one selection fold, whatever
 their number of bars, with both modules converted once per call, in one
@@ -258,19 +263,24 @@ class _Spec(NamedTuple):
     sdy: int
     sk: int
     kb: int
-    dtype: np.dtype      # of the packed keys
-    key_dtype: np.dtype  # of the blocks and the unpacked (dx, dy, k)
+    dtype: np.dtype       # of the packed keys
+    key_dtype: np.dtype   # of the blocks and the unpacked (dx, dy, k)
+    diff_dtype: np.dtype  # of the pair stage's coordinate differences
 
 
 def _pack_spec(X, Y, dvals):
-    """The injective key encoding (dx*SDY + dy)*SK + (k + KB), the one
-    representation of keys in the stream.  Expects sorted X.
+    """Every integer type of the stream, and the injective key encoding
+    (dx*SDY + dy)*SK + (k + KB), the one representation of keys in the
+    stream.  Expects sorted X.
 
-    The packed keys are int64 when the encoding's top fits below 2^62, and
-    Python ints in object arrays otherwise; np.sort, the adjacent-difference
-    mask, //, % and np.gcd all work on both.  key_dtype is that of the
-    blocks and of the unpacked keys: int64 inside the guard, where every
-    difference and k fit, and object past it.
+    key_dtype is that of the blocks and of the unpacked keys: int64 inside
+    the guard, where every difference and k fit, and object past it.  The
+    packed keys are int64 inside the guard when the encoding's top fits
+    below 2^62, and Python ints in object arrays otherwise; np.sort, the
+    adjacent-difference mask, //, % and np.gcd all work on both.  The pair
+    stage keeps coordinate differences in the narrowest dtype that holds
+    them: int32 inside the guard, where they stay below 2^26; past it
+    int64 while every |coordinate| is below 2^62, and object beyond.
     """
     ax = max(abs(X[0]), abs(X[-1]))
     ymin, ymax = min(Y), max(Y)
@@ -279,10 +289,12 @@ def _pack_spec(X, Y, dvals):
     dym = max(ymax - ymin, max((d[1] for d in dvals), default=0))
     kb = dym * ax + dxm * ay + 1
     top = (dxm * (dym + 1) + dym) * (2 * kb + 1) + 2 * kb
-    big = max(ax, ay, max((max(d) for d in dvals), default=0))
-    key_dtype = np.dtype(object if big > _GUARD else np.int64)
-    dtype = key_dtype if top < 1 << 62 else np.dtype(object)
-    return _Spec(dym + 1, 2 * kb + 1, kb, dtype, key_dtype)
+    inside = max(ax, ay, max((max(d) for d in dvals), default=0)) <= _GUARD
+    fits = (top if inside else max(ax, ay)) < 1 << 62
+    return _Spec(dym + 1, 2 * kb + 1, kb,
+                 np.dtype(np.int64 if inside and fits else object),
+                 np.dtype(np.int64 if inside else object),
+                 np.dtype(np.int32 if inside else np.int64 if fits else object))
 
 
 def _pack(spec, dxv, dyv, kv):
@@ -332,40 +344,36 @@ def _pair_keys(Xd, Yd, Xa, Ya, a, b):
     return dxv, dyv, k
 
 
-def _iter_blocks(X, Y, dvals, dtype):
+def _iter_blocks(X, Y, dvals, spec):
     """Yield primitive (dx, dy, k) key blocks: every positive-slope line
     through two distinct points once per unordered pair, then every (point,
     direction) line once.  Expects sorted points.
 
-    k is of dtype, the spec's key_dtype: int64 inside the guard and Python
-    ints in object arrays past it.  The pair blocks keep dx and dy in the
-    narrowest dtype that holds a coordinate difference, int32 inside the
-    guard, which halves the memory traffic of the pair matrices; their rows
-    are sized so that a block holds at most _BLOCK pairs.  A block is
-    returned by _pair_keys straight to the caller, so no reference to it
+    k is of the spec's key_dtype: int64 inside the guard and Python ints in
+    object arrays past it.  The pair blocks keep dx and dy in the spec's
+    diff_dtype, int32 inside the guard, which halves the memory traffic of
+    the pair matrices; their rows are sized so that a block holds at most
+    _BLOCK pairs.  The direction blocks take about _BLOCK/4 lines each, a
+    group of directions against every point: dx and dy repeat each
+    direction's once per point, and k is d2*X - d1*Y over the (group, n)
+    grid.  A block is yielded straight to the caller, so no reference to it
     stays here while the caller works on it."""
     n = len(X)
-    Xa = np.asarray(X, dtype=dtype)
-    Ya = np.asarray(Y, dtype=dtype)
-    big = max(map(abs, X + Y), default=0)
-    ddtype = (np.int32 if dtype == np.int64 else
-              np.int64 if big < 1 << 62 else object)
-    Xd, Yd = Xa.astype(ddtype), Ya.astype(ddtype)
+    Xa = np.asarray(X, dtype=spec.key_dtype)
+    Ya = np.asarray(Y, dtype=spec.key_dtype)
+    Xd, Yd = Xa.astype(spec.diff_dtype), Ya.astype(spec.diff_dtype)
     a = 0
     while a < n - 1:
         b = min(n - 1, a + max(1, _BLOCK // (n - 1 - a)))
         yield _pair_keys(Xd, Yd, Xa, Ya, a, b)
         a = b
-    buf, size = [], 0
-    for d1, d2 in dvals:
-        buf.append((np.full(n, d1, dtype), np.full(n, d2, dtype),
-                    d2 * Xa - d1 * Ya))
-        size += n
-        if size >= _BLOCK // 4:
-            yield tuple(np.concatenate([p[t] for p in buf]) for t in range(3))
-            buf, size = [], 0
-    if buf:
-        yield tuple(np.concatenate([p[t] for p in buf]) for t in range(3))
+    D = np.array(dvals, dtype=spec.key_dtype).reshape(-1, 2)
+    step = max(1, _BLOCK // 4 // n)
+    for s in range(0, len(D), step):
+        d1, d2 = D[s:s + step, :1], D[s:s + step, 1:]
+        k = d2 * Xa
+        k -= d1 * Ya
+        yield np.repeat(d1, n), np.repeat(d2, n), k.ravel()
 
 
 def _unique_sorted(a, kind=None):
@@ -385,34 +393,12 @@ def _unique_sorted(a, kind=None):
     return a
 
 
-class _KeyUnion:
-    """Distinct packed keys accumulated across blocks; memory is bounded by
-    the number of distinct candidate lines."""
-
-    __slots__ = ("parts", "size", "dtype")
-
-    def __init__(self, dtype):
-        self.parts = []
-        self.size = 0
-        self.dtype = dtype
-
-    def add(self, u):
-        if not u.size:
-            return
-        self.parts.append(u)
-        self.size += u.size
-        if self.size > 4 * _BLOCK:
-            self.finish()
-
-    def finish(self):
-        if not self.parts:
-            return np.empty(0, self.dtype)
-        if len(self.parts) > 1:
-            # the parts are sorted runs, which the stable sort merges
-            merged = _unique_sorted(np.concatenate(self.parts), "stable")
-            self.parts = [merged]
-            self.size = merged.size
-        return self.parts[0]
+def _merge(runs):
+    """The sorted distinct values of sorted runs; the stable sort merges
+    them."""
+    if len(runs) == 1:
+        return runs[0]
+    return _unique_sorted(np.concatenate(runs), "stable")
 
 
 def _stream(X, Y, dvals):
@@ -420,28 +406,34 @@ def _stream(X, Y, dvals):
     every block, each line once however many blocks repeat it.
 
     Past the pair stage nothing is block-sized but the block's packed keys
-    and their distinct values: a block is dropped once packed, and the
-    union holds one packed integer per distinct line.  The folds run over
-    that union afterwards, in _fold."""
+    and their distinct values: a block is dropped once packed.  Each
+    nonempty block leaves one sorted run, and the runs are merged whenever
+    they hold more than 4*_BLOCK keys, so memory is bounded by the number
+    of distinct candidate lines.  The folds run over the union afterwards,
+    in _fold."""
     spec = _pack_spec(X, Y, dvals)
-    union = _KeyUnion(spec.dtype)
-    for blk in _iter_blocks(X, Y, dvals, spec.key_dtype):
+    runs, size = [], 0
+    for blk in _iter_blocks(X, Y, dvals, spec):
         # a block repeats lines that pass through more than two points
-        packed = _unique_sorted(_pack(spec, *blk))
+        run = _unique_sorted(_pack(spec, *blk))
         del blk
-        union.add(packed)
-    return spec, union.finish()
+        if run.size:
+            runs.append(run)
+            size += run.size
+        if len(runs) > 1 and size > 4 * _BLOCK:
+            runs = [_merge(runs)]
+            size = runs[0].size
+    return spec, _merge(runs) if runs else np.empty(0, spec.dtype)
 
 
 def _fold(spec, union, fold):
-    """fold.finish() after fold.offer(dxv, dyv, kv, packed) on the distinct
-    packed keys in slices of _fastpath.CHUNK keys, each unpacked on its own,
-    so the unpacked keys, their values and the kernel's temporaries hold one
+    """fold.finish() after fold.offer(dxv, dyv, kv) on the distinct packed
+    keys in slices of _fastpath.CHUNK keys, each unpacked on its own, so
+    the unpacked keys, their values and the kernel's temporaries hold one
     chunk at a time.  Every distinct line is offered once, in key order."""
     step = _fastpath.CHUNK
     for s in range(0, union.size, step):
-        part = union[s:s + step]
-        fold.offer(*_unpack(spec, part), part)
+        fold.offer(*_unpack(spec, union[s:s + step]))
     return fold.finish()
 
 
@@ -451,8 +443,9 @@ class _LexMin:
 
     Keys are primitive, so keys of equal ratio dx/dy share one direction,
     within which b1 orders as k: the lex-min is the least k of the
-    direction of least ratio.  An offer takes the doubles of dx/dy
-    (_doubles, one correctly rounded division per key).  Rounding is
+    direction of least ratio.  An offer is the (dx, dy, k) arrays of some
+    keys, and takes the doubles of dx/dy (_doubles, one correctly rounded
+    division per key).  Rounding is
     monotone, so only keys whose double ties the least one can hold the
     least ratio, and those are compared exactly by cross-multiplication:
     inside _GUARD dx, dy < 2^27, so the products fit in int64.  The offer's
@@ -466,7 +459,7 @@ class _LexMin:
     def __init__(self):
         self.key = None
 
-    def offer(self, dxv, dyv, kv, packed=None):
+    def offer(self, dxv, dyv, kv):
         r = _doubles(dxv, dyv)
         t = np.flatnonzero(r == r.min())
         dx, dy, k = dxv[t], dyv[t], kv[t]
@@ -556,9 +549,11 @@ class _Select:
     (_fastpath.exact_evaluator, both modules converted once per call) as an
     unreduced fraction p/q, and a key is kept when its double lies in
     _band, whose written bound is 3 ulps per double and one rounding of the
-    threshold.  The kept keys are banded again against the running maximum
-    when they outgrow _BLOCK and at finish, where only they are reduced and
-    _exact_top takes their exact maximum.  A key is dropped only when a key
+    threshold.  A kept key stays as its row (dx, dy, k, p, q), so no
+    packing passes the stream.  The kept keys are banded again against the
+    running maximum when they outgrow _BLOCK and at finish, where only they
+    are reduced, _exact_top takes their exact maximum and _LexMin the
+    lex-min of its ties.  A key is dropped only when a key
     offered no later beats it exactly, so splitting the keys into offers
     changes no result.
 
@@ -576,19 +571,18 @@ class _Select:
     the start; _LexMin picks among the tied keys in any order.
     """
 
-    __slots__ = ("spec", "values", "fmax", "parts", "size")
+    __slots__ = ("values", "fmax", "parts", "size")
 
-    def __init__(self, M, N, lam, spec):
-        self.spec = spec
+    def __init__(self, M, N, lam):
         self.values = _fastpath.exact_evaluator(M, N, lam)
         self.fmax = -np.inf
         self.parts, self.size = [], 0
 
-    def offer(self, dxv, dyv, kv, packed):
-        keys = (dxv, dyv, kv, packed)
+    def offer(self, dxv, dyv, kv):
+        keys = (dxv, dyv, kv)
         bound = getattr(self.values, "bound", None)
         if bound is not None:
-            r = _doubles(*bound(dxv, dyv, kv))
+            r = _doubles(*bound(*keys))
             if self.fmax == -np.inf and len(r) > _SEED:
                 seed = np.zeros(len(r), dtype=bool)
                 seed[np.argpartition(r, -_SEED)[-_SEED:]] = True
@@ -601,14 +595,14 @@ class _Select:
         if self.size > _BLOCK:
             self._prune()
 
-    def _score(self, dxv, dyv, kv, packed):
+    def _score(self, dxv, dyv, kv):
         """Value the keys exactly and keep those in the band."""
-        self._keep((packed, *self.values(dxv, dyv, kv)))
+        self._keep((dxv, dyv, kv, *self.values(dxv, dyv, kv)))
 
     def _keep(self, cols):
-        """Add the rows of the columns (packed, p, q) in _band, after
+        """Add the rows of the columns (dx, dy, k, p, q) in _band, after
         raising fmax to their maximum."""
-        self.fmax, keep = _band(cols[1], cols[2], self.fmax)
+        self.fmax, keep = _band(cols[3], cols[4], self.fmax)
         self.parts.append(tuple(c[keep] for c in cols))
         self.size += int(np.count_nonzero(keep))
 
@@ -620,10 +614,10 @@ class _Select:
     def finish(self):
         """The lex-min key among the lines of exact maximal value."""
         self._prune()
-        packed, ps, qs = self.parts[0]
-        top = packed[_exact_top(*_fastpath.reduce_fractions(ps, qs))]
+        *keys, ps, qs = self.parts[0]
+        top = _exact_top(*_fastpath.reduce_fractions(ps, qs))
         lexmin = _LexMin()
-        lexmin.offer(*_unpack(self.spec, top))
+        lexmin.offer(*(c[top] for c in keys))
         return lexmin.finish()
 
 
@@ -781,7 +775,7 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
             or _struct_key(M) == _struct_key(N)):
         fold = _LexMin()
     else:
-        fold = _Select(M, N, lam, spec)
+        fold = _Select(M, N, lam)
     return _result_at(M, N, _fold(spec, union, fold), lam, int(union.size))
 
 

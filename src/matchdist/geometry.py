@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .rational import INF, Q, is_inf, rat
+from .rational import INF, is_inf, rat
 
 
 class NonPositiveDirection(ValueError):
@@ -57,22 +57,10 @@ LEFT = frozenset({2})
 ON = frozenset({1, 2})
 
 
-# field types whose numerator and denominator are canonical: the
-# denominator is positive and coprime to the numerator
-_EXACT = (int, Q)
-
-
 @dataclass(frozen=True)
 class Line:
-    """Positive-slope line in standard normalization.
-
-    Fields that are ints or Q are checked on the integers of their canonical
-    form, with m_i = p_i/q_i: both p_i > 0; max(m1, m2) = 1 as (p1 = q1 and
-    p2 <= q2) or (p2 = q2 and p1 <= q1); and b1 + b2 = 0 as equal
-    denominators and opposite numerators.  That is the same predicate as the
-    rational comparisons, without building a rational per comparison; other
-    field types are compared as they are.
-    """
+    """Positive-slope line in standard normalization: m1, m2 > 0,
+    max(m1, m2) = 1 and b1 + b2 = 0, checked as rational comparisons."""
 
     m: tuple
     b: tuple
@@ -80,18 +68,6 @@ class Line:
     def __post_init__(self):
         m1, m2 = self.m
         b1, b2 = self.b
-        if (isinstance(m1, _EXACT) and isinstance(m2, _EXACT)
-                and isinstance(b1, _EXACT) and isinstance(b2, _EXACT)):
-            p1, q1 = m1.numerator, m1.denominator
-            p2, q2 = m2.numerator, m2.denominator
-            if not (p1 > 0 and p2 > 0):
-                raise NonPositiveDirection(
-                    "direction must be componentwise positive")
-            if not ((p1 == q1 and p2 <= q2) or (p2 == q2 and p1 <= q1)) \
-                    or b1.numerator != -b2.numerator \
-                    or b1.denominator != b2.denominator:
-                raise ValueError("line not in standard normalization")
-            return
         if not (m1 > 0 and m2 > 0):
             raise NonPositiveDirection("direction must be componentwise positive")
         if max(m1, m2) != 1 or b1 + b2 != 0:

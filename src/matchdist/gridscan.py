@@ -105,17 +105,14 @@ def _evaluator(M, N):
     kernel converts both modules once, here, for every call.  The offset
     convention matches the exact engine: b = (-o/2, o/2) for a line of
     offset o, so b1 + b2 = 0 holds exactly in floats and an exactly
-    normalized Line can be rebuilt from the doubles.
+    normalized Line can be rebuilt from the doubles.  Unequal essential
+    counts give +inf on every line; two trivial modules need no map of
+    their own, as line_evaluator gives +0.0 there.
     """
-    if M.is_trivial and N.is_trivial:
-        return lambda *lines: np.zeros(_shape(lines))
     if bar_counts(M)[1] != bar_counts(N)[1]:
-        return lambda *lines: np.full(_shape(lines), math.inf)
+        return lambda *lines: np.full(
+            np.broadcast_shapes(*(a.shape for a in lines)), math.inf)
     return _fastpath.line_evaluator(M, N)
-
-
-def _shape(lines):
-    return np.broadcast_shapes(*(a.shape for a in lines))
 
 
 def _axes(M, N, g):
@@ -164,7 +161,7 @@ def _rows(m1, m2, offsets, ev):
     broadcast pair: the directions as an (r, 1) column and the hull's
     offsets as a (1, h) row, so no line array is repeated or tiled.
 
-    A pair without a live-span step, the constant maps of _evaluator, and
+    A pair without a live-span step, the constant map of _evaluator, and
     a grid of at most _BLOCK_LINES lines, one block whatever the spans,
     get full rows instead, r * n up to _BLOCK_LINES, with no span
     search."""

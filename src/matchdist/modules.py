@@ -34,7 +34,9 @@ class Rect:
         u1, u2 = self.upper
         if is_inf(l1) or is_inf(l2):
             raise ValueError("lower corner must be finite")
-        if not (l1 < u1 and l2 < u2):
+        # the lower corner is finite, so an infinite upper needs no
+        # comparison, which would take Fraction's float path
+        if not ((is_inf(u1) or l1 < u1) and (is_inf(u2) or l2 < u2)):
             raise ValueError("rectangle needs lower < upper in both coordinates")
 
 

@@ -105,7 +105,10 @@ def _key_path(M, N, extra):
     packed keys over int64 blocks inside the guard, or object blocks past
     it."""
     X, Y, dvals, _ = exactdist._lattice(M, N, extra)
-    spec = exactdist._pack_spec(X, Y, dvals)
+    return _spec_path(exactdist._pack_spec(X, Y, dvals))
+
+
+def _spec_path(spec):
     if spec.key_dtype == object:
         return "bigint"
     return "int64" if spec.dtype == np.int64 else "object"
@@ -875,7 +878,8 @@ def test_huge_presentation_coordinates_use_exact_keys():
 def test_distinct_keys_match_pair_loop(monkeypatch):
     """The streamed keys, packed, deduplicated per block and merged across
     many blocks, equal a plain loop over point pairs in python ints, in all
-    three key regimes."""
+    three key regimes; on a lattice of 8 points and 7 directions too, whose
+    direction blocks hold two directions each and the last one."""
     monkeypatch.setattr(exactdist, "_BLOCK", 64)
     rng = random.Random(29)
     pool = rand_pool(rng, 3)
@@ -893,6 +897,17 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
         got = exactdist._distinct_keys(X, Y, dvals)
         assert len(got) > 4 * exactdist._BLOCK
         assert got == distinct_keys_pairloop(X, Y, dvals)
+        assert {type(v) for key in got for v in key} == {int}
+    pts = [(0, 0), (1, 3), (2, 1), (3, 4), (4, 2), (5, 5), (6, 1), (7, 6)]
+    dirs = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+    for f, path in ((1, "int64"), (100003, "object"), (10 ** 9, "bigint")):
+        X, Y = [f * x for x, _ in pts], [f * y for _, y in pts]
+        spec = exactdist._pack_spec(X, Y, dirs)
+        assert _spec_path(spec) == path
+        blocks = list(exactdist._iter_blocks(X, Y, dirs, spec))
+        assert [len(b[0]) for b in blocks[-4:]] == [16, 16, 16, 8]
+        got = exactdist._distinct_keys(X, Y, dirs)
+        assert got == distinct_keys_pairloop(X, Y, dirs)
         assert {type(v) for key in got for v in key} == {int}
 
 
@@ -1046,9 +1061,9 @@ def _chunk_sizes(monkeypatch, fold, size):
     sizes = []
     offer = fold.offer
 
-    def counted(self, dxv, dyv, kv, packed=None):
+    def counted(self, dxv, dyv, kv):
         sizes.append(len(dxv))
-        return offer(self, dxv, dyv, kv, packed)
+        return offer(self, dxv, dyv, kv)
 
     monkeypatch.setattr(fold, "offer", counted)
     return sizes
@@ -1113,7 +1128,7 @@ def test_folds_build_no_rational(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(_fastpath, "CHUNK", 64)
             mp.setattr(exactdist, "Q", None)
-            key = exactdist._fold(spec, union, make(A, B, lam, spec))
+            key = exactdist._fold(spec, union, make(A, B, lam))
         assert exactdist._line_from_key(*key, lam) == want.witness_line
 
 

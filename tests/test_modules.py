@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,27 @@ def test_rect_validation():
     r = rect("1/2", "2.5", "inf", 7)
     assert r.lower == (Q(1, 2), Q(5, 2))
     assert r.upper == (INF, Q(7))
+
+
+def test_infinite_upper_is_not_ordered_against_a_rational(monkeypatch):
+    """Rects with infinite uppers, INF or numpy's, are built without
+    ordering a rational against the float marker, and a non-increasing
+    finite side still raises."""
+    richcmp = Fraction._richcmp
+
+    def no_float(self, other, op):
+        assert not isinstance(other, float), "rational ordered against INF"
+        return richcmp(self, other, op)
+
+    monkeypatch.setattr(Fraction, "_richcmp", no_float)
+    big = np.float64("inf")
+    for u1, u2 in ((INF, INF), (INF, 7), (3, INF), (big, 7), (big, big)):
+        r = rect("1/2", 2, u1, u2)
+        assert r.upper == tuple(INF if is_inf(u) else Q(u) for u in (u1, u2))
+        assert Rect(r.lower, r.upper) == r
+    for u1, u2 in ((INF, 2), ("1/2", INF), (0, INF)):
+        with pytest.raises(ValueError):
+            rect("1/2", 2, u1, u2)
 
 
 def test_numpy_infinity_is_the_marker():
