@@ -262,7 +262,7 @@ class _KeyNumerators:
     reduce_fractions reduces it.  The arrays are int64 or Python ints in
     object arrays."""
 
-    def __init__(self, lam, dxv, dyv, kv):
+    def __init__(self, lam, dxv, dyv, kv=None):
         self.lam, self.dxv, self.dyv, self.kv = lam, dxv, dyv, kv
         self.s = dxv + dyv
 
@@ -358,10 +358,11 @@ def _direction_bound(fin, ar):
     Matching every bar to the diagonal is feasible, and a bar lives between
     its lower and each finite upper crossing.  On a key (dx, dy, k) a width
     w gives s*w*dy on the first axis and s*w*dx on the second, k cancelling
-    (s = dx + dy): exact, over the kernel's own q = 2*lam*s*dx*dy, and
-    exact under the map's certificate (exact_evaluator), s*w*dy being at
-    most twice a push bound.  In floats each crossing rounds; _row_bound
-    adds the margin."""
+    (s = dx + dy), so on integers the bound takes directions alone: exact,
+    over the kernel's own q = 2*lam*s*dx*dy, and exact under the map's
+    certificate with kb = 0 (exact_evaluator), s*w*dy being at most twice
+    a push bound.  In floats each crossing rounds; _row_bound adds the
+    margin."""
     ext = {}
 
     def extent(axis, w):
@@ -555,9 +556,9 @@ def exact_evaluator(M, N, lam):
     barcode templates pair the same generators and relations.
 
     On a rectangle pair without essential bars the map also has
-    bound(dxv, dyv, kv): _direction_bound's fractions (p_ub, q), with the
-    map's own q and p <= p_ub line by line, exact under the map's
-    certificate.
+    bound(dxv, dyv): _direction_bound's fractions (p_ub, q) per direction,
+    with the map's own q and p <= p_ub on every line of that direction,
+    exact under the map's certificate with kb = 0.
     """
     amax = 0
 
@@ -569,24 +570,27 @@ def exact_evaluator(M, N, lam):
 
     sm, sn = _sides(M, N, conv)
 
-    def numerators(dxv, dyv, kv):
+    def numerators(dxv, dyv, kv=None):
+        # kv None: directions alone, certified with kb = 0
+        keys = (dxv, dyv) if kv is None else (dxv, dyv, kv)
         if dxv.dtype != object:
             dxm, dym = int(dxv.max(initial=0)), int(dyv.max(initial=0))
-            kb = max(int(kv.max(initial=0)), -int(kv.min(initial=0)))
+            kb = 0 if kv is None else max(int(kv.max(initial=0)),
+                                          -int(kv.min(initial=0)))
             s, m = dxm + dym, max(dxm, dym)
             fits = max(4 * m * m * (s * amax + kb),
                        2 * lam * s * dxm * dym) < 1 << 62
-            dxv, dyv, kv = (v.astype(np.int64 if fits else object, copy=False)
-                            for v in (dxv, dyv, kv))
-        return _KeyNumerators(lam, dxv, dyv, kv)
+            keys = (v.astype(np.int64 if fits else object, copy=False)
+                    for v in keys)
+        return _KeyNumerators(lam, *keys)
 
     def values(dxv, dyv, kv):
         return _chunk(sm, sn, numerators(dxv, dyv, kv))
 
     fin = _finite_rects(sm, sn)
     if fin:
-        values.bound = lambda dxv, dyv, kv: _direction_bound(
-            fin, numerators(dxv, dyv, kv))
+        values.bound = lambda dxv, dyv: _direction_bound(
+            fin, numerators(dxv, dyv))
     return values
 
 

@@ -14,20 +14,19 @@ emitted point.
 Candidate lines are identified by primitive integer keys (dx, dy, k) over a
 common-denominator scaling of the point set; a key passes scaled point (X, Y)
 when dy*X - dx*Y = k.  The pair enumeration is quadratic in the point set and
-can reach tens of millions of pairs, so keys are produced in bounded blocks
-and consumed by one streaming loop over a single injective packing of each
-key into one integer.  One spec (_pack_spec) fixes every integer type of the
-stream: the packed keys (int64 when the ranges allow, Python ints in object
-arrays otherwise), the blocks and unpacked keys, and the pair stage's
-coordinate differences (int32 inside the int64 guard).  The point-direction
-lines come one broadcast per group of directions.  A block is dropped as
-soon as it is packed and leaves one sorted run of distinct keys, which the
-loop merges as the runs grow.  The loop returns the sorted distinct keys,
-and every fold then runs over them in chunks of _fastpath.CHUNK keys, each
-offered as its unpacked (dx, dy, k) arrays, so each distinct line is
-offered once and the unpacked keys, their values and the kernel's
-temporaries never exceed one chunk.  No fold sees the packing: the
-selection keeps the surviving keys themselves.
+can reach tens of millions of pairs, so keys are produced in cache-sized
+bands of the upper triangle and consumed by one streaming loop over a single
+injective packing of each key into one integer.  One spec (_pack_spec) fixes
+every integer type of the stream: the packed keys (int64 when the ranges
+allow, Python ints in object arrays otherwise), the blocks and unpacked
+keys, and the pair stage's coordinate differences (int32 inside the int64
+guard).  The point-direction lines come one broadcast per group of
+directions.  Blocks are dropped once packed; their keys are sorted and
+deduplicated in batches, and the sorted runs merged as they grow.  Every
+fold then takes the sorted distinct keys in chunks of _fastpath.CHUNK keys,
+split into direction runs, so each line is handed over once and what a fold
+unpacks and values never exceeds one chunk.  A bounded selection drops
+whole runs while still packed.
 
 Pairs that need a line search go through one selection fold, whatever
 their number of bars, with both modules converted once per call, in one
@@ -37,13 +36,14 @@ only those are reduced and compared exactly.  The kernel picks its
 numerators chunk by chunk (_fastpath.exact_evaluator): int64 where its
 certificate over the chunk's keys shows every intermediate below 2^62,
 which covers every pair of moderate coordinates, and Python ints
-otherwise.  The pruning is sound offer by offer, so splitting the keys
+otherwise.  The pruning is sound chunk by chunk, so splitting the keys
 into chunks changes no result.  The lex-min tie-break compares the keys'
 integers too, so no fold builds a rational: only the witness line is
 restricted in rationals.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
@@ -243,6 +243,8 @@ def _lattice(M, N, extra):
 
 _GUARD = 1 << 25
 _BLOCK = 1 << 22
+# pairs per row band of the pair stage
+_BAND_PAIRS = 1 << 16
 
 
 def _scaled(pts, dirs, s):
@@ -311,31 +313,31 @@ def _pack(spec, dxv, dyv, kv):
 
 
 def _unpack(spec, packed):
-    # // and %, as np.divmod rejects object arrays
-    rest, kv = packed // spec.sk, packed % spec.sk
+    # remainders as a - (a // b)*b: numpy's int64 % divides again, several
+    # times slower than //, and np.divmod rejects object arrays
+    rest = packed // spec.sk
+    kv = packed - rest * spec.sk
     kv -= spec.kb
-    dxv, dyv = rest // spec.sdy, rest % spec.sdy
+    dxv = rest // spec.sdy
+    dyv = rest - dxv * spec.sdy
     return tuple(v.astype(spec.key_dtype, copy=False) for v in (dxv, dyv, kv))
 
 
-def _pair_keys(Xd, Yd, Xa, Ya, a, b):
+def _pair_keys(Xd, Yd, Xa, Ya, a, b, c):
     """Primitive keys of the positive-slope lines through rows a..b-1 and
-    the columns after a: dx and dy in the difference dtype of Xd and Yd, k
-    in that of Xa and Ya.  Sorted points make dx <= 0 for every earlier
-    column, so dx > 0 alone keeps each unordered pair once, and dy > 0
-    drops the rest of the axis-parallel and negative-slope pairs."""
-    dx = Xd[None, a + 1:] - Xd[a:b, None]
-    dy = Yd[None, a + 1:] - Yd[a:b, None]
+    columns c..: dx and dy in the difference dtype of Xd and Yd, k in that
+    of Xa and Ya.  dx > 0 keeps each unordered pair of sorted points once,
+    and dy > 0 drops the rest of the axis-parallel and negative-slope
+    pairs."""
+    dx = Xd[None, c:] - Xd[a:b, None]
+    dy = Yd[None, c:] - Yd[a:b, None]
     keep = dx > 0
     keep &= dy > 0
     rows = np.count_nonzero(keep, axis=1)
     dxv, dyv = dx[keep], dy[keep]
-    # free the pair matrices before the gcd and k are allocated
-    del dx, dy, keep
     g = np.gcd(dxv, dyv)
     dxv //= g
     dyv //= g
-    del g
     k = np.repeat(Xa[a:b], rows)
     k *= dyv
     ya = np.repeat(Ya[a:b], rows)
@@ -350,22 +352,21 @@ def _iter_blocks(X, Y, dvals, spec):
     direction) line once.  Expects sorted points.
 
     k is of the spec's key_dtype: int64 inside the guard and Python ints in
-    object arrays past it.  The pair blocks keep dx and dy in the spec's
-    diff_dtype, int32 inside the guard, which halves the memory traffic of
-    the pair matrices; their rows are sized so that a block holds at most
-    _BLOCK pairs.  The direction blocks take about _BLOCK/4 lines each, a
-    group of directions against every point: dx and dy repeat each
-    direction's once per point, and k is d2*X - d1*Y over the (group, n)
-    grid.  A block is yielded straight to the caller, so no reference to it
-    stays here while the caller works on it."""
+    object arrays past it; dx and dy of pairs are of its diff_dtype, int32
+    inside the guard.  The pairs come in row bands of about _BAND_PAIRS
+    pairs, so a band's differences, mask and gcd stay in cache.  A band's
+    columns start at the first point of larger X than its first row's, so
+    the lower triangle and that row's equal-X ties are never built.  The
+    direction blocks take about _BLOCK/4 lines each, a group of directions
+    against every point: k is d2*X - d1*Y over the (group, n) grid."""
     n = len(X)
     Xa = np.asarray(X, dtype=spec.key_dtype)
     Ya = np.asarray(Y, dtype=spec.key_dtype)
     Xd, Yd = Xa.astype(spec.diff_dtype), Ya.astype(spec.diff_dtype)
     a = 0
-    while a < n - 1:
-        b = min(n - 1, a + max(1, _BLOCK // (n - 1 - a)))
-        yield _pair_keys(Xd, Yd, Xa, Ya, a, b)
+    while (c := bisect_right(X, X[a])) < n:
+        b = min(n - 1, a + max(1, _BAND_PAIRS // (n - c)))
+        yield _pair_keys(Xd, Yd, Xa, Ya, a, b, c)
         a = b
     D = np.array(dvals, dtype=spec.key_dtype).reshape(-1, 2)
     step = max(1, _BLOCK // 4 // n)
@@ -401,22 +402,37 @@ def _merge(runs):
     return _unique_sorted(np.concatenate(runs), "stable")
 
 
+def _batches(spec, blocks):
+    """The packed keys of the blocks, concatenated into batches of at least
+    _BLOCK/2 keys, the last one possibly smaller; a block is dropped once
+    packed."""
+    held, fill = [], 0
+    for blk in blocks:
+        held.append(_pack(spec, *blk))
+        fill += held[-1].size
+        del blk
+        if fill >= _BLOCK // 2:
+            yield np.concatenate(held)
+            held, fill = [], 0
+    if held:
+        yield np.concatenate(held)
+
+
 def _stream(X, Y, dvals):
     """The one key loop: the spec and the sorted distinct packed keys of
     every block, each line once however many blocks repeat it.
 
-    Past the pair stage nothing is block-sized but the block's packed keys
-    and their distinct values: a block is dropped once packed.  Each
-    nonempty block leaves one sorted run, and the runs are merged whenever
-    they hold more than 4*_BLOCK keys, so memory is bounded by the number
-    of distinct candidate lines.  The folds run over the union afterwards,
-    in _fold."""
+    The blocks' packed keys are sorted and deduplicated once per batch of
+    about _BLOCK/2 keys (_batches), not once per band, and each batch
+    leaves one sorted run.  The runs are merged whenever they hold more
+    than 4*_BLOCK keys, so memory is bounded by the number of distinct
+    candidate lines.  The folds run over the union afterwards, in _fold."""
     spec = _pack_spec(X, Y, dvals)
     runs, size = [], 0
-    for blk in _iter_blocks(X, Y, dvals, spec):
-        # a block repeats lines that pass through more than two points
-        run = _unique_sorted(_pack(spec, *blk))
-        del blk
+    for batch in _batches(spec, _iter_blocks(X, Y, dvals, spec)):
+        # a batch repeats lines that pass through more than two points
+        run = _unique_sorted(batch)
+        del batch
         if run.size:
             runs.append(run)
             size += run.size
@@ -426,14 +442,27 @@ def _stream(X, Y, dvals):
     return spec, _merge(runs) if runs else np.empty(0, spec.dtype)
 
 
+def _run_heads(spec, packed):
+    """The first index of each direction run of sorted packed keys: keys
+    sort by (dx, dy, k), so the keys of one direction dx*SDY + dy =
+    packed // SK are adjacent, the least k first."""
+    code = packed // spec.sk
+    head = np.ones(code.size, dtype=bool)
+    np.not_equal(code[1:], code[:-1], out=head[1:])
+    return np.flatnonzero(head)
+
+
 def _fold(spec, union, fold):
-    """fold.finish() after fold.offer(dxv, dyv, kv) on the distinct packed
-    keys in slices of _fastpath.CHUNK keys, each unpacked on its own, so
-    the unpacked keys, their values and the kernel's temporaries hold one
-    chunk at a time.  Every distinct line is offered once, in key order."""
+    """fold.finish() after fold.take(spec, packed, heads) on the distinct
+    packed keys in slices of _fastpath.CHUNK keys, so what a fold unpacks
+    and values holds one chunk at a time.  Every distinct line is handed
+    over once, in key order.  heads are the slice's _run_heads when
+    fold.by_run is set, and None for a fold that takes every key."""
     step = _fastpath.CHUNK
     for s in range(0, union.size, step):
-        fold.offer(*_unpack(spec, union[s:s + step]))
+        packed = union[s:s + step]
+        fold.take(spec, packed,
+                  _run_heads(spec, packed) if fold.by_run else None)
     return fold.finish()
 
 
@@ -451,13 +480,19 @@ class _LexMin:
     inside _GUARD dx, dy < 2^27, so the products fit in int64.  The offer's
     best key meets the running one as the Python ints (dx*dy', k) against
     (dx'*dy, k'), so the result depends neither on the order of the keys
-    nor on that of the offers.
+    nor on that of the offers.  Within a direction the least k comes
+    first, so a fold of sorted packed keys (take) offers the run heads
+    alone.
     """
 
     __slots__ = ("key",)
+    by_run = True
 
     def __init__(self):
         self.key = None
+
+    def take(self, spec, packed, heads):
+        self.offer(*_unpack(spec, packed[heads]))
 
     def offer(self, dxv, dyv, kv):
         r = _doubles(dxv, dyv)
@@ -486,9 +521,9 @@ def _doubles(ps, qs):
     return (ps / qs).astype(np.float64, copy=False)
 
 
-# _band's threshold over the running maximum; _Select.offer drops a key
-# whose direction bound's double is below it, so the bound prunes by the
-# same proven band
+# _band's threshold over the running maximum; _Select drops a direction
+# run whose bound's double is below it, so the bound prunes by the same
+# proven band
 _BAND = 1 - 2.0 ** -50
 
 
@@ -536,7 +571,7 @@ def _exact_top(ps, qs):
     return top
 
 
-# keys of highest bound that a selection values first, on its first offer,
+# keys of highest bound that a selection values first, on its first chunk,
 # to seed the running maximum that the bound prunes against
 _SEED = 256
 
@@ -554,7 +589,7 @@ class _Select:
     running maximum when they outgrow _BLOCK and at finish, where only they
     are reduced, _exact_top takes their exact maximum and _LexMin the
     lex-min of its ties.  A key is dropped only when a key
-    offered no later beats it exactly, so splitting the keys into offers
+    offered no later beats it exactly, so splitting the keys into chunks
     changes no result.
 
     The kernel picks its own integers, chunk by chunk: the map values a
@@ -563,37 +598,45 @@ class _Select:
     arithmetic.  _band, _prune, reduce_fractions and _exact_top take both,
     and int64 and object parts concatenate to object.
 
-    On a rectangle pair without essential bars, a key is dropped unvalued
-    when the double of its direction bound p_ub/q
+    On a rectangle pair without essential bars the selection works per
+    direction run (by_run): the double of the run's direction bound p_ub/q
     (_fastpath._direction_bound: the kernel's own q, p <= p_ub exactly) is
-    below _band's threshold, whose argument carries over.  The first offer
-    values its _SEED keys of highest bound first, so the bound prunes from
-    the start; _LexMin picks among the tied keys in any order.
+    taken once, at the run's head, and a run below _band's threshold, whose
+    argument carries over, is dropped while still packed; only the live
+    keys are unpacked and valued.  The first chunk values its runs of
+    highest bound first, up to _SEED keys, so the bound prunes from the
+    start; _LexMin picks among the tied keys in any order.
     """
 
-    __slots__ = ("values", "fmax", "parts", "size")
+    __slots__ = ("values", "by_run", "fmax", "parts", "size")
 
     def __init__(self, M, N, lam):
         self.values = _fastpath.exact_evaluator(M, N, lam)
+        self.by_run = hasattr(self.values, "bound")
         self.fmax = -np.inf
         self.parts, self.size = [], 0
 
-    def offer(self, dxv, dyv, kv):
-        keys = (dxv, dyv, kv)
-        bound = getattr(self.values, "bound", None)
-        if bound is not None:
-            r = _doubles(*bound(*keys))
-            if self.fmax == -np.inf and len(r) > _SEED:
-                seed = np.zeros(len(r), dtype=bool)
-                seed[np.argpartition(r, -_SEED)[-_SEED:]] = True
-                self._score(*(c[seed] for c in keys))
-                r[seed] = -np.inf
-            live = r >= self.fmax * _BAND
-            keys = tuple(c[live] for c in keys)
-        if len(keys[0]):
-            self._score(*keys)
+    def take(self, spec, packed, heads):
+        if heads is not None:
+            packed = self._live(spec, packed, heads)
+        if packed.size:
+            self._score(*_unpack(spec, packed))
         if self.size > _BLOCK:
             self._prune()
+
+    def _live(self, spec, packed, heads):
+        """The keys of the runs whose bound reaches the band, after valuing
+        the seed runs when nothing is valued yet."""
+        r = _doubles(*self.values.bound(*_unpack(spec, packed[heads])[:2]))
+        sizes = np.concatenate((heads[1:], [packed.size])) - heads
+        if self.fmax == -np.inf and packed.size > _SEED:
+            order = np.argsort(-r)
+            top = np.searchsorted(np.cumsum(sizes[order]), _SEED, "right")
+            seed = np.zeros(r.size, dtype=bool)
+            seed[order[:max(1, top)]] = True
+            self._score(*_unpack(spec, packed[np.repeat(seed, sizes)]))
+            r[seed] = -np.inf
+        return packed[np.repeat(r >= self.fmax * _BAND, sizes)]
 
     def _score(self, dxv, dyv, kv):
         """Value the keys exactly and keep those in the band."""
@@ -697,7 +740,7 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     the arrays, sorted by k; and within a direction b1 = k/(lam*(dx+dy))
     orders as k.  So only the distinct directions are sorted, by
     dx/dy = m1/m2 (_direction_order), and each keeps its run in key order.
-    The directions are checked positive once per call, over the arrays,
+    The directions are checked positive once per call, over the run heads,
     and _key_lines builds each line in standard normalization by
     construction, with no second check per line.
 
@@ -707,12 +750,12 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     if M.is_trivial and N.is_trivial:
         raise BothTrivial("no critical values to aim lines at")
     X, Y, dvals, lam = _lattice(M, N, extra_switch_points)
-    dxv, dyv, kv = _unpack(*_stream(X, Y, dvals))
+    spec, packed = _stream(X, Y, dvals)
+    starts = _run_heads(spec, packed)
+    dxv, dyv, kv = _unpack(spec, packed)
+    dxv, dyv = dxv[starts], dyv[starts]
     _check_positive(dxv, dyv)
-    head = np.ones(kv.size, bool)
-    head[1:] = (dxv[1:] != dxv[:-1]) | (dyv[1:] != dyv[:-1])
-    starts = np.flatnonzero(head)
-    runs = zip(dxv[starts].tolist(), dyv[starts].tolist(), starts.tolist(),
+    runs = zip(dxv.tolist(), dyv.tolist(), starts.tolist(),
                [*starts[1:].tolist(), kv.size])
     ks = kv.tolist()
     lines = []

@@ -876,10 +876,11 @@ def test_huge_presentation_coordinates_use_exact_keys():
 # over int64 blocks inside the guard, and Python-int blocks past it.
 
 def test_distinct_keys_match_pair_loop(monkeypatch):
-    """The streamed keys, packed, deduplicated per block and merged across
-    many blocks, equal a plain loop over point pairs in python ints, in all
-    three key regimes; on a lattice of 8 points and 7 directions too, whose
-    direction blocks hold two directions each and the last one."""
+    """The streamed keys, packed, deduplicated per batch and merged across
+    many batches, equal a plain loop over point pairs in python ints, in
+    all three key regimes; on a lattice of 8 points and 7 directions too,
+    whose direction blocks hold two directions each and the last one, and
+    on one of 14 points cut into pair bands of at most 20 pairs."""
     monkeypatch.setattr(exactdist, "_BLOCK", 64)
     rng = random.Random(29)
     pool = rand_pool(rng, 3)
@@ -909,6 +910,29 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
         got = exactdist._distinct_keys(X, Y, dirs)
         assert got == distinct_keys_pairloop(X, Y, dirs)
         assert {type(v) for key in got for v in key} == {int}
+    # row bands of at most 20 pairs, on a lattice whose equal-X groups
+    # straddle band edges and whose bands mix groups
+    bands = []
+    pair_keys = exactdist._pair_keys
+
+    def recorded(Xd, Yd, Xa, Ya, a, b, c):
+        bands.append((a, b, c))
+        return pair_keys(Xd, Yd, Xa, Ya, a, b, c)
+
+    monkeypatch.setattr(exactdist, "_BAND_PAIRS", 20)
+    monkeypatch.setattr(exactdist, "_pair_keys", recorded)
+    pts = sorted([(0, 0), (0, 2), (0, 5), (1, 1), (1, 4), (2, 0), (2, 3),
+                  (2, 6), (2, 7), (3, 2), (4, 1), (4, 5), (4, 8), (4, 9)])
+    for f, path in ((1, "int64"), (100003, "object"), (10 ** 9, "bigint")):
+        X, Y = [f * x for x, _ in pts], [f * y for _, y in pts]
+        assert _spec_path(exactdist._pack_spec(X, Y, dirs)) == path
+        bands.clear()
+        got = exactdist._distinct_keys(X, Y, dirs)
+        assert got == distinct_keys_pairloop(X, Y, dirs)
+        assert {type(v) for key in got for v in key} == {int}
+        assert all(X[c - 1] == X[a] < X[c] for a, _, c in bands)
+        assert any(X[b - 1] == X[b] for _, b, _ in bands)
+        assert any(X[a] < X[b - 1] for a, b, _ in bands)
 
 
 def test_scaled_pairs_match_per_line_selection():
@@ -1052,20 +1076,20 @@ def test_object_kernel_matches_exact_cost():
         assert res.candidate_count == small.candidate_count
 
 
-# The folds take each block's distinct keys in slices of _fastpath.CHUNK.
+# The folds take the distinct packed keys in slices of _fastpath.CHUNK.
 
 def _chunk_sizes(monkeypatch, fold, size):
     """Patch _fastpath.CHUNK to size; the returned list collects the number
-    of keys of every offer to the fold class."""
+    of packed keys that _fold hands to the fold class per chunk."""
     monkeypatch.setattr(_fastpath, "CHUNK", size)
     sizes = []
-    offer = fold.offer
+    take = fold.take
 
-    def counted(self, dxv, dyv, kv):
-        sizes.append(len(dxv))
-        return offer(self, dxv, dyv, kv)
+    def counted(self, spec, packed, heads):
+        sizes.append(len(packed))
+        return take(self, spec, packed, heads)
 
-    monkeypatch.setattr(fold, "offer", counted)
+    monkeypatch.setattr(fold, "take", counted)
     return sizes
 
 
@@ -1110,6 +1134,41 @@ def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
         assert res.witness_line == exactdist._line_from_key(*best, lam)
         assert res.candidate_count == len(keys)
     assert max(sizes) <= 64
+
+
+@pytest.mark.parametrize("f", [1, 100003, 10 ** 9])
+def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
+    """With CHUNK = 16 and 64, a chunk boundary cuts a direction run in
+    two, the second part headed by a larger k, on int64 keys and on keys
+    scaled by 100003 and 10^9.  Where it cuts the run of the witness,
+    _Select, bounding per run, gives the value, witness line and count of
+    the per-line oracle; where it cuts the run of the lex-min key of a
+    suffix of the keys, _LexMin over that suffix gives that key."""
+    M, N = (scale(m, f) for m in list(_tied_pairs())[1])
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
+    spec, union = exactdist._stream(X, Y, dvals)
+    keys = exactdist._distinct_keys(X, Y, dvals)
+    code = (union // spec.sk).tolist()
+    ref = select_exact(M, N, keys, lam, len(keys))
+    assert exactdist._Select(M, N, lam).by_run
+    wit = next(i for i, key in enumerate(keys)
+               if exactdist._line_from_key(*key, lam) == ref.witness_line)
+    best = min(range(len(keys)), key=lambda i: lex_pair(*keys[i], lam))
+    run = [i for i, c in enumerate(code) if c == code[best]]
+    assert run[0] == best < run[-1]
+    for chunk in (16, 64):
+        monkeypatch.setattr(_fastpath, "CHUNK", chunk)
+        cut = [s for s in range(chunk, len(keys), chunk)
+               if code[s - 1] == code[s] == code[wit]]
+        assert cut
+        res = matching_distance(M, N)
+        assert (res.value, res.witness_line, res.candidate_count) == \
+            (ref.value, ref.witness_line, ref.candidate_count)
+        # a chunk of the suffix ends at the lex-min key, inside its run
+        start = (best + 1) % chunk
+        assert start <= best
+        assert exactdist._fold(spec, union[start:], exactdist._LexMin()) \
+            == keys[best]
 
 
 def test_folds_build_no_rational(monkeypatch):
@@ -1349,7 +1408,7 @@ def test_direction_bound_holds_on_every_key():
             assert not hasattr(values, "bound")
             continue
         p, q = values(dxv, dyv, kv)
-        pu, qu = values.bound(dxv, dyv, kv)
+        pu, qu = values.bound(dxv, dyv)
         assert pu.dtype == qu.dtype == np.int64
         assert qu.tolist() == q.tolist()
         assert all(a <= b for a, b in zip(p.tolist(), pu.tolist()))
