@@ -28,7 +28,9 @@ per line.  exact_evaluator returns those fractions, and matching_distance
 takes them for every line and reduces only the few that can still win.
 The map picks its integers call by call, from the keys it gets: int64
 where its certificate shows that every intermediate fits, Python ints in
-object arrays otherwise.  exact_reduced_values reduces every line.
+object arrays otherwise.  exact_reduced_values reduces every line.  The
+witness diagrams come from the same integer sides (key_diagram), so no
+module is restricted in rationals.
 """
 from __future__ import annotations
 
@@ -38,8 +40,8 @@ from functools import partial, reduce
 import numpy as np
 
 from .bottleneck import cheapest_matching, threshold_matching
-from .fibered import bar_counts, reduce_columns
-from .rational import is_inf
+from .fibered import Bar, bar_counts, reduce_columns
+from .rational import INF, Q, is_inf
 
 MAX_FINITE = 6
 CHUNK = 16384
@@ -59,12 +61,14 @@ def _sorted_network(vals):
 def _essential_cost(e1, e2):
     """Elementwise bottleneck cost of matching the essential births e1 to
     e2, equal in count: the max of |sorted e1 - sorted e2|, None when both
-    are empty.
+    are empty; raises ValueError on unequal counts.
 
     The sorted matching is optimal on a line, and rounding is monotone, so
     in floats too the result equals the minimum over all permutations bit
     for bit.
     """
+    if len(e1) != len(e2):
+        raise ValueError("essential counts differ")
     gaps = [np.abs(a - b)
             for a, b in zip(_sorted_network(e1), _sorted_network(e2))]
     return reduce(np.maximum, gaps) if gaps else None
@@ -179,14 +183,13 @@ def _side(module, conv):
 
 
 def _sides(M, N, conv):
-    """_side(M, conv), _side(N, conv); raises ValueError on unequal
-    essential counts."""
-    sm, sn = _side(M, conv), _side(N, conv)
-    em, en = (s.essential if isinstance(s, _Pres) else len(s[0])
-              for s in (sm, sn))
-    if em != en:
-        raise ValueError("essential counts differ")
-    return sm, sn
+    """_side(M, conv), _side(N, conv)."""
+    return _side(M, conv), _side(N, conv)
+
+
+def essential_count(side):
+    """The essential bars of a side on every line."""
+    return side.essential if isinstance(side, _Pres) else len(side[0])
 
 
 def vector_ready(M, N) -> bool:
@@ -488,7 +491,7 @@ def line_evaluator(M, N):
     array is built.  Every operation is elementwise, so each cost is the
     one the lines would get as flat arrays, bit for bit.  The lines go
     through the kernel in slices of the last axis of about CHUNK lines.
-    Requires equal essential counts on the two sides.
+    The map raises ValueError on unequal essential counts.
 
     The map's live_span(m1, m2, b1, b2) is _live_span on the same converted
     sides: for a direction column against a nondecreasing offset row, the
@@ -539,8 +542,10 @@ def exact_evaluator(M, N, lam):
     """The exact weighted-cost map over key arrays (dxv, dyv, kv) with
     scaling lam, with both modules converted into lam-scaled integers once,
     for every call.  It returns unreduced fractions (p, q), q > 0, int64 or
-    Python ints in object arrays.  Requires equal essential counts on the
-    two sides.
+    Python ints in object arrays, and raises ValueError on unequal
+    essential counts.  The map's sides are the converted sides.  A
+    coordinate v becomes numerator*(lam // denominator): lam clears the
+    denominator of every module coordinate, a critical value's.
 
     The map certifies its own arithmetic, call by call, on the keys it
     gets: object keys stay object, and integer keys are valued in int64
@@ -564,7 +569,7 @@ def exact_evaluator(M, N, lam):
 
     def conv(v):
         nonlocal amax
-        c = int(v * lam)
+        c = v.numerator * (lam // v.denominator)
         amax = max(amax, abs(c))
         return c
 
@@ -587,11 +592,54 @@ def exact_evaluator(M, N, lam):
     def values(dxv, dyv, kv):
         return _chunk(sm, sn, numerators(dxv, dyv, kv))
 
+    values.sides = sm, sn
     fin = _finite_rects(sm, sn)
     if fin:
         values.bound = lambda dxv, dyv: _direction_bound(
             fin, numerators(dxv, dyv))
     return values
+
+
+def key_diagram(side, dx, dy, k, lam):
+    """restrict_module's diagram of a module on the line of the key
+    (dx, dy, k), tuple for tuple, from its side as exact_evaluator converts
+    it.
+
+    A numerator c of _KeyNumerators.cross is the line parameter
+    c*max(dx, dy)/(lam*s*dx*dy), s = dx + dy, so the bars are built and
+    sorted on the integers, by (birth, essential, death) as fibered sorts
+    them, and each endpoint becomes one rational at the end.  Dead bars and
+    zero-length pairs are dropped.  A presentation is paired by its
+    template for the orders by (numerator, index), restrict_presentation's.
+    """
+    ar = _KeyNumerators(lam, dx, dy, k)
+
+    def push(grade):
+        return max(ar.cross(0, grade[0]), ar.cross(1, grade[1]))
+
+    if isinstance(side, _Pres):
+        gp, rp = [push(g) for g in side.gens], [push(r) for r in side.rels]
+        row = [i for v in (gp, rp) for i in sorted(range(len(v)),
+                                                   key=v.__getitem__)]
+        gens, rels, free = side._template(np.array(row, dtype=np.intp))
+        fin = [(gp[g], rp[r]) for g, r in zip(gens, rels)]
+        ess = [gp[g] for g in free]
+    else:
+        fin = [(push(lower), min(ar.cross(*u) for u in uppers))
+               for lower, uppers in side[1]]
+        ess = [push(lower) for lower in side[0]]
+    mx, den = max(dx, dy), lam * ar.s * dx * dy
+    # built without Bar.__post_init__: every birth is finite, and every
+    # death INF or a numerator above the birth's
+    new, put = object.__new__, object.__setattr__
+    out = []
+    for b, essential, d in sorted([(b, False, d) for b, d in fin if b < d]
+                                  + [(b, True, 0) for b in ess]):
+        bar = new(Bar)
+        put(bar, "birth", Q(b * mx, den))
+        put(bar, "death", INF if essential else Q(d * mx, den))
+        out.append(bar)
+    return tuple(out)
 
 
 def reduce_fractions(ps, qs):

@@ -38,8 +38,10 @@ certificate over the chunk's keys shows every intermediate below 2^62,
 which covers every pair of moderate coordinates, and Python ints
 otherwise.  The pruning is sound chunk by chunk, so splitting the keys
 into chunks changes no result.  The lex-min tie-break compares the keys'
-integers too, so no fold builds a rational: only the witness line is
-restricted in rationals.
+integers too, so no fold builds a rational.  The witness matching is read
+off the same integer sides, on the winning key (_fastpath.key_diagram), so
+no module is restricted in rationals; its weighted cost must equal the
+selection's exact maximum, or the call raises.
 """
 from __future__ import annotations
 
@@ -487,6 +489,7 @@ class _LexMin:
 
     __slots__ = ("key",)
     by_run = True
+    top = None  # no exact maximum for _result_at to check
 
     def __init__(self):
         self.key = None
@@ -580,9 +583,9 @@ class _Select:
     """The exact maximum of the weighted cost over distinct keys, offered
     one chunk at a time, and the lex-min key among the lines that attain it.
 
-    One discard rule.  The kernel values every key exactly
-    (_fastpath.exact_evaluator, both modules converted once per call) as an
-    unreduced fraction p/q, and a key is kept when its double lies in
+    One discard rule.  The kernel values every key exactly (values, the
+    map of _fastpath.exact_evaluator, both modules converted once per call)
+    as an unreduced fraction p/q, and a key is kept when its double lies in
     _band, whose written bound is 3 ulps per double and one rounding of the
     threshold.  A kept key stays as its row (dx, dy, k, p, q), so no
     packing passes the stream.  The kept keys are banded again against the
@@ -608,13 +611,14 @@ class _Select:
     start; _LexMin picks among the tied keys in any order.
     """
 
-    __slots__ = ("values", "by_run", "fmax", "parts", "size")
+    __slots__ = ("values", "by_run", "fmax", "parts", "size", "top")
 
-    def __init__(self, M, N, lam):
-        self.values = _fastpath.exact_evaluator(M, N, lam)
-        self.by_run = hasattr(self.values, "bound")
+    def __init__(self, values):
+        self.values = values
+        self.by_run = hasattr(values, "bound")
         self.fmax = -np.inf
         self.parts, self.size = [], 0
+        self.top = None
 
     def take(self, spec, packed, heads):
         if heads is not None:
@@ -655,10 +659,13 @@ class _Select:
         self._keep(cols)
 
     def finish(self):
-        """The lex-min key among the lines of exact maximal value."""
+        """The lex-min key among the lines of exact maximal value, which
+        is kept as top, the reduced ints (p, q)."""
         self._prune()
         *keys, ps, qs = self.parts[0]
-        top = _exact_top(*_fastpath.reduce_fractions(ps, qs))
+        ps, qs = _fastpath.reduce_fractions(ps, qs)
+        top = _exact_top(ps, qs)
+        self.top = int(ps[top[0]]), int(qs[top[0]])
         lexmin = _LexMin()
         lexmin.offer(*(c[top] for c in keys))
         return lexmin.finish()
@@ -695,8 +702,11 @@ def _key_lines(dx, dy, ks, lam):
 
 
 def _line_from_key(dx, dy, k, lam):
-    _check_positive(dx, dy)
-    return _key_lines(int(dx), int(dy), (int(k),), lam)[0]
+    dx, dy = int(dx), int(dy)
+    # as Line does; _check_positive's array test costs more than the line
+    if dx <= 0 or dy <= 0:
+        raise NonPositiveDirection("direction must be componentwise positive")
+    return _key_lines(dx, dy, (int(k),), lam)[0]
 
 
 class _Ratio(tuple):
@@ -784,17 +794,19 @@ def _exact_cost(M, N, line):
     return weight(line) * c
 
 
-def _exact_value(M, N, line):
-    """Weighted cost with the full matching witness."""
-    c, w = bottleneck(restrict_module(M, line), restrict_module(N, line))
-    if is_inf(c):
-        return INF, w
-    return weight(line) * c, w
-
-
-def _result_at(M, N, key, lam, count):
+def _result_at(sides, key, lam, count, top):
+    """The result at the line of key, with the witness matching of the
+    sides' diagrams there.  Its weighted cost must equal the selection's
+    exact maximum top, reduced ints (p, q), unless top is None: a mismatch
+    raises ArithmeticError."""
     line = _line_from_key(*key, lam)
-    value, wit = _exact_value(M, N, line)
+    cost, wit = bottleneck(*(_fastpath.key_diagram(side, *key, lam)
+                             for side in sides))
+    value = cost if is_inf(cost) else weight(line) * cost
+    if top is not None and (is_inf(value) or top != (value.numerator,
+                                                     value.denominator)):
+        raise ArithmeticError("the kernel's maximum %d/%d differs from the "
+                              "witness's weighted cost %s" % (*top, value))
     return DistanceResult(value, line, wit, count)
 
 
@@ -814,12 +826,14 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
     # equal-value decisions that need no line search; the witness line is
     # then just the lex-min candidate
     spec, union = _stream(X, Y, dvals)
-    if (_essential_count(M) != _essential_count(N)
-            or _struct_key(M) == _struct_key(N)):
+    values = _fastpath.exact_evaluator(M, N, lam)
+    em, en = map(_fastpath.essential_count, values.sides)
+    if em != en or _struct_key(M) == _struct_key(N):
         fold = _LexMin()
     else:
-        fold = _Select(M, N, lam)
-    return _result_at(M, N, _fold(spec, union, fold), lam, int(union.size))
+        fold = _Select(values)
+    key = _fold(spec, union, fold)
+    return _result_at(values.sides, key, lam, int(union.size), fold.top)
 
 
 def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,

@@ -6,16 +6,18 @@ oracles for the optimized library code.  lattice_rational and select_exact
 are the exceptions: the first assembles the candidate point set from the
 public rational functions, as a reference for the integer pipeline behind
 them, and the second selects the maximum by restricting every candidate
-line in rationals, as a reference for the selection fold and the vector
-kernel.
+line in rationals, as a reference for the selection fold, the vector
+kernel and the witness matching read off the kernel's integers.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
-from matchdist.exactdist import (_exact_cost, _line_from_key, _result_at,
+from matchdist.bottleneck import bottleneck
+from matchdist.exactdist import (DistanceResult, _exact_cost, _line_from_key,
                                  switch_points)
+from matchdist.fibered import restrict_module
 from matchdist.geometry import ProjPoint
 from matchdist.modules import critical_values, lub_closure
 from matchdist.rational import INF, Q, ext_abs_diff
@@ -186,11 +188,14 @@ def lex_pair(dx, dy, k, lam):
 def select_exact(M, N, keys, lam, count):
     """matching_distance's result over key triples, line by line: each
     line restricted in rationals and costed exactly, the maximum kept, the
-    lex-smallest line on ties."""
+    lex-smallest line on ties, and the witness matched on the rational
+    restrictions to that line."""
     best = best_key = best_lex = None
     for key in keys:
         c = _exact_cost(M, N, _line_from_key(*key, lam))
         lex = lex_pair(*key, lam)
         if best is None or c > best or (c == best and lex < best_lex):
             best, best_key, best_lex = c, key, lex
-    return _result_at(M, N, best_key, lam, count)
+    line = _line_from_key(*best_key, lam)
+    _, wit = bottleneck(restrict_module(M, line), restrict_module(N, line))
+    return DistanceResult(best, line, wit, count)

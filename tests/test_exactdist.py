@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import matchdist.exactdist as exactdist
+import matchdist.fibered as fibered
+import matchdist.geometry as geometry
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       ex_need_omega, rand_diagram, rand_line, rand_point,
                       rand_pool, rand_presentation, rand_rat, rand_rect,
@@ -23,7 +25,8 @@ from matchdist.exactdist import (BothTrivial, CandidateLineSet,
                                  SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
                                  vertical_cost)
-from matchdist.fibered import Bar, bar_counts, restrict_presentation
+from matchdist.fibered import (Bar, bar_counts, restrict_module,
+                               restrict_presentation)
 from matchdist.geometry import (Line, NonPositiveDirection, ProjPoint,
                                 line_through, normalize_line, push_param,
                                 weight)
@@ -33,6 +36,16 @@ from matchdist.modules import (TwoParamModule, critical_values, lub_closure,
 from matchdist.rational import INF, Q
 from oracles import (distinct_keys_pairloop, lattice_rational, lex_pair,
                      match_patterns, select_exact)
+
+
+def _assert_as_oracle(res, ref):
+    """res has the value, witness line and count of the per-line oracle
+    select_exact, and its witness matching: the pairs, the bars sent to
+    the diagonal, the cost and the realizer, all on the diagrams of
+    restrict_module."""
+    assert (res.value, res.witness_line, res.candidate_count) == \
+        (ref.value, ref.witness_line, ref.candidate_count)
+    assert res.witness_detail == ref.witness_detail
 
 
 def brute(M, N, extra=None):
@@ -219,6 +232,10 @@ def test_essential_mismatch_is_infinite():
     res = matching_distance(M, N)
     assert res.value == INF
     assert res.witness_detail.cost == INF
+    # the exact map values no line of such a pair
+    one = np.ones(1, dtype=np.int64)
+    with pytest.raises(ValueError):
+        _fastpath.exact_evaluator(M, N, 1)(one, one, 0 * one)
     # every candidate is a witness; the engine reports the lex-smallest
     assert res.witness_line == candidate_lines(M, N).lines[0]
 
@@ -692,32 +709,47 @@ def test_wide_rectangle_pairs_match_per_line_selection(monkeypatch):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = exactdist._distinct_keys(X, Y, dvals)
         ref = select_exact(M, N, keys, lam, len(keys))
-        assert (res.value, res.witness_line, res.candidate_count) == \
-            (ref.value, ref.witness_line, ref.candidate_count)
+        _assert_as_oracle(res, ref)
         assert scan(M, N, GridSpec(25, 25)).max_value <= \
             float(res.value) + 1e-9
 
 
-def test_past_dp_width_restricts_only_the_witness(monkeypatch):
-    """Past the kernel's dynamic-programming width, matching_distance
-    restricts in rationals only its witness line, once per module; a
-    per-line selection restricted this pair's 1,849 lines twice each."""
-    rng = random.Random(10)
-    pool = rand_pool(rng, 3)
-    M, N = (TwoParamModule.from_rects([rand_rect(rng, pool, p_inf=0)
-                                       for _ in range(7)]) for _ in "MN")
-    lines = []
-    restrict = exactdist.restrict_module
+def test_matching_distance_restricts_no_module(monkeypatch):
+    """matching_distance restricts no module in rationals: with
+    restrict_module, push_param and pull_param made to raise, it gives
+    these pinned values, counts and witness lines, on a rectangle pair with
+    essential bars and one without, the 7v7 pair past the kernel's
+    dynamic-programming width, a presentation pair, both shortcuts
+    (unequal essential counts, equal modules) and a pair scaled by 10^9
+    past the int64 certificate.  Its witness matching is that of the
+    rational restrictions to its line."""
+    M = TwoParamModule.from_rects([rect(0, 0, INF, INF), rect(1, 1, 3, 2)])
+    N = TwoParamModule.from_rects([rect(0, 1, 2, 3)])
+    cases = [(list(_wide_pairs())[2], 1, 217, (Q(1, 6), Q(-3, 7))),
+             (ex_diag_not_suff(), Q(28, 11), 5529, (Q(7, 11), Q(0))),
+             (_past_cap_pair(), Q(3, 2), 1849, (Q(1, 2), Q(1))),
+             (_small_pres_pair(), 3, 4799, (Q(1, 18), Q(-9, 19))),
+             ((M, N), INF, 8499, (Q(1, 27), Q(3, 14))),
+             ((N, N), 0, 217, (Q(1, 9), Q(3, 10))),
+             (tuple(scale(m, 10 ** 9) for m in _huge_pair()), 2 * 10 ** 9,
+              54414, (Q(1), Q(0)))]
 
-    def counted(module, line):
-        lines.append(line)
-        return restrict(module, line)
+    def never(*args):
+        raise AssertionError("restricted in rationals")
 
-    monkeypatch.setattr(exactdist, "restrict_module", counted)
-    res = matching_distance(M, N)
-    assert res.candidate_count == 1849
-    assert res.value == Q(3, 2)
-    assert lines == [res.witness_line] * 2
+    for (A, B), value, count, (m1, b1) in cases:
+        with monkeypatch.context() as mp:
+            for module in (exactdist, fibered):
+                mp.setattr(module, "restrict_module", never)
+            for module in (geometry, fibered):
+                mp.setattr(module, "push_param", never)
+                mp.setattr(module, "pull_param", never)
+            res = matching_distance(A, B)
+        line = res.witness_line
+        assert (res.value, res.candidate_count) == (value, count)
+        assert line == Line((m1, Q(1)), (b1, -b1))
+        assert res.witness_detail == bottleneck(
+            restrict_module(A, line), restrict_module(B, line))[1]
 
 
 def test_wide_rectangle_pairs_integer_values():
@@ -787,6 +819,68 @@ def test_presentation_templates_match_restriction():
             assert got == want
 
 
+@pytest.mark.parametrize("f", [1, 10 ** 9], ids=["int64", "bigint"])
+def test_key_diagrams_match_restriction(f):
+    """key_diagram gives restrict_module's diagram, tuple for tuple, on
+    random keys: on rectangle modules with finite and infinite uppers,
+    essential rectangles among them, whose bars die on some keys, and on
+    presentations with essential generators whose pairs have zero length
+    on some keys; with small coordinates, and scaled by 10^9, past the
+    int64 key guard.  Half the keys pass through a lattice point."""
+    rng = random.Random(78)
+    seen = set()
+    for t in range(40):
+        pool = rand_pool(rng, 4)
+        if t % 2:
+            module = rand_rect_module(rng, max_rects=4, pool=pool, p_inf=0.4)
+        else:
+            module = rand_presentation(rng, pool, rng.randint(0, 4),
+                                       rng.randint(0, 2))
+        if module.is_trivial:
+            continue
+        module = scale(module, f)
+        finite, essential = bar_counts(module)
+        X, Y, _, lam = exactdist._lattice(module, module, None)
+        side = _fastpath.exact_evaluator(module, module, lam).sides[0]
+        for _ in range(30):
+            dx, dy = rng.randint(1, 9), rng.randint(1, 9)
+            g = gcd(dx, dy)
+            dx, dy = dx // g, dy // g
+            if rng.random() < 0.5:
+                i = rng.randrange(len(X))
+                k = dy * X[i] - dx * Y[i]
+            else:
+                k = rng.randint(dy * min(X) - dx * max(Y),
+                                dy * max(X) - dx * min(Y))
+            want = restrict_module(module,
+                                   exactdist._line_from_key(dx, dy, k, lam))
+            assert _fastpath.key_diagram(side, dx, dy, k, lam) == want
+            kind = "rect" if module.rectangles is not None else "pres"
+            if sum(1 for b in want if b.death != INF) < finite:
+                seen.add((kind, "dropped"))
+            if essential:
+                seen.add((kind, "essential"))
+    assert seen == {(kind, what) for kind in ("rect", "pres")
+                    for what in ("dropped", "essential")}
+
+
+def test_kernel_witness_mismatch_raises(monkeypatch):
+    """A selection whose exact maximum disagrees with the witness
+    matching's weighted cost raises, and returns no value: _Select.finish
+    made to report p/q + 1/q fails the check."""
+    finish = exactdist._Select.finish
+
+    def off(self):
+        key = finish(self)
+        p, q = self.top
+        self.top = p + 1, q
+        return key
+
+    monkeypatch.setattr(exactdist._Select, "finish", off)
+    with pytest.raises(ArithmeticError):
+        matching_distance(*ex_need_omega())
+
+
 def test_presentation_pairs_match_per_line_selection(monkeypatch):
     """Presentations take one exact pass, with both modules converted into
     integers once per pair, which gives the value, witness line and count
@@ -808,8 +902,7 @@ def test_presentation_pairs_match_per_line_selection(monkeypatch):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = exactdist._distinct_keys(X, Y, dvals)
         ref = select_exact(M, N, keys, lam, len(keys))
-        assert (res.value, res.witness_line, res.candidate_count) == \
-            (ref.value, ref.witness_line, ref.candidate_count)
+        _assert_as_oracle(res, ref)
         assert scan(M, N, GridSpec(25, 25)).max_value <= \
             float(res.value) + 1e-9
 
@@ -961,8 +1054,7 @@ def test_scaled_pairs_match_per_line_selection():
         keys = exactdist._distinct_keys(X, Y, dvals)
         ref = select_exact(M, N, keys, lam, len(keys))
         assert res.value > 0
-        assert (res.value, res.witness_line, res.candidate_count) == \
-            (ref.value, ref.witness_line, ref.candidate_count)
+        _assert_as_oracle(res, ref)
 
 
 def _past_certificate_pairs():
@@ -1010,8 +1102,7 @@ def test_one_selection_mixes_int64_and_object_chunks(monkeypatch):
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
     keys = exactdist._distinct_keys(X, Y, dvals)
     ref = select_exact(M, N, keys, lam, len(keys))
-    assert (res.value, res.witness_line, res.candidate_count) == \
-        (ref.value, ref.witness_line, ref.candidate_count)
+    _assert_as_oracle(res, ref)
 
 
 # Rectangle pairs given as Python floats: rat keeps their exact binary
@@ -1108,8 +1199,7 @@ def test_tiny_chunks_match_per_line_selection(monkeypatch):
         keys = exactdist._distinct_keys(X, Y, dvals)
         assert len(sizes) - n >= len(keys) // 64
         ref = select_exact(M, N, keys, lam, len(keys))
-        assert (res.value, res.witness_line, res.candidate_count) == \
-            (ref.value, ref.witness_line, ref.candidate_count)
+        _assert_as_oracle(res, ref)
     assert max(sizes) <= 64
 
 
@@ -1150,7 +1240,7 @@ def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
     keys = exactdist._distinct_keys(X, Y, dvals)
     code = (union // spec.sk).tolist()
     ref = select_exact(M, N, keys, lam, len(keys))
-    assert exactdist._Select(M, N, lam).by_run
+    assert exactdist._Select(_fastpath.exact_evaluator(M, N, lam)).by_run
     wit = next(i for i, key in enumerate(keys)
                if exactdist._line_from_key(*key, lam) == ref.witness_line)
     best = min(range(len(keys)), key=lambda i: lex_pair(*keys[i], lam))
@@ -1162,8 +1252,7 @@ def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
                if code[s - 1] == code[s] == code[wit]]
         assert cut
         res = matching_distance(M, N)
-        assert (res.value, res.witness_line, res.candidate_count) == \
-            (ref.value, ref.witness_line, ref.candidate_count)
+        _assert_as_oracle(res, ref)
         # a chunk of the suffix ends at the lex-min key, inside its run
         start = (best + 1) % chunk
         assert start <= best
@@ -1180,7 +1269,8 @@ def test_folds_build_no_rational(monkeypatch):
     N = TwoParamModule.from_rects([rect(0, 1, 2, 3)])
     wide = next(_wide_pairs())
     for (A, B), make in (((M, N), lambda *args: exactdist._LexMin()),
-                         (wide, exactdist._Select)):
+                         (wide, lambda *args: exactdist._Select(
+                             _fastpath.exact_evaluator(*args)))):
         want = matching_distance(A, B)
         X, Y, dvals, lam = exactdist._lattice(A, B, None)
         spec, union = exactdist._stream(X, Y, dvals)
@@ -1432,8 +1522,7 @@ def test_bound_pruned_selection_matches_oracle():
                     mp.setattr(exactdist, "_SEED", seed)
                     mp.setattr(_fastpath, "CHUNK", chunk)
                 res = matching_distance(M, N)
-            assert (res.value, res.witness_line, res.candidate_count) == \
-                (ref.value, ref.witness_line, ref.candidate_count)
+            _assert_as_oracle(res, ref)
 
 
 def _kernel_lines(monkeypatch):

@@ -1,0 +1,109 @@
+"""Alternated in-process timing of two matchdist checkouts on one workload.
+
+    python3 tools/abrun.py PARENT CHANGE --workload perline --seed 1 \\
+        --rounds 21
+
+PARENT and CHANGE are source checkouts.  Each one's src/matchdist is copied
+into a temporary directory under its own package name (matchdist_a,
+matchdist_b), and both are imported into this one process, so the two
+sides share the interpreter, the heap and the machine's speed of the
+moment.  The ops come from the workload's corpus through
+perfbench/corpus.py, which is read and never changed, and each side builds
+them from its own package.  A round times every op once on each side, op by
+op, and the side that goes first is swapped each round; one untimed round
+warms both sides up.  Every output is checked with corpus.check outside the
+timed region.
+
+Prints, per side, the median pass time, the rounds won, the failed ops and
+ops_per_s and op_p50_s over each op's median time, computed as
+perfbench/run.py computes them but from raw times; then the ratio of the
+pass medians, CHANGE over PARENT.
+"""
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import shutil
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+# no __pycache__ is left under perfbench/ or in the copies
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "perfbench"))
+import corpus as C  # noqa: E402
+
+
+def load(checkout, name, where):
+    """The checkout's package, imported under name from a copy in where."""
+    shutil.copytree(Path(checkout) / "src" / "matchdist", Path(where) / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def timed(md, op, failed):
+    """Seconds of one op; its ident joins failed when it raises or its
+    output fails the corpus check."""
+    gc.collect()
+    t0 = perf_counter()
+    try:
+        out = C.call(md, op)
+    except Exception:  # a raising op is a failed op, as in run.py
+        out = None
+    t = perf_counter() - t0
+    if out is None or C.check(op, out):
+        failed.add(op.ident)
+    return t
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", default="perline", choices=C.WORKLOADS)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=21)
+    args = ap.parse_args()
+    lib = C.load_library(args.workload)
+    with tempfile.TemporaryDirectory() as where:
+        sys.path.insert(0, where)
+        sides = []
+        for name, checkout in (("matchdist_a", args.parent),
+                               ("matchdist_b", args.change)):
+            md = load(checkout, name, where)
+            sides.append((checkout, md, C.build_ops(md, lib, args.seed)))
+        n = len(sides[0][2])
+        times = [[[] for _ in range(n)] for _ in sides]
+        passes = [[] for _ in sides]
+        failed = [set() for _ in sides]
+        for r in range(-1, args.rounds):
+            order = (0, 1) if r % 2 == 0 else (1, 0)
+            round_s = [0.0, 0.0]
+            for i in range(n):
+                for s in order:
+                    t = timed(sides[s][1], sides[s][2][i], failed[s])
+                    if r >= 0:
+                        times[s][i].append(t)
+                        round_s[s] += t
+            if r >= 0:
+                for s in (0, 1):
+                    passes[s].append(round_s[s])
+    wins = [sum(a < b for a, b in zip(passes[s], passes[1 - s]))
+            for s in (0, 1)]
+    for s, (checkout, _, _) in enumerate(sides):
+        per_op = sorted(statistics.median(ts) for ts in times[s])
+        print("%s %s: pass median %.4f s, won %d of %d rounds, failed ops "
+              "%d, ops_per_s %.1f, op_p50_s %.6f"
+              % ("parent" if s == 0 else "change", checkout,
+                 statistics.median(passes[s]), wins[s], args.rounds,
+                 len(failed[s]), n / sum(per_op), statistics.median(per_op)))
+    print("ratio change/parent of pass medians: %.4f"
+          % (statistics.median(passes[1]) / statistics.median(passes[0])))
+
+
+if __name__ == "__main__":
+    main()
