@@ -4,8 +4,10 @@ Essential (infinite-death) bars can only be matched among themselves at
 finite cost, and their optimal assignment is the in-order matching of sorted
 birth values; finite bars are matched by binary search over the exact
 candidate costs (pairwise l-infinity distances and half-persistences) with an
-augmenting-path feasibility matcher (_threshold).  The overall cost is the
-maximum of the two parts, with the convention inf - inf = 0.
+augmenting-path feasibility matcher (_threshold, which returns the least
+feasible cost alone); bottleneck then runs the matcher once more at that
+cost for the witness.  The overall cost is the maximum of the two parts,
+with the convention inf - inf = 0.
 
 Two matching minima agree exactly: cheapest_matching, a dynamic program
 whose table grows as 2^cols, and threshold_matching, _threshold run line by
@@ -91,12 +93,12 @@ def _feasible(c, pc, half1, half2):
 def _threshold(pc, half1, half2):
     """The cheapest matching's cost, the smallest entry of pc, half1 or
     half2 at which _feasible finds a perfect matching, by binary search
-    over the sorted distinct entries, with that matching; (None, []) when
-    both sides are empty.  Being an entry, the cost is exact in any type.
+    over the sorted distinct entries; None when both sides are empty.
+    Being an entry, the cost is exact in any type.
     """
     cand = sorted({*half1, *half2, *(c for row in pc for c in row)})
     if not cand:
-        return None, []
+        return None
     lo, hi = 0, len(cand) - 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -104,7 +106,7 @@ def _threshold(pc, half1, half2):
             hi = mid
         else:
             lo = mid + 1
-    return cand[lo], _feasible(cand[lo], pc, half1, half2)
+    return cand[lo]
 
 
 def bottleneck(d1, d2):
@@ -136,10 +138,11 @@ def bottleneck(d1, d2):
     p1 = [d1[i] for i in fin1]
     p2 = [d2[j] for j in fin2]
     pc = [[_pair_cost(a, b) for b in p2] for a in p1]
-    cost_f, match_r = _threshold(pc, [_half(a) for a in p1],
-                                 [_half(b) for b in p2])
+    half1, half2 = [_half(a) for a in p1], [_half(b) for b in p2]
+    cost_f = _threshold(pc, half1, half2)
     if cost_f is None:
         cost_f = Q(0)
+    match_r = _feasible(cost_f, pc, half1, half2)
 
     n1, n2 = len(p1), len(p2)
     pairs_f = []
@@ -239,7 +242,7 @@ def threshold_matching(pc, h1, h2):
     line costs a Python search."""
     entries = [*h1, *h2, *(c for row in pc for c in row)]
     if not entries or not isinstance(entries[0], np.ndarray):
-        return _threshold(pc, h1, h2)[0]
+        return _threshold(pc, h1, h2)
     r1, r2 = len(h1), len(h2)
     P = np.stack(np.broadcast_arrays(*entries))
     shape = P.shape[1:]
@@ -248,7 +251,7 @@ def threshold_matching(pc, h1, h2):
     for t in range(P.shape[1]):
         v = P[:, t].tolist()
         out[t] = _threshold([v[r1 + r2 + i * r2:r1 + r2 + (i + 1) * r2]
-                             for i in range(r1)], v[:r1], v[r1:r1 + r2])[0]
+                             for i in range(r1)], v[:r1], v[r1:r1 + r2])
     return out.reshape(shape)
 
 

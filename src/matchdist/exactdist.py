@@ -22,13 +22,14 @@ allow, Python ints in object arrays otherwise), the blocks and unpacked
 keys, and the pair stage's coordinate differences (int32 inside the int64
 guard).  The point-direction lines come one broadcast per group of
 directions.  Blocks are dropped once packed; their keys are sorted and
-deduplicated in batches, and the sorted runs merged as they grow.  Every
-fold then takes the sorted distinct keys in chunks of _fastpath.CHUNK keys,
-split into direction runs, so each line is handed over once and what a fold
-unpacks and values never exceeds one chunk.  A bounded selection drops
-whole runs while still packed.
+deduplicated in batches, and the sorted runs merged as they grow.  The
+sorted distinct keys are then read in chunks of _fastpath.CHUNK keys
+(_chunks), split into direction runs, so each line is read once and what
+is unpacked and valued never exceeds one chunk.  Pairs that need no line
+search take the lex-min key (_first_key), from the run heads alone.  A
+bounded selection drops whole runs while still packed.
 
-Pairs that need a line search go through one selection fold, whatever
+Pairs that need a line search go through one selection (_Select), whatever
 their number of bars, with both modules converted once per call, in one
 exact pass: each line is valued once on unreduced integer numerators, a
 band with a written 3-ulp bound keeps the lines that can still win, and
@@ -38,10 +39,11 @@ certificate over the chunk's keys shows every intermediate below 2^62,
 which covers every pair of moderate coordinates, and Python ints
 otherwise.  The pruning is sound chunk by chunk, so splitting the keys
 into chunks changes no result.  The lex-min tie-break compares the keys'
-integers too, so no fold builds a rational.  The witness matching is read
-off the same integer sides, on the winning key (_fastpath.key_diagram), so
-no module is restricted in rationals; its weighted cost must equal the
-selection's exact maximum, or the call raises.
+integers too (_lex_min), so no selection builds a rational.  The witness
+matching is read off the same integer sides, on the winning key
+(_fastpath.key_diagram), so no module is restricted in rationals; its
+weighted cost must equal the selection's exact maximum, or the call
+raises.
 """
 from __future__ import annotations
 
@@ -428,7 +430,8 @@ def _stream(X, Y, dvals):
     about _BLOCK/2 keys (_batches), not once per band, and each batch
     leaves one sorted run.  The runs are merged whenever they hold more
     than 4*_BLOCK keys, so memory is bounded by the number of distinct
-    candidate lines.  The folds run over the union afterwards, in _fold."""
+    candidate lines.  _first_key or _Select reads the union afterwards,
+    chunk by chunk."""
     spec = _pack_spec(X, Y, dvals)
     runs, size = [], 0
     for batch in _batches(spec, _iter_blocks(X, Y, dvals, spec)):
@@ -454,67 +457,46 @@ def _run_heads(spec, packed):
     return np.flatnonzero(head)
 
 
-def _fold(spec, union, fold):
-    """fold.finish() after fold.take(spec, packed, heads) on the distinct
-    packed keys in slices of _fastpath.CHUNK keys, so what a fold unpacks
-    and values holds one chunk at a time.  Every distinct line is handed
-    over once, in key order.  heads are the slice's _run_heads when
-    fold.by_run is set, and None for a fold that takes every key."""
+def _chunks(union):
+    """The distinct packed keys in slices of _fastpath.CHUNK keys, in key
+    order, so that what is unpacked and valued holds one chunk at a time."""
     step = _fastpath.CHUNK
     for s in range(0, union.size, step):
-        packed = union[s:s + step]
-        fold.take(spec, packed,
-                  _run_heads(spec, packed) if fold.by_run else None)
-    return fold.finish()
+        yield union[s:s + step]
 
 
-class _LexMin:
-    """Exact running minimum of the line order (dx/dy, k/(lam*(dx+dy))), on
-    the keys' integers.
+def _lex_min(dxv, dyv, kv, best=None):
+    """The least key, as Python ints, in the line order
+    (dx/dy, k/(lam*(dx+dy))) among the keys of the arrays (dx, dy, k) and
+    best, a key or None.
 
     Keys are primitive, so keys of equal ratio dx/dy share one direction,
-    within which b1 orders as k: the lex-min is the least k of the
-    direction of least ratio.  An offer is the (dx, dy, k) arrays of some
-    keys, and takes the doubles of dx/dy (_doubles, one correctly rounded
-    division per key).  Rounding is
-    monotone, so only keys whose double ties the least one can hold the
-    least ratio, and those are compared exactly by cross-multiplication:
-    inside _GUARD dx, dy < 2^27, so the products fit in int64.  The offer's
-    best key meets the running one as the Python ints (dx*dy', k) against
-    (dx'*dy, k'), so the result depends neither on the order of the keys
-    nor on that of the offers.  Within a direction the least k comes
-    first, so a fold of sorted packed keys (take) offers the run heads
-    alone.
+    within which b1 orders as k: the lex-min is the least k of the direction
+    of least ratio.  Rounding is monotone, so only keys whose double of
+    dx/dy (_doubles, one correctly rounded division per key) ties the least
+    one can hold the least ratio, and _Ratio orders those exactly.  The
+    result depends neither on the order of the keys nor on how they are
+    split across calls that pass on best.
     """
+    r = _doubles(dxv, dyv)
+    t = np.flatnonzero(r == r.min())
+    dx, dy, k = dxv[t], dyv[t], kv[t]
+    d = min(zip(dx.tolist(), dy.tolist()), key=_Ratio)
+    key = (*d, int(k[(dx == d[0]) & (dy == d[1])].min()))
+    if best is None:
+        return key
+    return min(best, key, key=lambda c: (_Ratio(c[:2]), c[2]))
 
-    __slots__ = ("key",)
-    by_run = True
-    top = None  # no exact maximum for _result_at to check
 
-    def __init__(self):
-        self.key = None
-
-    def take(self, spec, packed, heads):
-        self.offer(*_unpack(spec, packed[heads]))
-
-    def offer(self, dxv, dyv, kv):
-        r = _doubles(dxv, dyv)
-        t = np.flatnonzero(r == r.min())
-        dx, dy, k = dxv[t], dyv[t], kv[t]
-        i = 0
-        while True:
-            below = dx * dy[i] < dx[i] * dy
-            if not below.any():
-                break
-            i = int(np.argmax(below))
-        same = (dx == dx[i]) & (dy == dy[i])
-        key = int(dx[i]), int(dy[i]), int(k[same].min())
-        if self.key is None or ((key[0] * self.key[1], key[2])
-                                < (self.key[0] * key[1], self.key[2])):
-            self.key = key
-
-    def finish(self):
-        return self.key
+def _first_key(spec, union):
+    """The lex-min of the distinct packed keys, for pairs that need no line
+    search.  Within a direction run the least k comes first, so each chunk
+    offers its run heads alone."""
+    best = None
+    for packed in _chunks(union):
+        best = _lex_min(*_unpack(spec, packed[_run_heads(spec, packed)]),
+                        best)
+    return best
 
 
 def _doubles(ps, qs):
@@ -590,7 +572,7 @@ class _Select:
     threshold.  A kept key stays as its row (dx, dy, k, p, q), so no
     packing passes the stream.  The kept keys are banded again against the
     running maximum when they outgrow _BLOCK and at finish, where only they
-    are reduced, _exact_top takes their exact maximum and _LexMin the
+    are reduced, _exact_top takes their exact maximum and _lex_min the
     lex-min of its ties.  A key is dropped only when a key
     offered no later beats it exactly, so splitting the keys into chunks
     changes no result.
@@ -608,29 +590,32 @@ class _Select:
     argument carries over, is dropped while still packed; only the live
     keys are unpacked and valued.  The first chunk values its runs of
     highest bound first, up to _SEED keys, so the bound prunes from the
-    start; _LexMin picks among the tied keys in any order.
+    start; _lex_min picks among the tied keys in any order.
     """
 
-    __slots__ = ("values", "by_run", "fmax", "parts", "size", "top")
+    __slots__ = ("values", "by_run", "fmax", "parts", "size")
 
     def __init__(self, values):
         self.values = values
         self.by_run = hasattr(values, "bound")
         self.fmax = -np.inf
         self.parts, self.size = [], 0
-        self.top = None
 
-    def take(self, spec, packed, heads):
-        if heads is not None:
-            packed = self._live(spec, packed, heads)
-        if packed.size:
-            self._score(*_unpack(spec, packed))
-        if self.size > _BLOCK:
-            self._prune()
+    def run(self, spec, union):
+        """finish() after taking the distinct packed keys chunk by chunk."""
+        for packed in _chunks(union):
+            if self.by_run:
+                packed = self._live(spec, packed)
+            if packed.size:
+                self._score(*_unpack(spec, packed))
+            if self.size > _BLOCK:
+                self._prune()
+        return self.finish()
 
-    def _live(self, spec, packed, heads):
-        """The keys of the runs whose bound reaches the band, after valuing
-        the seed runs when nothing is valued yet."""
+    def _live(self, spec, packed):
+        """The keys of the direction runs whose bound reaches the band,
+        after valuing the seed runs when nothing is valued yet."""
+        heads = _run_heads(spec, packed)
         r = _doubles(*self.values.bound(*_unpack(spec, packed[heads])[:2]))
         sizes = np.concatenate((heads[1:], [packed.size])) - heads
         if self.fmax == -np.inf and packed.size > _SEED:
@@ -659,16 +644,14 @@ class _Select:
         self._keep(cols)
 
     def finish(self):
-        """The lex-min key among the lines of exact maximal value, which
-        is kept as top, the reduced ints (p, q)."""
+        """(key, (p, q)): the lex-min key among the lines of exact maximal
+        value, and that value as reduced ints."""
         self._prune()
         *keys, ps, qs = self.parts[0]
         ps, qs = _fastpath.reduce_fractions(ps, qs)
         top = _exact_top(ps, qs)
-        self.top = int(ps[top[0]]), int(qs[top[0]])
-        lexmin = _LexMin()
-        lexmin.offer(*(c[top] for c in keys))
-        return lexmin.finish()
+        return (_lex_min(*(c[top] for c in keys)),
+                (int(ps[top[0]]), int(qs[top[0]])))
 
 
 def _check_positive(dxv, dyv):
@@ -829,11 +812,10 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
     values = _fastpath.exact_evaluator(M, N, lam)
     em, en = map(_fastpath.essential_count, values.sides)
     if em != en or _struct_key(M) == _struct_key(N):
-        fold = _LexMin()
+        key, top = _first_key(spec, union), None
     else:
-        fold = _Select(values)
-    key = _fold(spec, union, fold)
-    return _result_at(values.sides, key, lam, int(union.size), fold.top)
+        key, top = _Select(values).run(spec, union)
+    return _result_at(values.sides, key, lam, int(union.size), top)
 
 
 def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,

@@ -100,6 +100,40 @@ def test_realizer_ratio_forms():
     assert cost == 4 and w.realizer == (Q(0), Q(8), 2)
 
 
+# Diagrams whose optimal matchings tie (equal pair costs, half-lengths
+# equal to pair costs, tied essential births), with the whole witness
+# bottleneck returns for them: which optimal matching it picks is pinned.
+GOLDEN = [
+    (((0, 4), (0, 4)), ((0, 4), (0, 4)),
+     MatchingWitness(((0, 1), (1, 0)), (), Q(0), (Q(0), Q(0), 1))),
+    (((0, 4), (0, 4), (2, 6)), ((1, 5), (1, 5)),
+     MatchingWitness(((2, 0),), ((1, 0), (1, 1), (2, 1)), Q(2),
+                     (Q(1), Q(5), 2))),
+    (((0, 2), (1, 3)), ((1, 3), (2, 4)),
+     MatchingWitness(((1, 0),), ((1, 0), (2, 1)), Q(1), (Q(2), Q(4), 2))),
+    (((0, INF), (0, INF), (1, 3)), ((0, INF), (0, INF), (2, 4)),
+     MatchingWitness(((0, 0), (1, 1)), ((1, 2), (2, 2)), Q(1),
+                     (Q(2), Q(4), 2))),
+    (((0, INF), (1, INF), (0, 2), (0, 2)), ((1, INF), (0, INF), (1, 3)),
+     MatchingWitness(((0, 1), (1, 0)), ((1, 2), (1, 3), (2, 2)), Q(1),
+                     (Q(1), Q(3), 2))),
+    (((0, 6), (2, 4), (1, 5)), ((1, 5), (0, 6), (3, 5), (0, 2)),
+     MatchingWitness(((0, 1), (2, 0)), ((1, 1), (2, 2), (2, 3)), Q(1),
+                     (Q(3), Q(5), 2))),
+    (((0, 2), (2, 4), (4, 6)), ((1, 3), (3, 5)),
+     MatchingWitness(((1, 0),), ((1, 0), (1, 2), (2, 1)), Q(1),
+                     (Q(2), Q(1), 1))),
+]
+
+
+@pytest.mark.parametrize("a, b, want", GOLDEN)
+def test_tied_matchings_golden(a, b, want):
+    d1, d2 = dgm(*a), dgm(*b)
+    cost, w = bottleneck(d1, d2)
+    assert (cost, w) == (want.cost, want)
+    check_witness(d1, d2, cost, w)
+
+
 def test_bruteforce_guard():
     big = dgm(*[(i, i + 1) for i in range(9)])
     with pytest.raises(TooLarge):

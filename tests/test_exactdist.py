@@ -871,10 +871,8 @@ def test_kernel_witness_mismatch_raises(monkeypatch):
     finish = exactdist._Select.finish
 
     def off(self):
-        key = finish(self)
-        p, q = self.top
-        self.top = p + 1, q
-        return key
+        key, (p, q) = finish(self)
+        return key, (p + 1, q)
 
     monkeypatch.setattr(exactdist._Select, "finish", off)
     with pytest.raises(ArithmeticError):
@@ -1167,28 +1165,30 @@ def test_object_kernel_matches_exact_cost():
         assert res.candidate_count == small.candidate_count
 
 
-# The folds take the distinct packed keys in slices of _fastpath.CHUNK.
+# _first_key and _Select read the distinct packed keys in slices of
+# _fastpath.CHUNK (_chunks).
 
-def _chunk_sizes(monkeypatch, fold, size):
+def _chunk_sizes(monkeypatch, size):
     """Patch _fastpath.CHUNK to size; the returned list collects the number
-    of packed keys that _fold hands to the fold class per chunk."""
+    of packed keys in each slice that _chunks yields."""
     monkeypatch.setattr(_fastpath, "CHUNK", size)
     sizes = []
-    take = fold.take
+    chunks = exactdist._chunks
 
-    def counted(self, spec, packed, heads):
-        sizes.append(len(packed))
-        return take(self, spec, packed, heads)
+    def counted(union):
+        for packed in chunks(union):
+            sizes.append(len(packed))
+            yield packed
 
-    monkeypatch.setattr(fold, "take", counted)
+    monkeypatch.setattr(exactdist, "_chunks", counted)
     return sizes
 
 
 def test_tiny_chunks_match_per_line_selection(monkeypatch):
-    """With 64-key chunks, the selection fold gives the value, witness line
-    and count of the per-line exact selection over every distinct key, on
+    """With 64-key chunks, the selection gives the value, witness line and
+    count of the per-line exact selection over every distinct key, on
     rectangle and presentation pairs of 217 and 1849 lines."""
-    sizes = _chunk_sizes(monkeypatch, exactdist._Select, 64)
+    sizes = _chunk_sizes(monkeypatch, 64)
     pairs = list(itertools.islice(_wide_pairs(), 3))
     pairs += list(itertools.islice(_pres_pairs(), 1, 4))
     for M, N in pairs:
@@ -1207,7 +1207,7 @@ def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
     """On pairs that need no line search (unequal essential counts, equal
     modules), the witness of chunked offers is the lex-min of every
     distinct key."""
-    sizes = _chunk_sizes(monkeypatch, exactdist._LexMin, 64)
+    sizes = _chunk_sizes(monkeypatch, 64)
     M, _ = ex_diag_not_suff()
     P = combined_presentation(M)
     pairs = [(TwoParamModule.from_rects([rect(0, 0, INF, INF),
@@ -1233,7 +1233,7 @@ def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
     scaled by 100003 and 10^9.  Where it cuts the run of the witness,
     _Select, bounding per run, gives the value, witness line and count of
     the per-line oracle; where it cuts the run of the lex-min key of a
-    suffix of the keys, _LexMin over that suffix gives that key."""
+    suffix of the keys, _first_key over that suffix gives that key."""
     M, N = (scale(m, f) for m in list(_tied_pairs())[1])
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
     spec, union = exactdist._stream(X, Y, dvals)
@@ -1256,29 +1256,40 @@ def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
         # a chunk of the suffix ends at the lex-min key, inside its run
         start = (best + 1) % chunk
         assert start <= best
-        assert exactdist._fold(spec, union[start:], exactdist._LexMin()) \
-            == keys[best]
+        assert exactdist._first_key(spec, union[start:]) == keys[best]
 
 
 def test_folds_build_no_rational(monkeypatch):
     """The folds compare the keys' integers and build no rational: with Q
     made to raise, 64-key chunks give matching_distance's witness key, by
-    _LexMin on a pair that needs no line search and by _Select on one that
-    does."""
+    _first_key on a pair that needs no line search and by _Select on one
+    that does."""
     M = TwoParamModule.from_rects([rect(0, 0, INF, INF), rect(1, 1, 3, 2)])
     N = TwoParamModule.from_rects([rect(0, 1, 2, 3)])
     wide = next(_wide_pairs())
-    for (A, B), make in (((M, N), lambda *args: exactdist._LexMin()),
-                         (wide, lambda *args: exactdist._Select(
-                             _fastpath.exact_evaluator(*args)))):
+    for (A, B), search in (((M, N), False), (wide, True)):
         want = matching_distance(A, B)
         X, Y, dvals, lam = exactdist._lattice(A, B, None)
         spec, union = exactdist._stream(X, Y, dvals)
         with monkeypatch.context() as mp:
             mp.setattr(_fastpath, "CHUNK", 64)
             mp.setattr(exactdist, "Q", None)
-            key = exactdist._fold(spec, union, make(A, B, lam))
+            if search:
+                key, _ = exactdist._Select(_fastpath.exact_evaluator(
+                    A, B, lam)).run(spec, union)
+            else:
+                key = exactdist._first_key(spec, union)
         assert exactdist._line_from_key(*key, lam) == want.witness_line
+
+
+def _lex_min_of(offers, dtype):
+    """_lex_min over offers, lists of key triples, each as dtype arrays,
+    with the running best passed on from offer to offer."""
+    best = None
+    for keys in offers:
+        best = exactdist._lex_min(
+            *(np.array(c, dtype=dtype) for c in zip(*keys)), best)
+    return best
 
 
 @pytest.mark.parametrize("dtype, a, b", [
@@ -1286,25 +1297,50 @@ def test_folds_build_no_rational(monkeypatch):
     (object, (2 ** 60 + 1, 2 ** 60), (2 ** 60, 2 ** 60 - 1)),
 ], ids=["near-tie", "equal-doubles"])
 def test_lex_min_band_keeps_near_ties(dtype, a, b):
-    """_LexMin keeps the exact lex-min against a direction whose ratio
+    """_lex_min keeps the exact lex-min against a direction whose ratio
     dx/dy is above it by a relative 2^-48, and against one whose double
     equals its own (object keys past the guard), in both orders, in one
-    offer and split across offers, and in one offer out of key order."""
+    offer and split across offers through a running best, and in one offer
+    out of key order."""
     assert Q(*a) < Q(*b)
     if dtype is object:
         assert float(a[0]) / float(a[1]) == float(b[0]) / float(b[1])
-
-    def lex_min(offers):
-        fold = exactdist._LexMin()
-        for keys in offers:
-            fold.offer(*(np.array(c, dtype=dtype) for c in zip(*keys)))
-        return fold.finish()
-
     for first, second in (((*a, 0), (*b, 0)), ((*b, 0), (*a, 0))):
         for offers in ([[first, second]], [[first], [second]]):
-            assert lex_min(offers) == (*a, 0)
+            assert _lex_min_of(offers, dtype) == (*a, 0)
     # directions interleaved, k descending
-    assert lex_min([[(*a, 3), (*b, 2), (*a, 1), (*b, 0)]]) == (*a, 1)
+    assert _lex_min_of([[(*a, 3), (*b, 2), (*a, 1), (*b, 0)]], dtype) \
+        == (*a, 1)
+
+
+@pytest.mark.parametrize("dtype, top", [(np.int64, 2 ** 40),
+                                        (object, 2 ** 70)],
+                         ids=["int64", "object"])
+def test_lex_min_matches_line_order(dtype, top):
+    """_lex_min gives the least key in lex_pair's line order, on random
+    primitive keys in random order, offered whole and split across offers
+    through best; the directions include pairs whose doubles of dx/dy tie,
+    (t+1)/t against (t+2)/(t+1) with t near top."""
+    rng = random.Random(1729)
+    ties = [(t + 1, t) for t in (top, top + 6)] + \
+        [(t + 2, t + 1) for t in (top, top + 6)]
+    assert float(ties[0][0]) / ties[0][1] == float(ties[2][0]) / ties[2][1]
+    for trial in range(60):
+        dirs = rng.sample(ties, rng.randint(1, 4))
+        for _ in range(rng.randint(0, 4)):
+            dx, dy = rng.randint(1, 50), rng.randint(1, 50)
+            dirs.append((dx // gcd(dx, dy), dy // gcd(dx, dy)))
+        keys = list({(dx, dy, rng.randint(-top, top))
+                     for dx, dy in dirs for _ in range(rng.randint(1, 3))})
+        rng.shuffle(keys)
+        lam = rng.randint(1, 10)
+        want = min(keys, key=lambda t: lex_pair(*t, lam))
+        cuts = sorted(rng.sample(range(1, len(keys)),
+                                 min(len(keys) - 1, rng.randint(0, 3))))
+        for offers in ([keys], [keys[a:b] for a, b in
+                                zip([0, *cuts], [*cuts, len(keys)])]):
+            best = _lex_min_of(offers, dtype)
+            assert best == want and all(type(v) is int for v in best)
 
 
 def _band_top(ps, qs, chunk):

@@ -60,13 +60,21 @@ def timed(md, op, failed):
     return t
 
 
+def positive(text):
+    """An int of at least 1, for argparse: no rounds leaves no median."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", default="perline", choices=C.WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=21)
+    ap.add_argument("--rounds", type=positive, default=21)
     args = ap.parse_args()
     lib = C.load_library(args.workload)
     with tempfile.TemporaryDirectory() as where:
