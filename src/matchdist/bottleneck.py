@@ -2,16 +2,17 @@
 
 Essential (infinite-death) bars can only be matched among themselves at
 finite cost, and their optimal assignment is the in-order matching of sorted
-birth values; finite bars are matched by binary search over the exact
-candidate costs (pairwise l-infinity distances and half-persistences) with an
-augmenting-path feasibility matcher (_threshold, which returns the least
-feasible cost alone); bottleneck then runs the matcher once more at that
-cost for the witness.  The overall cost is the maximum of the two parts,
-with the convention inf - inf = 0.
+birth values.  The finite bars' cost is the least exact candidate (a
+pairwise l-infinity distance or a half-persistence) at which a perfect
+matching exists; bottleneck then runs the augmenting-path feasibility
+matcher once at that cost for the witness.  The overall cost is the maximum
+of the two parts, with the convention inf - inf = 0.
 
 Two matching minima agree exactly: cheapest_matching, a dynamic program
-whose table grows as 2^cols, and threshold_matching, _threshold run line by
-line at any width.  The vector kernel and bottleneck_cost pick one by size.
+whose table grows as 2^cols, and _threshold, a binary search over the
+candidates with the feasibility matcher; threshold_matching runs _threshold
+line by line over arrays.  bottleneck and the vector kernel pick one by
+size.
 """
 from __future__ import annotations
 
@@ -109,6 +110,11 @@ def _threshold(pc, half1, half2):
     return cand[lo]
 
 
+# finite bars per side up to which bottleneck takes cheapest_matching on
+# rationals; past it the table of used-column sets grows as 2^bars
+_MATCHING_BARS = 4
+
+
 def bottleneck(d1, d2):
     """Exact bottleneck distance with witness.
 
@@ -137,27 +143,23 @@ def bottleneck(d1, d2):
     fin2 = [j for j, b in enumerate(d2) if not is_inf(b.death)]
     p1 = [d1[i] for i in fin1]
     p2 = [d2[j] for j in fin2]
-    pc = [[_pair_cost(a, b) for b in p2] for a in p1]
-    half1, half2 = [_half(a) for a in p1], [_half(b) for b in p2]
-    cost_f = _threshold(pc, half1, half2)
+    pc = [[max(abs(a.birth - b.birth), abs(a.death - b.death)) for b in p2]
+          for a in p1]
+    half1 = [(a.death - a.birth) / 2 for a in p1]
+    half2 = [(b.death - b.birth) / 2 for b in p2]
+    n1, n2 = len(p1), len(p2)
+    match = cheapest_matching if max(n1, n2) <= _MATCHING_BARS else _threshold
+    cost_f = match(pc, half1, half2)
     if cost_f is None:
         cost_f = Q(0)
     match_r = _feasible(cost_f, pc, half1, half2)
 
-    n1, n2 = len(p1), len(p2)
-    pairs_f = []
-    diag = []
-    for v in range(n2):
-        u = match_r[v]
-        if u < n1:
-            pairs_f.append((u, v))
-        else:
-            diag.append((2, fin2[v]))
-    # P1 point i went to the diagonal iff its proxy slot is held by i itself
-    # (a left real); proxy-proxy pairings hold left indices >= n1.
-    for v in range(n2, n2 + n1):
-        if match_r[v] < n1:
-            diag.append((1, fin1[v - n2]))
+    pairs_f = [(match_r[v], v) for v in range(n2) if match_r[v] < n1]
+    # bars sent to the diagonal, as (side, position among its finite bars);
+    # P1 point i went there iff its proxy slot is held by i itself (a left
+    # real), proxy-proxy pairings holding left indices >= n1
+    diag = [(2, v) for v in range(n2) if match_r[v] >= n1]
+    diag += [(1, i) for i in range(n1) if match_r[n2 + i] < n1]
 
     realizer_f = None
     for u, v in pairs_f:
@@ -169,10 +171,10 @@ def bottleneck(d1, d2):
                 realizer_f = (a.death, b.death, 1)
             break
     if realizer_f is None:
-        for side, idx in diag:
-            bar = d1[idx] if side == 1 else d2[idx]
-            if _half(bar) == cost_f:
-                realizer_f = (bar.birth, bar.death, 2)
+        for side, k in diag:
+            bars, half = (p1, half1) if side == 1 else (p2, half2)
+            if half[k] == cost_f:
+                realizer_f = (bars[k].birth, bars[k].death, 2)
                 break
 
     cost = max(cost_e, cost_f)
@@ -182,7 +184,8 @@ def bottleneck(d1, d2):
         realizer = realizer_e
 
     pairs = tuple(sorted(ess_pairs + [(fin1[u], fin2[v]) for u, v in pairs_f]))
-    witness = MatchingWitness(pairs, tuple(sorted(diag)), cost, realizer)
+    diag = sorted((side, (fin1 if side == 1 else fin2)[k]) for side, k in diag)
+    witness = MatchingWitness(pairs, tuple(diag), cost, realizer)
     return cost, witness
 
 
@@ -235,14 +238,14 @@ def cheapest_matching(pc, h1, h2):
 
 
 def threshold_matching(pc, h1, h2):
-    """cheapest_matching's value under its contract, by _threshold: on
-    scalars directly, on arrays line by line over each line's entries as
-    Python scalars.  The result is an entry of its line, so it equals
-    cheapest_matching's bit for bit; it needs no 2^cols table, but each
-    line costs a Python search."""
+    """cheapest_matching's value on arrays (floats, int64 or Python ints in
+    object arrays), by _threshold line by line over each line's entries as
+    Python scalars; None when both sides are empty.  The result is an entry
+    of its line, so it equals cheapest_matching's bit for bit; it needs no
+    2^cols table, but each line costs a Python search."""
     entries = [*h1, *h2, *(c for row in pc for c in row)]
-    if not entries or not isinstance(entries[0], np.ndarray):
-        return _threshold(pc, h1, h2)
+    if not entries:
+        return None
     r1, r2 = len(h1), len(h2)
     P = np.stack(np.broadcast_arrays(*entries))
     shape = P.shape[1:]
@@ -253,33 +256,6 @@ def threshold_matching(pc, h1, h2):
         out[t] = _threshold([v[r1 + r2 + i * r2:r1 + r2 + (i + 1) * r2]
                              for i in range(r1)], v[:r1], v[r1:r1 + r2])
     return out.reshape(shape)
-
-
-# finite bars per side up to which bottleneck_cost takes cheapest_matching;
-# past it the table of used-column sets grows as 2^bars
-_MATCHING_BARS = 4
-
-
-def bottleneck_cost(d1, d2):
-    """Exact bottleneck distance, value only; equal to bottleneck(d1, d2)[0].
-
-    Up to _MATCHING_BARS finite bars per side take cheapest_matching on
-    rationals, larger diagrams threshold_matching.
-    """
-    fin1 = [b for b in d1 if not is_inf(b.death)]
-    fin2 = [b for b in d2 if not is_inf(b.death)]
-    e1 = sorted(b.birth for b in d1 if is_inf(b.death))
-    e2 = sorted(b.birth for b in d2 if is_inf(b.death))
-    if len(e1) != len(e2):
-        return INF
-    base = max((abs(a - b) for a, b in zip(e1, e2)), default=Q(0))
-    pc = [[max(abs(x.birth - y.birth), abs(x.death - y.death))
-           for y in fin2] for x in fin1]
-    match = (cheapest_matching if max(len(fin1), len(fin2)) <= _MATCHING_BARS
-             else threshold_matching)
-    fin = match(pc, [(b.death - b.birth) / 2 for b in fin1],
-                [(b.death - b.birth) / 2 for b in fin2])
-    return base if fin is None else max(base, fin)
 
 
 def bottleneck_bruteforce(d1, d2):

@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _fastpath
-from .bottleneck import MatchingWitness, bottleneck, bottleneck_cost
+from .bottleneck import MatchingWitness, bottleneck
 from .fibered import bar_counts, restrict_module
 from .geometry import (Line, NonPositiveDirection, ProjPoint,
                        normalize_line, weight)
@@ -762,16 +762,19 @@ def _essential_count(module: TwoParamModule) -> int:
     return bar_counts(module)[1]
 
 
-def _struct_key(module):
-    if module.rectangles is not None:
-        return ("r", tuple(sorted((r.lower, r.upper)
-                                  for r in module.rectangles)))
-    return ("p", module.presentation)
+def _same_module(M, N, sides):
+    """Whether M and N are the same module in the same form, on their sides
+    as exact_evaluator converts them: equal presentations, or equal
+    multisets of rectangles.  The conversion is injective, so this is
+    equality of the sorted rectangles."""
+    if M.presentation is not None or N.presentation is not None:
+        return M.presentation == N.presentation
+    return all(sorted(a) == sorted(b) for a, b in zip(*sides))
 
 
 def _exact_cost(M, N, line):
     """Weighted cost on one line, value only."""
-    c = bottleneck_cost(restrict_module(M, line), restrict_module(N, line))
+    c = bottleneck(restrict_module(M, line), restrict_module(N, line))[0]
     if is_inf(c):
         return INF
     return weight(line) * c
@@ -811,7 +814,7 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
     spec, union = _stream(X, Y, dvals)
     values = _fastpath.exact_evaluator(M, N, lam)
     em, en = map(_fastpath.essential_count, values.sides)
-    if em != en or _struct_key(M) == _struct_key(N):
+    if em != en or _same_module(M, N, values.sides):
         key, top = _first_key(spec, union), None
     else:
         key, top = _Select(values).run(spec, union)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -8,6 +9,9 @@ from matchdist.bottleneck import (MatchingWitness, TooLarge, bottleneck,
 from matchdist.fibered import Bar
 from matchdist.rational import INF, Q
 from oracles import essential_bruteforce, matching_cost
+
+# the package exports the function bottleneck under the module's name
+bn = sys.modules["matchdist.bottleneck"]
 
 
 def dgm(*pairs):
@@ -147,6 +151,58 @@ def test_matches_bruteforce_random():
         d2 = rand_diagram(rng, max_bars=4)
         cost, w = bottleneck(d1, d2)
         assert cost == bottleneck_bruteforce(d1, d2)
+        check_witness(d1, d2, cost, w)
+
+
+def _tied_diagram(rng, finite, essential):
+    """Coarse endpoints, so costs tie within and across the sides."""
+    bars = []
+    for _ in range(finite):
+        b = Q(rng.randint(0, 8), rng.randint(1, 2))
+        bars.append(Bar(b, b + Q(rng.randint(1, 6), rng.randint(1, 2))))
+    bars += [Bar(Q(rng.randint(0, 8), rng.randint(1, 2)), INF)
+             for _ in range(essential)]
+    rng.shuffle(bars)
+    return tuple(bars)
+
+
+def test_matching_rule_does_not_change_witness(monkeypatch):
+    """The dynamic program and the threshold search give the same cost, so
+    bottleneck() returns the same witness whichever the size rule picks:
+    with every diagram sent to the search (cap 0) or to the dynamic
+    program (cap 8)."""
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(300):
+        e1 = rng.randint(0, 2)
+        e2 = e1 if rng.random() < 0.9 else rng.randint(0, 2)
+        cases.append((_tied_diagram(rng, rng.randint(0, 7), e1),
+                      _tied_diagram(rng, rng.randint(0, 7), e2)))
+    want = [bottleneck(d1, d2) for d1, d2 in cases]
+    for cap in (0, 8):
+        monkeypatch.setattr(bn, "_MATCHING_BARS", cap)
+        assert [bottleneck(d1, d2) for d1, d2 in cases] == want
+
+
+def test_small_diagrams_match_once(monkeypatch):
+    """Up to the matching cap, the cost comes from the dynamic program and
+    the feasibility matcher runs once, for the witness alone."""
+    feasible = bn._feasible
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return feasible(*args)
+
+    monkeypatch.setattr(bn, "_feasible", counted)
+    rng = random.Random(77)
+    for _ in range(100):
+        e = rng.randint(0, 1)
+        d1 = _tied_diagram(rng, rng.randint(2, 4), e)
+        d2 = _tied_diagram(rng, rng.randint(2, 4), e)
+        calls.clear()
+        cost, w = bottleneck(d1, d2)
+        assert len(calls) == 1
         check_witness(d1, d2, cost, w)
 
 

@@ -19,8 +19,7 @@ from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       rand_rect_module)
 from matchdist import _fastpath
 from matchdist.bottleneck import (bottleneck, bottleneck_bruteforce,
-                                  bottleneck_cost, cheapest_matching,
-                                  threshold_matching)
+                                  cheapest_matching, threshold_matching)
 from matchdist.exactdist import (BothTrivial, CandidateLineSet,
                                  SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
@@ -215,6 +214,41 @@ def test_equal_modules_distance_zero():
     assert res.witness_line is not None
     assert res.witness_detail.cost == 0
     assert res.candidate_count > 0
+
+
+def test_equal_modules_shortcut_on_sides(monkeypatch):
+    """A rectangle module against itself with its rectangles permuted is
+    decided equal without a line search, and its distance is 0.  Against
+    its own presentation form it is another form, so the line search runs
+    and still finds 0; so it does against a module that differs in one
+    essential rectangle alone."""
+    M = TwoParamModule.from_rects([
+        rect(1, 2, INF, INF), rect(0, 0, 7, 7), rect(0, 4, INF, 11),
+        rect(3, 0, INF, INF), rect(2, 1, 5, 9), rect(0, 0, 7, 7)])
+    # the essential and the finite rectangles both change order
+    permuted = TwoParamModule.from_rects(M.rectangles[::-1])
+    select = exactdist._Select
+
+    def no_search(values):
+        raise AssertionError("line search on equal modules")
+
+    monkeypatch.setattr(exactdist, "_Select", no_search)
+    assert matching_distance(M, permuted).value == 0
+    searched = []
+
+    def counted(values):
+        searched.append(values)
+        return select(values)
+
+    monkeypatch.setattr(exactdist, "_Select", counted)
+    assert matching_distance(M, combined_presentation(M)).value == 0
+    assert len(searched) == 1
+    # the same finite rectangles, one essential rectangle moved
+    rects = list(M.rectangles)
+    rects[3] = rect(3, 1, INF, INF)
+    moved = TwoParamModule.from_rects(rects)
+    assert matching_distance(M, moved).value > 0
+    assert len(searched) == 2
 
 
 def test_square_vs_trivial():
@@ -431,10 +465,10 @@ def _diagram(rng, finite, essential):
 
 
 def test_diagram_cost_matches_bottleneck():
-    """bottleneck_cost equals bottleneck() below its matching cap, past it
-    (5-6 finite bars on a side) and with an empty side; against the brute
-    force too where that is small enough.  On diagrams without essential
-    bars, threshold_matching on rationals equals bottleneck() too."""
+    """bottleneck() equals the brute force where that is small enough, below
+    its matching cap, past it (5-6 finite bars on a side) and with an empty
+    side.  On diagrams without essential bars, threshold_matching on
+    single-line object arrays of rationals equals bottleneck() too."""
     rng = random.Random(5)
     cases = [(rand_diagram(rng), rand_diagram(rng)) for _ in range(200)]
     for _ in range(30):
@@ -445,18 +479,23 @@ def test_diagram_cost_matches_bottleneck():
                   (wide, ()), ((), _diagram(rng, rng.randint(1, 4), e)),
                   (_diagram(rng, 0, e), _diagram(rng, rng.randint(0, 3), e))]
     cases.append(((), ()))
+
+    def line(v):
+        return np.array([v], dtype=object)
+
     for d1, d2 in cases:
         want = bottleneck(d1, d2)[0]
-        assert bottleneck_cost(d1, d2) == want
         if len(d1) + len(d2) <= 8:
             assert bottleneck_bruteforce(d1, d2) == want
         if d1 + d2 and INF not in {b.death for b in d1 + d2}:
-            pc = [[max(abs(a.birth - b.birth), abs(a.death - b.death))
+            pc = [[line(max(abs(a.birth - b.birth), abs(a.death - b.death)))
                    for b in d2] for a in d1]
-            got = threshold_matching(pc, [(a.death - a.birth) / 2 for a in d1],
-                                     [(b.death - b.birth) / 2 for b in d2])
-            assert type(got) is type(want)
-            assert got == want
+            got = threshold_matching(
+                pc, [line((a.death - a.birth) / 2) for a in d1],
+                [line((b.death - b.birth) / 2) for b in d2])
+            assert got.shape == (1,)
+            assert type(got[0]) is type(want)
+            assert got[0] == want
 
 
 def test_unique_sorted_matches_np_unique():
