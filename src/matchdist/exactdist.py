@@ -17,17 +17,21 @@ when dy*X - dx*Y = k.  The pair enumeration is quadratic in the point set and
 can reach tens of millions of pairs, so keys are produced in cache-sized
 bands of the upper triangle and consumed by one streaming loop over a single
 injective packing of each key into one integer.  One spec (_pack_spec) fixes
-every integer type of the stream: the packed keys (int64 when the ranges
-allow, Python ints in object arrays otherwise), the blocks and unpacked
-keys, and the pair stage's coordinate differences (int32 inside the int64
-guard).  The point-direction lines come one broadcast per group of
-directions.  Blocks are dropped once packed; their keys are sorted and
-deduplicated in batches, and the sorted runs merged as they grow.  The
-sorted distinct keys are then read in chunks of _fastpath.CHUNK keys
-(_chunks), split into direction runs, so each line is read once and what
-is unpacked and valued never exceeds one chunk.  Pairs that need no line
-search take the lex-min key (_first_key), from the run heads alone.  A
-bounded selection drops whole runs while still packed.
+every integer type of the stream, each by an exact bound on the values it
+holds: the blocks and unpacked keys are int64 while every |k| and product
+X*dy, Y*dx stays below 2^62 and every dx, dy below 2^53; the packed keys
+also while the packing's largest value stays below 2^62; and the pair
+stage's coordinate differences are int32 while every |coordinate| is below
+2^30.  Past a bound a type holds Python ints in object arrays, so the
+three key regimes are int64 packed keys, object packed keys over int64
+blocks, and object blocks.  The point-direction lines come one broadcast
+per group of directions.  Blocks are dropped once packed; their keys are
+sorted and deduplicated in batches, and the sorted runs merged as they
+grow.  The sorted distinct keys are then read in chunks of
+_fastpath.CHUNK keys (_chunks), split into direction runs, so each line is
+read once and what is unpacked and valued never exceeds one chunk.  Pairs
+that need no line search take the lex-min key (_first_key), from the run
+heads alone.  A bounded selection drops whole runs while still packed.
 
 Pairs that need a line search go through one selection (_Select), whatever
 their number of bars, with both modules converted once per call, in one
@@ -94,34 +98,6 @@ class DistanceResult:
 _RS = ((1, 2), (1, 1), (2, 1))
 
 
-class _Cls:
-    """Tracks which unordered point pairs realize a difference class."""
-
-    __slots__ = ("pid", "multi")
-
-    def __init__(self):
-        self.pid = None
-        self.multi = False
-
-    def note(self, pid):
-        if self.pid is None:
-            self.pid = pid
-        elif not self.multi and self.pid != pid:
-            self.multi = True
-
-
-def _note(d, key, pid):
-    c = d.get(key)
-    if c is None:
-        d[key] = c = _Cls()
-    c.note(pid)
-
-
-def _ok(c1, c2):
-    # some quadruple uses two different unordered pairs
-    return c1.multi or c2.multi or c1.pid != c2.pid
-
-
 def _pos_dir(a, b):
     """Primitive direction (a, b)/g when both coordinates end up positive,
     else None."""
@@ -141,6 +117,10 @@ def _switch_lattice(pts):
     second-coordinate differences p2-q2, dx first-coordinate differences
     p1-q1, and d2 the crossed corner keys (q1, p2).  Every catalogue formula
     is a combination of two class values scaled by a ratio r in {1/2, 1, 2}.
+    Each class maps to the one unordered pair of points that realizes it,
+    or to None once a second pair does, and two classes combine unless
+    both name the same single pair: otherwise some quadruple behind the
+    combination uses two different unordered pairs.
     """
     pts = list(set(pts))
     dy, dx, d2 = {}, {}, {}
@@ -149,9 +129,15 @@ def _switch_lattice(pts):
             if i == j:
                 continue
             pid = (i, j) if i < j else (j, i)
-            _note(dy, p[1] - q[1], pid)
-            _note(dx, p[0] - q[0], pid)
-            _note(d2, (q[0], p[1]), pid)
+            key = p[1] - q[1]
+            if dy.setdefault(key, pid) != pid:
+                dy[key] = None
+            key = p[0] - q[0]
+            if dx.setdefault(key, pid) != pid:
+                dx[key] = None
+            key = q[0], p[1]
+            if d2.setdefault(key, pid) != pid:
+                d2[key] = None
 
     proper = set()
     dirs = {(1, 1)}
@@ -159,7 +145,7 @@ def _switch_lattice(pts):
         if a == 0:
             continue
         for b, cb in dx.items():
-            if b == 0 or not _ok(ca, cb):
+            if b == 0 or ca == cb is not None:
                 continue
             for rn, rd in _RS:
                 d = _pos_dir(b, rn * a // rd)
@@ -169,20 +155,22 @@ def _switch_lattice(pts):
     for a, ca in dy.items():
         ra = [rn * a // rd for rn, rd in _RS]
         for (k1, k2), ck in d2.items():
-            if _ok(ca, ck):
-                for v in ra:
-                    proper.add((k1, k2 + v))
+            if ca == ck is not None:
+                continue
+            for v in ra:
+                proper.add((k1, k2 + v))
     for b, cb in dx.items():
         rb = [rn * b // rd for rn, rd in _RS]
         for (k1, k2), ck in d2.items():
-            if _ok(cb, ck):
-                for v in rb:
-                    proper.add((k1 + v, k2))
+            if cb == ck is not None:
+                continue
+            for v in rb:
+                proper.add((k1 + v, k2))
 
     items = list(d2.items())
     for (l1, l2), cl in items:
         for (r1, r2), cr in items:
-            if not _ok(cl, cr):
+            if cl == cr is not None:
                 continue
             proper.add((2 * l1 - r1, 2 * l2 - r2))
             proper.add(((l1 + r1) // 2, (l2 + r2) // 2))
@@ -245,7 +233,6 @@ def _lattice(M, N, extra):
     return _scaled(pts, dirs, s)
 
 
-_GUARD = 1 << 25
 _BLOCK = 1 << 22
 # pairs per row band of the pair stage
 _BAND_PAIRS = 1 << 16
@@ -279,14 +266,24 @@ def _pack_spec(X, Y, dvals):
     (dx*SDY + dy)*SK + (k + KB), the one representation of keys in the
     stream.  Expects sorted X.
 
-    key_dtype is that of the blocks and of the unpacked keys: int64 inside
-    the guard, where every difference and k fit, and object past it.  The
-    packed keys are int64 inside the guard when the encoding's top fits
-    below 2^62, and Python ints in object arrays otherwise; np.sort, the
-    adjacent-difference mask, //, % and np.gcd all work on both.  The pair
-    stage keeps coordinate differences in the narrowest dtype that holds
-    them: int32 inside the guard, where they stay below 2^26; past it
-    int64 while every |coordinate| is below 2^62, and object beyond.
+    Each type is the narrowest that an exact bound on the values it holds
+    allows: int64 below 2^62, Python ints in object arrays beyond; np.sort,
+    the adjacent-difference mask, //, - and np.gcd work on both.  With ax,
+    ay the largest |X|, |Y|, and dxm, dym the largest dx, dy of any key
+    (the coordinate ranges, or a direction's entries):
+
+    - key_dtype, of the blocks and the unpacked (dx, dy, k): every |X*dy|,
+      |Y*dx| and |k| = |dy*X - dx*Y| is below KB = dym*ax + dxm*ay + 1,
+      and the blocks hold X and Y.  int64 iff KB, ax and ay are below 2^62
+      and dxm, dym below 2^53, where dx and dy convert to doubles exactly,
+      so that _lex_min's double of dx/dy is one correctly rounded division.
+    - dtype, of the packed keys: every step of _pack lies between -KB and
+      top = (dxm*SDY + dym)*SK + 2*KB, the packing's largest value.  int64
+      iff top is below 2^62 and the blocks are int64, as _pack adds them in
+      place.
+    - diff_dtype, of the pair stage's coordinate differences, each at most
+      2*max(ax, ay) in size: int32 iff ax and ay are below 2^30, int64 iff
+      below 2^62, object beyond.
     """
     ax = max(abs(X[0]), abs(X[-1]))
     ymin, ymax = min(Y), max(Y)
@@ -295,12 +292,13 @@ def _pack_spec(X, Y, dvals):
     dym = max(ymax - ymin, max((d[1] for d in dvals), default=0))
     kb = dym * ax + dxm * ay + 1
     top = (dxm * (dym + 1) + dym) * (2 * kb + 1) + 2 * kb
-    inside = max(ax, ay, max((max(d) for d in dvals), default=0)) <= _GUARD
-    fits = (top if inside else max(ax, ay)) < 1 << 62
+    blocks = max(kb, ax, ay) < 1 << 62 and max(dxm, dym) < 1 << 53
+    a = max(ax, ay)
     return _Spec(dym + 1, 2 * kb + 1, kb,
-                 np.dtype(np.int64 if inside and fits else object),
-                 np.dtype(np.int64 if inside else object),
-                 np.dtype(np.int32 if inside else np.int64 if fits else object))
+                 np.dtype(np.int64 if blocks and top < 1 << 62 else object),
+                 np.dtype(np.int64 if blocks else object),
+                 np.dtype(np.int32 if a < 1 << 30 else
+                          np.int64 if a < 1 << 62 else object))
 
 
 def _pack(spec, dxv, dyv, kv):
@@ -355,14 +353,16 @@ def _iter_blocks(X, Y, dvals, spec):
     through two distinct points once per unordered pair, then every (point,
     direction) line once.  Expects sorted points.
 
-    k is of the spec's key_dtype: int64 inside the guard and Python ints in
-    object arrays past it; dx and dy of pairs are of its diff_dtype, int32
-    inside the guard.  The pairs come in row bands of about _BAND_PAIRS
-    pairs, so a band's differences, mask and gcd stay in cache.  A band's
-    columns start at the first point of larger X than its first row's, so
-    the lower triangle and that row's equal-X ties are never built.  The
-    direction blocks take about _BLOCK/4 lines each, a group of directions
-    against every point: k is d2*X - d1*Y over the (group, n) grid."""
+    k is of the spec's key_dtype and the pairs' dx and dy of its diff_dtype,
+    each the narrowest type that _pack_spec's bound on its values allows:
+    int32 differences while every |coordinate| is below 2^30, int64 keys
+    while kb is below 2^62, Python ints in object arrays past a bound.  The
+    pairs come in row bands of about _BAND_PAIRS pairs, so a band's
+    differences, mask and gcd stay in cache.  A band's columns start at the
+    first point of larger X than its first row's, so the lower triangle and
+    that row's equal-X ties are never built.  The direction blocks take
+    about _BLOCK/4 lines each, a group of directions against every point:
+    k is d2*X - d1*Y over the (group, n) grid."""
     n = len(X)
     Xa = np.asarray(X, dtype=spec.key_dtype)
     Ya = np.asarray(Y, dtype=spec.key_dtype)
@@ -473,8 +473,9 @@ def _lex_min(dxv, dyv, kv, best=None):
     Keys are primitive, so keys of equal ratio dx/dy share one direction,
     within which b1 orders as k: the lex-min is the least k of the direction
     of least ratio.  Rounding is monotone, so only keys whose double of
-    dx/dy (_doubles, one correctly rounded division per key) ties the least
-    one can hold the least ratio, and _Ratio orders those exactly.  The
+    dx/dy (_doubles, one correctly rounded division per key: int64 keys
+    have dx, dy below 2^53, _pack_spec's bound) ties the least one can hold
+    the least ratio, and _Ratio orders those exactly.  The
     result depends neither on the order of the keys nor on how they are
     split across calls that pass on best.
     """

@@ -149,21 +149,17 @@ def lub_closure(points) -> frozenset:
 
     A grid point (x, y) belongs to the closure iff some input point realizes x
     with second coordinate <= y and some input point realizes y with first
-    coordinate <= x; the closure is therefore computed in one pass over the
-    coordinate grid (any lub of a subset is the lub of two such witnesses).
+    coordinate <= x (any lub of a subset is the lub of two such witnesses):
+    iff the least second coordinate among the input points at x is <= y, and
+    the least first coordinate among those at y is <= x.
     """
-    pts = {(p[0], p[1]) for p in points}
-    if not pts:
-        return frozenset()
-    xs = {p[0] for p in pts}
-    ys = {p[1] for p in pts}
-    out = set(pts)
-    for x in xs:
-        for y in ys:
-            if any(p[0] == x and p[1] <= y for p in pts) and \
-               any(p[1] == y and p[0] <= x for p in pts):
-                out.add((x, y))
-    return frozenset(out)
+    low_y, low_x = {}, {}
+    for p in points:
+        x, y = p[0], p[1]
+        low_y[x] = min(low_y.get(x, y), y)
+        low_x[y] = min(low_x.get(y, x), x)
+    return frozenset((x, y) for x, ly in low_y.items()
+                     for y, lx in low_x.items() if ly <= y and lx <= x)
 
 
 def rect_as_presentation(r: Rect) -> Presentation:

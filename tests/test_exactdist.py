@@ -113,9 +113,9 @@ def test_candidate_lines_lex_sorted():
 
 
 def _key_path(M, N, extra):
-    """The key regime, by the dtypes of the packing: int64 keys, object
-    packed keys over int64 blocks inside the guard, or object blocks past
-    it."""
+    """The key regime, by the dtypes of the packing: int64 packed keys
+    ("int64"), object packed keys over int64 blocks ("object"), or object
+    blocks ("bigint")."""
     X, Y, dvals, _ = exactdist._lattice(M, N, extra)
     return _spec_path(exactdist._pack_spec(X, Y, dvals))
 
@@ -129,8 +129,8 @@ def _spec_path(spec):
 def test_candidate_lines_match_exact_sort_on_every_key_path(monkeypatch):
     """Ordering on the integer keys gives the lines of a sort of every key
     by its exact (m1/m2, b1), in the same order, in every key regime (int64
-    keys, object keys inside the guard, object keys past it), with and
-    without extra switch points and directions.  Every line passes the
+    packed keys, object packed keys over int64 blocks, object blocks), with
+    and without extra switch points and directions.  Every line passes the
     public constructor's check and equals and hashes as the line it
     builds; a lattice with no positive-slope line gives the empty set, and
     a non-positive direction raises as Line does."""
@@ -694,6 +694,93 @@ def test_huge_coordinates_use_exact_keys():
     assert res.candidate_count == small.candidate_count
 
 
+def test_translated_coordinates_keep_int64_keys():
+    """Translated by (10^9, 10^9), _huge_pair() has large coordinates over
+    small ranges, so its blocks, packed keys and coordinate differences all
+    stay int64; it gives the untranslated value, count and witness
+    direction, and the witness offset moves by the translation."""
+    M0, N0 = _huge_pair()
+    t = (10 ** 9, 10 ** 9)
+    M, N = translate(M0, t), translate(N0, t)
+    X, Y, dvals, _ = exactdist._lattice(M, N, None)
+    spec = exactdist._pack_spec(X, Y, dvals)
+    assert spec.dtype == spec.key_dtype == spec.diff_dtype == np.int64
+    res = matching_distance(M, N)
+    small = matching_distance(M0, N0)
+    assert (res.value, res.candidate_count) == \
+        (small.value, small.candidate_count)
+    (m1, m2), (b1, _) = small.witness_line.m, small.witness_line.b
+    assert res.witness_line.m == (m1, m2)
+    b1 += t[0] - m1 * (t[0] + t[1]) / (m1 + m2)
+    assert res.witness_line.b == (b1, -b1)
+
+
+def _grid(xs, ys):
+    """X and Y of the sorted points of the grid xs x ys."""
+    pts = sorted({(x, y) for x in xs for y in ys})
+    return [x for x, _ in pts], [y for _, y in pts]
+
+
+_O, _I64, _I32 = np.dtype(object), np.dtype(np.int64), np.dtype(np.int32)
+# X, Y, the key bound kb, and the types (packed keys, blocks, differences)
+# at each edge of _pack_spec's bounds, on the direction (1, 1): the pair
+# stage's differences reach 2*|coordinate|, |k| reaches kb - 1, and the
+# packing's top is 8*kb + 3, whose nearest values to 2^62 are 2^62 - 5 and
+# 2^62 + 3.  A lone point has no key, but its coordinate bounds the blocks.
+_A30, _A62, _B61, _B58 = 2 ** 30, 2 ** 62, 2 ** 61, 2 ** 58
+_EDGES = {
+    "coordinate 2^30 - 1": (_grid((1 - _A30, _A30 - 1), (0, 1)),
+                            3 * _A30 - 2, (_O, _I64, _I32)),
+    "coordinate 2^30": (_grid((-_A30, _A30), (0, 1)),
+                        3 * _A30 + 1, (_O, _I64, _I64)),
+    "coordinate 2^62 - 1": (_grid((1 - _A62, _A62 - 1), (0, 1)),
+                            3 * _A62 - 2, (_O, _O, _I64)),
+    "coordinate 2^62": (_grid((-_A62, _A62), (0, 1)),
+                        3 * _A62 + 1, (_O, _O, _O)),
+    "kb 2^62 - 1": (_grid((_B61 - 2, _B61 - 1), (1 - _B61, 2 - _B61)),
+                    _A62 - 1, (_O, _I64, _I64)),
+    "kb 2^62": (_grid((_B61 - 1, _B61), (1 - _B61, 2 - _B61)),
+                _A62, (_O, _O, _I64)),
+    "top 2^62 - 5": (_grid((_B58 - 2, _B58 - 1), (1 - _B58, 2 - _B58)),
+                     2 ** 59 - 1, (_I64, _I64, _I64)),
+    "top 2^62 + 3": (_grid((_B58 - 1, _B58), (1 - _B58, 2 - _B58)),
+                     2 ** 59, (_O, _I64, _I64)),
+    "lone point 2^63": (([2 ** 63], [1]), 1, (_O, _O, _O)),
+}
+
+
+@pytest.mark.parametrize("edge", list(_EDGES))
+def test_stream_types_at_their_bounds(edge):
+    """At each edge of _pack_spec's bounds, just below and just above it,
+    each integer type is the one its bound gives, and the stream's sorted
+    distinct keys equal a plain loop over the pairs in Python ints; a type
+    wider than its bound allows overflows or fails the type check."""
+    (X, Y), kb, types = _EDGES[edge]
+    dvals = [] if len(X) == 1 else [(1, 1)]
+    spec = exactdist._pack_spec(X, Y, dvals)
+    assert spec.kb == kb
+    assert (spec.dtype, spec.key_dtype, spec.diff_dtype) == types
+    got = exactdist._distinct_keys(X, Y, dvals)
+    assert got == distinct_keys_pairloop(X, Y, dvals)
+
+
+def test_lex_min_past_exact_doubles():
+    """Directions whose entries pass 2^53 do not convert to doubles
+    exactly, and the doubles of (2^53+1)/(2^53+3) and (2^53+2)/(2^53+5)
+    converted entry by entry order them wrongly; such keys stay Python
+    ints, so the lex-min is the lesser ratio.  Just below, (2^53-1)/(2^53-2)
+    and (2^53-2)/(2^53-3) round to one double and stay int64."""
+    B = 2 ** 53
+    for dvals, want, dtype in (([(B + 1, B + 3), (B + 2, B + 5)],
+                                (B + 2, B + 5, 0), object),
+                               ([(B - 2, B - 3), (B - 1, B - 2)],
+                                (B - 1, B - 2, 0), np.int64)):
+        assert Q(*want[:2]) == min(Q(*d) for d in dvals)
+        spec, union = exactdist._stream([0], [0], dvals)
+        assert spec.key_dtype == dtype
+        assert exactdist._first_key(spec, union) == want
+
+
 # Rectangle pairs with 5-6 finite or 4-5 essential rectangles on a side.
 
 def _finite_rect(rng, pool, p_inf):
@@ -864,8 +951,8 @@ def test_key_diagrams_match_restriction(f):
     random keys: on rectangle modules with finite and infinite uppers,
     essential rectangles among them, whose bars die on some keys, and on
     presentations with essential generators whose pairs have zero length
-    on some keys; with small coordinates, and scaled by 10^9, past the
-    int64 key guard.  Half the keys pass through a lattice point."""
+    on some keys; with small coordinates, and scaled by 10^9, on object
+    blocks.  Half the keys pass through a lattice point."""
     rng = random.Random(78)
     seen = set()
     for t in range(40):
@@ -1002,8 +1089,8 @@ def test_huge_presentation_coordinates_use_exact_keys():
     assert res.candidate_count == small.candidate_count
 
 
-# One packed key stream in every regime: int64 keys, Python-int packed keys
-# over int64 blocks inside the guard, and Python-int blocks past it.
+# One packed key stream in every regime: int64 packed keys, Python-int
+# packed keys over int64 blocks, and Python-int blocks.
 
 def test_distinct_keys_match_pair_loop(monkeypatch):
     """The streamed keys, packed, deduplicated per batch and merged across
@@ -1066,11 +1153,12 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
 
 
 def test_scaled_pairs_match_per_line_selection():
-    """Past the int64 packing, inside the guard and past it, the streamed
-    selection gives the value, witness line and count of the per-line exact
-    selection over every distinct key: on scaled pairs, on float-coordinate
-    pairs, whose keys are Python ints past the guard, and on pairs of int64
-    keys past the int64 certificate, with and without essential bars."""
+    """On object packed keys, over int64 blocks and over object blocks,
+    the streamed selection gives the value, witness line and count of the
+    per-line exact selection over every distinct key: on scaled pairs, on
+    float-coordinate pairs, whose blocks are Python ints, and on pairs of
+    int64 keys past the int64 certificate, with and without essential
+    bars."""
     cases = [((scale(M0, f), scale(N0, f)), path)
              for M0, N0 in (ex_diag_not_suff(), _small_pres_pair())
              for f, path in ((100003, "object"), (10 ** 9, "bigint"))]
@@ -1143,8 +1231,8 @@ def test_one_selection_mixes_int64_and_object_chunks(monkeypatch):
 
 
 # Rectangle pairs given as Python floats: rat keeps their exact binary
-# values, so the lattice scaling is 2^55 or more and the keys are Python
-# ints past the guard.  These are small enough for the per-line oracle.
+# values, so the lattice scaling is 2^55 or more and the blocks are Python
+# ints.  These are small enough for the per-line oracle.
 _FLOAT_RECTS = [([rect(0.1, 0.1, 0.7, 0.7)], [rect(0.1, 0.1, 0.3, 0.7)]),
                 ([rect(0.1, 0.1, 0.7, 0.7)], [rect(0.3, 0.3, 0.7, 0.7)]),
                 ([rect(0.1, 0.1, 0.7, INF), rect(0.1, 0.3, INF, INF)],
@@ -1338,7 +1426,7 @@ def _lex_min_of(offers, dtype):
 def test_lex_min_band_keeps_near_ties(dtype, a, b):
     """_lex_min keeps the exact lex-min against a direction whose ratio
     dx/dy is above it by a relative 2^-48, and against one whose double
-    equals its own (object keys past the guard), in both orders, in one
+    equals its own (object keys, past 2^53), in both orders, in one
     offer and split across offers through a running best, and in one offer
     out of key order."""
     assert Q(*a) < Q(*b)
@@ -1474,7 +1562,7 @@ def test_certified_pair_converts_modules_once(monkeypatch):
 
 
 def test_uncertified_pair_converts_modules_per_call(monkeypatch):
-    """Past the guard, where the keys are Python ints, the lines are valued
+    """On object blocks, where the keys are Python ints, the lines are valued
     in the same one exact pass: both modules are converted once per call,
     whatever the chunk size, and the float kernel never runs."""
     f = 10 ** 9
