@@ -20,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rational import INF, Q, ext_abs_diff, is_inf
-
-
-class TooLarge(ValueError):
-    """Raised by the brute-force oracle when diagrams exceed its guard."""
+from .rational import INF, Q, is_inf
 
 
 @dataclass(frozen=True)
@@ -38,14 +34,6 @@ class MatchingWitness:
     unmatched_to_diagonal: tuple
     cost: object
     realizer: tuple | None
-
-
-def _half(bar):
-    return INF if is_inf(bar.death) else (bar.death - bar.birth) / 2
-
-
-def _pair_cost(a, b):
-    return max(abs(a.birth - b.birth), ext_abs_diff(a.death, b.death))
 
 
 def _feasible(c, pc, half1, half2):
@@ -257,35 +245,3 @@ def threshold_matching(pc, h1, h2):
                              for i in range(r1)], v[:r1], v[r1:r1 + r2])
     return out.reshape(shape)
 
-
-def bottleneck_bruteforce(d1, d2):
-    """Exhaustive minimum over every partial multi-bijection; test oracle.
-
-    Raises:
-        TooLarge: if |D1| + |D2| > 8.
-    """
-    if len(d1) + len(d2) > 8:
-        raise TooLarge("brute force limited to 8 bars total")
-    n2 = len(d2)
-    halves2 = [_half(b) for b in d2]
-    best = INF
-
-    def rec(i, used, cur):
-        nonlocal best
-        if cur >= best and not is_inf(best):
-            return
-        if i == len(d1):
-            tot = cur
-            for j in range(n2):
-                if j not in used:
-                    tot = max(tot, halves2[j])
-            best = min(best, tot)
-            return
-        a = d1[i]
-        rec(i + 1, used, max(cur, _half(a)))
-        for j in range(n2):
-            if j not in used:
-                rec(i + 1, used | {j}, max(cur, _pair_cost(a, d2[j])))
-
-    rec(0, frozenset(), Q(0))
-    return best

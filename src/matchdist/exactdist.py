@@ -24,14 +24,21 @@ also while the packing's largest value stays below 2^62; and the pair
 stage's coordinate differences are int32 while every |coordinate| is below
 2^30.  Past a bound a type holds Python ints in object arrays, so the
 three key regimes are int64 packed keys, object packed keys over int64
-blocks, and object blocks.  The point-direction lines come one broadcast
-per group of directions.  Blocks are dropped once packed; their keys are
-sorted and deduplicated in batches, and the sorted runs merged as they
-grow.  The sorted distinct keys are then read in chunks of
-_fastpath.CHUNK keys (_chunks), split into direction runs, so each line is
-read once and what is unpacked and valued never exceeds one chunk.  Pairs
-that need no line search take the lex-min key (_first_key), from the run
-heads alone.  A bounded selection drops whole runs while still packed.
+blocks, and object blocks.  Each pair's direction is divided by the gcd
+of its differences, taken after one Euclid step: with lo the smaller
+difference and r the larger one's remainder mod lo, the gcd is
+gcd(lo, r), read off one int16 table of gcd(a, b) for a, b < 512 when
+lo < 512 (_table_gcd), and np.gcd otherwise and on object arrays.  The
+process builds that table once, in about 9 ms, for its first lattice of
+at least 512^2 point pairs; smaller lattices before it take np.gcd.  The
+point-direction lines come one broadcast per group of directions.  Blocks
+are dropped once packed; their keys are sorted and deduplicated in
+batches, and the sorted runs merged as they grow.  The sorted distinct
+keys are then read in chunks of _fastpath.CHUNK keys (_chunks), split
+into direction runs, so each line is read once and what is unpacked and
+valued never exceeds one chunk.  Pairs that need no line search take the
+lex-min key (_first_key), from the run heads alone.  A bounded selection
+drops whole runs while still packed.
 
 Pairs that need a line search go through one selection (_Select), whatever
 their number of bars, with both modules converted once per call, in one
@@ -236,6 +243,12 @@ def _lattice(M, N, extra):
 _BLOCK = 1 << 22
 # pairs per row band of the pair stage
 _BAND_PAIRS = 1 << 16
+# side of the pair stage's int16 gcd table (_table_gcd), which _iter_blocks
+# builds once; gating the build on _GCD_SIDE**2 pairs keeps its cost below
+# one cell per pair of the lattice that pays for it.  The table is a pure
+# function of the side, so one serves every caller in the process.
+_GCD_SIDE = 512
+_gcd_table = None
 
 
 def _scaled(pts, dirs, s):
@@ -325,19 +338,49 @@ def _unpack(spec, packed):
     return tuple(v.astype(spec.key_dtype, copy=False) for v in (dxv, dyv, kv))
 
 
+def _table_gcd(table, dx, dy):
+    """gcd(dx, dy) of positive int32 or int64 arrays, in their dtype, read
+    off a square table of gcd(a, b) for a, b below its side.
+
+    One Euclid step: with lo = min(dx, dy), hi = max(dx, dy) and
+    r = hi - (hi // lo)*lo (// as in _unpack), gcd(dx, dy) = gcd(lo, r)
+    and r < lo, so every pair with lo below the side reads cell (lo, r).
+    lo is clamped to side - 1 first, so the flat index stays below side**2
+    in any dtype; the pairs with lo >= side, whose cells the clamp misreads,
+    take np.gcd instead."""
+    side = len(table)
+    lo = np.minimum(dx, dy)
+    big = lo >= side
+    np.minimum(lo, side - 1, out=lo)
+    hi = np.maximum(dx, dy)
+    r = hi // lo
+    r *= lo
+    np.subtract(hi, r, out=r)
+    lo *= side
+    lo += r
+    g = table.ravel().take(lo).astype(dx.dtype)
+    if big.any():
+        g[big] = np.gcd(dx[big], dy[big])
+    return g
+
+
 def _pair_keys(Xd, Yd, Xa, Ya, a, b, c):
     """Primitive keys of the positive-slope lines through rows a..b-1 and
     columns c..: dx and dy in the difference dtype of Xd and Yd, k in that
     of Xa and Ya.  dx > 0 keeps each unordered pair of sorted points once,
     and dy > 0 drops the rest of the axis-parallel and negative-slope
-    pairs."""
+    pairs.  Once _iter_blocks has built the gcd table, int32 and int64
+    differences divide by its gcds (_table_gcd), which take about half of
+    np.gcd's time; object differences, and every band before the build, take
+    np.gcd."""
     dx = Xd[None, c:] - Xd[a:b, None]
     dy = Yd[None, c:] - Yd[a:b, None]
     keep = dx > 0
     keep &= dy > 0
     rows = np.count_nonzero(keep, axis=1)
     dxv, dyv = dx[keep], dy[keep]
-    g = np.gcd(dxv, dyv)
+    g = (np.gcd(dxv, dyv) if _gcd_table is None or dxv.dtype == object
+         else _table_gcd(_gcd_table, dxv, dyv))
     dxv //= g
     dyv //= g
     k = np.repeat(Xa[a:b], rows)
@@ -362,8 +405,17 @@ def _iter_blocks(X, Y, dvals, spec):
     first point of larger X than its first row's, so the lower triangle and
     that row's equal-X ties are never built.  The direction blocks take
     about _BLOCK/4 lines each, a group of directions against every point:
-    k is d2*X - d1*Y over the (group, n) grid."""
+    k is d2*X - d1*Y over the (group, n) grid.
+
+    The first lattice of at least _GCD_SIDE**2 point pairs, n = 725 points
+    at the side of 512, builds the process's gcd table (_gcd_table), in
+    about 9 ms, and from then on every band takes its gcds from it
+    (_pair_keys).  Smaller lattices never build it."""
+    global _gcd_table
     n = len(X)
+    if _gcd_table is None and n * (n - 1) // 2 >= _GCD_SIDE ** 2:
+        ints = np.arange(_GCD_SIDE, dtype=np.int16)
+        _gcd_table = np.gcd(ints[:, None], ints[None, :])
     Xa = np.asarray(X, dtype=spec.key_dtype)
     Ya = np.asarray(Y, dtype=spec.key_dtype)
     Xd, Yd = Xa.astype(spec.diff_dtype), Ya.astype(spec.diff_dtype)
@@ -710,13 +762,6 @@ def _direction_order(d):
     doubles order as the ratios do, and only directions whose doubles tie
     compare their ratios, by _Ratio's cross-multiplication."""
     return d[0] / d[1], _Ratio(d)
-
-
-def _distinct_keys(X, Y, dvals):
-    """All distinct candidate keys as python int triples, sorted by
-    (dx, dy, k)."""
-    spec, packed = _stream(X, Y, dvals)
-    return list(zip(*(v.tolist() for v in _unpack(spec, packed))))
 
 
 def candidate_lines(M: TwoParamModule, N: TwoParamModule,

@@ -52,11 +52,6 @@ class ProjPoint:
         return self.h0 == 0
 
 
-RIGHT = frozenset({1})
-LEFT = frozenset({2})
-ON = frozenset({1, 2})
-
-
 @dataclass(frozen=True)
 class Line:
     """Positive-slope line in standard normalization: m1, m2 > 0,
@@ -98,22 +93,6 @@ def normalize_line(direction, through) -> Line:
 def weight(line: Line):
     """The minimal direction coordinate, in (0, 1]."""
     return min(line.m)
-
-
-def reciprocal_position(line: Line, u) -> frozenset:
-    """Which face of the cone boundary of u the line crosses.
-
-    Returns {1} if u lies strictly right of the line, {2} if strictly left,
-    {1, 2} if on it.  Cross-product sign test, no division.
-    """
-    (m1, m2), (b1, b2) = line.m, line.b
-    lhs = m2 * (rat(u[0]) - b1)
-    rhs = m1 * (rat(u[1]) - b2)
-    if lhs > rhs:
-        return RIGHT
-    if lhs < rhs:
-        return LEFT
-    return ON
 
 
 def push_param(line: Line, u):

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 from matchdist.bottleneck import bottleneck
 from matchdist.exactdist import (DistanceResult, _exact_cost, _line_from_key,
-                                 switch_points)
+                                 _stream, _unpack, switch_points)
 from matchdist.fibered import restrict_module
 from matchdist.geometry import ProjPoint
 from matchdist.modules import critical_values, lub_closure
@@ -108,6 +108,50 @@ def matching_cost(d1, d2, pairs):
     return cost
 
 
+class TooLarge(ValueError):
+    """Raised by bottleneck_bruteforce when diagrams exceed its guard."""
+
+
+def _half(bar):
+    return INF if bar.death == INF else (bar.death - bar.birth) / 2
+
+
+def bottleneck_bruteforce(d1, d2):
+    """Exhaustive minimum over every partial multi-bijection.
+
+    Raises:
+        TooLarge: if |D1| + |D2| > 8.
+    """
+    if len(d1) + len(d2) > 8:
+        raise TooLarge("brute force limited to 8 bars total")
+    n2 = len(d2)
+    halves2 = [_half(b) for b in d2]
+    best = INF
+
+    def rec(i, used, cur):
+        nonlocal best
+        if cur >= best and best != INF:
+            return
+        if i == len(d1):
+            tot = cur
+            for j in range(n2):
+                if j not in used:
+                    tot = max(tot, halves2[j])
+            best = min(best, tot)
+            return
+        a = d1[i]
+        rec(i + 1, used, max(cur, _half(a)))
+        for j in range(n2):
+            if j not in used:
+                b = d2[j]
+                rec(i + 1, used | {j},
+                    max(cur, abs(a.birth - b.birth),
+                        ext_abs_diff(a.death, b.death)))
+
+    rec(0, frozenset(), Q(0))
+    return best
+
+
 def essential_bruteforce(births1, births2):
     """Min over all bijections of the max birth difference (inf if sizes differ)."""
     if len(births1) != len(births2):
@@ -143,6 +187,13 @@ def distinct_keys_pairloop(X, Y, dvals):
         for a in range(n):
             out.add((d1, d2, d2 * X[a] - d1 * Y[a]))
     return sorted(out)
+
+
+def distinct_keys(X, Y, dvals):
+    """All distinct candidate keys of the stream (exactdist._stream), as
+    python int triples sorted by (dx, dy, k)."""
+    spec, packed = _stream(X, Y, dvals)
+    return list(zip(*(v.tolist() for v in _unpack(spec, packed))))
 
 
 def match_patterns(r1, r2):

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       ex_need_omega, rand_diagram, rand_line, rand_pool,
                       rand_rat, rand_rect_module)
-from matchdist.bottleneck import bottleneck, bottleneck_bruteforce
+from matchdist.bottleneck import bottleneck
 from matchdist.cli import main
 from matchdist.exactdist import (SwitchPointSet, matching_distance,
                                  switch_points, vertical_cost,
@@ -20,6 +20,7 @@ from matchdist.gridscan import GridSpec, restricted_max, scan
 from matchdist.modules import (TwoParamModule, critical_values, rect, scale,
                                translate)
 from matchdist.rational import INF, Q
+from oracles import bottleneck_bruteforce
 
 
 @contextmanager

@@ -4,11 +4,11 @@ import sys
 import pytest
 
 from conftest import rand_diagram
-from matchdist.bottleneck import (MatchingWitness, TooLarge, bottleneck,
-                                  bottleneck_bruteforce)
+from matchdist.bottleneck import MatchingWitness, bottleneck
 from matchdist.fibered import Bar
 from matchdist.rational import INF, Q
-from oracles import essential_bruteforce, matching_cost
+from oracles import (TooLarge, bottleneck_bruteforce, essential_bruteforce,
+                     matching_cost)
 
 # the package exports the function bottleneck under the module's name
 bn = sys.modules["matchdist.bottleneck"]

@@ -9,6 +9,8 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matchdist.exactdist as exactdist
 import matchdist.fibered as fibered
@@ -18,8 +20,8 @@ from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       rand_pool, rand_presentation, rand_rat, rand_rect,
                       rand_rect_module)
 from matchdist import _fastpath
-from matchdist.bottleneck import (bottleneck, bottleneck_bruteforce,
-                                  cheapest_matching, threshold_matching)
+from matchdist.bottleneck import (bottleneck, cheapest_matching,
+                                  threshold_matching)
 from matchdist.exactdist import (BothTrivial, CandidateLineSet,
                                  SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
@@ -33,7 +35,8 @@ from matchdist.gridscan import GridSpec, scan
 from matchdist.modules import (TwoParamModule, critical_values, lub_closure,
                                rect, scale, swap_axes, translate)
 from matchdist.rational import INF, Q
-from oracles import (distinct_keys_pairloop, lattice_rational, lex_pair,
+from oracles import (bottleneck_bruteforce, distinct_keys,
+                     distinct_keys_pairloop, lattice_rational, lex_pair,
                      match_patterns, select_exact)
 
 
@@ -153,7 +156,7 @@ def test_candidate_lines_match_exact_sort_on_every_key_path(monkeypatch):
         for ex in (None, extra):
             assert _key_path(M, N, ex) == path
             X, Y, dvals, lam = exactdist._lattice(M, N, ex)
-            keys = sorted(exactdist._distinct_keys(X, Y, dvals),
+            keys = sorted(distinct_keys(X, Y, dvals),
                           key=lambda t: lex_pair(*t, lam))
             want = tuple(exactdist._line_from_key(*t, lam) for t in keys)
             assert len({ln.m for ln in want}) > 2
@@ -622,7 +625,7 @@ def test_lattice_matches_rational_scaling():
 
 def _scaled_keys(M, N):
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
-    return exactdist._distinct_keys(X, Y, dvals), lam
+    return distinct_keys(X, Y, dvals), lam
 
 
 def test_integer_path_matches_exact_cost():
@@ -760,7 +763,7 @@ def test_stream_types_at_their_bounds(edge):
     spec = exactdist._pack_spec(X, Y, dvals)
     assert spec.kb == kb
     assert (spec.dtype, spec.key_dtype, spec.diff_dtype) == types
-    got = exactdist._distinct_keys(X, Y, dvals)
+    got = distinct_keys(X, Y, dvals)
     assert got == distinct_keys_pairloop(X, Y, dvals)
 
 
@@ -833,7 +836,7 @@ def test_wide_rectangle_pairs_match_per_line_selection(monkeypatch):
         res = matching_distance(M, N)
         assert len(calls) == n + 1
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         ref = select_exact(M, N, keys, lam, len(keys))
         _assert_as_oracle(res, ref)
         assert scan(M, N, GridSpec(25, 25)).max_value <= \
@@ -882,7 +885,7 @@ def test_wide_rectangle_pairs_integer_values():
     rng = random.Random(62)
     for M, N in _wide_pairs():
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         keys = rng.sample(keys, min(60, len(keys)))
         dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
         res = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
@@ -1024,7 +1027,7 @@ def test_presentation_pairs_match_per_line_selection(monkeypatch):
         res = matching_distance(M, N)
         assert len(calls) == n + 1
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         ref = select_exact(M, N, keys, lam, len(keys))
         _assert_as_oracle(res, ref)
         assert scan(M, N, GridSpec(25, 25)).max_value <= \
@@ -1037,7 +1040,7 @@ def test_presentation_pairs_vector_values():
     rng = random.Random(72)
     for M, N in _pres_pairs():
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         keys = rng.sample(keys, min(150, len(keys)))
         dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
         res = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
@@ -1112,7 +1115,7 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
         M, N = scale(M, f), scale(N, f)
         assert _key_path(M, N, None) == path
         X, Y, dvals, _ = exactdist._lattice(M, N, None)
-        got = exactdist._distinct_keys(X, Y, dvals)
+        got = distinct_keys(X, Y, dvals)
         assert len(got) > 4 * exactdist._BLOCK
         assert got == distinct_keys_pairloop(X, Y, dvals)
         assert {type(v) for key in got for v in key} == {int}
@@ -1124,7 +1127,7 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
         assert _spec_path(spec) == path
         blocks = list(exactdist._iter_blocks(X, Y, dirs, spec))
         assert [len(b[0]) for b in blocks[-4:]] == [16, 16, 16, 8]
-        got = exactdist._distinct_keys(X, Y, dirs)
+        got = distinct_keys(X, Y, dirs)
         assert got == distinct_keys_pairloop(X, Y, dirs)
         assert {type(v) for key in got for v in key} == {int}
     # row bands of at most 20 pairs, on a lattice whose equal-X groups
@@ -1144,13 +1147,110 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
         X, Y = [f * x for x, _ in pts], [f * y for _, y in pts]
         assert _spec_path(exactdist._pack_spec(X, Y, dirs)) == path
         bands.clear()
-        got = exactdist._distinct_keys(X, Y, dirs)
+        got = distinct_keys(X, Y, dirs)
         assert got == distinct_keys_pairloop(X, Y, dirs)
         assert {type(v) for key in got for v in key} == {int}
         assert all(X[c - 1] == X[a] < X[c] for a, _, c in bands)
         assert any(X[b - 1] == X[b] for _, b, _ in bands)
         assert any(X[a] < X[b - 1] for a, b, _ in bands)
 
+
+
+# The pair stage's gcd table: gcd(lo, r) after one Euclid step, np.gcd
+# past the table's side.
+
+def _gcd_grid(side):
+    ints = np.arange(side, dtype=np.int16)
+    return np.gcd.outer(ints, ints)
+
+
+_GCD_512 = _gcd_grid(512)
+
+
+@st.composite
+def _gcd_pair(draw, top):
+    """A positive pair (dx, dy) up to top, in either order, whose smaller
+    entry lo is often at the table's edge (1, 511, 512, 513) and whose
+    larger one is often a multiple of lo (r = 0) or lo itself."""
+    lo = draw(st.sampled_from([1, 511, 512, 513]) | st.integers(1, top))
+    hi = draw(st.one_of(st.just(lo),
+                        st.integers(1, top // lo).map(lambda m: m * lo),
+                        st.integers(lo, top)))
+    return (lo, hi) if draw(st.booleans()) else (hi, lo)
+
+
+@pytest.mark.parametrize("dtype, top", [(np.int32, (1 << 30) - 1),
+                                        (np.int64, (1 << 62) - 1)])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_table_gcd_equals_np_gcd(dtype, top, data):
+    """The table gcd equals np.gcd in its dtype, on pairs with lo at
+    either side of the table's edge, with hi a multiple of lo and with
+    dx = dy, and writes neither input."""
+    pairs = data.draw(st.lists(_gcd_pair(top), min_size=1, max_size=40))
+    dx = np.array([p[0] for p in pairs], dtype=dtype)
+    dy = np.array([p[1] for p in pairs], dtype=dtype)
+    before = dx.copy(), dy.copy()
+    got = exactdist._table_gcd(_GCD_512, dx, dy)
+    assert got.dtype == dtype
+    assert np.array_equal(got, np.gcd(dx, dy))
+    assert np.array_equal(dx, before[0]) and np.array_equal(dy, before[1])
+
+
+@pytest.mark.parametrize("shift, path, diff_dtype", [
+    (0, "int64", np.int32), (1 << 50, "object", np.int64),
+    (1 << 61, "bigint", np.int64)])
+def test_table_gcd_stream_matches_pair_loop(monkeypatch, shift, path,
+                                            diff_dtype):
+    """With the table's side cut to 8, a lattice of 40 points builds it,
+    and its bands mix table cells and np.gcd: the streamed keys equal the
+    plain pair loop in every key regime, the translated ones on int64
+    differences."""
+    calls = []
+    table_gcd = exactdist._table_gcd
+
+    def recorded(table, dx, dy):
+        calls.append(dx.dtype)
+        return table_gcd(table, dx, dy)
+
+    monkeypatch.setattr(exactdist, "_GCD_SIDE", 8)
+    monkeypatch.setattr(exactdist, "_gcd_table", None)
+    monkeypatch.setattr(exactdist, "_table_gcd", recorded)
+    rng = random.Random(31)
+    pts = sorted({(rng.randrange(40), rng.randrange(40)) for _ in range(40)})
+    los = {min(q[0] - p[0], q[1] - p[1])
+           for p, q in itertools.combinations(pts, 2)
+           if q[0] > p[0] and q[1] > p[1]}
+    assert min(los) < 8 <= max(los)
+    X, Y = [x + shift for x, _ in pts], [y + shift for _, y in pts]
+    dirs = [(1, 1), (2, 3), (9, 4)]
+    spec = exactdist._pack_spec(X, Y, dirs)
+    assert _spec_path(spec) == path and spec.diff_dtype == diff_dtype
+    got = distinct_keys(X, Y, dirs)
+    assert np.array_equal(exactdist._gcd_table, _gcd_grid(8))
+    assert calls and set(calls) == {np.dtype(diff_dtype)}
+    assert got == distinct_keys_pairloop(X, Y, dirs)
+    assert {type(v) for key in got for v in key} == {int}
+
+
+def test_gcd_table_built_once_from_725_points(monkeypatch):
+    """The worked example never builds the table; a lattice of 724 points,
+    261,726 pairs, does not either, and one of 725 points, 262,450 pairs,
+    builds it once, equal to np.gcd's, and streams the pair loop's keys."""
+    monkeypatch.setattr(exactdist, "_gcd_table", None)
+    matching_distance(*ex_need_omega())
+    assert exactdist._gcd_table is None
+    rng = random.Random(37)
+    X = sorted(rng.randrange(4000) for _ in range(725))
+    Y = [rng.randrange(4000) for _ in range(725)]
+    distinct_keys(X[:724], Y[:724], [])
+    assert exactdist._gcd_table is None
+    got = distinct_keys(X, Y, [(1, 1)])
+    table = exactdist._gcd_table
+    assert table.dtype == np.int16 and np.array_equal(table, _GCD_512)
+    assert got == distinct_keys_pairloop(X, Y, [(1, 1)])
+    distinct_keys(X, Y, [])
+    assert exactdist._gcd_table is table
 
 def test_scaled_pairs_match_per_line_selection():
     """On object packed keys, over int64 blocks and over object blocks,
@@ -1176,7 +1276,7 @@ def test_scaled_pairs_match_per_line_selection():
         assert _key_path(M, N, None) == path
         res = matching_distance(M, N)
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         ref = select_exact(M, N, keys, lam, len(keys))
         assert res.value > 0
         _assert_as_oracle(res, ref)
@@ -1199,7 +1299,7 @@ def test_exact_evaluator_is_exact_past_its_certificate():
     overflows on some of them."""
     for M, N in _past_certificate_pairs():
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
         p, q = _fastpath.exact_evaluator(M, N, lam)(dxv, dyv, kv)
         for pt, qt, key in zip(p.tolist(), q.tolist(), keys):
@@ -1225,7 +1325,7 @@ def test_one_selection_mixes_int64_and_object_chunks(monkeypatch):
     res = matching_distance(M, N)
     assert set(dtypes) == {np.dtype(np.int64), np.dtype(object)}
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
-    keys = exactdist._distinct_keys(X, Y, dvals)
+    keys = distinct_keys(X, Y, dvals)
     ref = select_exact(M, N, keys, lam, len(keys))
     _assert_as_oracle(res, ref)
 
@@ -1278,7 +1378,7 @@ def test_object_kernel_matches_exact_cost():
     for M0, N0 in (ex_need_omega(), _small_pres_pair()):
         M, N = scale(M0, f), scale(N0, f)
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = rng.sample(exactdist._distinct_keys(X, Y, dvals), 150)
+        keys = rng.sample(distinct_keys(X, Y, dvals), 150)
         dxv, dyv, kv = (np.array(col, dtype=object) for col in zip(*keys))
         ps, qs = _fastpath.exact_reduced_values(M, N, dxv, dyv, kv, lam)
         assert ps.dtype == qs.dtype == object
@@ -1323,7 +1423,7 @@ def test_tiny_chunks_match_per_line_selection(monkeypatch):
         n = len(sizes)
         res = matching_distance(M, N)
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         assert len(sizes) - n >= len(keys) // 64
         ref = select_exact(M, N, keys, lam, len(keys))
         _assert_as_oracle(res, ref)
@@ -1345,7 +1445,7 @@ def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
         n = len(sizes)
         res = matching_distance(M, N)
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         assert len(sizes) - n >= len(keys) // 64 > 1
         best = min(keys, key=lambda t: lex_pair(*t, lam))
         assert res.witness_line == exactdist._line_from_key(*best, lam)
@@ -1364,7 +1464,7 @@ def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
     M, N = (scale(m, f) for m in list(_tied_pairs())[1])
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
     spec, union = exactdist._stream(X, Y, dvals)
-    keys = exactdist._distinct_keys(X, Y, dvals)
+    keys = distinct_keys(X, Y, dvals)
     code = (union // spec.sk).tolist()
     ref = select_exact(M, N, keys, lam, len(keys))
     assert exactdist._Select(_fastpath.exact_evaluator(M, N, lam)).by_run
@@ -1613,7 +1713,7 @@ def test_pack_and_unpack_leave_inputs_unchanged():
         X, Y, dvals, _ = exactdist._lattice(M, N, None)
         spec = exactdist._pack_spec(X, Y, dvals)
         cols = [np.array(c, dtype=spec.key_dtype)
-                for c in zip(*exactdist._distinct_keys(X, Y, dvals))]
+                for c in zip(*distinct_keys(X, Y, dvals))]
         inputs = [cols, [c.astype(spec.dtype) for c in cols]]
         if spec.key_dtype == np.int64:
             inputs.append([cols[0].astype(np.int32),
@@ -1654,7 +1754,7 @@ def test_direction_bound_holds_on_every_key():
     essential bars gets no bound."""
     for M, N in itertools.chain(_wide_pairs(), _tied_pairs()):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
         values = _fastpath.exact_evaluator(M, N, lam)
         if bar_counts(M)[1]:
@@ -1677,7 +1777,7 @@ def test_bound_pruned_selection_matches_oracle():
     pairs = [pair for pair, size in zip(_wide_pairs(), shapes) if size == 2]
     for M, N in pairs + list(_tied_pairs()):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
-        keys = exactdist._distinct_keys(X, Y, dvals)
+        keys = distinct_keys(X, Y, dvals)
         ref = select_exact(M, N, keys, lam, len(keys))
         for seed, chunk in [(None, None), (3, 64), (1, 16)]:
             with pytest.MonkeyPatch.context() as mp:

@@ -4,15 +4,35 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matchdist.geometry import (LEFT, ON, RIGHT, Line, NonPositiveDirection,
-                                ProjPoint, line_through, line_through_infinite,
+from matchdist.geometry import (Line, NonPositiveDirection, ProjPoint,
+                                line_through, line_through_infinite,
                                 normalize_line, pull_param, push_param,
-                                reciprocal_position, weight)
+                                weight)
 from matchdist.rational import INF, Q
 
 rat_st = st.builds(Q, st.integers(-24, 48), st.integers(1, 4))
 pos_st = st.builds(Q, st.integers(1, 16), st.integers(1, 4))
 point_st = st.tuples(rat_st, rat_st)
+
+RIGHT = frozenset({1})
+LEFT = frozenset({2})
+ON = frozenset({1, 2})
+
+
+def reciprocal_position(line, u):
+    """Which face of the cone boundary of u the line crosses.
+
+    Returns {1} if u lies strictly right of the line, {2} if strictly left,
+    {1, 2} if on it.  Cross-product sign test, no division.
+    """
+    (m1, m2), (b1, b2) = line.m, line.b
+    lhs = m2 * (Q(u[0]) - b1)
+    rhs = m1 * (Q(u[1]) - b2)
+    if lhs > rhs:
+        return RIGHT
+    if lhs < rhs:
+        return LEFT
+    return ON
 
 
 def ratios(line, u):

@@ -32,3 +32,23 @@ def test_abrun_rejects_no_rounds():
     out = abrun("--rounds", "0")
     assert out.returncode == 2
     assert "--rounds: must be at least 1" in out.stderr
+
+
+def test_abrun_two_seeds():
+    """--seeds runs each seed in one call: one ratio line per seed after
+    its two side lines, then the median of the seeds' ratios."""
+    out = abrun("--rounds", "1", "--seeds", "1,2")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line for line in lines if line.startswith("seed ")] == [
+        "seed 1", "seed 2"]
+    sides = [line for line in lines if line.startswith(("parent ", "change "))]
+    assert len(sides) == 4
+    assert all("failed ops 0," in line for line in sides)
+    ratios = [float(line.rpartition(" ")[2]) for line in lines
+              if line.startswith("ratio change/parent of pass medians: ")]
+    assert len(ratios) == 2
+    assert lines[-1].startswith("median ratio over seeds 1,2: ")
+    # the median of two seeds is their mean, each printed to 4 places
+    median = float(lines[-1].rpartition(" ")[2])
+    assert abs(median - sum(ratios) / 2) <= 1e-4

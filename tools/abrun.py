@@ -1,6 +1,6 @@
 """Alternated in-process timing of two matchdist checkouts on one workload.
 
-    python3 tools/abrun.py PARENT CHANGE --workload perline --seed 1 \\
+    python3 tools/abrun.py PARENT CHANGE --workload perline --seeds 1,2,3 \\
         --rounds 21
 
 PARENT and CHANGE are source checkouts.  Each one's src/matchdist is copied
@@ -14,10 +14,12 @@ op, and the side that goes first is swapped each round; one untimed round
 warms both sides up.  Every output is checked with corpus.check outside the
 timed region.
 
-Prints, per side, the median pass time, the rounds won, the failed ops and
-ops_per_s and op_p50_s over each op's median time, computed as
-perfbench/run.py computes them but from raw times; then the ratio of the
-pass medians, CHANGE over PARENT.
+Each seed of --seeds is run in turn, in the same process, with its own
+warm-up round.  Prints, per seed and side, the median pass time, the rounds
+won, the failed ops and ops_per_s and op_p50_s over each op's median time,
+computed as perfbench/run.py computes them but from raw times; then the
+seed's ratio of the pass medians, CHANGE over PARENT.  With more than one
+seed, the last line is the median of the seeds' ratios.
 """
 from __future__ import annotations
 
@@ -68,49 +70,66 @@ def positive(text):
     return n
 
 
+def seeds(text):
+    """Comma-separated ints, for argparse."""
+    return [int(v) for v in text.split(",")]
+
+
+def run_seed(sides, lib, seed, rounds):
+    """Time one seed's ops on both sides, print each side's line and
+    return the ratio of the pass medians, CHANGE over PARENT."""
+    ops = [C.build_ops(md, lib, seed) for _, md in sides]
+    n = len(ops[0])
+    times = [[[] for _ in range(n)] for _ in sides]
+    passes = [[] for _ in sides]
+    failed = [set() for _ in sides]
+    for r in range(-1, rounds):
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        round_s = [0.0, 0.0]
+        for i in range(n):
+            for s in order:
+                t = timed(sides[s][1], ops[s][i], failed[s])
+                if r >= 0:
+                    times[s][i].append(t)
+                    round_s[s] += t
+        if r >= 0:
+            for s in (0, 1):
+                passes[s].append(round_s[s])
+    wins = [sum(a < b for a, b in zip(passes[s], passes[1 - s]))
+            for s in (0, 1)]
+    for s, (checkout, _) in enumerate(sides):
+        per_op = sorted(statistics.median(ts) for ts in times[s])
+        print("%s %s: pass median %.4f s, won %d of %d rounds, failed ops "
+              "%d, ops_per_s %.1f, op_p50_s %.6f"
+              % ("parent" if s == 0 else "change", checkout,
+                 statistics.median(passes[s]), wins[s], rounds,
+                 len(failed[s]), n / sum(per_op), statistics.median(per_op)))
+    ratio = statistics.median(passes[1]) / statistics.median(passes[0])
+    print("ratio change/parent of pass medians: %.4f" % ratio)
+    return ratio
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", default="perline", choices=C.WORKLOADS)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seeds", type=seeds, default=[1])
     ap.add_argument("--rounds", type=positive, default=21)
     args = ap.parse_args()
     lib = C.load_library(args.workload)
     with tempfile.TemporaryDirectory() as where:
         sys.path.insert(0, where)
-        sides = []
-        for name, checkout in (("matchdist_a", args.parent),
-                               ("matchdist_b", args.change)):
-            md = load(checkout, name, where)
-            sides.append((checkout, md, C.build_ops(md, lib, args.seed)))
-        n = len(sides[0][2])
-        times = [[[] for _ in range(n)] for _ in sides]
-        passes = [[] for _ in sides]
-        failed = [set() for _ in sides]
-        for r in range(-1, args.rounds):
-            order = (0, 1) if r % 2 == 0 else (1, 0)
-            round_s = [0.0, 0.0]
-            for i in range(n):
-                for s in order:
-                    t = timed(sides[s][1], sides[s][2][i], failed[s])
-                    if r >= 0:
-                        times[s][i].append(t)
-                        round_s[s] += t
-            if r >= 0:
-                for s in (0, 1):
-                    passes[s].append(round_s[s])
-    wins = [sum(a < b for a, b in zip(passes[s], passes[1 - s]))
-            for s in (0, 1)]
-    for s, (checkout, _, _) in enumerate(sides):
-        per_op = sorted(statistics.median(ts) for ts in times[s])
-        print("%s %s: pass median %.4f s, won %d of %d rounds, failed ops "
-              "%d, ops_per_s %.1f, op_p50_s %.6f"
-              % ("parent" if s == 0 else "change", checkout,
-                 statistics.median(passes[s]), wins[s], args.rounds,
-                 len(failed[s]), n / sum(per_op), statistics.median(per_op)))
-    print("ratio change/parent of pass medians: %.4f"
-          % (statistics.median(passes[1]) / statistics.median(passes[0])))
+        sides = [(checkout, load(checkout, name, where))
+                 for name, checkout in (("matchdist_a", args.parent),
+                                        ("matchdist_b", args.change))]
+        ratios = []
+        for seed in args.seeds:
+            print("seed %d" % seed)
+            ratios.append(run_seed(sides, lib, seed, args.rounds))
+    if len(ratios) > 1:
+        print("median ratio over seeds %s: %.4f"
+              % (",".join(map(str, args.seeds)), statistics.median(ratios)))
 
 
 if __name__ == "__main__":
