@@ -31,9 +31,10 @@ gcd(lo, r), read off one int16 table of gcd(a, b) for a, b < 512 when
 lo < 512 (_table_gcd), and np.gcd otherwise and on object arrays.  The
 process builds that table once, in about 9 ms, for its first lattice of
 at least 512^2 point pairs; smaller lattices before it take np.gcd.  The
-point-direction lines come one broadcast per group of directions.  Blocks
-are dropped once packed; their keys are sorted and deduplicated in
-batches, and the sorted runs merged as they grow.  The sorted distinct
+point-direction lines come one broadcast per group of directions.  Each
+block is packed straight into the next free slice of one key buffer per
+call and dropped; a full buffer is sorted and deduplicated in place into
+one run, and the sorted runs merged as they grow.  The sorted distinct
 keys are then read in chunks of _fastpath.CHUNK keys (_chunks), split
 into direction runs, so each line is read once and what is unpacked and
 valued never exceeds one chunk.  Pairs that need no line search take the
@@ -314,11 +315,12 @@ def _pack_spec(X, Y, dvals):
                           np.int64 if a < 1 << 62 else object))
 
 
-def _pack(spec, dxv, dyv, kv):
-    """Packed keys of (dx, dy, k) arrays, built in place in one fresh array
-    of the spec's dtype, so the inputs are never written; dx and dy may be
-    of a narrower dtype than k."""
-    out = dxv.astype(spec.dtype)
+def _pack(spec, dxv, dyv, kv, out):
+    """Pack (dx, dy, k) arrays into out, an array or slice of their length
+    and the spec's dtype, in place, and return it; the inputs are never
+    written, and dx and dy may be of a narrower dtype than k.  dx is copied
+    in first, so an object out holds Python ints before any product."""
+    out[...] = dxv
     out *= spec.sdy
     out += dyv
     out *= spec.sk
@@ -405,7 +407,8 @@ def _iter_blocks(X, Y, dvals, spec):
     first point of larger X than its first row's, so the lower triangle and
     that row's equal-X ties are never built.  The direction blocks take
     about _BLOCK/4 lines each, a group of directions against every point:
-    k is d2*X - d1*Y over the (group, n) grid.
+    k is d2*X - d1*Y over the (group, n) grid.  _stream packs each block
+    into its buffer and drops it before the next.
 
     The first lattice of at least _GCD_SIDE**2 point pairs, n = 725 points
     at the side of 512, builds the process's gcd table (_gcd_table), in
@@ -435,7 +438,8 @@ def _iter_blocks(X, Y, dvals, spec):
 
 def _unique_sorted(a, kind=None):
     """Sorted distinct values of a 1-d array, as np.unique returns them;
-    a itself is sorted in place, so callers pass arrays they own.
+    a itself is sorted in place, so callers pass arrays they own or the
+    filled prefix of _stream's buffer.  An a of one key or none is returned.
 
     A sort and an adjacent-difference mask: np.unique on integers takes a
     hash-table path in numpy >= 2.3, which is many times slower than this
@@ -458,44 +462,45 @@ def _merge(runs):
     return _unique_sorted(np.concatenate(runs), "stable")
 
 
-def _batches(spec, blocks):
-    """The packed keys of the blocks, concatenated into batches of at least
-    _BLOCK/2 keys, the last one possibly smaller; a block is dropped once
-    packed."""
-    held, fill = [], 0
-    for blk in blocks:
-        held.append(_pack(spec, *blk))
-        fill += held[-1].size
-        del blk
-        if fill >= _BLOCK // 2:
-            yield np.concatenate(held)
-            held, fill = [], 0
-    if held:
-        yield np.concatenate(held)
+def _add_run(runs, keys):
+    """Append keys, sorted and deduplicated in place, to runs as one run
+    that owns its memory; merge the runs past 4*_BLOCK keys, so memory is
+    bounded by the number of distinct lines."""
+    # keys repeat lines that pass through more than two points
+    run = _unique_sorted(keys)
+    if run.size:
+        # up to 1 key comes back as keys itself, maybe a view of the buffer
+        runs.append(run if run.base is None else run.copy())
+    if len(runs) > 1 and sum(r.size for r in runs) > 4 * _BLOCK:
+        runs[:] = [_merge(runs)]
 
 
 def _stream(X, Y, dvals):
     """The one key loop: the spec and the sorted distinct packed keys of
     every block, each line once however many blocks repeat it.
 
-    The blocks' packed keys are sorted and deduplicated once per batch of
-    about _BLOCK/2 keys (_batches), not once per band, and each batch
-    leaves one sorted run.  The runs are merged whenever they hold more
-    than 4*_BLOCK keys, so memory is bounded by the number of distinct
-    candidate lines.  _first_key or _Select reads the union afterwards,
-    chunk by chunk."""
+    Each block is packed into the next free slice of one key buffer of
+    min(n(n-1)/2 + n*|dirs|, _BLOCK) keys, local to the call so that calls
+    can run in threads.  A block that does not fit first turns the filled
+    prefix into a run (_add_run), and the buffer refills from 0; a block
+    larger than the buffer gets an array of its own.  _first_key or
+    _Select reads the union afterwards, chunk by chunk."""
     spec = _pack_spec(X, Y, dvals)
-    runs, size = [], 0
-    for batch in _batches(spec, _iter_blocks(X, Y, dvals, spec)):
-        # a batch repeats lines that pass through more than two points
-        run = _unique_sorted(batch)
-        del batch
-        if run.size:
-            runs.append(run)
-            size += run.size
-        if len(runs) > 1 and size > 4 * _BLOCK:
-            runs = [_merge(runs)]
-            size = runs[0].size
+    n = len(X)
+    buf = np.empty(min(n * (n - 1) // 2 + n * len(dvals), _BLOCK), spec.dtype)
+    runs, fill = [], 0
+    for blk in _iter_blocks(X, Y, dvals, spec):
+        m = blk[0].size
+        if m > buf.size:
+            _add_run(runs, _pack(spec, *blk, np.empty(m, spec.dtype)))
+        else:
+            if fill + m > buf.size:
+                _add_run(runs, buf[:fill])
+                fill = 0
+            _pack(spec, *blk, buf[fill:fill + m])
+            fill += m
+        del blk
+    _add_run(runs, buf[:fill])
     return spec, _merge(runs) if runs else np.empty(0, spec.dtype)
 
 

@@ -3,7 +3,7 @@
 Every exact value is a fractions.Fraction, exported as Q.  Fraction parses
 "p/q" and decimal strings and reduces to canonical form.  Infinity is
 represented by float("inf"), which compares correctly against a Fraction; it
-never enters exact arithmetic except through the explicit helpers below.
+never enters exact arithmetic: callers test is_inf first.
 """
 from __future__ import annotations
 
@@ -36,17 +36,6 @@ def rat(x):
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError("not a finite number: %r" % x)
     return Fraction(x)
-
-
-def ext_abs_diff(a, b):
-    """|a - b| under the matching conventions: inf-inf = 0, inf-finite = inf."""
-    ai = is_inf(a)
-    bi = is_inf(b)
-    if ai and bi:
-        return Q(0)
-    if ai or bi:
-        return INF
-    return abs(a - b)
 
 
 def fmt(x) -> str:

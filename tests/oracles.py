@@ -20,7 +20,19 @@ from matchdist.exactdist import (DistanceResult, _exact_cost, _line_from_key,
 from matchdist.fibered import restrict_module
 from matchdist.geometry import ProjPoint
 from matchdist.modules import critical_values, lub_closure
-from matchdist.rational import INF, Q, ext_abs_diff
+from matchdist.rational import INF, Q, is_inf
+
+
+def ext_abs_diff(a, b):
+    """|a - b| under the matching conventions: inf - inf = 0 and
+    inf - finite = inf."""
+    ai = is_inf(a)
+    bi = is_inf(b)
+    if ai and bi:
+        return Q(0)
+    if ai or bi:
+        return INF
+    return abs(a - b)
 
 
 def lub_closure_fixpoint(points):

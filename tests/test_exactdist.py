@@ -5,6 +5,8 @@ the materialized candidate line set, on value, witness line, and count.
 """
 import itertools
 import random
+import sys
+import threading
 from math import gcd
 
 import numpy as np
@@ -1705,8 +1707,11 @@ def test_scaled_pairs_are_certified_by_their_keys(monkeypatch):
 
 
 def test_pack_and_unpack_leave_inputs_unchanged():
-    """_pack and _unpack compute in place on fresh arrays only, in every
-    key regime, and round-trip exactly, from int32 differences too."""
+    """_pack writes only its out slice and _unpack computes on fresh
+    arrays, in every key regime, and they round-trip exactly, from int32
+    differences too.  out is a slice inside a larger int64 or object
+    array; an object slice holds Python ints, and int64 keys pack into
+    one as they do into int64."""
     for f, path in ((1, "int64"), (100003, "object"), (10 ** 9, "bigint")):
         M, N = (scale(m, f) for m in ex_need_omega())
         assert _key_path(M, N, None) == path
@@ -1718,18 +1723,174 @@ def test_pack_and_unpack_leave_inputs_unchanged():
         if spec.key_dtype == np.int64:
             inputs.append([cols[0].astype(np.int32),
                            cols[1].astype(np.int32), cols[2]])
-        for blk in inputs:
+        out_dtypes = [spec.dtype, *([np.dtype(object)]
+                                    if spec.dtype == np.int64 else [])]
+        m = cols[0].size
+        for blk, dtype in itertools.product(inputs, out_dtypes):
             before = [c.copy() for c in blk]
-            packed = exactdist._pack(spec, *blk)
-            assert packed.dtype == spec.dtype
+            buf = np.full(m + 5, 7, dtype=dtype)
+            packed = exactdist._pack(spec, *blk, buf[3:3 + m])
+            assert packed.dtype == dtype and np.shares_memory(packed, buf)
+            assert buf[:3].tolist() == [7] * 3 and buf[-2:].tolist() == [7] * 2
+            if dtype == object:
+                assert {type(v) for v in packed.tolist()} == {int}
             for c, b in zip(blk, before):
                 assert np.array_equal(c, b) and c.dtype == b.dtype
             kept = packed.copy()
             out = exactdist._unpack(spec, packed)
             assert np.array_equal(packed, kept)
             for o, c in zip(out, cols):
-                assert o.dtype == spec.key_dtype
                 assert np.array_equal(o, c)
+                if dtype == spec.dtype:
+                    assert o.dtype == spec.key_dtype
+
+
+# The stream's key buffer: blocks are packed into one buffer per call, a
+# full buffer becomes one sorted run, and a block larger than the buffer
+# gets an array of its own.
+
+def _record_stream(monkeypatch):
+    """Patch _pack and _add_run to record, per call, the out arrays and
+    the runs list, so a test can compare runs with the buffer."""
+    outs, runs = [], []
+    pack, add_run = exactdist._pack, exactdist._add_run
+
+    def packed(spec, dxv, dyv, kv, out):
+        outs.append(out)
+        return pack(spec, dxv, dyv, kv, out)
+
+    def added(held, keys):
+        add_run(held, keys)
+        runs.append(list(held))
+
+    monkeypatch.setattr(exactdist, "_pack", packed)
+    monkeypatch.setattr(exactdist, "_add_run", added)
+    return outs, runs
+
+
+def _buffer(outs):
+    """The one key buffer that the recorded out slices view."""
+    bufs = {id(o.base): o.base for o in outs if o.base is not None}
+    assert len(bufs) == 1
+    return next(iter(bufs.values()))
+
+
+def test_flushed_runs_do_not_alias_the_buffer(monkeypatch):
+    """With _BLOCK = 2 and one row per band, the rows give blocks of 1, 0,
+    2 and 1 keys: the 1-key prefix is flushed before the buffer refills
+    over it, and the last flush holds 1 key, so each run of at most one
+    key must be copied off the buffer; the union is the pair loop's.  A
+    lattice with no key flushes an empty prefix and leaves no run."""
+    monkeypatch.setattr(exactdist, "_BLOCK", 2)
+    monkeypatch.setattr(exactdist, "_BAND_PAIRS", 1)
+    outs, runs = _record_stream(monkeypatch)
+    X, Y = [0, 1, 2, 3, 4], [3, 4, 0, 1, 2]
+    spec, union = exactdist._stream(X, Y, [])
+    buf = _buffer(outs)
+    assert buf.size == 2 and all(o.base is buf for o in outs)
+    assert [o.size for o in outs] == [1, 0, 2, 1]
+    assert [[r.size for r in held] for held in runs] == [[1], [1, 1],
+                                                         [1, 1, 1]]
+    assert not any(np.shares_memory(r, buf) for r in runs[-1])
+    got = list(zip(*(v.tolist() for v in exactdist._unpack(spec, union))))
+    assert got == distinct_keys_pairloop(X, Y, []) == [(1, 1, -3), (1, 1, 2)]
+    outs.clear()
+    runs.clear()
+    spec, union = exactdist._stream([0, 1], [0, 0], [])
+    assert [o.size for o in outs] == [0] and runs == [[]]
+    assert union.size == 0 and not np.shares_memory(union, outs[0].base)
+
+
+@pytest.mark.parametrize("f, path", [(1, "int64"), (100003, "object"),
+                                     (10 ** 9, "bigint")])
+def test_block_larger_than_the_buffer(monkeypatch, f, path):
+    """A band of more keys than the whole buffer is packed into an array of
+    its own, between blocks packed into the buffer, in every key regime;
+    the union is the pair loop's."""
+    monkeypatch.setattr(exactdist, "_BLOCK", 8)
+    monkeypatch.setattr(exactdist, "_BAND_PAIRS", 12)
+    outs, _ = _record_stream(monkeypatch)
+    pts = sorted({(x, (3 * x + 5 * y) % 11) for x in range(8)
+                  for y in range(3)})
+    X, Y = [f * x for x, _ in pts], [f * y for _, y in pts]
+    dirs = [(1, 2), (3, 1)]
+    assert _spec_path(exactdist._pack_spec(X, Y, dirs)) == path
+    got = distinct_keys(X, Y, dirs)
+    buf = _buffer(outs)
+    assert buf.size == 8
+    own = [o for o in outs if o.base is None]
+    assert own and all(o.size > 8 for o in own)
+    assert outs[0].size > 8 and sum(o.base is buf for o in outs) > 10
+    assert got == distinct_keys_pairloop(X, Y, dirs)
+    assert {type(v) for key in got for v in key} == {int}
+
+
+@pytest.mark.parametrize("f, path", [(1, "int64"), (100003, "object"),
+                                     (10 ** 9, "bigint")])
+def test_buffer_flushes_and_merges(monkeypatch, f, path):
+    """With _BLOCK = 64 and bands of about 24 pairs, the buffer is
+    flushed many times and the runs merged whenever they pass 4*_BLOCK
+    keys, in every key regime; the union is the pair loop's."""
+    monkeypatch.setattr(exactdist, "_BLOCK", 64)
+    monkeypatch.setattr(exactdist, "_BAND_PAIRS", 24)
+    merged = []
+    merge = exactdist._merge
+
+    def recorded(runs):
+        merged.append(len(runs))
+        return merge(runs)
+
+    monkeypatch.setattr(exactdist, "_merge", recorded)
+    outs, runs = _record_stream(monkeypatch)
+    M, N = (scale(m, f) for m in ex_need_omega())
+    assert _key_path(M, N, None) == path
+    X, Y, dvals, _ = exactdist._lattice(M, N, None)
+    got = distinct_keys(X, Y, dvals)
+    buf = _buffer(outs)
+    assert buf.size == 64
+    assert sum(o.base is buf for o in outs) > 100
+    assert len(runs) > 8
+    # mid-stream merges of several runs, then the last one
+    assert merged.count(1) <= 1 and sum(n > 1 for n in merged) > 1
+    assert not any(np.shares_memory(r, buf) for held in runs for r in held)
+    assert len(got) > 4 * exactdist._BLOCK
+    assert got == distinct_keys_pairloop(X, Y, dvals)
+    assert {type(v) for key in got for v in key} == {int}
+
+
+def test_threads_stream_as_sequential_calls(monkeypatch):
+    """Two threads streaming different lattices at once, each with its own
+    key buffer, get the unions of sequential calls; with _BLOCK = 256 each
+    call refills its buffer many times."""
+    monkeypatch.setattr(exactdist, "_BLOCK", 256)
+    monkeypatch.setattr(exactdist, "_BAND_PAIRS", 64)
+    lattices = [exactdist._lattice(*pair, None)[:3]
+                for pair in (ex_need_omega(), ex_diag_not_suff())]
+    want = [exactdist._stream(*lat) for lat in lattices]
+    start = threading.Barrier(2)
+    got = [[], []]
+
+    def work(i):
+        start.wait()
+        for _ in range(4):
+            got[i].append(exactdist._stream(*lattices[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+    # switch threads often, so the two streams interleave inside blocks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for (spec, union), outs in zip(want, got):
+        assert len(outs) == 4
+        for s, u in outs:
+            assert s == spec and u.dtype == union.dtype
+            assert np.array_equal(u, union)
 
 
 # The direction bound: an upper bound on the weighted cost of a key that

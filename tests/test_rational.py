@@ -1,11 +1,12 @@
-"""The contract of the exact scalar helpers: rat, is_inf, ext_abs_diff and
-fmt."""
+"""The contract of the exact scalar helpers rat, is_inf and fmt, and of
+the oracles' ext_abs_diff."""
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from matchdist.rational import INF, Q, ext_abs_diff, fmt, is_inf, rat
+from matchdist.rational import INF, Q, fmt, is_inf, rat
+from oracles import ext_abs_diff
 
 
 def test_q_is_fraction():

@@ -1,10 +1,12 @@
 """Smoke tests of the scripts under tools/."""
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ABRUN = ROOT / "tools" / "abrun.py"
+BENCHPAIRS = ROOT / "tools" / "benchpairs.py"
 
 
 def abrun(*args):
@@ -52,3 +54,59 @@ def test_abrun_two_seeds():
     # the median of two seeds is their mean, each printed to 4 places
     median = float(lines[-1].rpartition(" ")[2])
     assert abs(median - sum(ratios) / 2) <= 1e-4
+
+
+def benchpairs(parent, change, *args):
+    return subprocess.run([sys.executable, str(BENCHPAIRS), str(parent),
+                           str(change), "--workload", "perline", *args],
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_benchpairs_one_pair():
+    """One seed of the checkout against itself, tiny: the parent runs
+    first on an odd seed, each run prints every metric and its page
+    faults, and the summary has one line per metric."""
+    out = benchpairs(ROOT, ROOT, "--tiny", "2", "--seeds", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == [
+        "parent seed 1", "change seed 1"]
+    names = lines[0].split(": ")[1].split()[::2]
+    assert {"ops_per_s", "peak_rss_mb", "ok_frac", "raw_ops_per_s",
+            "minflt"} <= set(names)
+    assert lines[2].startswith("metric: parent median, change median")
+    summary = dict(line.split(": ") for line in lines[3:])
+    assert list(summary) == names
+    assert float(summary["ok_frac"].split()[0]) == 1
+    assert int(summary["minflt"].split()[0]) > 0
+
+
+def _fake_checkout(where, detail, result, code=0):
+    """A checkout whose perfbench/run.py prints the two JSON lines and
+    exits with code."""
+    (where / "perfbench").mkdir(parents=True)
+    (where / "perfbench" / "run.py").write_text(
+        "import sys\nprint(%r)\nprint(%r)\nsys.exit(%d)\n"
+        % (json.dumps({"detail": detail}), json.dumps(result), code))
+    return where
+
+
+def test_benchpairs_fails_on_failed_or_incorrect_run(tmp_path):
+    """A run that exits non-zero, or reports correct: false, stops the
+    pairs with exit status 1 and says which checkout and seed."""
+    detail = {"raw": {"ops_per_s": 1.0}}
+    metrics = {"ops_per_s": {"value": 1.0, "unit": "1/s"}}
+    good = {"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}
+    bad = dict(good, correct=False, failed=1)
+    ok = _fake_checkout(tmp_path / "ok", detail, good)
+    crash = _fake_checkout(tmp_path / "crash", detail, good, code=3)
+    wrong = _fake_checkout(tmp_path / "wrong", detail, bad)
+    out = benchpairs(ok, ok, "--seeds", "1,2")
+    assert out.returncode == 0, out.stderr
+    out = benchpairs(ok, crash, "--seeds", "1")
+    assert out.returncode == 1
+    assert "run failed in %s, seed 1 (exit 3)" % crash in out.stderr
+    out = benchpairs(wrong, ok, "--seeds", "2")
+    assert out.returncode == 1
+    assert "incorrect run in %s, seed 2: 1 of 2 ops failed" % wrong \
+        in out.stderr

@@ -7,7 +7,10 @@ PARENT and CHANGE are source checkouts.  Each one's src/matchdist is copied
 into a temporary directory under its own package name (matchdist_a,
 matchdist_b), and both are imported into this one process, so the two
 sides share the interpreter, the heap and the machine's speed of the
-moment.  The ops come from the workload's corpus through
+moment.  Sharing one heap, they cannot see allocator effects: a change
+that saves page faults or heap growth saves them for both sides here, so
+tools/benchpairs.py, which runs each side in a process of its own, judges
+those.  The ops come from the workload's corpus through
 perfbench/corpus.py, which is read and never changed, and each side builds
 them from its own package.  A round times every op once on each side, op by
 op, and the side that goes first is swapped each round; one untimed round
