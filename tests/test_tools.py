@@ -92,8 +92,9 @@ def _fake_checkout(where, detail, result, code=0):
 
 
 def test_benchpairs_fails_on_failed_or_incorrect_run(tmp_path):
-    """A run that exits non-zero, or reports correct: false, stops the
-    pairs with exit status 1 and says which checkout and seed."""
+    """Seeds given as a range run with the sides alternating; a run that
+    exits non-zero, or reports correct: false, stops the pairs with exit
+    status 1 and says which checkout and seed."""
     detail = {"raw": {"ops_per_s": 1.0}}
     metrics = {"ops_per_s": {"value": 1.0, "unit": "1/s"}}
     good = {"correct": True, "attempted": 2, "failed": 0, "metrics": metrics}
@@ -101,8 +102,10 @@ def test_benchpairs_fails_on_failed_or_incorrect_run(tmp_path):
     ok = _fake_checkout(tmp_path / "ok", detail, good)
     crash = _fake_checkout(tmp_path / "crash", detail, good, code=3)
     wrong = _fake_checkout(tmp_path / "wrong", detail, bad)
-    out = benchpairs(ok, ok, "--seeds", "1,2")
+    out = benchpairs(ok, ok, "--seeds", "1-2")
     assert out.returncode == 0, out.stderr
+    assert [line.split(":")[0] for line in out.stdout.splitlines()[:4]] == [
+        "parent seed 1", "change seed 1", "change seed 2", "parent seed 2"]
     out = benchpairs(ok, crash, "--seeds", "1")
     assert out.returncode == 1
     assert "run failed in %s, seed 1 (exit 3)" % crash in out.stderr

@@ -1,10 +1,11 @@
 """Alternated runs of the benchmark in two checkouts, one process each.
 
     python3 tools/benchpairs.py PARENT CHANGE --workload rect_small \\
-        --seeds 1,2,3,4,5,6,7,8,9,10 --seconds 30
+        --seeds 1-10 [--tiny N]
 
 PARENT and CHANGE are source checkouts.  For each seed of --seeds,
-perfbench/run.py --trace 0 runs once in each checkout, as a fresh
+perfbench/run.py --trace 0 runs once in each checkout, for BENCHMARK.json's
+run_seconds (--tiny N shrinks the corpus for a smoke test), as a fresh
 subprocess whose working directory is that checkout, with
 PYTHONDONTWRITEBYTECODE=1, so that no run leaves bytecode for the next one
 and each compiles its package as a run in a clean checkout does.  The
@@ -34,27 +35,25 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-HIGHER = {m["name"] for m in json.loads(
-    (ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    if m["better"] == "higher"}
+sys.path.insert(0, str(ROOT / "perfbench"))
+from spread import seed_list  # noqa: E402
+
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+HIGHER = {m["name"] for m in BENCH["end_to_end"] if m["better"] == "higher"}
 
 
-def seeds(text):
-    """Comma-separated ints, for argparse."""
-    return [int(v) for v in text.split(",")]
-
-
-def run(checkout, workload, seed, seconds, tiny):
+def run(checkout, workload, seed, tiny):
     """One run.py process in checkout: its metrics by name, the raw timings
     as raw_<name>, and minflt, the child's minor page faults."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(BENCH["run_seconds"]),
+           "--trace", "0"]
     if tiny:
         cmd += ["--tiny", str(tiny)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
-                         text=True)
+                         text=True, timeout=600)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = out.stdout.splitlines()
     if out.returncode != 0 or len(lines) < 2:
@@ -83,15 +82,14 @@ def main(argv=None):
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", type=seeds, default=[1])
-    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--seeds", type=seed_list, default=[1])
     ap.add_argument("--tiny", type=int, default=0, metavar="N")
     args = ap.parse_args(argv)
     sides = (("parent", args.parent), ("change", args.change))
     runs = {"parent": [], "change": []}
     for seed in args.seeds:
         for name, checkout in (sides if seed % 2 else sides[::-1]):
-            m = run(checkout, args.workload, seed, args.seconds, args.tiny)
+            m = run(checkout, args.workload, seed, args.tiny)
             runs[name].append(m)
             print("%s seed %d: %s" % (name, seed, " ".join(
                 "%s %.6g" % kv for kv in m.items())), flush=True)
