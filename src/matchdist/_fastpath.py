@@ -19,9 +19,11 @@ the two agree bit for bit.  The float arithmetic (_FloatLines) serves the
 grid scan (line_evaluator); a presentation's float pushes order its grades
 within rounding, and rounding is monotone, so every relation stays at or
 after its own generators and the float barcode is that of a filtration
-within push rounding error.  The integer arithmetic (_KeyNumerators) is
-exact: on the key (dx, dy, k) with scaling lam, every push and pull onto
-the line is a fraction over the common per-line denominator
+within push rounding error.  Sides with unequal essential counts, read off
+the converted sides, cost +inf on every float line, and the exact map
+raises on them.  The integer arithmetic (_KeyNumerators) is exact: on the
+key (dx, dy, k) with scaling lam, every push and pull onto the line is a
+fraction over the common per-line denominator
 lam*(dx+dy)*dx*dy, so bottleneck costs reduce to integer max/min
 arithmetic on numerators, and the weighted value is an unreduced fraction
 per line.  exact_evaluator returns those fractions, and matching_distance
@@ -491,7 +493,9 @@ def line_evaluator(M, N):
     array is built.  Every operation is elementwise, so each cost is the
     one the lines would get as flat arrays, bit for bit.  The lines go
     through the kernel in slices of the last axis of about CHUNK lines.
-    The map raises ValueError on unequal essential counts.
+    Sides with unequal essential counts (essential_count) give +inf on every
+    line, in the lines' broadcast shape: no matching pairs every essential
+    bar.
 
     The map's live_span(m1, m2, b1, b2) is _live_span on the same converted
     sides: for a direction column against a nondecreasing offset row, the
@@ -501,10 +505,13 @@ def line_evaluator(M, N):
     no cost on that direction exceeds, at any offset of the row.
     """
     sm, sn = _sides(M, N, float)
+    unequal = essential_count(sm) != essential_count(sn)
 
     def costs(m1, m2, b1, b2):
         lines = (m1, m2, b1, b2)
         shape = np.broadcast_shapes(*(a.shape for a in lines))
+        if unequal:
+            return np.full(shape, math.inf)
         n = shape[-1]
         width = max(1, CHUNK // max(1, math.prod(shape[:-1])))
         if 0 < n <= width:
@@ -525,10 +532,10 @@ def line_evaluator(M, N):
 
 def eval_lines(M, N, m1, m2, b1, b2):
     """Weighted bottleneck costs of two modules over 1-d float
-    line arrays, through line_evaluator.
+    line arrays, through line_evaluator: +inf on every line when the
+    essential counts differ.
 
     Lines are in standard normalization: max(m1, m2) = 1, b2 = -b1.
-    Requires equal essential counts on the two sides.
     """
     return line_evaluator(M, N)(m1, m2, b1, b2)
 

@@ -9,14 +9,16 @@ presentation:
     rel r 0 7 g            # rel <name> x y <generator names>
 
 Numbers are integers, exact decimals ("2.5"), or fractions ("7/11").  A file
-mixes rect with gen/rel never.  Exit codes: 0 success, 2 malformed input,
-3 invalid line specification, 4 both modules trivial where a line search
-needs at least one critical value.
+mixes rect with gen/rel never.  Exit codes: 0 success, 1 output pipe closed
+by its reader (as by "| head"), 2 malformed input, 3 invalid line
+specification, 4 both modules trivial where a line search needs at least
+one critical value.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -108,24 +110,6 @@ def parse_module(text: str) -> TwoParamModule:
     return TwoParamModule.from_presentation(pres)
 
 
-def serialize_module(module: TwoParamModule) -> str:
-    """Module file text that parses back to an equal module."""
-    out = []
-    if module.rectangles is not None:
-        for r in module.rectangles:
-            out.append("rect %s %s %s %s" % (fmt(r.lower[0]), fmt(r.lower[1]),
-                                             fmt(r.upper[0]),
-                                             fmt(r.upper[1])))
-    else:
-        p = module.presentation
-        for n, g in p.generators:
-            out.append("gen %s %s %s" % (n, fmt(g[0]), fmt(g[1])))
-        for n, g, col in p.relations:
-            out.append(("rel %s %s %s %s" % (n, fmt(g[0]), fmt(g[1]),
-                                             " ".join(sorted(col)))).rstrip())
-    return "".join(s + "\n" for s in out)
-
-
 def _load(path):
     with open(path) as f:
         return parse_module(f.read())
@@ -191,7 +175,6 @@ def _cmd_dist(args):
         print(json.dumps(_result_doc(res, seconds), indent=2))
     else:
         print(_value_line(res.value))
-    return 0
 
 
 def _cmd_bottleneck(args):
@@ -199,7 +182,6 @@ def _cmd_bottleneck(args):
     line = _line_from_args(args)
     cost, _ = bottleneck(restrict_module(M, line), restrict_module(N, line))
     print(fmt(cost))
-    return 0
 
 
 def _cmd_restrict(args):
@@ -207,7 +189,6 @@ def _cmd_restrict(args):
     line = _line_from_args(args)
     for bar in restrict_module(M, line):
         print(fmt(bar.birth), fmt(bar.death))
-    return 0
 
 
 def _cmd_switchpoints(args):
@@ -217,26 +198,17 @@ def _cmd_switchpoints(args):
         print("point", fmt(p[0]), fmt(p[1]))
     for d in sorted(sp.at_infinity, key=lambda d: (d.h1, d.h2)):
         print("direction", d.h1, d.h2)
-    return 0
 
 
 def _cmd_lines(args):
     M, N = _load(args.module_a), _load(args.module_b)
     for ln in candidate_lines(M, N).lines:
         print(fmt(ln.m[0]), fmt(ln.m[1]), fmt(ln.b[0]), fmt(ln.b[1]))
-    return 0
 
 
-def _cmd_vcost(args):
+def _cmd_limit(args):
     M, N = _load(args.module_a), _load(args.module_b)
-    print(_value_line(vertical_cost(M, N, rat(args.x))))
-    return 0
-
-
-def _cmd_hcost(args):
-    M, N = _load(args.module_a), _load(args.module_b)
-    print(_value_line(horizontal_cost(M, N, rat(args.y))))
-    return 0
+    print(_value_line(args.limit(M, N, rat(args.at))))
 
 
 def _cmd_scan(args):
@@ -250,7 +222,6 @@ def _cmd_scan(args):
               % (res.max_value, res.argmax[0], res.argmax[1]))
     else:
         write_csv(res.rows, sys.stdout)
-    return 0
 
 
 def _add_line_group(sub):
@@ -268,12 +239,12 @@ def _parser():
                     "persistence modules.")
     subs = p.add_subparsers(dest="command", required=True)
 
-    def sub(name, fn, helptext, two_modules=True):
+    def sub(name, fn, helptext, two_modules=True, **defaults):
         s = subs.add_parser(name, help=helptext)
         s.add_argument("module_a", help="module file")
         if two_modules:
             s.add_argument("module_b", help="module file")
-        s.set_defaults(fn=fn)
+        s.set_defaults(fn=fn, **defaults)
         return s
 
     s = sub("dist", _cmd_dist, "exact matching distance")
@@ -288,10 +259,14 @@ def _parser():
     sub("switchpoints", _cmd_switchpoints,
         "switch points of the combined critical values")
     sub("lines", _cmd_lines, "the finite candidate line set")
-    s = sub("vcost", _cmd_vcost, "limit cost along vertical lines")
-    s.add_argument("--x", required=True, help="x0 of the vertical line")
-    s = sub("hcost", _cmd_hcost, "limit cost along horizontal lines")
-    s.add_argument("--y", required=True, help="y0 of the horizontal line")
+    s = sub("vcost", _cmd_limit, "limit cost along vertical lines",
+            limit=vertical_cost)
+    s.add_argument("--x", dest="at", metavar="X", required=True,
+                   help="x0 of the vertical line")
+    s = sub("hcost", _cmd_limit, "limit cost along horizontal lines",
+            limit=horizontal_cost)
+    s.add_argument("--y", dest="at", metavar="Y", required=True,
+                   help="y0 of the horizontal line")
     s = sub("scan", _cmd_scan, "grid sweep of weighted bottleneck costs")
     s.add_argument("--theta-steps", type=int, required=True)
     s.add_argument("--offset-steps", type=int, required=True)
@@ -308,11 +283,19 @@ _EXIT_CODES = ((InvalidLineSpec, 3), (BothTrivial, 4))
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
+        # flushed here, so that a reader who has gone is caught below
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send what is left to devnull, so the flush at exit cannot raise
+        # again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _ERRORS as e:
         print("error: %s" % e, file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES
                      if isinstance(e, kind)), 2)
+    return 0
 
 
 if __name__ == "__main__":

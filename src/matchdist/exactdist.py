@@ -37,9 +37,9 @@ call and dropped; a full buffer is sorted and deduplicated in place into
 one run, and the sorted runs merged as they grow.  The sorted distinct
 keys are then read in chunks of _fastpath.CHUNK keys (_chunks), split
 into direction runs, so each line is read once and what is unpacked and
-valued never exceeds one chunk.  Pairs that need no line search take the
-lex-min key (_first_key), from the run heads alone.  A bounded selection
-drops whole runs while still packed.
+valued never exceeds one chunk; a bounded selection drops whole runs while
+still packed.  Pairs that need no line search take the lex-min key
+(_first_key) in one pass over the run heads of the whole union.
 
 Pairs that need a line search go through one selection (_Select), whatever
 their number of bars, with both modules converted once per call, in one
@@ -483,8 +483,8 @@ def _stream(X, Y, dvals):
     min(n(n-1)/2 + n*|dirs|, _BLOCK) keys, local to the call so that calls
     can run in threads.  A block that does not fit first turns the filled
     prefix into a run (_add_run), and the buffer refills from 0; a block
-    larger than the buffer gets an array of its own.  _first_key or
-    _Select reads the union afterwards, chunk by chunk."""
+    larger than the buffer gets an array of its own.  _first_key reads the
+    union afterwards whole, and _Select chunk by chunk."""
     spec = _pack_spec(X, Y, dvals)
     n = len(X)
     buf = np.empty(min(n * (n - 1) // 2 + n * len(dvals), _BLOCK), spec.dtype)
@@ -522,39 +522,31 @@ def _chunks(union):
         yield union[s:s + step]
 
 
-def _lex_min(dxv, dyv, kv, best=None):
+def _lex_min(dxv, dyv, kv):
     """The least key, as Python ints, in the line order
-    (dx/dy, k/(lam*(dx+dy))) among the keys of the arrays (dx, dy, k) and
-    best, a key or None.
+    (dx/dy, k/(lam*(dx+dy))) among the keys of the arrays (dx, dy, k).
 
     Keys are primitive, so keys of equal ratio dx/dy share one direction,
     within which b1 orders as k: the lex-min is the least k of the direction
     of least ratio.  Rounding is monotone, so only keys whose double of
     dx/dy (_doubles, one correctly rounded division per key: int64 keys
     have dx, dy below 2^53, _pack_spec's bound) ties the least one can hold
-    the least ratio, and _Ratio orders those exactly.  The
-    result depends neither on the order of the keys nor on how they are
-    split across calls that pass on best.
+    the least ratio, and _Ratio orders those exactly.  The result does not
+    depend on the order of the keys.
     """
     r = _doubles(dxv, dyv)
     t = np.flatnonzero(r == r.min())
     dx, dy, k = dxv[t], dyv[t], kv[t]
     d = min(zip(dx.tolist(), dy.tolist()), key=_Ratio)
-    key = (*d, int(k[(dx == d[0]) & (dy == d[1])].min()))
-    if best is None:
-        return key
-    return min(best, key, key=lambda c: (_Ratio(c[:2]), c[2]))
+    return (*d, int(k[(dx == d[0]) & (dy == d[1])].min()))
 
 
 def _first_key(spec, union):
     """The lex-min of the distinct packed keys, for pairs that need no line
-    search.  Within a direction run the least k comes first, so each chunk
-    offers its run heads alone."""
-    best = None
-    for packed in _chunks(union):
-        best = _lex_min(*_unpack(spec, packed[_run_heads(spec, packed)]),
-                        best)
-    return best
+    search: one _lex_min over the run heads of the whole union, as
+    candidate_lines unpacks it whole.  Within a direction run the least k
+    comes first, so the heads alone hold the lex-min."""
+    return _lex_min(*_unpack(spec, union[_run_heads(spec, union)]))
 
 
 def _doubles(ps, qs):

@@ -4,9 +4,12 @@ The sweep is a lower-bound cross-check for the exact engine: every sample is
 the weighted bottleneck cost on one positive-slope line, so no sample can
 exceed the exact maximum by more than float round-off.  Lines are drawn from
 an (angle, offset) grid, with the direction renormalized to the standard form
-so weights match the exact path.  Every pair with equal essential counts is
-evaluated by _fastpath's float kernel, presentations through their barcode
-templates, whatever the number of bars.
+so weights match the exact path; a line of offset o has b = (-o/2, o/2), so
+b1 + b2 = 0 holds exactly in floats and an exactly normalized Line can be
+rebuilt from the doubles.  Every pair is evaluated by _fastpath's float
+kernel (line_evaluator), presentations through their barcode templates,
+whatever the number of bars; a pair with unequal essential counts costs +inf
+on every line, and its rows are full.
 
 The grid is evaluated in blocks of whole theta rows, one evaluator call per
 block of about _BLOCK_LINES evaluated lines.  A line of direction m meets a
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fastpath
-from .fibered import bar_counts
 from .geometry import line_through
 from .modules import critical_values, lub_closure
 
@@ -97,24 +99,6 @@ def default_offset_range(M, N) -> tuple:
     return (min(ys) - max(xs) - d, max(ys) - min(xs) + d)
 
 
-def _evaluator(M, N):
-    """A map from float lines (m1, m2, b1, b2) to weighted costs.
-
-    The line arrays broadcast to one shape, the costs' shape: a grid block
-    passes directions as an (r, 1) column and offsets as a (1, n) row.  The
-    kernel converts both modules once, here, for every call.  The offset
-    convention matches the exact engine: b = (-o/2, o/2) for a line of
-    offset o, so b1 + b2 = 0 holds exactly in floats and an exactly
-    normalized Line can be rebuilt from the doubles.  Unequal essential
-    counts give +inf on every line; two trivial modules need no map of
-    their own, as line_evaluator gives +0.0 there.
-    """
-    if bar_counts(M)[1] != bar_counts(N)[1]:
-        return lambda *lines: np.full(
-            np.broadcast_shapes(*(a.shape for a in lines)), math.inf)
-    return _fastpath.line_evaluator(M, N)
-
-
 def _axes(M, N, g):
     lo, hi = g.offset_range if g.offset_range is not None \
         else default_offset_range(M, N)
@@ -152,30 +136,29 @@ def _rows(m1, m2, offsets, ev):
     block of whole rows at a time: (index of the block's first direction,
     its (r, n) costs).
 
-    Each row is evaluated only on its live span, where a finite bar can be
-    alive (ev.live_span, _fastpath._live_span); elsewhere its costs are
-    +0.0, which is what the evaluator gives there bit for bit.  A block
-    takes rows while their span hull times their number stays within
-    _BLOCK_LINES lines, or r = 1 for a row past that, and r * n within
-    _OUT_BLOCKS * _BLOCK_LINES.  It goes to ev once, on its hull, as a
+    ev is a map of _fastpath.line_evaluator.  Each row is evaluated only
+    on its live span, where a finite bar can be alive (ev.live_span,
+    _fastpath._live_span); elsewhere its costs are +0.0, which is what the
+    evaluator gives there bit for bit.  A block takes rows while their span
+    hull times their number stays within _BLOCK_LINES lines, or r = 1 for a
+    row past that, and r * n within _OUT_BLOCKS * _BLOCK_LINES.  It goes to ev once, on its hull, as a
     broadcast pair: the directions as an (r, 1) column and the hull's
     offsets as a (1, h) row, so no line array is repeated or tiled.
 
-    A pair without a live-span step, the constant map of _evaluator, and
-    a grid of at most _BLOCK_LINES lines, one block whatever the spans,
-    get full rows instead, r * n up to _BLOCK_LINES, with no span
+    A grid of at most _BLOCK_LINES lines, one block whatever the spans,
+    gets full rows instead, r * n up to _BLOCK_LINES, with no span
     search."""
     n = len(offsets)
     b1, b2 = (-offsets / 2)[None, :], (offsets / 2)[None, :]
-    live = getattr(ev, "live_span", None)
-    if live is None or len(m1) * n <= _BLOCK_LINES:
+    if len(m1) * n <= _BLOCK_LINES:
         # full rows, _BLOCK_LINES lines a block: on a grid of one block
         # the spans would save no evaluator call
         per = max(1, _BLOCK_LINES // n)
         for a in range(0, len(m1), per):
             yield a, ev(m1[a:a + per, None], m2[a:a + per, None], b1, b2)
         return
-    lo, hi = (s.tolist() for s in live(m1[:, None], m2[:, None], b1, b2))
+    lo, hi = (s.tolist()
+              for s in ev.live_span(m1[:, None], m2[:, None], b1, b2))
     a = 0
     while a < len(m1):
         c0, c1, e = lo[a], hi[a], a + 1
@@ -230,7 +213,7 @@ def scan(M, N, g: GridSpec) -> ScanResult:
     """
     thetas, offsets = _axes(M, N, g)
     m1, m2 = _directions(thetas)
-    ev = _evaluator(M, N)
+    ev = _fastpath.line_evaluator(M, N)
     bound = getattr(ev, "row_bound", None)
     if bound is None or len(thetas) * len(offsets) <= _BLOCK_LINES:
         ub = np.full(len(thetas), math.inf)
@@ -259,7 +242,7 @@ def restricted_max(M, N, g: GridSpec, family: str) -> float:
     "critical_pairs_only" evaluates the finitely many lines through two
     points of the lub-closed critical value sets (no grid involved).
     """
-    ev = _evaluator(M, N)
+    ev = _fastpath.line_evaluator(M, N)
     if family == "diagonal_only":
         _, offsets = _axes(M, N, g)
         ones = np.ones(1)

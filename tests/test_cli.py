@@ -1,16 +1,20 @@
 """CLI tests: the module file grammar, each command, and every exit code."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import matchdist.cli as cli
 from conftest import ex_need_omega
-from matchdist.cli import (ParseError, main, parse_module, serialize_module)
+from matchdist.cli import ParseError, main, parse_module
 from matchdist.exactdist import candidate_lines, matching_distance
 from matchdist.geometry import line_through
 from matchdist.fibered import restrict_module
 from matchdist.modules import Presentation, TwoParamModule, rect
-from matchdist.rational import INF, Q
+from matchdist.rational import INF, Q, fmt
 
 EX1_M = "rect 0 0 7 7\nrect 0 4 7 11\n"
 EX1_N = "rect 0 0 7 11\nrect 0 4 7 7\n"
@@ -86,6 +90,24 @@ def test_parse_validates_presentation_once(monkeypatch):
     assert e.value.lineno == 10001
     assert "below generator 'g9999'" in str(e.value)
     assert len(built) == 1
+
+
+def serialize_module(module: TwoParamModule) -> str:
+    """Module file text that parses back to an equal module."""
+    out = []
+    if module.rectangles is not None:
+        for r in module.rectangles:
+            out.append("rect %s %s %s %s" % (fmt(r.lower[0]), fmt(r.lower[1]),
+                                             fmt(r.upper[0]),
+                                             fmt(r.upper[1])))
+    else:
+        p = module.presentation
+        for n, g in p.generators:
+            out.append("gen %s %s %s" % (n, fmt(g[0]), fmt(g[1])))
+        for n, g, col in p.relations:
+            out.append(("rel %s %s %s %s" % (n, fmt(g[0]), fmt(g[1]),
+                                             " ".join(sorted(col)))).rstrip())
+    return "".join(s + "\n" for s in out)
 
 
 def test_round_trip():
@@ -214,6 +236,25 @@ def test_exit_3_bad_line_spec(tmp_path, capsys):
     assert main(["bottleneck", a, b, "--line", "0,1,0,0"]) == 3
     assert main(["restrict", a, "--line", "1,0,0,0"]) == 3
     capsys.readouterr()
+
+
+def test_exit_1_closed_output_pipe(tmp_path):
+    """A scan whose CSV, 10,000 rows of some 300 KB, well over a pipe
+    buffer, goes to a reader that closes after one line: it exits 1, with
+    no error message."""
+    a, b = put(tmp_path, "a", EX1_M), put(tmp_path, "b", EX1_N)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "matchdist.cli", "scan", "--theta-steps",
+         "100", "--offset-steps", "100", a, b],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"theta,offset,")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "error:" not in err
 
 
 def test_exit_4_both_trivial(tmp_path, capsys):

@@ -1394,8 +1394,8 @@ def test_object_kernel_matches_exact_cost():
         assert res.candidate_count == small.candidate_count
 
 
-# _first_key and _Select read the distinct packed keys in slices of
-# _fastpath.CHUNK (_chunks).
+# _Select reads the distinct packed keys in slices of _fastpath.CHUNK
+# (_chunks); _first_key reads them whole.
 
 def _chunk_sizes(monkeypatch, size):
     """Patch _fastpath.CHUNK to size; the returned list collects the number
@@ -1432,27 +1432,60 @@ def test_tiny_chunks_match_per_line_selection(monkeypatch):
     assert max(sizes) <= 64
 
 
-def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
-    """On pairs that need no line search (unequal essential counts, equal
-    modules), the witness of chunked offers is the lex-min of every
-    distinct key."""
-    sizes = _chunk_sizes(monkeypatch, 64)
+def _no_search_pairs():
+    """Pairs that need no line search, with their values: unequal essential
+    counts, equal rectangle modules and equal presentations."""
     M, _ = ex_diag_not_suff()
     P = combined_presentation(M)
-    pairs = [(TwoParamModule.from_rects([rect(0, 0, INF, INF),
+    return [((TwoParamModule.from_rects([rect(0, 0, INF, INF),
                                          rect(1, 1, 3, 2)]),
-              TwoParamModule.from_rects([rect(0, 1, 2, 3)])),
-             (M, M), (P, P)]
-    for M, N in pairs:
-        n = len(sizes)
+              TwoParamModule.from_rects([rect(0, 1, 2, 3)])), INF),
+            ((M, M), 0), ((P, P), 0)]
+
+
+def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
+    """On pairs that need no line search, with 64-key chunks and more than
+    two chunks' worth of keys, the value is +inf or 0, the witness is the
+    lex-min of every distinct key and the count is theirs."""
+    monkeypatch.setattr(_fastpath, "CHUNK", 64)
+    for (M, N), value in _no_search_pairs():
         res = matching_distance(M, N)
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = distinct_keys(X, Y, dvals)
-        assert len(sizes) - n >= len(keys) // 64 > 1
+        assert len(keys) // 64 > 1
+        assert res.value == value
         best = min(keys, key=lambda t: lex_pair(*t, lam))
         assert res.witness_line == exactdist._line_from_key(*best, lam)
         assert res.candidate_count == len(keys)
-    assert max(sizes) <= 64
+
+
+@pytest.mark.parametrize("f, path", [(1, "int64"), (100003, "object"),
+                                     (10 ** 9, "bigint")])
+def test_first_key_matches_lex_pair_oracle(f, path, monkeypatch):
+    """On pairs that need no line search, scaled into each key regime,
+    _first_key takes one _lex_min call over the run heads of the whole
+    union and gives the least key of distinct_keys in lex_pair's line
+    order, as Python ints."""
+    calls = []
+    lex_min = exactdist._lex_min
+
+    def counted(*cols):
+        calls.append(len(cols[0]))
+        return lex_min(*cols)
+
+    monkeypatch.setattr(exactdist, "_lex_min", counted)
+    for (M, N), _ in _no_search_pairs():
+        M, N = scale(M, f), scale(N, f)
+        assert _key_path(M, N, None) == path
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        spec, union = exactdist._stream(X, Y, dvals)
+        heads = exactdist._run_heads(spec, union)
+        del calls[:]
+        key = exactdist._first_key(spec, union)
+        assert calls == [len(heads)]
+        keys = distinct_keys(X, Y, dvals)
+        assert key == min(keys, key=lambda t: lex_pair(*t, lam))
+        assert all(type(v) is int for v in key)
 
 
 @pytest.mark.parametrize("f", [1, 100003, 10 ** 9])
@@ -1461,8 +1494,9 @@ def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
     two, the second part headed by a larger k, on int64 keys and on keys
     scaled by 100003 and 10^9.  Where it cuts the run of the witness,
     _Select, bounding per run, gives the value, witness line and count of
-    the per-line oracle; where it cuts the run of the lex-min key of a
-    suffix of the keys, _first_key over that suffix gives that key."""
+    the per-line oracle; and _first_key, which reads a suffix of the keys
+    whole, gives the lex-min key over a suffix that a chunk boundary would
+    have cut inside that key's run."""
     M, N = (scale(m, f) for m in list(_tied_pairs())[1])
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
     spec, union = exactdist._stream(X, Y, dvals)
@@ -1482,7 +1516,7 @@ def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
         assert cut
         res = matching_distance(M, N)
         _assert_as_oracle(res, ref)
-        # a chunk of the suffix ends at the lex-min key, inside its run
+        # a chunk of the suffix would end at the lex-min key, inside its run
         start = (best + 1) % chunk
         assert start <= best
         assert exactdist._first_key(spec, union[start:]) == keys[best]
@@ -1511,14 +1545,10 @@ def test_folds_build_no_rational(monkeypatch):
         assert exactdist._line_from_key(*key, lam) == want.witness_line
 
 
-def _lex_min_of(offers, dtype):
-    """_lex_min over offers, lists of key triples, each as dtype arrays,
-    with the running best passed on from offer to offer."""
-    best = None
-    for keys in offers:
-        best = exactdist._lex_min(
-            *(np.array(c, dtype=dtype) for c in zip(*keys)), best)
-    return best
+def _lex_min_of(keys, dtype):
+    """One _lex_min call over keys, a list of key triples, each column as a
+    dtype array."""
+    return exactdist._lex_min(*(np.array(c, dtype=dtype) for c in zip(*keys)))
 
 
 @pytest.mark.parametrize("dtype, a, b", [
@@ -1528,17 +1558,15 @@ def _lex_min_of(offers, dtype):
 def test_lex_min_band_keeps_near_ties(dtype, a, b):
     """_lex_min keeps the exact lex-min against a direction whose ratio
     dx/dy is above it by a relative 2^-48, and against one whose double
-    equals its own (object keys, past 2^53), in both orders, in one
-    offer and split across offers through a running best, and in one offer
-    out of key order."""
+    equals its own (object keys, past 2^53), in both orders, and out of
+    key order."""
     assert Q(*a) < Q(*b)
     if dtype is object:
         assert float(a[0]) / float(a[1]) == float(b[0]) / float(b[1])
     for first, second in (((*a, 0), (*b, 0)), ((*b, 0), (*a, 0))):
-        for offers in ([[first, second]], [[first], [second]]):
-            assert _lex_min_of(offers, dtype) == (*a, 0)
+        assert _lex_min_of([first, second], dtype) == (*a, 0)
     # directions interleaved, k descending
-    assert _lex_min_of([[(*a, 3), (*b, 2), (*a, 1), (*b, 0)]], dtype) \
+    assert _lex_min_of([(*a, 3), (*b, 2), (*a, 1), (*b, 0)], dtype) \
         == (*a, 1)
 
 
@@ -1547,9 +1575,8 @@ def test_lex_min_band_keeps_near_ties(dtype, a, b):
                          ids=["int64", "object"])
 def test_lex_min_matches_line_order(dtype, top):
     """_lex_min gives the least key in lex_pair's line order, on random
-    primitive keys in random order, offered whole and split across offers
-    through best; the directions include pairs whose doubles of dx/dy tie,
-    (t+1)/t against (t+2)/(t+1) with t near top."""
+    primitive keys in random order; the directions include pairs whose
+    doubles of dx/dy tie, (t+1)/t against (t+2)/(t+1) with t near top."""
     rng = random.Random(1729)
     ties = [(t + 1, t) for t in (top, top + 6)] + \
         [(t + 2, t + 1) for t in (top, top + 6)]
@@ -1564,12 +1591,8 @@ def test_lex_min_matches_line_order(dtype, top):
         rng.shuffle(keys)
         lam = rng.randint(1, 10)
         want = min(keys, key=lambda t: lex_pair(*t, lam))
-        cuts = sorted(rng.sample(range(1, len(keys)),
-                                 min(len(keys) - 1, rng.randint(0, 3))))
-        for offers in ([keys], [keys[a:b] for a, b in
-                                zip([0, *cuts], [*cuts, len(keys)])]):
-            best = _lex_min_of(offers, dtype)
-            assert best == want and all(type(v) is int for v in best)
+        best = _lex_min_of(keys, dtype)
+        assert best == want and all(type(v) is int for v in best)
 
 
 def _band_top(ps, qs, chunk):

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -14,13 +15,14 @@ from hypothesis import strategies as st
 from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
                       ex_need_omega, rand_pool, rand_presentation, rand_rect,
                       rand_rect_module)
-from matchdist import _fastpath, gridscan
+from matchdist import _fastpath, fibered, gridscan
+from matchdist._fastpath import line_evaluator
 from matchdist.exactdist import _exact_cost, matching_distance
 from matchdist.fibered import bar_counts
 from matchdist.geometry import Line
 from matchdist.gridscan import (GridSpec, HeatmapRow, _axes, _directions,
-                                _evaluator, default_offset_range,
-                                restricted_max, scan, write_csv)
+                                default_offset_range, restricted_max, scan,
+                                write_csv)
 from matchdist.modules import TwoParamModule, rect
 from matchdist.rational import INF, Q, rat
 
@@ -130,7 +132,7 @@ def test_rows_order_and_argmax():
 def _scan_per_row(M, N, g):
     """scan's max, argmax and rows from one evaluator call per theta row."""
     thetas, offsets = _axes(M, N, g)
-    ev = _evaluator(M, N)
+    ev = line_evaluator(M, N)
     best, arg, rows = -math.inf, (float(thetas[0]), float(offsets[0])), []
     for th in thetas:
         c, s = math.cos(th), math.sin(th)
@@ -199,7 +201,7 @@ def _scan_flat(M, N, g):
     thetas, offsets = _axes(M, N, g)
     m1, m2 = _directions(thetas)
     n, r = len(offsets), len(thetas)
-    ev = _evaluator(M, N)
+    ev = line_evaluator(M, N)
     vals = ev(np.repeat(m1, n), np.repeat(m2, n), np.tile(-offsets / 2, r),
               np.tile(offsets / 2, r)).reshape(r, n)
     best, arg, rows = -math.inf, (float(thetas[0]), float(offsets[0])), []
@@ -252,6 +254,64 @@ def test_broadcast_blocks_match_flat_lines(pair, g, block, chunk,
     assert res.argmax == arg
     assert _bits(res.rows) == _bits(rows)
     assert repr(restricted_max(M, N, g, "diagonal_only")) == repr(diag)
+
+
+def _unequal_forms():
+    """_unequal_essential_pair as rectangles and as presentations, in both
+    argument orders."""
+    M, N = _unequal_essential_pair()
+    P, R = combined_presentation(M), combined_presentation(N)
+    return {"rect": (M, N), "rect-swapped": (N, M),
+            "presentation": (P, R), "presentation-swapped": (R, P)}
+
+
+@pytest.mark.parametrize("form", list(_unequal_forms()))
+@pytest.mark.parametrize("g", [GridSpec(7, 9), GridSpec(60, 80)],
+                         ids=["one-block", "spans"])
+def test_unequal_essential_counts_cost_inf(form, g):
+    """Sides with unequal essential counts cost +inf on every line, in the
+    lines' broadcast shape: the scan's max is +inf at the first grid point,
+    every row holds +inf in (theta, offset) order, and both restricted
+    families give +inf, on a grid of one block and on one past it."""
+    M, N = _unequal_forms()[form]
+    thetas, offsets = _axes(M, N, g)
+    res = scan(M, N, g)
+    assert res.max_value == math.inf
+    assert res.argmax == (float(thetas[0]), float(offsets[0]))
+    rows = list(res.rows)
+    assert [(r.theta, r.offset) for r in rows] == [
+        (t, o) for t in thetas.tolist() for o in offsets.tolist()]
+    assert all(r.weighted_cost == math.inf for r in rows)
+    for family in ("diagonal_only", "critical_pairs_only"):
+        assert restricted_max(M, N, g, family) == math.inf
+    costs = line_evaluator(M, N)(np.ones((3, 1)), np.ones((3, 1)),
+                                 np.zeros((1, 5)), np.zeros((1, 5)))
+    assert costs.shape == (3, 5) and np.all(costs == math.inf)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: tuple(map(combined_presentation, ex_need_omega())),
+    lambda: _unequal_forms()["presentation"],
+    lambda: _unequal_forms()["presentation-swapped"],
+], ids=["equal-essential", "unequal", "unequal-swapped"])
+def test_presentation_scan_counts_bars_once(pair, monkeypatch):
+    """A presentation scan reduces each module's relation matrix for its
+    bar counts once, when the kernel converts it: fibered.bar_counts runs
+    once per module, wherever the package binds it."""
+    calls = []
+    bar_counts = fibered.bar_counts
+
+    def counted(module):
+        calls.append(module)
+        return bar_counts(module)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "matchdist" and \
+                getattr(mod, "bar_counts", None) is bar_counts:
+            monkeypatch.setattr(mod, "bar_counts", counted)
+    M, N = pair()
+    scan(M, N, GridSpec(60, 80))
+    assert len(calls) == 2 and calls[0] is M and calls[1] is N
 
 
 def test_scan_converts_modules_once(monkeypatch):
@@ -372,7 +432,7 @@ def test_row_bounds_hold_and_best_first_matches_flat_lines(case, block):
     M, N, g = case
     thetas, offsets = _axes(M, N, g)
     m1, m2 = _directions(thetas)
-    ev = _evaluator(M, N)
+    ev = line_evaluator(M, N)
     n = len(offsets)
     b1, b2 = (-offsets / 2)[None, :], (offsets / 2)[None, :]
     bound = ev.row_bound(m1[:, None], m2[:, None], b1, b2).ravel()
@@ -395,7 +455,7 @@ def test_best_first_scan_skips_live_lines(monkeypatch):
     g = GridSpec(1000, 1000)
     thetas, offsets = _axes(M, N, g)
     m1, m2 = _directions(thetas)
-    lo, hi = _evaluator(M, N).live_span(
+    lo, hi = line_evaluator(M, N).live_span(
         m1[:, None], m2[:, None], (-offsets / 2)[None, :],
         (offsets / 2)[None, :])
     live = int(np.maximum(hi - lo, 0).sum())
@@ -487,7 +547,7 @@ def _assert_vector_path_agrees(M, N):
     th, off = th.ravel(), off.ravel()
     mx = np.maximum(np.cos(th), np.sin(th))
     lines = (np.cos(th) / mx, np.sin(th) / mx, -off / 2, off / 2)
-    fast = _evaluator(M, N)(*lines)
+    fast = line_evaluator(M, N)(*lines)
     # the offsets make b1 + b2 = 0 exactly, so the doubles give a
     # normalized Line
     exact = np.array([

@@ -37,9 +37,10 @@ def test_abrun_rejects_no_rounds():
 
 
 def test_abrun_two_seeds():
-    """--seeds runs each seed in one call: one ratio line per seed after
-    its two side lines, then the median of the seeds' ratios."""
-    out = abrun("--rounds", "1", "--seeds", "1,2")
+    """--seeds, given as a range, runs each seed in one call: one ratio
+    line per seed after its two side lines, then the median of the seeds'
+    ratios."""
+    out = abrun("--rounds", "1", "--seeds", "1-2")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert [line for line in lines if line.startswith("seed ")] == [

@@ -1,6 +1,6 @@
 """Alternated in-process timing of two matchdist checkouts on one workload.
 
-    python3 tools/abrun.py PARENT CHANGE --workload perline --seeds 1,2,3 \\
+    python3 tools/abrun.py PARENT CHANGE --workload perline --seeds 1-3 \\
         --rounds 21
 
 PARENT and CHANGE are source checkouts.  Each one's src/matchdist is copied
@@ -17,12 +17,13 @@ op, and the side that goes first is swapped each round; one untimed round
 warms both sides up.  Every output is checked with corpus.check outside the
 timed region.
 
-Each seed of --seeds is run in turn, in the same process, with its own
-warm-up round.  Prints, per seed and side, the median pass time, the rounds
-won, the failed ops and ops_per_s and op_p50_s over each op's median time,
-computed as perfbench/run.py computes them but from raw times; then the
-seed's ratio of the pass medians, CHANGE over PARENT.  With more than one
-seed, the last line is the median of the seeds' ratios.
+Each seed of --seeds, a list such as 1,2,3 or a range such as 1-10 as
+perfbench/spread.py's seed_list reads it, is run in turn, in the same
+process, with its own warm-up round.  Prints, per seed and side, the median
+pass time, the rounds won, the failed ops and ops_per_s and op_p50_s over
+each op's median time, computed as perfbench/run.py computes them but from
+raw times; then the seed's ratio of the pass medians, CHANGE over PARENT.
+With more than one seed, the last line is the median of the seeds' ratios.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus as C  # noqa: E402
+from spread import seed_list  # noqa: E402
 
 
 def load(checkout, name, where):
@@ -71,11 +73,6 @@ def positive(text):
     if n < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
     return n
-
-
-def seeds(text):
-    """Comma-separated ints, for argparse."""
-    return [int(v) for v in text.split(",")]
 
 
 def run_seed(sides, lib, seed, rounds):
@@ -117,7 +114,7 @@ def main():
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--workload", default="perline", choices=C.WORKLOADS)
-    ap.add_argument("--seeds", type=seeds, default=[1])
+    ap.add_argument("--seeds", type=seed_list, default=[1])
     ap.add_argument("--rounds", type=positive, default=21)
     args = ap.parse_args()
     lib = C.load_library(args.workload)
