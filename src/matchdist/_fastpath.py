@@ -33,6 +33,11 @@ where its certificate shows that every intermediate fits, Python ints in
 object arrays otherwise.  exact_reduced_values reduces every line.  The
 witness diagrams come from the same integer sides (key_diagram), so no
 module is restricted in rationals.
+
+Each map carries the same attributes whatever the pair, so its callers
+read them and never probe: line_evaluator's live_span and row_bound, whose
++inf column bounds nothing, and exact_evaluator's sides and bound, None
+where no direction bound holds.
 """
 from __future__ import annotations
 
@@ -387,7 +392,9 @@ def _row_bound(fin, m1, m2, b1, b2):
     """Per direction of the (r, 1) column m1, m2, a float no float cost of
     _chunk on that direction exceeds, at any offset of the row b1, b2:
     _direction_bound plus the margin 2^-48*(V + B) + 2^-1022, V the largest
-    |coordinate| of the finite rects fin and B the largest |b|.
+    |coordinate| of the finite rects fin and B the largest |b|.  Without
+    finite rects (fin None or empty, _finite_rects) every entry is +inf,
+    which bounds nothing.
 
     The margin, with u = 2^-53: a crossing c(v) = fl(fl(v - b)/m) rounds
     twice, so it lies within 2.0001u*(|v| + |b|)/m of (v - b)/m.  A bar's
@@ -405,6 +412,8 @@ def _row_bound(fin, m1, m2, b1, b2):
     halving that rounds a subnormal up.  Offsets past the box make B large
     and the bound loose, never wrong.
     """
+    if not fin:
+        return np.full(np.shape(m1), math.inf)
     scale = max(abs(v) for lower, uppers in fin
                 for v in (*lower, *(u for _, u in uppers)))
     reach = max(float(np.abs(b).max()) for b in (b1, b2))
@@ -428,10 +437,11 @@ def _first_true(pred, shape, n):
     return lo
 
 
-def _live_span(sm, sn, m1, m2, b1, b2):
+def _live_span(fin, m1, m2, b1, b2):
     """Per direction row, the column span [lo, hi) of the offset row outside
-    which _chunk gives +0.0 in floats, for the sides sm, sn that
-    line_evaluator converted: m1, m2 are an (r, 1) direction column, b1, b2
+    which _chunk gives +0.0 in floats, for the finite rects fin of the sides
+    that line_evaluator converted (_finite_rects, None for a presentation
+    or essential bars): m1, m2 are an (r, 1) direction column, b1, b2
     the (1, n) row b = (-o/2, o/2) of nondecreasing offsets o.  A row with
     no live column gets lo = n, hi = 0, so that a hull of rows is the min
     of their lo and the max of their hi.
@@ -454,12 +464,12 @@ def _live_span(sm, sn, m1, m2, b1, b2):
     +0.0: the value the full evaluation gives, bit for bit, as long as the
     crossings are finite.
 
-    Presentations and essential bars get full rows: their bars need not die
-    on one offset interval, and essential costs stay positive far away.  So
-    do two trivial modules, whose rows hold no bar at all.
+    Presentations and essential bars, where fin is None, get full rows:
+    their bars need not die on one offset interval, and essential costs
+    stay positive far away.  So do two trivial modules, whose fin is empty
+    and whose rows hold no bar at all.
     """
     r, n = len(m1), b1.shape[-1]
-    fin = _finite_rects(sm, sn)
     if not fin:
         return np.zeros(r, dtype=np.intp), np.full(r, n, dtype=np.intp)
     # an infinite upper crosses at inf, where its predicate always holds
@@ -497,12 +507,14 @@ def line_evaluator(M, N):
     line, in the lines' broadcast shape: no matching pairs every essential
     bar.
 
-    The map's live_span(m1, m2, b1, b2) is _live_span on the same converted
-    sides: for a direction column against a nondecreasing offset row, the
-    columns of each row outside which the map gives +0.0.  On a rectangle
-    pair without essential bars the map also has row_bound(m1, m2, b1, b2),
-    _row_bound on the same sides: per direction of the column, a float that
-    no cost on that direction exceeds, at any offset of the row.
+    Every map has two attributes, each a partial of its function over the
+    finite rects of the same converted sides (_finite_rects), taken once.
+    live_span(m1, m2, b1, b2) is _live_span: for a direction column against
+    a nondecreasing offset row, the columns of each row outside which the
+    map gives +0.0.  row_bound(m1, m2, b1, b2) is _row_bound: per direction
+    of the column, a float that no cost on that direction exceeds, at any
+    offset of the row, +inf unless the pair is one of rectangles without
+    essential bars.
     """
     sm, sn = _sides(M, N, float)
     unequal = essential_count(sm) != essential_count(sn)
@@ -523,10 +535,9 @@ def line_evaluator(M, N):
                 *(a if a.shape[-1] == 1 else a[sl] for a in lines)))
         return out
 
-    costs.live_span = partial(_live_span, sm, sn)
     fin = _finite_rects(sm, sn)
-    if fin:
-        costs.row_bound = partial(_row_bound, fin)
+    costs.live_span = partial(_live_span, fin)
+    costs.row_bound = partial(_row_bound, fin)
     return costs
 
 
@@ -567,7 +578,8 @@ def exact_evaluator(M, N, lam):
     restrict_presentation's push parameters do, ties included, so its
     barcode templates pair the same generators and relations.
 
-    On a rectangle pair without essential bars the map also has
+    The map's bound is None unless the pair is one of rectangles without
+    essential bars (_finite_rects), with a finite rect.  Then it is
     bound(dxv, dyv): _direction_bound's fractions (p_ub, q) per direction,
     with the map's own q and p <= p_ub on every line of that direction,
     exact under the map's certificate with kb = 0.
@@ -601,9 +613,8 @@ def exact_evaluator(M, N, lam):
 
     values.sides = sm, sn
     fin = _finite_rects(sm, sn)
-    if fin:
-        values.bound = lambda dxv, dyv: _direction_bound(
-            fin, numerators(dxv, dyv))
+    values.bound = (lambda dxv, dyv: _direction_bound(
+        fin, numerators(dxv, dyv))) if fin else None
     return values
 
 

@@ -9,10 +9,13 @@ presentation:
     rel r 0 7 g            # rel <name> x y <generator names>
 
 Numbers are integers, exact decimals ("2.5"), or fractions ("7/11").  A file
-mixes rect with gen/rel never.  Exit codes: 0 success, 1 output pipe closed
-by its reader (as by "| head"), 2 malformed input, 3 invalid line
-specification, 4 both modules trivial where a line search needs at least
-one critical value.
+mixes rect with gen/rel never.  main reads and parses the command's one or
+two module files, in order, before the command runs, and passes the modules
+to its handler, so a file error is reported before a bad line spec.
+
+Exit codes: 0 success, 1 output pipe closed by its reader (as by "| head"),
+2 malformed input, 3 invalid line specification, 4 both modules trivial
+where a line search needs at least one critical value.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from .bottleneck import bottleneck
 from .exactdist import (BothTrivial, candidate_lines, horizontal_cost,
@@ -110,11 +114,6 @@ def parse_module(text: str) -> TwoParamModule:
     return TwoParamModule.from_presentation(pres)
 
 
-def _load(path):
-    with open(path) as f:
-        return parse_module(f.read())
-
-
 def _rats(spec):
     parts = spec.split(",")
     if len(parts) != 4:
@@ -166,8 +165,7 @@ def _result_doc(res, seconds) -> dict:
     return doc
 
 
-def _cmd_dist(args):
-    M, N = _load(args.module_a), _load(args.module_b)
+def _cmd_dist(args, M, N):
     t0 = time.perf_counter()
     res = matching_distance(M, N)
     seconds = time.perf_counter() - t0
@@ -177,22 +175,19 @@ def _cmd_dist(args):
         print(_value_line(res.value))
 
 
-def _cmd_bottleneck(args):
-    M, N = _load(args.module_a), _load(args.module_b)
+def _cmd_bottleneck(args, M, N):
     line = _line_from_args(args)
     cost, _ = bottleneck(restrict_module(M, line), restrict_module(N, line))
     print(fmt(cost))
 
 
-def _cmd_restrict(args):
-    M = _load(args.module_a)
+def _cmd_restrict(args, M):
     line = _line_from_args(args)
     for bar in restrict_module(M, line):
         print(fmt(bar.birth), fmt(bar.death))
 
 
-def _cmd_switchpoints(args):
-    M, N = _load(args.module_a), _load(args.module_b)
+def _cmd_switchpoints(args, M, N):
     sp = switch_points(set(critical_values(M)) | set(critical_values(N)))
     for p in sorted(sp.proper):
         print("point", fmt(p[0]), fmt(p[1]))
@@ -200,19 +195,16 @@ def _cmd_switchpoints(args):
         print("direction", d.h1, d.h2)
 
 
-def _cmd_lines(args):
-    M, N = _load(args.module_a), _load(args.module_b)
+def _cmd_lines(args, M, N):
     for ln in candidate_lines(M, N).lines:
         print(fmt(ln.m[0]), fmt(ln.m[1]), fmt(ln.b[0]), fmt(ln.b[1]))
 
 
-def _cmd_limit(args):
-    M, N = _load(args.module_a), _load(args.module_b)
+def _cmd_limit(args, M, N):
     print(_value_line(args.limit(M, N, rat(args.at))))
 
 
-def _cmd_scan(args):
-    M, N = _load(args.module_a), _load(args.module_b)
+def _cmd_scan(args, M, N):
     g = GridSpec(args.theta_steps, args.offset_steps)
     res = scan(M, N, g)
     if args.out:
@@ -244,7 +236,8 @@ def _parser():
         s.add_argument("module_a", help="module file")
         if two_modules:
             s.add_argument("module_b", help="module file")
-        s.set_defaults(fn=fn, **defaults)
+        # module_b stays None where a positional does not set it
+        s.set_defaults(fn=fn, module_b=None, **defaults)
         return s
 
     s = sub("dist", _cmd_dist, "exact matching distance")
@@ -283,7 +276,9 @@ _EXIT_CODES = ((InvalidLineSpec, 3), (BothTrivial, 4))
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        args.fn(args)
+        modules = [parse_module(Path(p).read_text())
+                   for p in (args.module_a, args.module_b) if p is not None]
+        args.fn(args, *modules)
         # flushed here, so that a reader who has gone is caught below
         sys.stdout.flush()
     except BrokenPipeError:

@@ -13,9 +13,10 @@ emitted point.
 
 Candidate lines are identified by primitive integer keys (dx, dy, k) over a
 common-denominator scaling of the point set; a key passes scaled point (X, Y)
-when dy*X - dx*Y = k.  The pair enumeration is quadratic in the point set and
-can reach tens of millions of pairs, so keys are produced in cache-sized
-bands of the upper triangle and consumed by one streaming loop over a single
+when dy*X - dx*Y = k, and dx, dy > 0 on every key the stream makes.  The
+pair enumeration is quadratic in the point set and can reach tens of
+millions of pairs, so keys are produced in cache-sized bands of the upper
+triangle and consumed by one streaming loop over a single
 injective packing of each key into one integer.  One spec (_pack_spec) fixes
 every integer type of the stream, each by an exact bound on the values it
 holds: the blocks and unpacked keys are int64 while every |k| and product
@@ -69,8 +70,7 @@ import numpy as np
 from . import _fastpath
 from .bottleneck import MatchingWitness, bottleneck
 from .fibered import bar_counts, restrict_module
-from .geometry import (Line, NonPositiveDirection, ProjPoint,
-                       normalize_line, weight)
+from .geometry import Line, ProjPoint, normalize_line, weight
 from .modules import TwoParamModule, critical_values, lub_closure, swap_axes
 from .rational import INF, Q, is_inf, rat
 
@@ -215,6 +215,7 @@ def switch_points(C) -> SwitchPointSet:
 
 
 def _pos_dirs(ds):
+    """The positive directions (h1, h2) among the projective points ds."""
     return {(int(d.h1), int(d.h2)) for d in ds
             if d.h0 == 0 and d.h1 > 0 and d.h2 > 0}
 
@@ -633,21 +634,22 @@ class _Select:
     arithmetic.  _band, _prune, reduce_fractions and _exact_top take both,
     and int64 and object parts concatenate to object.
 
-    On a rectangle pair without essential bars the selection works per
-    direction run (by_run): the double of the run's direction bound p_ub/q
-    (_fastpath._direction_bound: the kernel's own q, p <= p_ub exactly) is
-    taken once, at the run's head, and a run below _band's threshold, whose
-    argument carries over, is dropped while still packed; only the live
-    keys are unpacked and valued.  The first chunk values its runs of
-    highest bound first, up to _SEED keys, so the bound prunes from the
-    start; _lex_min picks among the tied keys in any order.
+    Where the map has a bound, on a rectangle pair without essential bars,
+    the selection works per direction run (by_run): the double of the run's
+    direction bound p_ub/q (_fastpath._direction_bound: the kernel's own q,
+    p <= p_ub exactly) is taken once, at the run's head, and a run below
+    _band's threshold, whose argument carries over, is dropped while still
+    packed; only the live keys are unpacked and valued.  The first chunk
+    values its runs of highest bound first, up to _SEED keys, so the bound
+    prunes from the start; _lex_min picks among the tied keys in any
+    order.
     """
 
     __slots__ = ("values", "by_run", "fmax", "parts", "size")
 
     def __init__(self, values):
         self.values = values
-        self.by_run = hasattr(values, "bound")
+        self.by_run = values.bound is not None
         self.fmax = -np.inf
         self.parts, self.size = [], 0
 
@@ -704,21 +706,17 @@ class _Select:
                 (int(ps[top[0]]), int(qs[top[0]])))
 
 
-def _check_positive(dxv, dyv):
-    """Raise NonPositiveDirection, as Line does, unless every direction
-    (dx, dy) is componentwise positive: one test over int or key arrays."""
-    if not (np.all(np.greater(dxv, 0)) and np.all(np.greater(dyv, 0))):
-        raise NonPositiveDirection("direction must be componentwise positive")
-
-
 def _key_lines(dx, dy, ks, lam):
     """The lines of the primitive keys (dx, dy, k), k in ks, of one
-    direction whose positivity the caller has checked.
+    direction of positive ints, as every key of the stream has: _pair_keys
+    keeps only the pairs with dx > 0 and dy > 0, and _pos_dir and _pos_dirs
+    only the positive directions.
 
-    They are built without Line.__post_init__, whose other conditions hold
-    by construction: the one shared m = (dx, dy)/max(dx, dy) has max(m) = 1,
-    and b = (b1, -b1) with b1 = k/(lam*(dx + dy)) has b1 + b2 = 0.  Every
-    field is a canonical Q, so the lines equal and hash as Line(m, b) does.
+    They are built without Line.__post_init__, whose conditions hold by
+    construction: dx, dy > 0 make the direction positive, the one shared
+    m = (dx, dy)/max(dx, dy) has max(m) = 1, and b = (b1, -b1) with
+    b1 = k/(lam*(dx + dy)) has b1 + b2 = 0.  Every field is a canonical Q,
+    so the lines equal and hash as Line(m, b) does.
     """
     mx = max(dx, dy)
     m = (Q(dx, mx), Q(dy, mx))
@@ -735,11 +733,8 @@ def _key_lines(dx, dy, ks, lam):
 
 
 def _line_from_key(dx, dy, k, lam):
-    dx, dy = int(dx), int(dy)
-    # as Line does; _check_positive's array test costs more than the line
-    if dx <= 0 or dy <= 0:
-        raise NonPositiveDirection("direction must be componentwise positive")
-    return _key_lines(dx, dy, (int(k),), lam)[0]
+    """The line of one key of the stream (_key_lines)."""
+    return _key_lines(int(dx), int(dy), (int(k),), lam)[0]
 
 
 class _Ratio(tuple):
@@ -776,9 +771,8 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     the arrays, sorted by k; and within a direction b1 = k/(lam*(dx+dy))
     orders as k.  So only the distinct directions are sorted, by
     dx/dy = m1/m2 (_direction_order), and each keeps its run in key order.
-    The directions are checked positive once per call, over the run heads,
-    and _key_lines builds each line in standard normalization by
-    construction, with no second check per line.
+    Every key direction is positive by construction (_key_lines), so
+    _key_lines builds each line in standard normalization with no check.
 
     Raises:
         BothTrivial: if neither module has any critical values.
@@ -789,9 +783,7 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     spec, packed = _stream(X, Y, dvals)
     starts = _run_heads(spec, packed)
     dxv, dyv, kv = _unpack(spec, packed)
-    dxv, dyv = dxv[starts], dyv[starts]
-    _check_positive(dxv, dyv)
-    runs = zip(dxv.tolist(), dyv.tolist(), starts.tolist(),
+    runs = zip(dxv[starts].tolist(), dyv[starts].tolist(), starts.tolist(),
                [*starts[1:].tolist(), kv.size])
     ks = kv.tolist()
     lines = []

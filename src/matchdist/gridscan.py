@@ -206,20 +206,21 @@ def scan(M, N, g: GridSpec) -> ScanResult:
     evaluation (_rows), so a scan whose rows are never read costs no row
     storage, and every row equals the full evaluation bit for bit.  The max
     and argmax are the first maximum in (theta, offset) order, as a call per
-    row gives.  A grid of more than _BLOCK_LINES lines on a rectangle pair
-    without essential bars finds them best-first (_first_max): rows in
-    decreasing direction bound (_fastpath._row_bound), stopping once the
-    next row's bound is below the best value found.
+    row gives.  A grid of more than _BLOCK_LINES lines finds them
+    best-first (_first_max): rows in decreasing row bound (the map's
+    row_bound, _fastpath._row_bound), stopping once the next row's bound is
+    below the best value found.  Only a rectangle pair without essential
+    bars has finite bounds; the +inf bounds of any other pair keep every
+    row, in order.
     """
     thetas, offsets = _axes(M, N, g)
     m1, m2 = _directions(thetas)
     ev = _fastpath.line_evaluator(M, N)
-    bound = getattr(ev, "row_bound", None)
-    if bound is None or len(thetas) * len(offsets) <= _BLOCK_LINES:
+    if len(thetas) * len(offsets) <= _BLOCK_LINES:
         ub = np.full(len(thetas), math.inf)
     else:
-        ub = bound(m1[:, None], m2[:, None], (-offsets / 2)[None, :],
-                   (offsets / 2)[None, :]).ravel()
+        ub = ev.row_bound(m1[:, None], m2[:, None], (-offsets / 2)[None, :],
+                          (offsets / 2)[None, :]).ravel()
     best, (i, j) = _first_max(m1, m2, offsets, ev, ub)
     arg = (float(thetas[i]), float(offsets[j]))
 

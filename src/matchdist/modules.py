@@ -23,26 +23,30 @@ class Rect:
     """Support rectangle [lower1, upper1) x [lower2, upper2).
 
     The lower corner is finite; upper coordinates may be +inf.  Both
-    inequalities lower < upper are strict.
+    inequalities lower < upper are strict.  Every coordinate is made exact
+    at construction: the lower ones by rat, the upper ones by _coord, which
+    also takes "inf" and numpy's infinity to INF.
     """
 
     lower: tuple
     upper: tuple
 
     def __post_init__(self):
-        l1, l2 = self.lower
-        u1, u2 = self.upper
-        if is_inf(l1) or is_inf(l2):
+        if is_inf(self.lower[0]) or is_inf(self.lower[1]):
             raise ValueError("lower corner must be finite")
+        l1, l2 = lower = tuple(map(rat, self.lower))
+        u1, u2 = upper = tuple(map(_coord, self.upper))
         # the lower corner is finite, so an infinite upper needs no
         # comparison, which would take Fraction's float path
         if not ((is_inf(u1) or l1 < u1) and (is_inf(u2) or l2 < u2)):
             raise ValueError("rectangle needs lower < upper in both coordinates")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
 
 def rect(x1, y1, x2, y2) -> Rect:
     """Convenience constructor; accepts ints, strings, rationals, and inf."""
-    return Rect((rat(x1), rat(y1)), (_coord(x2), _coord(y2)))
+    return Rect((x1, y1), (x2, y2))
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,18 @@ class Presentation:
     generators: tuple of (name, grade) with grade a finite point.
     relations: tuple of (name, grade, column) where column is a frozenset of
     generator names carrying coefficient 1.
+    Every grade is made exact by rat at construction, so an infinite, NaN
+    or non-numeric grade raises ValueError.
     """
 
     generators: tuple
     relations: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators", tuple(
+            (n, (rat(g[0]), rat(g[1]))) for n, g in self.generators))
+        object.__setattr__(self, "relations", tuple(
+            (n, (rat(g[0]), rat(g[1])), c) for n, g, c in self.relations))
 
     def grade_violation(self):
         """First structural defect as a message string, or None if valid."""

@@ -219,6 +219,29 @@ def test_scan_stdout_and_file(tmp_path, capsys):
 
 # Exit codes.
 
+def _help_texts():
+    """The --help texts of the program and of each subcommand, by command
+    line, from cli_help.txt: argparse's output at 80 columns on Python
+    3.11, one section per command, each after a "== matchdist ... ==" line."""
+    text = (Path(__file__).parent / "cli_help.txt").read_text()
+    parts = text.split("== ")[1:]
+    return {head: body for head, _, body in
+            (p.partition(" ==\n") for p in parts)}
+
+
+def test_help_texts_unchanged(capsys, monkeypatch):
+    """--help of the program and of every subcommand prints cli_help.txt's
+    text byte for byte and exits 0."""
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = _help_texts()
+    assert len(texts) == 9
+    for head, want in texts.items():
+        with pytest.raises(SystemExit) as done:
+            main([*head.split()[1:], "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out == want, head
+
+
 def test_exit_2_parse_error(tmp_path, capsys):
     a = put(tmp_path, "a", "rect 0 0 7 x\n")
     b = put(tmp_path, "b", EX1_N)
@@ -226,6 +249,13 @@ def test_exit_2_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 1" in err and "'x'" in err
     assert main(["dist", str(tmp_path / "missing"), b]) == 2
+    # a file error is reported before a bad line spec
+    for cmd in (["bottleneck", b, str(tmp_path / "missing")],
+                ["restrict", str(tmp_path / "missing")]):
+        capsys.readouterr()
+        assert main([*cmd, "--line", "0,1,0,0"]) == 2
+        err = capsys.readouterr().err
+        assert "No such file" in err and "missing" in err
 
 
 def test_exit_3_bad_line_spec(tmp_path, capsys):

@@ -30,9 +30,8 @@ from matchdist.exactdist import (BothTrivial, CandidateLineSet,
                                  vertical_cost)
 from matchdist.fibered import (Bar, bar_counts, restrict_module,
                                restrict_presentation)
-from matchdist.geometry import (Line, NonPositiveDirection, ProjPoint,
-                                line_through, normalize_line, push_param,
-                                weight)
+from matchdist.geometry import (Line, ProjPoint, line_through,
+                                normalize_line, push_param, weight)
 from matchdist.gridscan import GridSpec, scan
 from matchdist.modules import (TwoParamModule, critical_values, lub_closure,
                                rect, scale, swap_axes, translate)
@@ -137,8 +136,8 @@ def test_candidate_lines_match_exact_sort_on_every_key_path(monkeypatch):
     packed keys, object packed keys over int64 blocks, object blocks), with
     and without extra switch points and directions.  Every line passes the
     public constructor's check and equals and hashes as the line it
-    builds; a lattice with no positive-slope line gives the empty set, and
-    a non-positive direction raises as Line does."""
+    builds, so every key direction is positive; a lattice with no
+    positive-slope line gives the empty set."""
     rng = random.Random(19)
     pool = rand_pool(rng, 3)
     cases = [(ex_need_omega(), 1, "int64"),
@@ -171,11 +170,6 @@ def test_candidate_lines_match_exact_sort_on_every_key_path(monkeypatch):
     monkeypatch.setattr(exactdist, "_lattice",
                         lambda M, N, extra: ([0, 0], [0, 6], [], 1))
     assert candidate_lines(*ex_need_omega()) == CandidateLineSet(())
-    for dx, dy in ((0, 3), (3, -1)):
-        with pytest.raises(NonPositiveDirection):
-            exactdist._line_from_key(dx, dy, 1, 1)
-        with pytest.raises(NonPositiveDirection):
-            exactdist._check_positive(np.array([2, dx]), np.array([5, dy]))
 
 
 def test_direction_order_matches_fractions():
@@ -1935,14 +1929,14 @@ def test_direction_bound_holds_on_every_key():
     """On every distinct key of a rectangle pair without essential bars,
     up to MAX_FINITE + 2 finite bars a side, the kernel's unreduced value
     p/q has the bound's own q and p <= p_ub in Python ints; a pair with
-    essential bars gets no bound."""
+    essential bars has the bound None."""
     for M, N in itertools.chain(_wide_pairs(), _tied_pairs()):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = distinct_keys(X, Y, dvals)
         dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
         values = _fastpath.exact_evaluator(M, N, lam)
         if bar_counts(M)[1]:
-            assert not hasattr(values, "bound")
+            assert values.bound is None
             continue
         p, q = values(dxv, dyv, kv)
         pu, qu = values.bound(dxv, dyv)

@@ -502,6 +502,35 @@ def test_scan_skips_dead_offsets(pair, full, monkeypatch):
         assert 0 < sum(lines) < 1000 * 1000
 
 
+@pytest.mark.parametrize("pair, finite", [
+    (ex_need_omega, True),
+    (lambda: tuple(map(combined_presentation, ex_need_omega())), False),
+    (lambda: (TwoParamModule.from_rects([rect(0, 0, INF, INF),
+                                         rect(1, 2, 6, 5)]),
+              TwoParamModule.from_rects([rect(1, 1, INF, INF),
+                                         rect(0, 3, 4, 7)])), False),
+    (lambda: (TwoParamModule.from_rects([]),) * 2, False),
+], ids=["rect", "presentation", "essential", "trivial"])
+def test_every_map_has_row_bound_and_live_span(pair, finite):
+    """Every map of line_evaluator has row_bound and live_span.  The row
+    bound is an (r, 1) column, finite on a rectangle pair without
+    essential bars and +inf on a presentation pair, on a pair with
+    essential bars and on two trivial modules, whose live spans are full
+    rows."""
+    M, N = pair()
+    ev = line_evaluator(M, N)
+    thetas, offsets = _axes(M, N, GridSpec(7, 9))
+    m1, m2 = _directions(thetas)
+    line = (m1[:, None], m2[:, None], (-offsets / 2)[None, :],
+            (offsets / 2)[None, :])
+    bound = ev.row_bound(*line)
+    assert bound.shape == (7, 1)
+    assert np.all(np.isfinite(bound) if finite else bound == math.inf)
+    if not finite:
+        lo, hi = ev.live_span(*line)
+        assert lo.tolist() == [0] * 7 and hi.tolist() == [9] * 7
+
+
 def test_small_grid_skips_span_search(monkeypatch):
     """A grid of at most _BLOCK_LINES lines is one block of full rows, so
     its scan runs no span search; a larger grid runs it once."""

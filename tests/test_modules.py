@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from matchdist.exactdist import matching_distance
+from matchdist.fibered import restrict_module
+from matchdist.geometry import normalize_line
+from matchdist.gridscan import GridSpec, scan
 from matchdist.modules import (Presentation, Rect, TwoParamModule,
                                critical_values, lub_closure, rect,
                                rect_as_presentation, scale, swap_axes,
@@ -60,6 +65,106 @@ def test_numpy_infinity_is_the_marker():
     r = Rect((Q(0), Q(0)), (big, Q(1)))
     assert critical_values(TwoParamModule.from_rects([r])) == \
         critical_values(TwoParamModule.from_rects([rect(0, 0, "inf", 1)]))
+
+
+# the spellings of a finite coordinate that a constructor takes; every
+# value spelled below is a dyadic rational, so its float is exact
+_SPELLINGS = {
+    "fraction": Q,
+    "float": float,
+    "decimal": lambda v: str(float(v)),
+    "ratio": lambda v: "%d/%d" % (v.numerator, v.denominator),
+    "int": int,
+}
+
+
+def _spelled(rects, spell):
+    """The rectangles rects, (lower, upper) pairs of Fractions and INF, as
+    a rectangle module built with Rect directly and as a presentation, one
+    generator per rectangle and one relation per finite upper, with every
+    finite coordinate spelled by spell."""
+    def point(p):
+        return tuple(c if is_inf(c) else spell(c) for c in p)
+
+    gens, rels = [], []
+    for k, (lower, upper) in enumerate(rects):
+        gens.append(("g%d" % k, point(lower)))
+        rels += [("r%d_%d" % (k, axis), point(
+            (u, lower[1]) if axis == 0 else (lower[0], u)),
+            frozenset({"g%d" % k}))
+            for axis, u in enumerate(upper) if not is_inf(u)]
+    return (TwoParamModule.from_rects([Rect(point(lo), point(up))
+                                       for lo, up in rects]),
+            TwoParamModule.from_presentation(
+                Presentation(tuple(gens), tuple(rels))))
+
+
+@pytest.mark.parametrize("shift", [(0, 0), (Q(1, 2), Q(1, 4))],
+                         ids=["integral", "dyadic"])
+def test_constructors_make_coordinates_exact(shift):
+    """Rect and Presentation make every coordinate exact, so int (where the
+    coordinates are integral), Fraction, float, decimal-string and
+    fraction-string spellings build equal modules, with equal
+    matching_distance (value, witness line and matching, count), scan
+    (max, argmax, every row) and restrict_module results, as rectangles
+    and as presentations."""
+    def moved(r):
+        (l1, l2), (u1, u2) = r
+        return ((l1 + shift[0], l2 + shift[1]),
+                (u1 if is_inf(u1) else u1 + shift[0],
+                 u2 if is_inf(u2) else u2 + shift[1]))
+
+    one = [moved(r) for r in (((Q(0), Q(0)), (Q(7), Q(8))),
+                              ((Q(0), Q(4)), (Q(7), Q(11))),
+                              ((Q(1), Q(2)), (INF, INF)))]
+    two = [moved(r) for r in (((Q(0), Q(0)), (Q(7), Q(11))),
+                              ((Q(0), Q(4)), (Q(7), Q(8))),
+                              ((Q(2), Q(1)), (INF, INF)))]
+    spellings = [name for name in _SPELLINGS if name != "int" or shift[0] == 0]
+    lines = [normalize_line((1, 1), (0, 0)), normalize_line((1, 3), (2, 1))]
+    g = GridSpec(9, 11)
+    ref = None
+    for name in spellings:
+        pairs = list(zip(_spelled(one, _SPELLINGS[name]),
+                         _spelled(two, _SPELLINGS[name])))
+        got = []
+        for M, N in pairs:
+            res = matching_distance(M, N)
+            sc = scan(M, N, g)
+            got.append((M, N, res, repr(sc.max_value), sc.argmax,
+                        [repr(r) for r in sc.rows],
+                        [restrict_module(X, ln) for X in (M, N)
+                         for ln in lines]))
+        if ref is None:
+            ref = got
+            assert ref[0][2].value > 0
+        assert got == ref, name
+
+
+@pytest.mark.parametrize("bad", [INF, np.float64("inf"), -INF, math.nan,
+                                 "inf", "x"],
+                         ids=["inf", "numpy-inf", "-inf", "nan", "str-inf",
+                              "str"])
+def test_constructors_reject_non_finite_grades(bad):
+    """An infinite, NaN or non-numeric grade of a generator or a relation,
+    or lower corner of a Rect, raises ValueError at construction; an
+    infinite lower corner, INF or numpy's, still reads "lower corner must
+    be finite".  An upper corner takes INF, numpy's infinity and "inf",
+    and rejects the rest."""
+    col = frozenset({"g"})
+    with pytest.raises(ValueError):
+        Presentation((("g", (0, bad)),), ())
+    with pytest.raises(ValueError):
+        Presentation((("g", (0, 0)),), (("r", (bad, 1), col),))
+    with pytest.raises(ValueError) as lower:
+        Rect((bad, 0), (1, 1))
+    if is_inf(bad):
+        assert str(lower.value) == "lower corner must be finite"
+    if is_inf(bad) or bad == "inf":
+        assert Rect((0, 0), (bad, 1)).upper == (INF, Q(1))
+    else:
+        with pytest.raises(ValueError):
+            Rect((0, 0), (bad, 1))
 
 
 def test_module_exactly_one_form():

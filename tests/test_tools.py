@@ -63,12 +63,25 @@ def benchpairs(parent, change, *args):
                           capture_output=True, text=True, timeout=600)
 
 
+def _copies(stderr):
+    """The parent's and the change's copy, as benchpairs names them."""
+    line = next(line for line in stderr.splitlines()
+                if line.startswith("parent runs in "))
+    a, _, b = line.removeprefix("parent runs in ").partition(", change in ")
+    return Path(a), Path(b)
+
+
 def test_benchpairs_one_pair():
-    """One seed of the checkout against itself, tiny: the parent runs
-    first on an odd seed, each run prints every metric and its page
-    faults, and the summary has one line per metric."""
+    """One seed of the checkout against itself, tiny, an A/A control: the
+    sides run in sibling copies whose paths have equal length, removed at
+    exit; the parent runs first on an odd seed, each run prints every
+    metric and its page faults, and the summary has one line per
+    metric."""
     out = benchpairs(ROOT, ROOT, "--tiny", "2", "--seeds", "1")
     assert out.returncode == 0, out.stderr
+    a, b = _copies(out.stderr)
+    assert a.parent == b.parent != ROOT and len(str(a)) == len(str(b))
+    assert a != b and not a.parent.exists()
     lines = out.stdout.splitlines()
     assert [line.split(":")[0] for line in lines[:2]] == [
         "parent seed 1", "change seed 1"]
@@ -83,12 +96,17 @@ def test_benchpairs_one_pair():
 
 
 def _fake_checkout(where, detail, result, code=0):
-    """A checkout whose perfbench/run.py prints the two JSON lines and
-    exits with code."""
+    """A checkout whose perfbench/run.py appends its working directory and
+    the names in it to ../runs.log, prints the two JSON lines and exits
+    with code."""
     (where / "perfbench").mkdir(parents=True)
     (where / "perfbench" / "run.py").write_text(
-        "import sys\nprint(%r)\nprint(%r)\nsys.exit(%d)\n"
-        % (json.dumps({"detail": detail}), json.dumps(result), code))
+        "import os, sys\n"
+        "with open(%r, 'a') as f:\n"
+        "    print(os.getcwd(), *sorted(os.listdir()), file=f)\n"
+        "print(%r)\nprint(%r)\nsys.exit(%d)\n"
+        % (str(where.parent / "runs.log"), json.dumps({"detail": detail}),
+           json.dumps(result), code))
     return where
 
 
@@ -103,10 +121,17 @@ def test_benchpairs_fails_on_failed_or_incorrect_run(tmp_path):
     ok = _fake_checkout(tmp_path / "ok", detail, good)
     crash = _fake_checkout(tmp_path / "crash", detail, good, code=3)
     wrong = _fake_checkout(tmp_path / "wrong", detail, bad)
+    (ok / "BENCHMARK.json").write_text("{}")
     out = benchpairs(ok, ok, "--seeds", "1-2")
     assert out.returncode == 0, out.stderr
     assert [line.split(":")[0] for line in out.stdout.splitlines()[:4]] == [
         "parent seed 1", "change seed 1", "change seed 2", "parent seed 2"]
+    # each side ran in its own copy of perfbench/ and BENCHMARK.json
+    a, b = _copies(out.stderr)
+    runs = [line.split() for line in
+            (tmp_path / "runs.log").read_text().splitlines()]
+    assert runs == [[str(w), "BENCHMARK.json", "perfbench"]
+                    for w in (a, b, b, a)]
     out = benchpairs(ok, crash, "--seeds", "1")
     assert out.returncode == 1
     assert "run failed in %s, seed 1 (exit 3)" % crash in out.stderr
@@ -114,3 +139,59 @@ def test_benchpairs_fails_on_failed_or_incorrect_run(tmp_path):
     assert out.returncode == 1
     assert "incorrect run in %s, seed 2: 1 of 2 ops failed" % wrong \
         in out.stderr
+
+
+CODELINES = ROOT / "tools" / "codelines.py"
+# a commit whose package the counts of earlier changes were taken on
+COUNTED_COMMIT = "9493590fe7741b36a22c3ec51ccabf9eac829b3f"
+
+
+def codelines(checkout):
+    out = subprocess.run([sys.executable, str(CODELINES), str(checkout)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return {name: int(n) for n, name in
+            (line.split() for line in out.stdout.splitlines())}
+
+
+def test_codelines_skips_blanks_comments_and_docstrings(tmp_path):
+    """A code line holds a token other than a comment, outside every
+    module, class and function docstring; a string that is not a
+    docstring counts each of its lines, and a line of code with a
+    trailing comment counts once."""
+    pkg = tmp_path / "src" / "matchdist"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n'
+        "# a comment\n"
+        "\n"
+        "X = 1  # code and a comment\n"
+        "Y = '''two\n"
+        "lines'''\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function\n'
+        '        docstring."""\n'
+        "        return (1 +\n"
+        "                2)\n")
+    (pkg / "b.py").write_text("")
+    assert codelines(tmp_path) == {"a.py": 7, "b.py": 0, "total": 7}
+
+
+def test_codelines_reads_the_counted_commit(tmp_path):
+    """At the commit whose package earlier changes counted by hand, the
+    script reads their 1,582 code lines, file by file as they did."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", COUNTED_COMMIT, "src/matchdist"],
+        capture_output=True, timeout=60, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tmp_path)], input=archive,
+                   check=True, timeout=60)
+    counts = codelines(tmp_path)
+    assert counts["total"] == 1582
+    assert {k: counts[k] for k in ("_fastpath.py", "cli.py", "exactdist.py",
+                                   "gridscan.py")} == {
+        "_fastpath.py": 316, "cli.py": 228, "exactdist.py": 438,
+        "gridscan.py": 141}

@@ -3,12 +3,20 @@
     python3 tools/benchpairs.py PARENT CHANGE --workload rect_small \\
         --seeds 1-10 [--tiny N]
 
-PARENT and CHANGE are source checkouts.  For each seed of --seeds,
-perfbench/run.py --trace 0 runs once in each checkout, for BENCHMARK.json's
-run_seconds (--tiny N shrinks the corpus for a smoke test), as a fresh
-subprocess whose working directory is that checkout, with
-PYTHONDONTWRITEBYTECODE=1, so that no run leaves bytecode for the next one
-and each compiles its package as a run in a clean checkout does.  The
+PARENT and CHANGE are source checkouts.  Each one's src/, perfbench/ and
+BENCHMARK.json are first copied into sibling temporary directories, a/ for
+the parent and b/ for the change, whose paths have equal length: the
+benchmark's timings have been seen to follow the directory a checkout sits
+in, by some 3-4% on explore between two copies of one commit, so both sides
+run from directories that differ in one letter.  Passing the same checkout
+twice gives an A/A control, the code against itself.  The copies are
+removed at exit, and stderr names them.
+
+For each seed of --seeds, perfbench/run.py --trace 0 runs once in each
+copy, for BENCHMARK.json's run_seconds (--tiny N shrinks the corpus for a
+smoke test), as a fresh subprocess whose working directory is that copy,
+with PYTHONDONTWRITEBYTECODE=1, so that no run leaves bytecode for the next
+one and each compiles its package as a run in a clean checkout does.  The
 parent runs first on odd seeds and the change first on even ones.  Each
 run has a process, and so a heap, of its own, as in the benchmark;
 tools/abrun.py puts both sides in one process, where allocator effects do
@@ -29,9 +37,11 @@ import argparse
 import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,11 +50,28 @@ from spread import seed_list  # noqa: E402
 
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 HIGHER = {m["name"] for m in BENCH["end_to_end"] if m["better"] == "higher"}
+# what a run reads of a checkout
+COPIED = ("src", "perfbench", "BENCHMARK.json")
 
 
-def run(checkout, workload, seed, tiny):
-    """One run.py process in checkout: its metrics by name, the raw timings
-    as raw_<name>, and minflt, the child's minor page faults."""
+def copy_checkout(checkout, where):
+    """Copy what a run reads of checkout into the new directory where,
+    without bytecode caches, and return where."""
+    where.mkdir()
+    for name in COPIED:
+        src = Path(checkout) / name
+        if src.is_dir():
+            shutil.copytree(src, where / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        elif src.exists():
+            shutil.copy2(src, where / name)
+    return where
+
+
+def run(checkout, where, workload, seed, tiny):
+    """One run.py process in where, a copy of checkout: its metrics by
+    name, the raw timings as raw_<name>, and minflt, the child's minor
+    page faults."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(BENCH["run_seconds"]),
            "--trace", "0"]
@@ -52,7 +79,7 @@ def run(checkout, workload, seed, tiny):
         cmd += ["--tiny", str(tiny)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
-    out = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True,
+    out = subprocess.run(cmd, cwd=where, env=env, capture_output=True,
                          text=True, timeout=600)
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = out.stdout.splitlines()
@@ -85,14 +112,19 @@ def main(argv=None):
     ap.add_argument("--seeds", type=seed_list, default=[1])
     ap.add_argument("--tiny", type=int, default=0, metavar="N")
     args = ap.parse_args(argv)
-    sides = (("parent", args.parent), ("change", args.change))
     runs = {"parent": [], "change": []}
-    for seed in args.seeds:
-        for name, checkout in (sides if seed % 2 else sides[::-1]):
-            m = run(checkout, args.workload, seed, args.tiny)
-            runs[name].append(m)
-            print("%s seed %d: %s" % (name, seed, " ".join(
-                "%s %.6g" % kv for kv in m.items())), flush=True)
+    with tempfile.TemporaryDirectory(prefix="benchpairs-") as tmp:
+        sides = [(name, checkout, copy_checkout(checkout, Path(tmp) / sub))
+                 for name, checkout, sub in (("parent", args.parent, "a"),
+                                             ("change", args.change, "b"))]
+        print("parent runs in %s, change in %s" % (sides[0][2], sides[1][2]),
+              file=sys.stderr, flush=True)
+        for seed in args.seeds:
+            for name, checkout, where in (sides if seed % 2 else sides[::-1]):
+                m = run(checkout, where, args.workload, seed, args.tiny)
+                runs[name].append(m)
+                print("%s seed %d: %s" % (name, seed, " ".join(
+                    "%s %.6g" % kv for kv in m.items())), flush=True)
     print("metric: parent median, change median, ratio change/parent, "
           "parent IQR, change better in n of %d" % len(args.seeds))
     for key in runs["parent"][0]:
