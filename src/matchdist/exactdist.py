@@ -19,13 +19,13 @@ millions of pairs, so keys are produced in cache-sized bands of the upper
 triangle and consumed by one streaming loop over a single
 injective packing of each key into one integer.  One spec (_pack_spec) fixes
 every integer type of the stream, each by an exact bound on the values it
-holds: the blocks and unpacked keys are int64 while every |k| and product
-X*dy, Y*dx stays below 2^62 and every dx, dy below 2^53; the packed keys
-also while the packing's largest value stays below 2^62; and the pair
-stage's coordinate differences are int32 while every |coordinate| is below
-2^30.  Past a bound a type holds Python ints in object arrays, so the
-three key regimes are int64 packed keys, object packed keys over int64
-blocks, and object blocks.  Each pair's direction is divided by the gcd
+holds: the unpacked keys are int64 while every |k| and product X*dy,
+Y*dx stays below 2^62 and every dx, dy below 2^53; the packed keys also
+while the packing's largest value stays below 2^62; and the pair stage's
+coordinate differences are int32 while every |coordinate| is below 2^30.
+Past a bound a type holds Python ints in object arrays, so the three key
+regimes are int64 packed keys, object packed keys over int64 unpacked
+keys, and object unpacked keys.  Each pair's direction is divided by the gcd
 of its differences, taken after one Euclid step: with lo the smaller
 difference and r the larger one's remainder mod lo, the gcd is
 gcd(lo, r), read off one int16 table of gcd(a, b) for a, b < 512 when
@@ -33,14 +33,20 @@ lo < 512 (_table_gcd), and np.gcd otherwise and on object arrays.  The
 process builds that table once, in about 9 ms, for its first lattice of
 at least 512^2 point pairs; smaller lattices before it take np.gcd.  The
 point-direction lines come one broadcast per group of directions.  Each
-block is packed straight into the next free slice of one key buffer per
-call and dropped; a full buffer is sorted and deduplicated in place into
-one run, and the sorted runs merged as they grow.  The sorted distinct
-keys are then read in chunks of _fastpath.CHUNK keys (_chunks), split
-into direction runs, so each line is read once and what is unpacked and
-valued never exceeds one chunk; a bounded selection drops whole runs while
-still packed.  Pairs that need no line search take the lex-min key
-(_first_key) in one pass over the run heads of the whole union.
+block's keys are packed straight from the points into the next free
+slots of one key buffer per call (_Keys), which keeps its sorted distinct
+keys at its front: when a block does not fit, the keys written since are
+sorted, merged into them and compacted in place, and the buffer grows
+only when its distinct keys fill three quarters of it.  So the stream's
+memory is bounded
+by the number of distinct lines: the buffer, at most its first capacity
+or about twice the distinct keys, and one cache-sized block; the union is
+the buffer, shrunk to its distinct keys.  It is then read in chunks of
+_fastpath.CHUNK keys (_chunks), split into direction runs, so each line is
+read once and what is unpacked and valued never exceeds one chunk; a
+bounded selection drops whole runs while still packed.  Pairs that need
+no line search take the lex-min key (_first_key) over the run heads of
+the union, chunk by chunk.
 
 Pairs that need a line search go through one selection (_Select), whatever
 their number of bars, with both modules converted once per call, in one
@@ -62,6 +68,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -287,15 +294,20 @@ def _pack_spec(X, Y, dvals):
     ay the largest |X|, |Y|, and dxm, dym the largest dx, dy of any key
     (the coordinate ranges, or a direction's entries):
 
-    - key_dtype, of the blocks and the unpacked (dx, dy, k): every |X*dy|,
-      |Y*dx| and |k| = |dy*X - dx*Y| is below KB = dym*ax + dxm*ay + 1,
-      and the blocks hold X and Y.  int64 iff KB, ax and ay are below 2^62
-      and dxm, dym below 2^53, where dx and dy convert to doubles exactly,
-      so that _lex_min's double of dx/dy is one correctly rounded division.
-    - dtype, of the packed keys: every step of _pack lies between -KB and
-      top = (dxm*SDY + dym)*SK + 2*KB, the packing's largest value.  int64
-      iff top is below 2^62 and the blocks are int64, as _pack adds them in
-      place.
+    - key_dtype, of the unpacked (dx, dy, k): every |X*dy|, |Y*dx| and
+      |k| = |dy*X - dx*Y| is below KB = dym*ax + dxm*ay + 1.  int64 iff KB,
+      ax and ay are below 2^62 and dxm, dym below 2^53, where dx and dy
+      convert to doubles exactly, so that _lex_min's double of dx/dy is one
+      correctly rounded division.
+    - dtype, of the packed keys and of the X, Y, A_i, B_i and C_d that
+      _iter_blocks packs them from, dx*A_i + dy*B_i + KB for a pair of row
+      i, with A_i = SDY*SK - Y_i and B_i = SK + X_i, and d2*X - d1*Y + C_d
+      for a point and a direction d, with C_d = d1*SDY*SK + d2*SK + KB.
+      With top = (dxm*SDY + dym)*SK + 2*KB, the packing's largest value,
+      every term and partial sum of both lies in [-2*KB, top + KB]: each
+      of |X*dy|, |Y*dx|, |X_i|, |Y_i| and |k| is below KB.  int64 iff top
+      is below 2^62 and key_dtype is int64, so that with KB below 2^62
+      that range lies inside int64.
     - diff_dtype, of the pair stage's coordinate differences, each at most
       2*max(ax, ay) in size: int32 iff ax and ay are below 2^30, int64 iff
       below 2^62, object beyond.
@@ -314,20 +326,6 @@ def _pack_spec(X, Y, dvals):
                  np.dtype(np.int64 if blocks else object),
                  np.dtype(np.int32 if a < 1 << 30 else
                           np.int64 if a < 1 << 62 else object))
-
-
-def _pack(spec, dxv, dyv, kv, out):
-    """Pack (dx, dy, k) arrays into out, an array or slice of their length
-    and the spec's dtype, in place, and return it; the inputs are never
-    written, and dx and dy may be of a narrower dtype than k.  dx is copied
-    in first, so an object out holds Python ints before any product."""
-    out[...] = dxv
-    out *= spec.sdy
-    out += dyv
-    out *= spec.sk
-    out += kv
-    out += spec.kb
-    return out
 
 
 def _unpack(spec, packed):
@@ -367,49 +365,65 @@ def _table_gcd(table, dx, dy):
     return g
 
 
-def _pair_keys(Xd, Yd, Xa, Ya, a, b, c):
-    """Primitive keys of the positive-slope lines through rows a..b-1 and
-    columns c..: dx and dy in the difference dtype of Xd and Yd, k in that
-    of Xa and Ya.  dx > 0 keeps each unordered pair of sorted points once,
-    and dy > 0 drops the rest of the axis-parallel and negative-slope
-    pairs.  Once _iter_blocks has built the gcd table, int32 and int64
-    differences divide by its gcds (_table_gcd), which take about half of
-    np.gcd's time; object differences, and every band before the build, take
-    np.gcd."""
+def _pair_keys(Xd, Yd, a, b, c):
+    """Primitive directions (dx, dy) of the positive-slope lines through
+    rows a..b-1 and columns c.., in the difference dtype of Xd and Yd, and
+    the number of them in each row.  dx > 0 keeps each unordered pair of
+    sorted points once, and dy > 0 drops the rest of the axis-parallel and
+    negative-slope pairs.  Once _iter_blocks has built the gcd table, int32
+    and int64 differences divide by its gcds (_table_gcd), which take about
+    half of np.gcd's time; object differences, and every band before the
+    build, take np.gcd."""
     dx = Xd[None, c:] - Xd[a:b, None]
     dy = Yd[None, c:] - Yd[a:b, None]
     keep = dx > 0
     keep &= dy > 0
-    rows = np.count_nonzero(keep, axis=1)
     dxv, dyv = dx[keep], dy[keep]
     g = (np.gcd(dxv, dyv) if _gcd_table is None or dxv.dtype == object
          else _table_gcd(_gcd_table, dxv, dyv))
     dxv //= g
     dyv //= g
-    k = np.repeat(Xa[a:b], rows)
-    k *= dyv
-    ya = np.repeat(Ya[a:b], rows)
-    ya *= dxv
-    k -= ya
-    return dxv, dyv, k
+    return dxv, dyv, np.count_nonzero(keep, axis=1)
+
+
+def _pack_pairs(dxv, dyv, A, B, rows, kb, out):
+    """Pack the keys of a band's pairs into out, dx*A_i + dy*B_i + KB with
+    the A_i, B_i of each pair's row i (_pack_spec), in out's dtype: rows
+    counts the pairs of each row, so A and B are repeated over them.  dx*A
+    is written first, so an object out holds Python ints."""
+    np.multiply(dxv, np.repeat(A, rows), out=out)
+    out += np.repeat(B, rows) * dyv
+    out += kb
+
+
+def _pack_dirs(D, C, XP, YP, out):
+    """Pack the keys of the lines through every point (X, Y) with each
+    direction (d1, d2) of the rows of D into out, direction by direction,
+    d2*X - d1*Y + C_d with C the C_d of D's rows (_pack_spec)."""
+    grid = out.reshape(len(D), -1)
+    np.multiply(D[:, 1:], XP, out=grid)
+    grid -= D[:, :1] * YP
+    grid += C[:, None]
 
 
 def _iter_blocks(X, Y, dvals, spec):
-    """Yield primitive (dx, dy, k) key blocks: every positive-slope line
+    """Yield one (m, write) per block of keys: write(out) packs its m keys
+    into out, an array of the spec's dtype, every positive-slope line
     through two distinct points once per unordered pair, then every (point,
     direction) line once.  Expects sorted points.
 
-    k is of the spec's key_dtype and the pairs' dx and dy of its diff_dtype,
-    each the narrowest type that _pack_spec's bound on its values allows:
-    int32 differences while every |coordinate| is below 2^30, int64 keys
-    while kb is below 2^62, Python ints in object arrays past a bound.  The
-    pairs come in row bands of about _BAND_PAIRS pairs, so a band's
-    differences, mask and gcd stay in cache.  A band's columns start at the
-    first point of larger X than its first row's, so the lower triangle and
-    that row's equal-X ties are never built.  The direction blocks take
-    about _BLOCK/4 lines each, a group of directions against every point:
-    k is d2*X - d1*Y over the (group, n) grid.  _stream packs each block
-    into its buffer and drops it before the next.
+    The keys are packed straight from the points, with no (dx, dy, k)
+    block: the pairs' dx and dy come in the spec's diff_dtype, int32 while
+    every |coordinate| is below 2^30, and everything else is in its dtype,
+    int64 or Python ints, the X and Y of the points and the A_i, B_i and
+    C_d of the two packings (_pack_spec), so one path serves every key
+    regime.  The pairs come in row bands of about _BAND_PAIRS pairs, so a
+    band's differences, mask, gcd and repeated A_i, B_i stay in cache.  A
+    band's columns start at the first point of larger X than its first
+    row's, so the lower triangle and that row's equal-X ties are never
+    built.  The direction blocks take about _BAND_PAIRS lines each too, a
+    group of directions against every point, one broadcast over the
+    (group, n) grid.
 
     The first lattice of at least _GCD_SIDE**2 point pairs, n = 725 points
     at the side of 512, builds the process's gcd table (_gcd_table), in
@@ -420,89 +434,95 @@ def _iter_blocks(X, Y, dvals, spec):
     if _gcd_table is None and n * (n - 1) // 2 >= _GCD_SIDE ** 2:
         ints = np.arange(_GCD_SIDE, dtype=np.int16)
         _gcd_table = np.gcd(ints[:, None], ints[None, :])
-    Xa = np.asarray(X, dtype=spec.key_dtype)
-    Ya = np.asarray(Y, dtype=spec.key_dtype)
-    Xd, Yd = Xa.astype(spec.diff_dtype), Ya.astype(spec.diff_dtype)
+    XP, YP = np.asarray(X, dtype=spec.dtype), np.asarray(Y, dtype=spec.dtype)
+    Xd, Yd = np.asarray(X, spec.diff_dtype), np.asarray(Y, spec.diff_dtype)
+    A, B = spec.sdy * spec.sk - YP, spec.sk + XP
     a = 0
     while (c := bisect_right(X, X[a])) < n:
         b = min(n - 1, a + max(1, _BAND_PAIRS // (n - c)))
-        yield _pair_keys(Xd, Yd, Xa, Ya, a, b, c)
+        dxv, dyv, rows = _pair_keys(Xd, Yd, a, b, c)
+        yield dxv.size, partial(_pack_pairs, dxv, dyv, A[a:b], B[a:b], rows,
+                                spec.kb)
         a = b
-    D = np.array(dvals, dtype=spec.key_dtype).reshape(-1, 2)
-    step = max(1, _BLOCK // 4 // n)
+    D = np.array(dvals, dtype=spec.dtype).reshape(-1, 2)
+    C = D[:, 0] * (spec.sdy * spec.sk) + D[:, 1] * spec.sk + spec.kb
+    step = max(1, _BAND_PAIRS // n)
     for s in range(0, len(D), step):
-        d1, d2 = D[s:s + step, :1], D[s:s + step, 1:]
-        k = d2 * Xa
-        k -= d1 * Ya
-        yield np.repeat(d1, n), np.repeat(d2, n), k.ravel()
+        yield (min(step, len(D) - s) * n,
+               partial(_pack_dirs, D[s:s + step], C[s:s + step], XP, YP))
 
 
-def _unique_sorted(a, kind=None):
-    """Sorted distinct values of a 1-d array, as np.unique returns them;
-    a itself is sorted in place, so callers pass arrays they own or the
-    filled prefix of _stream's buffer.  An a of one key or none is returned.
+class _Keys:
+    """The key buffer of one _stream call, its sorted distinct keys at its
+    front: size of them, then the keys written since, up to fill.
 
-    A sort and an adjacent-difference mask: np.unique on integers takes a
-    hash-table path in numpy >= 2.3, which is many times slower than this
-    on the millions of keys a block holds.  kind is passed to the sort.
-    """
-    a.sort(kind=kind)
-    if a.size > 1:
-        keep = np.empty(a.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(a[1:], a[:-1], out=keep[1:])
-        a = a[keep]
-    return a
+    slot(m) hands out the next m free slots.  When they do not fit, the
+    written keys are sorted, merged with the distinct prefix (a stable
+    sort, which merges the two sorted runs) and compacted in place, one
+    _BAND_PAIRS block of the merged keys at a time; and the buffer grows by
+    half (ndarray.resize, with no view of it alive between blocks) only
+    when its distinct keys fill three quarters of it or leave less than
+    m free.  union() compacts the last keys and shrinks the buffer to its
+    distinct keys.  So besides the buffer, of at most about twice the
+    distinct keys once it grows, the stream holds one block at a time."""
 
+    __slots__ = ("buf", "size", "fill")
 
-def _merge(runs):
-    """The sorted distinct values of sorted runs; the stable sort merges
-    them."""
-    if len(runs) == 1:
-        return runs[0]
-    return _unique_sorted(np.concatenate(runs), "stable")
+    def __init__(self, cap, dtype):
+        self.buf = np.empty(cap, dtype)
+        self.size = self.fill = 0
 
+    def slot(self, m):
+        if self.fill + m > self.buf.size:
+            self._compact()
+            cap = self.buf.size
+            if self.size + max(m, cap // 4) > cap:
+                self.buf.resize(max(cap + cap // 2, self.size + m))
+        self.fill += m
+        return self.buf[self.fill - m:self.fill]
 
-def _add_run(runs, keys):
-    """Append keys, sorted and deduplicated in place, to runs as one run
-    that owns its memory; merge the runs past 4*_BLOCK keys, so memory is
-    bounded by the number of distinct lines."""
-    # keys repeat lines that pass through more than two points
-    run = _unique_sorted(keys)
-    if run.size:
-        # up to 1 key comes back as keys itself, maybe a view of the buffer
-        runs.append(run if run.base is None else run.copy())
-    if len(runs) > 1 and sum(r.size for r in runs) > 4 * _BLOCK:
-        runs[:] = [_merge(runs)]
+    def _compact(self):
+        keys, w = self.buf[:self.fill], 0
+        keys[self.size:].sort()
+        if self.size:
+            keys.sort(kind="stable")
+        # a block's first key repeats the last one kept iff it repeats its
+        # predecessor: the keys are sorted
+        for s in range(0, keys.size, _BAND_PAIRS):
+            blk = keys[s:s + _BAND_PAIRS]
+            keep = np.empty(blk.size, dtype=bool)
+            keep[0] = w == 0 or blk[0] != keys[w - 1]
+            np.not_equal(blk[1:], blk[:-1], out=keep[1:])
+            blk = blk[keep]
+            keys[w:w + blk.size] = blk
+            w += blk.size
+        self.size = self.fill = w
+
+    def union(self):
+        """The sorted distinct keys, as the buffer itself: it owns its
+        memory, and the call drops every other reference to it."""
+        self._compact()
+        self.buf.resize(self.size)
+        return self.buf
 
 
 def _stream(X, Y, dvals):
     """The one key loop: the spec and the sorted distinct packed keys of
     every block, each line once however many blocks repeat it.
 
-    Each block is packed into the next free slice of one key buffer of
-    min(n(n-1)/2 + n*|dirs|, _BLOCK) keys, local to the call so that calls
-    can run in threads.  A block that does not fit first turns the filled
-    prefix into a run (_add_run), and the buffer refills from 0; a block
-    larger than the buffer gets an array of its own.  _first_key reads the
-    union afterwards whole, and _Select chunk by chunk."""
+    Each block is packed into the next free slots of one key buffer
+    (_Keys), at first of min(n(n-1)/2 + n*|dirs|, _BLOCK) keys, local to
+    the call so that calls can run in threads; it keeps its distinct keys
+    at its front, so memory is bounded by the number of distinct lines:
+    the buffer, at most its first capacity or about twice the distinct
+    keys, and one cache-sized block.  _first_key and _Select read the
+    union afterwards chunk by chunk."""
     spec = _pack_spec(X, Y, dvals)
     n = len(X)
-    buf = np.empty(min(n * (n - 1) // 2 + n * len(dvals), _BLOCK), spec.dtype)
-    runs, fill = [], 0
-    for blk in _iter_blocks(X, Y, dvals, spec):
-        m = blk[0].size
-        if m > buf.size:
-            _add_run(runs, _pack(spec, *blk, np.empty(m, spec.dtype)))
-        else:
-            if fill + m > buf.size:
-                _add_run(runs, buf[:fill])
-                fill = 0
-            _pack(spec, *blk, buf[fill:fill + m])
-            fill += m
-        del blk
-    _add_run(runs, buf[:fill])
-    return spec, _merge(runs) if runs else np.empty(0, spec.dtype)
+    keys = _Keys(min(n * (n - 1) // 2 + n * len(dvals), _BLOCK), spec.dtype)
+    for m, write in _iter_blocks(X, Y, dvals, spec):
+        write(keys.slot(m))
+    return spec, keys.union()
 
 
 def _run_heads(spec, packed):
@@ -544,10 +564,12 @@ def _lex_min(dxv, dyv, kv):
 
 def _first_key(spec, union):
     """The lex-min of the distinct packed keys, for pairs that need no line
-    search: one _lex_min over the run heads of the whole union, as
-    candidate_lines unpacks it whole.  Within a direction run the least k
-    comes first, so the heads alone hold the lex-min."""
-    return _lex_min(*_unpack(spec, union[_run_heads(spec, union)]))
+    search: one _lex_min over the run heads of the union, taken chunk by
+    chunk (_chunks).  Within a direction run the least k comes first, so
+    the heads alone hold the lex-min; a run cut by a chunk boundary adds
+    its second part's head, a key of the run, which changes nothing."""
+    heads = [c[_run_heads(spec, c)] for c in _chunks(union)]
+    return _lex_min(*_unpack(spec, np.concatenate(heads)))
 
 
 def _doubles(ps, qs):
@@ -837,8 +859,11 @@ def matching_distance(M: TwoParamModule, N: TwoParamModule,
     """Exact matching distance with a witness line and matching.
 
     Ties between maximizing lines are broken by the lexicographically
-    smallest (m1/m2, b1).  Candidate keys are streamed in blocks, so memory
-    is bounded by the number of distinct lines, never the number of pairs.
+    smallest (m1/m2, b1).  Candidate keys are streamed in blocks into one
+    buffer that keeps only their distinct keys (_stream), so memory is
+    bounded by the number of distinct lines, never the number of pairs: 8
+    bytes per int64 key in a buffer of at most about twice the distinct
+    lines, or its first 2^22 keys, and one cache-sized block.
     """
     if M.is_trivial and N.is_trivial:
         return DistanceResult(Q(0), None, None, 0)

@@ -24,17 +24,18 @@ class Rect:
 
     The lower corner is finite; upper coordinates may be +inf.  Both
     inequalities lower < upper are strict.  Every coordinate is made exact
-    at construction: the lower ones by rat, the upper ones by _coord, which
-    also takes "inf" and numpy's infinity to INF.
+    at construction by _coord, which also takes "inf" and numpy's infinity
+    to INF, so an infinite lower coordinate, in any of these spellings,
+    raises ValueError("lower corner must be finite").
     """
 
     lower: tuple
     upper: tuple
 
     def __post_init__(self):
-        if is_inf(self.lower[0]) or is_inf(self.lower[1]):
+        l1, l2 = lower = tuple(map(_coord, self.lower))
+        if is_inf(l1) or is_inf(l2):
             raise ValueError("lower corner must be finite")
-        l1, l2 = lower = tuple(map(rat, self.lower))
         u1, u2 = upper = tuple(map(_coord, self.upper))
         # the lower corner is finite, so an infinite upper needs no
         # comparison, which would take Fraction's float path
@@ -56,8 +57,9 @@ class Presentation:
     generators: tuple of (name, grade) with grade a finite point.
     relations: tuple of (name, grade, column) where column is a frozenset of
     generator names carrying coefficient 1.
-    Every grade is made exact by rat at construction, so an infinite, NaN
-    or non-numeric grade raises ValueError.
+    Every grade is made exact by rat at construction, so an infinite or
+    NaN float grade, or a string that is no number, raises ValueError, and
+    a grade of another type, such as None, raises TypeError, as in rect.
     """
 
     generators: tuple

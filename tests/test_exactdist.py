@@ -7,6 +7,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -118,8 +119,8 @@ def test_candidate_lines_lex_sorted():
 
 def _key_path(M, N, extra):
     """The key regime, by the dtypes of the packing: int64 packed keys
-    ("int64"), object packed keys over int64 blocks ("object"), or object
-    blocks ("bigint")."""
+    ("int64"), object packed keys over int64 unpacked keys ("object"), or
+    object unpacked keys ("bigint")."""
     X, Y, dvals, _ = exactdist._lattice(M, N, extra)
     return _spec_path(exactdist._pack_spec(X, Y, dvals))
 
@@ -133,11 +134,11 @@ def _spec_path(spec):
 def test_candidate_lines_match_exact_sort_on_every_key_path(monkeypatch):
     """Ordering on the integer keys gives the lines of a sort of every key
     by its exact (m1/m2, b1), in the same order, in every key regime (int64
-    packed keys, object packed keys over int64 blocks, object blocks), with
-    and without extra switch points and directions.  Every line passes the
-    public constructor's check and equals and hashes as the line it
-    builds, so every key direction is positive; a lattice with no
-    positive-slope line gives the empty set."""
+    packed keys, object packed keys over int64 unpacked keys, object
+    unpacked keys), with and without extra switch points and directions.
+    Every line passes the public constructor's check and equals and
+    hashes as the line it builds, so every key direction is positive; a
+    lattice with no positive-slope line gives the empty set."""
     rng = random.Random(19)
     pool = rand_pool(rng, 3)
     cases = [(ex_need_omega(), 1, "int64"),
@@ -497,18 +498,29 @@ def test_diagram_cost_matches_bottleneck():
             assert got[0] == want
 
 
-def test_unique_sorted_matches_np_unique():
+def test_key_buffer_matches_np_unique(monkeypatch):
+    """The key buffer's union of keys written in slots of 1 to 5 keys
+    equals np.unique of all of them, in int64 and in Python ints: with 4
+    slots at first, it compacts, merges with its distinct prefix and grows
+    as the keys come, deduplicating in blocks of 3 keys, so that runs of
+    equal keys straddle block edges; a union of one key or none is
+    returned too."""
+    monkeypatch.setattr(exactdist, "_BAND_PAIRS", 3)
     rng = np.random.default_rng(12)
     cases = [[], [7], [5, 5, 5, 5], [-3, 8, -3, -(1 << 62), 0, 8],
              list(range(-4, 9)), list(range(9, -4, -1)),
-             rng.integers(-50, 50, 1000)]
-    for case in cases:
+             rng.integers(-50, 50, 1000), rng.integers(-9, 9, 100)]
+    for case, dtype in itertools.product(cases, (np.int64, object)):
         a = np.asarray(case, dtype=np.int64)
-        want = np.unique(a)
-        for kind in (None, "stable"):
-            got = exactdist._unique_sorted(a.copy(), kind)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        keys = exactdist._Keys(4, np.dtype(dtype))
+        s = 0
+        while s < a.size:
+            m = min(a.size - s, int(rng.integers(1, 6)))
+            keys.slot(m)[...] = a[s:s + m]
+            s += m
+        got = keys.union()
+        assert got.dtype == dtype and got.flags.owndata
+        assert got.tolist() == np.unique(a).tolist()
 
 
 def test_cheapest_matching_matches_patterns():
@@ -695,9 +707,9 @@ def test_huge_coordinates_use_exact_keys():
 
 def test_translated_coordinates_keep_int64_keys():
     """Translated by (10^9, 10^9), _huge_pair() has large coordinates over
-    small ranges, so its blocks, packed keys and coordinate differences all
-    stay int64; it gives the untranslated value, count and witness
-    direction, and the witness offset moves by the translation."""
+    small ranges, so its unpacked keys, packed keys and coordinate
+    differences all stay int64; it gives the untranslated value, count and
+    witness direction, and the witness offset moves by the translation."""
     M0, N0 = _huge_pair()
     t = (10 ** 9, 10 ** 9)
     M, N = translate(M0, t), translate(N0, t)
@@ -721,11 +733,13 @@ def _grid(xs, ys):
 
 
 _O, _I64, _I32 = np.dtype(object), np.dtype(np.int64), np.dtype(np.int32)
-# X, Y, the key bound kb, and the types (packed keys, blocks, differences)
+# X, Y, the key bound kb, and the types (packed keys, unpacked keys,
+# differences)
 # at each edge of _pack_spec's bounds, on the direction (1, 1): the pair
 # stage's differences reach 2*|coordinate|, |k| reaches kb - 1, and the
 # packing's top is 8*kb + 3, whose nearest values to 2^62 are 2^62 - 5 and
-# 2^62 + 3.  A lone point has no key, but its coordinate bounds the blocks.
+# 2^62 + 3.  A lone point has no key, but its coordinate bounds the
+# unpacked keys.
 _A30, _A62, _B61, _B58 = 2 ** 30, 2 ** 62, 2 ** 61, 2 ** 58
 _EDGES = {
     "coordinate 2^30 - 1": (_grid((1 - _A30, _A30 - 1), (0, 1)),
@@ -951,7 +965,7 @@ def test_key_diagrams_match_restriction(f):
     essential rectangles among them, whose bars die on some keys, and on
     presentations with essential generators whose pairs have zero length
     on some keys; with small coordinates, and scaled by 10^9, on object
-    blocks.  Half the keys pass through a lattice point."""
+    unpacked keys.  Half the keys pass through a lattice point."""
     rng = random.Random(78)
     seen = set()
     for t in range(40):
@@ -1089,13 +1103,14 @@ def test_huge_presentation_coordinates_use_exact_keys():
 
 
 # One packed key stream in every regime: int64 packed keys, Python-int
-# packed keys over int64 blocks, and Python-int blocks.
+# packed keys over int64 unpacked keys, and Python-int unpacked keys.
 
 def test_distinct_keys_match_pair_loop(monkeypatch):
-    """The streamed keys, packed, deduplicated per batch and merged across
-    many batches, equal a plain loop over point pairs in python ints, in
-    all three key regimes; on a lattice of 8 points and 7 directions too,
-    whose direction blocks hold two directions each and the last one, and
+    """The streamed keys, packed, deduplicated and merged into the key
+    buffer's distinct keys across many compactions, equal a plain loop
+    over point pairs in python ints, in all three key regimes; on a lattice
+    of 8 points and 7 directions too, whose direction blocks, of 16 lines
+    with _BAND_PAIRS = 16, hold two directions each and the last one, and
     on one of 14 points cut into pair bands of at most 20 pairs."""
     monkeypatch.setattr(exactdist, "_BLOCK", 64)
     rng = random.Random(29)
@@ -1121,8 +1136,10 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
         X, Y = [f * x for x, _ in pts], [f * y for _, y in pts]
         spec = exactdist._pack_spec(X, Y, dirs)
         assert _spec_path(spec) == path
-        blocks = list(exactdist._iter_blocks(X, Y, dirs, spec))
-        assert [len(b[0]) for b in blocks[-4:]] == [16, 16, 16, 8]
+        with monkeypatch.context() as mp:
+            mp.setattr(exactdist, "_BAND_PAIRS", 16)
+            blocks = list(exactdist._iter_blocks(X, Y, dirs, spec))
+        assert [m for m, _ in blocks[-4:]] == [16, 16, 16, 8]
         got = distinct_keys(X, Y, dirs)
         assert got == distinct_keys_pairloop(X, Y, dirs)
         assert {type(v) for key in got for v in key} == {int}
@@ -1131,9 +1148,9 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
     bands = []
     pair_keys = exactdist._pair_keys
 
-    def recorded(Xd, Yd, Xa, Ya, a, b, c):
+    def recorded(Xd, Yd, a, b, c):
         bands.append((a, b, c))
-        return pair_keys(Xd, Yd, Xa, Ya, a, b, c)
+        return pair_keys(Xd, Yd, a, b, c)
 
     monkeypatch.setattr(exactdist, "_BAND_PAIRS", 20)
     monkeypatch.setattr(exactdist, "_pair_keys", recorded)
@@ -1249,12 +1266,12 @@ def test_gcd_table_built_once_from_725_points(monkeypatch):
     assert exactdist._gcd_table is table
 
 def test_scaled_pairs_match_per_line_selection():
-    """On object packed keys, over int64 blocks and over object blocks,
-    the streamed selection gives the value, witness line and count of the
-    per-line exact selection over every distinct key: on scaled pairs, on
-    float-coordinate pairs, whose blocks are Python ints, and on pairs of
-    int64 keys past the int64 certificate, with and without essential
-    bars."""
+    """On object packed keys, over int64 unpacked keys and over object
+    unpacked keys, the streamed selection gives the value, witness line and
+    count of the per-line exact selection over every distinct key: on
+    scaled pairs, on float-coordinate pairs, whose unpacked keys are Python
+    ints, and on pairs of int64 keys past the int64 certificate, with and
+    without essential bars."""
     cases = [((scale(M0, f), scale(N0, f)), path)
              for M0, N0 in (ex_diag_not_suff(), _small_pres_pair())
              for f, path in ((100003, "object"), (10 ** 9, "bigint"))]
@@ -1327,8 +1344,8 @@ def test_one_selection_mixes_int64_and_object_chunks(monkeypatch):
 
 
 # Rectangle pairs given as Python floats: rat keeps their exact binary
-# values, so the lattice scaling is 2^55 or more and the blocks are Python
-# ints.  These are small enough for the per-line oracle.
+# values, so the lattice scaling is 2^55 or more and the unpacked keys are
+# Python ints.  These are small enough for the per-line oracle.
 _FLOAT_RECTS = [([rect(0.1, 0.1, 0.7, 0.7)], [rect(0.1, 0.1, 0.3, 0.7)]),
                 ([rect(0.1, 0.1, 0.7, 0.7)], [rect(0.3, 0.3, 0.7, 0.7)]),
                 ([rect(0.1, 0.1, 0.7, INF), rect(0.1, 0.3, INF, INF)],
@@ -1681,9 +1698,9 @@ def test_certified_pair_converts_modules_once(monkeypatch):
 
 
 def test_uncertified_pair_converts_modules_per_call(monkeypatch):
-    """On object blocks, where the keys are Python ints, the lines are valued
-    in the same one exact pass: both modules are converted once per call,
-    whatever the chunk size, and the float kernel never runs."""
+    """On object unpacked keys, where the keys are Python ints, the lines
+    are valued in the same one exact pass: both modules are converted once
+    per call, whatever the chunk size, and the float kernel never runs."""
     f = 10 ** 9
     M, N = (scale(m, f) for m in _huge_pair())
     assert _key_path(M, N, None) == "bigint"
@@ -1724,120 +1741,127 @@ def test_scaled_pairs_are_certified_by_their_keys(monkeypatch):
 
 
 def test_pack_and_unpack_leave_inputs_unchanged():
-    """_pack writes only its out slice and _unpack computes on fresh
-    arrays, in every key regime, and they round-trip exactly, from int32
-    differences too.  out is a slice inside a larger int64 or object
-    array; an object slice holds Python ints, and int64 keys pack into
-    one as they do into int64."""
+    """Each block's write (_pack_pairs, _pack_dirs) packs into its out slice
+    only and leaves its inputs unchanged, and _unpack computes on fresh
+    arrays, in every key regime, from int32 differences too; they
+    round-trip exactly to the pair loop's keys.  out is a slice inside a
+    larger int64 or object array; an object slice holds Python ints, and
+    int64 keys pack into one as they do into int64."""
     for f, path in ((1, "int64"), (100003, "object"), (10 ** 9, "bigint")):
         M, N = (scale(m, f) for m in ex_need_omega())
         assert _key_path(M, N, None) == path
         X, Y, dvals, _ = exactdist._lattice(M, N, None)
         spec = exactdist._pack_spec(X, Y, dvals)
-        cols = [np.array(c, dtype=spec.key_dtype)
-                for c in zip(*distinct_keys(X, Y, dvals))]
-        inputs = [cols, [c.astype(spec.dtype) for c in cols]]
-        if spec.key_dtype == np.int64:
-            inputs.append([cols[0].astype(np.int32),
-                           cols[1].astype(np.int32), cols[2]])
+        assert f > 1 or spec.diff_dtype == np.int32
         out_dtypes = [spec.dtype, *([np.dtype(object)]
                                     if spec.dtype == np.int64 else [])]
-        m = cols[0].size
-        for blk, dtype in itertools.product(inputs, out_dtypes):
-            before = [c.copy() for c in blk]
-            buf = np.full(m + 5, 7, dtype=dtype)
-            packed = exactdist._pack(spec, *blk, buf[3:3 + m])
-            assert packed.dtype == dtype and np.shares_memory(packed, buf)
-            assert buf[:3].tolist() == [7] * 3 and buf[-2:].tolist() == [7] * 2
+        for dtype in out_dtypes:
+            parts = []
+            for m, write in exactdist._iter_blocks(X, Y, dvals, spec):
+                before = [a.copy() for a in write.args
+                          if isinstance(a, np.ndarray)]
+                buf = np.full(m + 5, 7, dtype=dtype)
+                write(buf[3:3 + m])
+                assert buf[:3].tolist() == [7] * 3
+                assert buf[-2:].tolist() == [7] * 2
+                after = [a for a in write.args if isinstance(a, np.ndarray)]
+                for a, b in zip(after, before):
+                    assert np.array_equal(a, b) and a.dtype == b.dtype
+                parts.append(buf[3:3 + m])
+            packed = np.concatenate(parts)
             if dtype == object:
                 assert {type(v) for v in packed.tolist()} == {int}
-            for c, b in zip(blk, before):
-                assert np.array_equal(c, b) and c.dtype == b.dtype
             kept = packed.copy()
             out = exactdist._unpack(spec, packed)
             assert np.array_equal(packed, kept)
-            for o, c in zip(out, cols):
-                assert np.array_equal(o, c)
-                if dtype == spec.dtype:
-                    assert o.dtype == spec.key_dtype
+            if dtype == spec.dtype:
+                assert all(o.dtype == spec.key_dtype for o in out)
+            got = sorted(set(zip(*(o.tolist() for o in out))))
+            assert got == distinct_keys_pairloop(X, Y, dvals)
 
 
-# The stream's key buffer: blocks are packed into one buffer per call, a
-# full buffer becomes one sorted run, and a block larger than the buffer
-# gets an array of its own.
+# The stream's key buffer: blocks are packed into one buffer per call, which
+# keeps its sorted distinct keys at its front and grows only when they fill
+# it.
 
 def _record_stream(monkeypatch):
-    """Patch _pack and _add_run to record, per call, the out arrays and
-    the runs list, so a test can compare runs with the buffer."""
-    outs, runs = [], []
-    pack, add_run = exactdist._pack, exactdist._add_run
+    """Patch _Keys.slot and _Keys._compact to record, per call, each slot
+    handed out as (start, end, distinct keys, capacity) and each compaction
+    as (keys before, distinct keys after), all ints: a recorded view of the
+    buffer would keep it from growing.  Each compaction must leave the
+    sorted distinct keys of what the buffer held."""
+    slots, compactions = [], []
+    slot, compact = exactdist._Keys.slot, exactdist._Keys._compact
 
-    def packed(spec, dxv, dyv, kv, out):
-        outs.append(out)
-        return pack(spec, dxv, dyv, kv, out)
+    def slotted(self, m):
+        out = slot(self, m)
+        slots.append((self.fill - m, self.fill, self.size, self.buf.size))
+        return out
 
-    def added(held, keys):
-        add_run(held, keys)
-        runs.append(list(held))
+    def compacted(self):
+        want = sorted(set(self.buf[:self.fill].tolist()))
+        fill = self.fill
+        compact(self)
+        assert self.buf[:self.size].tolist() == want
+        compactions.append((fill, self.size))
 
-    monkeypatch.setattr(exactdist, "_pack", packed)
-    monkeypatch.setattr(exactdist, "_add_run", added)
-    return outs, runs
-
-
-def _buffer(outs):
-    """The one key buffer that the recorded out slices view."""
-    bufs = {id(o.base): o.base for o in outs if o.base is not None}
-    assert len(bufs) == 1
-    return next(iter(bufs.values()))
+    monkeypatch.setattr(exactdist._Keys, "slot", slotted)
+    monkeypatch.setattr(exactdist._Keys, "_compact", compacted)
+    return slots, compactions
 
 
-def test_flushed_runs_do_not_alias_the_buffer(monkeypatch):
+def _assert_slots_follow(slots):
+    """Each slot starts where the last one ended, or right after the
+    distinct keys when the buffer was compacted in between, and fits the
+    buffer: no slot is handed out over keys not yet compacted."""
+    end = 0
+    for start, stop, size, cap in slots:
+        assert start in (end, size) and size <= start <= stop <= cap
+        end = stop
+
+
+def test_keys_are_compacted_before_the_buffer_refills(monkeypatch):
     """With _BLOCK = 2 and one row per band, the rows give blocks of 1, 0,
-    2 and 1 keys: the 1-key prefix is flushed before the buffer refills
-    over it, and the last flush holds 1 key, so each run of at most one
-    key must be copied off the buffer; the union is the pair loop's.  A
-    lattice with no key flushes an empty prefix and leaves no run."""
+    2 and 1 keys: the 1-key prefix is compacted before the next block,
+    which does not fit beside it, so the buffer grows to 3; the last block
+    fits only after a compaction, which leaves 2 distinct keys.  The union
+    is the buffer itself, owning its memory, and the pair loop's keys.  A
+    lattice with no key gives an empty union that owns its memory too."""
     monkeypatch.setattr(exactdist, "_BLOCK", 2)
     monkeypatch.setattr(exactdist, "_BAND_PAIRS", 1)
-    outs, runs = _record_stream(monkeypatch)
+    slots, compactions = _record_stream(monkeypatch)
     X, Y = [0, 1, 2, 3, 4], [3, 4, 0, 1, 2]
     spec, union = exactdist._stream(X, Y, [])
-    buf = _buffer(outs)
-    assert buf.size == 2 and all(o.base is buf for o in outs)
-    assert [o.size for o in outs] == [1, 0, 2, 1]
-    assert [[r.size for r in held] for held in runs] == [[1], [1, 1],
-                                                         [1, 1, 1]]
-    assert not any(np.shares_memory(r, buf) for r in runs[-1])
+    assert slots == [(0, 1, 0, 2), (1, 1, 0, 2), (1, 3, 1, 3), (2, 3, 2, 3)]
+    _assert_slots_follow(slots)
+    assert compactions == [(1, 1), (3, 2), (3, 2)]
+    assert union.base is None and union.flags.owndata and union.size == 2
     got = list(zip(*(v.tolist() for v in exactdist._unpack(spec, union))))
     assert got == distinct_keys_pairloop(X, Y, []) == [(1, 1, -3), (1, 1, 2)]
-    outs.clear()
-    runs.clear()
+    slots.clear()
     spec, union = exactdist._stream([0, 1], [0, 0], [])
-    assert [o.size for o in outs] == [0] and runs == [[]]
-    assert union.size == 0 and not np.shares_memory(union, outs[0].base)
+    assert slots == [(0, 0, 0, 1)]
+    assert union.size == 0 and union.base is None and union.flags.owndata
 
 
 @pytest.mark.parametrize("f, path", [(1, "int64"), (100003, "object"),
                                      (10 ** 9, "bigint")])
 def test_block_larger_than_the_buffer(monkeypatch, f, path):
-    """A band of more keys than the whole buffer is packed into an array of
-    its own, between blocks packed into the buffer, in every key regime;
-    the union is the pair loop's."""
+    """A band of more keys than the whole buffer grows the buffer to hold
+    it beside the distinct keys, between blocks packed into free slots, in
+    every key regime; the union is the pair loop's."""
     monkeypatch.setattr(exactdist, "_BLOCK", 8)
     monkeypatch.setattr(exactdist, "_BAND_PAIRS", 12)
-    outs, _ = _record_stream(monkeypatch)
+    slots, _ = _record_stream(monkeypatch)
     pts = sorted({(x, (3 * x + 5 * y) % 11) for x in range(8)
                   for y in range(3)})
     X, Y = [f * x for x, _ in pts], [f * y for _, y in pts]
     dirs = [(1, 2), (3, 1)]
     assert _spec_path(exactdist._pack_spec(X, Y, dirs)) == path
     got = distinct_keys(X, Y, dirs)
-    buf = _buffer(outs)
-    assert buf.size == 8
-    own = [o for o in outs if o.base is None]
-    assert own and all(o.size > 8 for o in own)
-    assert outs[0].size > 8 and sum(o.base is buf for o in outs) > 10
+    _assert_slots_follow(slots)
+    assert slots[0][1] > 8 and slots[0][3] == slots[0][1]
+    assert len({cap for *_, cap in slots}) > 2 and len(slots) > 10
     assert got == distinct_keys_pairloop(X, Y, dirs)
     assert {type(v) for key in got for v in key} == {int}
 
@@ -1846,33 +1870,66 @@ def test_block_larger_than_the_buffer(monkeypatch, f, path):
                                      (10 ** 9, "bigint")])
 def test_buffer_flushes_and_merges(monkeypatch, f, path):
     """With _BLOCK = 64 and bands of about 24 pairs, the buffer is
-    flushed many times and the runs merged whenever they pass 4*_BLOCK
-    keys, in every key regime; the union is the pair loop's."""
+    compacted many times, merging its new keys into its distinct keys, and
+    grows as they fill it, in every key regime; the union is the pair
+    loop's."""
     monkeypatch.setattr(exactdist, "_BLOCK", 64)
     monkeypatch.setattr(exactdist, "_BAND_PAIRS", 24)
-    merged = []
-    merge = exactdist._merge
-
-    def recorded(runs):
-        merged.append(len(runs))
-        return merge(runs)
-
-    monkeypatch.setattr(exactdist, "_merge", recorded)
-    outs, runs = _record_stream(monkeypatch)
+    slots, compactions = _record_stream(monkeypatch)
     M, N = (scale(m, f) for m in ex_need_omega())
     assert _key_path(M, N, None) == path
     X, Y, dvals, _ = exactdist._lattice(M, N, None)
     got = distinct_keys(X, Y, dvals)
-    buf = _buffer(outs)
-    assert buf.size == 64
-    assert sum(o.base is buf for o in outs) > 100
-    assert len(runs) > 8
-    # mid-stream merges of several runs, then the last one
-    assert merged.count(1) <= 1 and sum(n > 1 for n in merged) > 1
-    assert not any(np.shares_memory(r, buf) for held in runs for r in held)
+    _assert_slots_follow(slots)
+    assert len(slots) > 100
+    # merges into a distinct prefix, and growth past the first capacity
+    assert sum(size > 0 for _, _, size, _ in slots) > 8
+    assert len(compactions) > 8 and slots[-1][3] > 4 * 64
     assert len(got) > 4 * exactdist._BLOCK
     assert got == distinct_keys_pairloop(X, Y, dvals)
     assert {type(v) for key in got for v in key} == {int}
+
+
+def test_stream_memory_follows_its_distinct_keys(monkeypatch):
+    """With _BLOCK = 2^10 and bands of 2^12 pairs, a lattice of 700 points
+    and 2 directions, 117,416 distinct keys, makes the key buffer compact,
+    merge and grow many times.  _stream's tracemalloc peak stays within
+    8 B per key of the buffer's last capacity plus 64 B per band pair,
+    which holds a band's arrays and a block of the compaction: no run,
+    concatenation or copy of the union is held beside the buffer.  The
+    union is the pair loop's."""
+    monkeypatch.setattr(exactdist, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(exactdist, "_BAND_PAIRS", 1 << 12)
+    caps, compactions = [], []
+    union, compact = exactdist._Keys.union, exactdist._Keys._compact
+
+    def recorded(self):
+        caps.append(self.buf.size)
+        return union(self)
+
+    def counted(self):
+        compactions.append(self.size)
+        compact(self)
+
+    monkeypatch.setattr(exactdist._Keys, "union", recorded)
+    monkeypatch.setattr(exactdist._Keys, "_compact", counted)
+    rng = random.Random(41)
+    X = sorted(rng.randrange(3000) for _ in range(700))
+    Y = [rng.randrange(3000) for _ in range(700)]
+    dirs = [(1, 1), (2, 3)]
+    tracemalloc.start()
+    try:
+        spec, packed = exactdist._stream(X, Y, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.dtype == np.int64 and packed.size == 117416
+    assert sum(size > 0 for size in compactions) > 8
+    assert caps[0] > 100 * (1 << 10)
+    assert peak <= 8 * caps[0] + 64 * (1 << 12)
+    keys = exactdist._unpack(spec, packed)
+    assert list(zip(*(v.tolist() for v in keys))) == \
+        distinct_keys_pairloop(X, Y, dirs)
 
 
 def test_threads_stream_as_sequential_calls(monkeypatch):

@@ -147,24 +147,40 @@ def test_constructors_make_coordinates_exact(shift):
                               "str"])
 def test_constructors_reject_non_finite_grades(bad):
     """An infinite, NaN or non-numeric grade of a generator or a relation,
-    or lower corner of a Rect, raises ValueError at construction; an
-    infinite lower corner, INF or numpy's, still reads "lower corner must
-    be finite".  An upper corner takes INF, numpy's infinity and "inf",
-    and rejects the rest."""
+    or lower coordinate of a Rect, raises ValueError at construction; an
+    infinite lower coordinate, INF, numpy's or "inf", in either place and
+    through rect too, reads "lower corner must be finite".  An upper
+    corner takes INF, numpy's infinity and "inf", and rejects the rest."""
     col = frozenset({"g"})
     with pytest.raises(ValueError):
         Presentation((("g", (0, bad)),), ())
     with pytest.raises(ValueError):
         Presentation((("g", (0, 0)),), (("r", (bad, 1), col),))
-    with pytest.raises(ValueError) as lower:
-        Rect((bad, 0), (1, 1))
-    if is_inf(bad):
-        assert str(lower.value) == "lower corner must be finite"
+    for lower in ((bad, 0), (0, bad)):
+        for make in (lambda: Rect(lower, (1, 1)), lambda: rect(*lower, 1, 1)):
+            with pytest.raises(ValueError) as err:
+                make()
+            if is_inf(bad) or bad == "inf":
+                assert str(err.value) == "lower corner must be finite"
     if is_inf(bad) or bad == "inf":
         assert Rect((0, 0), (bad, 1)).upper == (INF, Q(1))
     else:
         with pytest.raises(ValueError):
             Rect((0, 0), (bad, 1))
+
+
+def test_constructors_reject_grades_of_other_types():
+    """A grade or coordinate that is neither a number nor a string, None
+    here, raises TypeError, in a presentation as in a rectangle."""
+    col = frozenset({"g"})
+    with pytest.raises(TypeError):
+        Presentation((("g", (0, None)),), ())
+    with pytest.raises(TypeError):
+        Presentation((("g", (0, 0)),), (("r", (None, 1), col),))
+    with pytest.raises(TypeError):
+        rect(None, 0, 1, 1)
+    with pytest.raises(TypeError):
+        Rect((0, 0), (1, None))
 
 
 def test_module_exactly_one_form():

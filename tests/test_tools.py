@@ -147,10 +147,12 @@ COUNTED_COMMIT = "9493590fe7741b36a22c3ec51ccabf9eac829b3f"
 
 
 def codelines(checkout):
+    """tools/codelines.py's counts for checkout, as {name: (code lines,
+    bytes)}, the totals under "total"."""
     out = subprocess.run([sys.executable, str(CODELINES), str(checkout)],
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    return {name: int(n) for n, name in
+    return {name: (int(n), int(b)) for n, b, name in
             (line.split() for line in out.stdout.splitlines())}
 
 
@@ -158,7 +160,8 @@ def test_codelines_skips_blanks_comments_and_docstrings(tmp_path):
     """A code line holds a token other than a comment, outside every
     module, class and function docstring; a string that is not a
     docstring counts each of its lines, and a line of code with a
-    trailing comment counts once."""
+    trailing comment counts once.  Each file's bytes count everything,
+    and the totals add up."""
     pkg = tmp_path / "src" / "matchdist"
     pkg.mkdir(parents=True)
     (pkg / "a.py").write_text(
@@ -178,20 +181,26 @@ def test_codelines_skips_blanks_comments_and_docstrings(tmp_path):
         "        return (1 +\n"
         "                2)\n")
     (pkg / "b.py").write_text("")
-    assert codelines(tmp_path) == {"a.py": 7, "b.py": 0, "total": 7}
+    size = (pkg / "a.py").stat().st_size
+    assert size == 222
+    assert codelines(tmp_path) == {"a.py": (7, size), "b.py": (0, 0),
+                                   "total": (7, size)}
 
 
 def test_codelines_reads_the_counted_commit(tmp_path):
     """At the commit whose package earlier changes counted by hand, the
-    script reads their 1,582 code lines, file by file as they did."""
+    script reads their 1,582 code lines, file by file as they did, and
+    119,527 source bytes, the sum of the files' sizes."""
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", COUNTED_COMMIT, "src/matchdist"],
         capture_output=True, timeout=60, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(tmp_path)], input=archive,
                    check=True, timeout=60)
     counts = codelines(tmp_path)
-    assert counts["total"] == 1582
-    assert {k: counts[k] for k in ("_fastpath.py", "cli.py", "exactdist.py",
-                                   "gridscan.py")} == {
+    assert counts["total"] == (1582, 119527)
+    assert {k: counts[k][0] for k in ("_fastpath.py", "cli.py",
+                                      "exactdist.py", "gridscan.py")} == {
         "_fastpath.py": 316, "cli.py": 228, "exactdist.py": 438,
         "gridscan.py": 141}
+    files = (tmp_path / "src" / "matchdist").glob("*.py")
+    assert sum(counts[p.name][1] == p.stat().st_size for p in files) == 10
