@@ -6,9 +6,13 @@ collapsed to zero-length bars at their birth instead of being dropped,
 which leaves the bottleneck value unchanged (a zero-length bar matches the
 diagonal for free, and pairing any bar with a point on the diagonal never
 beats that bar's own half-persistence).  A rectangle has one slot.  A
-presentation reads its slots off barcode templates, one GF(2) reduction per
-distinct pair of grade push orders (_Pres), after Lesnick and Wright's
-per-cell templates in RIVET; no line is reduced on its own.
+presentation is split into the components of its generator-relation graph,
+which GF(2) reduction never mixes (_split): a component of one generator
+whose relations each share a coordinate with it is a rectangle and takes
+the rectangle path, with the same costs bit for bit.  The other components
+read their slots off barcode templates, one GF(2) reduction per distinct
+pair of grade push orders (_Pres), after Lesnick and Wright's per-cell
+templates in RIVET; no line is reduced on its own.
 
 One kernel (_chunk) serves two arithmetics, which differ only in where a
 line crosses a coordinate, in how lengths are halved and in the final
@@ -34,10 +38,15 @@ object arrays otherwise.  exact_reduced_values reduces every line.  The
 witness diagrams come from the same integer sides (key_diagram), so no
 module is restricted in rationals.
 
-Each map carries the same attributes whatever the pair, so its callers
-read them and never probe: line_evaluator's live_span and row_bound, whose
-+inf column bounds nothing, and exact_evaluator's sides and bound, None
-where no direction bound holds.
+Each converted side is one record (essential lowers, finite rects, pres),
+pres the _Pres of the entangled components or None, so the kernel reads
+one shape for both kinds of module.  Each map carries the same attributes
+whatever the pair, so its callers read them and never probe:
+line_evaluator's live_span and row_bound, whose +inf column bounds
+nothing, and exact_evaluator's sides and bound, None where no direction
+bound holds.  Every pair of rectangles without essential bars has a bound,
+whether a side is a rectangle module or a presentation whose components
+are all rectangle-shaped.
 """
 from __future__ import annotations
 
@@ -47,7 +56,7 @@ from functools import partial, reduce
 import numpy as np
 
 from .bottleneck import cheapest_matching, threshold_matching
-from .fibered import Bar, bar_counts, reduce_columns
+from .fibered import Bar, _validated, bar_counts, reduce_columns
 from .rational import INF, Q, is_inf
 
 MAX_FINITE = 6
@@ -98,9 +107,11 @@ def _row_groups(sig):
 
 
 class _Pres:
-    """A presentation's grades, in the kernel's coordinates, and its barcode
-    templates.
+    """The entangled components of a presentation (_split), in the kernel's
+    coordinates, and their barcode templates.
 
+    gens holds generator grades and rels (grade, column) pairs, a column
+    being the set of its generators' indices in gens, both in input order.
     On a line, restrict_presentation's pairing depends only on two orders:
     the push order of the generator grades and that of the relation grades,
     each with ties broken by input index.  How the two interleave does not
@@ -114,13 +125,12 @@ class _Pres:
 
     __slots__ = ("gens", "rels", "cols", "essential", "templates")
 
-    def __init__(self, module, conv):
-        pres = module.presentation
-        idx = {name: i for i, (name, _) in enumerate(pres.generators)}
-        self.gens = [(conv(g[0]), conv(g[1])) for _, g in pres.generators]
-        self.rels = [(conv(g[0]), conv(g[1])) for _, g, _ in pres.relations]
-        self.cols = [[idx[n] for n in col] for _, _, col in pres.relations]
-        self.essential = bar_counts(module)[1]
+    def __init__(self, gens, rels, conv):
+        self.gens = [(conv(x), conv(y)) for x, y in gens]
+        self.rels = [(conv(x), conv(y)) for (x, y), _ in rels]
+        self.cols = [col for _, col in rels]
+        self.essential = len(gens) - len(reduce_columns(self.cols,
+                                                        len(gens))[0])
         self.templates = {}
 
     def _template(self, row):
@@ -144,8 +154,6 @@ class _Pres:
         """(births, deaths, essential births) over a chunk of lines, where
         push maps a grade to its push values along the chunk; every order
         is taken from the values push returns."""
-        if not self.gens:
-            return [], [], []
         # the lines of a chunk may come as a block, (r, n) arrays: the
         # pushes are flattened to one line axis and the slots reshaped back
         gp = np.stack([push(*g) for g in self.gens])
@@ -170,23 +178,93 @@ class _Pres:
         return gather(gp, 0), gather(rp, 1), gather(gp, 2)
 
 
+def _split(pres):
+    """A valid presentation as (rects, rest): the rectangles of its
+    rectangle-shaped components, (lower, upper) with INF for an infinite
+    upper coordinate, and the (gens, rels) of _Pres for the others, None
+    when there are none.
+
+    The components are those of the graph that joins the generators of
+    each relation column.  Column reduction adds a column only to one that
+    shares its pivot, so it never mixes two components: each keeps its own
+    rank and pairing, ties broken by input index as in the whole matrix.
+    A relation with an empty column never pairs and is dropped.  A
+    component of one generator g whose relations each share a coordinate
+    with g, all of them at or above g, is the rectangle [g, (u1, u2)): u1
+    is the least first coordinate of a relation at g's second coordinate,
+    u2 the least second coordinate of one at g's first, INF where there is
+    none, and a relation at g itself makes both u1, u2 those of g, a bar of
+    zero length on every line, as its template gives it.  On a line the
+    template pairs g with the relation of least push, and push(r) is
+    max(push(g), the crossing of r's other coordinate), so the death is
+    the rectangle's, in floats too, rounding being monotone.
+    """
+    idx = {name: i for i, (name, _) in enumerate(pres.generators)}
+    root = list(range(len(idx)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    rels = []
+    for _, grade, col in pres.relations:
+        if col:
+            js = [idx[n] for n in col]
+            rels.append((grade, js))
+            for j in js[1:]:
+                root[find(j)] = find(js[0])
+    members, owned = {}, {}
+    for i in range(len(idx)):
+        members.setdefault(find(i), []).append(i)
+    for grade, js in rels:
+        owned.setdefault(find(js[0]), []).append(grade)
+    rects, tangled = [], []
+    for r, gens in members.items():
+        g = pres.generators[gens[0]][1]
+        grades = owned.get(r, ())
+        if len(gens) == 1 and all(x == g[0] or y == g[1]
+                                  for x, y in grades):
+            rects.append((g, (
+                min((x for x, y in grades if y == g[1]), default=INF),
+                min((y for x, y in grades if x == g[0]), default=INF))))
+        else:
+            tangled += gens
+    if not tangled:
+        return rects, None
+    tangled.sort()
+    at = {i: t for t, i in enumerate(tangled)}
+    return rects, ([pres.generators[i][1] for i in tangled],
+                   [(grade, {at[j] for j in js}) for grade, js in rels
+                    if at.get(js[0]) is not None])
+
+
 def _side(module, conv):
-    """A presentation's _Pres, or a rectangle module's (essential lowers,
-    finite rects), where conv maps each finite coordinate into the kernel's
-    arithmetic.  A finite rect is its lower corner and the (axis, value) of
-    each finite upper coordinate."""
+    """A module in the kernel's arithmetic, conv mapping each finite
+    coordinate into it: (essential lowers, finite rects, pres).  A finite
+    rect is its lower corner and the (axis, value) of each finite upper
+    coordinate.  A rectangle module gives its rectangles, and a
+    presentation, validated first, those of its rectangle-shaped
+    components (_split); pres is the _Pres of its other components, None
+    when there are none.
+
+    Raises:
+        InvalidPresentation: if a presentation is malformed.
+    """
     if module.rectangles is None:
-        return _Pres(module, conv)
+        rects, rest = _split(_validated(module.presentation))
+    else:
+        rects, rest = [(r.lower, r.upper) for r in module.rectangles], None
     ess, fin = [], []
-    for r in module.rectangles:
-        lower = (conv(r.lower[0]), conv(r.lower[1]))
-        uppers = [(axis, conv(u)) for axis, u in enumerate(r.upper)
+    for lower, upper in rects:
+        lower = (conv(lower[0]), conv(lower[1]))
+        uppers = [(axis, conv(u)) for axis, u in enumerate(upper)
                   if not is_inf(u)]
         if uppers:
             fin.append((lower, uppers))
         else:
             ess.append(lower)
-    return ess, fin
+    return ess, fin, None if rest is None else _Pres(*rest, conv)
 
 
 def _sides(M, N, conv):
@@ -196,7 +274,8 @@ def _sides(M, N, conv):
 
 def essential_count(side):
     """The essential bars of a side on every line."""
-    return side.essential if isinstance(side, _Pres) else len(side[0])
+    ess, _, pres = side
+    return len(ess) + (0 if pres is None else pres.essential)
 
 
 def vector_ready(M, N) -> bool:
@@ -320,16 +399,20 @@ def _chunk(sm, sn, ar):
         return np.maximum(cross(0, l1), cross(1, l2))
 
     def bars(side):
-        if isinstance(side, _Pres):
-            return side.bars(push)
-        ess, fin = side
+        ess, fin, pres = side
         births, deaths = [], []
         for lower, uppers in fin:
             b = push(*lower)
             d = reduce(np.minimum, [cross(axis, u) for axis, u in uppers])
             births.append(b)
             deaths.append(np.maximum(b, d))
-        return births, deaths, [push(*e) for e in ess]
+        essential = [push(*e) for e in ess]
+        if pres is not None:
+            b, d, e = pres.bars(push)
+            births += b
+            deaths += d
+            essential += e
+        return births, deaths, essential
 
     bm, dm, em = bars(sm)
     bn, dn, en = bars(sn)
@@ -351,10 +434,11 @@ def _chunk(sm, sn, ar):
 
 def _finite_rects(sm, sn):
     """The finite rects of the converted sides sm, sn, or None when a side
-    is a presentation or has essential bars.  Only rectangle pairs without
-    essential bars have every bar die on one offset interval per direction
-    and a weighted cost that a direction bounds."""
-    if any(isinstance(s, _Pres) or s[0] for s in (sm, sn)):
+    has an entangled component (a _Pres) or essential bars.  Only pairs of
+    rectangles without essential bars, rectangle modules or presentations
+    of rectangle-shaped components, have every bar die on one offset
+    interval per direction and a weighted cost that a direction bounds."""
+    if any(pres is not None or ess for ess, _, pres in (sm, sn)):
         return None
     return sm[1] + sn[1]
 
@@ -440,11 +524,11 @@ def _first_true(pred, shape, n):
 def _live_span(fin, m1, m2, b1, b2):
     """Per direction row, the column span [lo, hi) of the offset row outside
     which _chunk gives +0.0 in floats, for the finite rects fin of the sides
-    that line_evaluator converted (_finite_rects, None for a presentation
-    or essential bars): m1, m2 are an (r, 1) direction column, b1, b2
-    the (1, n) row b = (-o/2, o/2) of nondecreasing offsets o.  A row with
-    no live column gets lo = n, hi = 0, so that a hull of rows is the min
-    of their lo and the max of their hi.
+    that line_evaluator converted (_finite_rects, None for an entangled
+    presentation or essential bars): m1, m2 are an (r, 1) direction
+    column, b1, b2 the (1, n) row b = (-o/2, o/2) of nondecreasing offsets
+    o.  A row with no live column gets lo = n, hi = 0, so that a hull of
+    rows is the min of their lo and the max of their hi.
 
     The span is exact in the kernel's own float predicates, with no bound.
     b1 = -o/2 and b2 = o/2 move monotonically with o, and so does each
@@ -464,10 +548,10 @@ def _live_span(fin, m1, m2, b1, b2):
     +0.0: the value the full evaluation gives, bit for bit, as long as the
     crossings are finite.
 
-    Presentations and essential bars, where fin is None, get full rows:
-    their bars need not die on one offset interval, and essential costs
-    stay positive far away.  So do two trivial modules, whose fin is empty
-    and whose rows hold no bar at all.
+    Entangled presentations and essential bars, where fin is None, get
+    full rows: their bars need not die on one offset interval, and
+    essential costs stay positive far away.  So do two trivial modules,
+    whose fin is empty and whose rows hold no bar at all.
     """
     r, n = len(m1), b1.shape[-1]
     if not fin:
@@ -514,7 +598,8 @@ def line_evaluator(M, N):
     map gives +0.0.  row_bound(m1, m2, b1, b2) is _row_bound: per direction
     of the column, a float that no cost on that direction exceeds, at any
     offset of the row, +inf unless the pair is one of rectangles without
-    essential bars.
+    essential bars (_finite_rects), rectangle modules or presentations
+    whose components are all rectangle-shaped.
     """
     sm, sn = _sides(M, N, float)
     unequal = essential_count(sm) != essential_count(sn)
@@ -579,7 +664,8 @@ def exact_evaluator(M, N, lam):
     barcode templates pair the same generators and relations.
 
     The map's bound is None unless the pair is one of rectangles without
-    essential bars (_finite_rects), with a finite rect.  Then it is
+    essential bars (_finite_rects), rectangle modules or presentations
+    whose components are all rectangle-shaped, with a finite rect.  Then it is
     bound(dxv, dyv): _direction_bound's fractions (p_ub, q) per direction,
     with the map's own q and p <= p_ub on every line of that direction,
     exact under the map's certificate with kb = 0.
@@ -627,7 +713,7 @@ def key_diagram(side, dx, dy, k, lam):
     c*max(dx, dy)/(lam*s*dx*dy), s = dx + dy, so the bars are built and
     sorted on the integers, by (birth, essential, death) as fibered sorts
     them, and each endpoint becomes one rational at the end.  Dead bars and
-    zero-length pairs are dropped.  A presentation is paired by its
+    zero-length pairs are dropped.  A side's _Pres is paired by its
     template for the orders by (numerator, index), restrict_presentation's.
     """
     ar = _KeyNumerators(lam, dx, dy, k)
@@ -635,17 +721,17 @@ def key_diagram(side, dx, dy, k, lam):
     def push(grade):
         return max(ar.cross(0, grade[0]), ar.cross(1, grade[1]))
 
-    if isinstance(side, _Pres):
-        gp, rp = [push(g) for g in side.gens], [push(r) for r in side.rels]
+    lowers, rects, pres = side
+    fin = [(push(lower), min(ar.cross(*u) for u in uppers))
+           for lower, uppers in rects]
+    ess = [push(lower) for lower in lowers]
+    if pres is not None:
+        gp, rp = [push(g) for g in pres.gens], [push(r) for r in pres.rels]
         row = [i for v in (gp, rp) for i in sorted(range(len(v)),
                                                    key=v.__getitem__)]
-        gens, rels, free = side._template(np.array(row, dtype=np.intp))
-        fin = [(gp[g], rp[r]) for g, r in zip(gens, rels)]
-        ess = [gp[g] for g in free]
-    else:
-        fin = [(push(lower), min(ar.cross(*u) for u in uppers))
-               for lower, uppers in side[1]]
-        ess = [push(lower) for lower in side[0]]
+        gens, rels, free = pres._template(np.array(row, dtype=np.intp))
+        fin += [(gp[g], rp[r]) for g, r in zip(gens, rels)]
+        ess += [gp[g] for g in free]
     mx, den = max(dx, dy), lam * ar.s * dx * dy
     # built without Bar.__post_init__: every birth is finite, and every
     # death INF or a numerator above the birth's

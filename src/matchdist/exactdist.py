@@ -460,11 +460,17 @@ class _Keys:
     written keys are sorted, merged with the distinct prefix (a stable
     sort, which merges the two sorted runs) and compacted in place, one
     _BAND_PAIRS block of the merged keys at a time; and the buffer grows by
-    half (ndarray.resize, with no view of it alive between blocks) only
-    when its distinct keys fill three quarters of it or leave less than
-    m free.  union() compacts the last keys and shrinks the buffer to its
-    distinct keys.  So besides the buffer, of at most about twice the
-    distinct keys once it grows, the stream holds one block at a time."""
+    half only when its distinct keys fill three quarters of it or leave
+    less than m free.  union() compacts the last keys and shrinks the
+    buffer to its distinct keys.  So besides the buffer, of at most about
+    twice the distinct keys once it grows, the stream holds one block at a
+    time.
+
+    Both resize in place with ndarray.resize(refcheck=False): no view of
+    the buffer is alive between blocks, and the reference check would also
+    count references that are no view, such as the one a profiling or
+    tracing hook (cProfile, coverage, a debugger) holds while it calls the
+    bound method, and raise ValueError."""
 
     __slots__ = ("buf", "size", "fill")
 
@@ -477,7 +483,8 @@ class _Keys:
             self._compact()
             cap = self.buf.size
             if self.size + max(m, cap // 4) > cap:
-                self.buf.resize(max(cap + cap // 2, self.size + m))
+                self.buf.resize(max(cap + cap // 2, self.size + m),
+                                refcheck=False)
         self.fill += m
         return self.buf[self.fill - m:self.fill]
 
@@ -502,7 +509,7 @@ class _Keys:
         """The sorted distinct keys, as the buffer itself: it owns its
         memory, and the call drops every other reference to it."""
         self._compact()
-        self.buf.resize(self.size)
+        self.buf.resize(self.size, refcheck=False)
         return self.buf
 
 
@@ -656,15 +663,16 @@ class _Select:
     arithmetic.  _band, _prune, reduce_fractions and _exact_top take both,
     and int64 and object parts concatenate to object.
 
-    Where the map has a bound, on a rectangle pair without essential bars,
-    the selection works per direction run (by_run): the double of the run's
-    direction bound p_ub/q (_fastpath._direction_bound: the kernel's own q,
-    p <= p_ub exactly) is taken once, at the run's head, and a run below
-    _band's threshold, whose argument carries over, is dropped while still
-    packed; only the live keys are unpacked and valued.  The first chunk
-    values its runs of highest bound first, up to _SEED keys, so the bound
-    prunes from the start; _lex_min picks among the tied keys in any
-    order.
+    Where the map has a bound, on a pair of rectangles without essential
+    bars (rectangle modules, or presentations whose components are all
+    rectangle-shaped, _fastpath._split), the selection works per direction
+    run (by_run): the double of the run's direction bound p_ub/q
+    (_fastpath._direction_bound: the kernel's own q, p <= p_ub exactly)
+    is taken once, at the run's head, and a run below _band's threshold,
+    whose argument carries over, is dropped while still packed; only the
+    live keys are unpacked and valued.  The first chunk values its runs of
+    highest bound first, up to _SEED keys, so the bound prunes from the
+    start; _lex_min picks among the tied keys in any order.
     """
 
     __slots__ = ("values", "by_run", "fmax", "parts", "size")
@@ -823,10 +831,11 @@ def _same_module(M, N, sides):
     """Whether M and N are the same module in the same form, on their sides
     as exact_evaluator converts them: equal presentations, or equal
     multisets of rectangles.  The conversion is injective, so this is
-    equality of the sorted rectangles."""
+    equality of the sorted essential lowers and finite rects."""
     if M.presentation is not None or N.presentation is not None:
         return M.presentation == N.presentation
-    return all(sorted(a) == sorted(b) for a, b in zip(*sides))
+    (em, fm, _), (en, fn, _) = sides
+    return sorted(em) == sorted(en) and sorted(fm) == sorted(fn)
 
 
 def _exact_cost(M, N, line):

@@ -7,8 +7,9 @@ an (angle, offset) grid, with the direction renormalized to the standard form
 so weights match the exact path; a line of offset o has b = (-o/2, o/2), so
 b1 + b2 = 0 holds exactly in floats and an exactly normalized Line can be
 rebuilt from the doubles.  Every pair is evaluated by _fastpath's float
-kernel (line_evaluator), presentations through their barcode templates,
-whatever the number of bars; a pair with unequal essential counts costs +inf
+kernel (line_evaluator), whatever the number of bars: a presentation's
+rectangle-shaped components as rectangles, its other components through
+their barcode templates; a pair with unequal essential counts costs +inf
 on every line, and its rows are full.
 
 The grid is evaluated in blocks of whole theta rows, one evaluator call per
@@ -24,7 +25,8 @@ Every kernel is elementwise, so each value is the one a call per row over
 all offsets would give, bit for bit.
 
 A scan's max and argmax need not see every row.  Matching every bar to the
-diagonal is feasible, so on a rectangle pair without essential bars no cost
+diagonal is feasible, so on a pair of rectangles without essential bars,
+rectangle modules or presentations of rectangle-shaped components, no cost
 on a row of direction m exceeds min(m1, m2) times the largest half-length
 min(W/m1, H/m2)/2 of a bar's W x H rectangle, plus a float margin
 (_fastpath._row_bound); rows are visited in decreasing bound until one is
@@ -209,9 +211,10 @@ def scan(M, N, g: GridSpec) -> ScanResult:
     row gives.  A grid of more than _BLOCK_LINES lines finds them
     best-first (_first_max): rows in decreasing row bound (the map's
     row_bound, _fastpath._row_bound), stopping once the next row's bound is
-    below the best value found.  Only a rectangle pair without essential
-    bars has finite bounds; the +inf bounds of any other pair keep every
-    row, in order.
+    below the best value found.  Only a pair of rectangles without
+    essential bars, rectangle modules or presentations whose components
+    are all rectangle-shaped, has finite bounds; the +inf bounds of any
+    other pair keep every row, in order.
     """
     thetas, offsets = _axes(M, N, g)
     m1, m2 = _directions(thetas)

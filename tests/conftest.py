@@ -7,7 +7,7 @@ from matchdist.fibered import Bar
 from matchdist.geometry import Line, normalize_line
 from matchdist.modules import (Presentation, TwoParamModule, rect,
                                rect_as_presentation)
-from matchdist.rational import INF, Q
+from matchdist.rational import INF, Q, is_inf
 
 
 # Worked example pairs, used throughout the suite.
@@ -72,6 +72,87 @@ def combined_presentation(module):
                          frozenset("%s_%d" % (c, k) for c in col)))
     return TwoParamModule.from_presentation(
         Presentation(tuple(gens), tuple(rels)))
+
+
+def entangled_presentation(module):
+    """Another presentation of a rectangle module, one whose components are
+    not all rectangle-shaped: combined_presentation's, with the first
+    rectangle b that has a finite upper coordinate and some other rectangle
+    a with lower(a) <= lower(b) rewritten on the basis b + a, which turns
+    b's relation columns {b} into {b, a}.  b's relations dominate lower(b),
+    so they dominate lower(a) too, and the presentation stays valid.  A
+    module with no such pair keeps combined_presentation's form."""
+    rects = module.rectangles
+    pres = combined_presentation(module).presentation
+    for j, b in enumerate(rects):
+        if is_inf(b.upper[0]) and is_inf(b.upper[1]):
+            continue
+        for i, a in enumerate(rects):
+            if i != j and a.lower[0] <= b.lower[0] and \
+                    a.lower[1] <= b.lower[1]:
+                ga, gb = "g_%d" % i, "g_%d" % j
+                rels = tuple((n, g, col | {ga} if gb in col else col)
+                             for n, g, col in pres.relations)
+                return TwoParamModule.from_presentation(
+                    Presentation(pres.generators, rels))
+    return TwoParamModule.from_presentation(pres)
+
+
+def rand_split_presentation(rng, pool, rects, tangled, essential):
+    """A random presentation whose components mix the kinds the kernel's
+    split tells apart, over grades drawn from pool (at least two values):
+    rects one-generator components whose 1-4 relations each share a
+    coordinate with their generator, several on one axis and some at the
+    generator's own grade; tangled components that are no rectangle, a
+    one-generator staircase or two generators joined by a column; essential
+    generators without relations; and 0-2 relations with empty columns.
+    Names, generators and relations come in shuffled input order."""
+    gens, rels = [], []
+
+    def gen(grade):
+        gens.append(grade)
+        return len(gens) - 1
+
+    def above(v, strict=False):
+        return rng.choice([w for w in pool if w > v or (w == v and
+                                                        not strict)])
+
+    for _ in range(rects):
+        x, y = rng.choice(pool[:-1]), rng.choice(pool[:-1])
+        g = gen((x, y))
+        for _ in range(rng.randint(1, 4)):
+            u = rng.random()
+            grade = ((x, y) if u < 0.15 else (above(x, True), y) if u < 0.6
+                     else (x, above(y, True)))
+            rels.append((grade, {g}))
+    for _ in range(tangled):
+        if rng.random() < 0.4:
+            # a relation off both of its generator's axes: a staircase
+            x, y = rng.choice(pool[:-1]), rng.choice(pool[:-1])
+            g = gen((x, y))
+            rels.append(((above(x, True), above(y, True)), {g}))
+            if rng.random() < 0.5:
+                rels.append(((x, above(y, True)), {g}))
+        else:
+            a, b = (gen((rng.choice(pool), rng.choice(pool))) for _ in "ab")
+            x = max(gens[a][0], gens[b][0])
+            y = max(gens[a][1], gens[b][1])
+            rels.append(((above(x), above(y)), {a, b}))
+            if rng.random() < 0.5:
+                rels.append(((above(gens[a][0]), gens[a][1]), {a}))
+    for _ in range(essential):
+        gen((rng.choice(pool), rng.choice(pool)))
+    for _ in range(rng.randint(0, 2)):
+        rels.append(((rng.choice(pool), rng.choice(pool)), set()))
+    names = ["g%d" % i for i in range(len(gens))]
+    rng.shuffle(names)
+    order = list(range(len(gens)))
+    rng.shuffle(order)
+    rng.shuffle(rels)
+    return TwoParamModule.from_presentation(Presentation(
+        tuple((names[i], gens[i]) for i in order),
+        tuple(("r%d" % j, grade, frozenset(names[g] for g in col))
+              for j, (grade, col) in enumerate(rels))))
 
 
 def rand_presentation(rng, pool, rank, essential):

@@ -3,7 +3,9 @@
 The slow cross-check compares the streaming engine against a plain loop over
 the materialized candidate line set, on value, witness line, and count.
 """
+import cProfile
 import itertools
+import math
 import random
 import sys
 import threading
@@ -18,10 +20,11 @@ from hypothesis import strategies as st
 import matchdist.exactdist as exactdist
 import matchdist.fibered as fibered
 import matchdist.geometry as geometry
-from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
-                      ex_need_omega, rand_diagram, rand_line, rand_point,
-                      rand_pool, rand_presentation, rand_rat, rand_rect,
-                      rand_rect_module)
+from conftest import (combined_presentation, entangled_presentation,
+                      ex_diag_not_suff, ex_need_diag, ex_need_omega,
+                      rand_diagram, rand_line, rand_point, rand_pool,
+                      rand_presentation, rand_rat, rand_rect,
+                      rand_rect_module, rand_split_presentation)
 from matchdist import _fastpath
 from matchdist.bottleneck import (bottleneck, cheapest_matching,
                                   threshold_matching)
@@ -34,8 +37,9 @@ from matchdist.fibered import (Bar, bar_counts, restrict_module,
 from matchdist.geometry import (Line, ProjPoint, line_through,
                                 normalize_line, push_param, weight)
 from matchdist.gridscan import GridSpec, scan
-from matchdist.modules import (TwoParamModule, critical_values, lub_closure,
-                               rect, scale, swap_axes, translate)
+from matchdist.modules import (Presentation, TwoParamModule, critical_values,
+                               lub_closure, rect, scale, swap_axes,
+                               translate)
 from matchdist.rational import INF, Q
 from oracles import (bottleneck_bruteforce, distinct_keys,
                      distinct_keys_pairloop, lattice_rational, lex_pair,
@@ -301,6 +305,31 @@ def test_presentation_form_agrees():
         assert res.value == ref.value
         assert res.witness_line == ref.witness_line
         assert res.candidate_count == ref.candidate_count
+
+
+def test_entangled_presentation_form_agrees():
+    """Entangled presentations of rectangle pairs (entangled_presentation:
+    one generator rewritten as a sum of two), which keep a _Pres on both
+    sides, give the rectangle form's value, witness line, witness matching
+    and count."""
+    rng = random.Random(272)
+    pairs = [ex_need_omega(), ex_diag_not_suff()]
+    while len(pairs) < 6:
+        pool = rand_pool(rng, 4)
+        pair = tuple(rand_rect_module(rng, max_rects=3, pool=pool, p_inf=0.2)
+                     for _ in "MN")
+        sides = _fastpath._sides(*map(entangled_presentation, pair), float)
+        if all(pres is not None for _, _, pres in sides):
+            pairs.append(pair)
+    for Mr, Nr in pairs:
+        M, N = entangled_presentation(Mr), entangled_presentation(Nr)
+        assert all(pres is not None for _, _, pres in
+                   _fastpath._sides(M, N, float))
+        ref = matching_distance(Mr, Nr)
+        res = matching_distance(M, N)
+        assert (res.value, res.witness_line, res.candidate_count) == \
+            (ref.value, ref.witness_line, ref.candidate_count)
+        assert res.witness_detail == ref.witness_detail
 
 
 def test_dominates_arbitrary_lines():
@@ -938,7 +967,13 @@ def test_presentation_templates_match_restriction():
         pool = rand_pool(rng, 5, dmax=2)
         lam = 2
         pres = rand_presentation(rng, pool, rank, rng.randint(0, 2))
-        side = _fastpath._Pres(pres, lambda v: int(v * lam))
+        gens, rels = pres.presentation.generators, pres.presentation.relations
+        idx = {name: i for i, (name, _) in enumerate(gens)}
+        # the whole presentation, unsplit
+        side = _fastpath._Pres([g for _, g in gens],
+                               [(g, {idx[n] for n in col})
+                                for _, g, col in rels],
+                               lambda v: int(v * lam))
         dxv = np.array([rng.randint(1, 9) for _ in range(400)])
         dyv = np.array([rng.randint(1, 9) for _ in range(400)])
         kv = np.array([rng.randint(-60, 60) * lam for _ in range(400)])
@@ -1062,6 +1097,152 @@ def test_presentation_pairs_vector_values():
                                          exactdist._line_from_key(*key, lam))
             assert Q(p, q) == want
             assert abs(f - float(want)) <= 1e-9 * max(1.0, float(want))
+
+
+# Presentations split into the components of their generator-relation
+# graph: rectangle-shaped components take the rectangle path, the others
+# stay in one _Pres.
+
+# (rectangle-shaped components, entangled ones, essential generators) of
+# rand_split_presentation
+_SPLIT_SHAPES = [(2, 0, 0), (3, 0, 1), (1, 1, 0), (2, 1, 1), (0, 2, 0),
+                 (3, 0, 0), (2, 2, 0), (3, 1, 2)]
+
+
+def _split_pairs():
+    """Pairs of rand_split_presentation modules of each shape, the second
+    redrawn until the essential counts agree, and two against a rectangle
+    module; a pool of 3 values keeps the candidate sets small."""
+    rng = random.Random(74)
+    pool = [Q(v) for v in (0, 1, 2)]
+    for shape in _SPLIT_SHAPES:
+        M = rand_split_presentation(rng, pool, *shape)
+        for _ in range(100):
+            N = rand_split_presentation(rng, pool, *shape)
+            if bar_counts(N)[1] == bar_counts(M)[1]:
+                break
+        yield M, N
+    yield (rand_split_presentation(rng, pool, 2, 1, 0),
+           _shaped(rng, pool, 3, 0, 0.2))
+    yield (_shaped(rng, pool, 2, 1, 0.2),
+           rand_split_presentation(rng, pool, 1, 0, 1))
+
+
+def _unsplit(pres):
+    """_fastpath._split's result for the presentation kept whole: no
+    rectangle, and all generators and relations in one _Pres."""
+    idx = {name: i for i, (name, _) in enumerate(pres.generators)}
+    return [], ([g for _, g in pres.generators],
+                [(g, {idx[n] for n in col}) for _, g, col in pres.relations])
+
+
+def test_split_presentations_match_per_line_selection():
+    """Presentations that mix rectangle-shaped components with entangled
+    ones, empty relation columns, relations at their generator's grade,
+    several relations per axis and generators without relations give the
+    value, witness line, witness matching and count of the per-line exact
+    selection, which restricts each whole presentation in rationals."""
+    seen = set()
+    for M, N in _split_pairs():
+        res = matching_distance(M, N)
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = distinct_keys(X, Y, dvals)
+        _assert_as_oracle(res, select_exact(M, N, keys, lam, len(keys)))
+        for (ess, fin, pres), module in zip(
+                _fastpath.exact_evaluator(M, N, lam).sides, (M, N)):
+            if module.presentation is not None:
+                seen.add(("rects", bool(fin or ess)))
+                seen.add(("pres", pres is not None))
+        seen.add(("bound", exactdist._Select(
+            _fastpath.exact_evaluator(M, N, lam)).by_run))
+    assert seen == {(kind, flag) for kind in ("rects", "pres", "bound")
+                    for flag in (False, True)}
+
+
+def test_split_sides_match_unsplit_sides(monkeypatch):
+    """The split sides give the results of the whole presentations, each
+    kept in one _Pres: line_evaluator's float costs bit for bit on random
+    lines, and on sampled keys exact_evaluator's fractions, numerator for
+    numerator, and each module's key_diagram, bar for bar.  A
+    rectangle-shaped component's death is the push of its least relation,
+    max(push(g), the crossing of the relation's other coordinate), in
+    floats too."""
+    rng = random.Random(75)
+    lines = []
+    for _ in range(400):
+        theta, o = rng.uniform(0.01, 1.56), rng.uniform(-4, 4)
+        mx = max(math.cos(theta), math.sin(theta))
+        lines.append((math.cos(theta) / mx, math.sin(theta) / mx,
+                      -o / 2, o / 2))
+    lines = [np.array(c) for c in zip(*lines)]
+    for M, N in _split_pairs():
+        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+        keys = distinct_keys(X, Y, dvals)
+        keys = rng.sample(keys, min(300, len(keys)))
+        cols = [np.array(c, dtype=np.int64) for c in zip(*keys)]
+
+        def results():
+            out = [_fastpath.line_evaluator(M, N)(*lines).tobytes()]
+            values = _fastpath.exact_evaluator(M, N, lam)
+            if bar_counts(M)[1] == bar_counts(N)[1]:
+                out += [a.tobytes() for a in values(*cols)]
+            return out + [_fastpath.key_diagram(side, *key, lam)
+                          for side in values.sides for key in keys]
+
+        got = results()
+        with monkeypatch.context() as m:
+            m.setattr(_fastpath, "_split", _unsplit)
+            want = results()
+        assert got == want
+
+
+@pytest.mark.parametrize("pres, message", [
+    (Presentation((("a", (0, 0)),), (("r", (1, 0), frozenset({"zz"})),)),
+     "unknown generator 'zz'"),
+    (Presentation((("a", (1, 1)),), (("r", (2, 0), frozenset({"a"})),)),
+     "is below generator 'a'"),
+    (Presentation((("a", (0, 0)), ("a", (1, 1))),
+                  (("r", (2, 2), frozenset({"a"})),)),
+     "duplicate generator name 'a'"),
+], ids=["unknown-name", "below-generator", "duplicate-name"])
+def test_malformed_presentation_raises(pres, message):
+    """matching_distance and scan raise InvalidPresentation on a malformed
+    presentation, on either side, before any part of it is converted:
+    an unknown generator name in a relation column, a relation below its
+    generator, a duplicate generator name."""
+    M = TwoParamModule.from_presentation(pres)
+    N = TwoParamModule.from_rects([rect(0, 0, 2, 2)])
+    for pair in ((M, N), (N, M)):
+        with pytest.raises(fibered.InvalidPresentation, match=message):
+            matching_distance(*pair)
+        with pytest.raises(fibered.InvalidPresentation, match=message):
+            scan(*pair, GridSpec(4, 4))
+
+
+@pytest.mark.parametrize("hook", ["setprofile", "settrace", "cProfile"])
+def test_stream_runs_under_a_profiler(hook, monkeypatch):
+    """matching_distance and candidate_lines run under a profiling or
+    tracing hook, whose bound-method call holds one more reference to the
+    key buffer, with _BLOCK small enough that the buffer grows and shrinks
+    many times: the results are those of a run without the hook."""
+    monkeypatch.setattr(exactdist, "_BLOCK", 64)
+    M, N = ex_need_omega()
+    want = matching_distance(M, N), candidate_lines(M, N)
+
+    def both():
+        return matching_distance(M, N), candidate_lines(M, N)
+
+    if hook == "cProfile":
+        got = cProfile.Profile().runcall(both)
+    else:
+        install = getattr(sys, hook)
+        install(lambda *args: None)
+        try:
+            got = both()
+        finally:
+            install(None)
+    assert got == want
+    assert len(want[1].lines) > 4 * 64
 
 
 def _small_pres_pair():
@@ -2047,11 +2228,14 @@ def _past_cap_pair():
 @pytest.mark.parametrize("pair, full", [
     (_past_cap_pair, False),
     (ex_need_omega, False),
-    (lambda: tuple(map(combined_presentation, ex_need_omega())), True),
-], ids=["past-dp-width", "rect", "presentation"])
+    (lambda: tuple(map(combined_presentation, ex_need_omega())), False),
+    (lambda: tuple(map(entangled_presentation, ex_need_omega())), True),
+], ids=["past-dp-width", "rect", "presentation", "entangled"])
 def test_bound_skips_kernel_lines(pair, full, monkeypatch):
     """A certified rectangle pair sends fewer lines to the kernel than it
-    has candidates; a presentation pair, which has no bound, sends all."""
+    has candidates, and so does a pair of presentations whose components
+    are all rectangle-shaped; an entangled presentation pair, which has no
+    bound, sends all."""
     M, N = pair()
     lines = _kernel_lines(monkeypatch)
     res = matching_distance(M, N)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (combined_presentation, ex_diag_not_suff, ex_need_diag,
-                      ex_need_omega, rand_pool, rand_presentation, rand_rect,
+from conftest import (combined_presentation, entangled_presentation,
+                      ex_diag_not_suff, ex_need_diag, ex_need_omega,
+                      rand_pool, rand_presentation, rand_rect,
                       rand_rect_module)
 from matchdist import _fastpath, fibered, gridscan
 from matchdist._fastpath import line_evaluator
@@ -169,17 +170,21 @@ def _wide_pair(finite):
     (lambda: _wide_pair(5), GridSpec(5, 900), None),
     (lambda: tuple(map(combined_presentation, ex_need_omega())),
      GridSpec(5, 1300), None),
+    (lambda: tuple(map(entangled_presentation, ex_need_omega())),
+     GridSpec(5, 1300), None),
     # past the kernel's dynamic-programming width, the threshold search
     # runs line by line; a small block gives the same shapes on a small
     # grid
     (lambda: _wide_pair(7), GridSpec(5, 7), 16),
     (lambda: _wide_pair(7), GridSpec(2, 20), 16),
 ], ids=["rect", "rect-row-per-call", "rect-5x5", "presentation",
-        "past-dp-width", "past-dp-width-row-per-call"])
+        "presentation-entangled", "past-dp-width",
+        "past-dp-width-row-per-call"])
 def test_blocks_match_one_call_per_row(pair, g, block, monkeypatch):
     """Rows evaluated in blocks give every value, the max and the argmax of
     one evaluator call per row, bit for bit, for rectangles and
-    presentations, at and past the kernel's dynamic-programming width."""
+    presentations, rectangle-shaped or entangled, at and past the kernel's
+    dynamic-programming width."""
     if block is not None:
         monkeypatch.setattr(gridscan, "_BLOCK_LINES", block)
     M, N = pair()
@@ -225,11 +230,12 @@ def _unequal_essential_pair():
 @pytest.mark.parametrize("pair", [
     ex_need_omega,
     lambda: tuple(map(combined_presentation, ex_need_omega())),
+    lambda: tuple(map(entangled_presentation, ex_need_omega())),
     lambda: _wide_pair(7),
     lambda: (TwoParamModule.from_rects([]),) * 2,
     _unequal_essential_pair,
-], ids=["rect", "presentation", "past-dp-width", "trivial",
-        "unequal-essential"])
+], ids=["rect", "presentation", "presentation-entangled", "past-dp-width",
+        "trivial", "unequal-essential"])
 @pytest.mark.parametrize("g, block, chunk", [
     # blocks of 2 rows and a last block of 1, sliced into kernel chunks of
     # 2 offsets
@@ -258,11 +264,14 @@ def test_broadcast_blocks_match_flat_lines(pair, g, block, chunk,
 
 def _unequal_forms():
     """_unequal_essential_pair as rectangles and as presentations, in both
-    argument orders."""
+    argument orders; the entangled form's first module keeps a _Pres, its
+    second, one rectangle, is rectangle-shaped."""
     M, N = _unequal_essential_pair()
     P, R = combined_presentation(M), combined_presentation(N)
+    E = entangled_presentation(M)
     return {"rect": (M, N), "rect-swapped": (N, M),
-            "presentation": (P, R), "presentation-swapped": (R, P)}
+            "presentation": (P, R), "presentation-swapped": (R, P),
+            "entangled": (E, R), "entangled-swapped": (R, E)}
 
 
 @pytest.mark.parametrize("form", list(_unequal_forms()))
@@ -289,29 +298,50 @@ def test_unequal_essential_counts_cost_inf(form, g):
     assert costs.shape == (3, 5) and np.all(costs == math.inf)
 
 
-@pytest.mark.parametrize("pair", [
-    lambda: tuple(map(combined_presentation, ex_need_omega())),
-    lambda: _unequal_forms()["presentation"],
-    lambda: _unequal_forms()["presentation-swapped"],
-], ids=["equal-essential", "unequal", "unequal-swapped"])
-def test_presentation_scan_counts_bars_once(pair, monkeypatch):
-    """A presentation scan reduces each module's relation matrix for its
-    bar counts once, when the kernel converts it: fibered.bar_counts runs
-    once per module, wherever the package binds it."""
-    calls = []
-    bar_counts = fibered.bar_counts
+@pytest.mark.parametrize("pair, reductions", [
+    (lambda: tuple(map(combined_presentation, ex_need_omega())), 0),
+    (lambda: _unequal_forms()["presentation"], 0),
+    (lambda: _unequal_forms()["presentation-swapped"], 0),
+    (lambda: tuple(map(entangled_presentation, ex_need_omega())), 2),
+    (lambda: _unequal_forms()["entangled"], 1),
+    (lambda: _unequal_forms()["entangled-swapped"], 1),
+], ids=["equal-essential", "unequal", "unequal-swapped",
+        "entangled-equal-essential", "entangled-unequal",
+        "entangled-unequal-swapped"])
+def test_presentation_scan_counts_bars_once(pair, reductions, monkeypatch):
+    """A presentation scan reduces a relation matrix for the bar counts
+    only for a module with entangled components, once, when the kernel
+    converts it: a presentation whose components are all rectangle-shaped
+    reduces none.  Reductions of the barcode templates do not count, and
+    fibered.bar_counts, wherever the package binds it, never runs."""
+    calls, templating = [], []
+    reduce_columns = fibered.reduce_columns
+    template = _fastpath._Pres._template
 
-    def counted(module):
-        calls.append(module)
-        return bar_counts(module)
+    def counted(columns, rows):
+        if not templating:
+            calls.append(rows)
+        return reduce_columns(columns, rows)
 
+    def templated(self, row):
+        templating.append(row)
+        try:
+            return template(self, row)
+        finally:
+            templating.pop()
+
+    def never(module):
+        raise AssertionError("bar_counts called")
+
+    patches = {"reduce_columns": counted, "bar_counts": never}
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "matchdist" and \
-                getattr(mod, "bar_counts", None) is bar_counts:
-            monkeypatch.setattr(mod, "bar_counts", counted)
+        if name.split(".")[0] == "matchdist":
+            for attr in patches.keys() & vars(mod).keys():
+                monkeypatch.setattr(mod, attr, patches[attr])
+    monkeypatch.setattr(_fastpath._Pres, "_template", templated)
     M, N = pair()
     scan(M, N, GridSpec(60, 80))
-    assert len(calls) == 2 and calls[0] is M and calls[1] is N
+    assert len(calls) == reductions
 
 
 def test_scan_converts_modules_once(monkeypatch):
@@ -476,16 +506,18 @@ def test_best_first_scan_skips_live_lines(monkeypatch):
 
 @pytest.mark.parametrize("pair, full", [
     (ex_need_omega, False),
-    (lambda: tuple(map(combined_presentation, ex_need_omega())), True),
+    (lambda: tuple(map(combined_presentation, ex_need_omega())), False),
+    (lambda: tuple(map(entangled_presentation, ex_need_omega())), True),
     (lambda: (TwoParamModule.from_rects([rect(0, 0, INF, INF),
                                          rect(1, 2, 6, 5)]),
               TwoParamModule.from_rects([rect(1, 1, INF, INF),
                                          rect(0, 3, 4, 7)])), True),
-], ids=["rect", "presentation", "essential"])
+], ids=["rect", "presentation", "entangled", "essential"])
 def test_scan_skips_dead_offsets(pair, full, monkeypatch):
     """A 1000x1000 scan of finite rectangles runs the kernel on fewer lines
-    than the grid holds; a presentation pair, and a pair with one essential
-    bar per side, run it on every line."""
+    than the grid holds, and so does one of presentations whose components
+    are all rectangle-shaped; an entangled presentation pair, and a pair
+    with one essential bar per side, run it on every line."""
     lines = []
     chunk = _fastpath._chunk
 
@@ -504,17 +536,19 @@ def test_scan_skips_dead_offsets(pair, full, monkeypatch):
 
 @pytest.mark.parametrize("pair, finite", [
     (ex_need_omega, True),
-    (lambda: tuple(map(combined_presentation, ex_need_omega())), False),
+    (lambda: tuple(map(combined_presentation, ex_need_omega())), True),
+    (lambda: tuple(map(entangled_presentation, ex_need_omega())), False),
     (lambda: (TwoParamModule.from_rects([rect(0, 0, INF, INF),
                                          rect(1, 2, 6, 5)]),
               TwoParamModule.from_rects([rect(1, 1, INF, INF),
                                          rect(0, 3, 4, 7)])), False),
     (lambda: (TwoParamModule.from_rects([]),) * 2, False),
-], ids=["rect", "presentation", "essential", "trivial"])
+], ids=["rect", "presentation", "entangled", "essential", "trivial"])
 def test_every_map_has_row_bound_and_live_span(pair, finite):
     """Every map of line_evaluator has row_bound and live_span.  The row
-    bound is an (r, 1) column, finite on a rectangle pair without
-    essential bars and +inf on a presentation pair, on a pair with
+    bound is an (r, 1) column, finite on a pair of rectangles without
+    essential bars, rectangle modules or presentations of rectangle-shaped
+    components, and +inf on an entangled presentation pair, on a pair with
     essential bars and on two trivial modules, whose live spans are full
     rows."""
     M, N = pair()
@@ -557,10 +591,24 @@ def test_trivial_scan_all_zero():
 
 
 def test_presentation_path_agrees_with_rect_path():
+    """A presentation whose components are all rectangle-shaped takes the
+    rectangle path: its scan is the rectangle form's, bit for bit."""
+    M, N = ex_need_omega()
+    g = GridSpec(10, 10)
+    fast = scan(M, N, g)
+    slow = scan(combined_presentation(M), combined_presentation(N), g)
+    assert (repr(slow.max_value), slow.argmax) == \
+        (repr(fast.max_value), fast.argmax)
+    assert _bits(slow.rows) == _bits(fast.rows)
+
+
+def test_entangled_presentation_path_agrees_with_rect_path():
+    """An entangled presentation's scan, through its barcode templates,
+    agrees with the rectangle form's within rounding."""
     M, N = ex_need_omega()
     g = GridSpec(10, 10)
     fast = list(scan(M, N, g).rows)
-    slow = list(scan(combined_presentation(M), combined_presentation(N),
+    slow = list(scan(entangled_presentation(M), entangled_presentation(N),
                      g).rows)
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):

@@ -57,6 +57,45 @@ def test_abrun_two_seeds():
     assert abs(median - sum(ratios) / 2) <= 1e-4
 
 
+def test_abrun_forms():
+    """--form rect,pres times the parent's side in rectangle form and the
+    change's in presentation form, each op passing its checks; a form
+    other than rect or pres is a usage error."""
+    out = abrun("--rounds", "1", "--form", "rect,pres")
+    assert out.returncode == 0, out.stderr
+    sides = [line for line in out.stdout.splitlines()
+             if line.startswith(("parent ", "change "))]
+    assert [line.split(": ")[0].rpartition(" ")[2] for line in sides] == [
+        "(rect)", "(pres)"]
+    assert all("failed ops 0," in line for line in sides)
+    out = abrun("--rounds", "1", "--form", "pres,box")
+    assert out.returncode == 2
+    assert "--form: expected rect, pres" in out.stderr
+
+
+def test_abrun_pres_form_converts_every_rectangle_module():
+    """in_form turns every rectangle module of an op into one presentation
+    and keeps the rest of the op; the rect form keeps the op as it is."""
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "import abrun, matchdist\n"
+        "lib = abrun.C.load_library('perline')\n"
+        "ops = abrun.C.build_ops(matchdist, lib, 1)\n"
+        "pres = [abrun.in_form(matchdist, op, 'pres') for op in ops]\n"
+        "print(sum(op.M.rectangles is not None for op in ops),\n"
+        "      all(m.presentation is not None\n"
+        "          for op in pres for m in (op.M, op.N)),\n"
+        "      [(p.ident, p.kind, p.expect) for p in pres]\n"
+        "      == [(op.ident, op.kind, op.expect) for op in ops],\n"
+        "      [abrun.in_form(matchdist, op, 'rect') for op in ops] == ops)\n"
+        % str(ABRUN.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    converted, *flags = out.stdout.split()
+    assert int(converted) > 0 and flags == ["True"] * 3
+
+
 def benchpairs(parent, change, *args):
     return subprocess.run([sys.executable, str(BENCHPAIRS), str(parent),
                            str(change), "--workload", "perline", *args],

@@ -17,6 +17,18 @@ op, and the side that goes first is swapped each round; one untimed round
 warms both sides up.  Every output is checked with corpus.check outside the
 timed region.
 
+--form sets the form of the modules: rect, the corpus's own (rectangle
+modules, and the presentations of the entries stored in that form), or
+pres, every rectangle module turned into one presentation by
+perfbench/corpus.py's combined_presentation.  One form applies to both
+sides; two, as in --form rect,pres, give the parent's and the change's.
+The checks are the same in either form, their expected values being
+those of the module, not of its form.  So
+
+    python3 tools/abrun.py . . --workload rect_small --form rect,pres
+
+times the presentation form of one checkout against its rectangle form.
+
 Each seed of --seeds, a list such as 1,2,3 or a range such as 1-10 as
 perfbench/spread.py's seed_list reads it, is run in turn, in the same
 process, with its own warm-up round.  Prints, per seed and side, the median
@@ -28,6 +40,7 @@ With more than one seed, the last line is the median of the seeds' ratios.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import importlib
 import shutil
@@ -75,10 +88,32 @@ def positive(text):
     return n
 
 
-def run_seed(sides, lib, seed, rounds):
-    """Time one seed's ops on both sides, print each side's line and
-    return the ratio of the pass medians, CHANGE over PARENT."""
-    ops = [C.build_ops(md, lib, seed) for _, md in sides]
+def forms(text):
+    """One form, or the parent's and the change's, for argparse."""
+    out = text.split(",")
+    if len(out) > 2 or not set(out) <= {"rect", "pres"}:
+        raise argparse.ArgumentTypeError(
+            "expected rect, pres or two of them joined by a comma, got %r"
+            % text)
+    return out if len(out) == 2 else out * 2
+
+
+def in_form(md, op, form):
+    """op with every rectangle module turned into one presentation when
+    form is pres, and as it is otherwise."""
+    if form == "rect":
+        return op
+    M, N = (m if m.rectangles is None else C.combined_presentation(md, m)
+            for m in (op.M, op.N))
+    return dataclasses.replace(op, M=M, N=N)
+
+
+def run_seed(sides, lib, seed, rounds, form):
+    """Time one seed's ops on both sides, each in its form, print each
+    side's line and return the ratio of the pass medians, CHANGE over
+    PARENT."""
+    ops = [[in_form(md, op, f) for op in C.build_ops(md, lib, seed)]
+           for (_, md), f in zip(sides, form)]
     n = len(ops[0])
     times = [[[] for _ in range(n)] for _ in sides]
     passes = [[] for _ in sides]
@@ -99,9 +134,9 @@ def run_seed(sides, lib, seed, rounds):
             for s in (0, 1)]
     for s, (checkout, _) in enumerate(sides):
         per_op = sorted(statistics.median(ts) for ts in times[s])
-        print("%s %s: pass median %.4f s, won %d of %d rounds, failed ops "
-              "%d, ops_per_s %.1f, op_p50_s %.6f"
-              % ("parent" if s == 0 else "change", checkout,
+        print("%s %s (%s): pass median %.4f s, won %d of %d rounds, "
+              "failed ops %d, ops_per_s %.1f, op_p50_s %.6f"
+              % ("parent" if s == 0 else "change", checkout, form[s],
                  statistics.median(passes[s]), wins[s], rounds,
                  len(failed[s]), n / sum(per_op), statistics.median(per_op)))
     ratio = statistics.median(passes[1]) / statistics.median(passes[0])
@@ -116,6 +151,9 @@ def main():
     ap.add_argument("--workload", default="perline", choices=C.WORKLOADS)
     ap.add_argument("--seeds", type=seed_list, default=[1])
     ap.add_argument("--rounds", type=positive, default=21)
+    ap.add_argument("--form", type=forms, default=["rect", "rect"],
+                    help="rect or pres, or PARENT,CHANGE forms "
+                    "(default: rect)")
     args = ap.parse_args()
     lib = C.load_library(args.workload)
     with tempfile.TemporaryDirectory() as where:
@@ -126,7 +164,8 @@ def main():
         ratios = []
         for seed in args.seeds:
             print("seed %d" % seed)
-            ratios.append(run_seed(sides, lib, seed, args.rounds))
+            ratios.append(run_seed(sides, lib, seed, args.rounds,
+                                   args.form))
     if len(ratios) > 1:
         print("median ratio over seeds %s: %.4f"
               % (",".join(map(str, args.seeds)), statistics.median(ratios)))
