@@ -29,7 +29,8 @@ keys, and object unpacked keys.  Each pair's direction is divided by the gcd
 of its differences, taken after one Euclid step: with lo the smaller
 difference and r the larger one's remainder mod lo, the gcd is
 gcd(lo, r), read off one int16 table of gcd(a, b) for a, b < 512 when
-lo < 512 (_table_gcd), and np.gcd otherwise and on object arrays.  The
+lo < 512 (_table_gcd), and np.gcd otherwise and on object arrays; on
+int32 its quotients and those of the reduction are exact doubles.  The
 process builds that table once, in about 9 ms, for its first lattice of
 at least 512^2 point pairs; smaller lattices before it take np.gcd.  The
 point-direction lines come one broadcast per group of directions.  Each
@@ -344,17 +345,21 @@ def _table_gcd(table, dx, dy):
     off a square table of gcd(a, b) for a, b below its side.
 
     One Euclid step: with lo = min(dx, dy), hi = max(dx, dy) and
-    r = hi - (hi // lo)*lo (// as in _unpack), gcd(dx, dy) = gcd(lo, r)
+    r = hi - floor(hi/lo)*lo (as in _unpack), gcd(dx, dy) = gcd(lo, r)
     and r < lo, so every pair with lo below the side reads cell (lo, r).
-    lo is clamped to side - 1 first, so the flat index stays below side**2
-    in any dtype; the pairs with lo >= side, whose cells the clamp misreads,
-    take np.gcd instead."""
+    The floor is hi // lo, or on int32 the double hi/lo truncated: for
+    integers 0 < lo <= hi < 2^53 where lo does not divide hi,
+    fl(hi/lo) <= (hi/lo)(1 + 2^-53) < hi/lo + 1/lo <= floor(hi/lo) + 1 and
+    rounding is monotone, so truncating gives the floor; an integer
+    quotient below 2^53 is exact.  lo is clamped to side - 1 first, so the
+    flat index stays below side**2 in any dtype; the pairs with
+    lo >= side, whose cells the clamp misreads, take np.gcd instead."""
     side = len(table)
     lo = np.minimum(dx, dy)
     big = lo >= side
     np.minimum(lo, side - 1, out=lo)
     hi = np.maximum(dx, dy)
-    r = hi // lo
+    r = (hi / lo).astype(np.int32) if hi.dtype == np.int32 else hi // lo
     r *= lo
     np.subtract(hi, r, out=r)
     lo *= side
@@ -373,7 +378,8 @@ def _pair_keys(Xd, Yd, a, b, c):
     negative-slope pairs.  Once _iter_blocks has built the gcd table, int32
     and int64 differences divide by its gcds (_table_gcd), which take about
     half of np.gcd's time; object differences, and every band before the
-    build, take np.gcd."""
+    build, take np.gcd.  On int32 the divisions are exact doubles
+    (_table_gcd)."""
     dx = Xd[None, c:] - Xd[a:b, None]
     dy = Yd[None, c:] - Yd[a:b, None]
     keep = dx > 0
@@ -381,8 +387,11 @@ def _pair_keys(Xd, Yd, a, b, c):
     dxv, dyv = dx[keep], dy[keep]
     g = (np.gcd(dxv, dyv) if _gcd_table is None or dxv.dtype == object
          else _table_gcd(_gcd_table, dxv, dyv))
-    dxv //= g
-    dyv //= g
+    if g.dtype == np.int32:
+        dxv, dyv = (dxv / g).astype(np.int32), (dyv / g).astype(np.int32)
+    else:
+        dxv //= g
+        dyv //= g
     return dxv, dyv, np.count_nonzero(keep, axis=1)
 
 

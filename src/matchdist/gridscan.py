@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,11 +61,16 @@ class GridSpec:
     offset_range: tuple | None = None
 
     def __post_init__(self):
-        if self.theta_steps < 2 or self.offset_steps < 2:
-            raise ValueError("grid needs at least 2 steps per axis")
-        if self.offset_range is not None and \
-                not self.offset_range[0] < self.offset_range[1]:
-            raise ValueError("empty offset range")
+        if not all(isinstance(n, numbers.Integral) and n >= 2
+                   for n in (self.theta_steps, self.offset_steps)):
+            raise ValueError("grid needs a whole number of at least 2 steps "
+                             "on each axis")
+        if self.offset_range is not None:
+            lo, hi = self.offset_range
+            if not lo < hi:
+                raise ValueError("empty offset range")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("offset range must be finite")
 
 
 @dataclass(frozen=True)

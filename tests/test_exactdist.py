@@ -1363,24 +1363,33 @@ _GCD_512 = _gcd_grid(512)
 
 @st.composite
 def _gcd_pair(draw, top):
-    """A positive pair (dx, dy) up to top, in either order, whose smaller
-    entry lo is often at the table's edge (1, 511, 512, 513) and whose
-    larger one is often a multiple of lo (r = 0) or lo itself."""
+    """A positive pair (dx, dy) up to top, in either order.  Its smaller
+    entry lo is often at the table's edge (1, 511, 512, 513), and its
+    larger one hi often lo itself, lo + 1, a multiple q*lo (r = 0), or
+    q*lo - 1 or q*lo + lo - 1 with q*lo near top, whose quotients hi/lo
+    lie just below an integer, where a quotient rounded up or to nearest
+    misreads the floor.  Or both share a common divisor g as large as top
+    allows, which the reduction divides out."""
     lo = draw(st.sampled_from([1, 511, 512, 513]) | st.integers(1, top))
-    hi = draw(st.one_of(st.just(lo),
-                        st.integers(1, top // lo).map(lambda m: m * lo),
-                        st.integers(lo, top)))
-    return (lo, hi) if draw(st.booleans()) else (hi, lo)
+    q = draw(st.integers(max(1, top // lo - 2), top // lo)
+             | st.integers(1, top // lo))
+    hi = draw(st.sampled_from([h for h in (lo, lo + 1, q * lo, q * lo - 1,
+                                           q * lo + lo - 1)
+                               if lo <= h <= top])
+              | st.integers(lo, top))
+    g = draw(st.just(1) | st.just(top // hi) | st.integers(1, top // hi))
+    return (g * lo, g * hi) if draw(st.booleans()) else (g * hi, g * lo)
 
 
-@pytest.mark.parametrize("dtype, top", [(np.int32, (1 << 30) - 1),
+@pytest.mark.parametrize("dtype, top", [(np.int32, (1 << 31) - 2),
                                         (np.int64, (1 << 62) - 1)])
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_table_gcd_equals_np_gcd(dtype, top, data):
-    """The table gcd equals np.gcd in its dtype, on pairs with lo at
-    either side of the table's edge, with hi a multiple of lo and with
-    dx = dy, and writes neither input."""
+    """The table gcd equals np.gcd in its dtype, and _pair_keys' reduced
+    directions equal the pairs divided by their gcds in python ints, on
+    pairs up to the largest difference of the dtype's coordinates whose
+    quotients are aimed at a misread floor; neither writes its inputs."""
     pairs = data.draw(st.lists(_gcd_pair(top), min_size=1, max_size=40))
     dx = np.array([p[0] for p in pairs], dtype=dtype)
     dy = np.array([p[1] for p in pairs], dtype=dtype)
@@ -1389,6 +1398,39 @@ def test_table_gcd_equals_np_gcd(dtype, top, data):
     assert got.dtype == dtype
     assert np.array_equal(got, np.gcd(dx, dy))
     assert np.array_equal(dx, before[0]) and np.array_equal(dy, before[1])
+    Xd, Yd = (np.concatenate([np.zeros(1, dtype), v]) for v in (dx, dy))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactdist, "_gcd_table", _GCD_512)
+        dxv, dyv, rows = exactdist._pair_keys(Xd, Yd, 0, 1, 1)
+    assert dxv.dtype == dyv.dtype == dtype and rows.tolist() == [len(pairs)]
+    assert list(zip(dxv.tolist(), dyv.tolist())) == [
+        (a // gcd(a, b), b // gcd(a, b)) for a, b in pairs]
+
+
+def _stream_table8(monkeypatch, X, Y, dirs):
+    """The streamed keys of (X, Y, dirs) with the table's side cut to 8,
+    and the dtypes of the differences that took the table."""
+    calls = []
+    table_gcd = exactdist._table_gcd
+
+    def recorded(table, dx, dy):
+        calls.append(dx.dtype)
+        return table_gcd(table, dx, dy)
+
+    monkeypatch.setattr(exactdist, "_GCD_SIDE", 8)
+    monkeypatch.setattr(exactdist, "_gcd_table", None)
+    monkeypatch.setattr(exactdist, "_table_gcd", recorded)
+    got = distinct_keys(X, Y, dirs)
+    assert np.array_equal(exactdist._gcd_table, _gcd_grid(8))
+    return got, set(calls)
+
+
+def _lo_hi(pts):
+    """The (smaller, larger) differences of every positive-slope pair of
+    pts."""
+    return {tuple(sorted((q[0] - p[0], q[1] - p[1])))
+            for p, q in itertools.combinations(sorted(pts), 2)
+            if q[0] > p[0] and q[1] > p[1]}
 
 
 @pytest.mark.parametrize("shift, path, diff_dtype", [
@@ -1400,31 +1442,41 @@ def test_table_gcd_stream_matches_pair_loop(monkeypatch, shift, path,
     and its bands mix table cells and np.gcd: the streamed keys equal the
     plain pair loop in every key regime, the translated ones on int64
     differences."""
-    calls = []
-    table_gcd = exactdist._table_gcd
-
-    def recorded(table, dx, dy):
-        calls.append(dx.dtype)
-        return table_gcd(table, dx, dy)
-
-    monkeypatch.setattr(exactdist, "_GCD_SIDE", 8)
-    monkeypatch.setattr(exactdist, "_gcd_table", None)
-    monkeypatch.setattr(exactdist, "_table_gcd", recorded)
     rng = random.Random(31)
     pts = sorted({(rng.randrange(40), rng.randrange(40)) for _ in range(40)})
-    los = {min(q[0] - p[0], q[1] - p[1])
-           for p, q in itertools.combinations(pts, 2)
-           if q[0] > p[0] and q[1] > p[1]}
+    los = [lo for lo, _ in _lo_hi(pts)]
     assert min(los) < 8 <= max(los)
     X, Y = [x + shift for x, _ in pts], [y + shift for _, y in pts]
     dirs = [(1, 1), (2, 3), (9, 4)]
     spec = exactdist._pack_spec(X, Y, dirs)
     assert _spec_path(spec) == path and spec.diff_dtype == diff_dtype
-    got = distinct_keys(X, Y, dirs)
-    assert np.array_equal(exactdist._gcd_table, _gcd_grid(8))
-    assert calls and set(calls) == {np.dtype(diff_dtype)}
+    got, calls = _stream_table8(monkeypatch, X, Y, dirs)
+    assert calls == {np.dtype(diff_dtype)}
     assert got == distinct_keys_pairloop(X, Y, dirs)
     assert {type(v) for key in got for v in key} == {int}
+
+
+def test_table_gcd_stream_at_int32_edge(monkeypatch):
+    """On 40 points whose coordinates span (-2^30, 2^30), the differences
+    stay int32 and reach past 2^30, so the table's double quotients hi/lo
+    run near 2^31; with the table's side cut to 8 the bands mix table
+    cells and np.gcd, and the streamed keys equal the plain pair loop."""
+    rng = random.Random(41)
+    w = (1 << 30) - 64
+    pts = sorted({(rng.randrange(40) + w * rng.randrange(-1, 2),
+                   rng.randrange(40) + w * rng.randrange(-1, 2))
+                  for _ in range(40)})
+    pairs = _lo_hi(pts)
+    assert min(pairs)[0] < 8 <= max(pairs)[0]
+    assert any(lo < 8 and hi > 1 << 30 for lo, hi in pairs)
+    X, Y = [x for x, _ in pts], [y for _, y in pts]
+    assert max(map(abs, X + Y)) < 1 << 30
+    dirs = [(1, 1), (2, 3)]
+    spec = exactdist._pack_spec(X, Y, dirs)
+    assert spec.diff_dtype == np.int32
+    got, calls = _stream_table8(monkeypatch, X, Y, dirs)
+    assert calls == {np.dtype(np.int32)}
+    assert got == distinct_keys_pairloop(X, Y, dirs)
 
 
 def test_gcd_table_built_once_from_725_points(monkeypatch):

@@ -35,7 +35,15 @@ def test_grid_spec_validation():
         GridSpec(5, 1)
     with pytest.raises(ValueError):
         GridSpec(3, 3, offset_range=(2, 2))
+    for bad in ((0, float("inf")), (float("-inf"), 0),
+                (float("-inf"), float("inf")), (0, float("nan"))):
+        with pytest.raises(ValueError):
+            GridSpec(3, 3, offset_range=bad)
+    for bad in ((2.5, 3), (3, 2.5), (3.0, 3), ("3", 3)):
+        with pytest.raises(ValueError):
+            GridSpec(*bad)
     GridSpec(2, 2)
+    GridSpec(np.int64(3), 3, offset_range=(Q(-1, 3), 2.5))
 
 
 def test_default_offset_range():

@@ -1,4 +1,5 @@
 """Smoke tests of the scripts under tools/."""
+import importlib.util
 import json
 import subprocess
 import sys
@@ -115,7 +116,7 @@ def test_benchpairs_one_pair():
     sides run in sibling copies whose paths have equal length, removed at
     exit; the parent runs first on an odd seed, each run prints every
     metric and its page faults, and the summary has one line per
-    metric."""
+    metric, ending in its verdict."""
     out = benchpairs(ROOT, ROOT, "--tiny", "2", "--seeds", "1")
     assert out.returncode == 0, out.stderr
     a, b = _copies(out.stderr)
@@ -131,6 +132,8 @@ def test_benchpairs_one_pair():
     summary = dict(line.split(": ") for line in lines[3:])
     assert list(summary) == names
     assert float(summary["ok_frac"].split()[0]) == 1
+    assert {v.split()[-1] for v in summary.values()} <= {
+        "gain", "worse", "unresolved", "flat"}
     assert int(summary["minflt"].split()[0]) > 0
 
 
@@ -178,6 +181,49 @@ def test_benchpairs_fails_on_failed_or_incorrect_run(tmp_path):
     assert out.returncode == 1
     assert "incorrect run in %s, seed 2: 1 of 2 ops failed" % wrong \
         in out.stderr
+
+
+def _load_benchpairs():
+    spec = importlib.util.spec_from_file_location("benchpairs", BENCHPAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchpairs_verdict():
+    """The verdict on synthetic runs of ten seeds: gain needs nine of ten
+    wins and a median gain past the parent's IQR, worse a median past the
+    bound, unresolved a parent spread past the bound that the change does
+    not clear run for run; a metric with no bound reads gain or flat."""
+    verdict = _load_benchpairs().verdict
+    parent = [100.0 + i % 5 for i in range(10)]   # median 102, IQR 2
+    up = [p + 3 for p in parent]
+    assert verdict(parent, up, True, 0.24) == "gain"
+    assert verdict(up, parent, False, 0.24) == "gain"
+    assert verdict(parent, up, False, 0.24) == "flat"
+    assert verdict(parent, up, True, None) == "gain"
+    # nine of ten wins is enough, eight is not
+    nine = up[:9] + [parent[9] - 1]
+    assert verdict(parent, nine, True, 0.24) == "gain"
+    assert verdict(parent, up[:8] + parent[8:], True, 0.24) == "flat"
+    # a median gain of exactly the parent's IQR is not enough
+    assert verdict(parent, [p + 2 for p in parent], True, 0.24) == "flat"
+    # worse by more than the bound, in either direction of better
+    assert verdict(parent, [p * 0.75 for p in parent], True, 0.24) == "worse"
+    assert verdict(parent, [p * 0.77 for p in parent], True, 0.24) == "flat"
+    assert verdict(parent, [p * 1.25 for p in parent], False, 0.24) == \
+        "worse"
+    assert verdict(parent, [p * 1.25 for p in parent], False, None) == \
+        "flat"
+    # a parent spread wider than the bound leaves a small move unresolved,
+    # unless every change run beats every parent run
+    wide = [60.0, 80.0, 100.0, 120.0, 140.0] * 2    # IQR 40, median 100
+    assert verdict(wide, [w + 1 for w in wide], True, 0.24) == "unresolved"
+    assert verdict(wide, [w + 1 for w in wide], True, None) == "flat"
+    split = [60.0, 60.0, 100.0, 140.0, 140.0] * 2   # IQR 80, median 100
+    assert verdict(split, [141.0] * 10, True, 0.24) == "flat"
+    assert verdict(split, [59.0] * 10, False, 0.24) == "flat"
+    assert verdict(split, [59.0] * 10, True, 0.24) == "worse"
 
 
 CODELINES = ROOT / "tools" / "codelines.py"

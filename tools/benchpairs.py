@@ -26,10 +26,11 @@ Prints one line per run: its end-to-end metrics, the raw (not
 speed-normalized) timings of run.py's detail line, and the child's minor
 page faults, the change of ru_minflt of RUSAGE_CHILDREN over the run.
 Then, per metric, both sides' medians, their ratio CHANGE over PARENT,
-the parent's interquartile range and the number of seeds on which the
+the parent's interquartile range, the number of seeds on which the
 change did better, in the direction BENCHMARK.json gives (a raw timing
-takes its metric's, and fewer faults are better).  Exits 1 as soon as a
-run fails or reports correct: false.
+takes its metric's, and fewer faults are better), and the verdict on the
+metric (verdict).  Exits 1 as soon as a run fails or reports correct:
+false.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ from spread import seed_list  # noqa: E402
 
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 HIGHER = {m["name"] for m in BENCH["end_to_end"] if m["better"] == "higher"}
+BOUND = {m["name"]: m["bound"] for m in BENCH["end_to_end"]}
 # what a run reads of a checkout
 COPIED = ("src", "perfbench", "BENCHMARK.json")
 
@@ -104,6 +106,35 @@ def iqr(values):
     return q3 - q1
 
 
+def wins(parent, change, higher):
+    """The number of seeds on which the change did better."""
+    return sum((c > p if higher else c < p) for p, c in zip(parent, change))
+
+
+def verdict(parent, change, higher, bound):
+    """The verdict on one metric from its runs, paired by seed: gain when
+    the change is better in at least nine tenths of the pairs and its
+    median beats the parent's by more than the parent's IQR; worse when
+    its median is worse by more than bound, a fraction of the parent's
+    median; unresolved when the parent's IQR is wider than that bound and
+    not every change run beats every parent run; flat otherwise.  A metric
+    with no bound (None), a raw timing or minflt, reads gain or flat."""
+    sign = 1 if higher else -1
+    mp = statistics.median(parent)
+    gain = sign * (statistics.median(change) - mp)
+    if 10 * wins(parent, change, higher) >= 9 * len(parent) and \
+            gain > iqr(parent):
+        return "gain"
+    if bound is None:
+        return "flat"
+    if gain < -bound * abs(mp):
+        return "worse"
+    if iqr(parent) > bound * abs(mp) and \
+            min(sign * c for c in change) <= max(sign * p for p in parent):
+        return "unresolved"
+    return "flat"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("parent")
@@ -126,15 +157,15 @@ def main(argv=None):
                 print("%s seed %d: %s" % (name, seed, " ".join(
                     "%s %.6g" % kv for kv in m.items())), flush=True)
     print("metric: parent median, change median, ratio change/parent, "
-          "parent IQR, change better in n of %d" % len(args.seeds))
+          "parent IQR, change better in n of %d, verdict" % len(args.seeds))
     for key in runs["parent"][0]:
         p = [m[key] for m in runs["parent"]]
         c = [m[key] for m in runs["change"]]
-        sign = 1 if key.removeprefix("raw_") in HIGHER else -1
-        wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+        higher = key.removeprefix("raw_") in HIGHER
         mp, mc = statistics.median(p), statistics.median(c)
-        print("%s: %.6g %.6g %.4f %.6g %d" % (
-            key, mp, mc, mc / mp if mp else float("nan"), iqr(p), wins))
+        print("%s: %.6g %.6g %.4f %.6g %d %s" % (
+            key, mp, mc, mc / mp if mp else float("nan"), iqr(p),
+            wins(p, c, higher), verdict(p, c, higher, BOUND.get(key))))
     return 0
 
 
