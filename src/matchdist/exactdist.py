@@ -7,9 +7,10 @@ values together with the switch points, the locations where the combinatorial
 type of a restriction can change.  Switch points are enumerated by difference
 classes: each formula in the catalogue depends on its generating quadruple
 only through one or two coordinate differences or corner keys, so classes of
-ordered point pairs stand in for quadruples, with a realizability filter
+point pairs stand in for quadruples, with a realizability filter
 guaranteeing a quadruple with at least three distinct points behind every
-emitted point.
+emitted point.  Each point is one integer code (_codec), and the point set
+reaches the stream as two sorted arrays (_scaled).
 
 Candidate lines are identified by primitive integer keys (dx, dy, k) over a
 common-denominator scaling of the point set; a key passes scaled point (X, Y)
@@ -67,7 +68,6 @@ raises.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from math import gcd, lcm
@@ -110,90 +110,83 @@ class DistanceResult:
     candidate_count: int
 
 
-# switch ratios r in {1/2, 1, 2} as (numerator, denominator)
-_RS = ((1, 2), (1, 1), (2, 1))
+def _codec(pts):
+    """off and S = 2*off + 1 of the codes e = (x + off)*S + (y + off) of
+    the catalogue of the integer points pts, off = 5c with c their largest
+    |coordinate|: a class value, at most 2c, times at most 2, is added to
+    a corner, so every coordinate made lies in [-off, off]."""
+    off = 5 * max((abs(v) for p in pts for v in p), default=0)
+    return off, 2 * off + 1
 
 
-def _pos_dir(a, b):
-    """Primitive direction (a, b)/g when both coordinates end up positive,
-    else None."""
-    if a == 0 or b == 0 or (a > 0) != (b > 0):
-        return None
-    g = gcd(a, b) if a > 0 else -gcd(a, b)
-    return a // g, b // g
-
-
-def _switch_lattice(pts):
+def _switch_lattice(pts, off, S):
     """Switch points of a set of integer points whose coordinates are all
     multiples of 6, so that every half and third below stays integral.
 
-    Returns (proper, dirs): proper points on the same lattice, and the
-    primitive positive directions at infinity, the diagonal (1, 1) always
-    among them.  Classes of ordered pairs (p, q), p != q: dy holds
-    second-coordinate differences p2-q2, dx first-coordinate differences
-    p1-q1, and d2 the crossed corner keys (q1, p2).  Every catalogue formula
-    is a combination of two class values scaled by a ratio r in {1/2, 1, 2}.
-    Each class maps to the one unordered pair of points that realizes it,
-    or to None once a second pair does, and two classes combine unless
+    Returns (proper, dirs): the codes (_codec) of the proper points, and
+    the primitive positive directions at infinity, (1, 1) among them.
+    Classes of pairs {p, q}: dy holds |p2-q2|, dx |p1-q1|, and d2 the codes
+    of the crossed corners (q1, p2) and (p1, q2).  Every catalogue formula
+    combines two class values scaled by a ratio r in {1/2, 1, 2}, and the
+    code is affine, so each acts on codes: k + r*a, k + r*b*S, 2l - r,
+    (l + r)/2, (2l + r)/3.  Each class maps to the one pair that realizes
+    it, or to None once a second pair does, and two classes combine unless
     both name the same single pair: otherwise some quadruple behind the
-    combination uses two different unordered pairs.
+    combination uses two different pairs.  The directions of dy x dx take
+    a, b > 0, since -a names the pairs of a; those of d2 x d2 come from the
+    distinct code differences l - r.
     """
     pts = list(set(pts))
+    n = len(pts)
     dy, dx, d2 = {}, {}, {}
-    for i, p in enumerate(pts):
-        for j, q in enumerate(pts):
-            if i == j:
-                continue
-            pid = (i, j) if i < j else (j, i)
-            key = p[1] - q[1]
-            if dy.setdefault(key, pid) != pid:
-                dy[key] = None
-            key = p[0] - q[0]
-            if dx.setdefault(key, pid) != pid:
-                dx[key] = None
-            key = q[0], p[1]
-            if d2.setdefault(key, pid) != pid:
-                d2[key] = None
+    for i, (p1, p2) in enumerate(pts):
+        for j in range(i + 1, n):
+            q1, q2 = pts[j]
+            for cls, key in ((dy, abs(p2 - q2)), (dx, abs(p1 - q1)),
+                             (d2, (q1 + off) * S + p2 + off),
+                             (d2, (p1 + off) * S + q2 + off)):
+                if cls.setdefault(key, i * n + j) != i * n + j:
+                    cls[key] = None
+    ks, held = list(d2), set(d2.values()) - {None}
 
-    proper = set()
+    def others(c):
+        return [k for k in ks if d2[k] != c] if c in held else ks
+
+    free, tied = set(), {}
+    for cls, unit in ((dy, 1), (dx, S)):
+        for a, c in cls.items():
+            v = a * unit
+            (tied.setdefault(c, set()) if c in held else free).update(
+                (v // 2, v, 2 * v, -v // 2, -v, -2 * v))
+    proper, free = set(), list(free)
+    for k in ks:
+        proper.update(map(k.__add__, free))
+    for c, vs in tied.items():
+        rs = others(c)
+        for v in vs.difference(free):
+            proper.update(map(v.__add__, rs))
+    sums, thirds, diffs = set(), set(), set()
+    for l in ks:
+        rs, l2 = others(d2[l]), 2 * l
+        proper.update(map(l2.__sub__, rs))
+        sums.update(map(l.__add__, rs))
+        thirds.update(map(l2.__add__, rs))
+        diffs.update(map(l.__sub__, rs))
+    proper.update([t // 2 for t in sums])
+    proper.update([t // 3 for t in thirds])
+
     dirs = {(1, 1)}
+    for d in diffs:
+        b, a = divmod(d, S)
+        if b > 0 and 0 < a <= off:
+            g = gcd(b, a)
+            dirs.add((b // g, a // g))
     for a, ca in dy.items():
-        if a == 0:
-            continue
         for b, cb in dx.items():
-            if b == 0 or ca == cb is not None:
-                continue
-            for rn, rd in _RS:
-                d = _pos_dir(b, rn * a // rd)
-                if d is not None:
-                    dirs.add(d)
-
-    for a, ca in dy.items():
-        ra = [rn * a // rd for rn, rd in _RS]
-        for (k1, k2), ck in d2.items():
-            if ca == ck is not None:
-                continue
-            for v in ra:
-                proper.add((k1, k2 + v))
-    for b, cb in dx.items():
-        rb = [rn * b // rd for rn, rd in _RS]
-        for (k1, k2), ck in d2.items():
-            if cb == ck is not None:
-                continue
-            for v in rb:
-                proper.add((k1 + v, k2))
-
-    items = list(d2.items())
-    for (l1, l2), cl in items:
-        for (r1, r2), cr in items:
-            if cl == cr is not None:
-                continue
-            proper.add((2 * l1 - r1, 2 * l2 - r2))
-            proper.add(((l1 + r1) // 2, (l2 + r2) // 2))
-            proper.add(((2 * l1 + r1) // 3, (2 * l2 + r2) // 3))
-            d = _pos_dir(l1 - r1, l2 - r2)
-            if d is not None:
-                dirs.add(d)
+            if a and b and (ca is None or ca != cb):
+                for v in (a // 2, a, 2 * a):
+                    g = gcd(b, v)
+                    dirs.add((b // g, v // g))
     return proper, dirs
 
 
@@ -212,42 +205,44 @@ def _up(pts, s):
 def switch_points(C) -> SwitchPointSet:
     """All switch points generated by the point set C.
 
-    The catalogue is evaluated on integers: C is scaled by six times its
-    common denominator, which keeps every formula integral.
+    The catalogue is evaluated on integer codes (_codec): C is scaled by
+    six times its common denominator, which keeps every formula integral.
     """
     pts = {(rat(p[0]), rat(p[1])) for p in C}
     s = 6 * _den(pts)
-    proper, dirs = _switch_lattice(_up(pts, s))
-    return SwitchPointSet(frozenset((Q(x, s), Q(y, s)) for x, y in proper),
+    up = _up(pts, s)
+    off, S = _codec(up)
+    X, Y, dirs, lam = _scaled(*_switch_lattice(up, off, S), s, off, S)
+    return SwitchPointSet(frozenset((Q(x, lam), Q(y, lam)) for x, y in
+                                    zip(X.tolist(), Y.tolist())),
                           frozenset(ProjPoint(0, a, b) for a, b in dirs))
-
-
-def _pos_dirs(ds):
-    """The positive directions (h1, h2) among the projective points ds."""
-    return {(int(d.h1), int(d.h2)) for d in ds
-            if d.h0 == 0 and d.h1 > 0 and d.h2 > 0}
 
 
 def _lattice(M, N, extra):
     """The one point lattice: the lub closures of the two modules' critical
     values, the switch points of their union and the extra proper points,
-    with the positive switch and extra directions, as _scaled returns them.
+    with the positive switch and extra directions, as _scaled returns them:
+    the points as two sorted arrays.
 
     No rational arithmetic runs past the critical values: they are scaled
     by six times their common denominator, times that of the extra points,
-    so that every switch formula stays integral.  matching_distance,
-    candidate_lines and vertical_cost all read their points from here.
+    so that every switch formula stays integral, and each point is one
+    integer code (_codec).  matching_distance, candidate_lines and
+    vertical_cost all read their points from here.
     """
     cm, cn = critical_values(M), critical_values(N)
     xp = set() if extra is None else {(rat(p[0]), rat(p[1]))
                                       for p in extra.proper}
     s = lcm(6 * _den(cm | cn), _den(xp))
-    um, un = _up(cm, s), _up(cn, s)
-    proper, dirs = _switch_lattice(um | un)
-    pts = lub_closure(um) | lub_closure(un) | proper | _up(xp, s)
+    um, un, ux = _up(cm, s), _up(cn, s), _up(xp, s)
+    off, S = _codec(um | un | ux)
+    proper, dirs = _switch_lattice(um | un, off, S)
+    proper.update((x + off) * S + y + off
+                  for x, y in lub_closure(um) | lub_closure(un) | ux)
     if extra is not None:
-        dirs |= _pos_dirs(extra.at_infinity)
-    return _scaled(pts, dirs, s)
+        dirs |= {(int(d.h1), int(d.h2)) for d in extra.at_infinity
+                 if d.h0 == 0 and d.h1 > 0 and d.h2 > 0}
+    return _scaled(proper, dirs, s, off, S)
 
 
 _BLOCK = 1 << 22
@@ -261,18 +256,27 @@ _GCD_SIDE = 512
 _gcd_table = None
 
 
-def _scaled(pts, dirs, s):
-    """Common-denominator integer scaling of the integer points (x/s, y/s):
-    the sorted points as (X, Y) int lists, the sorted direction pairs, and
-    the scaling lam = s/g, the least positive integer that makes every
-    lam*x/s integral, where g is the gcd of s and every coordinate.
-
-    Scaling by lam > 0 keeps the order, so the integer pairs sort as the
-    points do.
+def _scaled(codes, dirs, s, off, S):
+    """Common-denominator integer scaling of the points (x/s, y/s) of the
+    codes (_codec): the sorted points as arrays X, Y, the sorted
+    direction pairs, and the scaling lam = s/g, the least positive integer
+    that makes every lam*x/s integral, where g is the gcd of s and every
+    coordinate.  The codes sort as the points do, lam > 0 keeps the order,
+    and the arrays are int64 while every code is below 2^62, Python ints
+    in object arrays past it.
     """
-    g = gcd(s, *(v for p in pts for v in p))
-    XY = sorted((x // g, y // g) for x, y in pts)
-    return [x for x, _ in XY], [y for _, y in XY], sorted(dirs), s // g
+    e = np.fromiter(codes, np.int64 if S * S <= 1 << 62 else object,
+                    len(codes))
+    e.sort()
+    X = e // S
+    Y = e - X * S
+    X -= off
+    Y -= off
+    g = gcd(s, int(np.gcd.reduce(X)), int(np.gcd.reduce(Y)))
+    if g > 1:
+        X //= g
+        Y //= g
+    return X, Y, sorted(dirs), s // g
 
 
 class _Spec(NamedTuple):
@@ -287,7 +291,7 @@ class _Spec(NamedTuple):
 def _pack_spec(X, Y, dvals):
     """Every integer type of the stream, and the injective key encoding
     (dx*SDY + dy)*SK + (k + KB), the one representation of keys in the
-    stream.  Expects sorted X.
+    stream.  Expects X sorted, as _lattice's arrays come.
 
     Each type is the narrowest that an exact bound on the values it holds
     allows: int64 below 2^62, Python ints in object arrays beyond; np.sort,
@@ -313,10 +317,10 @@ def _pack_spec(X, Y, dvals):
       2*max(ax, ay) in size: int32 iff ax and ay are below 2^30, int64 iff
       below 2^62, object beyond.
     """
-    ax = max(abs(X[0]), abs(X[-1]))
-    ymin, ymax = min(Y), max(Y)
-    ay = max(abs(ymin), abs(ymax))
-    dxm = max(X[-1] - X[0], max((d[0] for d in dvals), default=0))
+    xmin, xmax = int(X[0]), int(X[-1])
+    ymin, ymax = int(np.min(Y)), int(np.max(Y))
+    ax, ay = max(-xmin, xmax), max(-ymin, ymax)
+    dxm = max(xmax - xmin, max((d[0] for d in dvals), default=0))
     dym = max(ymax - ymin, max((d[1] for d in dvals), default=0))
     kb = dym * ax + dxm * ay + 1
     top = (dxm * (dym + 1) + dym) * (2 * kb + 1) + 2 * kb
@@ -419,7 +423,8 @@ def _iter_blocks(X, Y, dvals, spec):
     """Yield one (m, write) per block of keys: write(out) packs its m keys
     into out, an array of the spec's dtype, every positive-slope line
     through two distinct points once per unordered pair, then every (point,
-    direction) line once.  Expects sorted points.
+    direction) line once.  Expects the points sorted, as _lattice's
+    arrays come.
 
     The keys are packed straight from the points, with no (dx, dy, k)
     block: the pairs' dx and dy come in the spec's diff_dtype, int32 while
@@ -447,7 +452,7 @@ def _iter_blocks(X, Y, dvals, spec):
     Xd, Yd = np.asarray(X, spec.diff_dtype), np.asarray(Y, spec.diff_dtype)
     A, B = spec.sdy * spec.sk - YP, spec.sk + XP
     a = 0
-    while (c := bisect_right(X, X[a])) < n:
+    while (c := int(Xd.searchsorted(Xd[a], "right"))) < n:
         b = min(n - 1, a + max(1, _BAND_PAIRS // (n - c)))
         dxv, dyv, rows = _pair_keys(Xd, Yd, a, b, c)
         yield dxv.size, partial(_pack_pairs, dxv, dyv, A[a:b], B[a:b], rows,
@@ -748,8 +753,8 @@ class _Select:
 def _key_lines(dx, dy, ks, lam):
     """The lines of the primitive keys (dx, dy, k), k in ks, of one
     direction of positive ints, as every key of the stream has: _pair_keys
-    keeps only the pairs with dx > 0 and dy > 0, and _pos_dir and _pos_dirs
-    only the positive directions.
+    keeps only the pairs with dx > 0 and dy > 0, and _switch_lattice and
+    _lattice only the positive directions.
 
     They are built without Line.__post_init__, whose conditions hold by
     construction: dx, dy > 0 make the direction positive, the one shared
@@ -917,7 +922,7 @@ def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,
         raise BothTrivial("no critical values")
     x0 = rat(x0)
     X, Y, dirs, lam = _lattice(M, N, None)
-    ymax = Q(max(Y), lam)
+    ymax = Q(int(np.max(Y)), lam)
     if anchor_height is None:
         yr = ymax + 1
     else:
@@ -929,7 +934,8 @@ def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,
     # (x, y) = (X, Y)/lam
     xl, yl = x0 * lam, yr * lam
     cands = [Q(a, b) for a, b in dirs]
-    cands += [(xl - x) / (yl - y) for x, y in zip(X, Y) if x < xl]
+    cands += [(xl - x) / (yl - y) for x, y in zip(X.tolist(), Y.tolist())
+              if x < xl]
     cutoff = min(c for c in cands if c > 0)
     e1, e2 = cutoff / 2, cutoff / 4
     vals = []

@@ -2,12 +2,12 @@
 
 These transcribe defining formulas directly (quadruple loops, fixpoint
 iteration, exhaustive matchings) with no algebraic shortcuts, and serve as
-oracles for the optimized library code.  lattice_rational and select_exact
-are the exceptions: the first assembles the candidate point set from the
-public rational functions, as a reference for the integer pipeline behind
-them, and the second selects the maximum by restricting every candidate
-line in rationals, as a reference for the selection fold, the vector
-kernel and the witness matching read off the kernel's integers.
+oracles for the optimized library code.  lattice_sets and select_exact
+are the exceptions: the first is the lattice stage as the library had it
+on sets of integer tuples, a reference for its integer codes, and the
+second selects the maximum by restricting every candidate line in
+rationals, as a reference for the selection fold, the vector kernel and
+the witness matching read off the kernel's integers.
 """
 from __future__ import annotations
 
@@ -16,11 +16,11 @@ from math import gcd, lcm
 
 from matchdist.bottleneck import bottleneck
 from matchdist.exactdist import (DistanceResult, _exact_cost, _line_from_key,
-                                 _stream, _unpack, switch_points)
+                                 _stream, _unpack)
 from matchdist.fibered import restrict_module
 from matchdist.geometry import ProjPoint
 from matchdist.modules import critical_values, lub_closure
-from matchdist.rational import INF, Q, is_inf
+from matchdist.rational import INF, Q, is_inf, rat
 
 
 def ext_abs_diff(a, b):
@@ -223,15 +223,15 @@ def match_patterns(r1, r2):
 
 def lattice_rational(M, N, extra=None):
     """The candidate points and directions of a module pair in rationals,
-    scaled to integers: the lub closures of both modules' critical values,
-    the switch points of their union and the extra proper points, the
-    positive switch and extra directions.  Returns (X, Y, dvals, lam): the
+    scaled to integers: the lub closures of both modules' critical values
+    by fixpoint iteration, the switch points of their union by the
+    quadruple loop and the extra proper points, the positive switch and
+    extra directions.  Returns (X, Y, dvals, lam): the
     points times lam, sorted, as two int lists, the sorted direction pairs,
     and lam, the least common denominator of the coordinates."""
     cm, cn = critical_values(M), critical_values(N)
-    sp = switch_points(cm | cn)
-    pts = set(lub_closure(cm)) | set(lub_closure(cn)) | set(sp.proper)
-    dirs = set(sp.at_infinity)
+    pts, dirs = switch_points_quadruples(cm | cn)
+    pts |= lub_closure_fixpoint(cm) | lub_closure_fixpoint(cn)
     if extra is not None:
         pts |= {(Q(x), Q(y)) for x, y in extra.proper}
         dirs |= set(extra.at_infinity)
@@ -240,6 +240,145 @@ def lattice_rational(M, N, extra=None):
     dvals = sorted((d.h1, d.h2) for d in dirs
                    if d.h0 == 0 and d.h1 > 0 and d.h2 > 0)
     return [x for x, _ in XY], [y for _, y in XY], dvals, lam
+
+
+# switch ratios r in {1/2, 1, 2} as (numerator, denominator)
+_RS = ((1, 2), (1, 1), (2, 1))
+
+
+def _pos_dir(a, b):
+    """Primitive direction (a, b)/g when both coordinates end up positive,
+    else None."""
+    if a == 0 or b == 0 or (a > 0) != (b > 0):
+        return None
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
+    return a // g, b // g
+
+
+def _switch_lattice(pts):
+    """Switch points of a set of integer points whose coordinates are all
+    multiples of 6, so that every half and third below stays integral.
+
+    Returns (proper, dirs): proper points on the same lattice, and the
+    primitive positive directions at infinity, the diagonal (1, 1) always
+    among them.  Classes of ordered pairs (p, q), p != q: dy holds
+    second-coordinate differences p2-q2, dx first-coordinate differences
+    p1-q1, and d2 the crossed corner keys (q1, p2).  Every catalogue formula
+    is a combination of two class values scaled by a ratio r in {1/2, 1, 2}.
+    Each class maps to the one unordered pair of points that realizes it,
+    or to None once a second pair does, and two classes combine unless
+    both name the same single pair: otherwise some quadruple behind the
+    combination uses two different unordered pairs.
+    """
+    pts = list(set(pts))
+    dy, dx, d2 = {}, {}, {}
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            if i == j:
+                continue
+            pid = (i, j) if i < j else (j, i)
+            key = p[1] - q[1]
+            if dy.setdefault(key, pid) != pid:
+                dy[key] = None
+            key = p[0] - q[0]
+            if dx.setdefault(key, pid) != pid:
+                dx[key] = None
+            key = q[0], p[1]
+            if d2.setdefault(key, pid) != pid:
+                d2[key] = None
+
+    proper = set()
+    dirs = {(1, 1)}
+    for a, ca in dy.items():
+        if a == 0:
+            continue
+        for b, cb in dx.items():
+            if b == 0 or ca == cb is not None:
+                continue
+            for rn, rd in _RS:
+                d = _pos_dir(b, rn * a // rd)
+                if d is not None:
+                    dirs.add(d)
+
+    for a, ca in dy.items():
+        ra = [rn * a // rd for rn, rd in _RS]
+        for (k1, k2), ck in d2.items():
+            if ca == ck is not None:
+                continue
+            for v in ra:
+                proper.add((k1, k2 + v))
+    for b, cb in dx.items():
+        rb = [rn * b // rd for rn, rd in _RS]
+        for (k1, k2), ck in d2.items():
+            if cb == ck is not None:
+                continue
+            for v in rb:
+                proper.add((k1 + v, k2))
+
+    items = list(d2.items())
+    for (l1, l2), cl in items:
+        for (r1, r2), cr in items:
+            if cl == cr is not None:
+                continue
+            proper.add((2 * l1 - r1, 2 * l2 - r2))
+            proper.add(((l1 + r1) // 2, (l2 + r2) // 2))
+            proper.add(((2 * l1 + r1) // 3, (2 * l2 + r2) // 3))
+            d = _pos_dir(l1 - r1, l2 - r2)
+            if d is not None:
+                dirs.add(d)
+    return proper, dirs
+
+
+def _scaled(pts, dirs, s):
+    """Common-denominator integer scaling of the integer points (x/s, y/s):
+    the sorted points as (X, Y) int lists, the sorted direction pairs, and
+    the scaling lam = s/g, the least positive integer that makes every
+    lam*x/s integral, where g is the gcd of s and every coordinate.
+
+    Scaling by lam > 0 keeps the order, so the integer pairs sort as the
+    points do.
+    """
+    g = gcd(s, *(v for p in pts for v in p))
+    XY = sorted((x // g, y // g) for x, y in pts)
+    return [x for x, _ in XY], [y for _, y in XY], sorted(dirs), s // g
+
+
+def _den(pts):
+    """Least common denominator of the coordinates of rational points."""
+    return lcm(1, *(int(v.denominator) for p in pts for v in p))
+
+
+def _up(pts, s):
+    """Rational points times s, as integer pairs; s must clear every
+    denominator."""
+    return {(int(x.numerator) * (s // int(x.denominator)),
+             int(y.numerator) * (s // int(y.denominator))) for x, y in pts}
+
+
+def _pos_dirs(ds):
+    """The positive directions (h1, h2) among the projective points ds."""
+    return {(int(d.h1), int(d.h2)) for d in ds
+            if d.h0 == 0 and d.h1 > 0 and d.h2 > 0}
+
+
+def lattice_sets(M, N, extra=None):
+    """exactdist._lattice on sets of integer tuples: the lub closures of
+    both modules' critical values, the switch points of their union by
+    _switch_lattice's difference classes and the extra proper points, all
+    scaled by six times the critical values' common denominator, times
+    that of the extra points, with the positive switch and extra
+    directions.  Returns (X, Y, dvals, lam) as _scaled gives them: the
+    sorted points as two int lists, the sorted direction pairs and lam."""
+    cm, cn = critical_values(M), critical_values(N)
+    xp = set() if extra is None else {(rat(p[0]), rat(p[1]))
+                                      for p in extra.proper}
+    s = lcm(6 * _den(cm | cn), _den(xp))
+    um, un = _up(cm, s), _up(cn, s)
+    proper, dirs = _switch_lattice(um | un)
+    pts = lub_closure(um) | lub_closure(un) | proper | _up(xp, s)
+    if extra is not None:
+        dirs |= _pos_dirs(extra.at_infinity)
+    return _scaled(pts, dirs, s)
 
 
 def lex_pair(dx, dy, k, lam):

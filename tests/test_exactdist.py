@@ -42,8 +42,8 @@ from matchdist.modules import (Presentation, TwoParamModule, critical_values,
                                translate)
 from matchdist.rational import INF, Q
 from oracles import (bottleneck_bruteforce, distinct_keys,
-                     distinct_keys_pairloop, lattice_rational, lex_pair,
-                     match_patterns, select_exact)
+                     distinct_keys_pairloop, lattice_rational, lattice_sets,
+                     lex_pair, match_patterns, select_exact)
 
 
 def _assert_as_oracle(res, ref):
@@ -657,7 +657,103 @@ def test_lattice_matches_rational_scaling():
                                       ProjPoint.of(0, 1, 0)}))
     for M, N in cases:
         for ex in (None, extra):
-            assert exactdist._lattice(M, N, ex) == lattice_rational(M, N, ex)
+            assert _lattice_lists(M, N, ex) == lattice_rational(M, N, ex)
+
+
+def _lattice_lists(M, N, extra):
+    """exactdist._lattice with its point arrays as lists of Python ints."""
+    X, Y, dvals, lam = exactdist._lattice(M, N, extra)
+    return X.tolist(), Y.tolist(), dvals, lam
+
+
+_EXTRA = SwitchPointSet(
+    frozenset({(Q(1, 7), Q(5, 3)), (2, 9), (Q(-3, 2), Q(13, 2))}),
+    frozenset({ProjPoint.of(0, 2, 9), ProjPoint.of(0, 1, 0),
+               ProjPoint.of(0, 5, 3)}))
+
+
+def _rand_module(rng, pool, form):
+    if form == "rect":
+        return rand_rect_module(rng, max_rects=3, pool=pool, p_inf=0.2)
+    return rand_presentation(rng, pool, rng.randint(0, 3), rng.randint(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       forms=st.sampled_from([("rect", "rect"), ("pres", "pres"),
+                              ("rect", "pres")]),
+       lo=st.sampled_from([0, -12]), extra=st.booleans())
+def test_lattice_matches_sets(seed, forms, lo, extra):
+    """The lattice on integer codes gives the points, directions and lam
+    of the set-of-tuples reference lattice_sets, on random pairs of
+    rectangle modules and presentations over pools of values of either
+    sign, with and without extra switch points; such small lattices give
+    int64 arrays."""
+    rng = random.Random(seed)
+    pool = rand_pool(rng, rng.randint(2, 6), lo=lo)
+    M, N = (_rand_module(rng, pool, form) for form in forms)
+    ex = _EXTRA if extra else None
+    X, Y, _, _ = exactdist._lattice(M, N, ex)
+    assert X.dtype == Y.dtype == np.int64
+    assert _lattice_lists(M, N, ex) == lattice_sets(M, N, ex)
+
+
+def test_lattice_past_int64_matches_sets():
+    """Codes past 2^62 give object arrays of Python ints, and the lattice
+    still equals lattice_sets: on the float-coordinate pairs, whose
+    denominators reach 2^55, and on _huge_pair() scaled by 10^9 or
+    translated by (10^9, 10^9); _huge_pair() itself gives int64 arrays."""
+    pairs = [(TwoParamModule.from_rects(rm), TwoParamModule.from_rects(rn))
+             for rm, rn in _FLOAT_RECTS] + [_float_pair()]
+    M0, N0 = _huge_pair()
+    t = (10 ** 9, 10 ** 9)
+    pairs += [(scale(M0, 10 ** 9), scale(N0, 10 ** 9)),
+              (translate(M0, t), translate(N0, t))]
+    for M, N in pairs:
+        for ex in (None, _EXTRA):
+            X, Y, _, _ = exactdist._lattice(M, N, ex)
+            assert X.dtype == Y.dtype == object
+            assert _lattice_lists(M, N, ex) == lattice_sets(M, N, ex)
+    X, Y, _, _ = exactdist._lattice(M0, N0, None)
+    assert X.dtype == Y.dtype == np.int64
+
+
+def test_lattice_reaches_five_times_the_largest_coordinate():
+    """The catalogue reaches +-5c on each axis, c the largest |coordinate|
+    of the scaled critical and extra points, at the edge of the codes'
+    offset off = 5c: the critical values of the square [-1, 1)^2 have the
+    difference 2 on each axis from two pairs, so shifts of +-4 apply to
+    the crossed corners at +-1.  The lattice equals lattice_sets there,
+    also with an extra point beyond the catalogue's reach, which sets
+    c."""
+    sq = TwoParamModule.from_rects([rect(-1, -1, 1, 1)])
+    cases = [(TwoParamModule.from_rects([]), None, 5),
+             (TwoParamModule.from_rects([rect(0, -1, 1, 1)]), None, 5),
+             (TwoParamModule.from_rects([rect(Q(-1, 3), 0, 1, Q(1, 2))]),
+              None, 5),
+             (sq, SwitchPointSet(frozenset({(7, -7), (-7, 7)}),
+                                 frozenset()), 7)]
+    for N, ex, reach in cases:
+        X, Y, dvals, lam = _lattice_lists(sq, N, ex)
+        for v in (X, Y):
+            assert {-5 * lam, 5 * lam} <= set(v)
+            assert (min(v), max(v)) == (-reach * lam, reach * lam)
+        assert (X, Y, dvals, lam) == lattice_sets(sq, N, ex)
+
+
+def test_codes_at_the_int64_bound():
+    """_scaled decodes the codes into int64 arrays while S^2 <= 2^62, so
+    that every code in [0, S^2) is below 2^62, and into object arrays
+    past it; the corners of the code range decode exactly on both
+    sides."""
+    for off, dtype in ((2 ** 30 - 1, np.int64), (2 ** 30, object)):
+        S = 2 * off + 1
+        pts = [(-off, -off), (-off, off), (off, -off), (off, off), (0, 6)]
+        codes = {(x + off) * S + y + off for x, y in pts}
+        X, Y, dirs, lam = exactdist._scaled(codes, {(1, 1)}, 1, off, S)
+        assert X.dtype == Y.dtype == dtype
+        assert list(zip(X.tolist(), Y.tolist())) == sorted(pts)
+        assert (dirs, lam) == ([(1, 1)], 1)
 
 
 def _scaled_keys(M, N):

@@ -9,15 +9,29 @@ from oracles import switch_points_quadruples
 
 
 def test_matches_quadruple_oracle():
+    """switch_points equals the quadruple loop on sets of up to 5 points,
+    and on sets of 6 to 10, as many as a pair of rectangle modules has
+    critical values, drawn from four values of either sign per axis, so
+    that coordinates and points repeat."""
     rng = random.Random(77)
     for _ in range(40):
         n = rng.randint(0, 5)
         pts = [(Q(rng.randint(0, 8), rng.randint(1, 2)),
                 Q(rng.randint(0, 8), rng.randint(1, 2))) for _ in range(n)]
-        got = switch_points(pts)
-        want_proper, want_inf = switch_points_quadruples(pts)
-        assert set(got.proper) == want_proper
-        assert set(got.at_infinity) == want_inf
+        _assert_as_quadruples(pts)
+    for _ in range(8):
+        xs, ys = ([Q(rng.randint(-8, 8), rng.randint(1, 2)) for _ in range(4)]
+                  for _ in range(2))
+        pts = [(rng.choice(xs), rng.choice(ys))
+               for _ in range(rng.randint(6, 10))]
+        _assert_as_quadruples(pts)
+
+
+def _assert_as_quadruples(pts):
+    got = switch_points(pts)
+    want_proper, want_inf = switch_points_quadruples(pts)
+    assert set(got.proper) == want_proper
+    assert set(got.at_infinity) == want_inf
 
 
 def test_small_inputs():

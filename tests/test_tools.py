@@ -8,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ABRUN = ROOT / "tools" / "abrun.py"
 BENCHPAIRS = ROOT / "tools" / "benchpairs.py"
+STAGES = ROOT / "tools" / "stages.py"
 
 
 def abrun(*args):
@@ -95,6 +96,38 @@ def test_abrun_pres_form_converts_every_rectangle_module():
     assert out.returncode == 0, out.stderr
     converted, *flags = out.stdout.split()
     assert int(converted) > 0 and flags == ["True"] * 3
+
+
+def test_stages_tiny():
+    """One pass of a tiny rect_small corpus: the pass line, then one line
+    per stage, in order, each with its seconds, its share of the pass and
+    its calls; the key stages run, and each takes at most the pass."""
+    out = subprocess.run([sys.executable, str(STAGES), "rect_small",
+                          "--tiny", "4", "--passes", "1"],
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    head, total, *rows = out.stdout.splitlines()
+    assert head.startswith("rect_small seed 1: 4 ops, best of 1 passes")
+    name, secs, _, share = total.split()
+    assert name == "pass" and share == "100.0%" and float(secs) > 0
+    names = [row.split()[0] for row in rows]
+    assert names == ["%s.%s" % stage for stage in (
+        ("exactdist", "_lattice"), ("exactdist", "_stream"),
+        ("exactdist", "_pair_keys"), ("exactdist", "_Keys._compact"),
+        ("exactdist", "_Select.run"), ("exactdist", "_Select._live"),
+        ("exactdist", "_Select._score"), ("exactdist", "_result_at"),
+        ("_fastpath", "_chunk"), ("gridscan", "scan"),
+        ("exactdist", "candidate_lines"))]
+    stats = {row.split()[0]: row.split()[1:] for row in rows}
+    for name in ("exactdist._lattice", "exactdist._stream",
+                 "exactdist._result_at"):
+        secs, unit, share, calls, _ = stats[name]
+        assert unit == "s" and 0 < float(secs) <= float(total.split()[1])
+        assert share.endswith("%") and int(calls) > 0
+    out = subprocess.run([sys.executable, str(STAGES), "rect_small",
+                          "--passes", "0"], capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 2 and "--passes must be at least 1" in out.stderr
 
 
 def benchpairs(parent, change, *args):
