@@ -320,8 +320,8 @@ class _FloatLines:
         self.weight = np.minimum(m1, m2)
 
     def zeros(self):
-        return np.zeros(np.broadcast_shapes(
-            *(a.shape for line in self.lines for a in line)))
+        return np.zeros(np.broadcast(
+            *(a for line in self.lines for a in line)).shape)
 
     def cross(self, axis, v):
         b, m = self.lines[axis]
@@ -332,7 +332,8 @@ class _FloatLines:
 
     @staticmethod
     def half(x):
-        return x / 2
+        # the double x / 2, also on subnormals: both round x/2 exactly once
+        return x * 0.5
 
     @staticmethod
     def whole(x):
@@ -606,7 +607,7 @@ def line_evaluator(M, N):
 
     def costs(m1, m2, b1, b2):
         lines = (m1, m2, b1, b2)
-        shape = np.broadcast_shapes(*(a.shape for a in lines))
+        shape = np.broadcast(*lines).shape
         if unequal:
             return np.full(shape, math.inf)
         n = shape[-1]

@@ -750,35 +750,40 @@ class _Select:
                 (int(ps[top[0]]), int(qs[top[0]])))
 
 
-def _key_lines(dx, dy, ks, lam):
-    """The lines of the primitive keys (dx, dy, k), k in ks, of one
-    direction of positive ints, as every key of the stream has: _pair_keys
-    keeps only the pairs with dx > 0 and dy > 0, and _switch_lattice and
-    _lattice only the positive directions.
+_ONE = Q(1)
+
+
+def _key_lines(runs, ks, lam):
+    """The lines of the primitive keys of the stream, a direction run at a
+    time: for each run (dx, dy, a, b), the keys (dx, dy, k) for k in
+    ks[a:b], in order.  Every direction is one of positive ints, as every
+    key of the stream has: _pair_keys keeps only the pairs with dx > 0 and
+    dy > 0, and _switch_lattice and _lattice only the positive directions.
 
     They are built without Line.__post_init__, whose conditions hold by
-    construction: dx, dy > 0 make the direction positive, the one shared
-    m = (dx, dy)/max(dx, dy) has max(m) = 1, and b = (b1, -b1) with
-    b1 = k/(lam*(dx + dy)) has b1 + b2 = 0.  Every field is a canonical Q,
-    so the lines equal and hash as Line(m, b) does.
+    construction: dx, dy > 0 make the direction positive, the run's one
+    shared m = (dx, dy)/max(dx, dy), its larger component the one shared
+    Q(1), has max(m) = 1, and b = (k/den, -k/den) with den = lam*(dx + dy)
+    has b1 + b2 = 0.  Every field is a canonical Q, so the lines equal and
+    hash as Line(m, b) does.  b2 is a fresh Q(-k, den), not -b1:
+    Fraction.__neg__ costs more than a new Q.
     """
-    mx = max(dx, dy)
-    m = (Q(dx, mx), Q(dy, mx))
-    den = lam * (dx + dy)
     new, put = object.__new__, object.__setattr__
     out = []
-    for k in ks:
-        b1 = Q(k, den)
-        line = new(Line)
-        put(line, "m", m)
-        put(line, "b", (b1, -b1))
-        out.append(line)
+    for dx, dy, a, b in runs:
+        m = (_ONE, Q(dy, dx)) if dx >= dy else (Q(dx, dy), _ONE)
+        den = lam * (dx + dy)
+        for k in ks[a:b]:
+            line = new(Line)
+            put(line, "m", m)
+            put(line, "b", (Q(k, den), Q(-k, den)))
+            out.append(line)
     return out
 
 
 def _line_from_key(dx, dy, k, lam):
     """The line of one key of the stream (_key_lines)."""
-    return _key_lines(int(dx), int(dy), (int(k),), lam)[0]
+    return _key_lines(((int(dx), int(dy), 0, 1),), (int(k),), lam)[0]
 
 
 class _Ratio(tuple):
@@ -815,8 +820,9 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     the arrays, sorted by k; and within a direction b1 = k/(lam*(dx+dy))
     orders as k.  So only the distinct directions are sorted, by
     dx/dy = m1/m2 (_direction_order), and each keeps its run in key order.
-    Every key direction is positive by construction (_key_lines), so
-    _key_lines builds each line in standard normalization with no check.
+    Every key direction is positive by construction, so _key_lines builds
+    each line in standard normalization with no check, all runs in one
+    call.
 
     Raises:
         BothTrivial: if neither module has any critical values.
@@ -829,11 +835,8 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     dxv, dyv, kv = _unpack(spec, packed)
     runs = zip(dxv[starts].tolist(), dyv[starts].tolist(), starts.tolist(),
                [*starts[1:].tolist(), kv.size])
-    ks = kv.tolist()
-    lines = []
-    for dx, dy, a, b in sorted(runs, key=_direction_order):
-        lines += _key_lines(dx, dy, ks[a:b], lam)
-    return CandidateLineSet(tuple(lines))
+    return CandidateLineSet(tuple(_key_lines(
+        sorted(runs, key=_direction_order), kv.tolist(), lam)))
 
 
 def _essential_count(module: TwoParamModule) -> int:

@@ -21,6 +21,9 @@ outside which every finite bar is dead in the kernel's own float predicates
 gives there.  A block is passed as a broadcast pair, its directions as an
 (r, 1) column against the offsets of its rows' span hull as a (1, h) row;
 the two modules are converted into the kernel's floats once per scan.
+The thetas and their directions are computed once per theta_steps: the
+most recent grid's table is kept as read-only arrays (_theta_table), so a
+run of scans on one grid shares it and the cache holds one table.
 Every kernel is elementwise, so each value is the one a call per row over
 all offsets would give, bit for bit.
 
@@ -38,6 +41,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,7 +114,7 @@ def default_offset_range(M, N) -> tuple:
 def _axes(M, N, g):
     lo, hi = g.offset_range if g.offset_range is not None \
         else default_offset_range(M, N)
-    thetas = np.linspace(0.0, math.pi / 2, g.theta_steps + 2)[1:-1]
+    thetas = _theta_table(g.theta_steps)[0]
     offsets = np.linspace(float(lo), float(hi), g.offset_steps)
     return thetas, offsets
 
@@ -137,6 +141,19 @@ def _directions(thetas):
         mx = max(c, s)
         m1[i], m2[i] = c / mx, s / mx
     return m1, m2
+
+
+@lru_cache(maxsize=1)
+def _theta_table(steps):
+    """The thetas of a grid of theta_steps = steps and their directions
+    (_directions), as read-only arrays (thetas, m1, m2).  Every grid of one
+    theta_steps has the same ones, so scans share them; only the most
+    recent theta_steps is kept."""
+    thetas = np.linspace(0.0, math.pi / 2, steps + 2)[1:-1]
+    table = (thetas, *_directions(thetas))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _rows(m1, m2, offsets, ev):
@@ -223,7 +240,7 @@ def scan(M, N, g: GridSpec) -> ScanResult:
     other pair keep every row, in order.
     """
     thetas, offsets = _axes(M, N, g)
-    m1, m2 = _directions(thetas)
+    _, m1, m2 = _theta_table(g.theta_steps)
     ev = _fastpath.line_evaluator(M, N)
     if len(thetas) * len(offsets) <= _BLOCK_LINES:
         ub = np.full(len(thetas), math.inf)

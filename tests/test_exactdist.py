@@ -177,6 +177,31 @@ def test_candidate_lines_match_exact_sort_on_every_key_path(monkeypatch):
     assert candidate_lines(*ex_need_omega()) == CandidateLineSet(())
 
 
+def test_candidate_lines_are_canonical_on_every_key_path():
+    """In every key regime, every component of every line is a Q in
+    lowest terms with a positive denominator, b2 = -b1 and max(m) = 1,
+    and the lines of one direction run share one m."""
+    for (M, N), f, path in [(ex_need_omega(), 1, "int64"),
+                            (ex_diag_not_suff(), 100003, "object"),
+                            (ex_need_omega(), 10 ** 9, "bigint")]:
+        M, N = scale(M, f), scale(N, f)
+        assert _key_path(M, N, None) == path
+        lines = candidate_lines(M, N).lines
+        for ln in lines:
+            for c in (*ln.m, *ln.b):
+                assert type(c) is Q and c.denominator > 0
+                assert gcd(c.numerator, c.denominator) == 1
+            assert ln.b[1] == -ln.b[0] and max(ln.m) == 1
+        runs = [[lines[0]]]
+        for a, b in zip(lines, lines[1:]):
+            if a.m == b.m:
+                runs[-1].append(b)
+            else:
+                runs.append([b])
+        assert len(runs) > 2 and max(map(len, runs)) > 2
+        assert all(ln.m is run[0].m for run in runs for ln in run)
+
+
 def test_direction_order_matches_fractions():
     """_direction_order sorts directions as their exact ratios dx/dy do,
     also where the doubles of two ratios coincide: (2^60+1)/2^60 against

@@ -591,6 +591,50 @@ def test_small_grid_skips_span_search(monkeypatch):
     assert len(calls) == 1
 
 
+def test_direction_table_follows_the_grid():
+    """Scans on 7, then 1000, then again 7 theta steps in one process
+    give the max, argmax and rows of flat lines on a fresh
+    _directions(_axes(...)[0]), bit for bit: the one table kept is the
+    most recent grid's, equal to fresh thetas and directions, and
+    writing to any of its arrays raises."""
+    M, N = ex_need_omega()
+    for g in (GridSpec(7, 5), GridSpec(1000, 3), GridSpec(7, 5)):
+        res = scan(M, N, g)
+        best, arg, rows, _ = _scan_flat(M, N, g)
+        assert (repr(res.max_value), res.argmax) == (repr(best), arg)
+        assert _bits(res.rows) == _bits(rows)
+        assert gridscan._theta_table.cache_info().currsize == 1
+        thetas = np.linspace(0.0, math.pi / 2, g.theta_steps + 2)[1:-1]
+        table = gridscan._theta_table(g.theta_steps)
+        assert table[0] is _axes(M, N, g)[0]
+        for got, want in zip(table, (thetas, *_directions(thetas))):
+            assert got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0.5
+
+
+_EDGE_DOUBLES = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                 2.2250738585072014e-308, -2.2250738585072014e-308,
+                 2.225073858507201e-308, 1e-323, 3 * 5e-324,
+                 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False),
+                          st.floats(allow_nan=False, allow_subnormal=True,
+                                    min_value=-1e-306, max_value=1e-306),
+                          st.sampled_from(_EDGE_DOUBLES)),
+                min_size=1, max_size=8))
+def test_float_half_is_division_by_two(xs):
+    """_FloatLines.half, x * 0.5, is the double x / 2 bit for bit, on
+    arrays and on single doubles, subnormals, +-0 and +-inf included."""
+    x = np.array(xs + _EDGE_DOUBLES)
+    assert _fastpath._FloatLines.half(x).tobytes() == (x / 2).tobytes()
+    for v in xs:
+        assert np.float64(_fastpath._FloatLines.half(v)).tobytes() == \
+            np.float64(v / 2).tobytes()
+
+
 def test_trivial_scan_all_zero():
     t = TwoParamModule.from_rects([])
     res = scan(t, t, GridSpec(3, 3))

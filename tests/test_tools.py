@@ -75,6 +75,33 @@ def test_abrun_forms():
     assert "--form: expected rect, pres" in out.stderr
 
 
+def test_abrun_kind():
+    """--kind lines times only explore's line sets, 20 of its 40 ops on
+    seed 1, each passing its checks; a kind outside dist, lines and scan,
+    or kinds that leave the workload no op, are usage errors."""
+    run = [sys.executable, str(ABRUN), str(ROOT), str(ROOT), "--workload",
+           "explore", "--rounds", "1"]
+    out = subprocess.run(run + ["--kind", "lines"], capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    sides = [line for line in out.stdout.splitlines()
+             if line.startswith(("parent ", "change "))]
+    assert len(sides) == 2
+    assert all(": 20 ops, " in line and "failed ops 0," in line
+               for line in sides)
+    out = subprocess.run(run + ["--kind", "lines,scan,dist"],
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert ": 40 ops, " in out.stdout
+    out = abrun("--rounds", "1", "--kind", "line")
+    assert out.returncode == 2
+    assert "--kind: expected kinds among dist, lines, scan" in out.stderr
+    out = abrun("--rounds", "1", "--kind", "lines,scan")
+    assert out.returncode == 2
+    assert "--kind: workload perline has no op of kind lines,scan" \
+        in out.stderr
+
+
 def test_abrun_pres_form_converts_every_rectangle_module():
     """in_form turns every rectangle module of an op into one presentation
     and keeps the rest of the op; the rect form keeps the op as it is."""
@@ -98,13 +125,18 @@ def test_abrun_pres_form_converts_every_rectangle_module():
     assert int(converted) > 0 and flags == ["True"] * 3
 
 
+def stages(*args):
+    return subprocess.run([sys.executable, str(STAGES), *args],
+                          capture_output=True, text=True, timeout=600)
+
+
 def test_stages_tiny():
     """One pass of a tiny rect_small corpus: the pass line, then one line
     per stage, in order, each with its seconds, its share of the pass and
-    its calls; the key stages run, and each takes at most the pass."""
-    out = subprocess.run([sys.executable, str(STAGES), "rect_small",
-                          "--tiny", "4", "--passes", "1"],
-                         capture_output=True, text=True, timeout=600)
+    its calls; the key stages run, and each takes at most the pass.  On a
+    tiny explore corpus of scans and line sets, the scan's and the line
+    set's own stages run."""
+    out = stages("rect_small", "--tiny", "4", "--passes", "1")
     assert out.returncode == 0, out.stderr
     head, total, *rows = out.stdout.splitlines()
     assert head.startswith("rect_small seed 1: 4 ops, best of 1 passes")
@@ -116,7 +148,9 @@ def test_stages_tiny():
         ("exactdist", "_pair_keys"), ("exactdist", "_Keys._compact"),
         ("exactdist", "_Select.run"), ("exactdist", "_Select._live"),
         ("exactdist", "_Select._score"), ("exactdist", "_result_at"),
-        ("_fastpath", "_chunk"), ("gridscan", "scan"),
+        ("_fastpath", "_chunk"), ("_fastpath", "_live_span"),
+        ("gridscan", "_theta_table"), ("gridscan", "_first_max"),
+        ("gridscan", "scan"), ("exactdist", "_key_lines"),
         ("exactdist", "candidate_lines"))]
     stats = {row.split()[0]: row.split()[1:] for row in rows}
     for name in ("exactdist._lattice", "exactdist._stream",
@@ -124,9 +158,19 @@ def test_stages_tiny():
         secs, unit, share, calls, _ = stats[name]
         assert unit == "s" and 0 < float(secs) <= float(total.split()[1])
         assert share.endswith("%") and int(calls) > 0
-    out = subprocess.run([sys.executable, str(STAGES), "rect_small",
-                          "--passes", "0"], capture_output=True, text=True,
-                         timeout=600)
+    # every sixth entry of explore's alternating scans and line sets
+    out = stages("explore", "--tiny", "6", "--passes", "1")
+    assert out.returncode == 0, out.stderr
+    head, total, *rows = out.stdout.splitlines()
+    assert head.startswith("explore seed 1: 6 ops, best of 1 passes")
+    stats = {row.split()[0]: row.split()[1:] for row in rows}
+    for name in ("_fastpath._chunk", "_fastpath._live_span",
+                 "gridscan._theta_table", "gridscan._first_max",
+                 "gridscan.scan", "exactdist._key_lines",
+                 "exactdist.candidate_lines"):
+        assert int(stats[name][3]) > 0, name
+    assert int(stats["exactdist._Select.run"][3]) == 0
+    out = stages("rect_small", "--passes", "0")
     assert out.returncode == 2 and "--passes must be at least 1" in out.stderr
 
 

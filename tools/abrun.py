@@ -1,7 +1,7 @@
 """Alternated in-process timing of two matchdist checkouts on one workload.
 
     python3 tools/abrun.py PARENT CHANGE --workload perline --seeds 1-3 \\
-        --rounds 21
+        --rounds 21 [--kind dist,lines,scan] [--form rect,pres]
 
 PARENT and CHANGE are source checkouts.  Each one's src/matchdist is copied
 into a temporary directory under its own package name (matchdist_a,
@@ -29,12 +29,18 @@ those of the module, not of its form.  So
 
 times the presentation form of one checkout against its rectangle form.
 
+--kind keeps the ops of the given kinds, a list such as lines or
+lines,scan of dist, lines and scan (default: every kind), so that one kind
+of op of a workload is timed on its own: explore's line sets apart from
+its scans.  A list that leaves a workload no op is a usage error.
+
 Each seed of --seeds, a list such as 1,2,3 or a range such as 1-10 as
 perfbench/spread.py's seed_list reads it, is run in turn, in the same
-process, with its own warm-up round.  Prints, per seed and side, the median
-pass time, the rounds won, the failed ops and ops_per_s and op_p50_s over
-each op's median time, computed as perfbench/run.py computes them but from
-raw times; then the seed's ratio of the pass medians, CHANGE over PARENT.
+process, with its own warm-up round.  Prints, per seed and side, the number
+of ops, the median pass time, the rounds won, the failed ops and ops_per_s
+and op_p50_s over each op's median time, computed as perfbench/run.py
+computes them but from raw times; then the seed's ratio of the pass
+medians, CHANGE over PARENT.
 With more than one seed, the last line is the median of the seeds' ratios.
 """
 from __future__ import annotations
@@ -56,6 +62,8 @@ sys.dont_write_bytecode = True
 sys.path.insert(0, str(ROOT / "perfbench"))
 import corpus as C  # noqa: E402
 from spread import seed_list  # noqa: E402
+
+KINDS = ("dist", "lines", "scan")
 
 
 def load(checkout, name, where):
@@ -98,6 +106,16 @@ def forms(text):
     return out if len(out) == 2 else out * 2
 
 
+def kinds(text):
+    """A set of op kinds, for argparse."""
+    out = set(text.split(","))
+    if not out <= set(KINDS):
+        raise argparse.ArgumentTypeError(
+            "expected kinds among %s joined by commas, got %r"
+            % (", ".join(KINDS), text))
+    return out
+
+
 def in_form(md, op, form):
     """op with every rectangle module turned into one presentation when
     form is pres, and as it is otherwise."""
@@ -108,11 +126,12 @@ def in_form(md, op, form):
     return dataclasses.replace(op, M=M, N=N)
 
 
-def run_seed(sides, lib, seed, rounds, form):
-    """Time one seed's ops on both sides, each in its form, print each
-    side's line and return the ratio of the pass medians, CHANGE over
-    PARENT."""
-    ops = [[in_form(md, op, f) for op in C.build_ops(md, lib, seed)]
+def run_seed(sides, lib, seed, rounds, form, kind):
+    """Time one seed's ops of the kinds in kind on both sides, each in its
+    form, print each side's line and return the ratio of the pass medians,
+    CHANGE over PARENT."""
+    ops = [[in_form(md, op, f) for op in C.build_ops(md, lib, seed)
+            if op.kind in kind]
            for (_, md), f in zip(sides, form)]
     n = len(ops[0])
     times = [[[] for _ in range(n)] for _ in sides]
@@ -134,9 +153,9 @@ def run_seed(sides, lib, seed, rounds, form):
             for s in (0, 1)]
     for s, (checkout, _) in enumerate(sides):
         per_op = sorted(statistics.median(ts) for ts in times[s])
-        print("%s %s (%s): pass median %.4f s, won %d of %d rounds, "
-              "failed ops %d, ops_per_s %.1f, op_p50_s %.6f"
-              % ("parent" if s == 0 else "change", checkout, form[s],
+        print("%s %s (%s): %d ops, pass median %.4f s, won %d of %d "
+              "rounds, failed ops %d, ops_per_s %.1f, op_p50_s %.6f"
+              % ("parent" if s == 0 else "change", checkout, form[s], n,
                  statistics.median(passes[s]), wins[s], rounds,
                  len(failed[s]), n / sum(per_op), statistics.median(per_op)))
     ratio = statistics.median(passes[1]) / statistics.median(passes[0])
@@ -154,8 +173,14 @@ def main():
     ap.add_argument("--form", type=forms, default=["rect", "rect"],
                     help="rect or pres, or PARENT,CHANGE forms "
                     "(default: rect)")
+    ap.add_argument("--kind", type=kinds, default=set(KINDS),
+                    help="op kinds to time, joined by commas "
+                    "(default: every kind)")
     args = ap.parse_args()
     lib = C.load_library(args.workload)
+    if not any(e["kind"] in args.kind for e in lib["entries"]):
+        ap.error("--kind: workload %s has no op of kind %s"
+                 % (args.workload, ",".join(sorted(args.kind))))
     with tempfile.TemporaryDirectory() as where:
         sys.path.insert(0, where)
         sides = [(checkout, load(checkout, name, where))
@@ -165,7 +190,7 @@ def main():
         for seed in args.seeds:
             print("seed %d" % seed)
             ratios.append(run_seed(sides, lib, seed, args.rounds,
-                                   args.form))
+                                   args.form, args.kind))
     if len(ratios) > 1:
         print("median ratio over seeds %s: %.4f"
               % (",".join(map(str, args.seeds)), statistics.median(ratios)))

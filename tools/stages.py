@@ -46,7 +46,11 @@ STAGES = [
     ("exactdist", "_Select._score"),
     ("exactdist", "_result_at"),
     ("_fastpath", "_chunk"),
+    ("_fastpath", "_live_span"),
+    ("gridscan", "_theta_table"),
+    ("gridscan", "_first_max"),
     ("gridscan", "scan"),
+    ("exactdist", "_key_lines"),
     ("exactdist", "candidate_lines"),
 ]
 
