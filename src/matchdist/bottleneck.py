@@ -4,15 +4,15 @@ Essential (infinite-death) bars can only be matched among themselves at
 finite cost, and their optimal assignment is the in-order matching of sorted
 birth values.  The finite bars' cost is the least exact candidate (a
 pairwise l-infinity distance or a half-persistence) at which a perfect
-matching exists; bottleneck then runs the augmenting-path feasibility
-matcher once at that cost for the witness.  The overall cost is the maximum
-of the two parts, with the convention inf - inf = 0.
+matching exists, found by _threshold, a binary search over the candidates
+with the augmenting-path feasibility matcher; bottleneck then runs the
+matcher once more at that cost for the witness.  The overall cost is the
+maximum of the two parts, with the convention inf - inf = 0.
 
-Two matching minima agree exactly: cheapest_matching, a dynamic program
-whose table grows as 2^cols, and _threshold, a binary search over the
-candidates with the feasibility matcher; threshold_matching runs _threshold
-line by line over arrays.  bottleneck and the vector kernel pick one by
-size.
+The vector kernel takes its matching minimum on arrays from one of two
+functions that agree exactly: cheapest_matching, a dynamic program whose
+table grows as 2^cols, and threshold_matching, which runs _threshold line
+by line.
 """
 from __future__ import annotations
 
@@ -98,11 +98,6 @@ def _threshold(pc, half1, half2):
     return cand[lo]
 
 
-# finite bars per side up to which bottleneck takes cheapest_matching on
-# rationals; past it the table of used-column sets grows as 2^bars
-_MATCHING_BARS = 4
-
-
 def bottleneck(d1, d2):
     """Exact bottleneck distance with witness.
 
@@ -136,8 +131,7 @@ def bottleneck(d1, d2):
     half1 = [(a.death - a.birth) / 2 for a in p1]
     half2 = [(b.death - b.birth) / 2 for b in p2]
     n1, n2 = len(p1), len(p2)
-    match = cheapest_matching if max(n1, n2) <= _MATCHING_BARS else _threshold
-    cost_f = match(pc, half1, half2)
+    cost_f = _threshold(pc, half1, half2)
     if cost_f is None:
         cost_f = Q(0)
     match_r = _feasible(cost_f, pc, half1, half2)
@@ -181,29 +175,25 @@ def cheapest_matching(pc, h1, h2):
     """Elementwise bottleneck cost of the cheapest partial matching: the
     minimum, over every partial injection of the rows into the columns, of
     the maximum of the matched pc[i][j], the unmatched h1[i] and the
-    unmatched h2[j]; None when both sides are empty.  The entries are all
-    arrays (floats, int64 or Python ints in object arrays), or all rational
-    scalars.
+    unmatched h2[j]; None when both sides are empty.  Arrays only: the
+    entries are all floats, all int64 or all exact numbers (Python ints,
+    rationals) in object arrays.
 
     Rows are matched one at a time, keeping for every set of used columns
-    the cheapest cost of the rows still to come.  max and min are exact, so
-    the result equals the pattern-by-pattern minimum bit for bit, at a
-    fraction of its operations (4x4: 199 against 1127).  The columns are
-    taken over the smaller side, which transposes pc when h2 is longer;
-    the minimum is symmetric, so the result is unchanged.
+    the cheapest cost of the rows still to come.  np.maximum and np.minimum
+    are exact, so the result equals the pattern-by-pattern minimum bit for
+    bit, at a fraction of its operations (4x4: 199 against 1127).  The
+    columns are taken over the smaller side, which transposes pc when h2 is
+    longer; the minimum is symmetric, so the result is unchanged.
     """
     if len(h2) > len(h1):
         pc = [[row[j] for row in pc] for j in range(len(h2))]
         h1, h2 = h2, h1
     if not h1:
         return None
-    # numpy's max and min on arrays, the builtins on scalars: numpy's object
-    # dispatch costs several times a rational comparison
-    vmax, vmin = ((np.maximum, np.minimum) if isinstance(h1[0], np.ndarray)
-                  else (max, min))
 
     def up(a, b):
-        return a if b is None else vmax(a, b)
+        return a if b is None else np.maximum(a, b)
 
     r1, r2 = len(h1), len(h2)
     full = (1 << r2) - 1
@@ -219,7 +209,8 @@ def cheapest_matching(pc, h1, h2):
                 best = up(h1[i], rest[used])
                 for j in range(r2):
                     if not used >> j & 1:
-                        best = vmin(best, up(pc[i][j], rest[used | 1 << j]))
+                        best = np.minimum(best,
+                                          up(pc[i][j], rest[used | 1 << j]))
                 row[used] = best
         rest = row
     return rest[0]

@@ -166,22 +166,12 @@ def _rows(m1, m2, offsets, ev):
     _fastpath._live_span); elsewhere its costs are +0.0, which is what the
     evaluator gives there bit for bit.  A block takes rows while their span
     hull times their number stays within _BLOCK_LINES lines, or r = 1 for a
-    row past that, and r * n within _OUT_BLOCKS * _BLOCK_LINES.  It goes to ev once, on its hull, as a
-    broadcast pair: the directions as an (r, 1) column and the hull's
-    offsets as a (1, h) row, so no line array is repeated or tiled.
-
-    A grid of at most _BLOCK_LINES lines, one block whatever the spans,
-    gets full rows instead, r * n up to _BLOCK_LINES, with no span
-    search."""
+    row past that, and r * n within _OUT_BLOCKS * _BLOCK_LINES.  It goes to
+    ev once, on its hull, as a broadcast pair: the directions as an (r, 1)
+    column and the hull's offsets as a (1, h) row, so no line array is
+    repeated or tiled."""
     n = len(offsets)
     b1, b2 = (-offsets / 2)[None, :], (offsets / 2)[None, :]
-    if len(m1) * n <= _BLOCK_LINES:
-        # full rows, _BLOCK_LINES lines a block: on a grid of one block
-        # the spans would save no evaluator call
-        per = max(1, _BLOCK_LINES // n)
-        for a in range(0, len(m1), per):
-            yield a, ev(m1[a:a + per, None], m2[a:a + per, None], b1, b2)
-        return
     lo, hi = (s.tolist()
               for s in ev.live_span(m1[:, None], m2[:, None], b1, b2))
     a = 0
@@ -231,22 +221,18 @@ def scan(M, N, g: GridSpec) -> ScanResult:
     evaluation (_rows), so a scan whose rows are never read costs no row
     storage, and every row equals the full evaluation bit for bit.  The max
     and argmax are the first maximum in (theta, offset) order, as a call per
-    row gives.  A grid of more than _BLOCK_LINES lines finds them
-    best-first (_first_max): rows in decreasing row bound (the map's
-    row_bound, _fastpath._row_bound), stopping once the next row's bound is
-    below the best value found.  Only a pair of rectangles without
-    essential bars, rectangle modules or presentations whose components
-    are all rectangle-shaped, has finite bounds; the +inf bounds of any
-    other pair keep every row, in order.
+    row gives.  Every grid finds them best-first (_first_max): rows in
+    decreasing row bound (the map's row_bound, _fastpath._row_bound),
+    stopping once the next row's bound is below the best value found.
+    Only a pair of rectangles without essential bars, rectangle modules or
+    presentations whose components are all rectangle-shaped, has finite
+    bounds; the +inf bounds of any other pair keep every row, in order.
     """
     thetas, offsets = _axes(M, N, g)
     _, m1, m2 = _theta_table(g.theta_steps)
     ev = _fastpath.line_evaluator(M, N)
-    if len(thetas) * len(offsets) <= _BLOCK_LINES:
-        ub = np.full(len(thetas), math.inf)
-    else:
-        ub = ev.row_bound(m1[:, None], m2[:, None], (-offsets / 2)[None, :],
-                          (offsets / 2)[None, :]).ravel()
+    ub = ev.row_bound(m1[:, None], m2[:, None], (-offsets / 2)[None, :],
+                      (offsets / 2)[None, :]).ravel()
     best, (i, j) = _first_max(m1, m2, offsets, ev, ub)
     arg = (float(thetas[i]), float(offsets[j]))
 

@@ -1,17 +1,15 @@
 import random
-import sys
 
+import numpy as np
 import pytest
 
 from conftest import rand_diagram
-from matchdist.bottleneck import MatchingWitness, bottleneck
+from matchdist.bottleneck import (MatchingWitness, bottleneck,
+                                  cheapest_matching)
 from matchdist.fibered import Bar
-from matchdist.rational import INF, Q
+from matchdist.rational import INF, Q, is_inf
 from oracles import (TooLarge, bottleneck_bruteforce, essential_bruteforce,
                      matching_cost)
-
-# the package exports the function bottleneck under the module's name
-bn = sys.modules["matchdist.bottleneck"]
 
 
 def dgm(*pairs):
@@ -166,11 +164,12 @@ def _tied_diagram(rng, finite, essential):
     return tuple(bars)
 
 
-def test_matching_rule_does_not_change_witness(monkeypatch):
-    """The dynamic program and the threshold search give the same cost, so
-    bottleneck() returns the same witness whichever the size rule picks:
-    with every diagram sent to the search (cap 0) or to the dynamic
-    program (cap 8)."""
+def test_witness_attains_cheapest_matching():
+    """On diagrams whose costs tie within and across the sides, the cost
+    equals the dynamic program's value on the same finite entries, passed
+    as one-line object arrays, joined with the essential bars' cost; the
+    witness's finite pairs and diagonal bars attain that finite value, and
+    its essential pairs the essential cost."""
     rng = random.Random(2024)
     cases = []
     for _ in range(300):
@@ -178,32 +177,40 @@ def test_matching_rule_does_not_change_witness(monkeypatch):
         e2 = e1 if rng.random() < 0.9 else rng.randint(0, 2)
         cases.append((_tied_diagram(rng, rng.randint(0, 7), e1),
                       _tied_diagram(rng, rng.randint(0, 7), e2)))
-    want = [bottleneck(d1, d2) for d1, d2 in cases]
-    for cap in (0, 8):
-        monkeypatch.setattr(bn, "_MATCHING_BARS", cap)
-        assert [bottleneck(d1, d2) for d1, d2 in cases] == want
 
+    def line(v):
+        return np.array([v], dtype=object)
 
-def test_small_diagrams_match_once(monkeypatch):
-    """Up to the matching cap, the cost comes from the dynamic program and
-    the feasibility matcher runs once, for the witness alone."""
-    feasible = bn._feasible
-    calls = []
+    def pair_cost(a, b):
+        return max(abs(a.birth - b.birth), abs(a.death - b.death))
 
-    def counted(*args):
-        calls.append(args[0])
-        return feasible(*args)
+    def half(bar):
+        return (bar.death - bar.birth) / 2
 
-    monkeypatch.setattr(bn, "_feasible", counted)
-    rng = random.Random(77)
-    for _ in range(100):
-        e = rng.randint(0, 1)
-        d1 = _tied_diagram(rng, rng.randint(2, 4), e)
-        d2 = _tied_diagram(rng, rng.randint(2, 4), e)
-        calls.clear()
+    for d1, d2 in cases:
         cost, w = bottleneck(d1, d2)
-        assert len(calls) == 1
         check_witness(d1, d2, cost, w)
+        ess1 = [b.birth for b in d1 if is_inf(b.death)]
+        ess2 = [b.birth for b in d2 if is_inf(b.death)]
+        if len(ess1) != len(ess2):
+            assert cost == INF
+            continue
+        p1 = [b for b in d1 if not is_inf(b.death)]
+        p2 = [b for b in d2 if not is_inf(b.death)]
+        got = cheapest_matching([[line(pair_cost(a, b)) for b in p2]
+                                 for a in p1],
+                                [line(half(a)) for a in p1],
+                                [line(half(b)) for b in p2])
+        fin = Q(0) if got is None else got[0]
+        ess = essential_bruteforce(ess1, ess2)
+        assert cost == max(fin, ess)
+        attained = [pair_cost(d1[i], d2[j]) for i, j in w.pairs
+                    if not is_inf(d1[i].death)]
+        attained += [half((d1, d2)[side - 1][k])
+                     for side, k in w.unmatched_to_diagonal]
+        assert max(attained, default=Q(0)) == fin
+        assert max((pair_cost(d1[i], d2[j]) for i, j in w.pairs
+                    if is_inf(d1[i].death)), default=Q(0)) == ess
 
 
 def test_essential_inorder_optimal():

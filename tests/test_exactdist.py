@@ -519,10 +519,10 @@ def _diagram(rng, finite, essential):
 
 
 def test_diagram_cost_matches_bottleneck():
-    """bottleneck() equals the brute force where that is small enough, below
-    its matching cap, past it (5-6 finite bars on a side) and with an empty
-    side.  On diagrams without essential bars, threshold_matching on
-    single-line object arrays of rationals equals bottleneck() too."""
+    """bottleneck() equals the brute force where that is small enough, on
+    random diagrams, at 5-6 finite bars on a side and with an empty side.  On
+    diagrams without essential bars, threshold_matching on single-line
+    object arrays of rationals equals bottleneck() too."""
     rng = random.Random(5)
     cases = [(rand_diagram(rng), rand_diagram(rng)) for _ in range(200)]
     for _ in range(30):
@@ -579,8 +579,7 @@ def test_key_buffer_matches_np_unique(monkeypatch):
 
 def test_cheapest_matching_matches_patterns():
     """The row-by-row minimum equals the minimum over every matching
-    pattern exactly, for floats, for int64 numerators and for rational
-    scalars."""
+    pattern exactly, for floats and for int64 numerators."""
     rng = np.random.default_rng(13)
     assert cheapest_matching([], [], []) is None
     sizes = range(6)
@@ -600,22 +599,6 @@ def test_cheapest_matching_matches_patterns():
         got = cheapest_matching(pc, h1, h2)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    qrng = random.Random(13)
-    for r1, r2, _ in itertools.product(range(5), range(5), range(8)):
-        if r1 == r2 == 0:
-            continue
-        # coarse draws give ties within and across the sides
-        draw = [Q(qrng.randint(0, 12), qrng.randint(1, 3))
-                for _ in range(r1 + r2 + r1 * r2)]
-        h1, h2 = draw[:r1], draw[r1:r1 + r2]
-        pc = [draw[r1 + r2 + i * r2:r1 + r2 + (i + 1) * r2]
-              for i in range(r1)]
-        want = min(max([pc[i][j] for i, j in pairs] + [h1[i] for i in un1]
-                       + [h2[j] for j in un2])
-                   for pairs, un1, un2 in match_patterns(r1, r2))
-        got = cheapest_matching(pc, h1, h2)
-        assert type(got) is type(want)
-        assert got == want
 
 
 def test_threshold_matching_matches_cheapest_matching():

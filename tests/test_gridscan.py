@@ -180,19 +180,24 @@ def _wide_pair(finite):
      GridSpec(5, 1300), None),
     (lambda: tuple(map(entangled_presentation, ex_need_omega())),
      GridSpec(5, 1300), None),
+    # grids of fewer than _BLOCK_LINES lines, one block on the span path
+    (ex_need_omega, GridSpec(5, 7), None),
+    (lambda: tuple(map(entangled_presentation, ex_need_omega())),
+     GridSpec(20, 60), None),
     # past the kernel's dynamic-programming width, the threshold search
     # runs line by line; a small block gives the same shapes on a small
     # grid
     (lambda: _wide_pair(7), GridSpec(5, 7), 16),
     (lambda: _wide_pair(7), GridSpec(2, 20), 16),
 ], ids=["rect", "rect-row-per-call", "rect-5x5", "presentation",
-        "presentation-entangled", "past-dp-width",
+        "presentation-entangled", "rect-one-block",
+        "presentation-entangled-one-block", "past-dp-width",
         "past-dp-width-row-per-call"])
 def test_blocks_match_one_call_per_row(pair, g, block, monkeypatch):
     """Rows evaluated in blocks give every value, the max and the argmax of
     one evaluator call per row, bit for bit, for rectangles and
-    presentations, rectangle-shaped or entangled, at and past the kernel's
-    dynamic-programming width."""
+    presentations, rectangle-shaped or entangled, on grids of one block
+    and of many, at and past the kernel's dynamic-programming width."""
     if block is not None:
         monkeypatch.setattr(gridscan, "_BLOCK_LINES", block)
     M, N = pair()
@@ -571,24 +576,6 @@ def test_every_map_has_row_bound_and_live_span(pair, finite):
     if not finite:
         lo, hi = ev.live_span(*line)
         assert lo.tolist() == [0] * 7 and hi.tolist() == [9] * 7
-
-
-def test_small_grid_skips_span_search(monkeypatch):
-    """A grid of at most _BLOCK_LINES lines is one block of full rows, so
-    its scan runs no span search; a larger grid runs it once."""
-    calls = []
-    live = _fastpath._live_span
-
-    def counted(*args):
-        calls.append(args)
-        return live(*args)
-
-    monkeypatch.setattr(_fastpath, "_live_span", counted)
-    M, N = ex_need_omega()
-    scan(M, N, GridSpec(50, 50))
-    assert calls == []
-    scan(M, N, GridSpec(50, 100))
-    assert len(calls) == 1
 
 
 def test_direction_table_follows_the_grid():

@@ -34,24 +34,35 @@ def unused_imports(tree):
 
 
 def private_helpers(tree, private_module=False):
-    """Private module-level functions and classes, with their lines, and
-    in a private module every module-level function, whatever its name;
-    dunder names are not helpers."""
-    return {node.name: node.lineno for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not node.name.startswith("__")
-            and (node.name.startswith("_")
-                 or private_module and not isinstance(node, ast.ClassDef))}
+    """Private module-level functions, classes and constants, with their
+    lines, and in a private module every module-level function, whatever
+    its name; dunder names are not helpers.  A constant is a name bound by
+    a module-level assignment."""
+    out = {node.name: node.lineno for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef))
+           and (node.name.startswith("_")
+                or private_module and not isinstance(node, ast.ClassDef))}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.update((n.id, node.lineno) for t in targets
+                       for n in ast.walk(t) if isinstance(n, ast.Name)
+                       and isinstance(n.ctx, ast.Store)
+                       and n.id.startswith("_"))
+    return {name: line for name, line in out.items()
+            if not name.startswith("__")}
 
 
 def references(tree):
     """Every name the tree reads, as a bare name, an attribute, an imported
     name or a string constant (monkeypatch.setattr and the benchmark's
-    tracer name attributes by string)."""
+    tracer name attributes by string).  A bare name that is only bound is
+    not read."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -190,13 +201,19 @@ def test_unreferenced_helpers_are_caught():
                      "def _patched():\n    pass\n"
                      "def public():\n"
                      "    def _inner():\n        pass\n"
-                     "    return _used()\n")
+                     "    return _used()\n"
+                     "_DEAD = 1\n"
+                     "_LIVE: int = 2\n"
+                     "__version__ = '1'\n"
+                     "x = _LIVE\n")
     other = ast.parse("setattr(m, '_patched', None)\n")
     refs = references(tree) | references(other)
-    assert unreferenced_helpers(tree, refs) == [(3, "_dead"), (5, "_Gone")]
+    # a constant's own binding is not a read of it
+    assert unreferenced_helpers(tree, refs) == [
+        (3, "_dead"), (5, "_Gone"), (15, "_DEAD")]
     # in a private module a public name with no reader is dead too
     assert unreferenced_helpers(tree, refs, True) == [
-        (3, "_dead"), (5, "_Gone"), (11, "public")]
+        (3, "_dead"), (5, "_Gone"), (11, "public"), (15, "_DEAD")]
     assert is_private_module(ROOT / "src" / "matchdist" / "_fastpath.py")
     assert not is_private_module(ROOT / "src" / "matchdist" / "__init__.py")
 

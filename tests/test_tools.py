@@ -133,9 +133,9 @@ def stages(*args):
 def test_stages_tiny():
     """One pass of a tiny rect_small corpus: the pass line, then one line
     per stage, in order, each with its seconds, its share of the pass and
-    its calls; the key stages run, and each takes at most the pass.  On a
-    tiny explore corpus of scans and line sets, the scan's and the line
-    set's own stages run."""
+    its calls; the key stages and the witness's matching run, and each
+    takes at most the pass.  On a tiny explore corpus of scans and line
+    sets, the scan's and the line set's own stages run."""
     out = stages("rect_small", "--tiny", "4", "--passes", "1")
     assert out.returncode == 0, out.stderr
     head, total, *rows = out.stdout.splitlines()
@@ -151,10 +151,10 @@ def test_stages_tiny():
         ("_fastpath", "_chunk"), ("_fastpath", "_live_span"),
         ("gridscan", "_theta_table"), ("gridscan", "_first_max"),
         ("gridscan", "scan"), ("exactdist", "_key_lines"),
-        ("exactdist", "candidate_lines"))]
+        ("exactdist", "candidate_lines"), ("bottleneck", "bottleneck"))]
     stats = {row.split()[0]: row.split()[1:] for row in rows}
     for name in ("exactdist._lattice", "exactdist._stream",
-                 "exactdist._result_at"):
+                 "exactdist._result_at", "bottleneck.bottleneck"):
         secs, unit, share, calls, _ = stats[name]
         assert unit == "s" and 0 < float(secs) <= float(total.split()[1])
         assert share.endswith("%") and int(calls) > 0

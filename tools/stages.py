@@ -52,6 +52,7 @@ STAGES = [
     ("gridscan", "scan"),
     ("exactdist", "_key_lines"),
     ("exactdist", "candidate_lines"),
+    ("bottleneck", "bottleneck"),
 ]
 
 
