@@ -42,11 +42,10 @@ Each converted side is one record (essential lowers, finite rects, pres),
 pres the _Pres of the entangled components or None, so the kernel reads
 one shape for both kinds of module.  Each map carries the same attributes
 whatever the pair, so its callers read them and never probe:
-line_evaluator's live_span and row_bound, whose +inf column bounds
-nothing, and exact_evaluator's sides and bound, None where no direction
-bound holds.  Every pair of rectangles without essential bars has a bound,
-whether a side is a rectangle module or a presentation whose components
-are all rectangle-shaped.
+line_evaluator's live_span and row_bound, and exact_evaluator's sides
+and bound, where a +inf bound bounds nothing.  Every pair of rectangles
+without essential bars has finite bounds, whether a side is a rectangle
+module or a presentation whose components are all rectangle-shaped.
 """
 from __future__ import annotations
 
@@ -664,12 +663,12 @@ def exact_evaluator(M, N, lam):
     restrict_presentation's push parameters do, ties included, so its
     barcode templates pair the same generators and relations.
 
-    The map's bound is None unless the pair is one of rectangles without
-    essential bars (_finite_rects), rectangle modules or presentations
-    whose components are all rectangle-shaped, with a finite rect.  Then it is
-    bound(dxv, dyv): _direction_bound's fractions (p_ub, q) per direction,
-    with the map's own q and p <= p_ub on every line of that direction,
-    exact under the map's certificate with kb = 0.
+    Every map has a bound(dxv, dyv): one double per direction, the double
+    (doubles) of _direction_bound's fraction p_ub/q, with the map's own q
+    and p <= p_ub on every line of that direction, exact under the map's
+    certificate with kb = 0, on a pair of rectangles without essential bars
+    (_finite_rects), rectangle modules or presentations whose components
+    are all rectangle-shaped, with a finite rect; +inf on every other pair.
     """
     amax = 0
 
@@ -698,10 +697,15 @@ def exact_evaluator(M, N, lam):
     def values(dxv, dyv, kv):
         return _chunk(sm, sn, numerators(dxv, dyv, kv))
 
-    values.sides = sm, sn
     fin = _finite_rects(sm, sn)
-    values.bound = (lambda dxv, dyv: _direction_bound(
-        fin, numerators(dxv, dyv))) if fin else None
+
+    def bound(dxv, dyv):
+        if not fin:
+            return np.full(dxv.shape, math.inf)
+        return doubles(*_direction_bound(fin, numerators(dxv, dyv)))
+
+    values.sides = sm, sn
+    values.bound = bound
     return values
 
 
@@ -745,6 +749,13 @@ def key_diagram(side, dx, dy, k, lam):
         put(bar, "death", INF if essential else Q(d * mx, den))
         out.append(bar)
     return tuple(out)
+
+
+def doubles(ps, qs):
+    """The doubles of the fractions ps/qs: int64 arrays convert each side
+    and divide, and object arrays divide Python ints, one correctly
+    rounded int / int per entry."""
+    return (ps / qs).astype(np.float64, copy=False)
 
 
 def reduce_fractions(ps, qs):

@@ -45,23 +45,25 @@ by the number of distinct lines: the buffer, at most its first capacity
 or about twice the distinct keys, and one cache-sized block; the union is
 the buffer, shrunk to its distinct keys.  It is then read in chunks of
 _fastpath.CHUNK keys (_chunks), split into direction runs, so each line is
-read once and what is unpacked and valued never exceeds one chunk; a
-bounded selection drops whole runs while still packed.  Pairs that need
-no line search take the lex-min key (_first_key) over the run heads of
-the union, chunk by chunk.
+read once and what is unpacked and valued never exceeds one chunk.  Pairs
+that need no line search take the lex-min key (_first_key) over the run
+heads of the union, chunk by chunk.
 
 Pairs that need a line search go through one selection (_Select), whatever
 their number of bars, with both modules converted once per call, in one
-exact pass: each line is valued once on unreduced integer numerators, a
-band with a written 3-ulp bound keeps the lines that can still win, and
-only those are reduced and compared exactly.  The kernel picks its
-numerators chunk by chunk (_fastpath.exact_evaluator): int64 where its
-certificate over the chunk's keys shows every intermediate below 2^62,
-which covers every pair of moderate coordinates, and Python ints
-otherwise.  The pruning is sound chunk by chunk, so splitting the keys
-into chunks changes no result.  The lex-min tie-break compares the keys'
-integers too (_lex_min), so no selection builds a rational.  The witness
-matching is read off the same integer sides, on the winning key
+exact pass by direction run: a run whose direction bound shows it beaten
+is dropped while still packed (the bound is +inf, and drops nothing, on
+pairs without one), each live line is valued once on unreduced integer
+numerators, a band with a written 3-ulp bound keeps the lines that can
+still win, and only those are reduced and compared exactly, chunk by
+chunk, against one running best.  The kernel picks its numerators chunk
+by chunk (_fastpath.exact_evaluator): int64 where its certificate over
+the chunk's keys shows every intermediate below 2^62, which covers every
+pair of moderate coordinates, and Python ints otherwise.  The pruning is
+sound chunk by chunk, so splitting the keys into chunks changes no
+result.  The lex-min tie-break compares the keys' integers too
+(_lex_min), so no selection builds a rational.  The witness matching is
+read off the same integer sides, on the winning key
 (_fastpath.key_diagram), so no module is restricted in rationals; its
 weighted cost must equal the selection's exact maximum, or the call
 raises.
@@ -245,6 +247,7 @@ def _lattice(M, N, extra):
     return _scaled(proper, dirs, s, off, S)
 
 
+# first capacity of the stream's key buffer (_Keys), in keys
 _BLOCK = 1 << 22
 # pairs per row band of the pair stage
 _BAND_PAIRS = 1 << 16
@@ -571,12 +574,12 @@ def _lex_min(dxv, dyv, kv):
     Keys are primitive, so keys of equal ratio dx/dy share one direction,
     within which b1 orders as k: the lex-min is the least k of the direction
     of least ratio.  Rounding is monotone, so only keys whose double of
-    dx/dy (_doubles, one correctly rounded division per key: int64 keys
-    have dx, dy below 2^53, _pack_spec's bound) ties the least one can hold
-    the least ratio, and _Ratio orders those exactly.  The result does not
-    depend on the order of the keys.
+    dx/dy (_fastpath.doubles, one correctly rounded division per key: int64
+    keys have dx, dy below 2^53, _pack_spec's bound) ties the least one can
+    hold the least ratio, and _Ratio orders those exactly.  The result does
+    not depend on the order of the keys.
     """
-    r = _doubles(dxv, dyv)
+    r = _fastpath.doubles(dxv, dyv)
     t = np.flatnonzero(r == r.min())
     dx, dy, k = dxv[t], dyv[t], kv[t]
     d = min(zip(dx.tolist(), dy.tolist()), key=_Ratio)
@@ -591,13 +594,6 @@ def _first_key(spec, union):
     its second part's head, a key of the run, which changes nothing."""
     heads = [c[_run_heads(spec, c)] for c in _chunks(union)]
     return _lex_min(*_unpack(spec, np.concatenate(heads)))
-
-
-def _doubles(ps, qs):
-    """The doubles of the fractions ps/qs: int64 arrays convert each side
-    and divide, and object arrays divide Python ints, one correctly
-    rounded int / int per entry."""
-    return (ps / qs).astype(np.float64, copy=False)
 
 
 # _band's threshold over the running maximum; _Select drops a direction
@@ -626,7 +622,7 @@ def _band(ps, qs, fmax):
     rounding of Python ints is still monotone, so a double below fmax still
     belongs to a fraction below fmax's.
     """
-    r = _doubles(ps, qs)
+    r = _fastpath.doubles(ps, qs)
     fmax = max(fmax, float(r.max()))
     return fmax, r >= fmax * _BAND
 
@@ -659,95 +655,93 @@ class _Select:
     """The exact maximum of the weighted cost over distinct keys, offered
     one chunk at a time, and the lex-min key among the lines that attain it.
 
-    One discard rule.  The kernel values every key exactly (values, the
-    map of _fastpath.exact_evaluator, both modules converted once per call)
-    as an unreduced fraction p/q, and a key is kept when its double lies in
-    _band, whose written bound is 3 ulps per double and one rounding of the
-    threshold.  A kept key stays as its row (dx, dy, k, p, q), so no
-    packing passes the stream.  The kept keys are banded again against the
-    running maximum when they outgrow _BLOCK and at finish, where only they
-    are reduced, _exact_top takes their exact maximum and _lex_min the
-    lex-min of its ties.  A key is dropped only when a key
-    offered no later beats it exactly, so splitting the keys into chunks
+    Every selection goes by direction run, on one row of state: the running
+    best (key, (p, q)), the lex-min key of the exact maximum so far and that
+    maximum as reduced ints, (None, (-1, 1)) before any key, below every
+    value; and fmax, the running maximum of the doubles.
+
+    The map's bound (values, _fastpath.exact_evaluator, both modules
+    converted once per call) gives one double per direction: that of the
+    direction bound p_ub/q (_fastpath._direction_bound: the kernel's own q,
+    p <= p_ub exactly) on a pair of rectangles without essential bars, and
+    +inf on every other pair.  It is taken once, at each run's head, and a
+    run whose bound lies below _band's threshold is dropped while still
+    packed; only the live keys are unpacked and valued, as unreduced
+    fractions p/q.  The first chunk values its runs of highest bound first,
+    every run whose bound is at least that of the run that takes them past
+    _SEED keys, so the bound prunes from the start; where every bound is
+    +inf every run ties, and each chunk goes to the kernel in one call.
+
+    Soundness is _band's argument, batch by batch.  A valued key outside
+    the band, or a run whose bound's double is below fmax*_BAND, is beaten
+    exactly by a key offered no later, whose double raised fmax: the bound's
+    double lies within 3 ulps of p_ub/q, as the band's doubles do of p/q.
+    So the exact maximum and all its ties survive every band.  Only a
+    batch's survivors are reduced; _exact_top takes their exact maximum and
+    _lex_min the lex-min of its ties, which merge into the running best by
+    cross-multiplication: a greater value replaces it, an equal one keeps
+    the lex-min of the two keys, and a smaller one is dropped before any
+    _lex_min.  Each step keeps the lex-min of the maximum over every key
+    valued so far, whatever the order, so splitting the keys into chunks
     changes no result.
 
     The kernel picks its own integers, chunk by chunk: the map values a
     chunk in int64 when its certificate holds over that chunk's keys, and
     in Python ints otherwise, so the chunks of one selection may differ in
-    arithmetic.  _band, _prune, reduce_fractions and _exact_top take both,
-    and int64 and object parts concatenate to object.
-
-    Where the map has a bound, on a pair of rectangles without essential
-    bars (rectangle modules, or presentations whose components are all
-    rectangle-shaped, _fastpath._split), the selection works per direction
-    run (by_run): the double of the run's direction bound p_ub/q
-    (_fastpath._direction_bound: the kernel's own q, p <= p_ub exactly)
-    is taken once, at the run's head, and a run below _band's threshold,
-    whose argument carries over, is dropped while still packed; only the
-    live keys are unpacked and valued.  The first chunk values its runs of
-    highest bound first, up to _SEED keys, so the bound prunes from the
-    start; _lex_min picks among the tied keys in any order.
+    arithmetic; _band, reduce_fractions and _exact_top take both.
     """
 
-    __slots__ = ("values", "by_run", "fmax", "parts", "size")
+    __slots__ = ("values", "fmax", "best")
 
     def __init__(self, values):
         self.values = values
-        self.by_run = values.bound is not None
         self.fmax = -np.inf
-        self.parts, self.size = [], 0
+        self.best = None, (-1, 1)
 
     def run(self, spec, union):
-        """finish() after taking the distinct packed keys chunk by chunk."""
+        """The best (key, (p, q)) after taking the distinct packed keys
+        chunk by chunk."""
         for packed in _chunks(union):
-            if self.by_run:
-                packed = self._live(spec, packed)
+            packed = self._live(spec, packed)
             if packed.size:
                 self._score(*_unpack(spec, packed))
-            if self.size > _BLOCK:
-                self._prune()
-        return self.finish()
+        return self.best
 
     def _live(self, spec, packed):
         """The keys of the direction runs whose bound reaches the band,
         after valuing the seed runs when nothing is valued yet."""
         heads = _run_heads(spec, packed)
-        r = _doubles(*self.values.bound(*_unpack(spec, packed[heads])[:2]))
+        r = self.values.bound(*_unpack(spec, packed[heads])[:2])
         sizes = np.concatenate((heads[1:], [packed.size])) - heads
         if self.fmax == -np.inf and packed.size > _SEED:
             order = np.argsort(-r)
             top = np.searchsorted(np.cumsum(sizes[order]), _SEED, "right")
-            seed = np.zeros(r.size, dtype=bool)
-            seed[order[:max(1, top)]] = True
+            seed = r >= r[order[top]]
             self._score(*_unpack(spec, packed[np.repeat(seed, sizes)]))
             r[seed] = -np.inf
         return packed[np.repeat(r >= self.fmax * _BAND, sizes)]
 
     def _score(self, dxv, dyv, kv):
-        """Value the keys exactly and keep those in the band."""
-        self._keep((dxv, dyv, kv, *self.values(dxv, dyv, kv)))
-
-    def _keep(self, cols):
-        """Add the rows of the columns (dx, dy, k, p, q) in _band, after
-        raising fmax to their maximum."""
-        self.fmax, keep = _band(cols[3], cols[4], self.fmax)
-        self.parts.append(tuple(c[keep] for c in cols))
-        self.size += int(np.count_nonzero(keep))
-
-    def _prune(self):
-        cols = [np.concatenate(c) for c in zip(*self.parts)]
-        self.parts, self.size = [], 0
-        self._keep(cols)
-
-    def finish(self):
-        """(key, (p, q)): the lex-min key among the lines of exact maximal
-        value, and that value as reduced ints."""
-        self._prune()
-        *keys, ps, qs = self.parts[0]
-        ps, qs = _fastpath.reduce_fractions(ps, qs)
+        """Value the keys exactly, band them against fmax and merge the
+        exact maximum of the survivors into the running best."""
+        ps, qs = self.values(dxv, dyv, kv)
+        self.fmax, keep = _band(ps, qs, self.fmax)
+        live = np.flatnonzero(keep)
+        if not live.size:
+            return
+        ps, qs = _fastpath.reduce_fractions(ps[live], qs[live])
         top = _exact_top(ps, qs)
-        return (_lex_min(*(c[top] for c in keys)),
-                (int(ps[top[0]]), int(qs[top[0]])))
+        p, q = int(ps[top[0]]), int(qs[top[0]])
+        best, (bp, bq) = self.best
+        if p * bq < bp * q:
+            return
+        top = live[top]
+        key = _lex_min(dxv[top], dyv[top], kv[top])
+        if p * bq == bp * q:
+            # _lex_min's line order: keys are primitive, so equal
+            # directions are equal pairs, and _Ratio orders unequal ones
+            key = min(key, best, key=lambda t: (_Ratio(t[:2]), t[2]))
+        self.best = key, (p, q)
 
 
 _ONE = Q(1)

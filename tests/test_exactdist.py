@@ -1144,15 +1144,15 @@ def test_key_diagrams_match_restriction(f):
 
 def test_kernel_witness_mismatch_raises(monkeypatch):
     """A selection whose exact maximum disagrees with the witness
-    matching's weighted cost raises, and returns no value: _Select.finish
+    matching's weighted cost raises, and returns no value: _Select.run
     made to report p/q + 1/q fails the check."""
-    finish = exactdist._Select.finish
+    run = exactdist._Select.run
 
-    def off(self):
-        key, (p, q) = finish(self)
+    def off(self, spec, union):
+        key, (p, q) = run(self, spec, union)
         return key, (p + 1, q)
 
-    monkeypatch.setattr(exactdist._Select, "finish", off)
+    monkeypatch.setattr(exactdist._Select, "run", off)
     with pytest.raises(ArithmeticError):
         matching_distance(*ex_need_omega())
 
@@ -1252,13 +1252,15 @@ def test_split_presentations_match_per_line_selection():
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = distinct_keys(X, Y, dvals)
         _assert_as_oracle(res, select_exact(M, N, keys, lam, len(keys)))
-        for (ess, fin, pres), module in zip(
-                _fastpath.exact_evaluator(M, N, lam).sides, (M, N)):
+        values = _fastpath.exact_evaluator(M, N, lam)
+        for (ess, fin, pres), module in zip(values.sides, (M, N)):
             if module.presentation is not None:
                 seen.add(("rects", bool(fin or ess)))
                 seen.add(("pres", pres is not None))
-        seen.add(("bound", exactdist._Select(
-            _fastpath.exact_evaluator(M, N, lam)).by_run))
+        bound = values.bound(*(np.array(c, dtype=object)
+                               for c in list(zip(*keys))[:2]))
+        assert np.isfinite(bound).all() or np.isinf(bound).all()
+        seen.add(("bound", bool(np.isfinite(bound).all())))
     assert seen == {(kind, flag) for kind in ("rects", "pres", "bound")
                     for flag in (False, True)}
 
@@ -1792,11 +1794,15 @@ def _no_search_pairs():
 
 
 def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
-    """On pairs that need no line search, with 64-key chunks and more than
-    two chunks' worth of keys, the value is +inf or 0, the witness is the
-    lex-min of every distinct key and the count is theirs."""
+    """On pairs that need no line search, and on one at distance 0 in two
+    forms that does, where every key ties, with 64-key chunks and more
+    than two chunks' worth of keys, the value is +inf or 0, the witness is
+    the lex-min of every distinct key, the first of candidate_lines, and
+    the count is theirs."""
     monkeypatch.setattr(_fastpath, "CHUNK", 64)
-    for (M, N), value in _no_search_pairs():
+    A, _ = ex_diag_not_suff()
+    for (M, N), value in [*_no_search_pairs(),
+                          ((A, combined_presentation(A)), 0)]:
         res = matching_distance(M, N)
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = distinct_keys(X, Y, dvals)
@@ -1804,6 +1810,7 @@ def test_tiny_chunks_keep_lex_min_witness(monkeypatch):
         assert res.value == value
         best = min(keys, key=lambda t: lex_pair(*t, lam))
         assert res.witness_line == exactdist._line_from_key(*best, lam)
+        assert res.witness_line == candidate_lines(M, N).lines[0]
         assert res.candidate_count == len(keys)
 
 
@@ -1841,17 +1848,20 @@ def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
     """With CHUNK = 16 and 64, a chunk boundary cuts a direction run in
     two, the second part headed by a larger k, on int64 keys and on keys
     scaled by 100003 and 10^9.  Where it cuts the run of the witness,
-    _Select, bounding per run, gives the value, witness line and count of
-    the per-line oracle; and _first_key, which reads a suffix of the keys
-    whole, gives the lex-min key over a suffix that a chunk boundary would
-    have cut inside that key's run."""
+    _Select, with a finite bound per run, gives the value, witness line and
+    count of the per-line oracle; and _first_key, which reads a suffix of
+    the keys whole, gives the lex-min key over a suffix that a chunk
+    boundary would have cut inside that key's run."""
     M, N = (scale(m, f) for m in list(_tied_pairs())[1])
     X, Y, dvals, lam = exactdist._lattice(M, N, None)
     spec, union = exactdist._stream(X, Y, dvals)
     keys = distinct_keys(X, Y, dvals)
     code = (union // spec.sk).tolist()
     ref = select_exact(M, N, keys, lam, len(keys))
-    assert exactdist._Select(_fastpath.exact_evaluator(M, N, lam)).by_run
+    heads = exactdist._run_heads(spec, union)
+    dxv, dyv, _ = exactdist._unpack(spec, union[heads])
+    assert np.isfinite(
+        _fastpath.exact_evaluator(M, N, lam).bound(dxv, dyv)).all()
     wit = next(i for i, key in enumerate(keys)
                if exactdist._line_from_key(*key, lam) == ref.witness_line)
     best = min(range(len(keys)), key=lambda i: lex_pair(*keys[i], lam))
@@ -2322,21 +2332,28 @@ def _tied_pairs():
 def test_direction_bound_holds_on_every_key():
     """On every distinct key of a rectangle pair without essential bars,
     up to MAX_FINITE + 2 finite bars a side, the kernel's unreduced value
-    p/q has the bound's own q and p <= p_ub in Python ints; a pair with
-    essential bars has the bound None."""
+    p/q has the direction bound's own q and p <= p_ub, in Python ints, and
+    the map's bound is a double within 3.01 ulps of p_ub/q; a pair with
+    essential bars has the bound +inf on every key."""
     for M, N in itertools.chain(_wide_pairs(), _tied_pairs()):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = distinct_keys(X, Y, dvals)
         dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
         values = _fastpath.exact_evaluator(M, N, lam)
+        bound = values.bound(dxv, dyv)
         if bar_counts(M)[1]:
-            assert values.bound is None
+            assert np.isposinf(bound).all()
             continue
         p, q = values(dxv, dyv, kv)
-        pu, qu = values.bound(dxv, dyv)
-        assert pu.dtype == qu.dtype == np.int64
+        pu, qu = _fastpath._direction_bound(
+            _fastpath._finite_rects(*values.sides),
+            _fastpath._KeyNumerators(lam, dxv.astype(object),
+                                     dyv.astype(object)))
         assert qu.tolist() == q.tolist()
         assert all(a <= b for a, b in zip(p.tolist(), pu.tolist()))
+        assert all(abs(Q(r) - Q(a, b)) <= Q(a, b) * Q(301, 100 * 2 ** 53)
+                   for r, a, b in zip(bound.tolist(), pu.tolist(),
+                                      qu.tolist()))
 
 
 def test_bound_pruned_selection_matches_oracle():
@@ -2344,20 +2361,29 @@ def test_bound_pruned_selection_matches_oracle():
     witness line and count of the per-line oracle on tied pools: with the
     first offer seeded by its keys of highest bound, out of key order, in
     one offer or over many, where a witness read off the survivors in
-    their offered order would be wrong."""
+    their offered order would be wrong.  With _SEED = 1 and the union in
+    one chunk, the seed is every run that ties the highest bound, which
+    some pair has on several runs."""
     shapes = [s[0] for s in _WIDE_SHAPES]
     pairs = [pair for pair, size in zip(_wide_pairs(), shapes) if size == 2]
+    tied = False
     for M, N in pairs + list(_tied_pairs()):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = distinct_keys(X, Y, dvals)
         ref = select_exact(M, N, keys, lam, len(keys))
-        for seed, chunk in [(None, None), (3, 64), (1, 16)]:
+        spec, union = exactdist._stream(X, Y, dvals)
+        heads = exactdist._unpack(spec, union[exactdist._run_heads(
+            spec, union)])
+        r = _fastpath.exact_evaluator(M, N, lam).bound(*heads[:2])
+        tied |= np.count_nonzero(r == r.max()) > 1
+        for seed, chunk in [(None, None), (3, 64), (1, 16), (1, 1 << 20)]:
             with pytest.MonkeyPatch.context() as mp:
                 if seed is not None:
                     mp.setattr(exactdist, "_SEED", seed)
                     mp.setattr(_fastpath, "CHUNK", chunk)
                 res = matching_distance(M, N)
             _assert_as_oracle(res, ref)
+    assert tied
 
 
 def _kernel_lines(monkeypatch):
@@ -2381,21 +2407,38 @@ def _past_cap_pair():
                  for _ in "MN")
 
 
+def _essential_pair():
+    """Rectangle modules with one essential bar a side: no direction
+    bound."""
+    return (TwoParamModule.from_rects([rect(0, 0, INF, INF),
+                                       rect(1, 1, 3, 2)]),
+            TwoParamModule.from_rects([rect(0, 1, INF, INF),
+                                       rect(0, 0, 2, 3)]))
+
+
 @pytest.mark.parametrize("pair, full", [
     (_past_cap_pair, False),
     (ex_need_omega, False),
     (lambda: tuple(map(combined_presentation, ex_need_omega())), False),
     (lambda: tuple(map(entangled_presentation, ex_need_omega())), True),
-], ids=["past-dp-width", "rect", "presentation", "entangled"])
+    (_essential_pair, True),
+], ids=["past-dp-width", "rect", "presentation", "entangled", "essential"])
 def test_bound_skips_kernel_lines(pair, full, monkeypatch):
     """A certified rectangle pair sends fewer lines to the kernel than it
     has candidates, and so does a pair of presentations whose components
-    are all rectangle-shaped; an entangled presentation pair, which has no
-    bound, sends all."""
+    are all rectangle-shaped.  A pair without a bound, entangled
+    presentations or rectangles with essential bars, sends all, with
+    chunks of twice _SEED keys each chunk whole in one kernel call: every
+    run's bound is +inf, so the first chunk's seed takes every run."""
     M, N = pair()
     lines = _kernel_lines(monkeypatch)
-    res = matching_distance(M, N)
+    size = 2 * exactdist._SEED
     if full:
-        assert sum(lines) == res.candidate_count
+        monkeypatch.setattr(_fastpath, "CHUNK", size)
+    res = matching_distance(M, N)
+    count = res.candidate_count
+    if full:
+        assert count > 2 * size
+        assert lines == [min(size, count - s) for s in range(0, count, size)]
     else:
-        assert 0 < sum(lines) < res.candidate_count
+        assert 0 < sum(lines) < count

@@ -34,15 +34,20 @@ def unused_imports(tree):
 
 
 def private_helpers(tree, private_module=False):
-    """Private module-level functions, classes and constants, with their
-    lines, and in a private module every module-level function, whatever
-    its name; dunder names are not helpers.  A constant is a name bound by
-    a module-level assignment."""
+    """Private module-level functions, classes and constants and private
+    methods of module-level classes, with their lines, and in a private
+    module every module-level function, whatever its name; dunder names are
+    not helpers.  A constant is a name bound by a module-level
+    assignment."""
     out = {node.name: node.lineno for node in tree.body
            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                 ast.ClassDef))
            and (node.name.startswith("_")
                 or private_module and not isinstance(node, ast.ClassDef))}
+    out.update((node.name, node.lineno) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_"))
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
@@ -73,12 +78,45 @@ def references(tree):
     return out
 
 
-def unreferenced_helpers(tree, refs, private_module=False):
-    """The tree's helpers (private_helpers) that no name in refs reads,
-    with their lines."""
-    return sorted((line, name) for name, line
-                  in private_helpers(tree, private_module).items()
-                  if name not in refs)
+def attribute_reads(tree):
+    """Every attribute name the tree reads: loaded, augmented (x.a += 1
+    reads x.a) or named by a string constant to getattr.  A store alone is
+    no read, nor is a slot's own name in __slots__."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target,
+                                                            ast.Attribute):
+            out.add(node.target.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            out.add(node.args[1].value)
+    return out
+
+
+def slot_entries(tree):
+    """The __slots__ entries of the module-level classes, with the lines
+    of their __slots__."""
+    return {name: node.lineno for cls in tree.body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def unreferenced_helpers(tree, refs, reads=frozenset(),
+                         private_module=False):
+    """The tree's helpers (private_helpers) that no name in refs reads, and
+    its slots (slot_entries) that no attribute in reads reads, with their
+    lines."""
+    return sorted([(line, name) for name, line
+                   in private_helpers(tree, private_module).items()
+                   if name not in refs]
+                  + [(line, name) for name, line
+                     in slot_entries(tree).items() if name not in reads])
 
 
 def is_private_module(path):
@@ -183,12 +221,13 @@ def test_unused_imports_are_caught():
 
 
 def test_no_unreferenced_helpers():
-    refs = set().union(*(references(ast.parse(path.read_text(), str(path)))
-                         for path in READERS))
+    trees = [ast.parse(path.read_text(), str(path)) for path in READERS]
+    refs = set().union(*map(references, trees))
+    reads = set().union(*map(attribute_reads, trees))
     found = ["%s:%d: %s" % (path.relative_to(ROOT), line, name)
              for path in PACKAGE
              for line, name in unreferenced_helpers(
-                 ast.parse(path.read_text(), str(path)), refs,
+                 ast.parse(path.read_text(), str(path)), refs, reads,
                  is_private_module(path))]
     assert found == []
 
@@ -205,15 +244,32 @@ def test_unreferenced_helpers_are_caught():
                      "_DEAD = 1\n"
                      "_LIVE: int = 2\n"
                      "__version__ = '1'\n"
-                     "x = _LIVE\n")
+                     "x = _LIVE\n"
+                     "class _Kept:\n"
+                     "    __slots__ = ('read', 'bumped', 'named', 'stored')\n"
+                     "    def __init__(self):\n"
+                     "        self.read = self.bumped = self.stored = 0\n"
+                     "    def _called(self):\n"
+                     "        self.bumped += 1\n"
+                     "        return self.read + getattr(self, 'named')\n"
+                     "    def _orphan(self):\n"
+                     "        pass\n"
+                     "    def unread(self):\n"
+                     "        pass\n"
+                     "_Kept()._called()\n")
     other = ast.parse("setattr(m, '_patched', None)\n")
     refs = references(tree) | references(other)
-    # a constant's own binding is not a read of it
-    assert unreferenced_helpers(tree, refs) == [
-        (3, "_dead"), (5, "_Gone"), (15, "_DEAD")]
+    reads = attribute_reads(tree) | attribute_reads(other)
+    # a constant's own binding is not a read of it, a slot's own name in
+    # __slots__ or a store to it is not a read of the slot, and a public
+    # method is no helper
+    assert unreferenced_helpers(tree, refs, reads) == [
+        (3, "_dead"), (5, "_Gone"), (15, "_DEAD"), (20, "stored"),
+        (26, "_orphan")]
     # in a private module a public name with no reader is dead too
-    assert unreferenced_helpers(tree, refs, True) == [
-        (3, "_dead"), (5, "_Gone"), (11, "public"), (15, "_DEAD")]
+    assert unreferenced_helpers(tree, refs, reads, True) == [
+        (3, "_dead"), (5, "_Gone"), (11, "public"), (15, "_DEAD"),
+        (20, "stored"), (26, "_orphan")]
     assert is_private_module(ROOT / "src" / "matchdist" / "_fastpath.py")
     assert not is_private_module(ROOT / "src" / "matchdist" / "__init__.py")
 

@@ -1,6 +1,8 @@
 """Smoke tests of the scripts under tools/."""
 import importlib.util
 import json
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,32 @@ def test_abrun_one_round():
     assert all("failed ops 0," in line for line in sides)
     assert lines[-1].startswith("ratio change/parent of pass medians: ")
     float(lines[-1].rpartition(" ")[2])
+
+
+def test_abrun_names_failed_ops(tmp_path):
+    """Against a copied checkout whose distances are off by one, the
+    change's line names its failed ops in op order, one per failed dist
+    op, and the parent's reads failed ops 0."""
+    src = tmp_path / "src" / "matchdist"
+    shutil.copytree(ROOT / "src" / "matchdist", src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "exactdist.py"
+    text = path.read_text()
+    exact = "return DistanceResult(value, line, wit, count)"
+    assert text.count(exact) == 1
+    path.write_text(text.replace(exact, exact.replace("value,", "value + 1,")))
+    out = subprocess.run([sys.executable, str(ABRUN), str(ROOT),
+                          str(tmp_path), "--workload", "perline", "--rounds",
+                          "1"], capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    parent, change = [line for line in out.stdout.splitlines()
+                      if line.startswith(("parent ", "change "))]
+    assert "failed ops 0," in parent
+    found = re.search(r"failed ops (\d+) \(([^)]*)\), ", change)
+    assert found
+    names = found.group(2).split(", ")
+    assert int(found.group(1)) == len(set(names)) == len(names) > 0
+    assert all(name.strip() for name in names)
 
 
 def test_abrun_rejects_no_rounds():
@@ -132,10 +160,12 @@ def stages(*args):
 
 def test_stages_tiny():
     """One pass of a tiny rect_small corpus: the pass line, then one line
-    per stage, in order, each with its seconds, its share of the pass and
-    its calls; the key stages and the witness's matching run, and each
-    takes at most the pass.  On a tiny explore corpus of scans and line
-    sets, the scan's and the line set's own stages run."""
+    per stage, in order, each with its seconds, its share of the pass, its
+    calls and its items; the key stages and the witness's matching run,
+    and each takes at most the pass.  The selection is offered keys,
+    values some and the kernel values lines; the stages without a count
+    print "-".  On a tiny explore corpus of scans and line sets, the
+    scan's and the line set's own stages run."""
     out = stages("rect_small", "--tiny", "4", "--passes", "1")
     assert out.returncode == 0, out.stderr
     head, total, *rows = out.stdout.splitlines()
@@ -155,9 +185,13 @@ def test_stages_tiny():
     stats = {row.split()[0]: row.split()[1:] for row in rows}
     for name in ("exactdist._lattice", "exactdist._stream",
                  "exactdist._result_at", "bottleneck.bottleneck"):
-        secs, unit, share, calls, _ = stats[name]
+        secs, unit, share, calls, _, items, _ = stats[name]
         assert unit == "s" and 0 < float(secs) <= float(total.split()[1])
-        assert share.endswith("%") and int(calls) > 0
+        assert share.endswith("%") and int(calls) > 0 and items == "-"
+    offered, valued, lines = (int(stats[name][5]) for name in (
+        "exactdist._Select.run", "exactdist._Select._score",
+        "_fastpath._chunk"))
+    assert 0 < valued <= offered and lines > 0
     # every sixth entry of explore's alternating scans and line sets
     out = stages("explore", "--tiny", "6", "--passes", "1")
     assert out.returncode == 0, out.stderr

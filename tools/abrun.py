@@ -37,8 +37,9 @@ its scans.  A list that leaves a workload no op is a usage error.
 Each seed of --seeds, a list such as 1,2,3 or a range such as 1-10 as
 perfbench/spread.py's seed_list reads it, is run in turn, in the same
 process, with its own warm-up round.  Prints, per seed and side, the number
-of ops, the median pass time, the rounds won, the failed ops and ops_per_s
-and op_p50_s over each op's median time, computed as perfbench/run.py
+of ops, the median pass time, the rounds won, the failed ops, named in op
+order when there are any (failed ops 2 (rs-15, rs-06)), and ops_per_s and
+op_p50_s over each op's median time, computed as perfbench/run.py
 computes them but from raw times; then the seed's ratio of the pass
 medians, CHANGE over PARENT.
 With more than one seed, the last line is the median of the seeds' ratios.
@@ -153,11 +154,13 @@ def run_seed(sides, lib, seed, rounds, form, kind):
             for s in (0, 1)]
     for s, (checkout, _) in enumerate(sides):
         per_op = sorted(statistics.median(ts) for ts in times[s])
+        names = [op.ident for op in ops[s] if op.ident in failed[s]]
         print("%s %s (%s): %d ops, pass median %.4f s, won %d of %d "
-              "rounds, failed ops %d, ops_per_s %.1f, op_p50_s %.6f"
+              "rounds, failed ops %d%s, ops_per_s %.1f, op_p50_s %.6f"
               % ("parent" if s == 0 else "change", checkout, form[s], n,
-                 statistics.median(passes[s]), wins[s], rounds,
-                 len(failed[s]), n / sum(per_op), statistics.median(per_op)))
+                 statistics.median(passes[s]), wins[s], rounds, len(names),
+                 " (%s)" % ", ".join(names) if names else "",
+                 n / sum(per_op), statistics.median(per_op)))
     ratio = statistics.median(passes[1]) / statistics.median(passes[0])
     print("ratio change/parent of pass medians: %.4f" % ratio)
     return ratio

@@ -14,10 +14,13 @@ calls' inclusive times; stages nest (_pair_keys runs inside _stream), so
 the shares do not add up to one.
 
 Prints, per stage, its best time over the passes in seconds, its share of
-the best pass and its number of calls in a pass; the first line is the
-best pass itself, the sum of the ops' times.  Times are raw seconds of
-this machine at this moment: compare two checkouts only within one
-session, and alternate them.
+the best pass, its number of calls in a pass and, for the stages of
+ITEMS, the items its calls got in a pass: the keys offered to the
+selection (_Select.run), the keys it valued (_Select._score) and the lines
+the kernel valued (_chunk), so that keys offered stand against keys
+valued; "-" elsewhere.  The first line is the best pass itself, the sum of
+the ops' times.  Times are raw seconds of this machine at this moment:
+compare two checkouts only within one session, and alternate them.
 """
 from __future__ import annotations
 
@@ -56,8 +59,20 @@ STAGES = [
 ]
 
 
-def wrap(fn, name, acc, calls):
+# the items a stage's call gets, read off its arguments outside the timing
+ITEMS = {
+    "exactdist._Select.run": lambda args: args[2].size,
+    "exactdist._Select._score": lambda args: args[1].size,
+    "_fastpath._chunk": lambda args: args[2].zeros().size,
+}
+
+
+def wrap(fn, name, acc, calls, items):
+    count = ITEMS.get(name)
+
     def timed(*args, **kwargs):
+        if count is not None:
+            items[name] += count(args)
         t0 = perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -67,7 +82,7 @@ def wrap(fn, name, acc, calls):
     return timed
 
 
-def install(acc, calls):
+def install(acc, calls, items):
     """Wrap every stage where it is looked up: a class attribute for a
     method, else the defining module and each matchdist module that
     imported the function by name."""
@@ -79,7 +94,7 @@ def install(acc, calls):
         for part in path:
             owner = getattr(owner, part)
         fn = owner.__dict__[attr] if path else getattr(owner, attr)
-        timed = wrap(fn, "%s.%s" % (module, qual), acc, calls)
+        timed = wrap(fn, "%s.%s" % (module, qual), acc, calls, items)
         holders = [owner] if path else [m for m in mods
                                         if getattr(m, attr, None) is fn]
         for holder in holders:
@@ -117,26 +132,28 @@ def main(argv=None):
     bad = [b for b in bad if b[1]]
     if bad:
         sys.exit("failed ops: %s" % bad)
-    acc, calls = defaultdict(float), defaultdict(int)
-    install(acc, calls)
+    acc, calls, items = defaultdict(float), defaultdict(int), defaultdict(int)
+    install(acc, calls, items)
     names = ["%s.%s" % s for s in STAGES]
     best = {name: float("inf") for name in names}
     best_pass = float("inf")
     for _ in range(args.passes):
         acc.clear()
         calls.clear()
+        items.clear()
         best_pass = min(best_pass, run_pass(md, ops))
         for name in names:
             best[name] = min(best[name], acc[name])
-        counts = dict(calls)
+        counts, sizes = dict(calls), dict(items)
     print("%s seed %d: %d ops, best of %d passes, from %s"
           % (args.workload, args.seed, len(ops), args.passes,
              Path(md.__file__).parent))
     print("%-28s %9.4f s %6.1f%%" % ("pass", best_pass, 100.0))
     for name in names:
-        print("%-28s %9.4f s %6.1f%% %7d calls"
+        print("%-28s %9.4f s %6.1f%% %7d calls %10s items"
               % (name, best[name], 100 * best[name] / best_pass,
-                 counts.get(name, 0)))
+                 counts.get(name, 0),
+                 sizes.get(name, 0) if name in ITEMS else "-"))
     return 0
 
 
