@@ -42,10 +42,12 @@ Each converted side is one record (essential lowers, finite rects, pres),
 pres the _Pres of the entangled components or None, so the kernel reads
 one shape for both kinds of module.  Each map carries the same attributes
 whatever the pair, so its callers read them and never probe:
-line_evaluator's live_span and row_bound, and exact_evaluator's sides
-and bound, where a +inf bound bounds nothing.  Every pair of rectangles
-without essential bars has finite bounds, whether a side is a rectangle
-module or a presentation whose components are all rectangle-shaped.
+line_evaluator's live_span and row_bound, and exact_evaluator's sides,
+bound and ties, where a +inf bound bounds nothing and ties holds nowhere.
+Every pair of rectangles without essential bars has finite bounds,
+whether a side is a rectangle module or a presentation whose components
+are all rectangle-shaped, and there ties compares the exact bound, a
+fraction over the kernel's own denominator, with a given value.
 """
 from __future__ import annotations
 
@@ -669,6 +671,10 @@ def exact_evaluator(M, N, lam):
     certificate with kb = 0, on a pair of rectangles without essential bars
     (_finite_rects), rectangle modules or presentations whose components
     are all rectangle-shaped, with a finite rect; +inf on every other pair.
+    And every map has a ties(dxv, dyv, p, q): per direction, whether that
+    exact bound p_ub/q, reduced, equals the reduced fraction p/q, so that
+    the value p/q is the most any line of the direction can be worth; all
+    False on the pairs whose bound is +inf.
     """
     amax = 0
 
@@ -704,8 +710,16 @@ def exact_evaluator(M, N, lam):
             return np.full(dxv.shape, math.inf)
         return doubles(*_direction_bound(fin, numerators(dxv, dyv)))
 
+    def ties(dxv, dyv, p, q):
+        if not fin:
+            return np.zeros(dxv.shape, dtype=bool)
+        ps, qs = reduce_fractions(*_direction_bound(fin, numerators(dxv,
+                                                                    dyv)))
+        return (ps == p) & (qs == q)
+
     values.sides = sm, sn
     values.bound = bound
+    values.ties = ties
     return values
 
 

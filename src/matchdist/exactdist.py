@@ -51,19 +51,20 @@ heads of the union, chunk by chunk.
 
 Pairs that need a line search go through one selection (_Select), whatever
 their number of bars, with both modules converted once per call, in one
-exact pass by direction run: a run whose direction bound shows it beaten
-is dropped while still packed (the bound is +inf, and drops nothing, on
-pairs without one), each live line is valued once on unreduced integer
-numerators, a band with a written 3-ulp bound keeps the lines that can
-still win, and only those are reduced and compared exactly, chunk by
-chunk, against one running best.  The kernel picks its numerators chunk
-by chunk (_fastpath.exact_evaluator): int64 where its certificate over
-the chunk's keys shows every intermediate below 2^62, which covers every
-pair of moderate coordinates, and Python ints otherwise.  The pruning is
-sound chunk by chunk, so splitting the keys into chunks changes no
-result.  The lex-min tie-break compares the keys' integers too
-(_lex_min), so no selection builds a rational.  The witness matching is
-read off the same integer sides, on the winning key
+exact pass by direction run: a run whose direction bound shows it beaten,
+or shows that it can at best tie the running best in a direction ordered
+after the best key's, is dropped while still packed (the bound is +inf,
+and drops nothing, on pairs without one), each live line is valued once
+on unreduced integer numerators, a band with a written 3-ulp bound keeps
+the lines that can still win, and only those are reduced and compared
+exactly, chunk by chunk, against one running best.  The kernel picks its
+numerators chunk by chunk (_fastpath.exact_evaluator): int64 where its
+certificate over the chunk's keys shows every intermediate below 2^62,
+which covers every pair of moderate coordinates, and Python ints
+otherwise.  The pruning is sound chunk by chunk, so splitting the keys
+into chunks changes no result.  The lex-min tie-break compares the keys'
+integers too (_lex_min), so no selection builds a rational.  The witness
+matching is read off the same integer sides, on the winning key
 (_fastpath.key_diagram), so no module is restricted in rationals; its
 weighted cost must equal the selection's exact maximum, or the call
 raises.
@@ -646,8 +647,9 @@ def _exact_top(ps, qs):
     return top
 
 
-# keys of highest bound that a selection values first, on its first chunk,
-# to seed the running maximum that the bound prunes against
+# keys that a selection values first, on its first chunk, by highest bound
+# and then by dx/dy, to seed the running best that the bound and the tie
+# rule prune against
 _SEED = 256
 
 
@@ -665,12 +667,17 @@ class _Select:
     direction bound p_ub/q (_fastpath._direction_bound: the kernel's own q,
     p <= p_ub exactly) on a pair of rectangles without essential bars, and
     +inf on every other pair.  It is taken once, at each run's head, and a
-    run whose bound lies below _band's threshold is dropped while still
-    packed; only the live keys are unpacked and valued, as unreduced
-    fractions p/q.  The first chunk values its runs of highest bound first,
-    every run whose bound is at least that of the run that takes them past
-    _SEED keys, so the bound prunes from the start; where every bound is
-    +inf every run ties, and each chunk goes to the kernel in one call.
+    run is dropped while still packed when its bound lies below _band's
+    threshold, or when it can at best tie the running best in a direction
+    that orders after the best key's (the tie rule); only the live keys are
+    unpacked and valued, as unreduced fractions p/q.  The first chunk
+    values its seed first, its runs in the order of their bounds, highest
+    first, and of dx/dy among equal bounds, up to the run that takes them
+    past _SEED keys, and every run of bound +inf; so the bound prunes from
+    the start, and on a plateau of equal bounds the seed's best is the
+    plateau's first direction in the line order.  Where every bound is +inf
+    the seed takes every run, and each chunk goes to the kernel in one
+    call.
 
     Soundness is _band's argument, batch by batch.  A valued key outside
     the band, or a run whose bound's double is below fmax*_BAND, is beaten
@@ -681,9 +688,23 @@ class _Select:
     _lex_min the lex-min of its ties, which merge into the running best by
     cross-multiplication: a greater value replaces it, an equal one keeps
     the lex-min of the two keys, and a smaller one is dropped before any
-    _lex_min.  Each step keeps the lex-min of the maximum over every key
-    valued so far, whatever the order, so splitting the keys into chunks
-    changes no result.
+    _lex_min.
+
+    The tie rule looks only at kept runs whose bound's double r lies in the
+    band above fmax, r*_BAND <= fmax: an exact tie with the best, whose
+    double is at most fmax, can only lie there.  It drops such a run when
+    its exact bound, reduced (the map's ties), equals the best's reduced
+    (p, q), and the double of its dx/dy is strictly greater than that of
+    the best key's.  Reduced pairs are equal exactly when the values are,
+    and rounding is monotone, so a strict inequality of correctly rounded
+    doubles implies the strict exact one (int64 keys have dx, dy below
+    2^53, _pack_spec's bound); doubles that tie keep the run.  Every key
+    of a dropped run is worth at most the best, and an equal value orders
+    after the best key in the line order, whose lex-min only moves to an
+    earlier key; a later greater value replaces the best and beats the
+    dropped keys anyway.  So each step keeps the lex-min of the maximum
+    over every key offered so far, whatever the order, and splitting the
+    keys into chunks changes no result.
 
     The kernel picks its own integers, chunk by chunk: the map values a
     chunk in int64 when its certificate holds over that chunk's keys, and
@@ -708,18 +729,28 @@ class _Select:
         return self.best
 
     def _live(self, spec, packed):
-        """The keys of the direction runs whose bound reaches the band,
-        after valuing the seed runs when nothing is valued yet."""
+        """The keys of the direction runs whose bound reaches the band and
+        that the tie rule keeps, after valuing the seed runs when nothing is
+        valued yet."""
         heads = _run_heads(spec, packed)
-        r = self.values.bound(*_unpack(spec, packed[heads])[:2])
+        dxv, dyv, _ = _unpack(spec, packed[heads])
+        r = self.values.bound(dxv, dyv)
+        d = _fastpath.doubles(dxv, dyv)
         sizes = np.concatenate((heads[1:], [packed.size])) - heads
         if self.fmax == -np.inf and packed.size > _SEED:
-            order = np.argsort(-r)
+            order = np.lexsort((d, -r))
             top = np.searchsorted(np.cumsum(sizes[order]), _SEED, "right")
-            seed = r >= r[order[top]]
+            seed = np.isposinf(r)
+            seed[order[:top + 1]] = True
             self._score(*_unpack(spec, packed[np.repeat(seed, sizes)]))
             r[seed] = -np.inf
-        return packed[np.repeat(r >= self.fmax * _BAND, sizes)]
+        keep = r >= self.fmax * _BAND
+        tie = np.flatnonzero(keep & (r * _BAND <= self.fmax))
+        if tie.size:
+            (bdx, bdy, _), (p, q) = self.best
+            tie = tie[d[tie] > bdx / bdy]
+            keep[tie[self.values.ties(dxv[tie], dyv[tie], p, q)]] = False
+        return packed[np.repeat(keep, sizes)]
 
     def _score(self, dxv, dyv, kv):
         """Value the keys exactly, band them against fmax and merge the

@@ -2356,19 +2356,88 @@ def test_direction_bound_holds_on_every_key():
                                       qu.tolist()))
 
 
-def test_bound_pruned_selection_matches_oracle():
-    """Selections that skip keys by the direction bound give the value,
-    witness line and count of the per-line oracle on tied pools: with the
-    first offer seeded by its keys of highest bound, out of key order, in
-    one offer or over many, where a witness read off the survivors in
-    their offered order would be wrong.  With _SEED = 1 and the union in
-    one chunk, the seed is every run that ties the highest bound, which
-    some pair has on several runs."""
+def _plateau_pair():
+    """The rectangle [0, 2] x [0, 3] against the zero module: every line of
+    direction (dx, dy) with 2/3 <= dx/dy <= 1 through its lower corner
+    sends its bar to the diagonal at weighted cost 1, the maximum, which is
+    also those directions' bound.  The lex-min maximizer's direction
+    (2, 3) comes after the tied (1, 1) in stream order, which sorts by dx
+    first."""
+    return (TwoParamModule.from_rects([rect(0, 0, 2, 3)]),
+            TwoParamModule.from_rects([]), None)
+
+
+# directions (2n-1, 2n+1) < (n, n+1) whose ratios differ by about
+# 1/(2n^2), below half an ulp of their common double
+_NEAR = 2 ** 27 + 1
+_NEAR_DIRS = (2 * _NEAR - 1, 2 * _NEAR + 1), (_NEAR, _NEAR + 1)
+
+
+def _near_doubles_pair():
+    """The rectangle [0, 2n-1] x [0, 2n+1] against the zero module, with
+    both _NEAR_DIRS as extra switch directions: its maximum (2n-1)/2 is
+    the bound of every direction with (2n-1)/(2n+1) <= dx/dy <= 1, so both
+    tie it, on their lines through the lower corner, with one double of
+    dx/dy.  The lex-smaller is the lex-min maximizer and comes later in
+    stream order."""
+    return (TwoParamModule.from_rects([rect(0, 0, *_NEAR_DIRS[0])]),
+            TwoParamModule.from_rects([]),
+            SwitchPointSet(frozenset(), frozenset(
+                ProjPoint(0, *d) for d in _NEAR_DIRS)))
+
+
+def _zero_pair():
+    """A pair of the tied pools at distance 0: a rectangle module and its
+    presentation, whose components are all rectangle-shaped, so it is
+    bounded and needs a line search."""
+    M, _ = next(_tied_pairs())
+    return M, combined_presentation(M), None
+
+
+def _counted_ties(monkeypatch):
+    """Count the runs that the tie rule drops: the True entries of every
+    map's ties."""
+    dropped = []
+    evaluator = _fastpath.exact_evaluator
+
+    def counted(M, N, lam):
+        values = evaluator(M, N, lam)
+        ties = values.ties
+
+        def tied(*args):
+            mask = ties(*args)
+            dropped.append(int(np.count_nonzero(mask)))
+            return mask
+
+        values.ties = tied
+        return values
+
+    monkeypatch.setattr(_fastpath, "exact_evaluator", counted)
+    return dropped
+
+
+def test_bound_pruned_selection_matches_oracle(monkeypatch):
+    """Selections that skip keys by the direction bound and by the tie rule
+    give the value, witness line and count of the per-line oracle on tied
+    pools: with the first offer seeded by its keys of highest bound, out
+    of key order, in one offer or over many, where a witness read off the
+    survivors in their offered order would be wrong.  With _SEED = 1 and
+    the union in one chunk, the seed is the run of highest bound that
+    comes first in the line order, and the rest of the chunk goes by the
+    bound and the tie rule; some pair has several runs at the highest
+    bound, and the tie rule drops runs.  The tie rule's own cases: a
+    plateau whose lex-min maximizer comes after a tied lex-greater run in
+    stream order, two tied directions of one double of dx/dy with the
+    lex-smaller offered later, and a pair at distance 0."""
+    dropped = _counted_ties(monkeypatch)
     shapes = [s[0] for s in _WIDE_SHAPES]
-    pairs = [pair for pair, size in zip(_wide_pairs(), shapes) if size == 2]
+    pairs = [(*pair, None) for pair, size in zip(_wide_pairs(), shapes)
+             if size == 2]
+    pairs += [(*pair, None) for pair in _tied_pairs()]
+    pairs += [_plateau_pair(), _near_doubles_pair(), _zero_pair()]
     tied = False
-    for M, N in pairs + list(_tied_pairs()):
-        X, Y, dvals, lam = exactdist._lattice(M, N, None)
+    for M, N, extra in pairs:
+        X, Y, dvals, lam = exactdist._lattice(M, N, extra)
         keys = distinct_keys(X, Y, dvals)
         ref = select_exact(M, N, keys, lam, len(keys))
         spec, union = exactdist._stream(X, Y, dvals)
@@ -2381,9 +2450,31 @@ def test_bound_pruned_selection_matches_oracle():
                 if seed is not None:
                     mp.setattr(exactdist, "_SEED", seed)
                     mp.setattr(_fastpath, "CHUNK", chunk)
-                res = matching_distance(M, N)
+                res = matching_distance(M, N, extra)
             _assert_as_oracle(res, ref)
-    assert tied
+    assert tied and sum(dropped) > 0
+
+
+def test_tie_rule_cases_hold_their_premises():
+    """The premises of the tie rule's cases in
+    test_bound_pruned_selection_matches_oracle: the lex-min maximizer's
+    direction, a lex-greater direction that ties the maximum on a line
+    offered before it, one double of dx/dy for _NEAR_DIRS, and distance
+    0."""
+    for (M, N, extra), first, tie in [
+            (_plateau_pair(), (2, 3), (1, 1)),
+            (_near_doubles_pair(), *_NEAR_DIRS)]:
+        res = matching_distance(M, N, extra)
+        X, Y, dvals, lam = exactdist._lattice(M, N, extra)
+        keys = distinct_keys(X, Y, dvals)
+        assert res.witness_line.m == normalize_line(first, (0, 0)).m
+        assert Q(*first) < Q(*tie) and tie[0] < first[0]
+        line = exactdist._line_from_key(*tie, 0, lam)
+        assert (*tie, 0) in keys
+        assert exactdist._exact_cost(M, N, line) == res.value
+    a, b = _NEAR_DIRS
+    assert a[0] / a[1] == b[0] / b[1]
+    assert matching_distance(*_zero_pair()).value == 0
 
 
 def _kernel_lines(monkeypatch):
@@ -2429,7 +2520,8 @@ def test_bound_skips_kernel_lines(pair, full, monkeypatch):
     are all rectangle-shaped.  A pair without a bound, entangled
     presentations or rectangles with essential bars, sends all, with
     chunks of twice _SEED keys each chunk whole in one kernel call: every
-    run's bound is +inf, so the first chunk's seed takes every run."""
+    run's bound is +inf, and the first chunk's seed takes every run of
+    bound +inf, so it takes them all."""
     M, N = pair()
     lines = _kernel_lines(monkeypatch)
     size = 2 * exactdist._SEED

@@ -163,9 +163,9 @@ def test_stages_tiny():
     per stage, in order, each with its seconds, its share of the pass, its
     calls and its items; the key stages and the witness's matching run,
     and each takes at most the pass.  The selection is offered keys,
-    values some and the kernel values lines; the stages without a count
-    print "-".  On a tiny explore corpus of scans and line sets, the
-    scan's and the line set's own stages run."""
+    leaves at most those live, values some and the kernel values lines;
+    the stages without a count print "-".  On a tiny explore corpus of
+    scans and line sets, the scan's and the line set's own stages run."""
     out = stages("rect_small", "--tiny", "4", "--passes", "1")
     assert out.returncode == 0, out.stderr
     head, total, *rows = out.stdout.splitlines()
@@ -188,10 +188,10 @@ def test_stages_tiny():
         secs, unit, share, calls, _, items, _ = stats[name]
         assert unit == "s" and 0 < float(secs) <= float(total.split()[1])
         assert share.endswith("%") and int(calls) > 0 and items == "-"
-    offered, valued, lines = (int(stats[name][5]) for name in (
-        "exactdist._Select.run", "exactdist._Select._score",
-        "_fastpath._chunk"))
-    assert 0 < valued <= offered and lines > 0
+    offered, live, valued, lines = (int(stats[name][5]) for name in (
+        "exactdist._Select.run", "exactdist._Select._live",
+        "exactdist._Select._score", "_fastpath._chunk"))
+    assert live <= offered and 0 < valued <= offered and lines > 0
     # every sixth entry of explore's alternating scans and line sets
     out = stages("explore", "--tiny", "6", "--passes", "1")
     assert out.returncode == 0, out.stderr

@@ -15,10 +15,11 @@ the shares do not add up to one.
 
 Prints, per stage, its best time over the passes in seconds, its share of
 the best pass, its number of calls in a pass and, for the stages of
-ITEMS, the items its calls got in a pass: the keys offered to the
-selection (_Select.run), the keys it valued (_Select._score) and the lines
-the kernel valued (_chunk), so that keys offered stand against keys
-valued; "-" elsewhere.  The first line is the best pass itself, the sum of
+ITEMS, the items its calls got or gave in a pass: the keys offered to
+the selection (_Select.run), the keys its bound and tie rule left live
+(_Select._live), the keys it valued (_Select._score) and the lines the
+kernel valued (_chunk), so that keys offered, live and valued read in one
+table; "-" elsewhere.  The first line is the best pass itself, the sum of
 the ops' times.  Times are raw seconds of this machine at this moment:
 compare two checkouts only within one session, and alternate them.
 """
@@ -59,11 +60,13 @@ STAGES = [
 ]
 
 
-# the items a stage's call gets, read off its arguments outside the timing
+# the items of a stage's call, read off its arguments and its result
+# outside the timing
 ITEMS = {
-    "exactdist._Select.run": lambda args: args[2].size,
-    "exactdist._Select._score": lambda args: args[1].size,
-    "_fastpath._chunk": lambda args: args[2].zeros().size,
+    "exactdist._Select.run": lambda args, out: args[2].size,
+    "exactdist._Select._live": lambda args, out: out.size,
+    "exactdist._Select._score": lambda args, out: args[1].size,
+    "_fastpath._chunk": lambda args, out: args[2].zeros().size,
 }
 
 
@@ -71,14 +74,15 @@ def wrap(fn, name, acc, calls, items):
     count = ITEMS.get(name)
 
     def timed(*args, **kwargs):
-        if count is not None:
-            items[name] += count(args)
         t0 = perf_counter()
         try:
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
         finally:
             acc[name] += perf_counter() - t0
             calls[name] += 1
+        if count is not None:
+            items[name] += count(args, out)
+        return out
     return timed
 
 
