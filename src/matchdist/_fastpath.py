@@ -42,12 +42,11 @@ Each converted side is one record (essential lowers, finite rects, pres),
 pres the _Pres of the entangled components or None, so the kernel reads
 one shape for both kinds of module.  Each map carries the same attributes
 whatever the pair, so its callers read them and never probe:
-line_evaluator's live_span and row_bound, and exact_evaluator's sides,
-bound and ties, where a +inf bound bounds nothing and ties holds nowhere.
-Every pair of rectangles without essential bars has finite bounds,
-whether a side is a rectangle module or a presentation whose components
-are all rectangle-shaped, and there ties compares the exact bound, a
-fraction over the kernel's own denominator, with a given value.
+line_evaluator's live_span and row_bound, and exact_evaluator's sides and
+bound, an exact fraction per direction over the kernel's own denominator,
+where the fraction 1/0, +inf, bounds nothing.  Every pair of rectangles
+without essential bars has finite bounds, whether a side is a rectangle
+module or a presentation whose components are all rectangle-shaped.
 """
 from __future__ import annotations
 
@@ -665,16 +664,15 @@ def exact_evaluator(M, N, lam):
     restrict_presentation's push parameters do, ties included, so its
     barcode templates pair the same generators and relations.
 
-    Every map has a bound(dxv, dyv): one double per direction, the double
-    (doubles) of _direction_bound's fraction p_ub/q, with the map's own q
-    and p <= p_ub on every line of that direction, exact under the map's
-    certificate with kb = 0, on a pair of rectangles without essential bars
-    (_finite_rects), rectangle modules or presentations whose components
-    are all rectangle-shaped, with a finite rect; +inf on every other pair.
-    And every map has a ties(dxv, dyv, p, q): per direction, whether that
-    exact bound p_ub/q, reduced, equals the reduced fraction p/q, so that
-    the value p/q is the most any line of the direction can be worth; all
-    False on the pairs whose bound is +inf.
+    Every map has a bound(dxv, dyv): per direction, the exact direction
+    bound as unreduced fractions (p_ub, q_ub), the arrays of
+    _direction_bound, with q_ub the map's own q and p <= p_ub on every line
+    of that direction, exact under the map's certificate with kb = 0, on a
+    pair of rectangles without essential bars (_finite_rects), rectangle
+    modules or presentations whose components are all rectangle-shaped,
+    with a finite rect.  On every other pair it is the fraction 1/0 in
+    int64 arrays, whatever the keys' dtype: doubles gives it +inf, and it
+    equals no reduced value, whose q is at least 1.
     """
     amax = 0
 
@@ -707,19 +705,12 @@ def exact_evaluator(M, N, lam):
 
     def bound(dxv, dyv):
         if not fin:
-            return np.full(dxv.shape, math.inf)
-        return doubles(*_direction_bound(fin, numerators(dxv, dyv)))
-
-    def ties(dxv, dyv, p, q):
-        if not fin:
-            return np.zeros(dxv.shape, dtype=bool)
-        ps, qs = reduce_fractions(*_direction_bound(fin, numerators(dxv,
-                                                                    dyv)))
-        return (ps == p) & (qs == q)
+            # int64 even for object keys: 1/0 on Python ints raises
+            return np.ones_like(dxv, np.int64), np.zeros_like(dxv, np.int64)
+        return _direction_bound(fin, numerators(dxv, dyv))
 
     values.sides = sm, sn
     values.bound = bound
-    values.ties = ties
     return values
 
 
@@ -768,8 +759,10 @@ def key_diagram(side, dx, dy, k, lam):
 def doubles(ps, qs):
     """The doubles of the fractions ps/qs: int64 arrays convert each side
     and divide, and object arrays divide Python ints, one correctly
-    rounded int / int per entry."""
-    return (ps / qs).astype(np.float64, copy=False)
+    rounded int / int per entry.  An int64 fraction p/0, p > 0, gives
+    +inf."""
+    with np.errstate(divide="ignore"):
+        return (ps / qs).astype(np.float64, copy=False)
 
 
 def reduce_fractions(ps, qs):

@@ -53,26 +53,25 @@ Pairs that need a line search go through one selection (_Select), whatever
 their number of bars, with both modules converted once per call, in one
 exact pass by direction run: a run whose direction bound shows it beaten,
 or shows that it can at best tie the running best in a direction ordered
-after the best key's, is dropped while still packed (the bound is +inf,
-and drops nothing, on pairs without one), each live line is valued once
-on unreduced integer numerators, a band with a written 3-ulp bound keeps
-the lines that can still win, and only those are reduced and compared
-exactly, chunk by chunk, against one running best.  The kernel picks its
-numerators chunk by chunk (_fastpath.exact_evaluator): int64 where its
-certificate over the chunk's keys shows every intermediate below 2^62,
-which covers every pair of moderate coordinates, and Python ints
-otherwise.  The pruning is sound chunk by chunk, so splitting the keys
-into chunks changes no result.  The lex-min tie-break compares the keys'
-integers too (_lex_min), so no selection builds a rational.  The witness
-matching is read off the same integer sides, on the winning key
-(_fastpath.key_diagram), so no module is restricted in rationals; its
-weighted cost must equal the selection's exact maximum, or the call
-raises.
+after the best key's, is dropped while still packed (the map gives each
+run's exact bound once, a fraction that is 1/0, +inf, and drops nothing,
+on pairs without one), each live line is valued once on unreduced integer
+numerators, a band with a written 3-ulp bound keeps the lines that can
+still win, and only those are reduced and compared exactly, chunk by
+chunk, against one running best.  The kernel picks its numerators chunk
+by chunk (_fastpath.exact_evaluator): int64 where its certificate over the
+chunk's keys shows every intermediate below 2^62, which covers every pair
+of moderate coordinates, and Python ints otherwise.  The pruning is sound
+chunk by chunk, so splitting the keys into chunks changes no result.  The
+lex-min tie-break compares the keys' integers too (_line_order), so no
+selection builds a rational.  The witness matching is read off the same
+integer sides, on the winning key (_fastpath.key_diagram), so no module is
+restricted in rationals; its weighted cost must equal the selection's
+exact maximum, or the call raises.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -423,12 +422,12 @@ def _pack_dirs(D, C, XP, YP, out):
     grid += C[:, None]
 
 
-def _iter_blocks(X, Y, dvals, spec):
-    """Yield one (m, write) per block of keys: write(out) packs its m keys
-    into out, an array of the spec's dtype, every positive-slope line
-    through two distinct points once per unordered pair, then every (point,
-    direction) line once.  Expects the points sorted, as _lattice's
-    arrays come.
+def _iter_blocks(X, Y, dvals, spec, slot):
+    """Pack the keys block by block, each block of m keys straight into
+    slot(m), an array of the spec's dtype that slot hands out for it:
+    every positive-slope line through two distinct points once per
+    unordered pair, then every (point, direction) line once.  Expects the
+    points sorted, as _lattice's arrays come.
 
     The keys are packed straight from the points, with no (dx, dy, k)
     block: the pairs' dx and dy come in the spec's diff_dtype, int32 while
@@ -459,15 +458,14 @@ def _iter_blocks(X, Y, dvals, spec):
     while (c := int(Xd.searchsorted(Xd[a], "right"))) < n:
         b = min(n - 1, a + max(1, _BAND_PAIRS // (n - c)))
         dxv, dyv, rows = _pair_keys(Xd, Yd, a, b, c)
-        yield dxv.size, partial(_pack_pairs, dxv, dyv, A[a:b], B[a:b], rows,
-                                spec.kb)
+        _pack_pairs(dxv, dyv, A[a:b], B[a:b], rows, spec.kb, slot(dxv.size))
         a = b
     D = np.array(dvals, dtype=spec.dtype).reshape(-1, 2)
     C = D[:, 0] * (spec.sdy * spec.sk) + D[:, 1] * spec.sk + spec.kb
     step = max(1, _BAND_PAIRS // n)
     for s in range(0, len(D), step):
-        yield (min(step, len(D) - s) * n,
-               partial(_pack_dirs, D[s:s + step], C[s:s + step], XP, YP))
+        _pack_dirs(D[s:s + step], C[s:s + step], XP, YP,
+                   slot(min(step, len(D) - s) * n))
 
 
 class _Keys:
@@ -535,9 +533,11 @@ def _stream(X, Y, dvals):
     """The one key loop: the spec and the sorted distinct packed keys of
     every block, each line once however many blocks repeat it.
 
-    Each block is packed into the next free slots of one key buffer
-    (_Keys), at first of min(n(n-1)/2 + n*|dirs|, _BLOCK) keys, local to
-    the call so that calls can run in threads; it keeps its distinct keys
+    _iter_blocks packs each block straight into the next free slots of one
+    key buffer, which its slot method hands out (_Keys), at first of
+    min(n(n-1)/2 + n*|dirs|, _BLOCK) keys, local to the call so that calls
+    can run in threads; the slot is the block's only view of the buffer,
+    dropped once the block is packed.  The buffer keeps its distinct keys
     at its front, so memory is bounded by the number of distinct lines:
     the buffer, at most its first capacity or about twice the distinct
     keys, and one cache-sized block.  _first_key and _Select read the
@@ -545,8 +545,7 @@ def _stream(X, Y, dvals):
     spec = _pack_spec(X, Y, dvals)
     n = len(X)
     keys = _Keys(min(n * (n - 1) // 2 + n * len(dvals), _BLOCK), spec.dtype)
-    for m, write in _iter_blocks(X, Y, dvals, spec):
-        write(keys.slot(m))
+    _iter_blocks(X, Y, dvals, spec, keys.slot)
     return spec, keys.union()
 
 
@@ -569,22 +568,18 @@ def _chunks(union):
 
 
 def _lex_min(dxv, dyv, kv):
-    """The least key, as Python ints, in the line order
-    (dx/dy, k/(lam*(dx+dy))) among the keys of the arrays (dx, dy, k).
+    """The least key, as Python ints, in the line order (_line_order) among
+    the keys of the arrays (dx, dy, k).
 
-    Keys are primitive, so keys of equal ratio dx/dy share one direction,
-    within which b1 orders as k: the lex-min is the least k of the direction
-    of least ratio.  Rounding is monotone, so only keys whose double of
-    dx/dy (_fastpath.doubles, one correctly rounded division per key: int64
-    keys have dx, dy below 2^53, _pack_spec's bound) ties the least one can
-    hold the least ratio, and _Ratio orders those exactly.  The result does
+    Rounding is monotone, so only keys whose double of dx/dy
+    (_fastpath.doubles, one correctly rounded division per key: int64 keys
+    have dx, dy below 2^53, _pack_spec's bound) ties the least one can hold
+    the least ratio, and _line_order orders those exactly.  The result does
     not depend on the order of the keys.
     """
     r = _fastpath.doubles(dxv, dyv)
     t = np.flatnonzero(r == r.min())
-    dx, dy, k = dxv[t], dyv[t], kv[t]
-    d = min(zip(dx.tolist(), dy.tolist()), key=_Ratio)
-    return (*d, int(k[(dx == d[0]) & (dy == d[1])].min()))
+    return min(zip(*(v[t].tolist() for v in (dxv, dyv, kv))), key=_line_order)
 
 
 def _first_key(spec, union):
@@ -663,38 +658,40 @@ class _Select:
     value; and fmax, the running maximum of the doubles.
 
     The map's bound (values, _fastpath.exact_evaluator, both modules
-    converted once per call) gives one double per direction: that of the
-    direction bound p_ub/q (_fastpath._direction_bound: the kernel's own q,
-    p <= p_ub exactly) on a pair of rectangles without essential bars, and
-    +inf on every other pair.  It is taken once, at each run's head, and a
-    run is dropped while still packed when its bound lies below _band's
-    threshold, or when it can at best tie the running best in a direction
-    that orders after the best key's (the tie rule); only the live keys are
-    unpacked and valued, as unreduced fractions p/q.  The first chunk
-    values its seed first, its runs in the order of their bounds, highest
-    first, and of dx/dy among equal bounds, up to the run that takes them
-    past _SEED keys, and every run of bound +inf; so the bound prunes from
-    the start, and on a plateau of equal bounds the seed's best is the
-    plateau's first direction in the line order.  Where every bound is +inf
-    the seed takes every run, and each chunk goes to the kernel in one
-    call.
+    converted once per call) gives per direction the exact direction bound
+    as an unreduced fraction p_ub/q_ub (_fastpath._direction_bound: q_ub the
+    kernel's own q, p <= p_ub exactly) on a pair of rectangles without
+    essential bars, and 1/0 on every other pair; its double r
+    (_fastpath.doubles) is +inf there.  It is taken once, at each run's
+    head, and a run is dropped while still packed when its bound lies below
+    _band's threshold, or when it can at best tie the running best in a
+    direction that orders after the best key's (the tie rule); only the
+    live keys are unpacked and valued, as unreduced fractions p/q.  The
+    first chunk values its seed first, its runs in the order of their
+    bounds, highest first, and of dx/dy among equal bounds, up to the run
+    that takes them past _SEED keys, and every run of bound +inf; so the
+    bound prunes from the start, and on a plateau of equal bounds the
+    seed's best is the plateau's first direction in the line order.  Where
+    every bound is +inf the seed takes every run, and each chunk goes to
+    the kernel in one call.
 
     Soundness is _band's argument, batch by batch.  A valued key outside
     the band, or a run whose bound's double is below fmax*_BAND, is beaten
     exactly by a key offered no later, whose double raised fmax: the bound's
-    double lies within 3 ulps of p_ub/q, as the band's doubles do of p/q.
-    So the exact maximum and all its ties survive every band.  Only a
+    double lies within 3 ulps of p_ub/q_ub, as the band's doubles do of
+    p/q.  So the exact maximum and all its ties survive every band.  Only a
     batch's survivors are reduced; _exact_top takes their exact maximum and
     _lex_min the lex-min of its ties, which merge into the running best by
     cross-multiplication: a greater value replaces it, an equal one keeps
-    the lex-min of the two keys, and a smaller one is dropped before any
-    _lex_min.
+    the lex-min of the two keys (_line_order), and a smaller one is dropped
+    before any _lex_min.
 
     The tie rule looks only at kept runs whose bound's double r lies in the
     band above fmax, r*_BAND <= fmax: an exact tie with the best, whose
     double is at most fmax, can only lie there.  It drops such a run when
-    its exact bound, reduced (the map's ties), equals the best's reduced
-    (p, q), and the double of its dx/dy is strictly greater than that of
+    its exact bound, reduced (_fastpath.reduce_fractions, on these runs
+    only), equals the best's reduced (p, q), which 1/0 never does, q being
+    at least 1, and the double of its dx/dy is strictly greater than that of
     the best key's.  Reduced pairs are equal exactly when the values are,
     and rounding is monotone, so a strict inequality of correctly rounded
     doubles implies the strict exact one (int64 keys have dx, dy below
@@ -734,7 +731,8 @@ class _Select:
         valued yet."""
         heads = _run_heads(spec, packed)
         dxv, dyv, _ = _unpack(spec, packed[heads])
-        r = self.values.bound(dxv, dyv)
+        p_ub, q_ub = self.values.bound(dxv, dyv)
+        r = _fastpath.doubles(p_ub, q_ub)
         d = _fastpath.doubles(dxv, dyv)
         sizes = np.concatenate((heads[1:], [packed.size])) - heads
         if self.fmax == -np.inf and packed.size > _SEED:
@@ -749,7 +747,8 @@ class _Select:
         if tie.size:
             (bdx, bdy, _), (p, q) = self.best
             tie = tie[d[tie] > bdx / bdy]
-            keep[tie[self.values.ties(dxv[tie], dyv[tie], p, q)]] = False
+            ps, qs = _fastpath.reduce_fractions(p_ub[tie], q_ub[tie])
+            keep[tie[(ps == p) & (qs == q)]] = False
         return packed[np.repeat(keep, sizes)]
 
     def _score(self, dxv, dyv, kv):
@@ -769,9 +768,7 @@ class _Select:
         top = live[top]
         key = _lex_min(dxv[top], dyv[top], kv[top])
         if p * bq == bp * q:
-            # _lex_min's line order: keys are primitive, so equal
-            # directions are equal pairs, and _Ratio orders unequal ones
-            key = min(key, best, key=lambda t: (_Ratio(t[:2]), t[2]))
+            key = min(key, best, key=_line_order)
         self.best = key, (p, q)
 
 
@@ -821,13 +818,19 @@ class _Ratio(tuple):
         return self[0] * other[1] < other[0] * self[1]
 
 
-def _direction_order(d):
-    """Sort key of a direction (dx, dy, ...) of positive ints in the order
-    of dx/dy: the correctly rounded double dx/dy, then the exact ratio.
-    Rounding is monotone, a >= b implies fl(a) >= fl(b), so unequal
-    doubles order as the ratios do, and only directions whose doubles tie
-    compare their ratios, by _Ratio's cross-multiplication."""
-    return d[0] / d[1], _Ratio(d)
+def _line_order(t):
+    """Sort key of a key (dx, dy, k) of positive dx, dy in the line order
+    (dx/dy, k/(lam*(dx+dy))), the order of the lex-min tie-break.
+
+    The correctly rounded double dx/dy comes first.  Rounding is monotone,
+    a >= b implies fl(a) >= fl(b), so unequal doubles order as the ratios
+    do.  Where the doubles tie, tuple comparison tries == on the
+    directions first: keys are primitive, so equal directions are equal
+    pairs and go on to k, as b1 orders within a direction, and unequal
+    ones order by _Ratio's cross-multiplication.  A run (dx, dy, a, b) of
+    candidate_lines sorts by its direction, its a never compared: its
+    direction is its own."""
+    return t[0] / t[1], _Ratio(t[:2]), t[2]
 
 
 def candidate_lines(M: TwoParamModule, N: TwoParamModule,
@@ -844,7 +847,7 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     so the lines of one direction share one (dx, dy) and form one run of
     the arrays, sorted by k; and within a direction b1 = k/(lam*(dx+dy))
     orders as k.  So only the distinct directions are sorted, by
-    dx/dy = m1/m2 (_direction_order), and each keeps its run in key order.
+    dx/dy = m1/m2 (_line_order), and each keeps its run in key order.
     Every key direction is positive by construction, so _key_lines builds
     each line in standard normalization with no check, all runs in one
     call.
@@ -861,7 +864,7 @@ def candidate_lines(M: TwoParamModule, N: TwoParamModule,
     runs = zip(dxv[starts].tolist(), dyv[starts].tolist(), starts.tolist(),
                [*starts[1:].tolist(), kv.size])
     return CandidateLineSet(tuple(_key_lines(
-        sorted(runs, key=_direction_order), kv.tolist(), lam)))
+        sorted(runs, key=_line_order), kv.tolist(), lam)))
 
 
 def _essential_count(module: TwoParamModule) -> int:

@@ -202,24 +202,27 @@ def test_candidate_lines_are_canonical_on_every_key_path():
         assert all(ln.m is run[0].m for run in runs for ln in run)
 
 
-def test_direction_order_matches_fractions():
-    """_direction_order sorts directions as their exact ratios dx/dy do,
-    also where the doubles of two ratios coincide: (2^60+1)/2^60 against
-    2^60/(2^60-1) and 1/1, whose doubles are all 1.0, in every order and
-    among random directions around them."""
+def test_line_order_matches_fractions():
+    """_line_order sorts keys (dx, dy, k) as their exact line order
+    (dx/dy, k) does, also where the doubles of two ratios coincide:
+    (2^60+1)/2^60 against 2^60/(2^60-1) and 1/1, whose doubles are all
+    1.0, in every order, and the two _NEAR_DIRS, which share one double;
+    each direction with several k, among random directions around them."""
     B = 2 ** 60
     tied = [(B + 1, B), (B, B - 1), (1, 1), (B - 1, B), (B, B + 1)]
     assert len({dx / dy for dx, dy in tied}) == 1
     assert len({Q(dx, dy) for dx, dy in tied}) == len(tied)
+    a, b = _NEAR_DIRS
+    assert a[0] / a[1] == b[0] / b[1] and Q(*a) < Q(*b)
     rng = random.Random(53)
-    dirs = tied + [(rng.randint(1, 1 << 62), rng.randint(1, 1 << 62))
-                   for _ in range(200)]
-    dirs += [(3 * k, 7 * k + 1) for k in (1, 2, 1 << 50)]
-    want = sorted(dirs, key=lambda d: Q(*d))
+    dirs = [(rng.randint(1, 1 << 62), rng.randint(1, 1 << 62))
+            for _ in range(200)]
+    dirs += [(3 * k, 7 * k + 1) for k in (1, 2, 1 << 50)] + [b, a]
+    rest = [(*d, k) for d in dirs for k in rng.sample(range(-9, 9), 3)]
     for order in itertools.permutations(tied):
-        got = sorted(list(order) + dirs[len(tied):],
-                     key=exactdist._direction_order)
-        assert got == want
+        keys = [(*d, k) for d in order for k in (5, -2, 0)] + rest
+        want = sorted(keys, key=lambda t: (Q(t[0], t[1]), t[2]))
+        assert sorted(keys, key=exactdist._line_order) == want
 
 
 # Degenerate inputs.
@@ -1257,10 +1260,11 @@ def test_split_presentations_match_per_line_selection():
             if module.presentation is not None:
                 seen.add(("rects", bool(fin or ess)))
                 seen.add(("pres", pres is not None))
-        bound = values.bound(*(np.array(c, dtype=object)
-                               for c in list(zip(*keys))[:2]))
-        assert np.isfinite(bound).all() or np.isinf(bound).all()
-        seen.add(("bound", bool(np.isfinite(bound).all())))
+        _, q_ub = values.bound(*(np.array(c, dtype=object)
+                                 for c in list(zip(*keys))[:2]))
+        finite = q_ub > 0
+        assert finite.all() or not finite.any()
+        seen.add(("bound", bool(finite.all())))
     assert seen == {(kind, flag) for kind in ("rects", "pres", "bound")
                     for flag in (False, True)}
 
@@ -1423,10 +1427,16 @@ def test_distinct_keys_match_pair_loop(monkeypatch):
         X, Y = [f * x for x, _ in pts], [f * y for _, y in pts]
         spec = exactdist._pack_spec(X, Y, dirs)
         assert _spec_path(spec) == path
+        sizes = []
+
+        def slot(m):
+            sizes.append(m)
+            return np.empty(m, dtype=spec.dtype)
+
         with monkeypatch.context() as mp:
             mp.setattr(exactdist, "_BAND_PAIRS", 16)
-            blocks = list(exactdist._iter_blocks(X, Y, dirs, spec))
-        assert [m for m, _ in blocks[-4:]] == [16, 16, 16, 8]
+            exactdist._iter_blocks(X, Y, dirs, spec, slot)
+        assert sizes[-4:] == [16, 16, 16, 8]
         got = distinct_keys(X, Y, dirs)
         assert got == distinct_keys_pairloop(X, Y, dirs)
         assert {type(v) for key in got for v in key} == {int}
@@ -1860,8 +1870,7 @@ def test_chunk_boundaries_inside_direction_runs(f, monkeypatch):
     ref = select_exact(M, N, keys, lam, len(keys))
     heads = exactdist._run_heads(spec, union)
     dxv, dyv, _ = exactdist._unpack(spec, union[heads])
-    assert np.isfinite(
-        _fastpath.exact_evaluator(M, N, lam).bound(dxv, dyv)).all()
+    assert (_fastpath.exact_evaluator(M, N, lam).bound(dxv, dyv)[1] > 0).all()
     wit = next(i for i, key in enumerate(keys)
                if exactdist._line_from_key(*key, lam) == ref.witness_line)
     best = min(range(len(keys)), key=lambda i: lex_pair(*keys[i], lam))
@@ -2087,13 +2096,30 @@ def test_scaled_pairs_are_certified_by_their_keys(monkeypatch):
         assert res.candidate_count == small.candidate_count
 
 
-def test_pack_and_unpack_leave_inputs_unchanged():
-    """Each block's write (_pack_pairs, _pack_dirs) packs into its out slice
-    only and leaves its inputs unchanged, and _unpack computes on fresh
-    arrays, in every key regime, from int32 differences too; they
-    round-trip exactly to the pair loop's keys.  out is a slice inside a
-    larger int64 or object array; an object slice holds Python ints, and
-    int64 keys pack into one as they do into int64."""
+def _unchanged_inputs(fn, calls):
+    """fn, recording per call whether it left every array argument but its
+    last, the out slice it packs into, as it found it, dtype included."""
+    def checked(*args):
+        before = [a.copy() for a in args[:-1] if isinstance(a, np.ndarray)]
+        fn(*args)
+        after = [a for a in args[:-1] if isinstance(a, np.ndarray)]
+        calls.append(all(np.array_equal(a, b) and a.dtype == b.dtype
+                         for a, b in zip(after, before)))
+    return checked
+
+
+def test_pack_and_unpack_leave_inputs_unchanged(monkeypatch):
+    """_iter_blocks packs each block into the slice slot(m) hands out for
+    it and nowhere else, and each block's packing (_pack_pairs, _pack_dirs)
+    leaves its inputs unchanged; _unpack computes on fresh arrays.  In
+    every key regime, from int32 differences too, they round-trip exactly
+    to the pair loop's keys.  Each slice lies inside a larger int64 or
+    object array; an object slice holds Python ints, and int64 keys pack
+    into one as they do into int64."""
+    calls = []
+    for name in ("_pack_pairs", "_pack_dirs"):
+        monkeypatch.setattr(exactdist, name, _unchanged_inputs(
+            getattr(exactdist, name), calls))
     for f, path in ((1, "int64"), (100003, "object"), (10 ** 9, "bigint")):
         M, N = (scale(m, f) for m in ex_need_omega())
         assert _key_path(M, N, None) == path
@@ -2103,19 +2129,20 @@ def test_pack_and_unpack_leave_inputs_unchanged():
         out_dtypes = [spec.dtype, *([np.dtype(object)]
                                     if spec.dtype == np.int64 else [])]
         for dtype in out_dtypes:
-            parts = []
-            for m, write in exactdist._iter_blocks(X, Y, dvals, spec):
-                before = [a.copy() for a in write.args
-                          if isinstance(a, np.ndarray)]
-                buf = np.full(m + 5, 7, dtype=dtype)
-                write(buf[3:3 + m])
+            bufs, sizes = [], []
+
+            def slot(m):
+                sizes.append(m)
+                bufs.append(np.full(m + 5, 7, dtype=dtype))
+                return bufs[-1][3:3 + m]
+
+            ran = len(calls)
+            exactdist._iter_blocks(X, Y, dvals, spec, slot)
+            assert len(calls) - ran == len(sizes) > 1 and all(calls[ran:])
+            for buf in bufs:
                 assert buf[:3].tolist() == [7] * 3
                 assert buf[-2:].tolist() == [7] * 2
-                after = [a for a in write.args if isinstance(a, np.ndarray)]
-                for a, b in zip(after, before):
-                    assert np.array_equal(a, b) and a.dtype == b.dtype
-                parts.append(buf[3:3 + m])
-            packed = np.concatenate(parts)
+            packed = np.concatenate([buf[3:-2] for buf in bufs])
             if dtype == object:
                 assert {type(v) for v in packed.tolist()} == {int}
             kept = packed.copy()
@@ -2332,28 +2359,24 @@ def _tied_pairs():
 def test_direction_bound_holds_on_every_key():
     """On every distinct key of a rectangle pair without essential bars,
     up to MAX_FINITE + 2 finite bars a side, the kernel's unreduced value
-    p/q has the direction bound's own q and p <= p_ub, in Python ints, and
-    the map's bound is a double within 3.01 ulps of p_ub/q; a pair with
-    essential bars has the bound +inf on every key."""
+    p/q has the map's bound's own q, q_ub = q, and p <= p_ub, in Python
+    ints, and the bound's double is within 3.01 ulps of p_ub/q; a pair
+    with essential bars has the bound 1/0 on every key."""
     for M, N in itertools.chain(_wide_pairs(), _tied_pairs()):
         X, Y, dvals, lam = exactdist._lattice(M, N, None)
         keys = distinct_keys(X, Y, dvals)
         dxv, dyv, kv = (np.array(col, dtype=np.int64) for col in zip(*keys))
         values = _fastpath.exact_evaluator(M, N, lam)
-        bound = values.bound(dxv, dyv)
+        pu, qu = values.bound(dxv, dyv)
         if bar_counts(M)[1]:
-            assert np.isposinf(bound).all()
+            assert set(zip(pu.tolist(), qu.tolist())) == {(1, 0)}
             continue
         p, q = values(dxv, dyv, kv)
-        pu, qu = _fastpath._direction_bound(
-            _fastpath._finite_rects(*values.sides),
-            _fastpath._KeyNumerators(lam, dxv.astype(object),
-                                     dyv.astype(object)))
         assert qu.tolist() == q.tolist()
         assert all(a <= b for a, b in zip(p.tolist(), pu.tolist()))
         assert all(abs(Q(r) - Q(a, b)) <= Q(a, b) * Q(301, 100 * 2 ** 53)
-                   for r, a, b in zip(bound.tolist(), pu.tolist(),
-                                      qu.tolist()))
+                   for r, a, b in zip(_fastpath.doubles(pu, qu).tolist(),
+                                      pu.tolist(), qu.tolist()))
 
 
 def _plateau_pair():
@@ -2395,24 +2418,27 @@ def _zero_pair():
 
 
 def _counted_ties(monkeypatch):
-    """Count the runs that the tie rule drops: the True entries of every
-    map's ties."""
+    """Count the runs that the tie rule drops, by their effect: per
+    _Select._live call once a key is valued, the runs whose bound's double
+    r lies in the band above fmax, r >= fmax*_BAND and r*_BAND <= fmax, so
+    that _band keeps them, and that _live still leaves out.  A first chunk
+    that values its seed is not counted: its seed runs leave it too."""
     dropped = []
-    evaluator = _fastpath.exact_evaluator
+    live, band = exactdist._Select._live, exactdist._BAND
 
-    def counted(M, N, lam):
-        values = evaluator(M, N, lam)
-        ties = values.ties
+    def counted(self, spec, packed):
+        seeding = self.fmax == -np.inf
+        out = live(self, spec, packed)
+        if not seeding:
+            heads = packed[exactdist._run_heads(spec, packed)]
+            r = _fastpath.doubles(*self.values.bound(
+                *exactdist._unpack(spec, heads)[:2]))
+            kept = (r >= self.fmax * band) & (r * band <= self.fmax)
+            dropped.append(int(np.count_nonzero(
+                kept & ~np.isin(heads, out))))
+        return out
 
-        def tied(*args):
-            mask = ties(*args)
-            dropped.append(int(np.count_nonzero(mask)))
-            return mask
-
-        values.ties = tied
-        return values
-
-    monkeypatch.setattr(_fastpath, "exact_evaluator", counted)
+    monkeypatch.setattr(exactdist._Select, "_live", counted)
     return dropped
 
 
@@ -2443,7 +2469,8 @@ def test_bound_pruned_selection_matches_oracle(monkeypatch):
         spec, union = exactdist._stream(X, Y, dvals)
         heads = exactdist._unpack(spec, union[exactdist._run_heads(
             spec, union)])
-        r = _fastpath.exact_evaluator(M, N, lam).bound(*heads[:2])
+        r = _fastpath.doubles(*_fastpath.exact_evaluator(M, N, lam).bound(
+            *heads[:2]))
         tied |= np.count_nonzero(r == r.max()) > 1
         for seed, chunk in [(None, None), (3, 64), (1, 16), (1, 1 << 20)]:
             with pytest.MonkeyPatch.context() as mp:
@@ -2534,3 +2561,45 @@ def test_bound_skips_kernel_lines(pair, full, monkeypatch):
         assert lines == [min(size, count - s) for s in range(0, count, size)]
     else:
         assert 0 < sum(lines) < count
+
+
+@pytest.mark.parametrize("pair, f", [
+    (lambda: tuple(map(entangled_presentation, ex_need_omega())), 1),
+    (_essential_pair, 1),
+    (_essential_pair, 10 ** 9),
+], ids=["entangled", "essential", "essential-object"])
+def test_unbounded_pairs_bound_one_over_zero(pair, f):
+    """On a pair without a direction bound, entangled presentations or
+    rectangles with essential bars, the map's bound is the fraction 1/0 in
+    int64 on every direction of the union, with object keys too, and its
+    doubles are +inf."""
+    M, N = (scale(m, f) for m in pair())
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
+    spec, union = exactdist._stream(X, Y, dvals)
+    dxv, dyv, _ = exactdist._unpack(spec, union[exactdist._run_heads(
+        spec, union)])
+    assert (dxv.dtype == object) == (f > 1)
+    p_ub, q_ub = _fastpath.exact_evaluator(M, N, lam).bound(dxv, dyv)
+    assert p_ub.dtype == q_ub.dtype == np.int64
+    assert p_ub.tolist() == [1] * dxv.size and q_ub.tolist() == [0] * dxv.size
+    assert np.isposinf(_fastpath.doubles(p_ub, q_ub)).all()
+
+
+def test_unbounded_pair_at_distance_zero(monkeypatch):
+    """A rectangle module with an essential bar against its
+    combined_presentation, which _same_module does not take as equal, goes
+    through the selection with the bound 1/0 on every run: over chunks of
+    64 keys the tie rule drops no run, and the result is value 0, the
+    lex-min candidate line and the full candidate_count."""
+    M, _ = _essential_pair()
+    N = combined_presentation(M)
+    lam = exactdist._lattice(M, N, None)[3]
+    assert not exactdist._same_module(
+        M, N, _fastpath.exact_evaluator(M, N, lam).sides)
+    dropped = _counted_ties(monkeypatch)
+    monkeypatch.setattr(_fastpath, "CHUNK", 64)
+    lines = candidate_lines(M, N).lines
+    res = matching_distance(M, N)
+    assert (res.value, res.witness_line, res.candidate_count) == \
+        (0, lines[0], len(lines))
+    assert len(dropped) > 1 and sum(dropped) == 0

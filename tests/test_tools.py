@@ -400,3 +400,32 @@ def test_codelines_reads_the_counted_commit(tmp_path):
         "gridscan.py": 141}
     files = (tmp_path / "src" / "matchdist").glob("*.py")
     assert sum(counts[p.name][1] == p.stat().st_size for p in files) == 10
+
+
+def test_codelines_prints_deltas_between_two_checkouts(tmp_path):
+    """Given PARENT and CHANGE, where CHANGE is a copy of this checkout's
+    package with one code line removed from one file, the script prints
+    per file and for the total the code lines at both and their
+    difference, then the bytes at both and theirs: -1 line and minus that
+    line's bytes on the file and the total, +0 on every other file."""
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        shutil.copytree(ROOT / "src" / "matchdist", root / "src" / "matchdist",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    path = change / "src" / "matchdist" / "rational.py"
+    text = path.read_text()
+    line = "from __future__ import annotations\n"
+    assert text.count(line) == 1
+    path.write_text(text.replace(line, ""))
+    out = subprocess.run([sys.executable, str(CODELINES), str(parent),
+                          str(change)], capture_output=True, text=True,
+                         timeout=60)
+    assert out.returncode == 0, out.stderr
+    got = {name: tuple(map(int, nums)) for *nums, name in
+           (row.split() for row in out.stdout.splitlines())}
+    before = codelines(parent)
+    assert list(got) == list(before)
+    for name, (n, b) in before.items():
+        dn, db = ((-1, -len(line)) if name in ("rational.py", "total")
+                  else (0, 0))
+        assert got[name] == (n, n + dn, dn, b, b + db, db)
