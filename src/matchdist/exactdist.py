@@ -67,7 +67,8 @@ lex-min tie-break compares the keys' integers too (_line_order), so no
 selection builds a rational.  The witness matching is read off the same
 integer sides, on the winning key (_fastpath.key_diagram), so no module is
 restricted in rationals; its weighted cost must equal the selection's
-exact maximum, or the call raises.
+exact maximum, or the call raises.  vertical_cost's sample lines are
+keys on those sides too.
 """
 from __future__ import annotations
 
@@ -79,8 +80,8 @@ import numpy as np
 
 from . import _fastpath
 from .bottleneck import MatchingWitness, bottleneck
-from .fibered import bar_counts, restrict_module
-from .geometry import Line, ProjPoint, normalize_line, weight
+from .fibered import bar_counts
+from .geometry import Line, ProjPoint, weight
 from .modules import TwoParamModule, critical_values, lub_closure, swap_axes
 from .rational import INF, Q, is_inf, rat
 
@@ -883,19 +884,11 @@ def _same_module(M, N, sides):
     return sorted(em) == sorted(en) and sorted(fm) == sorted(fn)
 
 
-def _exact_cost(M, N, line):
-    """Weighted cost on one line, value only."""
-    c = bottleneck(restrict_module(M, line), restrict_module(N, line))[0]
-    if is_inf(c):
-        return INF
-    return weight(line) * c
-
-
 def _result_at(sides, key, lam, count, top):
     """The result at the line of key, with the witness matching of the
     sides' diagrams there.  Its weighted cost must equal the selection's
     exact maximum top, reduced ints (p, q), unless top is None: a mismatch
-    raises ArithmeticError."""
+    raises ArithmeticError.  vertical_cost reads only the value."""
     line = _line_from_key(*key, lam)
     cost, wit = bottleneck(*(_fastpath.key_diagram(side, *key, lam)
                              for side in sides))
@@ -943,7 +936,9 @@ def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,
     The anchor sits strictly above every candidate point; two sample slopes
     are taken below every slope at which a line through the anchor meets a
     candidate point or direction, where the weighted cost is affine in the
-    slope, and the limit is its extrapolation to slope zero.
+    slope, and the limit is its extrapolation to slope zero.  The sample
+    lines are keys (e.numerator, e.denominator, k) on the integer sides
+    (_result_at), over an L that clears lam, x0 and yr.
 
     Raises:
         BothTrivial: if both modules are trivial.
@@ -969,15 +964,13 @@ def vertical_cost(M: TwoParamModule, N: TwoParamModule, x0,
               if x < xl]
     cutoff = min(c for c in cands if c > 0)
     e1, e2 = cutoff / 2, cutoff / 4
-    vals = []
-    for e in (e1, e2):
-        line = normalize_line((e, 1), (x0, yr))
-        value = _exact_cost(M, N, line)
-        if is_inf(value):
-            return INF
-        vals.append(value)
-    f1, f2 = vals
-    return (e1 * f2 - e2 * f1) / (e1 - e2)
+    L = lcm(lam, x0.denominator, yr.denominator)
+    sides = _fastpath.exact_evaluator(M, N, L).sides
+    xa, ya = int(x0 * L), int(yr * L)
+    f1, f2 = (_result_at(sides, (e.numerator, e.denominator,
+                                 e.denominator * xa - e.numerator * ya),
+                         L, 0, None).value for e in (e1, e2))
+    return INF if is_inf(f1) else (e1 * f2 - e2 * f1) / (e1 - e2)
 
 
 def horizontal_cost(M: TwoParamModule, N: TwoParamModule, y0,

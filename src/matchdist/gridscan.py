@@ -42,6 +42,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -262,19 +263,13 @@ def restricted_max(M, N, g: GridSpec, family: str) -> float:
         return float(next(_rows(ones, ones, offsets, ev))[1].max())
     if family != "critical_pairs_only":
         raise ValueError("unknown family %r" % family)
-    pts = sorted(lub_closure(critical_values(M))
-                 | lub_closure(critical_values(N)))
-    lines = {}
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            ln = line_through(p, q)
-            if ln is not None:
-                lines[(ln.m, ln.b)] = ln
+    pts = lub_closure(critical_values(M)) | lub_closure(critical_values(N))
+    lines = [ln for p, q in combinations(pts, 2)
+             if (ln := line_through(p, q)) is not None]
     if not lines:
         return 0.0
-    m1 = np.array([float(ln.m[0]) for ln in lines.values()])
-    m2 = np.array([float(ln.m[1]) for ln in lines.values()])
-    b1 = np.array([float(ln.b[0]) for ln in lines.values()])
+    m1, m2, b1 = (np.array(col, dtype=np.float64)
+                  for col in zip(*((*ln.m, ln.b[0]) for ln in lines)))
     return float(ev(m1, m2, b1, -b1).max())
 
 

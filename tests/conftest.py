@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from matchdist.fibered import Bar
 from matchdist.geometry import Line, normalize_line
@@ -96,6 +97,21 @@ def entangled_presentation(module):
                 return TwoParamModule.from_presentation(
                     Presentation(pres.generators, rels))
     return TwoParamModule.from_presentation(pres)
+
+
+def data_presentation(points, f, names=None):
+    """H0 of the function-Rips bifiltration of a point cloud with integer
+    coordinates and integer function values f: generator v_i at (f_i, 0),
+    and one relation per pair {v_i, v_j} at (max(f_i, f_j), d(p_i, p_j)),
+    d the L1 distance, so that every grade is an integer.  names names the
+    generators, v0, v1, ... by default."""
+    names = names or ["v%d" % i for i in range(len(points))]
+    rels = [("%s.%s" % (names[i], names[j]),
+             (max(f[i], f[j]), sum(abs(a - b) for a, b in zip(p, q))),
+             frozenset((names[i], names[j])))
+            for (i, p), (j, q) in combinations(enumerate(points), 2)]
+    return TwoParamModule.from_presentation(Presentation(
+        tuple((n, (v, 0)) for n, v in zip(names, f)), tuple(rels)))
 
 
 def rand_split_presentation(rng, pool, rects, tangled, essential):

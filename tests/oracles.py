@@ -7,18 +7,22 @@ are the exceptions: the first is the lattice stage as the library had it
 on sets of integer tuples, a reference for its integer codes, and the
 second selects the maximum by restricting every candidate line in
 rationals, as a reference for the selection fold, the vector kernel and
-the witness matching read off the kernel's integers.
+the witness matching read off the kernel's integers.  _exact_cost costs
+one line that way, and vertical_cost_rational is the axis limit as the
+library had it, its sample lines costed by _exact_cost.
 """
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 
+import numpy as np
+
 from matchdist.bottleneck import bottleneck
-from matchdist.exactdist import (DistanceResult, _exact_cost, _line_from_key,
-                                 _stream, _unpack)
+from matchdist.exactdist import (BothTrivial, DistanceResult, _lattice,
+                                 _line_from_key, _stream, _unpack)
 from matchdist.fibered import restrict_module
-from matchdist.geometry import ProjPoint
+from matchdist.geometry import ProjPoint, normalize_line, weight
 from matchdist.modules import critical_values, lub_closure
 from matchdist.rational import INF, Q, is_inf, rat
 
@@ -385,6 +389,49 @@ def lex_pair(dx, dy, k, lam):
     """The line order (m1/m2, b1) of the key (dx, dy, k) with scaling
     lam."""
     return (Q(int(dx), int(dy)), Q(int(k), lam * (int(dx) + int(dy))))
+
+
+def _exact_cost(M, N, line):
+    """Weighted cost on one line, value only."""
+    c = bottleneck(restrict_module(M, line), restrict_module(N, line))[0]
+    if is_inf(c):
+        return INF
+    return weight(line) * c
+
+
+def vertical_cost_rational(M, N, x0, anchor_height=None):
+    """exactdist.vertical_cost with its two sample lines built by
+    normalize_line through the anchor and costed by _exact_cost, each
+    module restricted in rationals."""
+    if M.is_trivial and N.is_trivial:
+        raise BothTrivial("no critical values")
+    x0 = rat(x0)
+    X, Y, dirs, lam = _lattice(M, N, None)
+    ymax = Q(int(np.max(Y)), lam)
+    if anchor_height is None:
+        yr = ymax + 1
+    else:
+        yr = rat(anchor_height)
+        if yr <= ymax:
+            raise ValueError("anchor height %s not above the point set (max "
+                             "second coordinate %s)" % (yr, ymax))
+    # slopes through the anchor, on the lattice: (x0 - x)/(yr - y) with
+    # (x, y) = (X, Y)/lam
+    xl, yl = x0 * lam, yr * lam
+    cands = [Q(a, b) for a, b in dirs]
+    cands += [(xl - x) / (yl - y) for x, y in zip(X.tolist(), Y.tolist())
+              if x < xl]
+    cutoff = min(c for c in cands if c > 0)
+    e1, e2 = cutoff / 2, cutoff / 4
+    vals = []
+    for e in (e1, e2):
+        line = normalize_line((e, 1), (x0, yr))
+        value = _exact_cost(M, N, line)
+        if is_inf(value):
+            return INF
+        vals.append(value)
+    f1, f2 = vals
+    return (e1 * f2 - e2 * f1) / (e1 - e2)
 
 
 def select_exact(M, N, keys, lam, count):

@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 import matchdist.exactdist as exactdist
 import matchdist.fibered as fibered
 import matchdist.geometry as geometry
-from conftest import (combined_presentation, entangled_presentation,
-                      ex_diag_not_suff, ex_need_diag, ex_need_omega,
-                      rand_diagram, rand_line, rand_point, rand_pool,
-                      rand_presentation, rand_rat, rand_rect,
+from conftest import (combined_presentation, data_presentation,
+                      entangled_presentation, ex_diag_not_suff, ex_need_diag,
+                      ex_need_omega, rand_diagram, rand_line, rand_point,
+                      rand_pool, rand_presentation, rand_rat, rand_rect,
                       rand_rect_module, rand_split_presentation)
 from matchdist import _fastpath
 from matchdist.bottleneck import (bottleneck, cheapest_matching,
@@ -41,9 +41,10 @@ from matchdist.modules import (Presentation, TwoParamModule, critical_values,
                                lub_closure, rect, scale, swap_axes,
                                translate)
 from matchdist.rational import INF, Q
-from oracles import (bottleneck_bruteforce, distinct_keys,
+from oracles import (_exact_cost, bottleneck_bruteforce, distinct_keys,
                      distinct_keys_pairloop, lattice_rational, lattice_sets,
-                     lex_pair, match_patterns, select_exact)
+                     lex_pair, match_patterns, select_exact,
+                     vertical_cost_rational)
 
 
 def _assert_as_oracle(res, ref):
@@ -62,7 +63,7 @@ def brute(M, N, extra=None):
     lines = candidate_lines(M, N, extra).lines
     best = wit = None
     for line in lines:
-        v = exactdist._exact_cost(M, N, line)
+        v = _exact_cost(M, N, line)
         if best is None or v > best:
             best, wit = v, line
     return best, wit, len(lines)
@@ -369,7 +370,7 @@ def test_dominates_arbitrary_lines():
     for M, N in cases:
         res = matching_distance(M, N)
         for _ in range(10):
-            assert exactdist._exact_cost(M, N, rand_line(rng)) <= res.value
+            assert _exact_cost(M, N, rand_line(rng)) <= res.value
 
 
 def test_realizer_values_are_pushes_of_closure_points():
@@ -510,6 +511,64 @@ def test_axis_limits_pinned():
         assert got == want
     M, N = pairs[7]
     assert vertical_cost(M, N, Q(7, 2), anchor_height=Q(101, 2)) == Q(15, 4)
+
+
+def _limit_pairs():
+    """_axis_pairs, a pair of five finite rectangles a side, the entangled
+    presentations of a worked example and a pair of unequal essential
+    counts."""
+    rng = random.Random(40)
+    pool = rand_pool(rng, 5)
+    M, N = ex_need_omega()
+    return [*_axis_pairs(),
+            (_shaped(rng, pool, 5, 0), _shaped(rng, pool, 5, 0)),
+            (entangled_presentation(M), entangled_presentation(N)),
+            (TwoParamModule.from_rects([rect(0, 0, INF, INF)]),
+             TwoParamModule.from_rects([rect(1, 0, 3, 2)]))]
+
+
+def test_axis_limits_match_rational_sample_lines():
+    """vertical_cost and horizontal_cost equal the limit whose two sample
+    lines are built by normalize_line and restricted in rationals
+    (vertical_cost_rational): at x0 whose denominators lam need not clear
+    and at the least and largest integer critical x0, with the default
+    anchor and with anchors just above the point set.  There a key
+    truncated to lam's scale moves a sample line across a candidate
+    point."""
+    pairs = _limit_pairs()
+    seen = set()
+    for M, N in pairs:
+        for A, B, limit in ((M, N, vertical_cost),
+                            (swap_axes(M), swap_axes(N), horizontal_cost)):
+            _, Y, _, lam = exactdist._lattice(A, B, None)
+            ymax = Q(int(Y.max()), lam)
+            xs = sorted(x for x, _ in critical_values(A) | critical_values(B)
+                        if x.denominator == 1)
+            for x0 in (Q(7, 3), Q(-5, 7), Q(1, 11), *xs[:1], *xs[-1:]):
+                for anchor in (None, ymax + Q(1, 1000), ymax + Q(2, 3)):
+                    want = vertical_cost_rational(A, B, x0, anchor)
+                    assert limit(M, N, x0, anchor) == want
+                    seen.add(want)
+    assert INF in seen and len(seen) > 10
+
+
+def test_axis_limits_restrict_no_module(monkeypatch):
+    """vertical_cost and horizontal_cost restrict no module in rationals:
+    with restrict_module, push_param and pull_param made to raise, they
+    give these values of test_axis_limits_pinned, one +inf and one on a
+    presentation pair among them."""
+    pairs = _axis_pairs()
+    cases = [(vertical_cost, pairs[7], Q(-3), None, 5),
+             (vertical_cost, pairs[7], Q(7, 2), Q(101, 2), Q(15, 4)),
+             (horizontal_cost, pairs[2], Q(5), None, Q(5, 2)),
+             (vertical_cost, pairs[13], Q(5), None, INF),
+             (horizontal_cost, pairs[16], Q(5), None, Q(7, 4))]
+    assert pairs[16][0].presentation is not None
+    with monkeypatch.context() as mp:
+        _forbid_rational_restriction(mp)
+        got = [limit(M, N, x0, anchor)
+               for limit, (M, N), x0, anchor, _ in cases]
+    assert got == [value for *_, value in cases]
 
 
 # Internal evaluation paths agree with each other.
@@ -792,7 +851,7 @@ def test_integer_path_matches_exact_cost():
         assert res[0].dtype == res[1].dtype == np.int64
         for p, q, key in zip(res[0].tolist(), res[1].tolist(), keys):
             line = exactdist._line_from_key(*key, lam)
-            assert Q(p, q) == exactdist._exact_cost(M, N, line)
+            assert Q(p, q) == _exact_cost(M, N, line)
 
 
 def test_tiny_blocks_stream_identically(monkeypatch):
@@ -989,6 +1048,18 @@ def test_wide_rectangle_pairs_match_per_line_selection(monkeypatch):
             float(res.value) + 1e-9
 
 
+def _forbid_rational_restriction(mp):
+    """Make restrict_module, push_param and pull_param raise, in the
+    modules that bind them."""
+    def never(*args):
+        raise AssertionError("restricted in rationals")
+
+    mp.setattr(fibered, "restrict_module", never)
+    for module in (geometry, fibered):
+        mp.setattr(module, "push_param", never)
+        mp.setattr(module, "pull_param", never)
+
+
 def test_matching_distance_restricts_no_module(monkeypatch):
     """matching_distance restricts no module in rationals: with
     restrict_module, push_param and pull_param made to raise, it gives
@@ -1009,16 +1080,9 @@ def test_matching_distance_restricts_no_module(monkeypatch):
              (tuple(scale(m, 10 ** 9) for m in _huge_pair()), 2 * 10 ** 9,
               54414, (Q(1), Q(0)))]
 
-    def never(*args):
-        raise AssertionError("restricted in rationals")
-
     for (A, B), value, count, (m1, b1) in cases:
         with monkeypatch.context() as mp:
-            for module in (exactdist, fibered):
-                mp.setattr(module, "restrict_module", never)
-            for module in (geometry, fibered):
-                mp.setattr(module, "push_param", never)
-                mp.setattr(module, "pull_param", never)
+            _forbid_rational_restriction(mp)
             res = matching_distance(A, B)
         line = res.witness_line
         assert (res.value, res.candidate_count) == (value, count)
@@ -1038,7 +1102,7 @@ def test_wide_rectangle_pairs_integer_values():
         assert res[0].dtype == res[1].dtype == np.int64
         for p, q, key in zip(res[0].tolist(), res[1].tolist(), keys):
             line = exactdist._line_from_key(*key, lam)
-            assert Q(p, q) == exactdist._exact_cost(M, N, line)
+            assert Q(p, q) == _exact_cost(M, N, line)
 
 
 # Presentations whose columns are not single rectangles: several generators
@@ -1200,8 +1264,7 @@ def test_presentation_pairs_vector_values():
         fv = _fastpath.eval_keys(M, N, dxv, dyv, kv, lam)
         for p, q, f, key in zip(res[0].tolist(), res[1].tolist(),
                                 fv.tolist(), keys):
-            want = exactdist._exact_cost(M, N,
-                                         exactdist._line_from_key(*key, lam))
+            want = _exact_cost(M, N, exactdist._line_from_key(*key, lam))
             assert Q(p, q) == want
             assert abs(f - float(want)) <= 1e-9 * max(1.0, float(want))
 
@@ -1391,6 +1454,58 @@ def test_huge_presentation_coordinates_use_exact_keys():
     assert res.value == f * small.value > 0
     assert res.witness_line.m == small.witness_line.m
     assert res.candidate_count == small.candidate_count
+
+
+# Pairs from data: H0 of function-Rips bifiltrations (data_presentation),
+# one entangled component per cloud with n(n - 1)/2 relations.
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_data_pairs_respect_stability(data):
+    """Two functions f, g on one cloud give bifiltrations that are
+    max|f - g|-interleaved along the first axis, so the matching distance
+    is at most max|f - g|, compared exactly."""
+    n = data.draw(st.integers(3, 4))
+    coord = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    points = data.draw(st.lists(coord, min_size=n, max_size=n))
+    f = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    delta = data.draw(st.integers(1, 3))
+    g = [v + data.draw(st.integers(-delta, delta)) for v in f]
+    res = matching_distance(data_presentation(points, f),
+                            data_presentation(points, g))
+    assert res.value <= max(abs(a - b) for a, b in zip(f, g))
+
+
+def test_relabelled_data_module_at_distance_zero():
+    """A data module against a copy with its points reordered and its
+    generators renamed, which _same_module does not take as equal, goes
+    through the selection: value 0, the lex-min candidate line and the full
+    candidate_count."""
+    points, f = [(0, 0), (3, 1), (1, 4), (5, 2)], [0, 2, 5, 1]
+    M = data_presentation(points, f)
+    order = [2, 0, 3, 1]
+    N = data_presentation([points[i] for i in order], [f[i] for i in order],
+                          ["w%d" % i for i in order])
+    lam = exactdist._lattice(M, N, None)[3]
+    assert not exactdist._same_module(
+        M, N, _fastpath.exact_evaluator(M, N, lam).sides)
+    lines = candidate_lines(M, N).lines
+    res = matching_distance(M, N)
+    assert (res.value, res.witness_line, res.candidate_count) == \
+        (0, lines[0], len(lines))
+
+
+def test_data_pair_matches_per_line_selection():
+    """A 3-point data pair of positive distance has the value, witness
+    line, witness matching and count of the per-line exact selection."""
+    points = [(4, 3), (4, 1), (5, 2)]
+    M = data_presentation(points, [3, 2, 0])
+    N = data_presentation(points, [0, 4, 3])
+    res = matching_distance(M, N)
+    assert res.value == 1
+    X, Y, dvals, lam = exactdist._lattice(M, N, None)
+    keys = distinct_keys(X, Y, dvals)
+    _assert_as_oracle(res, select_exact(M, N, keys, lam, len(keys)))
 
 
 # One packed key stream in every regime: int64 packed keys, Python-int
@@ -1666,7 +1781,7 @@ def test_exact_evaluator_is_exact_past_its_certificate():
         p, q = _fastpath.exact_evaluator(M, N, lam)(dxv, dyv, kv)
         for pt, qt, key in zip(p.tolist(), q.tolist(), keys):
             line = exactdist._line_from_key(*key, lam)
-            assert Q(pt, qt) == exactdist._exact_cost(M, N, line)
+            assert Q(pt, qt) == _exact_cost(M, N, line)
 
 
 def test_one_selection_mixes_int64_and_object_chunks(monkeypatch):
@@ -1747,7 +1862,7 @@ def test_object_kernel_matches_exact_cost():
         for p, q, key in zip(ps.tolist(), qs.tolist(), keys):
             line = exactdist._line_from_key(*key, lam)
             assert gcd(p, q) == 1
-            assert Q(p, q) == exactdist._exact_cost(M, N, line)
+            assert Q(p, q) == _exact_cost(M, N, line)
         res, small = matching_distance(M, N), matching_distance(M0, N0)
         assert res.value == f * small.value > 0
         assert res.witness_line.m == small.witness_line.m
@@ -2498,7 +2613,7 @@ def test_tie_rule_cases_hold_their_premises():
         assert Q(*first) < Q(*tie) and tie[0] < first[0]
         line = exactdist._line_from_key(*tie, 0, lam)
         assert (*tie, 0) in keys
-        assert exactdist._exact_cost(M, N, line) == res.value
+        assert _exact_cost(M, N, line) == res.value
     a, b = _NEAR_DIRS
     assert a[0] / a[1] == b[0] / b[1]
     assert matching_distance(*_zero_pair()).value == 0

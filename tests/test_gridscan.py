@@ -18,7 +18,7 @@ from conftest import (combined_presentation, entangled_presentation,
                       rand_rect_module)
 from matchdist import _fastpath, fibered, gridscan
 from matchdist._fastpath import line_evaluator
-from matchdist.exactdist import _exact_cost, matching_distance
+from matchdist.exactdist import matching_distance
 from matchdist.fibered import bar_counts
 from matchdist.geometry import Line
 from matchdist.gridscan import (GridSpec, HeatmapRow, _axes, _directions,
@@ -26,6 +26,7 @@ from matchdist.gridscan import (GridSpec, HeatmapRow, _axes, _directions,
                                 write_csv)
 from matchdist.modules import TwoParamModule, rect
 from matchdist.rational import INF, Q, rat
+from oracles import _exact_cost
 
 
 def test_grid_spec_validation():

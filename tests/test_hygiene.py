@@ -78,6 +78,34 @@ def references(tree):
     return out
 
 
+def module_names(tree):
+    """The names a def, a class or an assignment binds at module level,
+    with their lines; dunder names are skipped."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for name in [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]:
+                out.setdefault(name, node.lineno)
+    return {name: line for name, line in out.items()
+            if not name.startswith("__")}
+
+
+def unread_names(trees):
+    """The module-level names (module_names) of the trees that none of the
+    trees reads (references), as (tree index, line, name).  A name that
+    __all__ lists is read: references takes string constants."""
+    refs = set().union(*map(references, trees))
+    return sorted((i, line, name) for i, tree in enumerate(trees)
+                  for name, line in module_names(tree).items()
+                  if name not in refs)
+
+
 def attribute_reads(tree):
     """Every attribute name the tree reads: loaded, augmented (x.a += 1
     reads x.a) or named by a string constant to getattr.  A store alone is
@@ -272,6 +300,40 @@ def test_unreferenced_helpers_are_caught():
         (20, "stored"), (26, "_orphan")]
     assert is_private_module(ROOT / "src" / "matchdist" / "_fastpath.py")
     assert not is_private_module(ROOT / "src" / "matchdist" / "__init__.py")
+
+
+# the package's names that only perfbench/ reads; once it stops, each
+# should leave the package
+_READ_OUTSIDE = {"_fastpath.py: eval_keys", "_fastpath.py: vector_ready",
+                 "_fastpath.py: exact_reduced_values",
+                 "exactdist.py: _essential_count"}
+
+
+def test_package_reads_its_own_names():
+    """Every module-level name of the package is read by a package module
+    or exported, but those only perfbench/ reads: a helper only the tests
+    read belongs in tests/."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in PACKAGE]
+    found = {"%s: %s" % (PACKAGE[i].name, name)
+             for i, _, name in unread_names(trees)}
+    assert found == _READ_OUTSIDE
+
+
+def test_unread_names_are_caught():
+    a = ast.parse("def used():\n    return _helper()\n"
+                  "def _helper():\n    pass\n"
+                  "def dead():\n    pass\n"
+                  "class Gone:\n    pass\n"
+                  "_CONST, (x, y) = 1, (2, 3)\n"
+                  "LIMIT: int = 4\n"
+                  "__all__ = ['exported']\n"
+                  "def exported():\n    pass\n")
+    b = ast.parse("from a import used\n"
+                  "__version__ = '1'\n"
+                  "z = a.y\n")
+    assert unread_names([a, b]) == [(0, 5, "dead"), (0, 7, "Gone"),
+                                    (0, 9, "_CONST"), (0, 9, "x"),
+                                    (0, 10, "LIMIT"), (1, 3, "z")]
 
 
 def test_no_inf_comparisons():
