@@ -34,9 +34,10 @@ per line.  exact_evaluator returns those fractions, and matching_distance
 takes them for every line and reduces only the few that can still win.
 The map picks its integers call by call, from the keys it gets: int64
 where its certificate shows that every intermediate fits, Python ints in
-object arrays otherwise.  exact_reduced_values reduces every line.  The
-witness diagrams come from the same integer sides (key_diagram), so no
-module is restricted in rationals.
+object arrays otherwise.  exact_reduced_values reduces every line.
+key_diagram reads a module's diagram on one key off the same integer
+sides.  It is the package's one restriction: fibered.restrict_module and
+every witness call it, so no module is restricted in rationals.
 
 Each converted side is one record (essential lowers, finite rects, pres),
 pres the _Pres of the entangled components or None, so the kernel reads
@@ -112,9 +113,10 @@ class _Pres:
 
     gens holds generator grades and rels (grade, column) pairs, a column
     being the set of its generators' indices in gens, both in input order.
-    On a line, restrict_presentation's pairing depends only on two orders:
-    the push order of the generator grades and that of the relation grades,
-    each with ties broken by input index.  How the two interleave does not
+    On a line, the barcode's pairing, the column reduction of the relation
+    matrix in push order (fibered), depends only on two orders: the push
+    order of the generator grades and that of the relation grades, each
+    with ties broken by input index.  How the two interleave does not
     matter, and the number of pairs is the rank of the relation matrix on
     every line.  So a template, the reduction run once for one pair of
     orders, gives every line with those orders its bars as fixed slots:
@@ -660,9 +662,10 @@ def exact_evaluator(M, N, lam):
     push numerator is at most (s*amax + kb)*m, a weighted numerator at most
     4*m^2*(s*amax + kb) and q at most 2*lam*s*dxm*dym.
 
-    A presentation's push numerators order its grades exactly as
-    restrict_presentation's push parameters do, ties included, so its
-    barcode templates pair the same generators and relations.
+    A presentation's push numerators order its grades exactly as the
+    rational push parameters of its grades do, ties included, so its
+    barcode templates pair the same generators and relations as the
+    column reduction in push order.
 
     Every map has a bound(dxv, dyv): per direction, the exact direction
     bound as unreduced fractions (p_ub, q_ub), the arrays of
@@ -715,16 +718,18 @@ def exact_evaluator(M, N, lam):
 
 
 def key_diagram(side, dx, dy, k, lam):
-    """restrict_module's diagram of a module on the line of the key
-    (dx, dy, k), tuple for tuple, from its side as exact_evaluator converts
-    it.
+    """The diagram of the restriction of a module to the line of the key
+    (dx, dy, k), from its side as exact_evaluator converts it: the
+    package's one restriction, which fibered.restrict_module and every
+    witness call.
 
     A numerator c of _KeyNumerators.cross is the line parameter
     c*max(dx, dy)/(lam*s*dx*dy), s = dx + dy, so the bars are built and
-    sorted on the integers, by (birth, essential, death) as fibered sorts
-    them, and each endpoint becomes one rational at the end.  Dead bars and
-    zero-length pairs are dropped.  A side's _Pres is paired by its
-    template for the orders by (numerator, index), restrict_presentation's.
+    sorted on the integers, by (birth, essential, death), an infinite death
+    last among tied births, and each endpoint becomes one rational at the
+    end.  Dead bars and zero-length pairs are dropped.  A side's _Pres is
+    paired by its template for the orders by (numerator, index): the push
+    order, ties broken by input index.
     """
     ar = _KeyNumerators(lam, dx, dy, k)
 

@@ -9,12 +9,16 @@ presentation:
     rel r 0 7 g            # rel <name> x y <generator names>
 
 Numbers are integers, exact decimals ("2.5"), or fractions ("7/11").  A file
-mixes rect with gen/rel never.  main reads and parses the command's one or
-two module files, in order, before the command runs, and passes the modules
-to its handler, so a file error is reported before a bad line spec.
+mixes rect with gen/rel never.  A rel names each of its generators once:
+coefficients are in the two-element field, where a generator named twice
+would cancel.  main reads and parses the command's one or two module files,
+in order, before the command runs, and passes the modules to its handler,
+so a file error is reported before a bad line spec.
 
 Exit codes: 0 success, 1 output pipe closed by its reader (as by "| head"),
-2 malformed input, 3 invalid line specification, 4 both modules trivial
+2 malformed input: a module file that does not parse, an unreadable path,
+or a bad argument (a usage error, or a value such as "scan --theta-steps 1"
+or "vcost --x abc"), 3 invalid line specification, 4 both modules trivial
 where a line search needs at least one critical value.
 """
 from __future__ import annotations
@@ -96,9 +100,13 @@ def parse_module(text: str) -> TwoParamModule:
                     raise ParseError(lineno, "rel needs a name, 2 "
                                              "coordinates, and generator "
                                              "names")
+                if len(col := frozenset(toks[4:])) < len(toks) - 4:
+                    twice = min(n for n in col if toks.count(n) > 1)
+                    raise ParseError(lineno, "relation %r names generator "
+                                             "%r twice" % (toks[1], twice))
                 rels.append((toks[1], (_scalar(toks[2], lineno),
                                        _scalar(toks[3], lineno)),
-                             frozenset(toks[4:]), lineno))
+                             col, lineno))
         else:
             raise ParseError(lineno, "unknown statement %r" % kind)
 
@@ -268,7 +276,8 @@ def _parser():
 
 
 # errors reported as "error: ..." and their exit codes, the first match
-# winning; every other one of them exits 2, malformed input
+# winning; every other one of them exits 2, malformed input or a bad
+# argument value
 _ERRORS = (ParseError, OSError, ValueError)
 _EXIT_CODES = ((InvalidLineSpec, 3), (BothTrivial, 4))
 

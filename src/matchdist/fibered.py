@@ -3,17 +3,21 @@
 The restriction is a 1-parameter module in the line's parameterization; for a
 rectangle the bar is [push of the lower corner, pull of the upper corner), and
 for a presentation the barcode comes from the standard left-to-right column
-reduction of the relation matrix with grades mapped through push_param.
-Diagrams are returned as tuples of bars sorted by (birth, death), so equality
-of diagrams is multiset equality.
+reduction of the relation matrix (reduce_columns) with generators and
+relations ordered by the push parameters of their grades.  restrict_module
+reads it off the module's integer side with _fastpath.key_diagram, the
+package's one restriction, which every witness reads too.  Diagrams are
+returned as tuples of bars sorted by (birth, death), so equality of diagrams
+is multiset equality.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .geometry import Line, pull_param, push_param
-from .modules import Presentation, Rect, TwoParamModule
-from .rational import INF, is_inf
+from .geometry import Line
+from .modules import Presentation, TwoParamModule, critical_values
+from .rational import Q, is_inf
 
 
 class InvalidPresentation(ValueError):
@@ -33,32 +37,27 @@ class Bar:
             raise ValueError("bar needs birth < death")
 
 
-def _sorted_diagram(bars) -> tuple:
-    """Bars sorted by (birth, death); an infinite death sorts last through
-    its is_inf flag, so no rational is ordered against the float INF."""
-    return tuple(sorted(bars, key=lambda b: (b.birth, is_inf(b.death),
-                                             b.death)))
-
-
-def restrict_rect(r: Rect, line: Line):
-    """Bar of a rectangle module on the line, or None if it misses the line."""
-    birth = push_param(line, r.lower)
-    death = pull_param(line, r.upper)
-    if is_inf(death) or birth < death:
-        return Bar(birth, death)
-    return None
-
-
 def restrict_module(module: TwoParamModule, line: Line) -> tuple:
-    """Persistence diagram of the restriction of the module to the line."""
-    if module.rectangles is not None:
-        bars = []
-        for r in module.rectangles:
-            bar = restrict_rect(r, line)
-            if bar is not None:
-                bars.append(bar)
-        return _sorted_diagram(bars)
-    return restrict_presentation(module.presentation, line)
+    """Persistence diagram of the restriction of the module to the line,
+    read off the module's integer side (_fastpath.key_diagram).
+
+    The line becomes the key (dx, dy, k) with scaling L: dx/dy = m1/m2 in
+    lowest terms, c = b1*(dx + dy) and k = c*L, where L is the least common
+    denominator of c and of the module's critical values, so that it
+    clears every coordinate of the side and c as well.
+
+    Raises:
+        InvalidPresentation: if a presentation is malformed.
+    """
+    # imported here: _fastpath imports Bar, _validated, bar_counts and
+    # reduce_columns from this module
+    from ._fastpath import _side, key_diagram
+    dx, dy = Q(*line.m).as_integer_ratio()
+    c = line.b[0] * (dx + dy)
+    L = lcm(c.denominator, *(v.denominator for p in critical_values(module)
+                             for v in p))
+    side = _side(module, lambda v: v.numerator * (L // v.denominator))
+    return key_diagram(side, dx, dy, int(c * L), L)
 
 
 def reduce_columns(columns, rows):
@@ -103,7 +102,7 @@ def bar_counts(module: TwoParamModule) -> tuple:
     gives r finite bars and n - r essential ones on every line.
 
     Raises:
-        InvalidPresentation: as restrict_presentation does.
+        InvalidPresentation: if a presentation is malformed.
     """
     if module.rectangles is not None:
         ess = sum(1 for r in module.rectangles
@@ -114,34 +113,3 @@ def bar_counts(module: TwoParamModule) -> tuple:
     pairs, free = reduce_columns(
         ({idx[n] for n in col} for _, _, col in pres.relations), len(idx))
     return len(pairs), len(free)
-
-
-def restrict_presentation(pres: Presentation, line: Line) -> tuple:
-    """Barcode of a presented module restricted to the line.
-
-    Generators and relations are sorted by the push parameter of their grade
-    (stable on ties by input order).  Columns are reduced left to right over
-    the two-element field (reduce_columns); a column's pivot is its
-    generator of largest birth parameter.  Pivoted columns yield finite bars
-    (zero-length ones dropped), unpivoted generators yield essential bars.
-
-    Raises:
-        InvalidPresentation: if a relation grade fails the componentwise
-            dominance invariant (or a column references an unknown name).
-    """
-    gens = _validated(pres).generators
-    push = [push_param(line, grade) for _, grade in gens]
-    order = sorted(range(len(gens)), key=lambda i: (push[i], i))
-    birth = [push[i] for i in order]
-    rank = {gens[i][0]: r for r, i in enumerate(order)}
-
-    rels = pres.relations
-    death = [push_param(line, grade) for _, grade, _ in rels]
-    rel_order = sorted(range(len(rels)), key=lambda j: (death[j], j))
-
-    pairs, free = reduce_columns(
-        ({rank[name] for name in rels[j][2]} for j in rel_order), len(gens))
-    bars = [Bar(birth[r], death[rel_order[c]]) for r, c in pairs
-            if birth[r] < death[rel_order[c]]]
-    bars += [Bar(birth[r], INF) for r in free]
-    return _sorted_diagram(bars)

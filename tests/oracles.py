@@ -7,9 +7,13 @@ are the exceptions: the first is the lattice stage as the library had it
 on sets of integer tuples, a reference for its integer codes, and the
 second selects the maximum by restricting every candidate line in
 rationals, as a reference for the selection fold, the vector kernel and
-the witness matching read off the kernel's integers.  _exact_cost costs
-one line that way, and vertical_cost_rational is the axis limit as the
-library had it, its sample lines costed by _exact_cost.
+the witness matching read off the kernel's integers.
+restrict_module_rational is the restriction as the library had it, every
+push and pull a rational (restrict_rect, restrict_presentation): the
+reference for fibered.restrict_module and _fastpath.key_diagram, which
+read the kernel's integer sides.  _exact_cost costs one line with it, and
+vertical_cost_rational is the axis limit as the library had it, its
+sample lines costed by _exact_cost.
 """
 from __future__ import annotations
 
@@ -21,9 +25,11 @@ import numpy as np
 from matchdist.bottleneck import bottleneck
 from matchdist.exactdist import (BothTrivial, DistanceResult, _lattice,
                                  _line_from_key, _stream, _unpack)
-from matchdist.fibered import restrict_module
-from matchdist.geometry import ProjPoint, normalize_line, weight
-from matchdist.modules import critical_values, lub_closure
+from matchdist.fibered import Bar, _validated, reduce_columns
+from matchdist.geometry import (Line, ProjPoint, normalize_line, pull_param,
+                                push_param, weight)
+from matchdist.modules import (Presentation, Rect, TwoParamModule,
+                               critical_values, lub_closure)
 from matchdist.rational import INF, Q, is_inf, rat
 
 
@@ -391,9 +397,69 @@ def lex_pair(dx, dy, k, lam):
     return (Q(int(dx), int(dy)), Q(int(k), lam * (int(dx) + int(dy))))
 
 
+def _sorted_diagram(bars) -> tuple:
+    """Bars sorted by (birth, death); an infinite death sorts last through
+    its is_inf flag, so no rational is ordered against the float INF."""
+    return tuple(sorted(bars, key=lambda b: (b.birth, is_inf(b.death),
+                                             b.death)))
+
+
+def restrict_rect(r: Rect, line: Line):
+    """Bar of a rectangle module on the line, or None if it misses the line."""
+    birth = push_param(line, r.lower)
+    death = pull_param(line, r.upper)
+    if is_inf(death) or birth < death:
+        return Bar(birth, death)
+    return None
+
+
+def restrict_module_rational(module: TwoParamModule, line: Line) -> tuple:
+    """Persistence diagram of the restriction of the module to the line."""
+    if module.rectangles is not None:
+        bars = []
+        for r in module.rectangles:
+            bar = restrict_rect(r, line)
+            if bar is not None:
+                bars.append(bar)
+        return _sorted_diagram(bars)
+    return restrict_presentation(module.presentation, line)
+
+
+def restrict_presentation(pres: Presentation, line: Line) -> tuple:
+    """Barcode of a presented module restricted to the line.
+
+    Generators and relations are sorted by the push parameter of their grade
+    (stable on ties by input order).  Columns are reduced left to right over
+    the two-element field (reduce_columns); a column's pivot is its
+    generator of largest birth parameter.  Pivoted columns yield finite bars
+    (zero-length ones dropped), unpivoted generators yield essential bars.
+
+    Raises:
+        InvalidPresentation: if a relation grade fails the componentwise
+            dominance invariant (or a column references an unknown name).
+    """
+    gens = _validated(pres).generators
+    push = [push_param(line, grade) for _, grade in gens]
+    order = sorted(range(len(gens)), key=lambda i: (push[i], i))
+    birth = [push[i] for i in order]
+    rank = {gens[i][0]: r for r, i in enumerate(order)}
+
+    rels = pres.relations
+    death = [push_param(line, grade) for _, grade, _ in rels]
+    rel_order = sorted(range(len(rels)), key=lambda j: (death[j], j))
+
+    pairs, free = reduce_columns(
+        ({rank[name] for name in rels[j][2]} for j in rel_order), len(gens))
+    bars = [Bar(birth[r], death[rel_order[c]]) for r, c in pairs
+            if birth[r] < death[rel_order[c]]]
+    bars += [Bar(birth[r], INF) for r in free]
+    return _sorted_diagram(bars)
+
+
 def _exact_cost(M, N, line):
     """Weighted cost on one line, value only."""
-    c = bottleneck(restrict_module(M, line), restrict_module(N, line))[0]
+    c = bottleneck(restrict_module_rational(M, line),
+                   restrict_module_rational(N, line))[0]
     if is_inf(c):
         return INF
     return weight(line) * c
@@ -446,5 +512,6 @@ def select_exact(M, N, keys, lam, count):
         if best is None or c > best or (c == best and lex < best_lex):
             best, best_key, best_lex = c, key, lex
     line = _line_from_key(*best_key, lam)
-    _, wit = bottleneck(restrict_module(M, line), restrict_module(N, line))
+    _, wit = bottleneck(restrict_module_rational(M, line),
+                        restrict_module_rational(N, line))
     return DistanceResult(best, line, wit, count)

@@ -9,9 +9,10 @@ import pytest
 
 import matchdist.cli as cli
 from conftest import ex_need_omega
+from matchdist import geometry
 from matchdist.cli import ParseError, main, parse_module
 from matchdist.exactdist import candidate_lines, matching_distance
-from matchdist.geometry import line_through
+from matchdist.geometry import line_through, normalize_line
 from matchdist.fibered import restrict_module
 from matchdist.modules import Presentation, TwoParamModule, rect
 from matchdist.rational import INF, Q, fmt
@@ -21,6 +22,13 @@ EX1_N = "rect 0 0 7 11\nrect 0 4 7 7\n"
 EX2_M = "rect 0 0 7 8\nrect 0 4 7 11\n"
 EX2_N = "rect 0 0 7 11\nrect 0 4 7 8\n"
 PRES = "gen g 0 0\nrel r 0 7 g\n"
+# presentations with fractional grades, entangled columns and one essential
+# generator each
+FRAC_P = ("gen a 1/2 0\ngen b 0 3/4\ngen c 5/3 1/3\ngen e 4 1/2\n"
+          "rel r 5/2 7/3 a b\nrel s 1/2 9/2 a\nrel t 11/3 3/4 b\n"
+          "rel u 7/2 5/2 a c\n")
+FRAC_Q = ("gen a 1/3 1/5\ngen b 2 1\ngen e 3/2 7/2\n"
+          "rel r 9/2 1/5 a\nrel s 2 11/4 b\n")
 
 
 def put(tmp_path, name, text):
@@ -66,6 +74,7 @@ def test_parse_empty_is_trivial():
     ("gen g 0 0\nrel r 0 7 h", 2, "unknown generator 'h'"),
     ("gen g 2 2\nrel r 0 7 g", 2, "below generator"),
     ("gen g 0 0\nrel r 1 1 g\ngen g 2 2", 3, "duplicate"),
+    ("gen g 0 0\nrel r 1 1 g g", 2, "relation 'r' names generator 'g' twice"),
 ])
 def test_parse_errors(text, lineno, needle):
     with pytest.raises(ParseError) as e:
@@ -170,6 +179,40 @@ def test_restrict(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["0 7", "4 11"]
 
 
+def test_restrict_and_bottleneck_read_integer_sides(tmp_path, capsys,
+                                                   monkeypatch):
+    """restrict_module, and the restrict and bottleneck commands, give
+    these pinned diagrams and costs on presentations with fractional
+    grades and lines with fractional offsets, with geometry's rational
+    push_param and pull_param made to raise: the one restriction reads the
+    modules' integer sides."""
+    def never(*args):
+        raise AssertionError("restricted in rationals")
+
+    monkeypatch.setattr(geometry, "push_param", never)
+    monkeypatch.setattr(geometry, "pull_param", never)
+    a, b = put(tmp_path, "a", FRAC_P), put(tmp_path, "b", FRAC_Q)
+    cases = [(["--line", "2/3,1,1/7,0"],
+              normalize_line((Q(2, 3), 1), (Q(1, 7), 0)),
+              ["87/140 321/70", "117/140 507/140", "83/35 717/140",
+               "411/70 inf"], ["13/35 927/140", "251/70 inf"], "16/7"),
+             (["--through", "0,-1/3,5,22/7"],
+              line_through((0, Q(-1, 3)), (5, Q(22, 7))),
+              ["27/89 47285/12994", "35385/25988 1853/534",
+               "785/534 25200/6497", "677/178 inf"],
+              ["7413/12994 383/89", "321/178 110145/25988", "34545/6497 inf"],
+              "221/146")]
+    for spec, line, bars_a, bars_b, cost in cases:
+        assert main(["restrict", a, *spec]) == 0
+        assert capsys.readouterr().out.splitlines() == bars_a
+        assert main(["restrict", b, *spec]) == 0
+        assert capsys.readouterr().out.splitlines() == bars_b
+        assert main(["bottleneck", a, b, *spec]) == 0
+        assert capsys.readouterr().out.strip() == cost
+        assert ["%s %s" % (fmt(bar.birth), fmt(bar.death)) for bar in
+                restrict_module(parse_module(FRAC_P), line)] == bars_a
+
+
 def test_switchpoints(tmp_path, capsys):
     a, b = put(tmp_path, "a", EX2_M), put(tmp_path, "b", EX2_N)
     assert main(["switchpoints", a, b]) == 0
@@ -256,6 +299,16 @@ def test_exit_2_parse_error(tmp_path, capsys):
         assert main([*cmd, "--line", "0,1,0,0"]) == 2
         err = capsys.readouterr().err
         assert "No such file" in err and "missing" in err
+
+
+def test_exit_2_bad_argument(tmp_path, capsys):
+    """An argument value the command cannot take exits 2."""
+    a, b = put(tmp_path, "a", EX1_M), put(tmp_path, "b", EX1_N)
+    assert main(["scan", a, b, "--theta-steps", "1",
+                 "--offset-steps", "3"]) == 2
+    assert "at least 2 steps" in capsys.readouterr().err
+    assert main(["vcost", a, b, "--x", "abc"]) == 2
+    assert "'abc'" in capsys.readouterr().err
 
 
 def test_exit_3_bad_line_spec(tmp_path, capsys):

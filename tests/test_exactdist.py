@@ -32,8 +32,7 @@ from matchdist.exactdist import (BothTrivial, CandidateLineSet,
                                  SwitchPointSet, candidate_lines,
                                  horizontal_cost, matching_distance,
                                  vertical_cost)
-from matchdist.fibered import (Bar, bar_counts, restrict_module,
-                               restrict_presentation)
+from matchdist.fibered import Bar, bar_counts
 from matchdist.geometry import (Line, ProjPoint, line_through,
                                 normalize_line, push_param, weight)
 from matchdist.gridscan import GridSpec, scan
@@ -43,7 +42,8 @@ from matchdist.modules import (Presentation, TwoParamModule, critical_values,
 from matchdist.rational import INF, Q
 from oracles import (_exact_cost, bottleneck_bruteforce, distinct_keys,
                      distinct_keys_pairloop, lattice_rational, lattice_sets,
-                     lex_pair, match_patterns, select_exact,
+                     lex_pair, match_patterns, restrict_module_rational,
+                     restrict_presentation, select_exact,
                      vertical_cost_rational)
 
 
@@ -51,7 +51,7 @@ def _assert_as_oracle(res, ref):
     """res has the value, witness line and count of the per-line oracle
     select_exact, and its witness matching: the pairs, the bars sent to
     the diagonal, the cost and the realizer, all on the diagrams of
-    restrict_module."""
+    oracles.restrict_module_rational."""
     assert (res.value, res.witness_line, res.candidate_count) == \
         (ref.value, ref.witness_line, ref.candidate_count)
     assert res.witness_detail == ref.witness_detail
@@ -1049,15 +1049,14 @@ def test_wide_rectangle_pairs_match_per_line_selection(monkeypatch):
 
 
 def _forbid_rational_restriction(mp):
-    """Make restrict_module, push_param and pull_param raise, in the
-    modules that bind them."""
+    """Make restrict_module raise, and push_param and pull_param in
+    geometry, the one package module that binds them."""
     def never(*args):
         raise AssertionError("restricted in rationals")
 
     mp.setattr(fibered, "restrict_module", never)
-    for module in (geometry, fibered):
-        mp.setattr(module, "push_param", never)
-        mp.setattr(module, "pull_param", never)
+    mp.setattr(geometry, "push_param", never)
+    mp.setattr(geometry, "pull_param", never)
 
 
 def test_matching_distance_restricts_no_module(monkeypatch):
@@ -1088,7 +1087,8 @@ def test_matching_distance_restricts_no_module(monkeypatch):
         assert (res.value, res.candidate_count) == (value, count)
         assert line == Line((m1, Q(1)), (b1, -b1))
         assert res.witness_detail == bottleneck(
-            restrict_module(A, line), restrict_module(B, line))[1]
+            restrict_module_rational(A, line),
+            restrict_module_rational(B, line))[1]
 
 
 def test_wide_rectangle_pairs_integer_values():
@@ -1132,7 +1132,8 @@ def _pres_pairs():
 
 def test_presentation_templates_match_restriction():
     """The bars the int64 kernel reads off its barcode templates are the
-    bars of restrict_presentation on every line, zero-length ones aside."""
+    bars of the rational oracles.restrict_presentation on every line,
+    zero-length ones aside."""
     rng = random.Random(70)
     for rank in range(7):
         pool = rand_pool(rng, 5, dmax=2)
@@ -1166,12 +1167,13 @@ def test_presentation_templates_match_restriction():
 
 @pytest.mark.parametrize("f", [1, 10 ** 9], ids=["int64", "bigint"])
 def test_key_diagrams_match_restriction(f):
-    """key_diagram gives restrict_module's diagram, tuple for tuple, on
-    random keys: on rectangle modules with finite and infinite uppers,
-    essential rectangles among them, whose bars die on some keys, and on
-    presentations with essential generators whose pairs have zero length
-    on some keys; with small coordinates, and scaled by 10^9, on object
-    unpacked keys.  Half the keys pass through a lattice point."""
+    """key_diagram gives the rational restriction's diagram
+    (oracles.restrict_module_rational), tuple for tuple, on random keys: on
+    rectangle modules with finite and infinite uppers, essential rectangles
+    among them, whose bars die on some keys, and on presentations with
+    essential generators whose pairs have zero length on some keys; with
+    small coordinates, and scaled by 10^9, on object unpacked keys.  Half
+    the keys pass through a lattice point."""
     rng = random.Random(78)
     seen = set()
     for t in range(40):
@@ -1197,8 +1199,8 @@ def test_key_diagrams_match_restriction(f):
             else:
                 k = rng.randint(dy * min(X) - dx * max(Y),
                                 dy * max(X) - dx * min(Y))
-            want = restrict_module(module,
-                                   exactdist._line_from_key(dx, dy, k, lam))
+            want = restrict_module_rational(
+                module, exactdist._line_from_key(dx, dy, k, lam))
             assert _fastpath.key_diagram(side, dx, dy, k, lam) == want
             kind = "rect" if module.rectangles is not None else "pres"
             if sum(1 for b in want if b.death != INF) < finite:

@@ -225,6 +225,35 @@ def private_fraction_api(tree):
     return sorted(out)
 
 
+_RATIONAL_PUSH = ("push_param", "pull_param")
+
+
+def rational_push_uses(tree):
+    """How the tree names geometry's rational push_param and pull_param,
+    as sorted (line, how) pairs: "def" for a definition, "import" for an
+    imported name, "read" for a bare name or an attribute, and "string" for
+    a string constant that contains one of them (a docstring, an __all__
+    entry, a name given to setattr)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names, how = [node.name], "def"
+        elif isinstance(node, ast.ImportFrom):
+            names, how = [alias.name for alias in node.names], "import"
+        elif isinstance(node, ast.Name):
+            names, how = [node.id], "read"
+        elif isinstance(node, ast.Attribute):
+            names, how = [node.attr], "read"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [n for n in _RATIONAL_PUSH if n in node.value]
+            how = "string"
+        else:
+            continue
+        if any(n in _RATIONAL_PUSH for n in names):
+            out.add((node.lineno, how))
+    return sorted(out)
+
+
 def test_sources_found():
     names = {p.name for p in READERS}
     assert {"exactdist.py", "__init__.py", "test_hygiene.py",
@@ -334,6 +363,33 @@ def test_unread_names_are_caught():
     assert unread_names([a, b]) == [(0, 5, "dead"), (0, 7, "Gone"),
                                     (0, 9, "_CONST"), (0, 9, "x"),
                                     (0, 10, "LIMIT"), (1, 3, "z")]
+
+
+def test_one_rational_push():
+    """Only geometry defines push_param and pull_param, and only __init__
+    imports and exports them: no other package module reads them, so the
+    package restricts no module in rationals."""
+    found = {}
+    for path in PACKAGE:
+        for _, how in rational_push_uses(ast.parse(path.read_text(),
+                                                   str(path))):
+            found.setdefault(path.name, set()).add(how)
+    assert found == {"geometry.py": {"def", "string"},
+                     "__init__.py": {"import", "string"}}
+
+
+def test_rational_push_uses_are_caught():
+    tree = ast.parse("from .geometry import push_param as p, weight\n"
+                     "def pull_param(line, v):\n    pass\n"
+                     "x = geometry.push_param\n"
+                     "y = pull_param(line, v)\n"
+                     "setattr(geometry, 'push_param', None)\n"
+                     "'bars through pull_param'\n"
+                     "z = push(line) + param\n"
+                     "from .modules import rect\n")
+    assert rational_push_uses(tree) == [(1, "import"), (2, "def"),
+                                        (4, "read"), (5, "read"),
+                                        (6, "string"), (7, "string")]
 
 
 def test_no_inf_comparisons():
